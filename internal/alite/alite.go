@@ -94,31 +94,42 @@ func Integrate(ctx context.Context, tables []*table.Table, opts Options) (*Resul
 // BuildInput outer-unions the tables onto the alignment's integration
 // schema, attaching provenance row IDs.
 func BuildInput(tables []*table.Table, align schemamatch.Alignment, rowIDs RowIDFunc) (fd.Input, error) {
-	rels := make([]fd.Relation, 0, len(tables))
+	rels := make([]fd.Relation, len(tables))
 	for ti, t := range tables {
-		colPos := make([]int, t.NumCols())
-		for c := 0; c < t.NumCols(); c++ {
-			p, ok := align.PositionOf(ti, c)
-			if !ok {
-				return fd.Input{}, fmt.Errorf("alite: alignment misses column %d of table %q", c, t.Name)
-			}
-			colPos[c] = p
+		rel, err := Relation(ti, t, align, rowIDs)
+		if err != nil {
+			return fd.Input{}, fmt.Errorf("alite: %w", err)
 		}
-		rel := fd.Relation{Table: t, ColPos: colPos}
-		if rowIDs != nil {
-			ids := make([]string, t.NumRows())
-			for r := range ids {
-				ids[r] = rowIDs(t.Name, r)
-			}
-			rel.RowIDs = ids
-		}
-		rels = append(rels, rel)
+		rels[ti] = rel
 	}
 	in, err := fd.OuterUnion(align.Schema, rels)
 	if err != nil {
 		return fd.Input{}, fmt.Errorf("alite: outer union: %w", err)
 	}
 	return in, nil
+}
+
+// Relation projects table ti of an aligned integration set onto the
+// integration schema: each column's schema position plus, when rowIDs is
+// set, the provenance ID of every row. It is the per-table input both
+// BuildInput's outer union and integrate.Prepare's aligned sets start from.
+func Relation(ti int, t *table.Table, align schemamatch.Alignment, rowIDs RowIDFunc) (fd.Relation, error) {
+	colPos := make([]int, t.NumCols())
+	for c := range colPos {
+		p, ok := align.PositionOf(ti, c)
+		if !ok {
+			return fd.Relation{}, fmt.Errorf("alignment misses column %d of table %q", c, t.Name)
+		}
+		colPos[c] = p
+	}
+	rel := fd.Relation{Table: t, ColPos: colPos}
+	if rowIDs != nil {
+		rel.RowIDs = make([]string, t.NumRows())
+		for r := range rel.RowIDs {
+			rel.RowIDs[r] = rowIDs(t.Name, r)
+		}
+	}
+	return rel, nil
 }
 
 // integratedName renders "FD(T1,T2,T3)" like the paper's figures.

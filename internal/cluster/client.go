@@ -118,12 +118,6 @@ type shardClient struct {
 	lat        serve.Latency
 }
 
-// errorBody mirrors serve's structured error envelope.
-type errorBody struct {
-	Error  string `json:"error"`
-	Status int    `json:"status"`
-}
-
 // do runs one logical call against the shard: marshal body (nil means no
 // body), POST/GET path, decode a 200 into out (json.Number preserved, so
 // int64 cells and float64 scores round-trip bit-exactly), map any failure
@@ -209,7 +203,7 @@ func (c *shardClient) attempt(ctx context.Context, op, method, path string, payl
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		serr := &ShardError{Shard: c.shard, Addr: c.addr, Op: op, Status: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After")}
-		var eb errorBody
+		var eb serve.ErrorBody
 		if jerr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); jerr == nil && eb.Error != "" {
 			serr.Err = fmt.Errorf("%s", eb.Error)
 		} else {
@@ -264,23 +258,15 @@ func (c *shardClient) getTables(ctx context.Context, names []string) (serve.Lake
 }
 
 func (c *shardClient) add(ctx context.Context, tables []serve.TableJSON) error {
-	return c.do(ctx, "add", http.MethodPost, "/v1/lake/add", addRequest{Tables: tables}, nil)
+	return c.do(ctx, "add", http.MethodPost, "/v1/lake/add", serve.LakeAddRequest{Tables: tables}, nil)
 }
 
 func (c *shardClient) remove(ctx context.Context, names []string) error {
-	return c.do(ctx, "remove", http.MethodPost, "/v1/lake/remove", removeRequest{Names: names}, nil)
+	return c.do(ctx, "remove", http.MethodPost, "/v1/lake/remove", serve.LakeRemoveRequest{Names: names}, nil)
 }
 
 func (c *shardClient) compact(ctx context.Context) error {
 	return c.do(ctx, "compact", http.MethodPost, "/v1/lake/compact", struct{}{}, nil)
-}
-
-// addRequest / removeRequest mirror serve's mutation bodies.
-type addRequest struct {
-	Tables []serve.TableJSON `json:"tables"`
-}
-type removeRequest struct {
-	Names []string `json:"names"`
 }
 
 // normalizeAddr turns an operator-supplied shard address into a base URL:

@@ -15,7 +15,7 @@
 // by the multi-process differential harness.
 //
 // Degradation: reads tolerate down shards, returning partial results with
-// an explicit marker plus per-shard error detail (discovery.RunAllPartial);
+// an explicit marker plus per-shard error detail (discovery.RunAll);
 // mutations touching a down shard refuse fast with 503 before anything is
 // applied anywhere. See SHARDING.md's "Cluster mode" section for the
 // failure-semantics contract.
@@ -25,9 +25,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/discovery"
@@ -77,15 +75,15 @@ type Config struct {
 // and the composite-level state (value dictionary, KB annotator) lives
 // coordinator-side exactly as lake.Sharded keeps it composite-side.
 type Coordinator struct {
+	// Composite carries the routing rule (NumShards, ShardFor), the
+	// coordinator-local seqlock counter over routed mutations (Epochs
+	// prepends it to the concatenated shard vectors), and the
+	// coordinator-level Knowledge/Annotator/Dict — the exact analogue of
+	// what lake.Sharded keeps composite-side.
+	*lake.Composite
 	cfg    Config
 	shards []*shardClient
-	// epoch is the coordinator-local seqlock counter over routed
-	// mutations; Epochs prepends it to the concatenated shard vectors.
-	epoch     atomic.Uint64
-	knowledge *kb.KB
-	annotator *kb.Annotator
-	dict      *table.Dict
-	engine    sketch.Engine
+	engine sketch.Engine
 }
 
 var (
@@ -94,6 +92,7 @@ var (
 	_ serve.ShardHealthReporter  = (*Coordinator)(nil)
 	_ serve.ShardMetricsReporter = (*Coordinator)(nil)
 	_ serve.NameLister           = (*Coordinator)(nil)
+	_ serve.TableFetcher         = (*Coordinator)(nil)
 )
 
 // New builds a coordinator over the configured shard addresses. Shards may
@@ -127,12 +126,11 @@ func New(cfg Config) (*Coordinator, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	c := &Coordinator{cfg: cfg, knowledge: cfg.Knowledge, dict: table.NewDict()}
-	if c.knowledge == nil {
-		c.knowledge = kb.New()
+	c := &Coordinator{
+		Composite: lake.NewComposite(len(cfg.Addrs), cfg.Knowledge),
+		cfg:       cfg,
+		shards:    make([]*shardClient, len(cfg.Addrs)),
 	}
-	c.annotator = kb.NewAnnotator(c.knowledge.Compiled(), c.dict)
-	c.shards = make([]*shardClient, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
 		base, err := normalizeAddr(addr)
 		if err != nil {
@@ -190,13 +188,6 @@ func (c *Coordinator) resolveEngine() error {
 	return nil
 }
 
-// NumShards reports the shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
-// ShardFor reports which shard the named table routes to — the same
-// unkeyed FNV-1a rule every deployment shape uses.
-func (c *Coordinator) ShardFor(name string) int { return lake.ShardIndex(name, len(c.shards)) }
-
 // epochDown is the vector element substituted for an unreachable shard:
 // even (a down shard is not "mutating", and an all-even vector must remain
 // achievable so degraded reads settle) and implausible as a live counter,
@@ -223,15 +214,12 @@ func (c *Coordinator) Epochs() []uint64 {
 		per[i] = ep.Epochs
 	})
 	out := make([]uint64, 0, 1+2*len(c.shards))
-	out = append(out, c.epoch.Load())
+	out = append(out, c.Epoch())
 	for _, v := range per {
 		out = append(out, v...)
 	}
 	return out
 }
-
-func (c *Coordinator) beginMutation() { c.epoch.Add(1) }
-func (c *Coordinator) endMutation()   { c.epoch.Add(1) }
 
 // callCtx is the context for catalog methods that have none of their own
 // (lake.Catalog predates the transport): the per-call timeout is the only
@@ -240,23 +228,71 @@ func (c *Coordinator) callCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 }
 
-// Get fetches a table from the shard its name routes to. Any failure —
-// including the shard being down — reports the table as absent; callers
-// needing the distinction use the serving layer, where a down shard
-// surfaces as 503 on the operations that touch it.
+// Get fetches a table from the shard its name routes to. lake.Catalog's
+// Get has no error channel, so any failure — including the shard being
+// down — reports the table as absent; the serving layer goes through
+// FetchTables instead, where a down shard surfaces as its 503.
 func (c *Coordinator) Get(name string) (*table.Table, bool) {
 	ctx, cancel := c.callCtx()
 	defer cancel()
-	var out serve.LakeTableResponse
-	sc := c.shards[c.ShardFor(name)]
-	if err := sc.doIdempotent(ctx, "table", http.MethodGet, "/v1/lake/table?name="+url.QueryEscape(name), nil, &out); err != nil {
-		return nil, false
+	got, _ := c.FetchTables(ctx, []string{name})
+	t, ok := got[name]
+	return t, ok
+}
+
+// FetchTables is the error-reporting table lookup: names group by their
+// owning shard and fetch in one batch per shard. Names no shard holds are
+// absent from the map; a shard that cannot answer fails the whole fetch
+// with its *ShardError (first in shard order), so callers can tell "no such
+// table" from "its shard is down".
+func (c *Coordinator) FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
+	return c.fetchTables(ctx, names, nil)
+}
+
+// fetchTables scatters one getTables batch per involved shard and gathers
+// the decoded tables; tolerate (nil means nothing is) decides which
+// per-shard failures merely drop that shard's names instead of failing the
+// fetch.
+func (c *Coordinator) fetchTables(ctx context.Context, names []string, tolerate func(error) bool) (map[string]*table.Table, error) {
+	perShard := lake.PartitionNames(names, len(c.shards))
+	involved := involvedShards(perShard)
+	resolved := make([][]*table.Table, len(involved))
+	errs := make([]error, len(involved))
+	par.For(len(involved), func(j int) {
+		i := involved[j]
+		resp, err := c.shards[i].getTables(ctx, perShard[i])
+		if err != nil {
+			if tolerate == nil || !tolerate(err) {
+				errs[j] = err
+			}
+			return
+		}
+		resolved[j], errs[j] = decodeTables(i, resp.Tables)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
-	t, err := out.Table.DecodeTable()
-	if err != nil {
-		return nil, false
+	out := make(map[string]*table.Table, len(names))
+	for _, ts := range resolved {
+		for _, t := range ts {
+			out[t.Name] = t
+		}
 	}
-	return t, true
+	return out, nil
+}
+
+// decodeTables decodes one shard's wire tables; a table that does not
+// decode is a malformed response, never tolerated.
+func decodeTables(shard int, wire []serve.TableJSON) ([]*table.Table, error) {
+	out := make([]*table.Table, 0, len(wire))
+	for _, tj := range wire {
+		t, err := tj.DecodeTable()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d: malformed table %q: %w", shard, tj.Name, err)
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // TableNames enumerates the catalog's table names: shard 0..N-1, each in
@@ -298,13 +334,7 @@ func (c *Coordinator) Tables() []*table.Table {
 		if err != nil {
 			return
 		}
-		out := make([]*table.Table, 0, len(resp.Tables))
-		for _, tj := range resp.Tables {
-			if t, derr := tj.DecodeTable(); derr == nil {
-				out = append(out, t)
-			}
-		}
-		per[i] = out
+		per[i], _ = decodeTables(i, resp.Tables) // malformed: skipped like a down shard
 	})
 	var all []*table.Table
 	for _, ts := range per {
@@ -352,45 +382,31 @@ func (c *Coordinator) probeInvolved(involved []int) error {
 
 // Add routes the batch by table name and applies each shard's sub-batch
 // concurrently, after validating the whole batch coordinator-side (the
-// same atomic-validation contract lake.Sharded keeps) and probing every
-// involved shard. Cross-shard atomicity is compensated, not transactional:
-// if any shard rejects its sub-batch (e.g. a duplicate name), sub-batches
-// already applied elsewhere are rolled back with best-effort removes, and
-// the first shard's error (in shard order) is returned.
+// same atomic-validation contract lake.Sharded keeps; duplicates against
+// the catalog are the owning shard's check) and probing every involved
+// shard. Cross-shard atomicity is compensated, not transactional: if any
+// shard rejects its sub-batch (e.g. a duplicate name), sub-batches already
+// applied elsewhere are rolled back with best-effort removes, and the first
+// shard's error (in shard order) is returned.
 func (c *Coordinator) Add(tables ...*table.Table) error {
 	if len(tables) == 0 {
 		return nil
 	}
-	batch := make(map[string]bool, len(tables))
-	perShard := make([][]serve.TableJSON, len(c.shards))
-	perShardNames := make([][]string, len(c.shards))
-	for _, t := range tables {
-		if t == nil {
-			return fmt.Errorf("lake: add: nil table")
-		}
-		if t.Name == "" {
-			return fmt.Errorf("lake: add: table with empty name")
-		}
-		if batch[t.Name] {
-			return fmt.Errorf("lake: add: duplicate table name %q", t.Name)
-		}
-		batch[t.Name] = true
-		shard := c.ShardFor(t.Name)
-		perShard[shard] = append(perShard[shard], serve.EncodeTable(t))
-		perShardNames[shard] = append(perShardNames[shard], t.Name)
+	if err := lake.CheckAdd("lake: add", tables, nil); err != nil {
+		return err
 	}
-	involved := involvedShards(perShardNames)
+	perShard := lake.PartitionTables(tables, len(c.shards))
+	involved := involvedShards(perShard)
 	if err := c.probeInvolved(involved); err != nil {
 		return err
 	}
-	c.beginMutation()
-	defer c.endMutation()
+	c.Mutations.Begin()
+	defer c.Mutations.End()
 	ctx, cancel := c.callCtx()
 	defer cancel()
 	errs := make([]error, len(involved))
 	par.For(len(involved), func(j int) {
-		i := involved[j]
-		errs[j] = c.shards[i].add(ctx, perShard[i])
+		errs[j] = c.shards[involved[j]].add(ctx, encodeTables(perShard[involved[j]]))
 	})
 	if firstErr(errs) == nil {
 		return nil
@@ -403,7 +419,7 @@ func (c *Coordinator) Add(tables ...*table.Table) error {
 	defer rbCancel()
 	par.For(len(involved), func(j int) {
 		if errs[j] == nil {
-			_ = c.shards[involved[j]].remove(rbCtx, perShardNames[involved[j]])
+			_ = c.shards[involved[j]].remove(rbCtx, tableNames(perShard[involved[j]]))
 		}
 	})
 	return firstErr(errs)
@@ -417,15 +433,9 @@ func (c *Coordinator) Remove(names ...string) error {
 	if len(names) == 0 {
 		return nil
 	}
-	doomed := make(map[string]bool, len(names))
-	perShard := make([][]string, len(c.shards))
-	for _, n := range names {
-		if !doomed[n] {
-			doomed[n] = true
-			shard := c.ShardFor(n)
-			perShard[shard] = append(perShard[shard], n)
-		}
-	}
+	// Dedupe only: membership is checked against the fetch below.
+	unique, _ := lake.CheckRemove("lake: remove", names, nil)
+	perShard := lake.PartitionNames(unique, len(c.shards))
 	involved := involvedShards(perShard)
 	if err := c.probeInvolved(involved); err != nil {
 		return err
@@ -435,21 +445,16 @@ func (c *Coordinator) Remove(names ...string) error {
 	// provides the rollback payload.
 	ctx, cancel := c.callCtx()
 	defer cancel()
-	fetched := make([]serve.LakeTablesResponse, len(involved))
-	ferrs := make([]error, len(involved))
-	par.For(len(involved), func(j int) {
-		fetched[j], ferrs[j] = c.shards[involved[j]].getTables(ctx, perShard[involved[j]])
-	})
-	if err := firstErr(ferrs); err != nil {
+	doomed, err := c.FetchTables(ctx, unique)
+	if err != nil {
 		return fmt.Errorf("cluster: remove validation: %w", err)
 	}
-	for _, resp := range fetched {
-		if len(resp.Missing) > 0 {
-			return fmt.Errorf("lake: remove: no table %q", resp.Missing[0])
-		}
+	fetched := func(n string) (*table.Table, bool) { t, ok := doomed[n]; return t, ok }
+	if _, err := lake.CheckRemove("lake: remove", unique, fetched); err != nil {
+		return err
 	}
-	c.beginMutation()
-	defer c.endMutation()
+	c.Mutations.Begin()
+	defer c.Mutations.End()
 	mctx, mcancel := c.callCtx()
 	defer mcancel()
 	errs := make([]error, len(involved))
@@ -463,10 +468,32 @@ func (c *Coordinator) Remove(names ...string) error {
 	defer rbCancel()
 	par.For(len(involved), func(j int) {
 		if errs[j] == nil {
-			_ = c.shards[involved[j]].add(rbCtx, fetched[j].Tables)
+			back := make([]*table.Table, 0, len(perShard[involved[j]]))
+			for _, n := range perShard[involved[j]] {
+				back = append(back, doomed[n])
+			}
+			_ = c.shards[involved[j]].add(rbCtx, encodeTables(back))
 		}
 	})
 	return firstErr(errs)
+}
+
+// encodeTables and tableNames project a shard's sub-batch onto the two wire
+// shapes mutations send: table bodies (add) and bare names (its rollback).
+func encodeTables(tables []*table.Table) []serve.TableJSON {
+	out := make([]serve.TableJSON, len(tables))
+	for i, t := range tables {
+		out[i] = serve.EncodeTable(t)
+	}
+	return out
+}
+
+func tableNames(tables []*table.Table) []string {
+	out := make([]string, len(tables))
+	for i, t := range tables {
+		out[i] = t.Name
+	}
+	return out
 }
 
 // Compact asks every shard to fold its mutation debt. Advisory and
@@ -485,18 +512,6 @@ func (c *Coordinator) Compact() {
 // coordinator's KB feeds only the cross-shard stages, whose annotator is
 // rebuilt per construction. It reports false — nothing was stale.
 func (c *Coordinator) RefreshKB() bool { return false }
-
-// Knowledge returns the coordinator-side knowledge base.
-func (c *Coordinator) Knowledge() *kb.KB { return c.knowledge }
-
-// Annotator returns the coordinator-level KB annotation cache for the
-// cross-shard stages — the exact analogue of lake.Sharded's composite
-// annotator.
-func (c *Coordinator) Annotator() *kb.Annotator { return c.annotator }
-
-// Dict returns the coordinator-level value dictionary; cross-shard
-// integration interns into it lazily.
-func (c *Coordinator) Dict() *table.Dict { return c.dict }
 
 // SketchEngine reports the engine the shards run (manifest-pinned or
 // probed at construction).
@@ -541,50 +556,13 @@ func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, d discovery.
 	return out, nil
 }
 
-// ResolveTables materializes a merged ranking: names group by their owning
-// shard and fetch in one batch per shard. Shards that became unreachable
+// ResolveTables materializes a merged ranking — FetchTables under
+// discovery.Remote's tolerant contract: shards that became unreachable
 // after answering the discover calls simply drop their names from the map
-// (the ranking entries keep their stubs); only malformed responses error.
+// (the ranking entries keep their stubs; the epoch resample decides if it
+// matters), and only other failures and malformed responses error.
 func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
-	perShard := make([][]string, len(c.shards))
-	for _, n := range names {
-		shard := c.ShardFor(n)
-		perShard[shard] = append(perShard[shard], n)
-	}
-	involved := involvedShards(perShard)
-	resolved := make([]map[string]*table.Table, len(involved))
-	errs := make([]error, len(involved))
-	par.For(len(involved), func(j int) {
-		i := involved[j]
-		resp, err := c.shards[i].getTables(ctx, perShard[i])
-		if err != nil {
-			if isUnavailable(err) {
-				return // stubs stay; the epoch resample decides if it matters
-			}
-			errs[j] = err
-			return
-		}
-		m := make(map[string]*table.Table, len(resp.Tables))
-		for _, tj := range resp.Tables {
-			t, derr := tj.DecodeTable()
-			if derr != nil {
-				errs[j] = fmt.Errorf("cluster: shard %d: malformed table %q: %w", i, tj.Name, derr)
-				return
-			}
-			m[t.Name] = t
-		}
-		resolved[j] = m
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	out := make(map[string]*table.Table, len(names))
-	for _, m := range resolved {
-		for n, t := range m {
-			out[n] = t
-		}
-	}
-	return out, nil
+	return c.fetchTables(ctx, names, isUnavailable)
 }
 
 // ShardHealth probes every shard's /healthz (and epoch endpoint, for the

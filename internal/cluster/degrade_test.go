@@ -8,11 +8,14 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -307,4 +310,89 @@ func TestClusterRestartWithoutTraffic(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("restart did not restore answers\n got:\n%s\nwant:\n%s", got, want)
+}
+
+// TestCoordinatorTableLookupSurfacesDownShard pins the typed-error path for
+// by-name table reads: with a shard down, POST /v1/integrate {"names":[…]}
+// and GET /v1/lake/table for a table that shard owns answer the shard's 503
+// + Retry-After — not the 400/404 "no table … in lake" that
+// Coordinator.Get's bool-only contract used to collapse every failure into.
+// Names owned by live shards keep answering, and a name no shard holds is
+// still the caller's 400/404.
+func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
+	pool := diffPool(31, 8)
+	const n, down = 2, 0
+	tc := startCluster(t, pool, n)
+	var dead, live string
+	for _, tbl := range pool {
+		if lake.ShardIndex(tbl.Name, n) == down {
+			dead = tbl.Name
+		} else {
+			live = tbl.Name
+		}
+	}
+	if dead == "" || live == "" {
+		t.Fatal("pool does not cover both shards")
+	}
+	tc.shards[down].Close()
+	defer coordClient(tc.coord)
+
+	// Catalog level: the error-reporting fetch carries the typed shard
+	// error; Get (no error channel) still just reports absence.
+	_, err := tc.coord.FetchTables(context.Background(), []string{live, dead})
+	var serr *cluster.ShardError
+	if !errors.As(err, &serr) || serr.Shard != down || serr.HTTPStatus() != http.StatusServiceUnavailable {
+		t.Fatalf("FetchTables over a down shard = %v, want shard %d's 503-coded *ShardError", err, down)
+	}
+	if _, ok := tc.coord.Get(dead); ok {
+		t.Fatal("Get found a table on a down shard")
+	}
+	if got, err := tc.coord.FetchTables(context.Background(), []string{live, nameForShard("ghost", 1-down, n)}); err != nil || len(got) != 1 || got[live] == nil {
+		t.Fatalf("FetchTables on the live shard = (%v, %v), want just %q", got, err, live)
+	}
+
+	front := httptest.NewServer(serve.New(core.FromCatalog(tc.coord), serve.Config{Timeout: 10 * time.Second}).Handler())
+	defer front.Close()
+	integrate := func(name string) *http.Response {
+		body, _ := json.Marshal(serve.IntegrateRequest{Names: []string{name}})
+		resp, err := http.Post(front.URL+"/v1/integrate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	lookup := func(name string) *http.Response {
+		resp, err := http.Get(front.URL + "/v1/lake/table?name=" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ghost := nameForShard("ghost", 1-down, n)
+	for _, c := range []struct {
+		what       string
+		resp       *http.Response
+		status     int
+		retryAfter bool
+	}{
+		{"integrate by name on the down shard", integrate(dead), http.StatusServiceUnavailable, true},
+		{"table lookup on the down shard", lookup(dead), http.StatusServiceUnavailable, true},
+		{"integrate by name on a live shard", integrate(live), http.StatusOK, false},
+		{"table lookup on a live shard", lookup(live), http.StatusOK, false},
+		{"integrate an unknown name", integrate(ghost), http.StatusBadRequest, false},
+		{"look an unknown name up", lookup(ghost), http.StatusNotFound, false},
+	} {
+		var eb serve.ErrorBody
+		_ = json.NewDecoder(c.resp.Body).Decode(&eb)
+		c.resp.Body.Close()
+		if c.resp.StatusCode != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.what, c.resp.StatusCode, eb.Error, c.status)
+		}
+		if got := c.resp.Header.Get("Retry-After") != ""; got != c.retryAfter {
+			t.Errorf("%s: Retry-After present = %v, want %v", c.what, got, c.retryAfter)
+		}
+		if c.status == http.StatusServiceUnavailable && strings.Contains(eb.Error, "no table") {
+			t.Errorf("%s: a down shard was reported as a missing table: %q", c.what, eb.Error)
+		}
+	}
 }

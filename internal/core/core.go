@@ -163,7 +163,7 @@ type DiscoverResponse struct {
 	IntegrationSet []*table.Table
 	// ShardErrors is non-empty when the discovery run was partial: some
 	// shards of a cluster-mode catalog were unreachable and contributed
-	// nothing (discovery.RunAllPartial). PerMethod and IntegrationSet then
+	// nothing (discovery.RunAll). PerMethod and IntegrationSet then
 	// cover the reachable shards only. Always empty for in-process lakes.
 	ShardErrors []discovery.ShardError
 }

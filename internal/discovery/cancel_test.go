@@ -39,7 +39,7 @@ func TestRunAllCancelMidFanOut(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	out, err := RunAll(ctx, l, q, cityCol(t, q), 10, []Discoverer{blocker, SantosUnion{}, LSHJoin{}})
+	out, _, err := RunAll(ctx, l, q, cityCol(t, q), 10, []Discoverer{blocker, SantosUnion{}, LSHJoin{}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAll = (%v, %v), want ctx.Err()", out, err)
 	}

@@ -290,10 +290,10 @@ func jaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// IntegrationSet merges the query table with discovery results from any
+// mergeIntegrationSet merges the query table with discovery results from any
 // number of methods into the integration set fed to ALITE: the query
 // first, then discovered tables deduplicated by name in rank order.
-func IntegrationSet(q *table.Table, resultSets ...[]Result) []*table.Table {
+func mergeIntegrationSet(q *table.Table, resultSets ...[]Result) []*table.Table {
 	out := []*table.Table{q}
 	seen := map[string]bool{q.Name: true}
 	for _, rs := range resultSets {

@@ -92,7 +92,7 @@ func TestIntegrationSetMergesMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := IntegrationSet(q, u, j)
+	set := mergeIntegrationSet(q, u, j)
 	names := make([]string, len(set))
 	for i, tb := range set {
 		names[i] = tb.Name
@@ -104,7 +104,7 @@ func TestIntegrationSetMergesMethods(t *testing.T) {
 		t.Errorf("integration set = %v, want [T1 T2 T3]", names)
 	}
 	// Duplicates across methods collapse.
-	set2 := IntegrationSet(q, u, u, j, j)
+	set2 := mergeIntegrationSet(q, u, u, j, j)
 	if len(set2) != 3 {
 		t.Errorf("dedup failed: %d tables", len(set2))
 	}

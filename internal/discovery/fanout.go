@@ -15,21 +15,18 @@ import (
 // seqlock epoch vector that guards multi-index reads. *lake.Lake (its own
 // single shard), *lake.Sharded, and the lake.Catalog interface the pipeline
 // holds all satisfy it, as does a cluster coordinator whose shards are
-// remote processes. How the shards are reached is the target's second
-// interface: in-process targets expose `Shards() []*lake.Lake` and
-// discoverers run directly against each shard; remote targets implement
-// Remote and the fan-out goes through its per-shard transport.
+// remote processes. How one (discoverer, shard) work item is executed is the
+// target's second interface — in-process targets expose
+// `Shards() []*lake.Lake` and the item is a direct Discover call on the
+// shard lake; remote targets implement Remote and the item is one
+// DiscoverShard transport call. Everything around the item — slot layout,
+// panic containment, tolerance, merge, epoch guard — is the one fan-out in
+// RunAll.
 type Target interface {
 	// Epochs samples the target's mutation-epoch vector — see
 	// lake.Catalog.Epochs for the seqlock protocol. A clean run samples
 	// the same all-even vector before and after its fan-out.
 	Epochs() []uint64
-}
-
-// localTarget is the in-process shard access every pre-cluster target
-// provides; discoverers receive the concrete shard lakes directly.
-type localTarget interface {
-	Shards() []*lake.Lake
 }
 
 // Remote extends Target for shard sets reached over a transport (the
@@ -44,7 +41,7 @@ type Remote interface {
 	NumShards() int
 	// DiscoverShard runs one discoverer on one shard. An error wrapping
 	// ErrShardUnavailable marks the shard down/degraded — tolerated by
-	// RunAllPartial; any other error is a hard failure.
+	// RunAll; any other error is a hard failure.
 	DiscoverShard(ctx context.Context, shard int, d Discoverer, q *table.Table, queryCol, k int) ([]Result, error)
 	// ResolveTables fetches the named tables. Names it cannot resolve —
 	// removed mid-run, or their shard became unreachable after answering
@@ -55,15 +52,14 @@ type Remote interface {
 
 // ErrShardUnavailable marks a per-shard discovery failure caused by the
 // shard being unreachable, shedding, or degraded — as opposed to the query
-// itself being invalid. RunAllPartial tolerates slots whose errors wrap it,
+// itself being invalid. RunAll tolerates slots whose errors wrap it,
 // returning the surviving shards' merged rankings plus a ShardError per
-// down shard; strict RunAll treats it like any other failure.
+// down shard.
 var ErrShardUnavailable = errors.New("shard unavailable")
 
 // ShardError records that one shard contributed nothing to a partial run,
 // and why. It wraps the underlying per-shard error, so errors.Is/As see
-// through it (every ShardError from RunAllPartial wraps
-// ErrShardUnavailable).
+// through it (every ShardError from RunAll wraps ErrShardUnavailable).
 type ShardError struct {
 	// Shard is the shard index within the target.
 	Shard int
@@ -73,6 +69,20 @@ type ShardError struct {
 
 func (e ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard, e.Err) }
 func (e ShardError) Unwrap() error { return e.Err }
+
+// PanicError is a discoverer panic contained by the fan-out: a server-side
+// fault in a (usually user-registered) method, not the caller's error. The
+// serving layer matches it with errors.As to answer 500.
+type PanicError struct {
+	// Method names the discoverer that panicked.
+	Method string
+	// Value is what it panicked with.
+	Value any
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("discovery: %q panicked: %v", e.Method, e.Value)
+}
 
 // tornRetries is how many times RunAll re-executes a run whose epoch
 // samples prove it may have read the lake mid-mutation. One retry is
@@ -98,19 +108,56 @@ func epochsClean(e1, e2 []uint64) bool {
 	return true
 }
 
+// shardCall executes one (discoverer, shard) work item of the fan-out.
+type shardCall func(ctx context.Context, d Discoverer, shard int) ([]Result, error)
+
+// resolveFunc is Remote.ResolveTables: names in, materialized tables out.
+type resolveFunc func(ctx context.Context, names []string) (map[string]*table.Table, error)
+
+// shardCalls resolves how the target's shards are reached: the shard count
+// plus the per-item call. resolve is non-nil when results arrive as
+// name-only stubs that must be materialized after the merge (remote
+// targets). In-process shard lists are re-read on every call, so a retried
+// attempt sees the target's current shards.
+func shardCalls(t Target, q *table.Table, queryCol, k int) (ns int, call shardCall, resolve resolveFunc, err error) {
+	switch tt := t.(type) {
+	case interface{ Shards() []*lake.Lake }:
+		shards := tt.Shards()
+		return len(shards), func(ctx context.Context, d Discoverer, shard int) ([]Result, error) {
+			return d.Discover(ctx, shards[shard], q, queryCol, k)
+		}, nil, nil
+	case Remote:
+		return tt.NumShards(), func(ctx context.Context, d Discoverer, shard int) ([]Result, error) {
+			return tt.DiscoverShard(ctx, shard, d, q, queryCol, k)
+		}, tt.ResolveTables, nil
+	default:
+		return 0, nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
+	}
+}
+
 // RunAll executes the given discoverers over one query against every shard
 // of the target and returns the merged result lists slot-indexed: out[i] is
-// ds[i]'s ranked results over the whole catalog. Per-shard rankings
-// concatenate and re-rank by (score descending, table name ascending) —
-// table names are unique catalog-wide, so the comparator is total and the
-// merge deterministic regardless of shard count or scheduling; against a
+// ds[i]'s ranked results over the whole catalog. Work item j covers
+// discoverer j/ns on shard j%ns. Per-shard rankings concatenate and re-rank
+// by (score descending, table name ascending) — table names are unique
+// catalog-wide, so the comparator is total and the merge deterministic
+// regardless of shard count, transport or scheduling; against a
 // single-shard target the output is byte-identical to running the methods
 // sequentially. The shards' indexes are immutable and every shared interner
 // is lock-protected, so discoverers — including user-defined similarity
 // hooks (Fig. 4), which must be safe to call concurrently — run without
-// coordination across the discoverer×shard fan-out. If any discoverer
-// fails, the first error in (discoverer, shard) slot order is returned
-// (deterministic regardless of which worker finished first).
+// coordination across the discoverer×shard fan-out.
+//
+// Errors and degradation: slots whose error wraps ErrShardUnavailable — a
+// remote shard down, shedding, or degraded — contribute empty rankings
+// instead of failing the run, and the down shards are reported as
+// ShardErrors (deduplicated per shard, ascending shard order). A non-empty
+// ShardError list is the "partial" marker the serving layer surfaces to
+// clients: the rankings are complete over the reachable shards only. Any
+// other failure fails the whole run with the first error in (discoverer,
+// shard) slot order — deterministic regardless of which worker finished
+// first. A panicking discoverer surfaces as its slot's *PanicError: on a
+// worker goroutine a panic would otherwise kill the process.
 //
 // Torn-read protection: a discovery run concurrent with Add/Remove could
 // otherwise observe the lake between per-index updates (a table visible to
@@ -126,44 +173,45 @@ func epochsClean(e1, e2 []uint64) bool {
 // stops dispatching once ctx is done. RunAll returns only after every
 // in-flight discoverer has returned — cancelling a query never leaks a
 // worker goroutine — and reports ctx.Err() when the context was cancelled.
-func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, error) {
-	out, _, err := runAll(ctx, t, q, queryCol, k, ds, false)
-	return out, err
-}
-
-// RunAllPartial is RunAll with graceful degradation: slots whose error
-// wraps ErrShardUnavailable — a remote shard down, shedding, or degraded —
-// contribute empty rankings instead of failing the run, and the down shards
-// are reported as ShardErrors (deduplicated per shard, ascending shard
-// order). A non-empty ShardError list is the "partial" marker the serving
-// layer surfaces to clients: the rankings are complete over the reachable
-// shards only. Any error not wrapping ErrShardUnavailable still fails the
-// whole run, exactly as in RunAll.
-func RunAllPartial(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, error) {
-	return runAll(ctx, t, q, queryCol, k, ds, true)
-}
-
-// runAll is the shared epoch-guarded driver: sample the epoch vector, run
-// one fan-out (local or remote, tolerant or strict), resample, and retry
-// once on a perturbed pair.
-func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
+func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, error) {
 	for attempt := 0; ; attempt++ {
 		e1 := t.Epochs()
-		var (
-			out   [][]Result
-			serrs []ShardError
-			err   error
-		)
-		switch tt := t.(type) {
-		case localTarget:
-			out, serrs, err = runShards(ctx, tt.Shards(), q, queryCol, k, ds, tolerate)
-		case Remote:
-			out, serrs, err = runRemote(ctx, tt, q, queryCol, k, ds, tolerate)
-		default:
-			return nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
-		}
+		ns, call, resolve, err := shardCalls(t, q, queryCol, k)
 		if err != nil {
 			return nil, nil, err
+		}
+		nd := len(ds)
+		per := make([][]Result, nd*ns)
+		errs := make([]error, nd*ns)
+		ferr := par.ForCtx(ctx, nd*ns, func(j int) {
+			defer func() {
+				if r := recover(); r != nil {
+					errs[j] = &PanicError{Method: ds[j/ns].Name(), Value: r}
+				}
+			}()
+			per[j], errs[j] = call(ctx, ds[j/ns], j%ns)
+		})
+		if ferr != nil {
+			return nil, nil, ferr
+		}
+		serrs, err := collectSlots(per, errs, ns)
+		if err != nil {
+			return nil, nil, err
+		}
+		out := make([][]Result, nd)
+		if ns == 1 && len(serrs) == 0 {
+			// One answering shard: its rankings are the catalog's, unmerged —
+			// a user discoverer's own result order survives untouched.
+			copy(out, per)
+		} else {
+			for i := 0; i < nd; i++ {
+				out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
+			}
+		}
+		if resolve != nil {
+			if err := materialize(ctx, out, resolve); err != nil {
+				return nil, nil, err
+			}
 		}
 		// A clean run sampled the same all-even epoch vector on both sides:
 		// no mutation was in flight anywhere when it started and none
@@ -177,106 +225,40 @@ func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 }
 
 // collectSlots applies the tolerance policy to one fan-out's slot errors:
-// hard errors surface first-in-slot-order; tolerated slots (wrapping
-// ErrShardUnavailable, when tolerate is set) are cleared to empty rankings
-// and recorded once per shard.
-func collectSlots(per [][]Result, errs []error, ns int, tolerate bool) ([][]Result, []ShardError, error) {
-	var serrs []ShardError
-	down := make(map[int]error, ns)
+// hard errors surface first-in-slot-order; slots wrapping
+// ErrShardUnavailable are cleared to empty rankings and recorded once per
+// shard.
+func collectSlots(per [][]Result, errs []error, ns int) ([]ShardError, error) {
+	down := make(map[int]error)
 	for j, err := range errs {
 		if err == nil {
 			continue
 		}
-		if tolerate && errors.Is(err, ErrShardUnavailable) {
-			if _, seen := down[j%ns]; !seen {
-				down[j%ns] = err
-			}
-			per[j] = nil
-			continue
+		if !errors.Is(err, ErrShardUnavailable) {
+			return nil, err
 		}
-		return nil, nil, err
+		if _, seen := down[j%ns]; !seen {
+			down[j%ns] = err
+		}
+		per[j] = nil
 	}
+	var serrs []ShardError
 	for shard := 0; shard < ns; shard++ {
 		if err, ok := down[shard]; ok {
 			serrs = append(serrs, ShardError{Shard: shard, Err: err})
 		}
 	}
-	return per, serrs, nil
+	return serrs, nil
 }
 
-// runShards is one epoch-unguarded execution of the in-process
-// discoverer×shard fan-out. Work item j covers discoverer j/len(shards) on
-// shard j%len(shards), so error precedence and result slots stay
-// deterministic.
-func runShards(ctx context.Context, shards []*lake.Lake, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
-	nd, ns := len(ds), len(shards)
-	per := make([][]Result, nd*ns)
-	errs := make([]error, nd*ns)
-	ferr := par.ForCtx(ctx, nd*ns, func(j int) {
-		// Discoverers ran on the caller's goroutine before the fan-out, where
-		// a server could recover a misbehaving user hook; on a worker
-		// goroutine a panic would kill the process, so contain it here and
-		// surface it as that slot's error.
-		defer func() {
-			if r := recover(); r != nil {
-				errs[j] = fmt.Errorf("discovery: %q panicked: %v", ds[j/ns].Name(), r)
-			}
-		}()
-		per[j], errs[j] = ds[j/ns].Discover(ctx, shards[j%ns], q, queryCol, k)
-	})
-	if ferr != nil {
-		return nil, nil, ferr
-	}
-	per, serrs, err := collectSlots(per, errs, ns, tolerate)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Result, nd)
-	if ns == 1 && len(serrs) == 0 {
-		copy(out, per)
-		return out, serrs, nil
-	}
-	for i := 0; i < nd; i++ {
-		out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
-	}
-	return out, serrs, nil
-}
-
-// runRemote is one epoch-unguarded execution of the discoverer×shard
-// fan-out over a remote target: the same slot layout and error precedence
-// as runShards, but each work item is one DiscoverShard transport call, and
-// the merged top-k is materialized through one ResolveTables batch (remote
-// results arrive as name-only stubs; fetching every shard's full candidate
-// lists would defeat the truncation).
-func runRemote(ctx context.Context, t Remote, q *table.Table, queryCol, k int, ds []Discoverer, tolerate bool) ([][]Result, []ShardError, error) {
-	nd, ns := len(ds), t.NumShards()
-	per := make([][]Result, nd*ns)
-	errs := make([]error, nd*ns)
-	ferr := par.ForCtx(ctx, nd*ns, func(j int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[j] = fmt.Errorf("discovery: %q panicked: %v", ds[j/ns].Name(), r)
-			}
-		}()
-		per[j], errs[j] = t.DiscoverShard(ctx, j%ns, ds[j/ns], q, queryCol, k)
-	})
-	if ferr != nil {
-		return nil, nil, ferr
-	}
-	per, serrs, err := collectSlots(per, errs, ns, tolerate)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Result, nd)
-	for i := 0; i < nd; i++ {
-		out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
-	}
-	// Materialize the survivors: one batch fetch of every distinct name in
-	// the merged rankings. A name that resolves to nothing (removed mid-run,
-	// or its shard died after answering) keeps its stub — the ranking entry
-	// stays correct by (name, score), and Discover excludes column-less
-	// stubs from the integration set.
-	names := make([]string, 0, nd*k)
+// materialize replaces the name-only stubs of merged remote rankings with
+// full tables: one batch fetch of every distinct name (fetching every
+// shard's full candidate lists instead would defeat the top-k truncation).
+// A name that resolves to nothing (removed mid-run, or its shard died after
+// answering) keeps its stub — the ranking entry stays correct by (name,
+// score), and Discover excludes column-less stubs from the integration set.
+func materialize(ctx context.Context, out [][]Result, resolve resolveFunc) error {
+	var names []string
 	seen := make(map[string]bool)
 	for _, rs := range out {
 		for _, r := range rs {
@@ -287,11 +269,11 @@ func runRemote(ctx context.Context, t Remote, q *table.Table, queryCol, k int, d
 		}
 	}
 	if len(names) == 0 {
-		return out, serrs, nil
+		return nil
 	}
-	resolved, err := t.ResolveTables(ctx, names)
+	resolved, err := resolve(ctx, names)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for _, rs := range out {
 		for i := range rs {
@@ -300,7 +282,7 @@ func runRemote(ctx context.Context, t Remote, q *table.Table, queryCol, k int, d
 			}
 		}
 	}
-	return out, serrs, nil
+	return nil
 }
 
 // mergeShardRankings concatenates one discoverer's per-shard rankings and
@@ -331,9 +313,9 @@ func mergeShardRankings(lists [][]Result, k int) []Result {
 	return out
 }
 
-// Resolve maps method names to registered discoverers, in input order.
+// resolve maps method names to registered discoverers, in input order.
 // Unknown names fail with the available set, before any discoverer runs.
-func (r *Registry) Resolve(names []string) ([]Discoverer, error) {
+func (r *Registry) resolve(names []string) ([]Discoverer, error) {
 	ds := make([]Discoverer, len(names))
 	for i, name := range names {
 		d, ok := r.Get(name)
@@ -347,22 +329,22 @@ func (r *Registry) Resolve(names []string) ([]Discoverer, error) {
 
 // Discover is the full discovery stage in one call: resolve the named
 // methods against the registry, fan them out over the target's shards with
-// RunAllPartial, and merge the per-method rankings into the integration set
+// RunAll, and merge the per-method rankings into the integration set
 // ("we persist the set of tables found by all techniques"). perMethod is
 // keyed by method name; the integration set lists the query table first,
 // then discovered tables deduplicated in method order then rank order
 // (excluding any result whose table could not be materialized — a
 // column-less stub cannot be integrated). shardErrs is non-empty when the
 // run was partial: some shards were unreachable and contributed nothing
-// (see RunAllPartial) — impossible for in-process targets, which either
-// answer or fail hard. Cancelling ctx aborts the fan-out and returns
+// (see RunAll) — in practice only remote targets, since in-process shards
+// either answer or fail hard. Cancelling ctx aborts the fan-out and returns
 // ctx.Err() (see RunAll).
 func Discover(ctx context.Context, r *Registry, t Target, q *table.Table, queryCol, k int, methods []string) (perMethod map[string][]Result, integrationSet []*table.Table, shardErrs []ShardError, err error) {
-	ds, err := r.Resolve(methods)
+	ds, err := r.resolve(methods)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	all, shardErrs, err := RunAllPartial(ctx, t, q, queryCol, k, ds)
+	all, shardErrs, err := RunAll(ctx, t, q, queryCol, k, ds)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -380,5 +362,5 @@ func Discover(ctx context.Context, r *Registry, t Target, q *table.Table, queryC
 		}
 		integrable[i] = keep
 	}
-	return perMethod, IntegrationSet(q, integrable...), shardErrs, nil
+	return perMethod, mergeIntegrationSet(q, integrable...), shardErrs, nil
 }

@@ -20,7 +20,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	q := paperdata.T1()
 	col := cityCol(t, q)
 	ds := []Discoverer{SantosUnion{}, LSHJoin{}, JosieJoin{}, SyntacticUnion{}}
-	got, err := RunAll(context.Background(), l, q, col, 10, ds)
+	got, _, err := RunAll(context.Background(), l, q, col, 10, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunAllFirstErrorBySlot(t *testing.T) {
 		SimilarityFunc{FuncName: "later-error"},   // slot 0: Sim == nil errors
 		SimilarityFunc{FuncName: "another-error"}, // slot 1: also errors
 	}
-	_, err := RunAll(context.Background(), l, q, 0, 10, ds)
+	_, _, err := RunAll(context.Background(), l, q, 0, 10, ds)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -67,7 +67,7 @@ func TestRunAllContainsPanics(t *testing.T) {
 		}},
 		LSHJoin{},
 	}
-	_, err := RunAll(context.Background(), l, q, cityCol(t, q), 10, ds)
+	_, _, err := RunAll(context.Background(), l, q, cityCol(t, q), 10, ds)
 	if err == nil {
 		t.Fatal("panicking discoverer must surface as an error")
 	}
@@ -78,14 +78,14 @@ func TestRunAllContainsPanics(t *testing.T) {
 
 func TestRegistryResolve(t *testing.T) {
 	r := NewRegistry()
-	ds, err := r.Resolve([]string{"lsh-join", "santos-union"})
+	ds, err := r.resolve([]string{"lsh-join", "santos-union"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds) != 2 || ds[0].Name() != "lsh-join" || ds[1].Name() != "santos-union" {
 		t.Errorf("Resolve order broken: %v", ds)
 	}
-	if _, err := r.Resolve([]string{"lsh-join", "nope"}); err == nil {
+	if _, err := r.resolve([]string{"lsh-join", "nope"}); err == nil {
 		t.Error("unknown method must error")
 	}
 }

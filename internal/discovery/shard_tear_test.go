@@ -93,7 +93,7 @@ func TestRunAllRetriesSingleShardTear(t *testing.T) {
 		return josie.Discover(ctx, sl, q, queryCol, k)
 	}}
 
-	out, err := discovery.RunAll(context.Background(), sh, query, 0, 0, []discovery.Discoverer{first, second})
+	out, _, err := discovery.RunAll(context.Background(), sh, query, 0, 0, []discovery.Discoverer{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestRunAllRetriesTornRead(t *testing.T) {
 		return josie.Discover(ctx, sl, q, queryCol, k)
 	}}
 
-	out, err := discovery.RunAll(context.Background(), l, query, 0, 0, []discovery.Discoverer{first, second})
+	out, _, err := discovery.RunAll(context.Background(), l, query, 0, 0, []discovery.Discoverer{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRunAllSteadyLakeSingleAttempt(t *testing.T) {
 		calls++
 		return nil, nil
 	}}
-	if _, err := discovery.RunAll(context.Background(), l, tbl, 0, 0, []discovery.Discoverer{d}); err != nil {
+	if _, _, err := discovery.RunAll(context.Background(), l, tbl, 0, 0, []discovery.Discoverer{d}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

@@ -314,7 +314,7 @@ func levenshteinRatio(a, b string) float64 {
 }
 
 // pairCancelStride bounds how many blocking-generated candidate pairs are
-// compared between two context checks in Resolve and ResolveLearned — the
+// compared between two context checks in resolveWith — the
 // comparison loop is the quadratic-in-the-worst-case part of ER.
 const pairCancelStride = 256
 
@@ -329,14 +329,27 @@ const pairCancelStride = 256
 // request-scoped resolution against a shared lake annotator, pass
 // Options.Annotator = annotator.ERScope().
 func Resolve(ctx context.Context, t *table.Table, opts Options) (*Resolution, error) {
+	opts = opts.withDefaults()
+	return resolveWith(ctx, t, opts.annotator(), opts.Knowledge, opts.Threshold,
+		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
+			return similarityCodes(a, b, ca, cb, opts, tc)
+		})
+}
+
+// resolveWith is the shared resolution flow around a pair scorer: resolve
+// every cell to its annotation code once, block on the codes, score each
+// candidate pair (score reports ok=false for pairs that cannot be compared,
+// which are dropped), union matched pairs (score >= threshold) transitively,
+// and merge each cluster into its canonical tuple.
+func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowledge *kb.KB, threshold float64,
+	score func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool)) (*Resolution, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("er: nil or zero-column table")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	codes := cellCodes(t, opts.annotator())
+	codes := cellCodes(t, ann)
 	candidates := blockPairsCodes(codes)
 	tc := newTextCache()
 	done := ctx.Done()
@@ -361,11 +374,11 @@ func Resolve(ctx context.Context, t *table.Table, opts Options) (*Resolution, er
 			default:
 			}
 		}
-		score, comparable := similarityCodes(t.Rows[p[0]], t.Rows[p[1]], codes[p[0]], codes[p[1]], opts, tc)
+		sc, comparable := score(t.Rows[p[0]], t.Rows[p[1]], codes[p[0]], codes[p[1]], tc)
 		if !comparable {
 			continue
 		}
-		pair := Pair{A: p[0], B: p[1], Score: score, Matched: score >= opts.Threshold}
+		pair := Pair{A: p[0], B: p[1], Score: sc, Matched: sc >= threshold}
 		res.Pairs = append(res.Pairs, pair)
 		if pair.Matched {
 			ra, rb := find(p[0]), find(p[1])
@@ -391,7 +404,7 @@ func Resolve(ctx context.Context, t *table.Table, opts Options) (*Resolution, er
 		sort.Ints(byRoot[r])
 		res.Clusters = append(res.Clusters, byRoot[r])
 	}
-	res.Resolved = mergeClusters(t, res.Clusters, opts.Knowledge)
+	res.Resolved = mergeClusters(t, res.Clusters, knowledge)
 	return res, nil
 }
 

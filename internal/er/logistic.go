@@ -185,75 +185,20 @@ func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, err
 // clusters merge transitively as in Resolve. ctx is observed across the
 // pair-scoring loop exactly as in Resolve.
 func ResolveLearned(ctx context.Context, t *table.Table, model *LogisticModel, knowledge *kb.KB, threshold float64) (*Resolution, error) {
-	if t == nil || t.NumCols() == 0 {
-		return nil, fmt.Errorf("er: nil or zero-column table")
-	}
 	if model == nil {
 		return nil, fmt.Errorf("er: nil model")
 	}
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	codes := cellCodes(t, Options{Knowledge: knowledge}.annotator())
-	candidates := blockPairsCodes(codes)
-	tc := newTextCache()
-	done := ctx.Done()
-	parent := make([]int, t.NumRows())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	res := &Resolution{Input: t}
-	for pi, p := range candidates {
-		if done != nil && pi%pairCancelStride == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
+	return resolveWith(ctx, t, Options{Knowledge: knowledge}.annotator(), knowledge, threshold,
+		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
+			x, ok := featuresCodes(a, b, ca, cb, tc)
+			if !ok {
+				return 0, false
 			}
-		}
-		x, ok := featuresCodes(t.Rows[p[0]], t.Rows[p[1]], codes[p[0]], codes[p[1]], tc)
-		if !ok {
-			continue
-		}
-		score := model.Predict(x)
-		pair := Pair{A: p[0], B: p[1], Score: score, Matched: score >= threshold}
-		res.Pairs = append(res.Pairs, pair)
-		if pair.Matched {
-			ra, rb := find(p[0]), find(p[1])
-			if ra != rb {
-				if ra > rb {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-			}
-		}
-	}
-	byRoot := make(map[int][]int)
-	for i := 0; i < t.NumRows(); i++ {
-		byRoot[find(i)] = append(byRoot[find(i)], i)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sortInts(roots)
-	for _, r := range roots {
-		sortInts(byRoot[r])
-		res.Clusters = append(res.Clusters, byRoot[r])
-	}
-	res.Resolved = mergeClusters(t, res.Clusters, knowledge)
-	return res, nil
+			return model.Predict(x), true
+		})
 }
 
 // TrainingPairsFromFigures builds a small labeled training set from the
@@ -289,13 +234,5 @@ func TrainingPairsFromFigures(knowledge *kb.KB) []TrainingPair {
 		{A: []table.Value{s("Sputnik V"), pn, s("Russia")}, B: []table.Value{s("Covaxin"), pn, s("India")}, Match: false},
 		{A: []table.Value{s("Pfizer"), pn, pn}, B: []table.Value{s("Moderna"), pn, pn}, Match: false},
 		{A: []table.Value{s("AstraZeneca"), s("MHRA"), s("England")}, B: []table.Value{s("Sinovac"), s("WHO"), s("China")}, Match: false},
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

@@ -148,13 +148,3 @@ func TestPredictRange(t *testing.T) {
 		t.Errorf("short vector predict = %v", p)
 	}
 }
-
-func TestSortInts(t *testing.T) {
-	xs := []int{5, 2, 9, 1}
-	sortInts(xs)
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			t.Fatalf("not sorted: %v", xs)
-		}
-	}
-}

@@ -12,13 +12,14 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/alite"
 	"repro/internal/fd"
 	"repro/internal/schemamatch"
 	"repro/internal/table"
 )
 
 // RowIDFunc names source rows for provenance (the paper's t1..t16).
-type RowIDFunc func(tableName string, row int) string
+type RowIDFunc = alite.RowIDFunc
 
 // AlignedSet is one source table projected onto the integration schema:
 // padded tuples plus the set of schema positions the table actually covers
@@ -45,27 +46,15 @@ func Prepare(tables []*table.Table, matcher schemamatch.Matcher, rowIDs RowIDFun
 	}
 	sets := make([]AlignedSet, 0, len(tables))
 	for ti, t := range tables {
-		colPos := make([]int, t.NumCols())
-		for c := 0; c < t.NumCols(); c++ {
-			p, ok := align.PositionOf(ti, c)
-			if !ok {
-				return nil, nil, fmt.Errorf("integrate: alignment misses column %d of table %q", c, t.Name)
-			}
-			colPos[c] = p
-		}
-		rel := fd.Relation{Table: t, ColPos: colPos}
-		if rowIDs != nil {
-			ids := make([]string, t.NumRows())
-			for r := range ids {
-				ids[r] = rowIDs(t.Name, r)
-			}
-			rel.RowIDs = ids
+		rel, err := alite.Relation(ti, t, align, rowIDs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("integrate: %w", err)
 		}
 		in, err := fd.OuterUnion(align.Schema, []fd.Relation{rel})
 		if err != nil {
 			return nil, nil, fmt.Errorf("integrate: pad %q: %w", t.Name, err)
 		}
-		positions := append([]int(nil), colPos...)
+		positions := append([]int(nil), rel.ColPos...)
 		sort.Ints(positions)
 		sets = append(sets, AlignedSet{Name: t.Name, Positions: positions, Tuples: in.Tuples})
 	}

@@ -1,0 +1,128 @@
+package lake
+
+import (
+	"sync/atomic"
+
+	"repro/internal/kb"
+	"repro/internal/table"
+)
+
+// Epoch is the seqlock-style mutation counter every catalog shape keeps:
+// odd while an answer-changing mutation (Add, Remove, KB re-annotation) is
+// applying its per-index deltas, even when the catalog is settled.
+// Multi-index readers sample it before and after a run to detect a torn
+// read — see Lake.Epoch and discovery.RunAll. It is advisory: mutations
+// never block on it.
+type Epoch struct{ n atomic.Uint64 }
+
+// Begin marks the start of a mutation (the counter goes odd). Callers must
+// have finished all validation first: a rejected batch never perturbs the
+// epoch.
+func (e *Epoch) Begin() { e.n.Add(1) }
+
+// End marks the end of a mutation (the counter goes even again).
+func (e *Epoch) End() { e.n.Add(1) }
+
+// Load samples the counter.
+func (e *Epoch) Load() uint64 { return e.n.Load() }
+
+// kbState is the shared state the integration and analysis stages read
+// from any catalog: the knowledge base, the value dictionary, and the KB
+// annotation cache over both. The annotator is replaced (never mutated)
+// when the KB has moved on, so readers load it without a lock.
+type kbState struct {
+	knowledge *kb.KB
+	dict      *table.Dict
+	annotator atomic.Pointer[kb.Annotator]
+}
+
+// Knowledge returns the (possibly merged) knowledge base the catalog was
+// annotated with.
+func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
+
+// Dict returns the catalog-level value dictionary. A Lake interns every
+// cell of every table into it, so integration over the lake shares it and
+// the FD closure's interning is a cache hit for lake values. Composites
+// (Sharded, the cluster coordinator) keep shard dictionaries private and
+// intern into this one lazily during cross-shard integration; see
+// SHARDING.md.
+func (s *kbState) Dict() *table.Dict { return s.dict }
+
+// Annotator returns the catalog-level KB annotation cache, backed by Dict:
+// every distinct value's canonical entity is resolved at most once, and
+// SANTOS queries (on a Lake), integration matching and entity resolution
+// share the cached codes. Mutations replace the annotator when they detect
+// the KB was mutated, so callers should not cache it across mutations.
+func (s *kbState) Annotator() *kb.Annotator { return s.annotator.Load() }
+
+// staleKB reports whether the KB was mutated since the annotator was built:
+// compiled type IDs are incomparable across KB snapshots, so a stale
+// annotator must be refreshed before anything new is annotated.
+func (s *kbState) staleKB() bool { return !s.Annotator().UpToDate(s.knowledge) }
+
+// refreshAnnotator rebuilds the annotator over the KB as compiled now.
+func (s *kbState) refreshAnnotator() {
+	s.annotator.Store(kb.NewAnnotator(s.knowledge.Compiled(), s.dict))
+}
+
+// prepareKnowledge resolves Options into the KB a build annotates with:
+// the curated KB, merged with a KB synthesized from the tables when asked,
+// and never nil.
+func prepareKnowledge(tables []*table.Table, opts Options) *kb.KB {
+	knowledge := opts.Knowledge
+	if opts.SynthesizeKB {
+		syn := kb.Synthesize(tables, kb.SynthesizeOptions{})
+		if knowledge != nil {
+			knowledge = knowledge.Merge(syn)
+		} else {
+			knowledge = syn
+		}
+	}
+	if knowledge == nil {
+		knowledge = kb.New()
+	}
+	return knowledge
+}
+
+// Composite is the state a multi-shard catalog keeps above its shards,
+// whatever the shards are — Sharded's in-process lakes or the cluster
+// coordinator's remote processes: the routing rule, the composite seqlock
+// counter over routed mutations, and the composite-level
+// Knowledge/Annotator/Dict triple the cross-shard stages (integration
+// matching, entity resolution) read. Catalogs embed it.
+type Composite struct {
+	kbState
+	// Mutations is the composite seqlock counter. The embedding catalog's
+	// own Add/Remove/RefreshKB bracket each routed mutation with
+	// Begin/End once validation has passed; nothing else may tick it.
+	Mutations Epoch
+	n         int
+}
+
+// NewComposite builds the composite core of an n-shard catalog over
+// knowledge (nil means an empty KB). It compiles the KB: built before the
+// shards, it seeds KB.Compiled's memo so every shard and the composite
+// annotator hold the same *Compiled pointer — the identity UpToDate
+// staleness checks compare.
+func NewComposite(n int, knowledge *kb.KB) *Composite {
+	if knowledge == nil {
+		knowledge = kb.New()
+	}
+	c := &Composite{n: n}
+	c.knowledge = knowledge
+	c.dict = table.NewDict()
+	c.refreshAnnotator()
+	return c
+}
+
+// NumShards reports the shard count, fixed for the catalog's lifetime.
+func (c *Composite) NumShards() int { return c.n }
+
+// ShardFor reports which shard the named table routes to — the same
+// unkeyed ShardIndex rule every deployment shape uses.
+func (c *Composite) ShardFor(name string) int { return ShardIndex(name, c.n) }
+
+// Epoch is the composite seqlock epoch — see Lake.Epoch for the protocol.
+// It covers mutations routed through the composite (the only supported
+// kind); per-shard epochs additionally tick underneath it.
+func (c *Composite) Epoch() uint64 { return c.Mutations.Load() }

@@ -20,7 +20,6 @@ package lake
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/josie"
@@ -49,26 +48,21 @@ type Options struct {
 }
 
 // Lake is a preprocessed, mutable table repository. The catalog fields
-// (tables, byName, domains, domainIdx, annotator, santosIx, stats) are
+// (tables, byName, domains, domainIdx, santosIx, stats) are
 // guarded by mu: accessors take the read lock, Add/Remove/Compact the write
 // lock. The interners (dict, tokens) and each discovery index carry their
 // own synchronization, so queries against an index captured before a
 // mutation stay safe.
 type Lake struct {
-	// epoch is a seqlock-style mutation counter: odd while an
-	// answer-changing mutation (Add, Remove, KB re-annotation) is applying
-	// its per-index deltas, even when the lake is settled. Multi-index
-	// readers sample it before and after a run to detect a torn read — see
-	// Epoch and discovery.RunAll. It is advisory: mutations never block on
-	// it, and it is bumped only after validation succeeds, so failed
-	// mutations leave it untouched.
-	epoch     atomic.Uint64
+	// kbState holds the knowledge base, the lake-wide value dictionary and
+	// the annotation cache (Knowledge, Dict, Annotator).
+	kbState
+	// epoch is bumped only after validation succeeds, so failed mutations
+	// leave it untouched — see Epoch.
+	epoch     Epoch
 	mu        sync.RWMutex
 	tables    []*table.Table
 	byName    map[string]*table.Table
-	knowledge *kb.KB
-	annotator *kb.Annotator
-	dict      *table.Dict
 	tokens    *table.TokenDict
 	santosIx  *santos.Index
 	joinIx    *lshensemble.Index
@@ -103,14 +97,6 @@ type colRef struct {
 	table  string
 	column int
 }
-
-// beginMutation marks the start of an answer-changing mutation (epoch goes
-// odd). Callers must hold mu and must have finished all validation: a
-// rejected batch never perturbs the epoch.
-func (l *Lake) beginMutation() { l.epoch.Add(1) }
-
-// endMutation marks the end of a mutation (epoch goes even again).
-func (l *Lake) endMutation() { l.epoch.Add(1) }
 
 // Epoch returns the lake's mutation epoch: even when every discovery index
 // reflects the same catalog state, odd while Add/Remove/RefreshKB is
@@ -148,38 +134,15 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if !sketch.Known(opts.LSH.Engine) {
 		return nil, fmt.Errorf("lake: unknown sketch engine %q", opts.LSH.Engine)
 	}
-	l := &Lake{
-		byName: make(map[string]*table.Table, len(tables)),
-		dict:   table.NewDict(),
-		tokens: table.NewTokenDict(),
+	if err := CheckAdd("lake", tables, nil); err != nil {
+		return nil, err
 	}
-	for _, t := range tables {
-		if t == nil {
-			return nil, fmt.Errorf("lake: nil table")
-		}
-		if t.Name == "" {
-			return nil, fmt.Errorf("lake: table with empty name")
-		}
-		if _, dup := l.byName[t.Name]; dup {
-			return nil, fmt.Errorf("lake: duplicate table name %q", t.Name)
-		}
-		l.byName[t.Name] = t
-		l.tables = append(l.tables, t)
-	}
+	l := &Lake{tokens: table.NewTokenDict()}
+	l.dict = table.NewDict()
+	l.setTables(tables)
 	t0 := time.Now()
-	l.knowledge = opts.Knowledge
-	if opts.SynthesizeKB {
-		syn := kb.Synthesize(l.tables, kb.SynthesizeOptions{})
-		if l.knowledge != nil {
-			l.knowledge = l.knowledge.Merge(syn)
-		} else {
-			l.knowledge = syn
-		}
-	}
-	if l.knowledge == nil {
-		l.knowledge = kb.New()
-	}
-	compiled := l.knowledge.Compiled()
+	l.knowledge = prepareKnowledge(l.tables, opts)
+	l.knowledge.Compiled() // memoized: clocked here, reused by refreshAnnotator below
 	l.stats.KBPrep = time.Since(t0)
 	// Phase 1 (parallel per table): intern every cell into the lake value
 	// dictionary, every domain member into the lake token dictionary, and
@@ -194,14 +157,14 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	// The lake-wide annotation cache: every KB canonicalization — SANTOS
 	// build and query annotation, entity resolution over lake-derived
 	// tables — resolves each distinct lake value (interned above) once.
-	l.annotator = kb.NewAnnotator(compiled, l.dict)
+	l.refreshAnnotator()
 	// Phase 2: the three indexes read disjoint inputs; build concurrently,
 	// all over the shared token dictionary (complete after phase 1, so the
 	// builds only read it). Each stage clocks itself for BuildStats.
 	par.Do(
 		func() {
 			t := time.Now()
-			l.santosIx = santos.BuildWithAnnotator(l.tables, l.annotator)
+			l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
 			l.stats.Santos = time.Since(t)
 		},
 		func() {
@@ -268,28 +231,18 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	batch := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		if t == nil {
-			return fmt.Errorf("lake: add: nil table")
-		}
-		if t.Name == "" {
-			return fmt.Errorf("lake: add: table with empty name")
-		}
-		if _, dup := l.byName[t.Name]; dup || batch[t.Name] {
-			return fmt.Errorf("lake: add: duplicate table name %q", t.Name)
-		}
-		batch[t.Name] = true
+	if err := CheckAdd("lake: add", tables, l.lookup); err != nil {
+		return err
 	}
-	l.beginMutation()
-	defer l.endMutation()
+	l.epoch.Begin()
+	defer l.epoch.End()
 	// A KB mutated since the last (re-)annotation invalidates every
 	// compiled ID in the SANTOS index; refresh the annotator and re-annotate
 	// the semantic graphs below (the KB-independent indexes are untouched).
-	staleKB := !l.annotator.UpToDate(l.knowledge)
+	staleKB := l.staleKB()
 	if staleKB {
 		t0 := time.Now()
-		l.annotator = kb.NewAnnotator(l.knowledge.Compiled(), l.dict)
+		l.refreshAnnotator()
 		l.stats.KBPrep += time.Since(t0)
 	}
 	t0 := time.Now()
@@ -308,7 +261,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 		func() {
 			t := time.Now()
 			if staleKB {
-				l.santosIx = santos.BuildWithAnnotator(l.tables, l.annotator)
+				l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
 			} else {
 				l.santosIx.Add(tables)
 			}
@@ -351,15 +304,16 @@ func (l *Lake) Remove(names ...string) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	doomed := make(map[string]bool, len(names))
-	for _, n := range names {
-		if _, ok := l.byName[n]; !ok {
-			return fmt.Errorf("lake: remove: no table %q", n)
-		}
+	nameList, err := CheckRemove("lake: remove", names, l.lookup)
+	if err != nil {
+		return err
+	}
+	doomed := make(map[string]bool, len(nameList))
+	for _, n := range nameList {
 		doomed[n] = true
 	}
-	l.beginMutation()
-	defer l.endMutation()
+	l.epoch.Begin()
+	defer l.epoch.End()
 	// New slices rather than in-place filtering: accessors hand the old
 	// backing arrays to concurrent readers, which must keep seeing the
 	// pre-removal state rather than shifted elements.
@@ -383,10 +337,6 @@ func (l *Lake) Remove(names ...string) error {
 	l.domainIdx = make(map[colRef]int, len(l.domains))
 	for i, d := range l.domains {
 		l.domainIdx[colRef{d.Table, d.Column}] = i
-	}
-	nameList := make([]string, 0, len(doomed))
-	for n := range doomed {
-		nameList = append(nameList, n)
 	}
 	par.Do(
 		func() {
@@ -423,16 +373,16 @@ func (l *Lake) Remove(names ...string) error {
 func (l *Lake) RefreshKB() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.annotator.UpToDate(l.knowledge) {
+	if !l.staleKB() {
 		return false
 	}
-	l.beginMutation()
-	defer l.endMutation()
+	l.epoch.Begin()
+	defer l.epoch.End()
 	t0 := time.Now()
-	l.annotator = kb.NewAnnotator(l.knowledge.Compiled(), l.dict)
+	l.refreshAnnotator()
 	l.stats.KBPrep += time.Since(t0)
 	t0 = time.Now()
-	l.santosIx = santos.BuildWithAnnotator(l.tables, l.annotator)
+	l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
 	l.stats.Santos += time.Since(t0)
 	return true
 }
@@ -544,8 +494,22 @@ func (l *Lake) Tables() []*table.Table {
 func (l *Lake) Get(name string) (*table.Table, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	return l.lookup(name)
+}
+
+// lookup is Get for callers already holding mu.
+func (l *Lake) lookup(name string) (*table.Table, bool) {
 	t, ok := l.byName[name]
 	return t, ok
+}
+
+// setTables installs a validated initial table set (New, Restore).
+func (l *Lake) setTables(tables []*table.Table) {
+	l.tables = append([]*table.Table(nil), tables...)
+	l.byName = make(map[string]*table.Table, len(tables))
+	for _, t := range tables {
+		l.byName[t.Name] = t
+	}
 }
 
 // Size reports the current number of tables.
@@ -555,21 +519,6 @@ func (l *Lake) Size() int {
 	return len(l.tables)
 }
 
-// Knowledge returns the (possibly merged) knowledge base the lake was
-// annotated with.
-func (l *Lake) Knowledge() *kb.KB { return l.knowledge }
-
-// Annotator returns the lake-wide KB annotation cache: every distinct lake
-// value's canonical entity is resolved at most once, and SANTOS queries and
-// entity resolution over lake-derived tables share the cached codes. Add
-// replaces the annotator when it detects the KB was mutated, so callers
-// should not cache it across lake mutations.
-func (l *Lake) Annotator() *kb.Annotator {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.annotator
-}
-
 // Stats returns the per-stage preprocessing timing breakdown, including
 // work accumulated by incremental mutations.
 func (l *Lake) Stats() BuildStats {
@@ -577,11 +526,6 @@ func (l *Lake) Stats() BuildStats {
 	defer l.mu.RUnlock()
 	return l.stats
 }
-
-// Dict returns the lake-wide value dictionary: every cell of every lake
-// table is interned in it, and integration over this lake shares it so the
-// FD closure's interning is a cache hit for lake values.
-func (l *Lake) Dict() *table.Dict { return l.dict }
 
 // Tokens returns the lake-wide token dictionary: every domain member of
 // every lake table is interned in it, and the discovery indexes are built

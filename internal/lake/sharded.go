@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/kb"
 	"repro/internal/par"
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -43,18 +41,17 @@ import (
 // Shards() directly bypasses epoch accounting and catalog-order
 // bookkeeping.
 type Sharded struct {
-	epoch atomic.Uint64
-	mu    sync.RWMutex
+	// Composite carries the routing rule, the composite epoch, and the
+	// composite-level Knowledge/Annotator/Dict the cross-shard stages read.
+	*Composite
+	mu sync.RWMutex
 	// shards is fixed at construction; the *Lake values are mutable, the
 	// slice is not.
 	shards []*Lake
 	// order holds table names in catalog order (build order, then Add
 	// order, minus removals) so Tables() reports the same sequence an
 	// unsharded lake would.
-	order     []string
-	knowledge *kb.KB
-	annotator *kb.Annotator
-	dict      *table.Dict
+	order []string
 }
 
 // ShardIndex routes a table name to a shard: FNV-1a (64-bit) of the name,
@@ -87,49 +84,19 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if !sketch.Known(opts.LSH.Engine) {
 		return nil, fmt.Errorf("lake: unknown sketch engine %q", opts.LSH.Engine)
 	}
-	seen := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		if t == nil {
-			return nil, fmt.Errorf("lake: nil table")
-		}
-		if t.Name == "" {
-			return nil, fmt.Errorf("lake: table with empty name")
-		}
-		if seen[t.Name] {
-			return nil, fmt.Errorf("lake: duplicate table name %q", t.Name)
-		}
-		seen[t.Name] = true
+	if err := CheckAdd("lake", tables, nil); err != nil {
+		return nil, err
 	}
-	knowledge := opts.Knowledge
-	if opts.SynthesizeKB {
-		syn := kb.Synthesize(tables, kb.SynthesizeOptions{})
-		if knowledge != nil {
-			knowledge = knowledge.Merge(syn)
-		} else {
-			knowledge = syn
-		}
-	}
-	if knowledge == nil {
-		knowledge = kb.New()
-	}
-	// Compile once before fanning out: KB.Compiled memoizes per version,
-	// and seeding the memo here guarantees every shard (and the composite
-	// annotator) holds the same *Compiled pointer — the identity UpToDate
-	// staleness checks compare.
-	compiled := knowledge.Compiled()
-	shardOpts := opts
-	shardOpts.Knowledge = knowledge
-	shardOpts.SynthesizeKB = false // already folded into knowledge above
-	parts := make([][]*table.Table, n)
-	for _, t := range tables {
-		i := ShardIndex(t.Name, n)
-		parts[i] = append(parts[i], t)
-	}
+	// The composite compiles the KB before the fan-out, so every shard and
+	// the composite annotator share one *Compiled (see NewComposite).
 	s := &Sharded{
+		Composite: NewComposite(n, prepareKnowledge(tables, opts)),
 		shards:    make([]*Lake, n),
-		knowledge: knowledge,
-		dict:      table.NewDict(),
 	}
+	shardOpts := opts
+	shardOpts.Knowledge = s.knowledge
+	shardOpts.SynthesizeKB = false // already folded into knowledge above
+	parts := PartitionTables(tables, n)
 	errs := make([]error, n)
 	par.For(n, func(i int) {
 		s.shards[i], errs[i] = New(parts[i], shardOpts)
@@ -137,7 +104,6 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	s.annotator = kb.NewAnnotator(compiled, s.dict)
 	s.order = make([]string, 0, len(tables))
 	for _, t := range tables {
 		s.order = append(s.order, t.Name)
@@ -145,21 +111,10 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	return s, nil
 }
 
-// NumShards reports the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// ShardFor reports which shard the named table routes to.
-func (s *Sharded) ShardFor(name string) int { return ShardIndex(name, len(s.shards)) }
-
 // Shards returns the shard lakes in shard order. The slice is fixed for the
 // Sharded's lifetime; treat it as read-only and route mutations through the
 // Sharded itself.
 func (s *Sharded) Shards() []*Lake { return s.shards }
-
-// Epoch is the composite seqlock epoch — see Lake.Epoch for the protocol.
-// It covers mutations routed through the Sharded (the only supported kind);
-// per-shard epochs additionally tick underneath it.
-func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 
 // Epochs returns the composite epoch followed by each shard's own epoch in
 // shard order. Routed mutations perturb the composite element; a mutation
@@ -168,15 +123,12 @@ func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 // vector detects single-shard tears the scalar composite epoch cannot see.
 func (s *Sharded) Epochs() []uint64 {
 	out := make([]uint64, 0, 1+len(s.shards))
-	out = append(out, s.epoch.Load())
+	out = append(out, s.Epoch())
 	for _, sh := range s.shards {
 		out = append(out, sh.Epoch())
 	}
 	return out
 }
-
-func (s *Sharded) beginMutation() { s.epoch.Add(1) }
-func (s *Sharded) endMutation()   { s.epoch.Add(1) }
 
 // Add routes the new tables to their shards and indexes each shard's batch
 // concurrently. Validation is atomic across the whole composite: a nil
@@ -191,27 +143,15 @@ func (s *Sharded) Add(tables ...*table.Table) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := make(map[string]bool, len(tables))
-	perShard := make([][]*table.Table, len(s.shards))
-	for _, t := range tables {
-		if t == nil {
-			return fmt.Errorf("lake: add: nil table")
-		}
-		if t.Name == "" {
-			return fmt.Errorf("lake: add: table with empty name")
-		}
-		shard := s.ShardFor(t.Name)
-		if _, dup := s.shards[shard].Get(t.Name); dup || batch[t.Name] {
-			return fmt.Errorf("lake: add: duplicate table name %q", t.Name)
-		}
-		batch[t.Name] = true
-		perShard[shard] = append(perShard[shard], t)
+	if err := CheckAdd("lake: add", tables, s.Get); err != nil {
+		return err
 	}
-	stale := !s.annotator.UpToDate(s.knowledge)
-	s.beginMutation()
-	defer s.endMutation()
+	perShard := PartitionTables(tables, len(s.shards))
+	stale := s.staleKB()
+	s.Mutations.Begin()
+	defer s.Mutations.End()
 	if stale {
-		s.annotator = kb.NewAnnotator(s.knowledge.Compiled(), s.dict)
+		s.refreshAnnotator()
 	}
 	errs := make([]error, len(s.shards))
 	par.For(len(s.shards), func(i int) {
@@ -243,20 +183,13 @@ func (s *Sharded) Remove(names ...string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	doomed := make(map[string]bool, len(names))
-	perShard := make([][]string, len(s.shards))
-	for _, n := range names {
-		shard := s.ShardFor(n)
-		if _, ok := s.shards[shard].Get(n); !ok {
-			return fmt.Errorf("lake: remove: no table %q", n)
-		}
-		if !doomed[n] {
-			doomed[n] = true
-			perShard[shard] = append(perShard[shard], n)
-		}
+	unique, err := CheckRemove("lake: remove", names, s.Get)
+	if err != nil {
+		return err
 	}
-	s.beginMutation()
-	defer s.endMutation()
+	perShard := PartitionNames(unique, len(s.shards))
+	s.Mutations.Begin()
+	defer s.Mutations.End()
 	errs := make([]error, len(s.shards))
 	par.For(len(s.shards), func(i int) {
 		if len(perShard[i]) > 0 {
@@ -265,6 +198,10 @@ func (s *Sharded) Remove(names ...string) error {
 	})
 	if err := errors.Join(errs...); err != nil {
 		return err
+	}
+	doomed := make(map[string]bool, len(unique))
+	for _, n := range unique {
+		doomed[n] = true
 	}
 	kept := s.order[:0]
 	for _, n := range s.order {
@@ -291,12 +228,12 @@ func (s *Sharded) Compact() {
 func (s *Sharded) RefreshKB() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.annotator.UpToDate(s.knowledge) {
+	if !s.staleKB() {
 		return false
 	}
-	s.beginMutation()
-	defer s.endMutation()
-	s.annotator = kb.NewAnnotator(s.knowledge.Compiled(), s.dict)
+	s.Mutations.Begin()
+	defer s.Mutations.End()
+	s.refreshAnnotator()
 	par.For(len(s.shards), func(i int) { s.shards[i].RefreshKB() })
 	return true
 }
@@ -321,32 +258,12 @@ func (s *Sharded) Tables() []*table.Table {
 	defer s.mu.RUnlock()
 	out := make([]*table.Table, 0, len(s.order))
 	for _, n := range s.order {
-		if t, ok := s.shards[ShardIndex(n, len(s.shards))].Get(n); ok {
+		if t, ok := s.Get(n); ok {
 			out = append(out, t)
 		}
 	}
 	return out
 }
-
-// Knowledge returns the (possibly merged) knowledge base every shard was
-// annotated with.
-func (s *Sharded) Knowledge() *kb.KB { return s.knowledge }
-
-// Annotator returns the composite-level KB annotation cache, used by the
-// cross-shard stages (integration matching, entity resolution). It is
-// backed by the composite Dict rather than any shard's dictionary, so its
-// codes are consistent across tables from different shards.
-func (s *Sharded) Annotator() *kb.Annotator {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.annotator
-}
-
-// Dict returns the composite-level value dictionary. Shard dictionaries are
-// private to their shards (that privacy is the build-path win), so
-// cross-shard integration interns into this one lazily instead of hitting a
-// prefilled lake dictionary; see SHARDING.md.
-func (s *Sharded) Dict() *table.Dict { return s.dict }
 
 // SketchEngine reports the sketch engine the shards' containment indexes
 // run on (identical across shards — they share Options).

@@ -105,22 +105,11 @@ func (l *Lake) Export() (State, error) {
 // multi-megabyte dictionary on the warm-restart critical path — would only
 // ever protect dead stores.
 func Restore(s State) (*Lake, error) {
-	l := &Lake{
-		byName: make(map[string]*table.Table, len(s.Tables)),
+	if err := CheckAdd("lake: restore", s.Tables, nil); err != nil {
+		return nil, err
 	}
-	for _, t := range s.Tables {
-		if t == nil {
-			return nil, fmt.Errorf("lake: restore: nil table")
-		}
-		if t.Name == "" {
-			return nil, fmt.Errorf("lake: restore: table with empty name")
-		}
-		if _, dup := l.byName[t.Name]; dup {
-			return nil, fmt.Errorf("lake: restore: duplicate table name %q", t.Name)
-		}
-		l.byName[t.Name] = t
-		l.tables = append(l.tables, t)
-	}
+	l := &Lake{}
+	l.setTables(s.Tables)
 	// The snapshots are the dictionaries' intern logs, so the bulk restore
 	// constructors reproduce every ID of the exporting lake; they reject a
 	// log that sequential interning would have assigned differently (e.g. a
@@ -135,14 +124,14 @@ func Restore(s State) (*Lake, error) {
 		func() {
 			t := time.Now()
 			l.knowledge = kb.FromDump(s.KB)
-			compiled := l.knowledge.Compiled()
+			l.knowledge.Compiled() // memoized: clocked here, reused by refreshAnnotator below
 			l.stats.KBPrep = time.Since(t)
 			if l.dict, dictErr = table.RestoreDict(s.DictVals); dictErr != nil {
 				return
 			}
-			l.annotator = kb.NewAnnotator(compiled, l.dict)
+			l.refreshAnnotator()
 			t = time.Now()
-			l.santosIx, santosErr = santos.Restore(l.tables, l.annotator, s.Santos)
+			l.santosIx, santosErr = santos.Restore(l.tables, l.Annotator(), s.Santos)
 			l.stats.Santos = time.Since(t)
 		},
 		func() {

@@ -362,18 +362,8 @@ func (s *Store) Add(tables ...*table.Table) error {
 	}
 	// Pre-validate so the log only ever records batches that apply cleanly
 	// (replay depends on it). These are lake.Add's own atomic checks.
-	batch := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		if t == nil {
-			return fmt.Errorf("persist: add: nil table")
-		}
-		if t.Name == "" {
-			return fmt.Errorf("persist: add: table with empty name")
-		}
-		if _, dup := s.l.Get(t.Name); dup || batch[t.Name] {
-			return fmt.Errorf("persist: add: duplicate table name %q", t.Name)
-		}
-		batch[t.Name] = true
+	if err := lake.CheckAdd("persist: add", tables, s.l.Get); err != nil {
+		return err
 	}
 	if err := s.appendWAL(encodeAddRecord(s.seq+1, tables)); err != nil {
 		return err
@@ -400,10 +390,8 @@ func (s *Store) Remove(names ...string) error {
 	if s.readOnly != nil {
 		return s.readOnly
 	}
-	for _, n := range names {
-		if _, ok := s.l.Get(n); !ok {
-			return fmt.Errorf("persist: remove: no table %q", n)
-		}
+	if _, err := lake.CheckRemove("persist: remove", names, s.l.Get); err != nil {
+		return err
 	}
 	if err := s.appendWAL(encodeRemoveRecord(s.seq+1, names)); err != nil {
 		return err

@@ -196,7 +196,7 @@ func TestSaturationShedding(t *testing.T) {
 	type outcome struct {
 		status     int
 		retryAfter string
-		body       errorBody
+		body       ErrorBody
 	}
 	results := make(chan outcome, N)
 	var wg sync.WaitGroup
@@ -322,7 +322,7 @@ func TestBodyCapStructured413(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
 	}
-	out := decodeResp[errorBody](t, resp)
+	out := decodeResp[ErrorBody](t, resp)
 	if out.Status != http.StatusRequestEntityTooLarge || out.Error == "" {
 		t.Fatalf("413 envelope = %+v", out)
 	}
@@ -445,7 +445,7 @@ func TestDegradedStoreServing(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != readOnlyRetryAfter {
 		t.Fatalf("Retry-After = %q, want %q", got, readOnlyRetryAfter)
 	}
-	out := decodeResp[errorBody](t, resp)
+	out := decodeResp[ErrorBody](t, resp)
 	if !strings.Contains(out.Error, "read-only") {
 		t.Fatalf("degraded envelope = %+v", out)
 	}

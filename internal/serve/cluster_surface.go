@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/persist"
+	"repro/internal/table"
 )
 
 // This file is the serving layer's cluster surface: the shard-side
@@ -50,11 +51,33 @@ func (s *Server) lakeTable(ctx context.Context, r *http.Request) (any, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing ?name= query parameter")
 	}
-	t, ok := s.p().Lake().Get(name)
+	got, err := s.fetchTables(ctx, []string{name})
+	if err != nil {
+		return nil, err
+	}
+	t, ok := got[name]
 	if !ok {
 		return nil, &statusError{code: http.StatusNotFound, msg: fmt.Sprintf("no table %q in lake", name)}
 	}
 	return LakeTableResponse{Table: EncodeTable(t)}, nil
+}
+
+// fetchTables looks the named tables up in the attached catalog; names the
+// catalog does not hold are absent from the map. A catalog whose lookup can
+// itself fail (TableFetcher) reports that failure — a down shard's typed
+// 503 — instead of passing it off as absence.
+func (s *Server) fetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
+	l := s.p().Lake()
+	if tf, ok := l.(TableFetcher); ok {
+		return tf.FetchTables(ctx, names)
+	}
+	got := make(map[string]*table.Table, len(names))
+	for _, n := range names {
+		if t, ok := l.Get(n); ok {
+			got[n] = t
+		}
+	}
+	return got, nil
 }
 
 // LakeTablesRequest is the POST /v1/lake/tables body: a batch table fetch.
@@ -165,6 +188,16 @@ type ShardMetricsReporter interface {
 // otherwise fetch the full catalog over the wire to answer GET /v1/lake).
 type NameLister interface {
 	TableNames(ctx context.Context) ([]string, error)
+}
+
+// TableFetcher is implemented by catalogs whose table lookup can fail for a
+// reason other than absence (a cluster coordinator's shard may be down):
+// names the catalog does not hold are absent from the map, while a lookup
+// that could not be answered returns the typed error — lake.Catalog's
+// Get(name) (table, bool) can only report both as "absent". One call
+// fetches a whole batch (one round trip per shard, not per name).
+type TableFetcher interface {
+	FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error)
 }
 
 // Latency is an exported handle on the serving layer's log2-bucketed

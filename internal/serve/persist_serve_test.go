@@ -47,7 +47,7 @@ func TestWarmingServer(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got == "" {
 		t.Error("warming 503 carries no Retry-After header")
 	}
-	if e := decodeResp[errorBody](t, resp); !strings.Contains(e.Error, "recovery in progress") {
+	if e := decodeResp[ErrorBody](t, resp); !strings.Contains(e.Error, "recovery in progress") {
 		t.Errorf("warming error = %q", e.Error)
 	}
 

@@ -145,7 +145,7 @@ func TestLakeAddRemove(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate add status = %d", resp.StatusCode)
 	}
-	if e := decodeResp[errorBody](t, resp); !strings.Contains(e.Error, "duplicate") {
+	if e := decodeResp[ErrorBody](t, resp); !strings.Contains(e.Error, "duplicate") {
 		t.Errorf("duplicate add error = %q", e.Error)
 	}
 	resp = postJSON(t, ts.URL+"/v1/lake/remove", LakeRemoveRequest{Names: []string{"T9"}})
@@ -170,7 +170,7 @@ func TestMalformedJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	out := decodeResp[errorBody](t, resp)
+	out := decodeResp[ErrorBody](t, resp)
 	if !strings.Contains(out.Error, "malformed") || out.Status != http.StatusBadRequest {
 		t.Errorf("error body = %+v", out)
 	}
@@ -214,7 +214,7 @@ func TestMethodAndPathErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", resp.StatusCode)
 	}
-	if out := decodeResp[errorBody](t, resp); !strings.Contains(out.Error, "/v1/nope") {
+	if out := decodeResp[ErrorBody](t, resp); !strings.Contains(out.Error, "/v1/nope") {
 		t.Errorf("404 body = %+v", out)
 	}
 }
@@ -225,9 +225,41 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if out := decodeResp[errorBody](t, resp); out.Status != http.StatusGatewayTimeout {
+	if out := decodeResp[ErrorBody](t, resp); out.Status != http.StatusGatewayTimeout {
 		t.Errorf("error body = %+v", out)
 	}
+}
+
+// TestDiscovererPanicIs500 pins the typed-error contract between the
+// fan-out and the serving layer: a registered discoverer that panics is a
+// server-side fault, answered 500 (matched as *discovery.PanicError, however
+// the pipeline wraps it), and the server keeps serving afterwards.
+func TestDiscovererPanicIs500(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.p().Discoverers().Register(discovery.SimilarityFunc{
+		FuncName: "bad-hook",
+		Sim:      func(query, candidate *table.Table) float64 { panic("user hook exploded") },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Query: EncodeTable(paperdata.T1()), QueryColumn: 1, Methods: []string{"lsh-join", "bad-hook"}})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", resp.StatusCode)
+	}
+	if out := decodeResp[ErrorBody](t, resp); !strings.Contains(out.Error, `"bad-hook" panicked: user hook exploded`) || out.Status != http.StatusInternalServerError {
+		t.Errorf("error body = %+v", out)
+	}
+	// A caller error that merely mentions the word stays the caller's.
+	resp = postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Query: EncodeTable(paperdata.T1()), QueryColumn: 1, Methods: []string{"panicked:"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown method named %q: status = %d, want 400", "panicked:", resp.StatusCode)
+	}
+	resp.Body.Close()
+	resp = postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{Query: EncodeTable(paperdata.T1()), QueryColumn: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("discover after a contained panic: status = %d, want 200", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // TestConcurrentQueriesDuringMutation drives discover and resolve requests

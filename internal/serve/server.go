@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/er"
 	"repro/internal/persist"
 	"repro/internal/table"
@@ -321,8 +321,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 const shutdownGrace = 15 * time.Second
 
-// errorBody is the structured error envelope every non-2xx response carries.
-type errorBody struct {
+// ErrorBody is the structured error envelope every non-2xx response
+// carries (exported so the cluster shard client decodes the same shape).
+type ErrorBody struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
 }
@@ -350,7 +351,7 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg, Status: status})
+	writeJSON(w, status, ErrorBody{Error: msg, Status: status})
 }
 
 // statusFor maps handler errors to HTTP statuses: an expired per-request
@@ -363,6 +364,7 @@ func statusFor(err error) int {
 	var tooBig *http.MaxBytesError
 	var sh *shedError
 	var coded interface{ HTTPStatus() int }
+	var panicked *discovery.PanicError
 	switch {
 	case errors.As(err, &coded):
 		// Typed errors carry their own status: serve's statusError (e.g.
@@ -384,10 +386,7 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
-	case strings.Contains(err.Error(), "panicked:"):
-		// discovery.RunAll contains user-hook panics and surfaces them as
-		// errors of this shape; the hook registry has no typed error, so
-		// the message is the contract.
+	case errors.As(err, &panicked):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
@@ -572,10 +571,14 @@ type IntegrateResponse struct {
 }
 
 // integrationSet resolves an IntegrateRequest's table list.
-func (s *Server) integrationSet(req IntegrateRequest) ([]*table.Table, error) {
+func (s *Server) integrationSet(ctx context.Context, req IntegrateRequest) ([]*table.Table, error) {
 	set := make([]*table.Table, 0, len(req.Names)+len(req.Tables))
+	named, err := s.fetchTables(ctx, req.Names)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range req.Names {
-		t, ok := s.p().Lake().Get(name)
+		t, ok := named[name]
 		if !ok {
 			return nil, fmt.Errorf("no table %q in lake", name)
 		}
@@ -599,7 +602,7 @@ func (s *Server) integrate(ctx context.Context, r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	set, err := s.integrationSet(req)
+	set, err := s.integrationSet(ctx, req)
 	if err != nil {
 		return nil, err
 	}

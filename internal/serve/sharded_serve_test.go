@@ -68,7 +68,7 @@ func TestShardedServing(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate add status = %d, want 400", resp.StatusCode)
 	}
-	if e := decodeResp[errorBody](t, resp); !strings.Contains(e.Error, "duplicate") {
+	if e := decodeResp[ErrorBody](t, resp); !strings.Contains(e.Error, "duplicate") {
 		t.Errorf("duplicate add error = %q", e.Error)
 	}
 	resp = postJSON(t, shardedTS.URL+"/v1/lake/remove", LakeRemoveRequest{Names: []string{"T9"}})
