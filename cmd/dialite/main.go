@@ -251,15 +251,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	// single lake — what the persistence layer snapshots. A -shard-of
 	// server persists exactly its slice: each shard process owns its own
 	// durable store, which is what cluster mode's manifest coordinates.
-	p, err := buildLocal()
-	if err != nil {
-		return err
-	}
-	single, ok := p.Lake().(*lake.Lake)
-	if !ok {
-		return fmt.Errorf("persisting a sharded lake is not supported (got %T)", p.Lake())
-	}
-	st, err := persist.Create(*persistDir, single, persist.Options{})
+	p, st, err := createStore(*persistDir, buildLocal)
 	if err != nil {
 		return err
 	}
@@ -268,6 +260,25 @@ func cmdServe(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "dialite: serving %d-table lake from %s on %s, persisted in %s (request timeout %s)\n",
 		p.Lake().Size(), *lakeDir, *addr, *persistDir, *timeout)
 	return s.ListenAndServe(ctx, *addr)
+}
+
+// createStore builds a pipeline and makes dir the durable home of its lake.
+// The persistence layer snapshots one concrete *lake.Lake, so a sharded
+// catalog is refused.
+func createStore(dir string, build func() (*core.Pipeline, error)) (*core.Pipeline, *persist.Store, error) {
+	p, err := build()
+	if err != nil {
+		return nil, nil, err
+	}
+	single, ok := p.Lake().(*lake.Lake)
+	if !ok {
+		return nil, nil, fmt.Errorf("persisting a sharded lake is not supported (got %T)", p.Lake())
+	}
+	st, err := persist.Create(dir, single, persist.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, st, nil
 }
 
 // validateServeFlags rejects broken serve flags up front with a one-line
@@ -585,15 +596,9 @@ func cmdSnapshot(args []string) error {
 		return fmt.Errorf("-persist directory is required")
 	}
 	if !persist.Exists(*persistDir, persist.Options{}) {
-		p, err := newPipeline(*lakeDir, *synthKB, *engine, 0)
-		if err != nil {
-			return err
-		}
-		single, ok := p.Lake().(*lake.Lake)
-		if !ok {
-			return fmt.Errorf("persisting a sharded lake is not supported (got %T)", p.Lake())
-		}
-		st, err := persist.Create(*persistDir, single, persist.Options{})
+		_, st, err := createStore(*persistDir, func() (*core.Pipeline, error) {
+			return newPipeline(*lakeDir, *synthKB, *engine, 0)
+		})
 		if err != nil {
 			return err
 		}
@@ -686,11 +691,20 @@ func cmdIntegrate(ctx context.Context, args []string) error {
 	if *tables == "" {
 		return fmt.Errorf("-tables is required")
 	}
+	given := strings.Split(*tables, ",")
+	names := make([]string, len(given))
+	for i, name := range given {
+		names[i] = strings.TrimSpace(name)
+	}
+	got, err := p.Lake().FetchTables(ctx, names)
+	if err != nil {
+		return err
+	}
 	var set []*table.Table
-	for _, name := range strings.Split(*tables, ",") {
-		t, ok := p.Lake().Get(strings.TrimSpace(name))
+	for i, name := range names {
+		t, ok := got[name]
 		if !ok {
-			return fmt.Errorf("table %q not in lake", name)
+			return fmt.Errorf("table %q not in lake", given[i])
 		}
 		set = append(set, t)
 	}

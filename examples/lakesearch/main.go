@@ -39,8 +39,12 @@ func main() {
 	queries := []string{"family0_part0", "family3_part1", "family6_part2"}
 	methods := []string{"santos-union", "lsh-join", "josie-join", "syntactic-union"}
 
+	queryTables, err := p.Lake().FetchTables(ctx, queries)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, qname := range queries {
-		q, ok := p.Lake().Get(qname)
+		q, ok := queryTables[qname]
 		if !ok {
 			log.Fatalf("query table %s missing", qname)
 		}

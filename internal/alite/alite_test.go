@@ -2,164 +2,48 @@ package alite
 
 import (
 	"context"
-	"strings"
 	"testing"
 
+	"repro/internal/fd"
 	"repro/internal/kb"
 	"repro/internal/paperdata"
 	"repro/internal/schemamatch"
 	"repro/internal/table"
 )
 
-func paperRowIDs(tableName string, row int) string {
-	return paperdata.TupleID(tableName, row)
-}
-
-func TestIntegrateFig3EndToEnd(t *testing.T) {
-	// Full ALITE: holistic matching + FD over the paper's three tables,
+func TestBuildInputFig3(t *testing.T) {
+	// Holistic matching + outer union + FD over the paper's three tables,
 	// compared against Fig. 3 including null kinds.
-	res, err := Integrate(context.Background(), []*table.Table{paperdata.T1(), paperdata.T2(), paperdata.T3()}, Options{
-		Knowledge: kb.Demo(),
-		RowIDs:    paperRowIDs,
-	})
+	tables := []*table.Table{paperdata.T1(), paperdata.T2(), paperdata.T3()}
+	align, err := schemamatch.Holistic{Knowledge: kb.Demo()}.Align(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := BuildInput(tables, align, paperdata.TupleID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.Schema) != 5 {
+		t.Errorf("schema = %v", in.Schema)
+	}
+	tuples, err := fd.ALITECtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := paperdata.Fig3Expected()
-	got := res.Table.Clone()
+	got := fd.ToTable("fig3", in.Schema, tuples, false)
 	got.Columns = want.Columns // integration IDs carry the same headers here
 	if !got.EqualUnordered(want) {
-		t.Fatalf("ALITE integration != Fig. 3:\ngot:\n%s\nwant:\n%s", res.Table, want)
-	}
-	if len(res.Schema) != 5 {
-		t.Errorf("schema = %v", res.Schema)
+		t.Fatalf("FD over BuildInput != Fig. 3:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestIntegrateFig8bEndToEnd(t *testing.T) {
-	res, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{
-		Knowledge: kb.Demo(),
-		RowIDs:    paperRowIDs,
-	})
-	if err != nil {
-		t.Fatal(err)
+func TestRelationRejectsIncompleteAlignment(t *testing.T) {
+	// An alignment that does not place every column cannot be projected.
+	if _, err := Relation(0, paperdata.T1(), schemamatch.Alignment{}, nil); err == nil {
+		t.Error("a column the alignment misses must error")
 	}
-	want := paperdata.Fig8bExpected()
-	got := res.Table.Clone()
-	got.Columns = want.Columns
-	if !got.EqualUnordered(want) {
-		t.Fatalf("ALITE != Fig. 8(b):\ngot:\n%s\nwant:\n%s", res.Table, want)
-	}
-	// Provenance sets match the figure.
-	wantProv := paperdata.Fig8bProvenance()
-	vacPos := -1
-	for i, s := range res.Schema {
-		if s == paperdata.ColVaccine {
-			vacPos = i
-		}
-	}
-	if vacPos < 0 {
-		t.Fatalf("no Vaccine integration ID in %v", res.Schema)
-	}
-	for _, tu := range res.Tuples {
-		vac := tu.Values[vacPos].String()
-		want := wantProv[vac]
-		if len(tu.Prov) != len(want) {
-			t.Errorf("prov of %s = %v, want %v", vac, tu.Prov, want)
-			continue
-		}
-		for i := range want {
-			if tu.Prov[i] != want[i] {
-				t.Errorf("prov of %s = %v, want %v", vac, tu.Prov, want)
-			}
-		}
-	}
-}
-
-func TestIntegrateWithProvenanceColumn(t *testing.T) {
-	res, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{
-		Knowledge:      kb.Demo(),
-		RowIDs:         paperRowIDs,
-		WithProvenance: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table.Columns[0] != "TIDs" {
-		t.Fatalf("first column = %q, want TIDs", res.Table.Columns[0])
-	}
-	found := false
-	for r := 0; r < res.Table.NumRows(); r++ {
-		if res.Table.Cell(r, 0).Str() == "{t13, t15}" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("f13's TIDs {t13, t15} not rendered")
-	}
-	if !strings.HasPrefix(res.Table.Name, "FD(") {
-		t.Errorf("integrated name = %q", res.Table.Name)
-	}
-}
-
-func TestIntegrateParallelMatchesSequential(t *testing.T) {
-	seq, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{Knowledge: kb.Demo()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{Knowledge: kb.Demo(), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Table.EqualUnordered(par.Table) {
-		t.Error("parallel integration differs from sequential")
-	}
-}
-
-func TestIntegrateWithOracleMatcher(t *testing.T) {
-	oracle := schemamatch.Oracle{Label: func(name string, col int) string {
-		switch name {
-		case "T4":
-			return []string{"vaccine", "approver"}[col]
-		case "T5":
-			return []string{"country", "approver"}[col]
-		case "T6":
-			return []string{"vaccine", "country"}[col]
-		}
-		return ""
-	}}
-	res, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{Matcher: oracle, RowIDs: paperRowIDs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := paperdata.Fig8bExpected()
-	got := res.Table.Clone()
-	got.Columns = want.Columns
-	if !got.EqualUnordered(want) {
-		t.Fatalf("oracle-matched integration != Fig. 8(b):\n%s", res.Table)
-	}
-}
-
-func TestIntegrateErrors(t *testing.T) {
-	if _, err := Integrate(context.Background(), nil, Options{}); err == nil {
-		t.Error("empty integration set must error")
-	}
-}
-
-func TestDefaultRowIDs(t *testing.T) {
-	res, err := Integrate(context.Background(), paperdata.VaccineSet(), Options{Knowledge: kb.Demo()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundDefault := false
-	for _, tu := range res.Tuples {
-		for _, p := range tu.Prov {
-			if strings.Contains(p, ":") {
-				foundDefault = true
-			}
-		}
-	}
-	if !foundDefault {
-		t.Error("default provenance IDs must be table:row")
+	if _, err := BuildInput([]*table.Table{paperdata.T1()}, schemamatch.Alignment{}, nil); err == nil {
+		t.Error("BuildInput must surface the relation error")
 	}
 }

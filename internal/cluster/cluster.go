@@ -91,8 +91,6 @@ var (
 	_ discovery.Remote           = (*Coordinator)(nil)
 	_ serve.ShardHealthReporter  = (*Coordinator)(nil)
 	_ serve.ShardMetricsReporter = (*Coordinator)(nil)
-	_ serve.NameLister           = (*Coordinator)(nil)
-	_ serve.TableFetcher         = (*Coordinator)(nil)
 )
 
 // New builds a coordinator over the configured shard addresses. Shards may
@@ -221,27 +219,14 @@ func (c *Coordinator) Epochs() []uint64 {
 	return out
 }
 
-// callCtx is the context for catalog methods that have none of their own
-// (lake.Catalog predates the transport): the per-call timeout is the only
-// deadline.
+// callCtx is the context for the catalog mutations, which lake.Catalog
+// keeps context-free: the per-call timeout is the only deadline.
 func (c *Coordinator) callCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 }
 
-// Get fetches a table from the shard its name routes to. lake.Catalog's
-// Get has no error channel, so any failure — including the shard being
-// down — reports the table as absent; the serving layer goes through
-// FetchTables instead, where a down shard surfaces as its 503.
-func (c *Coordinator) Get(name string) (*table.Table, bool) {
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	got, _ := c.FetchTables(ctx, []string{name})
-	t, ok := got[name]
-	return t, ok
-}
-
-// FetchTables is the error-reporting table lookup: names group by their
-// owning shard and fetch in one batch per shard. Names no shard holds are
+// FetchTables implements lake.Catalog: names group by their owning shard
+// and fetch in one batch per shard. Names no shard holds are
 // absent from the map; a shard that cannot answer fails the whole fetch
 // with its *ShardError (first in shard order), so callers can tell "no such
 // table" from "its shard is down".
@@ -295,7 +280,7 @@ func decodeTables(shard int, wire []serve.TableJSON) ([]*table.Table, error) {
 	return out, nil
 }
 
-// TableNames enumerates the catalog's table names: shard 0..N-1, each in
+// TableNames implements lake.Catalog: shard 0..N-1, each in
 // its shard-local catalog order. Cluster mode cannot reproduce global
 // insertion order — it is not persisted anywhere a restarted coordinator
 // could recover it from — and SHARDING.md documents the divergence.
@@ -305,42 +290,14 @@ func (c *Coordinator) TableNames(ctx context.Context) ([]string, error) {
 	par.For(len(c.shards), func(i int) {
 		infos[i], errs[i] = c.shards[i].lakeInfo(ctx)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
 	var names []string
 	for _, info := range infos {
 		names = append(names, info.Tables...)
 	}
 	return names, nil
-}
-
-// Tables materializes every table in the catalog — the full-catalog fetch
-// integration falls back on. Down shards' tables are skipped (the method
-// has no error channel; serving paths that must distinguish use
-// TableNames + Get). Order matches TableNames.
-func (c *Coordinator) Tables() []*table.Table {
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	per := make([][]*table.Table, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		info, err := c.shards[i].lakeInfo(ctx)
-		if err != nil || len(info.Tables) == 0 {
-			return
-		}
-		resp, err := c.shards[i].getTables(ctx, info.Tables)
-		if err != nil {
-			return
-		}
-		per[i], _ = decodeTables(i, resp.Tables) // malformed: skipped like a down shard
-	})
-	var all []*table.Table
-	for _, ts := range per {
-		all = append(all, ts...)
-	}
-	return all
 }
 
 // Size sums the reachable shards' table counts (down shards contribute
@@ -507,12 +464,6 @@ func (c *Coordinator) Compact() {
 	})
 }
 
-// RefreshKB is a no-op in cluster mode: each shard process owns its KB
-// lifecycle (it annotated its tables at build/restore time), and the
-// coordinator's KB feeds only the cross-shard stages, whose annotator is
-// rebuilt per construction. It reports false — nothing was stale.
-func (c *Coordinator) RefreshKB() bool { return false }
-
 // SketchEngine reports the engine the shards run (manifest-pinned or
 // probed at construction).
 func (c *Coordinator) SketchEngine() sketch.Engine { return c.engine }
@@ -568,21 +519,26 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[st
 // ShardHealth probes every shard's /healthz (and epoch endpoint, for the
 // size) concurrently — the coordinator /healthz aggregation.
 func (c *Coordinator) ShardHealth(ctx context.Context) []serve.ShardHealth {
-	out := make([]serve.ShardHealth, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		sh := serve.ShardHealth{Shard: i, Addr: c.shards[i].addr}
-		pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	return probeShards(ctx, c.shards, c.cfg.ProbeTimeout)
+}
+
+// probeShards asks each shard for its health status and, when it answers,
+// its size, concurrently and under one timeout per shard. An unreachable
+// shard reports Status "down" with the transport error.
+func probeShards(ctx context.Context, shards []*shardClient, timeout time.Duration) []serve.ShardHealth {
+	out := make([]serve.ShardHealth, len(shards))
+	par.For(len(shards), func(i int) {
+		sh := serve.ShardHealth{Shard: i, Addr: shards[i].addr}
+		pctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
-		h, err := c.shards[i].health(pctx)
-		if err != nil {
+		if h, err := shards[i].health(pctx); err != nil {
 			sh.Status = "down"
 			sh.Error = err.Error()
-			out[i] = sh
-			return
-		}
-		sh.Status = h.Status
-		if ep, err := c.shards[i].epochs(pctx); err == nil {
-			sh.Size = ep.Size
+		} else {
+			sh.Status = h.Status
+			if ep, err := shards[i].epochs(pctx); err == nil {
+				sh.Size = ep.Size
+			}
 		}
 		out[i] = sh
 	})
@@ -646,25 +602,7 @@ func ProbeShards(ctx context.Context, addrs []string, timeout time.Duration) ([]
 		}
 		clients[i] = &shardClient{shard: i, addr: base, hc: hc, callTimeout: timeout}
 	}
-	out := make([]serve.ShardHealth, len(clients))
-	par.For(len(clients), func(i int) {
-		sh := serve.ShardHealth{Shard: i, Addr: clients[i].addr}
-		pctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		h, err := clients[i].health(pctx)
-		if err != nil {
-			sh.Status = "down"
-			sh.Error = err.Error()
-			out[i] = sh
-			return
-		}
-		sh.Status = h.Status
-		if ep, err := clients[i].epochs(pctx); err == nil {
-			sh.Size = ep.Size
-		}
-		out[i] = sh
-	})
-	return out, nil
+	return probeShards(ctx, clients, timeout), nil
 }
 
 // involvedShards lists the shard indices with non-empty slices, ascending.

@@ -91,6 +91,18 @@ func diffPool(seed int64, n int) []*table.Table {
 	return pool
 }
 
+// coordGet is a single-name FetchTables: (table, found), failing the test
+// when the lookup itself cannot be answered.
+func coordGet(t testing.TB, c *cluster.Coordinator, name string) (*table.Table, bool) {
+	t.Helper()
+	got, err := c.FetchTables(context.Background(), []string{name})
+	if err != nil {
+		t.Fatalf("FetchTables(%q): %v", name, err)
+	}
+	tbl, ok := got[name]
+	return tbl, ok
+}
+
 // nameForShard fabricates a table name that routes to the given shard.
 func nameForShard(prefix string, shard, n int) string {
 	for i := 0; ; i++ {
@@ -186,10 +198,10 @@ func TestClusterRoutedMutations(t *testing.T) {
 			t.Fatalf("post-mutation divergence for %q\n got:\n%s\nwant:\n%s", q.Name, got, want)
 		}
 	}
-	if _, ok := tc.coord.Get(pool[5].Name); ok {
+	if _, ok := coordGet(t, tc.coord, pool[5].Name); ok {
 		t.Fatalf("Get(%q) found a removed table", pool[5].Name)
 	}
-	if tbl, ok := tc.coord.Get(pool[4].Name); !ok || tbl.NumRows() != pool[4].NumRows() {
+	if tbl, ok := coordGet(t, tc.coord, pool[4].Name); !ok || tbl.NumRows() != pool[4].NumRows() {
 		t.Fatalf("Get(%q) = %v, %v; want the added table back", pool[4].Name, tbl, ok)
 	}
 }
@@ -210,7 +222,7 @@ func TestClusterAddRollback(t *testing.T) {
 	if err := tc.coord.Add(fresh, dup); err == nil {
 		t.Fatal("cross-shard Add with a duplicate succeeded, want error")
 	}
-	if _, ok := tc.coord.Get(fresh.Name); ok {
+	if _, ok := coordGet(t, tc.coord, fresh.Name); ok {
 		t.Fatalf("rollback failed: %q survived the failed batch", fresh.Name)
 	}
 	if got := tc.coord.Size(); got != 1 {

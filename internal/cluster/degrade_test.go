@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -313,12 +314,13 @@ func TestClusterRestartWithoutTraffic(t *testing.T) {
 }
 
 // TestCoordinatorTableLookupSurfacesDownShard pins the typed-error path for
-// by-name table reads: with a shard down, POST /v1/integrate {"names":[…]}
-// and GET /v1/lake/table for a table that shard owns answer the shard's 503
-// + Retry-After — not the 400/404 "no table … in lake" that
-// Coordinator.Get's bool-only contract used to collapse every failure into.
-// Names owned by live shards keep answering, and a name no shard holds is
-// still the caller's 400/404.
+// by-name table reads: with a shard down, POST /v1/integrate {"names":[…]},
+// GET /v1/lake/table and POST /v1/lake/tables for a table that shard owns
+// answer the shard's 503 + Retry-After — a down shard is never reported as
+// "no table … in lake" or as a `missing` name. Names owned by live shards
+// keep answering, a name no shard holds is still the caller's 400/404 (or,
+// for the batch fetch, a `missing` entry), and the batch fetch costs one
+// shard call per involved shard, not one per name.
 func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
 	pool := diffPool(31, 8)
 	const n, down = 2, 0
@@ -337,15 +339,11 @@ func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
 	tc.shards[down].Close()
 	defer coordClient(tc.coord)
 
-	// Catalog level: the error-reporting fetch carries the typed shard
-	// error; Get (no error channel) still just reports absence.
+	// Catalog level: the fetch carries the typed shard error.
 	_, err := tc.coord.FetchTables(context.Background(), []string{live, dead})
 	var serr *cluster.ShardError
 	if !errors.As(err, &serr) || serr.Shard != down || serr.HTTPStatus() != http.StatusServiceUnavailable {
 		t.Fatalf("FetchTables over a down shard = %v, want shard %d's 503-coded *ShardError", err, down)
-	}
-	if _, ok := tc.coord.Get(dead); ok {
-		t.Fatal("Get found a table on a down shard")
 	}
 	if got, err := tc.coord.FetchTables(context.Background(), []string{live, nameForShard("ghost", 1-down, n)}); err != nil || len(got) != 1 || got[live] == nil {
 		t.Fatalf("FetchTables on the live shard = (%v, %v), want just %q", got, err, live)
@@ -368,7 +366,33 @@ func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
 		}
 		return resp
 	}
+	batch := func(names ...string) *http.Response {
+		body, _ := json.Marshal(serve.LakeTablesRequest{Names: names})
+		resp, err := http.Post(front.URL+"/v1/lake/tables", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
 	ghost := nameForShard("ghost", 1-down, n)
+
+	// One batch over the live shard: present names come back, absent ones
+	// are `missing`, and the shard saw one call for the three names.
+	live2 := nameForShard("ghost2", 1-down, n)
+	calls := tc.coord.ShardMetrics()[1-down].Calls
+	resp := batch(live, ghost, live2)
+	var fetched serve.LakeTablesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&fetched); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch fetch on the live shard: status %d, decode %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	if len(fetched.Tables) != 1 || fetched.Tables[0].Name != live || !reflect.DeepEqual(fetched.Missing, []string{ghost, live2}) {
+		t.Errorf("batch fetch = %d tables, missing %v; want [%s] and missing [%s %s]", len(fetched.Tables), fetched.Missing, live, ghost, live2)
+	}
+	if got := tc.coord.ShardMetrics()[1-down].Calls - calls; got != 1 {
+		t.Errorf("a 3-name batch made %d calls to its one shard, want 1", got)
+	}
+
 	for _, c := range []struct {
 		what       string
 		resp       *http.Response
@@ -381,6 +405,7 @@ func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
 		{"table lookup on a live shard", lookup(live), http.StatusOK, false},
 		{"integrate an unknown name", integrate(ghost), http.StatusBadRequest, false},
 		{"look an unknown name up", lookup(ghost), http.StatusNotFound, false},
+		{"batch fetch touching the down shard", batch(live, dead), http.StatusServiceUnavailable, true},
 	} {
 		var eb serve.ErrorBody
 		_ = json.NewDecoder(c.resp.Body).Decode(&eb)

@@ -291,7 +291,7 @@ func TestMultiProcessDifferential(t *testing.T) {
 
 	// Final membership cross-check through the remote catalog.
 	for i, ok := range inLake {
-		if _, got := coord.Get(pool[i].Name); got != ok {
+		if _, got := coordGet(t, coord, pool[i].Name); got != ok {
 			t.Errorf("coordinator Get(%s) = %v, want %v", pool[i].Name, got, ok)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/alite"
 	"repro/internal/analyze"
 	"repro/internal/discovery"
 	"repro/internal/er"
@@ -262,18 +261,6 @@ func (p *Pipeline) Integrate(ctx context.Context, req IntegrateRequest) (*Integr
 		return nil, fmt.Errorf("core: integrate: %w", err)
 	}
 	return &IntegrateResponse{Table: out, Tuples: tuples, Operator: opName}, nil
-}
-
-// IntegrateALITE runs ALITE directly (matcher + FD with full intermediate
-// artifacts), the default path of the demo. ctx cancellation aborts the FD
-// closure, as in Integrate.
-func (p *Pipeline) IntegrateALITE(ctx context.Context, tables []*table.Table, rowIDs alite.RowIDFunc, withProvenance bool) (*alite.Result, error) {
-	return alite.Integrate(ctx, tables, alite.Options{
-		Knowledge:      p.lake.Knowledge(),
-		RowIDs:         rowIDs,
-		WithProvenance: withProvenance,
-		Dict:           p.lake.Dict(),
-	})
 }
 
 // Correlate computes the Pearson correlation between two columns of an

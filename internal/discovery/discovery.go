@@ -6,6 +6,10 @@
 // similarity hook of Fig. 4. Results from multiple discoverers merge into
 // one integration set ("we persist the set of tables found by all
 // techniques"), which feeds the align-and-integrate stage.
+//
+// The joinable discoverers resolve the query column once per call with
+// lake.(*Lake).ResolveQuery and search the indexes by token ID; there is no
+// separate path for raw strings or for query tables the lake already holds.
 package discovery
 
 import (
@@ -13,30 +17,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/josie"
 	"repro/internal/lake"
-	"repro/internal/lshensemble"
 	"repro/internal/table"
 )
-
-// queryColumnDomain resolves the query column's value set for the joinable
-// discoverers. When the query table is the lake's own table (pointer
-// identity — a renamed or modified copy never matches), the lake's cached
-// domain is returned with its precomputed token IDs and MinHash
-// fingerprints, skipping per-query re-extraction and re-hashing entirely;
-// otherwise the domain is extracted with the same normalization the lake
-// indexes use (lake.QueryDomain, which also validates the column range —
-// an out-of-range column never hits the cache, so it always reaches that
-// check).
-func queryColumnDomain(l *lake.Lake, q *table.Table, queryCol int) (*lshensemble.Domain, []string, error) {
-	if lt, ok := l.Get(q.Name); ok && lt == q {
-		if d := l.DomainFor(q.Name, queryCol); d != nil {
-			return d, nil, nil
-		}
-	}
-	domain, err := lake.QueryDomain(q, queryCol)
-	return nil, domain, err
-}
 
 // Result is one discovered table.
 type Result struct {
@@ -99,16 +82,11 @@ func (d LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, que
 	if th == 0 {
 		th = 0.5
 	}
-	cached, domain, err := queryColumnDomain(l, q, queryCol)
+	domain, err := l.ResolveQuery(q, queryCol)
 	if err != nil {
 		return nil, fmt.Errorf("discovery: lsh-join: %w", err)
 	}
-	var hits []lshensemble.Result
-	if cached != nil {
-		hits, err = l.Join().QueryDomainCtx(ctx, cached, th, 0)
-	} else {
-		hits, err = l.Join().QueryCtx(ctx, domain, th, 0)
-	}
+	hits, err := l.Join().QueryDomainCtx(ctx, domain, th, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -133,16 +111,11 @@ func (JosieJoin) Name() string { return "josie-join" }
 
 // Discover implements Discoverer.
 func (JosieJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error) {
-	cached, domain, err := queryColumnDomain(l, q, queryCol)
+	domain, err := l.ResolveQuery(q, queryCol)
 	if err != nil {
 		return nil, fmt.Errorf("discovery: josie-join: %w", err)
 	}
-	var hits []josie.Result
-	if cached != nil {
-		hits, err = l.Josie().TopKIDsCtx(ctx, cached.IDs, 0)
-	} else {
-		hits, err = l.Josie().TopKCtx(ctx, domain, 0)
-	}
+	hits, err := l.Josie().TopKIDsCtx(ctx, domain.IDs, 0)
 	if err != nil {
 		return nil, err
 	}

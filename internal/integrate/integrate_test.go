@@ -2,8 +2,10 @@ package integrate
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/fd"
@@ -66,6 +68,104 @@ func TestALITEFDOperatorReproducesFig8b(t *testing.T) {
 	}
 	if !par.EqualUnordered(got) {
 		t.Error("parallel operator differs")
+	}
+}
+
+func TestALITEFDOperatorReproducesFig3(t *testing.T) {
+	// Holistic matching + FD over the paper's three COVID tables, compared
+	// against Fig. 3 including null kinds.
+	set := []*table.Table{paperdata.T1(), paperdata.T2(), paperdata.T3()}
+	got, _, err := Apply(context.Background(), ALITEFD{}, set, vaccineMatcher(), paperRowIDs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := paperdata.Fig3Expected()
+	if got.NumCols() != 5 {
+		t.Errorf("schema = %v", got.Columns)
+	}
+	cmp := got.Clone()
+	cmp.Columns = want.Columns // integration IDs carry the same headers here
+	if !cmp.EqualUnordered(want) {
+		t.Fatalf("alite-fd operator != Fig. 3:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestALITEFDProvenance(t *testing.T) {
+	// Provenance sets match Fig. 8(b), tuple by tuple.
+	got, tuples, err := Apply(context.Background(), ALITEFD{}, paperdata.VaccineSet(), vaccineMatcher(), paperRowIDs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Columns[0] != "TIDs" {
+		t.Fatalf("first column = %q, want TIDs", got.Columns[0])
+	}
+	vacPos, ok := got.ColumnIndex(paperdata.ColVaccine)
+	if !ok {
+		t.Fatalf("no Vaccine integration ID in %v", got.Columns)
+	}
+	vacPos-- // tuples carry no TIDs column
+	wantProv := paperdata.Fig8bProvenance()
+	for _, tu := range tuples {
+		vac := tu.Values[vacPos].String()
+		if want := wantProv[vac]; !reflect.DeepEqual(tu.Prov, want) {
+			t.Errorf("prov of %s = %v, want %v", vac, tu.Prov, want)
+		}
+	}
+	found := false
+	for r := 0; r < got.NumRows(); r++ {
+		if got.Cell(r, 0).Str() == "{t13, t15}" {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("f13's TIDs {t13, t15} not rendered")
+	}
+
+	// Without a RowIDFunc, provenance IDs default to "<table>:<row>".
+	_, tuples, err = Apply(context.Background(), ALITEFD{}, paperdata.VaccineSet(), vaccineMatcher(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range tuples {
+		for _, p := range tu.Prov {
+			if !strings.Contains(p, ":") {
+				t.Errorf("default provenance ID %q is not table:row", p)
+			}
+		}
+	}
+}
+
+func TestALITEFDWithOracleMatcher(t *testing.T) {
+	oracle := schemamatch.Oracle{Label: func(name string, col int) string {
+		switch name {
+		case "T4":
+			return []string{"vaccine", "approver"}[col]
+		case "T5":
+			return []string{"country", "approver"}[col]
+		case "T6":
+			return []string{"vaccine", "country"}[col]
+		}
+		return ""
+	}}
+	got, _, err := Apply(context.Background(), ALITEFD{}, paperdata.VaccineSet(), oracle, paperRowIDs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := paperdata.Fig8bExpected()
+	cmp := got.Clone()
+	cmp.Columns = want.Columns
+	if !cmp.EqualUnordered(want) {
+		t.Fatalf("oracle-matched integration != Fig. 8(b):\n%s", got)
+	}
+}
+
+func TestALITEFDObservesCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, op := range []ALITEFD{{}, {Workers: 4}} {
+		if _, _, err := Apply(ctx, op, paperdata.VaccineSet(), vaccineMatcher(), nil, false); !errors.Is(err, context.Canceled) {
+			t.Errorf("Apply(%+v) under a cancelled ctx = %v, want context.Canceled", op, err)
+		}
 	}
 }
 

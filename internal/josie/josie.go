@@ -390,35 +390,29 @@ func (ix *Index) TopK(rawQuery []string, k int) []Result {
 	return res
 }
 
-// TopKCtx is TopK with cooperative cancellation: the posting-list merge
-// checks ctx between query tokens and returns (nil, ctx.Err()) once the
-// context is cancelled. Uncancelled results are byte-identical to TopK.
+// TopKCtx is TopK with cooperative cancellation — TopKIDsCtx over the
+// normalized raw values' dictionary IDs (0 for tokens outside the
+// vocabulary, which TopKIDsCtx skips).
 func (ix *Index) TopKCtx(ctx context.Context, rawQuery []string, k int) ([]Result, error) {
 	query := tokenize.ValueSet(rawQuery)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(query) == 0 || len(ix.sets) == 0 {
-		return nil, ctx.Err()
+	ids := make([]uint32, len(query))
+	for i, tok := range query {
+		ids[i] = ix.dict.Lookup(tok)
 	}
-	tokens := make([]queryToken, 0, len(query))
-	for _, tok := range query {
-		id := ix.dict.Lookup(tok)
-		if f := ix.liveFreq(id); f > 0 {
-			tokens = append(tokens, queryToken{id: id, freq: f, tok: tok})
-		}
-	}
-	return ix.topKTokens(ctx, tokens, k)
+	return ix.TopKIDsCtx(ctx, ids, k)
 }
 
-// TopKIDs answers a query given directly as deduplicated token IDs from the
-// index's dictionary — the fast path for query columns that are themselves
-// lake domains, whose IDs were interned at extraction.
+// TopKIDs answers a query given directly as token IDs from the index's
+// dictionary, deduplicated apart from the unknown-token ID 0 — a lake
+// domain's cached IDs or a resolved foreign column's.
 func (ix *Index) TopKIDs(ids []uint32, k int) []Result {
 	res, _ := ix.TopKIDsCtx(context.Background(), ids, k)
 	return res
 }
 
-// TopKIDsCtx is TopKIDs with cooperative cancellation, mirroring TopKCtx.
+// TopKIDsCtx is TopKIDs with cooperative cancellation: the posting-list
+// merge checks ctx between query tokens and returns (nil, ctx.Err()) once
+// the context is cancelled.
 func (ix *Index) TopKIDsCtx(ctx context.Context, ids []uint32, k int) ([]Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -1,6 +1,8 @@
 package lake
 
 import (
+	"context"
+
 	"repro/internal/kb"
 	"repro/internal/sketch"
 	"repro/internal/table"
@@ -8,11 +10,12 @@ import (
 
 // Catalog is the mutable table-repository contract the pipeline and the
 // serving layer consume: everything they need from a lake without naming
-// its concrete shape. *Lake (one shard — itself), *Sharded (N in-process
-// shards behind a routing hash), and cluster.Coordinator (N remote
-// `dialite serve` shard processes) all satisfy it, which is what lets
-// `dialite serve -shards N` and `dialite serve -coordinator` reuse every
-// endpoint unchanged.
+// its concrete shape, and nothing they do not call through it (the concrete
+// types keep Get, Tables and RefreshKB for callers that hold one). *Lake
+// (one shard — itself), *Sharded (N in-process shards behind a routing
+// hash), and cluster.Coordinator (N remote `dialite serve` shard processes)
+// all satisfy it, which is what lets `dialite serve -shards N` and `dialite
+// serve -coordinator` reuse every endpoint unchanged.
 //
 // Discovery never sees a Catalog: discoverers run against one concrete
 // *Lake at a time, and discovery.RunAll scatters them over the catalog's
@@ -34,16 +37,24 @@ type Catalog interface {
 	// unreachable domain rather than erroring.
 	Epochs() []uint64
 
-	// Catalog access.
-	Get(name string) (*table.Table, bool)
-	Tables() []*table.Table
+	// Catalog reads carry the request's context and report failure: a
+	// catalog whose tables live in other processes can be unable to answer,
+	// which is not the same as the table being absent.
+	//
+	// FetchTables looks the named tables up in one batch. Names the catalog
+	// does not hold are absent from the map; an error means the lookup could
+	// not be answered (ctx done, a shard down).
+	FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error)
+	// TableNames lists the catalog's table names: insertion order for
+	// in-process catalogs, shard order for a cluster (see SHARDING.md).
+	TableNames(ctx context.Context) ([]string, error)
 	Size() int
 
-	// Mutation.
+	// Mutation. These stay context-free: *Lake's concrete signatures are
+	// what the persistence layer and the benchmark call.
 	Add(tables ...*table.Table) error
 	Remove(names ...string) error
 	Compact()
-	RefreshKB() bool
 
 	// Shared state the integration/analysis stages read.
 	Knowledge() *kb.KB
@@ -56,3 +67,46 @@ var (
 	_ Catalog = (*Lake)(nil)
 	_ Catalog = (*Sharded)(nil)
 )
+
+// fetchLocal and namesOf are Catalog's two reads for an in-process catalog,
+// over its concrete Get and Tables. Nothing in them blocks, so ctx is only
+// checked on entry.
+func fetchLocal(ctx context.Context, names []string, get func(string) (*table.Table, bool)) (map[string]*table.Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	got := make(map[string]*table.Table, len(names))
+	for _, n := range names {
+		if t, ok := get(n); ok {
+			got[n] = t
+		}
+	}
+	return got, nil
+}
+
+func namesOf(ctx context.Context, tables []*table.Table) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.Name
+	}
+	return names, nil
+}
+
+// FetchTables implements Catalog over Get.
+func (l *Lake) FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
+	return fetchLocal(ctx, names, l.Get)
+}
+
+// TableNames implements Catalog over Tables.
+func (l *Lake) TableNames(ctx context.Context) ([]string, error) { return namesOf(ctx, l.Tables()) }
+
+// FetchTables implements Catalog over Get.
+func (s *Sharded) FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
+	return fetchLocal(ctx, names, s.Get)
+}
+
+// TableNames implements Catalog over Tables.
+func (s *Sharded) TableNames(ctx context.Context) ([]string, error) { return namesOf(ctx, s.Tables()) }

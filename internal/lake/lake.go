@@ -174,11 +174,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		},
 		func() {
 			t := time.Now()
-			sets := make([]josie.Set, len(l.domains))
-			for i, d := range l.domains {
-				sets[i] = josie.Set{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
-			}
-			l.josieIx = josie.BuildWithDict(sets, l.tokens)
+			l.josieIx = josie.BuildWithDict(josieSets(l.domains), l.tokens)
 			l.stats.Josie = time.Since(t)
 		},
 	)
@@ -274,11 +270,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 		},
 		func() {
 			t := time.Now()
-			sets := make([]josie.Set, len(newDomains))
-			for i, d := range newDomains {
-				sets[i] = josie.Set{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
-			}
-			l.josieIx.Add(sets)
+			l.josieIx.Add(josieSets(newDomains))
 			l.stats.Josie += time.Since(t)
 		},
 	)
@@ -447,6 +439,17 @@ func extractDomains(tables []*table.Table, dict *table.Dict, tokens *table.Token
 	return out
 }
 
+// josieSets views extracted domains as the JOSIE index's input sets; the
+// value and ID slices are shared, not copied.
+func josieSets(domains []lshensemble.Domain) []josie.Set {
+	sets := make([]josie.Set, len(domains))
+	for i := range domains {
+		d := &domains[i]
+		sets[i] = josie.Set{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
+	}
+	return sets
+}
+
 // columnValueSet extracts the normalized value set of a column in one pass:
 // it is tokenize.ValueSet(t.DistinctStrings(c)) — same output, same order —
 // without materializing the intermediate distinct-string slice or scanning
@@ -535,9 +538,9 @@ func (l *Lake) Tokens() *table.TokenDict { return l.tokens }
 
 // DomainFor returns the extracted domain of one lake table column — with
 // its cached token IDs and MinHash fingerprints — or nil when the column
-// produced no domain (non-textual or empty). Discovery uses it to skip
-// re-extraction and re-hashing when the query table is itself a lake table.
-// After Remove(tableName), every column of that table returns nil;
+// produced no domain (non-textual or empty). ResolveQuery serves it when the
+// query table is the lake's own. After Remove(tableName), every column of
+// that table returns nil;
 // previously returned pointers stay readable but describe the removed
 // domain.
 func (l *Lake) DomainFor(tableName string, col int) *lshensemble.Domain {
@@ -580,10 +583,35 @@ func (l *Lake) Domains() []lshensemble.Domain {
 }
 
 // QueryDomain extracts the normalized value set of a query table column,
-// using the same normalization as the lake's indexes.
+// with the extractor the lake's indexes are built with (columnValueSet).
 func QueryDomain(q *table.Table, col int) ([]string, error) {
 	if col < 0 || col >= q.NumCols() {
 		return nil, fmt.Errorf("lake: query column %d out of range for table %q", col, q.Name)
 	}
-	return tokenize.ValueSet(q.DistinctStrings(col)), nil
+	return columnValueSet(q, col), nil
+}
+
+// ResolveQuery resolves a query column into the domain the joinable indexes
+// search with: value set, token IDs and MinHash fingerprints. When q is the
+// lake's own table (pointer identity — a renamed, copied or modified table
+// never matches) and the column was indexed, that is the cached domain,
+// extracted and hashed once at build. Every other query — in particular
+// every table that arrives over the wire — gets a transient domain built in
+// one pass: QueryDomain's value set resolved against the lake's token
+// dictionary by lookup (lshensemble.ResolveDomain), so queries never intern
+// and the dictionary never grows. Both shapes take the same path through the
+// indexes (QueryDomainCtx, TopKIDsCtx) and rank identically for equal cells.
+// An out-of-range column never has a cached domain, so it always reaches
+// QueryDomain's range check.
+func (l *Lake) ResolveQuery(q *table.Table, col int) (*lshensemble.Domain, error) {
+	if lt, ok := l.Get(q.Name); ok && lt == q {
+		if d := l.DomainFor(q.Name, col); d != nil {
+			return d, nil
+		}
+	}
+	vals, err := QueryDomain(q, col)
+	if err != nil {
+		return nil, err
+	}
+	return lshensemble.ResolveDomain(l.tokens, vals), nil
 }

@@ -160,47 +160,19 @@ type Index struct {
 	scratch    sync.Pool // *queryScratch
 }
 
-// queryScratch is the reusable per-query working memory: the normalized
-// value set (map + slice), fingerprint and signature buffers, the query
-// token-ID set, and the candidate-dedup scratch. Pooled per index so the
-// non-cached Query path stops paying these allocations per call; query
-// results never alias scratch memory.
+// queryScratch is the reusable per-query working memory: the signature
+// buffer, the query token-ID set, and the candidate-dedup scratch. Pooled per
+// index; query results never alias scratch memory.
 type queryScratch struct {
-	vals    []string
-	seenTok map[string]struct{}
-	fps     []uint64
-	qids    map[uint32]struct{}
-	sig     sketch.Sketch
-	seen    []uint32 // per domain index: epoch stamp
-	epoch   uint32
-	cands   []int32
-	keys    []uint64
+	qids  map[uint32]struct{}
+	sig   sketch.Sketch
+	seen  []uint32 // per domain index: epoch stamp
+	epoch uint32
+	cands []int32
+	keys  []uint64
 }
 
-// valueSet normalizes and deduplicates raw values into the scratch buffers,
-// byte-identical to tokenize.ValueSet.
-func (s *queryScratch) valueSet(raw []string) []string {
-	clear(s.seenTok)
-	out := s.vals[:0]
-	for _, v := range raw {
-		n := tokenize.Normalize(v)
-		if n == "" {
-			continue
-		}
-		if _, dup := s.seenTok[n]; dup {
-			continue
-		}
-		s.seenTok[n] = struct{}{}
-		out = append(out, n)
-	}
-	s.vals = out
-	return out
-}
-
-func (ix *Index) getScratch() *queryScratch {
-	s := ix.scratch.Get().(*queryScratch)
-	return s
-}
+func newQueryScratch() any { return &queryScratch{qids: make(map[uint32]struct{})} }
 
 // Build constructs the ensemble over a private token dictionary. Domains
 // with empty value sets are indexed but can never be returned (containment
@@ -242,12 +214,7 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 		partOf:    make([]int32, len(domains)),
 		liveCount: len(domains),
 	}
-	ix.scratch.New = func() any {
-		return &queryScratch{
-			seenTok: make(map[string]struct{}),
-			qids:    make(map[uint32]struct{}),
-		}
-	}
+	ix.scratch.New = newQueryScratch
 	// Sign domains in parallel: each sketch depends only on its own
 	// domain, so the result is deterministic regardless of scheduling.
 	// Token IDs and fingerprints are computed once per domain and cached on
@@ -699,95 +666,73 @@ type Result struct {
 	Containment float64 // exact |Q∩X|/|Q|
 }
 
+// ResolveDomain returns the transient query-side domain of values — a
+// normalized, deduplicated value set, as tokenize.ValueSet and lake
+// extraction produce — resolved against dict by lookup, never interning:
+// lake-vocabulary tokens get their ID and cached fingerprint, and a token
+// outside the vocabulary (which can never intersect an indexed domain,
+// though it still counts toward |Q|) keeps ID 0 and is hashed on the fly.
+// Every query reaches the indexes through a domain of this shape or a
+// lake's own cached one.
+func ResolveDomain(dict *table.TokenDict, values []string) *Domain {
+	d := &Domain{Values: values, IDs: make([]uint32, len(values)), Fingerprints: make([]uint64, len(values))}
+	for i, tok := range values {
+		if id := dict.Lookup(tok); id != 0 {
+			d.IDs[i] = id
+			d.Fingerprints[i] = dict.Fingerprint(id)
+		} else {
+			d.Fingerprints[i] = minhash.Fingerprint(tok)
+		}
+	}
+	return d
+}
+
 // Query returns the indexed domains whose exact containment of the
 // normalized query value set is at least threshold, ranked by containment
 // descending (ties broken by domain key), truncated to k (k<=0 means all).
 // rawQuery is normalized with tokenize.ValueSet, matching how domains are
-// extracted from tables. Query tokens are looked up in the token
-// dictionary, never interned: fingerprints of lake-vocabulary tokens come
-// from the cache, and tokens outside the lake vocabulary (which can never
-// intersect an indexed domain, though they still count toward |Q|) are
-// hashed on the fly.
+// extracted from tables, and resolved with ResolveDomain.
 func (ix *Index) Query(rawQuery []string, threshold float64, k int) []Result {
 	res, _ := ix.QueryCtx(context.Background(), rawQuery, threshold, k)
 	return res
 }
 
-// QueryCtx is Query with cooperative cancellation: the candidate
-// verification loop checks ctx between partitions and amortized across
-// containment verifications, returning (nil, ctx.Err()) once the context is
-// cancelled. Uncancelled results are byte-identical to Query.
+// QueryCtx is Query with cooperative cancellation — QueryDomainCtx over the
+// normalized raw values.
 func (ix *Index) QueryCtx(ctx context.Context, rawQuery []string, threshold float64, k int) ([]Result, error) {
-	s := ix.getScratch()
-	defer ix.scratch.Put(s)
-	query := s.valueSet(rawQuery)
-	if len(query) == 0 {
-		return nil, ctx.Err()
-	}
-	if cap(s.fps) < len(query) {
-		s.fps = make([]uint64, len(query))
-	}
-	fps := s.fps[:len(query)]
-	s.fps = fps
-	clear(s.qids)
-	for i, tok := range query {
-		if id := ix.dict.Lookup(tok); id != 0 {
-			fps[i] = ix.dict.Fingerprint(id)
-			s.qids[id] = struct{}{}
-		} else {
-			fps[i] = minhash.Fingerprint(tok)
-		}
-	}
-	s.sig = ix.builder.SignInto(fps, s.sig)
-	ix.ensureParts()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.query(ctx, s.sig, s.qids, len(query), threshold, k, s)
+	return ix.QueryDomainCtx(ctx, &Domain{Values: tokenize.ValueSet(rawQuery)}, threshold, k)
 }
 
-// QueryDomain answers a containment query for an already-extracted domain —
-// the fast path for query columns that are themselves lake domains, whose
-// token IDs and MinHash fingerprints were computed once at extraction. The
-// domain's Values must be normalized and deduplicated (lake domains are);
-// missing IDs or fingerprints are derived on the fly.
+// QueryDomain answers a containment query for an already-extracted domain:
+// a lake's cached domain or a ResolveDomain result, whose token IDs and
+// fingerprints are used as they are. The domain's Values must be normalized
+// and deduplicated; a domain missing IDs or fingerprints is resolved against
+// the index's dictionary first.
 func (ix *Index) QueryDomain(d *Domain, threshold float64, k int) []Result {
 	res, _ := ix.QueryDomainCtx(context.Background(), d, threshold, k)
 	return res
 }
 
-// QueryDomainCtx is QueryDomain with cooperative cancellation, mirroring
-// QueryCtx.
+// QueryDomainCtx is QueryDomain with cooperative cancellation: the
+// candidate verification loop checks ctx between partitions and amortized
+// across containment verifications, returning (nil, ctx.Err()) once the
+// context is cancelled.
 func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float64, k int) ([]Result, error) {
 	if d == nil || len(d.Values) == 0 {
 		return nil, ctx.Err()
 	}
-	s := ix.getScratch()
+	if d.IDs == nil || d.Fingerprints == nil {
+		d = ResolveDomain(ix.dict, d.Values)
+	}
+	s := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(s)
-	ids := d.IDs
-	if ids == nil {
-		ids = make([]uint32, len(d.Values))
-		for i, tok := range d.Values {
-			ids[i] = ix.dict.Lookup(tok)
-		}
-	}
-	fps := d.Fingerprints
-	if fps == nil {
-		fps = make([]uint64, len(d.Values))
-		for i, tok := range d.Values {
-			if ids[i] != 0 {
-				fps[i] = ix.dict.Fingerprint(ids[i])
-			} else {
-				fps[i] = minhash.Fingerprint(tok)
-			}
-		}
-	}
 	clear(s.qids)
-	for _, id := range ids {
+	for _, id := range d.IDs {
 		if id != 0 {
 			s.qids[id] = struct{}{}
 		}
 	}
-	s.sig = ix.builder.SignInto(fps, s.sig)
+	s.sig = ix.builder.SignInto(d.Fingerprints, s.sig)
 	ix.ensureParts()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -71,12 +71,7 @@ func Restore(domains []Domain, signatures [][]uint64, opts Options, dict *table.
 		partOf:    make([]int32, len(domains)),
 		liveCount: len(domains),
 	}
-	ix.scratch.New = func() any {
-		return &queryScratch{
-			seenTok: make(map[string]struct{}),
-			qids:    make(map[uint32]struct{}),
-		}
-	}
+	ix.scratch.New = newQueryScratch
 	ix.signatures = make([]sketch.Sketch, len(ix.domains))
 	sigArena := make([]uint64, len(ix.domains)*opts.NumHashes)
 	for i := range ix.domains {

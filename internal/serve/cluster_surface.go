@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/persist"
-	"repro/internal/table"
 )
 
 // This file is the serving layer's cluster surface: the shard-side
@@ -51,7 +50,7 @@ func (s *Server) lakeTable(ctx context.Context, r *http.Request) (any, error) {
 	if name == "" {
 		return nil, fmt.Errorf("missing ?name= query parameter")
 	}
-	got, err := s.fetchTables(ctx, []string{name})
+	got, err := s.p().Lake().FetchTables(ctx, []string{name})
 	if err != nil {
 		return nil, err
 	}
@@ -60,24 +59,6 @@ func (s *Server) lakeTable(ctx context.Context, r *http.Request) (any, error) {
 		return nil, &statusError{code: http.StatusNotFound, msg: fmt.Sprintf("no table %q in lake", name)}
 	}
 	return LakeTableResponse{Table: EncodeTable(t)}, nil
-}
-
-// fetchTables looks the named tables up in the attached catalog; names the
-// catalog does not hold are absent from the map. A catalog whose lookup can
-// itself fail (TableFetcher) reports that failure — a down shard's typed
-// 503 — instead of passing it off as absence.
-func (s *Server) fetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
-	l := s.p().Lake()
-	if tf, ok := l.(TableFetcher); ok {
-		return tf.FetchTables(ctx, names)
-	}
-	got := make(map[string]*table.Table, len(names))
-	for _, n := range names {
-		if t, ok := l.Get(n); ok {
-			got[n] = t
-		}
-	}
-	return got, nil
 }
 
 // LakeTablesRequest is the POST /v1/lake/tables body: a batch table fetch.
@@ -89,7 +70,10 @@ type LakeTablesRequest struct {
 
 // LakeTablesResponse carries the tables that exist; names that do not
 // (removed between the caller's ranking and this fetch) land in Missing
-// rather than failing the batch — the caller decides what a gap means.
+// rather than failing the batch — the caller decides what a gap means. A
+// lookup the catalog could not answer (a coordinator's shard is down) fails
+// the request with that shard's status instead; Missing only ever means
+// absent.
 type LakeTablesResponse struct {
 	Tables  []TableJSON `json:"tables"`
 	Missing []string    `json:"missing,omitempty"`
@@ -103,10 +87,13 @@ func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 	if len(req.Names) == 0 {
 		return nil, fmt.Errorf("no table names to fetch")
 	}
+	got, err := s.p().Lake().FetchTables(ctx, req.Names)
+	if err != nil {
+		return nil, err
+	}
 	resp := LakeTablesResponse{Tables: make([]TableJSON, 0, len(req.Names))}
-	l := s.p().Lake()
 	for _, n := range req.Names {
-		if t, ok := l.Get(n); ok {
+		if t, ok := got[n]; ok {
 			resp.Tables = append(resp.Tables, EncodeTable(t))
 		} else {
 			resp.Missing = append(resp.Missing, n)
@@ -181,23 +168,6 @@ type ShardMetrics struct {
 // type-asserts it and renders per-shard series when present.
 type ShardMetricsReporter interface {
 	ShardMetrics() []ShardMetrics
-}
-
-// NameLister is implemented by catalogs that can enumerate table names
-// more cheaply than materializing every table (a cluster coordinator would
-// otherwise fetch the full catalog over the wire to answer GET /v1/lake).
-type NameLister interface {
-	TableNames(ctx context.Context) ([]string, error)
-}
-
-// TableFetcher is implemented by catalogs whose table lookup can fail for a
-// reason other than absence (a cluster coordinator's shard may be down):
-// names the catalog does not hold are absent from the map, while a lookup
-// that could not be answered returns the typed error — lake.Catalog's
-// Get(name) (table, bool) can only report both as "absent". One call
-// fetches a whole batch (one round trip per shard, not per name).
-type TableFetcher interface {
-	FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error)
 }
 
 // Latency is an exported handle on the serving layer's log2-bucketed

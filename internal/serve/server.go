@@ -573,7 +573,7 @@ type IntegrateResponse struct {
 // integrationSet resolves an IntegrateRequest's table list.
 func (s *Server) integrationSet(ctx context.Context, req IntegrateRequest) ([]*table.Table, error) {
 	set := make([]*table.Table, 0, len(req.Names)+len(req.Tables))
-	named, err := s.fetchTables(ctx, req.Names)
+	named, err := s.p().Lake().FetchTables(ctx, req.Names)
 	if err != nil {
 		return nil, err
 	}
@@ -818,19 +818,9 @@ func (s *Server) lakeRemove(ctx context.Context, r *http.Request) (any, error) {
 }
 
 func (s *Server) lakeInfo(ctx context.Context, r *http.Request) (any, error) {
-	if nl, ok := s.p().Lake().(NameLister); ok {
-		// Cluster-mode catalogs enumerate names over the wire instead of
-		// materializing every remote table.
-		names, err := nl.TableNames(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return LakeResponse{Size: len(names), Tables: names}, nil
-	}
-	tables := s.p().Lake().Tables()
-	names := make([]string, 0, len(tables))
-	for _, t := range tables {
-		names = append(names, t.Name)
+	names, err := s.p().Lake().TableNames(ctx)
+	if err != nil {
+		return nil, err
 	}
 	return LakeResponse{Size: len(names), Tables: names}, nil
 }
