@@ -26,7 +26,6 @@ import (
 	"repro/internal/paperdata"
 	"repro/internal/persist"
 	"repro/internal/schemamatch"
-	"repro/internal/sketch"
 	"repro/internal/synth"
 	"repro/internal/table"
 )
@@ -479,11 +478,9 @@ func BenchmarkKBAnnotate(b *testing.B) {
 	})
 }
 
-// BenchmarkSignKernel measures the signing kernels behind the sketch
-// engines on one 512-value domain at the default sketch size: the batched
-// MinHash kernel against the retained scalar reference (the bit-identical
-// pair pinned by TestSignBatchedMatchesScalar), and the KMV bottom-k
-// signer, whose speed is the reason the second engine exists.
+// BenchmarkSignKernel measures the batched MinHash signing kernel behind
+// the sketch on one 512-value domain at the default sketch size (the scalar
+// reference it is pinned against lives in internal/minhash's tests).
 func BenchmarkSignKernel(b *testing.B) {
 	const k, n = 128, 512
 	rng := rand.New(rand.NewSource(9))
@@ -498,95 +495,6 @@ func BenchmarkSignKernel(b *testing.B) {
 			fam.SignFingerprintsInto(fps, sig)
 		}
 	})
-	b.Run("MinHashScalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fam.SignScalarInto(fps, sig)
-		}
-	})
-	b.Run("KMV", func(b *testing.B) {
-		builder, err := sketch.New(sketch.Params{Engine: sketch.KMV, Size: k, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s sketch.Sketch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s = builder.SignInto(fps, s[:0])
-		}
-	})
-}
-
-// BenchmarkX7SketchEngines compares the sketch engines end-to-end on the
-// X3 lake: ns/op is a full index build over the lake's 640 extracted
-// domains, and the f1 metric is micro-averaged discovery accuracy against
-// the exact containment scan on the X3 key-column queries — the
-// speed/accuracy trade the pluggable engine interface exists to expose.
-func BenchmarkX7SketchEngines(b *testing.B) {
-	sl := experiments.JoinSearchLake(17)
-	l, err := lake.New(sl.Tables, lake.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	domains := l.Domains()
-	var queries [][]string
-	for _, qn := range []string{"family0_part0", "family7_part2", "family21_part1", "family33_part4"} {
-		q, ok := l.Get(qn)
-		if !ok {
-			b.Fatalf("query table %s missing", qn)
-		}
-		vals, err := lake.QueryDomain(q, sl.Truth.KeyColumn[qn])
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries = append(queries, vals)
-	}
-	const threshold = 0.5
-	truth := make([]map[string]bool, len(queries))
-	for i, q := range queries {
-		truth[i] = benchKeySet(lshensemble.ExactQuery(domains, q, threshold, 0))
-	}
-	for _, eng := range []sketch.Engine{sketch.MinHash, sketch.KMV} {
-		b.Run(string(eng), func(b *testing.B) {
-			opts := lshensemble.Options{Engine: eng}
-			var ix *lshensemble.Index
-			for i := 0; i < b.N; i++ {
-				ix = lshensemble.Build(domains, opts)
-			}
-			b.StopTimer()
-			tp, fp, fn := 0, 0, 0
-			for i, q := range queries {
-				got := benchKeySet(ix.Query(q, threshold, 0))
-				for k := range got {
-					if truth[i][k] {
-						tp++
-					} else {
-						fp++
-					}
-				}
-				for k := range truth[i] {
-					if !got[k] {
-						fn++
-					}
-				}
-			}
-			p := float64(tp) / float64(max(tp+fp, 1))
-			r := float64(tp) / float64(max(tp+fn, 1))
-			f1 := 0.0
-			if p+r > 0 {
-				f1 = 2 * p * r / (p + r)
-			}
-			b.ReportMetric(f1, "f1")
-			b.StartTimer()
-		})
-	}
-}
-
-func benchKeySet(rs []lshensemble.Result) map[string]bool {
-	out := make(map[string]bool, len(rs))
-	for _, r := range rs {
-		out[r.Domain.Key()] = true
-	}
-	return out
 }
 
 // BenchmarkX3JoinSearch compares LSH Ensemble queries against the exact
@@ -738,24 +646,6 @@ func ablationChainInput(m int) fd.Input {
 		}
 	}
 	return in
-}
-
-// BenchmarkAblationFDCandidateIndex isolates ALITE's (position,value)
-// candidate index — the design choice that makes the closure practical —
-// by comparing against the identical closure with exhaustive pair
-// scanning, on a selective-key workload.
-func BenchmarkAblationFDCandidateIndex(b *testing.B) {
-	in := ablationChainInput(400)
-	b.Run("Indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fd.ALITE(in)
-		}
-	})
-	b.Run("Unindexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fd.ALITEUnindexed(in)
-		}
-	})
 }
 
 // BenchmarkAblationKBEmbeddings isolates the knowledge-base semantic-type

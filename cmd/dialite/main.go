@@ -3,15 +3,14 @@
 //
 // Usage:
 //
-//	dialite serve     -lake DIR [-persist DIR] [-addr :8080] [-timeout 30s] [-max-inflight N] [-max-queue-wait 1s] [-max-body-bytes N] [-sketch minhash|kmv]
-//	dialite serve     -coordinator -shard-addrs HOST:PORT,... [-persist DIR] [-addr :8080] [-sketch minhash|kmv]
+//	dialite serve     -lake DIR [-persist DIR] [-addr :8080] [-timeout 30s] [-max-inflight N] [-max-queue-wait 1s] [-max-body-bytes N]
+//	dialite serve     -coordinator -shard-addrs HOST:PORT,... [-persist DIR] [-addr :8080]
 //	dialite serve     -lake DIR -shard-of I/N [-persist DIR] [-addr :8080]
 //	dialite shardctl  -shard-addrs HOST:PORT,... | -persist DIR
-//	dialite snapshot  -persist DIR [-lake DIR] [-sketch minhash|kmv]
-//	dialite loadtest  -url http://HOST:PORT [-qps N] [-duration 2s] [-saturate]
-//	dialite discover  -lake DIR -query Q.csv -col N [-methods m1,m2] [-k K] [-grow DIR] [-drop t1,t2] [-sketch minhash|kmv]
+//	dialite snapshot  -persist DIR [-lake DIR]
+//	dialite discover  -lake DIR -query Q.csv -col N [-methods m1,m2] [-k K] [-grow DIR] [-drop t1,t2]
 //	dialite integrate -lake DIR -tables a,b,c [-op alite-fd|outer-join|inner-join|union] [-prov]
-//	dialite pipeline  -lake DIR -query Q.csv -col N [-op OP] [-prov] [-sketch minhash|kmv]
+//	dialite pipeline  -lake DIR -query Q.csv -col N [-op OP] [-prov]
 //	dialite analyze   -table T.csv -corr colA,colB | -groupby key,val,agg | -profile
 //	dialite resolve   -table T.csv
 //	dialite generate  -prompt "covid cases" [-rows 5] [-cols 5] [-seed 1] [-out Q.csv]
@@ -28,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -42,10 +40,8 @@ import (
 	"repro/internal/er"
 	"repro/internal/kb"
 	"repro/internal/lake"
-	"repro/internal/loadharness"
 	"repro/internal/persist"
 	"repro/internal/serve"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -79,8 +75,6 @@ func main() {
 		err = cmdShardctl(ctx, os.Args[2:])
 	case "snapshot":
 		err = cmdSnapshot(os.Args[2:])
-	case "loadtest":
-		err = cmdLoadtest(ctx, os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -103,7 +97,6 @@ commands:
              -shard-of I/N serves one shard's slice of a CSV directory
   shardctl   inspect a cluster: placement manifest + per-shard health probe
   snapshot   compact a durable lake directory: fold the WAL into a snapshot
-  loadtest   drive a running server with load and report QPS + p50/p99
   discover   find unionable/joinable tables for a query table
   integrate  align and integrate a set of lake tables
   pipeline   discover then integrate, end to end
@@ -112,23 +105,12 @@ commands:
   generate   fabricate a query table from a prompt (GPT-3 substitute)`)
 }
 
-// newPipeline builds the pipeline over -lake with the demo KB. engine is
-// the -sketch flag value: the sketch engine the containment index signs
-// with (empty means MinHash; lake.New rejects unknown names).
-func newPipeline(lakeDir string, synthKB bool, engine string, shards int) (*core.Pipeline, error) {
+// newPipeline builds the pipeline over -lake with the demo KB.
+func newPipeline(lakeDir string, synthKB bool, shards int) (*core.Pipeline, error) {
 	if lakeDir == "" {
 		return nil, fmt.Errorf("-lake directory is required")
 	}
-	cfg := core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB, Shards: shards}
-	cfg.LakeOptions.LSH.Engine = sketch.Engine(engine)
-	return core.FromDir(lakeDir, cfg)
-}
-
-// sketchFlag registers the -sketch engine flag on commands that build a
-// lake from CSVs. Warm restarts ignore it: a persisted lake's engine is
-// recorded in its snapshot.
-func sketchFlag(fs *flag.FlagSet) *string {
-	return fs.String("sketch", "", `sketch engine for the containment index: "minhash" (default) or "kmv"`)
+	return core.FromDir(lakeDir, core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB, Shards: shards})
 }
 
 // mutateLake applies the -grow / -drop lake mutations: growDir's CSVs are
@@ -182,25 +164,24 @@ func cmdServe(ctx context.Context, args []string) error {
 	coordinator := fs.Bool("coordinator", false, "serve as a cluster coordinator: scatter-gather over the -shard-addrs shard servers instead of a local lake")
 	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server base URLs, in shard order (coordinator mode)")
 	shardOf := fs.String("shard-of", "", `serve shard I of an N-shard cluster as "I/N": load only the -lake tables that lake.ShardIndex routes to shard I`)
-	engine := sketchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := validateServeFlags(*addr, *timeout, *maxBodyBytes, *lakeDir, *persistDir, *shards, *coordinator, *shardAddrs, *shardOf); err != nil {
 		return err
 	}
-	cfg := serve.Config{Timeout: *timeout, MaxBodyBytes: *maxBodyBytes, MaxInflight: *maxInflight, MaxQueueWait: *maxQueueWait, RequestedSketchEngine: *engine}
+	cfg := serve.Config{Timeout: *timeout, MaxBodyBytes: *maxBodyBytes, MaxInflight: *maxInflight, MaxQueueWait: *maxQueueWait}
 	if *coordinator {
-		return serveCoordinator(ctx, cfg, *addr, *shardAddrs, *persistDir, *engine, *timeout)
+		return serveCoordinator(ctx, cfg, *addr, *shardAddrs, *persistDir, *timeout)
 	}
 	// buildLocal builds the lake-backed pipeline, honoring -shard-of: a
 	// shard server loads only its slice of the CSV directory (possibly
 	// empty — a valid shard holds no tables until mutations route to it).
 	buildLocal := func() (*core.Pipeline, error) {
 		if *shardOf != "" {
-			return newShardPipeline(*lakeDir, *synthKB, *engine, *shardOf)
+			return newShardPipeline(*lakeDir, *synthKB, *shardOf)
 		}
-		return newPipeline(*lakeDir, *synthKB, *engine, *shards)
+		return newPipeline(*lakeDir, *synthKB, *shards)
 	}
 	if *persistDir == "" {
 		p, err := buildLocal()
@@ -221,9 +202,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		// (validateServeFlags already refused a conflicting -lake).
 		// Listen immediately and recover in the background; endpoints answer
 		// 503 + Retry-After until the replayed lake is attached.
-		if *engine != "" {
-			fmt.Fprintf(os.Stderr, "dialite: -sketch %s ignored: %s exists and its snapshot records the engine\n", *engine, *persistDir)
-		}
 		s := serve.NewWarming(cfg)
 		ctx, fail := context.WithCancelCause(ctx)
 		defer fail(nil)
@@ -360,7 +338,7 @@ func parseShardOf(s string) (shard, count int, err error) {
 // to shard I, so N such servers partition the directory with no overlap
 // and no gaps. An empty slice is valid — the shard fills via routed
 // mutations.
-func newShardPipeline(lakeDir string, synthKB bool, engine, shardOf string) (*core.Pipeline, error) {
+func newShardPipeline(lakeDir string, synthKB bool, shardOf string) (*core.Pipeline, error) {
 	if lakeDir == "" {
 		return nil, fmt.Errorf("-lake directory is required")
 	}
@@ -379,47 +357,32 @@ func newShardPipeline(lakeDir string, synthKB bool, engine, shardOf string) (*co
 		}
 	}
 	fmt.Fprintf(os.Stderr, "dialite: shard %d/%d holds %d of %d tables from %s\n", shard, count, len(mine), len(all), lakeDir)
-	cfg := core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB}
-	cfg.LakeOptions.LSH.Engine = sketch.Engine(engine)
-	return core.New(mine, cfg)
+	return core.New(mine, core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB})
 }
 
 // serveCoordinator stands up cluster mode's front door: a serve.Server
 // whose catalog is a cluster.Coordinator scatter-gathering over the shard
 // servers. With -persist the placement manifest lives there — first boot
-// pins the shard count and (probed or flagged) sketch engine, later boots
-// refuse a drifted shard count or engine before taking any traffic.
-func serveCoordinator(ctx context.Context, cfg serve.Config, addr, shardAddrs, persistDir, engine string, timeout time.Duration) error {
+// pins the shard count, later boots refuse a drifted shard count (or a
+// manifest this build cannot read) before taking any traffic. No shard is
+// contacted here: a coordinator boots with its shards down and serves
+// degraded until they answer.
+func serveCoordinator(ctx context.Context, cfg serve.Config, addr, shardAddrs, persistDir string, timeout time.Duration) error {
 	addrs := splitCommaList(shardAddrs)
 	if len(addrs) == 0 {
 		return fmt.Errorf("-shard-addrs is empty after trimming")
 	}
-	eng := sketch.Engine(engine)
-	if persistDir != "" && eng == "" {
-		// An existing manifest supplies the engine so cluster.New can
-		// cross-check the shards against it rather than trusting a probe.
-		if m, err := cluster.LoadManifest(persistDir); err == nil {
-			eng = m.Engine
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	coord, err := cluster.New(cluster.Config{
-		Addrs:       addrs,
-		Knowledge:   kb.Demo(),
-		Engine:      eng,
-		CallTimeout: timeout,
-	})
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: kb.Demo(), CallTimeout: timeout})
 	if err != nil {
 		return err
 	}
 	if persistDir != "" {
-		if _, err := cluster.ReconcileManifest(persistDir, coord.Addrs(), coord.SketchEngine()); err != nil {
+		if _, err := cluster.ReconcileManifest(persistDir, coord.Addrs()); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "dialite: coordinating %d shards (%s) on %s, engine %s (request timeout %s)\n",
-		coord.NumShards(), strings.Join(coord.Addrs(), ", "), addr, coord.SketchEngine(), timeout)
+	fmt.Fprintf(os.Stderr, "dialite: coordinating %d shards (%s) on %s (request timeout %s)\n",
+		coord.NumShards(), strings.Join(coord.Addrs(), ", "), addr, timeout)
 	return serve.New(core.FromCatalog(coord), cfg).ListenAndServe(ctx, addr)
 }
 
@@ -481,31 +444,6 @@ func cmdShardctl(ctx context.Context, args []string) error {
 	return nil
 }
 
-// fetchShardFanout asks the target for its per-shard fan-out counters.
-// Empty (and silent) against a non-coordinator server — the scope=shards
-// metrics view answers null outside cluster mode.
-func fetchShardFanout(ctx context.Context, baseURL string) []serve.ShardMetrics {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(baseURL, "/")+"/metrics?format=json&scope=shards", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var out []serve.ShardMetrics
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil
-	}
-	return out
-}
-
 // splitCommaList splits a comma-separated flag value, trimming whitespace
 // and dropping empties.
 func splitCommaList(s string) []string {
@@ -518,67 +456,6 @@ func splitCommaList(s string) []string {
 	return out
 }
 
-// cmdLoadtest drives a running dialite server (see internal/loadharness):
-// a fixed-rate or closed-loop run by default, or -saturate to step the
-// rate upward until the server stops keeping up. The measurement is
-// printed as JSON on stdout. The target may be a cluster coordinator — the
-// API surface is identical — in which case the result also captures the
-// coordinator's per-shard fan-out counters, so a bench trajectory over
-// cluster mode records where the fan-out spent its time.
-func cmdLoadtest(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:8080", "base URL of a running dialite serve")
-	qps := fs.Float64("qps", 100, "paced arrival rate; 0 drives closed-loop instead")
-	workers := fs.Int("workers", 0, "concurrency (0 picks the mode default)")
-	duration := fs.Duration("duration", 2*time.Second, "drive time (per step with -saturate)")
-	method := fs.String("method", http.MethodGet, "request method")
-	path := fs.String("path", "/v1/lake", "request path")
-	body := fs.String("body", "", "inline JSON request body for POST endpoints")
-	saturate := fs.Bool("saturate", false, "step the rate upward to find max sustainable QPS")
-	startQPS := fs.Float64("start-qps", 50, "first step rate with -saturate")
-	steps := fs.Int("steps", 8, "max steps with -saturate")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %s", *duration)
-	}
-	if *qps < 0 {
-		return fmt.Errorf("-qps must be >= 0, got %g", *qps)
-	}
-	wl := []loadharness.Request{{Method: *method, Path: *path, Body: []byte(*body)}}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if *saturate {
-		res, err := loadharness.Saturate(ctx, nil, *url, wl, loadharness.SaturateOptions{
-			StartQPS: *startQPS, StepDuration: *duration, MaxSteps: *steps,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dialite: max sustainable %.0f qps (p50 %s, p99 %s) over %d steps\n",
-			res.MaxQPS, res.Best.P50, res.Best.P99, len(res.Steps))
-		return enc.Encode(res)
-	}
-	res, err := loadharness.Run(ctx, nil, *url, loadharness.Options{
-		QPS: *qps, Workers: *workers, Duration: *duration, Requests: wl,
-	})
-	if err != nil {
-		return err
-	}
-	out := struct {
-		loadharness.Result
-		ShardFanout []serve.ShardMetrics `json:"shard_fanout,omitempty"`
-	}{Result: res, ShardFanout: fetchShardFanout(ctx, *url)}
-	if err := enc.Encode(out); err != nil {
-		return err
-	}
-	if res.Errors > 0 {
-		return fmt.Errorf("%d of %d requests errored", res.Errors, res.Sent) // scripts gate on a clean run
-	}
-	return nil
-}
-
 // cmdSnapshot maintains a durable lake directory offline. An existing
 // directory is recovered and its WAL folded into a fresh snapshot
 // generation, so the next serve -persist starts without replay; a new
@@ -588,7 +465,6 @@ func cmdSnapshot(args []string) error {
 	persistDir := fs.String("persist", "", "durable lake directory")
 	lakeDir := fs.String("lake", "", "CSVs to build from when the directory is new")
 	synthKB := fs.Bool("synth", false, "synthesize a KB from the lake (new directories only)")
-	engine := sketchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -597,7 +473,7 @@ func cmdSnapshot(args []string) error {
 	}
 	if !persist.Exists(*persistDir, persist.Options{}) {
 		_, st, err := createStore(*persistDir, func() (*core.Pipeline, error) {
-			return newPipeline(*lakeDir, *synthKB, *engine, 0)
+			return newPipeline(*lakeDir, *synthKB, 0)
 		})
 		if err != nil {
 			return err
@@ -633,11 +509,10 @@ func cmdDiscover(ctx context.Context, args []string) error {
 	synthKB := fs.Bool("synth", false, "synthesize a KB from the lake")
 	growDir := fs.String("grow", "", "directory of CSVs to add to the lake incrementally after the build")
 	drop := fs.String("drop", "", "comma-separated table names to remove from the lake before querying")
-	engine := sketchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := newPipeline(*lakeDir, *synthKB, *engine, 0)
+	p, err := newPipeline(*lakeDir, *synthKB, 0)
 	if err != nil {
 		return err
 	}
@@ -684,7 +559,7 @@ func cmdIntegrate(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := newPipeline(*lakeDir, *synthKB, "", 0)
+	p, err := newPipeline(*lakeDir, *synthKB, 0)
 	if err != nil {
 		return err
 	}
@@ -728,11 +603,10 @@ func cmdPipeline(ctx context.Context, args []string) error {
 	prov := fs.Bool("prov", false, "include the TIDs provenance column")
 	synthKB := fs.Bool("synth", false, "synthesize a KB from the lake")
 	out := fs.String("out", "", "write the integrated table to this CSV path")
-	engine := sketchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := newPipeline(*lakeDir, *synthKB, *engine, 0)
+	p, err := newPipeline(*lakeDir, *synthKB, 0)
 	if err != nil {
 		return err
 	}

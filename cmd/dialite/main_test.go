@@ -278,27 +278,6 @@ func TestCmdServeSharded(t *testing.T) {
 	}
 }
 
-// TestCmdLoadtest drives a live server through the loadtest subcommand:
-// a short fixed-rate run against /v1/lake must come back clean, and flag
-// validation must refuse nonsense up front.
-func TestCmdLoadtest(t *testing.T) {
-	lakeDir, _ := writeDemoLake(t)
-	base, _ := startServe(t, []string{"-lake", lakeDir})
-	if err := cmdLoadtest(context.Background(), []string{"-url", base, "-qps", "50", "-duration", "300ms"}); err != nil {
-		t.Fatalf("loadtest against live server: %v", err)
-	}
-	if err := cmdLoadtest(context.Background(), []string{"-url", base, "-duration", "0"}); err == nil {
-		t.Error("zero -duration must error")
-	}
-	if err := cmdLoadtest(context.Background(), []string{"-url", base, "-qps", "-3"}); err == nil {
-		t.Error("negative -qps must error")
-	}
-	// A dead target is errors, not a hang: the command reports the failure.
-	if err := cmdLoadtest(context.Background(), []string{"-url", "http://127.0.0.1:1", "-qps", "10", "-duration", "200ms"}); err == nil {
-		t.Error("unreachable target must error")
-	}
-}
-
 // TestCmdServeRoundTrip boots the HTTP server on an ephemeral port, drives
 // one discover request through it, and shuts it down via context
 // cancellation (the SIGINT path).

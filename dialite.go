@@ -66,7 +66,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/lake"
 	"repro/internal/serve"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -153,7 +152,7 @@ type (
 	// deadlines, retry policy).
 	ClusterConfig = cluster.Config
 	// ClusterManifest is the coordinator-side placement record pinning
-	// shard count and sketch engine across restarts.
+	// the shard count across restarts.
 	ClusterManifest = cluster.Manifest
 	// ShardHealth is one shard's entry in a coordinator health report.
 	ShardHealth = serve.ShardHealth
@@ -176,9 +175,9 @@ func ProbeClusterShards(ctx context.Context, addrs []string, timeout time.Durati
 
 // ReconcileClusterManifest loads (or first-boot writes) a cluster persist
 // directory's placement manifest and checks it against the given shard
-// addresses and engine.
-func ReconcileClusterManifest(dir string, addrs []string, engine string) (*ClusterManifest, error) {
-	return cluster.ReconcileManifest(dir, addrs, sketch.Engine(engine))
+// addresses.
+func ReconcileClusterManifest(dir string, addrs []string) (*ClusterManifest, error) {
+	return cluster.ReconcileManifest(dir, addrs)
 }
 
 // NewKB returns an empty knowledge base.

@@ -33,7 +33,6 @@ import (
 	"repro/internal/lake"
 	"repro/internal/par"
 	"repro/internal/serve"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -48,10 +47,6 @@ type Config struct {
 	// stages (integration matching, entity resolution); nil means none.
 	// Shard processes hold their own copies for SANTOS annotation.
 	Knowledge *kb.KB
-	// Engine is the sketch engine the shards run. Empty probes the
-	// reachable shards at construction and adopts their (unanimous)
-	// engine; the serve CLI passes the manifest's pinned engine instead.
-	Engine sketch.Engine
 	// CallTimeout caps each shard call that carries no tighter request
 	// deadline of its own. 0 means 15s.
 	CallTimeout time.Duration
@@ -83,7 +78,6 @@ type Coordinator struct {
 	*lake.Composite
 	cfg    Config
 	shards []*shardClient
-	engine sketch.Engine
 }
 
 var (
@@ -93,11 +87,10 @@ var (
 	_ serve.ShardMetricsReporter = (*Coordinator)(nil)
 )
 
-// New builds a coordinator over the configured shard addresses. Shards may
-// be down at construction: the coordinator starts degraded rather than
-// failing, except when no engine was configured and no shard is reachable
-// to probe one from — then there is nothing to validate mutations or
-// health against and construction fails.
+// New builds a coordinator over the configured shard addresses. It contacts
+// no shard: shards may be down at construction, and the coordinator starts
+// degraded rather than failing — reads report the down shards, mutations
+// touching them refuse with 503, and both recover once the shards answer.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard addresses")
@@ -143,47 +136,7 @@ func New(cfg Config) (*Coordinator, error) {
 			backoff:     cfg.RetryBackoff,
 		}
 	}
-	c.engine = cfg.Engine
-	if err := c.resolveEngine(); err != nil {
-		return nil, err
-	}
 	return c, nil
-}
-
-// resolveEngine validates or probes the shard sketch engine. With a
-// configured engine (manifest-pinned), reachable shards merely cross-check
-// it; without one, the reachable shards must agree and at least one must
-// answer.
-func (c *Coordinator) resolveEngine() error {
-	if c.engine != "" && !sketch.Known(c.engine) {
-		return fmt.Errorf("cluster: unknown sketch engine %q", c.engine)
-	}
-	type probe struct {
-		engine string
-		err    error
-	}
-	probes := make([]probe, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		h, err := c.shards[i].health(ctx)
-		probes[i] = probe{engine: h.SketchEngine, err: err}
-	})
-	for i, p := range probes {
-		if p.err != nil || p.engine == "" {
-			continue // down or warming; the manifest or another shard decides
-		}
-		switch {
-		case c.engine == "":
-			c.engine = sketch.Engine(p.engine)
-		case string(c.engine) != p.engine:
-			return fmt.Errorf("cluster: shard %d (%s) runs sketch engine %q, want %q — shard stores disagree with the manifest", i, c.shards[i].addr, p.engine, c.engine)
-		}
-	}
-	if c.engine == "" {
-		return fmt.Errorf("cluster: no sketch engine configured and no shard reachable to probe one from")
-	}
-	return nil
 }
 
 // epochDown is the vector element substituted for an unreachable shard:
@@ -464,10 +417,6 @@ func (c *Coordinator) Compact() {
 	})
 }
 
-// SketchEngine reports the engine the shards run (manifest-pinned or
-// probed at construction).
-func (c *Coordinator) SketchEngine() sketch.Engine { return c.engine }
-
 // unboundedK is the K sent to shards when the caller asked for an
 // unlimited ranking (k <= 0): shard-side core.Discover would coerce 0 to
 // its default of 10, which is not "all".
@@ -587,8 +536,8 @@ func (c *Coordinator) Addrs() []string {
 
 // ProbeShards probes each address's health and size without building a
 // Coordinator — shardctl's path, which must keep working when every shard
-// is down and no engine is resolvable. Only malformed addresses error;
-// unreachable shards report Status "down".
+// is down. Only malformed addresses error; unreachable shards report Status
+// "down".
 func ProbeShards(ctx context.Context, addrs []string, timeout time.Duration) ([]serve.ShardHealth, error) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second

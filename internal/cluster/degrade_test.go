@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -419,5 +420,85 @@ func TestCoordinatorTableLookupSurfacesDownShard(t *testing.T) {
 		if c.status == http.StatusServiceUnavailable && strings.Contains(eb.Error, "no table") {
 			t.Errorf("%s: a down shard was reported as a missing table: %q", c.what, eb.Error)
 		}
+	}
+}
+
+// TestCoordinatorBootsWithShardsDown pins New's contract that the
+// coordinator starts degraded rather than failing: constructed while no
+// shard is listening, it serves /healthz as "degraded" and discovery as
+// 503 + Retry-After, then — once the shards come up, with no coordinator
+// restart — answers discovery byte-identically to an in-process
+// lake.Sharded over the same tables.
+func TestCoordinatorBootsWithShardsDown(t *testing.T) {
+	pool := diffPool(44, 6)
+	const n = 3
+	shards := make([]*killableShard, n)
+	addrs := make([]string, n)
+	for i := range shards {
+		var mine []*table.Table
+		for _, tbl := range pool {
+			if lake.ShardIndex(tbl.Name, n) == i {
+				mine = append(mine, tbl)
+			}
+		}
+		shards[i] = &killableShard{t: t, addr: testutil.FreeLocalAddr(t), tables: mine, stopped: true}
+		addrs[i] = "http://" + shards[i].addr
+	}
+	defer func() {
+		for _, ks := range shards {
+			ks.stop()
+		}
+	}()
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: difftest.DiffKB(), ProbeTimeout: time.Second, RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New with every shard down: %v", err)
+	}
+	defer coordClient(coord)
+	mirror, err := lake.NewSharded(pool, n, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(serve.New(core.FromCatalog(coord), serve.Config{Timeout: 10 * time.Second}).Handler())
+	defer front.Close()
+	mirrorFront := httptest.NewServer(serve.New(core.FromCatalog(mirror), serve.Config{Timeout: 10 * time.Second}).Handler())
+	defer mirrorFront.Close()
+	discover := func(base string) (int, string, []byte) {
+		body, _ := json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(pool[0]), QueryColumn: 0, Methods: difftest.DiffMethods, K: 5})
+		resp, err := http.Post(base+"/v1/discover", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get("Retry-After"), out
+	}
+
+	resp, err := http.Get(front.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h serve.HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if h.Status != "degraded" || len(h.Shards) != n {
+		t.Fatalf("healthz with every shard down = %+v, want degraded over %d shards", h, n)
+	}
+	if status, retry, body := discover(front.URL); status != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("discover with every shard down = %d (Retry-After %q): %s; want 503 + Retry-After", status, retry, body)
+	}
+
+	for _, ks := range shards {
+		ks.start()
+	}
+	reg := discovery.NewRegistry()
+	if got, want := difftest.DiscoverySig(reg, coord, pool[0], 0, 5), difftest.DiscoverySig(reg, mirror, pool[0], 0, 5); got != want {
+		t.Fatalf("after the shards came up, coordinator diverged from in-process sharded\n got:\n%s\nwant:\n%s", got, want)
+	}
+	status, _, got := discover(front.URL)
+	_, _, want := discover(mirrorFront.URL)
+	if status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("/v1/discover after the shards came up = %d\n%s\nwant the in-process sharded body\n%s", status, got, want)
 	}
 }

@@ -23,11 +23,12 @@ const manifestVersion = 1
 // not drift between runs for the shard stores to keep answering correctly.
 // Placement is lake.ShardIndex(name, Shards), so Shards is load-bearing —
 // restarting a cluster with a different shard count would route reads to
-// shards that never held the table. Engine pins the sketch engine every
-// shard must run (containment scores are not comparable across engines).
-// Addrs records where the shards last lived; it is advisory (shards may
-// move hosts between runs) and is overridden by -shard-addrs, but the
-// address count must still match Shards.
+// shards that never held the table. Engine records the sketch engine the
+// shard stores were built with; it is always sketch.MinHash (the only engine
+// there is), written so manifests stay readable by older builds, and any
+// other value is refused. Addrs records where the shards last lived; it is
+// advisory (shards may move hosts between runs) and is overridden by
+// -shard-addrs, but the address count must still match Shards.
 type Manifest struct {
 	Version int           `json:"version"`
 	Shards  int           `json:"shards"`
@@ -43,8 +44,8 @@ func (m *Manifest) Validate() error {
 	if m.Shards < 1 {
 		return fmt.Errorf("cluster: manifest shard count %d, want >= 1", m.Shards)
 	}
-	if m.Engine == "" || !sketch.Known(m.Engine) {
-		return fmt.Errorf("cluster: manifest pins unknown sketch engine %q", m.Engine)
+	if m.Engine != sketch.MinHash {
+		return fmt.Errorf("cluster: manifest pins unknown sketch engine %q (this build implements only %q)", m.Engine, sketch.MinHash)
 	}
 	if len(m.Addrs) != 0 && len(m.Addrs) != m.Shards {
 		return fmt.Errorf("cluster: manifest lists %d addresses for %d shards", len(m.Addrs), m.Shards)
@@ -116,16 +117,13 @@ func SaveManifest(dir string, m *Manifest) error {
 
 // ReconcileManifest is the coordinator-boot handshake between a persist
 // directory and the serve flags: first boot writes the manifest from the
-// flags; later boots check the flags against it (shard count must match;
-// engine defaults from the manifest when the flag is unset) and refresh
-// the advisory address list.
-func ReconcileManifest(dir string, addrs []string, engine sketch.Engine) (*Manifest, error) {
+// flags; later boots check the flags against it (shard count must match)
+// and refresh the advisory address list. A manifest that fails Validate —
+// e.g. one pinning an engine other than MinHash — is refused.
+func ReconcileManifest(dir string, addrs []string) (*Manifest, error) {
 	m, err := LoadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		if engine == "" {
-			return nil, fmt.Errorf("cluster: new cluster dir %s needs an explicit sketch engine to pin in the manifest", dir)
-		}
-		m = &Manifest{Version: manifestVersion, Shards: len(addrs), Engine: engine, Addrs: addrs}
+		m = &Manifest{Version: manifestVersion, Shards: len(addrs), Engine: sketch.MinHash, Addrs: addrs}
 		if err := SaveManifest(dir, m); err != nil {
 			return nil, err
 		}
@@ -136,9 +134,6 @@ func ReconcileManifest(dir string, addrs []string, engine sketch.Engine) (*Manif
 	}
 	if m.Shards != len(addrs) {
 		return nil, fmt.Errorf("cluster: manifest pins %d shards but %d addresses were given — placement is name-hash mod shard count, so changing the count silently misroutes every lookup; rebuild the cluster instead", m.Shards, len(addrs))
-	}
-	if engine != "" && engine != m.Engine {
-		return nil, fmt.Errorf("cluster: manifest pins sketch engine %q but %q was requested — shard stores were built with %q", m.Engine, engine, m.Engine)
 	}
 	if !equalStrings(m.Addrs, addrs) {
 		m.Addrs = addrs

@@ -78,12 +78,8 @@ func TestReconcileManifest(t *testing.T) {
 	dir := t.TempDir()
 	addrs := []string{"http://a:1", "http://b:2", "http://c:3"}
 
-	// First boot without an engine cannot pin anything.
-	if _, err := cluster.ReconcileManifest(dir, addrs, ""); err == nil || !strings.Contains(err.Error(), "explicit sketch engine") {
-		t.Fatalf("first boot without engine = %v, want refusal", err)
-	}
-	// First boot with an engine writes the manifest.
-	m, err := cluster.ReconcileManifest(dir, addrs, sketch.MinHash)
+	// First boot writes the manifest, pinning MinHash.
+	m, err := cluster.ReconcileManifest(dir, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +90,8 @@ func TestReconcileManifest(t *testing.T) {
 		t.Fatalf("manifest not written: %v", err)
 	}
 
-	// Later boot, engine flag unset: manifest's pin carries.
-	m, err = cluster.ReconcileManifest(dir, addrs, "")
+	// Later boot: the pin carries.
+	m, err = cluster.ReconcileManifest(dir, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +100,13 @@ func TestReconcileManifest(t *testing.T) {
 	}
 
 	// Shard count drift is the fatal misroute case.
-	if _, err := cluster.ReconcileManifest(dir, addrs[:2], ""); err == nil || !strings.Contains(err.Error(), "misroutes") {
+	if _, err := cluster.ReconcileManifest(dir, addrs[:2]); err == nil || !strings.Contains(err.Error(), "misroutes") {
 		t.Fatalf("count drift = %v, want misroute refusal", err)
-	}
-	// Engine drift against the pin is refused.
-	if _, err := cluster.ReconcileManifest(dir, addrs, sketch.KMV); err == nil || !strings.Contains(err.Error(), "pins sketch engine") {
-		t.Fatalf("engine drift = %v, want pin refusal", err)
 	}
 
 	// Address moves are advisory: same count, new hosts — refreshed in place.
 	moved := []string{"http://x:1", "http://y:2", "http://z:3"}
-	m, err = cluster.ReconcileManifest(dir, moved, "")
+	m, err = cluster.ReconcileManifest(dir, moved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +119,48 @@ func TestReconcileManifest(t *testing.T) {
 	}
 	if reloaded.Addrs[2] != "http://z:3" {
 		t.Fatalf("address refresh not persisted: %+v", reloaded)
+	}
+}
+
+// TestReconcileManifestEngineRecord pins the manifest engine record as a
+// constant: a cluster.json written before KMV was removed, pinning
+// "minhash", still boots unchanged; one pinning "kmv" is refused at boot and
+// left as it was.
+func TestReconcileManifestEngineRecord(t *testing.T) {
+	addrs := []string{"http://a:1", "http://b:2"}
+	write := func(engine string) string {
+		dir := t.TempDir()
+		raw := `{
+  "version": 1,
+  "shards": 2,
+  "engine": "` + engine + `",
+  "addrs": [
+    "http://a:1",
+    "http://b:2"
+  ]
+}
+`
+		if err := os.WriteFile(cluster.ManifestPath(dir), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	m, err := cluster.ReconcileManifest(write("minhash"), addrs)
+	if err != nil || m.Engine != sketch.MinHash || m.Shards != 2 {
+		t.Fatalf("minhash manifest = %+v, %v; want it to load", m, err)
+	}
+
+	dir := write("kmv")
+	before, err := os.ReadFile(cluster.ManifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.ReconcileManifest(dir, addrs); err == nil || !strings.Contains(err.Error(), `unknown sketch engine "kmv"`) {
+		t.Fatalf("kmv manifest = %v, want an unknown-engine refusal", err)
+	}
+	if after, _ := os.ReadFile(cluster.ManifestPath(dir)); string(after) != string(before) {
+		t.Fatalf("refused manifest was rewritten:\n%s", after)
 	}
 }
 

@@ -153,10 +153,12 @@ func shardCalls(t Target, q *table.Table, queryCol, k int) (ns int, call shardCa
 // instead of failing the run, and the down shards are reported as
 // ShardErrors (deduplicated per shard, ascending shard order). A non-empty
 // ShardError list is the "partial" marker the serving layer surfaces to
-// clients: the rankings are complete over the reachable shards only. Any
-// other failure fails the whole run with the first error in (discoverer,
-// shard) slot order — deterministic regardless of which worker finished
-// first. A panicking discoverer surfaces as its slot's *PanicError: on a
+// clients: the rankings are complete over the reachable shards only. When no
+// slot answered at all — every shard down — there is nothing to be partial
+// about, and the run fails with the first slot's error (a down remote
+// shard's 503 + Retry-After) instead of an empty ranking. Any other failure
+// fails the whole run with the first error in (discoverer, shard) slot
+// order — deterministic regardless of which worker finished first. A panicking discoverer surfaces as its slot's *PanicError: on a
 // worker goroutine a panic would otherwise kill the process.
 //
 // Torn-read protection: a discovery run concurrent with Add/Remove could
@@ -227,9 +229,10 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 // collectSlots applies the tolerance policy to one fan-out's slot errors:
 // hard errors surface first-in-slot-order; slots wrapping
 // ErrShardUnavailable are cleared to empty rankings and recorded once per
-// shard.
+// shard, unless every slot failed, which surfaces the first slot's error.
 func collectSlots(per [][]Result, errs []error, ns int) ([]ShardError, error) {
 	down := make(map[int]error)
+	failed := 0
 	for j, err := range errs {
 		if err == nil {
 			continue
@@ -241,6 +244,10 @@ func collectSlots(per [][]Result, errs []error, ns int) ([]ShardError, error) {
 			down[j%ns] = err
 		}
 		per[j] = nil
+		failed++
+	}
+	if failed > 0 && failed == len(errs) {
+		return nil, errs[0]
 	}
 	var serrs []ShardError
 	for shard := 0; shard < ns; shard++ {

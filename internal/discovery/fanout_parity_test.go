@@ -280,3 +280,24 @@ func TestFanOutParityAcrossTransports(t *testing.T) {
 		})
 	}
 }
+
+// TestRunAllEveryShardDownFails pins the one case the partial-read contract
+// does not tolerate: when no slot answered because every shard is
+// unavailable, an empty ranking marked partial would be a silent miss, so
+// RunAll fails with the first slot's error on both transports. One shard
+// answering anything keeps the run partial (see the parity scenarios).
+func TestRunAllEveryShardDownFails(t *testing.T) {
+	errDown := fmt.Errorf("shard process gone: %w", discovery.ErrShardUnavailable)
+	down := func(*lake.Lake, error) error { return errDown }
+	for name, target := range map[string]func(*lake.Sharded) discovery.Target{
+		"in-process": func(sh *lake.Sharded) discovery.Target { return sh },
+		"remote":     func(sh *lake.Sharded) discovery.Target { return &stubRemote{sh: sh} },
+	} {
+		sh, query := parityFixture(t)
+		ds := []discovery.Discoverer{onShard("a", discovery.JosieJoin{}, down), onShard("b", discovery.LSHJoin{}, down)}
+		out, serrs, err := discovery.RunAll(context.Background(), target(sh), query, 0, 0, ds)
+		if err != errDown || out != nil || serrs != nil {
+			t.Errorf("%s: every shard down = (%v, %v, %v), want only the first slot's error", name, out, serrs, err)
+		}
+	}
+}

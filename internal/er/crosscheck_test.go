@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/table"
+	"repro/internal/tokenize"
 )
 
 // refResolve is the pre-refactor Resolve: string-keyed blocking and
@@ -253,4 +254,53 @@ func TestCrossCheckResolveDictAnnotator(t *testing.T) {
 		}
 		assertSameResolution(t, fmt.Sprintf("seed=%d", seed), got, want)
 	}
+}
+
+// blockPairs generates candidate pairs: rows sharing a canonicalized cell
+// value in the same column. Each pair is emitted once (a<b), ordered. It is
+// the string reference for blockPairsCodes, which Resolve uses.
+func blockPairs(t *table.Table, knowledge *kb.KB) [][2]int {
+	blocks := make(map[string][]int)
+	for r, row := range t.Rows {
+		for c, v := range row {
+			if v.IsNull() {
+				continue
+			}
+			key := tokenize.Normalize(v.String())
+			if knowledge != nil {
+				key = knowledge.Canonical(v.String())
+			}
+			if key == "" {
+				continue
+			}
+			blocks[fmt.Sprintf("%d\x1f%s", c, key)] = append(blocks[fmt.Sprintf("%d\x1f%s", c, key)], r)
+		}
+	}
+	seen := make(map[[2]int]bool)
+	var out [][2]int
+	keys := make([]string, 0, len(blocks))
+	for k := range blocks {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		rows := blocks[k]
+		for i := 0; i < len(rows); i++ {
+			for j := i + 1; j < len(rows); j++ {
+				p := [2]int{rows[i], rows[j]}
+				if p[0] == p[1] || seen[p] {
+					continue
+				}
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a][0] != out[b][0] {
+			return out[a][0] < out[b][0]
+		}
+		return out[a][1] < out[b][1]
+	})
+	return out
 }

@@ -411,8 +411,8 @@ func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowled
 // blockPairsCodes generates candidate pairs from annotation codes: rows
 // sharing a non-empty code in the same column block together. Each pair is
 // emitted once (a<b) and the output is sorted by (A,B) — identical to the
-// string-keyed reference blockPairs, whose sorted-key iteration the final
-// pair sort already canonicalizes away.
+// string-keyed reference blockPairs in crosscheck_test.go, whose sorted-key
+// iteration the final pair sort already canonicalizes away.
 func blockPairsCodes(codes [][]uint32) [][2]int {
 	blocks := make(map[uint64][]int32)
 	for r, row := range codes {
@@ -431,56 +431,6 @@ func blockPairsCodes(codes [][]uint32) [][2]int {
 			for j := i + 1; j < len(rows); j++ {
 				p := [2]int{int(rows[i]), int(rows[j])}
 				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
-// blockPairs generates candidate pairs: rows sharing a canonicalized cell
-// value in the same column. Each pair is emitted once (a<b), ordered.
-// Reference implementation retained for the cross-check suite; Resolve uses
-// blockPairsCodes.
-func blockPairs(t *table.Table, knowledge *kb.KB) [][2]int {
-	blocks := make(map[string][]int)
-	for r, row := range t.Rows {
-		for c, v := range row {
-			if v.IsNull() {
-				continue
-			}
-			key := tokenize.Normalize(v.String())
-			if knowledge != nil {
-				key = knowledge.Canonical(v.String())
-			}
-			if key == "" {
-				continue
-			}
-			blocks[fmt.Sprintf("%d\x1f%s", c, key)] = append(blocks[fmt.Sprintf("%d\x1f%s", c, key)], r)
-		}
-	}
-	seen := make(map[[2]int]bool)
-	var out [][2]int
-	keys := make([]string, 0, len(blocks))
-	for k := range blocks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rows := blocks[k]
-		for i := 0; i < len(rows); i++ {
-			for j := i + 1; j < len(rows); j++ {
-				p := [2]int{rows[i], rows[j]}
-				if p[0] == p[1] || seen[p] {
 					continue
 				}
 				seen[p] = true

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/kb"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -60,7 +59,6 @@ type Catalog interface {
 	Knowledge() *kb.KB
 	Annotator() *kb.Annotator
 	Dict() *table.Dict
-	SketchEngine() sketch.Engine
 }
 
 var (

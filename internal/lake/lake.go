@@ -27,7 +27,6 @@ import (
 	"repro/internal/lshensemble"
 	"repro/internal/par"
 	"repro/internal/santos"
-	"repro/internal/sketch"
 	"repro/internal/table"
 	"repro/internal/tokenize"
 )
@@ -40,10 +39,8 @@ type Options struct {
 	// SynthesizeKB additionally synthesizes a KB from the lake tables and
 	// merges it with Knowledge, as SANTOS does for uncovered domains.
 	SynthesizeKB bool
-	// LSH configures the LSH Ensemble index, including the sketch engine
-	// (LSH.Engine): sketch.MinHash (default, banded probing) or sketch.KMV
-	// (faster signing, linear-scan candidates). New validates the engine and
-	// rejects names this build does not implement.
+	// LSH configures the LSH Ensemble index. New rejects an LSH.Engine other
+	// than empty or sketch.MinHash (see lshensemble.Options.Validate).
 	LSH lshensemble.Options
 }
 
@@ -131,8 +128,8 @@ func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 // concurrently. All results are collected in table order, so the lake is
 // byte-identical to a sequential build.
 func New(tables []*table.Table, opts Options) (*Lake, error) {
-	if !sketch.Known(opts.LSH.Engine) {
-		return nil, fmt.Errorf("lake: unknown sketch engine %q", opts.LSH.Engine)
+	if err := opts.LSH.Validate(); err != nil {
+		return nil, fmt.Errorf("lake: %w", err)
 	}
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
@@ -564,11 +561,6 @@ func (l *Lake) Santos() *santos.Index {
 
 // Join returns the LSH Ensemble containment index.
 func (l *Lake) Join() *lshensemble.Index { return l.joinIx }
-
-// SketchEngine reports the sketch engine the containment index runs on
-// (defaults applied) — surfaced by dialite serve's health endpoint so
-// operators can tell which engine a running lake was built or restored with.
-func (l *Lake) SketchEngine() sketch.Engine { return l.joinIx.Options().Engine }
 
 // Josie returns the exact top-k overlap index.
 func (l *Lake) Josie() *josie.Index { return l.josieIx }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/par"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -31,8 +30,7 @@ import (
 // harness. SANTOS, JOSIE and the syntactic baseline are per-candidate
 // computations, exact by construction; the LSH Ensemble verifies
 // exactly and its candidate generation is layout-independent at small
-// partition sizes and under the KMV engine (see SHARDING.md for the
-// banded-probing caveat at scale).
+// partition sizes (see SHARDING.md for the banded-probing caveat at scale).
 //
 // Concurrency contract: identical to Lake — mutations are exclusive with
 // each other, queries run concurrently with mutations, and the composite
@@ -80,9 +78,6 @@ func ShardIndex(name string, n int) int {
 func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("lake: sharded: shard count %d, need at least 1", n)
-	}
-	if !sketch.Known(opts.LSH.Engine) {
-		return nil, fmt.Errorf("lake: unknown sketch engine %q", opts.LSH.Engine)
 	}
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
@@ -264,10 +259,6 @@ func (s *Sharded) Tables() []*table.Table {
 	}
 	return out
 }
-
-// SketchEngine reports the sketch engine the shards' containment indexes
-// run on (identical across shards — they share Options).
-func (s *Sharded) SketchEngine() sketch.Engine { return s.shards[0].SketchEngine() }
 
 // Stats returns the sum of the shards' per-stage preprocessing timings.
 // Stages run concurrently across and within shards, so the sum can exceed

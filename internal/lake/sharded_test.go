@@ -8,7 +8,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/lake"
 	"repro/internal/lshensemble"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -71,7 +70,7 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := lake.NewSharded([]*table.Table{a, b, dup}, 2, lake.Options{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate name across input: %v", err)
 	}
-	if _, err := lake.NewSharded([]*table.Table{a}, 2, lake.Options{LSH: lshOptionsWithEngine("bogus")}); err == nil || !strings.Contains(err.Error(), "unknown sketch engine") {
+	if _, err := lake.NewSharded([]*table.Table{a}, 2, lake.Options{LSH: lshensemble.Options{Engine: "bogus"}}); err == nil || !strings.Contains(err.Error(), "unknown sketch engine") {
 		t.Errorf("unknown engine: %v", err)
 	}
 	// n=1 is legal: one shard, still a Sharded.
@@ -157,27 +156,21 @@ func TestShardedCatalogViews(t *testing.T) {
 	if _, ok := s.Get("absent"); ok {
 		t.Error("Get(absent) reported present")
 	}
-	if got := s.SketchEngine(); got != sketch.MinHash {
-		t.Errorf("SketchEngine = %q, want %q", got, sketch.MinHash)
-	}
 }
 
-func TestShardedKMVEngine(t *testing.T) {
+// TestNewRejectsKMVEngine: MinHash is the only sketch engine, so a lake
+// asking for the deleted KMV engine is refused at construction, sharded or
+// not, rather than built on a silently substituted engine.
+func TestNewRejectsKMVEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tables := []*table.Table{difftest.DiffTable(rng, "k1"), difftest.DiffTable(rng, "k2"), difftest.DiffTable(rng, "k3")}
-	opts := lake.Options{Knowledge: difftest.DiffKB(), LSH: lshOptionsWithEngine(string(sketch.KMV))}
-	s, err := lake.NewSharded(tables, 2, opts)
-	if err != nil {
-		t.Fatal(err)
+	tables := []*table.Table{difftest.DiffTable(rng, "k1"), difftest.DiffTable(rng, "k2")}
+	opts := lake.Options{Knowledge: difftest.DiffKB(), LSH: lshensemble.Options{Engine: "kmv"}}
+	if _, err := lake.New(tables, opts); err == nil || !strings.Contains(err.Error(), `unknown sketch engine "kmv"`) {
+		t.Errorf("New with kmv engine = %v, want unknown-engine error", err)
 	}
-	if got := s.SketchEngine(); got != sketch.KMV {
-		t.Fatalf("SketchEngine = %q, want %q", got, sketch.KMV)
+	if _, err := lake.NewSharded(tables, 2, opts); err == nil || !strings.Contains(err.Error(), `unknown sketch engine "kmv"`) {
+		t.Errorf("NewSharded with kmv engine = %v, want unknown-engine error", err)
 	}
-	un, err := lake.New(tables, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyShardedEquivalence(t, s, un, tables, rand.New(rand.NewSource(4)), "kmv engine")
 }
 
 // TestShardedRefreshKB pins KB-mutation semantics across shards: after the
@@ -223,9 +216,4 @@ func TestShardedRefreshKB(t *testing.T) {
 	}
 	pool := append(append([]*table.Table(nil), tables...), extra)
 	verifyShardedEquivalence(t, s, un, pool, rand.New(rand.NewSource(7)), "Add with stale KB")
-}
-
-// lshOptionsWithEngine builds lake LSH options with just the engine set.
-func lshOptionsWithEngine(e string) lshensemble.Options {
-	return lshensemble.Options{Engine: sketch.Engine(e)}
 }

@@ -34,9 +34,8 @@ type DomainState struct {
 	Column     int
 	ColumnName string
 	TokenIDs   []uint32
-	// Signature is the domain's cached sketch under State.LSH's engine and
-	// geometry: a MinHash signature (exactly NumHashes words) or a KMV
-	// bottom-k sketch (at most NumHashes words, strictly ascending).
+	// Signature is the domain's cached MinHash signature under State.LSH's
+	// geometry (exactly NumHashes words).
 	Signature []uint64
 }
 
@@ -185,12 +184,7 @@ func Restore(s State) (*Lake, error) {
 				},
 				func() {
 					t := time.Now()
-					sets := make([]josie.Set, len(l.domains))
-					for i := range l.domains {
-						d := &l.domains[i]
-						sets[i] = josie.Set{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
-					}
-					l.josieIx = josie.BuildWithDict(sets, l.tokens)
+					l.josieIx = josie.BuildWithDict(josieSets(l.domains), l.tokens)
 					l.stats.Josie = time.Since(t)
 				},
 			)

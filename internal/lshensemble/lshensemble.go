@@ -69,21 +69,16 @@ func (d *Domain) Key() string {
 
 // Options configures index construction.
 type Options struct {
-	// NumHashes is the sketch size: the MinHash signature length, or the KMV
-	// bottom-k capacity. Default 128.
+	// NumHashes is the MinHash signature length. Default 128.
 	NumHashes int
 	// NumPartitions is the number of equi-depth size partitions. Default 8.
 	NumPartitions int
 	// Seed makes sketches deterministic. Default 1.
 	Seed int64
-	// Engine selects the sketch implementation (see internal/sketch):
-	// sketch.MinHash (the default) bands signatures for sub-linear LSH
-	// probing; sketch.KMV signs an order of magnitude faster but generates
-	// candidates by a linear estimate scan. Either way candidates are
-	// verified by exact token-ID containment, so the engine changes recall
-	// and speed, never precision. Validate foreign values with sketch.Known
-	// before building — Build panics on an engine this build does not
-	// implement (Restore, the persistence path, returns an error instead).
+	// Engine names the sketch engine. Only sketch.MinHash (or empty, which
+	// means MinHash) is implemented; check foreign values with Validate
+	// before building — Build panics on any other name (Restore, the
+	// persistence path, returns an error instead).
 	Engine sketch.Engine
 }
 
@@ -106,6 +101,13 @@ func (o Options) withDefaults() Options {
 // sketchParams maps defaulted options onto the sketch builder's parameters.
 func (o Options) sketchParams() sketch.Params {
 	return sketch.Params{Engine: o.Engine, Size: o.NumHashes, Seed: o.Seed}
+}
+
+// Validate reports whether the options build an index: Engine must be empty
+// or sketch.MinHash.
+func (o Options) Validate() error {
+	_, err := sketch.New(o.withDefaults().sketchParams())
+	return err
 }
 
 // rChoices are the band-row counts precomputed per partition. At query time
@@ -198,10 +200,9 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	}
 	builder, err := sketch.New(opts.sketchParams())
 	if err != nil {
-		// Foreign engine names arrive through lake options or persisted
-		// snapshots, both of which validate with sketch.Known before
-		// reaching here; at this point an unknown engine is a programming
-		// error.
+		// Foreign engine names arrive through lake options (checked with
+		// Validate) or persisted snapshots (Restore); at this point an
+		// unknown engine is a programming error.
 		panic("lshensemble: " + err.Error())
 	}
 	ix := &Index{
@@ -221,8 +222,7 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	// it; fingerprints of freshly interned domains come from the
 	// dictionary's cache rather than re-hashing the strings. Sketches
 	// live in one contiguous arena (workers write disjoint ranges) instead
-	// of one allocation per domain; KMV sketches may fill less than their
-	// slot's NumHashes capacity.
+	// of one allocation per domain.
 	ix.signatures = make([]sketch.Sketch, len(ix.domains))
 	sigArena := make([]uint64, len(ix.domains)*opts.NumHashes)
 	par.For(len(ix.domains), func(i int) {
@@ -242,13 +242,6 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	ix.initPartitions()
 	return ix
 }
-
-// banded reports whether this index probes band tables for candidates
-// (MinHash engine) or scans sketches linearly (KMV engine). Partition
-// structure is maintained either way — the equi-depth layout is what keeps
-// mutations incremental — but only the MinHash engine materializes band
-// tables inside the partitions.
-func (ix *Index) banded() bool { return ix.opts.Engine == sketch.MinHash }
 
 // ensureParts builds the deferred partitioning of a restored index on its
 // first use. Queries call it before taking the read lock; mutations hold the
@@ -299,49 +292,47 @@ func (ix *Index) initPartitions() {
 				part.upper = n
 			}
 		}
-		if ix.banded() {
-			var flat []uint64
-			for _, r := range rChoices {
-				if r > ix.opts.NumHashes {
-					continue
-				}
-				// Bulk band build: hash every domain's band keys once into a flat
-				// slice, count bucket sizes, then carve all buckets out of one
-				// arena. Appending per (domain, band) instead allocates a tiny
-				// slice per bucket and regrows both it and the map incrementally —
-				// the dominant cost of large restores.
-				nb := ix.opts.NumHashes / r
-				if cap(flat) < len(part.domains)*nb {
-					flat = make([]uint64, 0, len(part.domains)*nb)
-				}
-				flat = flat[:0]
-				for _, di := range part.domains {
-					flat = appendBandKeys(ix.signatures[di], r, flat)
-				}
-				cursors := make(map[uint64]int32, len(flat))
-				for _, key := range flat {
-					cursors[key]++
-				}
-				bt := bandTable{r: r, buckets: make(map[uint64][]int32, len(cursors))}
-				arena := make([]int32, len(flat))
-				off := int32(0)
-				for key, n := range cursors {
-					bt.buckets[key] = arena[off : off+n : off+n]
-					cursors[key] = off // becomes the bucket's fill cursor
-					off += n
-				}
-				ki := 0
-				for _, di := range part.domains {
-					for b := 0; b < nb; b++ {
-						key := flat[ki]
-						ki++
-						at := cursors[key]
-						arena[at] = int32(di)
-						cursors[key] = at + 1
-					}
-				}
-				part.tables = append(part.tables, bt)
+		var flat []uint64
+		for _, r := range rChoices {
+			if r > ix.opts.NumHashes {
+				continue
 			}
+			// Bulk band build: hash every domain's band keys once into a flat
+			// slice, count bucket sizes, then carve all buckets out of one
+			// arena. Appending per (domain, band) instead allocates a tiny
+			// slice per bucket and regrows both it and the map incrementally —
+			// the dominant cost of large restores.
+			nb := ix.opts.NumHashes / r
+			if cap(flat) < len(part.domains)*nb {
+				flat = make([]uint64, 0, len(part.domains)*nb)
+			}
+			flat = flat[:0]
+			for _, di := range part.domains {
+				flat = appendBandKeys(ix.signatures[di], r, flat)
+			}
+			cursors := make(map[uint64]int32, len(flat))
+			for _, key := range flat {
+				cursors[key]++
+			}
+			bt := bandTable{r: r, buckets: make(map[uint64][]int32, len(cursors))}
+			arena := make([]int32, len(flat))
+			off := int32(0)
+			for key, n := range cursors {
+				bt.buckets[key] = arena[off : off+n : off+n]
+				cursors[key] = off // becomes the bucket's fill cursor
+				off += n
+			}
+			ki := 0
+			for _, di := range part.domains {
+				for b := 0; b < nb; b++ {
+					key := flat[ki]
+					ki++
+					at := cursors[key]
+					arena[at] = int32(di)
+					cursors[key] = at + 1
+				}
+			}
+			part.tables = append(part.tables, bt)
 		}
 		ix.parts[p] = part
 	})
@@ -514,13 +505,11 @@ func (ix *Index) reshard() {
 	}
 	for len(ix.parts) < nparts {
 		part := partition{}
-		if ix.banded() {
-			for _, r := range rChoices {
-				if r > ix.opts.NumHashes {
-					continue
-				}
-				part.tables = append(part.tables, bandTable{r: r, buckets: make(map[uint64][]int32)})
+		for _, r := range rChoices {
+			if r > ix.opts.NumHashes {
+				continue
 			}
+			part.tables = append(part.tables, bandTable{r: r, buckets: make(map[uint64][]int32)})
 		}
 		ix.parts = append(ix.parts, part)
 	}
@@ -745,35 +734,12 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 // branch dominating small queries.
 const verifyCancelStride = 64
 
-// kmvSlack is the admission slack of the KMV candidate scan: two standard
-// deviations of the containment estimator for a pair sitting exactly at
-// containment t. With j_t the Jaccard equivalent of t (j = tq/(q+x-tq)) the
-// KMV Jaccard estimate has σ_J ≈ sqrt(j_t(1-j_t)/k), and propagating through
-// I = J(q+x)/(1+J), c = I/q gives σ_c ≈ σ_J·(q+x)/(q(1+j_t)²) — an error
-// that grows with the size skew x/q, the regime the accuracy harness tracks.
-// Admitting estimates down to t − 2σ_c keeps threshold-straddling true
-// positives with ~97.7% probability; verification is exact, so the slack
-// widens the candidate set, never the result set.
-func kmvSlack(t float64, qsize, xsize int, k float64) float64 {
-	q, x := float64(qsize), float64(xsize)
-	denom := q + x - t*q
-	if denom <= 0 {
-		return 0
-	}
-	jt := t * q / denom
-	if jt <= 0 || jt >= 1 {
-		return 0
-	}
-	sigJ := math.Sqrt(jt * (1 - jt) / k)
-	return 2 * sigJ * (q + x) / (q * (1 + jt) * (1 + jt))
-}
-
 // query generates candidates from the query sketch — band-table probes per
-// partition under the MinHash engine, a linear containment-estimate scan
-// with kmvSlack under KMV — then verifies them by exact token-ID
-// intersection. qsize is |Q| (including tokens outside the lake vocabulary,
-// which count toward the denominator). ctx is checked between partition
-// probes and every verifyCancelStride candidate verifications.
+// partition, or every live member of a partition at most scanPartitionMax
+// large — then verifies them by exact token-ID intersection. qsize is |Q|
+// (including tokens outside the lake vocabulary, which count toward the
+// denominator). ctx is checked between partition probes and every
+// verifyCancelStride candidate verifications.
 func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]struct{}, qsize int, threshold float64, k int, s *queryScratch) ([]Result, error) {
 	done := ctx.Done()
 	// The candidate-dedup scratch is sized for the index as of a previous
@@ -793,75 +759,42 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 	}
 	candidates := s.cands[:0]
 	keys := s.keys
-	if ix.banded() {
-		for pi := range ix.parts {
-			if done != nil {
-				select {
-				case <-done:
-					s.cands, s.keys = candidates, keys
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			p := &ix.parts[pi]
-			if len(p.tables) == 0 {
-				continue
-			}
-			live := 0
-			for _, di := range p.domains {
-				if ix.alive[di] {
-					live++
-				}
-			}
-			if live <= scanPartitionMax {
-				for _, di := range p.domains {
-					if ix.alive[di] && s.seen[di] != s.epoch {
-						s.seen[di] = s.epoch
-						candidates = append(candidates, int32(di))
-					}
-				}
-				continue
-			}
-			j := minhash.JaccardForContainment(threshold, qsize, p.upper)
-			bt := p.chooseTable(j, ix.opts.NumHashes)
-			keys = bandKeys(qsig, bt.r, keys[:0])
-			for _, key := range keys {
-				for _, di := range bt.buckets[key] {
-					if s.seen[di] != s.epoch {
-						s.seen[di] = s.epoch
-						candidates = append(candidates, di)
-					}
-				}
+	for pi := range ix.parts {
+		if done != nil {
+			select {
+			case <-done:
+				s.cands, s.keys = candidates, keys
+				return nil, ctx.Err()
+			default:
 			}
 		}
-	} else {
-		// KMV sketches are not coordinate-aligned, so there are no band
-		// tables to probe; candidates come from a containment-estimate scan
-		// over the partitions' live slots instead (partitions jointly cover
-		// every live domain exactly once).
-		sketchK := float64(ix.opts.NumHashes)
-		for pi := range ix.parts {
-			if done != nil {
-				select {
-				case <-done:
-					s.cands, s.keys = candidates, keys
-					return nil, ctx.Err()
-				default:
-				}
+		p := &ix.parts[pi]
+		if len(p.tables) == 0 {
+			continue
+		}
+		live := 0
+		for _, di := range p.domains {
+			if ix.alive[di] {
+				live++
 			}
-			for _, di := range ix.parts[pi].domains {
-				if !ix.alive[di] {
-					continue
-				}
-				admit := threshold <= 0
-				if !admit {
-					xsize := len(ix.domains[di].Values)
-					est := ix.builder.Containment(qsig, ix.signatures[di], qsize, xsize)
-					admit = est >= threshold-kmvSlack(threshold, qsize, xsize, sketchK)
-				}
-				if admit && s.seen[di] != s.epoch {
+		}
+		if live <= scanPartitionMax {
+			for _, di := range p.domains {
+				if ix.alive[di] && s.seen[di] != s.epoch {
 					s.seen[di] = s.epoch
 					candidates = append(candidates, int32(di))
+				}
+			}
+			continue
+		}
+		j := minhash.JaccardForContainment(threshold, qsize, p.upper)
+		bt := p.chooseTable(j, ix.opts.NumHashes)
+		keys = bandKeys(qsig, bt.r, keys[:0])
+		for _, key := range keys {
+			for _, di := range bt.buckets[key] {
+				if s.seen[di] != s.epoch {
+					s.seen[di] = s.epoch
+					candidates = append(candidates, di)
 				}
 			}
 		}

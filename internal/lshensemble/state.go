@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the persistence surface of the LSH Ensemble. Sketch signing
-// dominates a build (for MinHash, NumHashes permutation mixes per
-// fingerprint); the sketches are small, deterministic (fixed engine seed)
-// and immutable per slot, so Export hands them out and Restore rebuilds the
+// dominates a build (NumHashes permutation mixes per fingerprint); the
+// sketches are small, deterministic (fixed seed) and immutable per slot, so Export hands them out and Restore rebuilds the
 // whole index from cached sketches without signing a single domain — the
 // equi-depth partitioning and band tables are derived from those sketches
 // lazily, on the first query or mutation. Banding is deterministic given
@@ -37,12 +36,11 @@ func (ix *Index) ExportSignatures() map[string][]uint64 {
 
 // Restore constructs the ensemble over domains whose sketches are already
 // known, skipping the signing pass. signatures is parallel to domains and
-// every sketch must be structurally valid for the configured engine (after
-// defaulting: exactly NumHashes words for MinHash, at most NumHashes
-// strictly ascending words for KMV) — the restored index signs queries with
-// a fresh builder from opts, which only agrees with foreign sketches of
-// matching engine, size and seed. Unknown engines are an error here, never
-// a panic: this is the path persisted foreign values arrive through. dict
+// every sketch must be exactly NumHashes words (after defaulting) — the
+// restored index signs queries with a fresh builder from opts, which only
+// agrees with foreign sketches of matching size and seed. An engine other
+// than MinHash is an error here, never a panic: this is the path persisted
+// foreign values arrive through. dict
 // follows the BuildWithDict contract: when non-nil, precomputed Domain.IDs
 // are trusted as interned in it.
 //

@@ -211,41 +211,6 @@ func (f *Family) SignFingerprintsInto(fps []uint64, dst Signature) Signature {
 	return sig
 }
 
-// SignScalarInto is the retained pre-batching signing kernel: one fingerprint
-// per permutation pass, mulmod with the loop-invariant reductions hoisted. It
-// exists as the reference the batched SignFingerprintsInto is cross-checked
-// and benchmarked against (BenchmarkSignKernel); production paths use the
-// batched kernel.
-func (f *Family) SignScalarInto(fps []uint64, dst Signature) Signature {
-	sig := dst
-	if cap(sig) < f.k {
-		sig = make(Signature, f.k)
-	}
-	sig = sig[:f.k]
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	a, b := f.a, f.b
-	for _, fp := range fps {
-		x := fp % mersennePrime
-		for i := 0; i < f.k; i++ {
-			hi, lo := bits.Mul64(a[i], x)
-			v := (hi<<3 | lo>>61) + (lo & mersennePrime)
-			for v >= mersennePrime {
-				v -= mersennePrime
-			}
-			v += b[i]
-			if v >= mersennePrime {
-				v -= mersennePrime
-			}
-			if v < sig[i] {
-				sig[i] = v
-			}
-		}
-	}
-	return sig
-}
-
 // EstimateJaccard estimates the Jaccard similarity of the sets behind two
 // signatures from the same family: the fraction of agreeing components.
 func EstimateJaccard(a, b Signature) float64 {

@@ -3,6 +3,7 @@ package minhash
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,40 @@ func TestSignMatchesMulmod(t *testing.T) {
 	}
 }
 
+// SignScalarInto is the pre-batching signing kernel: one fingerprint per
+// permutation pass, mulmod with the loop-invariant reductions hoisted. It is
+// the reference the batched SignFingerprintsInto is cross-checked and
+// benchmarked against (BenchmarkSignKernel).
+func (f *Family) SignScalarInto(fps []uint64, dst Signature) Signature {
+	sig := dst
+	if cap(sig) < f.k {
+		sig = make(Signature, f.k)
+	}
+	sig = sig[:f.k]
+	for i := range sig {
+		sig[i] = ^uint64(0)
+	}
+	a, b := f.a, f.b
+	for _, fp := range fps {
+		x := fp % mersennePrime
+		for i := 0; i < f.k; i++ {
+			hi, lo := bits.Mul64(a[i], x)
+			v := (hi<<3 | lo>>61) + (lo & mersennePrime)
+			for v >= mersennePrime {
+				v -= mersennePrime
+			}
+			v += b[i]
+			if v >= mersennePrime {
+				v -= mersennePrime
+			}
+			if v < sig[i] {
+				sig[i] = v
+			}
+		}
+	}
+	return sig
+}
+
 // TestSignBatchedMatchesScalar cross-checks the batched kernel against the
 // retained scalar reference across fingerprint-count edge cases: empty, a
 // single member, counts around the block size (so both the full-block body
@@ -242,8 +277,7 @@ func TestSignBatchedMatchesScalar(t *testing.T) {
 }
 
 // BenchmarkSignKernel compares the batched signing kernel against the
-// retained scalar reference over a lake-typical domain (the root-package
-// BenchmarkSignKernel feeds the same comparison into BENCH_<PR>.json).
+// scalar reference over a lake-typical domain.
 func BenchmarkSignKernel(b *testing.B) {
 	f := NewFamily(128, 1)
 	rng := rand.New(rand.NewSource(9))

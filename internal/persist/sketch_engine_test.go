@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
@@ -16,22 +18,21 @@ import (
 // These tests pin the 1.1 sketch-engine evolution of the snapshot format:
 // the domains section opens with an (engine, size, seed) record, 1.0 files
 // legacy-decode as MinHash, minors newer than this build are refused, and
-// engine-record inconsistencies are refusals — intact-checksum errors that
-// must NOT be tagged ErrCorrupt, so recovery never "fixes" them by falling
-// back to an older snapshot generation.
+// engine-record inconsistencies — including any engine but "minhash", the
+// only one this build implements — are refusals: intact-checksum errors
+// that must NOT be tagged ErrCorrupt, so recovery never "fixes" them by
+// falling back to an older snapshot generation.
 
-// engineTestImage builds a small lake under the given engine and returns
-// its encoded snapshot plus the source lake.
-func engineTestImage(t *testing.T, eng sketch.Engine) ([]byte, *lake.Lake) {
+// engineTestImage builds a small lake and returns its encoded snapshot plus
+// the source lake.
+func engineTestImage(t *testing.T) ([]byte, *lake.Lake) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	pool := make([]*table.Table, 6)
 	for i := range pool {
 		pool[i] = difftest.DiffTable(rng, fmt.Sprintf("e%02d", i))
 	}
-	opts := lake.Options{Knowledge: difftest.DiffKB()}
-	opts.LSH.Engine = eng
-	l, err := lake.New(pool, opts)
+	l, err := lake.New(pool, lake.Options{Knowledge: difftest.DiffKB()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,32 +97,10 @@ func engineRecord(t *testing.T, payload []byte) (eng string, size uint64, seed i
 	return eng, size, seed, payload[d.off:]
 }
 
-func TestSnapshotRoundTripKMVEngine(t *testing.T) {
-	img, l := engineTestImage(t, sketch.KMV)
-	st, _, err := decodeSnapshot("snap", img)
-	if err != nil {
-		t.Fatalf("decodeSnapshot: %v", err)
-	}
-	if st.LSH.Engine != sketch.KMV {
-		t.Fatalf("decoded engine %q, want kmv", st.LSH.Engine)
-	}
-	r, err := lake.Restore(st)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if r.SketchEngine() != sketch.KMV {
-		t.Fatalf("restored engine %q, want kmv", r.SketchEngine())
-	}
-	queries := l.Tables()[:3]
-	if got, want := difftest.LakeSig(r, queries), difftest.LakeSig(l, queries); got != want {
-		t.Fatalf("restored KMV lake diverged from original\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestSnapshotNewerMinorRefused: a minor version beyond this build's is a
 // VersionError refusal — additive evolution is never guessed at backward.
 func TestSnapshotNewerMinorRefused(t *testing.T) {
-	img, _ := engineTestImage(t, sketch.MinHash)
+	img, _ := engineTestImage(t)
 	patchHeader(img, func(h []byte) {
 		h[10] = FormatMinor + 1
 		h[11] = 0
@@ -142,7 +121,7 @@ func TestSnapshotNewerMinorRefused(t *testing.T) {
 // TestSnapshotLegacyMinorZero: a 1.0 file — no engine record in the domains
 // section — decodes as the MinHash engine and restores normally.
 func TestSnapshotLegacyMinorZero(t *testing.T) {
-	img, l := engineTestImage(t, sketch.MinHash)
+	img, l := engineTestImage(t)
 	legacy := rewriteSection(t, img, secDomains, func(payload []byte) []byte {
 		_, _, _, rest := engineRecord(t, payload)
 		return rest
@@ -165,36 +144,90 @@ func TestSnapshotLegacyMinorZero(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnknownEngineRefused: an engine name this build does not
-// implement is a refusal distinct from corruption — checksums are intact, so
-// generation fallback must not engage.
-func TestSnapshotUnknownEngineRefused(t *testing.T) {
-	img, _ := engineTestImage(t, sketch.KMV)
-	bad := rewriteSection(t, img, secDomains, func(payload []byte) []byte {
+// withEngineRecord re-seals img with the domains section's engine name
+// replaced — every checksum stays valid.
+func withEngineRecord(t *testing.T, img []byte, eng string) []byte {
+	t.Helper()
+	return rewriteSection(t, img, secDomains, func(payload []byte) []byte {
 		_, size, seed, rest := engineRecord(t, payload)
 		var e enc
-		e.str("hll")
+		e.str(eng)
 		e.uvarint(size)
 		e.varint(seed)
 		return append(e.b, rest...)
 	})
-	_, _, err := decodeSnapshot("snap", bad)
-	if err == nil {
-		t.Fatal("unknown engine must be refused")
+}
+
+// assertEngineRefusal checks err is the engine refusal: present, naming the
+// engine, and neither a corruption nor a version error.
+func assertEngineRefusal(t *testing.T, err error, eng string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("engine %q", eng)) {
+		t.Fatalf("engine %q: err = %v, want a refusal naming it", eng, err)
 	}
 	if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown-engine refusal tagged ErrCorrupt: %v", err)
+		t.Fatalf("engine %q refusal tagged ErrCorrupt: %v", eng, err)
 	}
 	var ve *VersionError
 	if errors.As(err, &ve) {
-		t.Fatalf("unknown-engine refusal reported as VersionError: %v", err)
+		t.Fatalf("engine %q refusal reported as VersionError: %v", eng, err)
+	}
+}
+
+// TestSnapshotUnknownEngineRefused: an engine name this build does not
+// implement is a refusal distinct from corruption — checksums are intact, so
+// generation fallback must not engage.
+func TestSnapshotUnknownEngineRefused(t *testing.T) {
+	img, _ := engineTestImage(t)
+	_, _, err := decodeSnapshot("snap", withEngineRecord(t, img, "hll"))
+	assertEngineRefusal(t, err, "hll")
+}
+
+// TestSnapshotKMVRecordRefused: a snapshot written by a build that still
+// offered the KMV engine records "kmv"; this build decodes only "minhash",
+// so the file is refused the same way — not as corruption.
+func TestSnapshotKMVRecordRefused(t *testing.T) {
+	img, _ := engineTestImage(t)
+	_, _, err := decodeSnapshot("snap", withEngineRecord(t, img, "kmv"))
+	assertEngineRefusal(t, err, "kmv")
+}
+
+// TestStoreRefusesKMVSnapshotWithoutFallback: when the newest generation
+// records "kmv", Open refuses outright. The older, decodable generation is
+// not used and the refused file stays on disk — falling back would silently
+// roll acknowledged mutations back.
+func TestStoreRefusesKMVSnapshotWithoutFallback(t *testing.T) {
+	fsys, _, _, _ := corruptScenario(t)
+	newest := filepath.Join(testDir, snapName(2))
+	img, err := fsys.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fsys.Create(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(withEngineRecord(t, img, "kmv")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(testDir, Options{FS: fsys, SnapshotEvery: -1})
+	if err == nil {
+		defer s.Close()
+		t.Fatalf("Open fell back to generation %d past a kmv snapshot", s.Status().SnapshotSeq)
+	}
+	assertEngineRefusal(t, err, "kmv")
+	if fsys.Len(newest) == 0 {
+		t.Fatalf("refused snapshot %s was removed", newest)
 	}
 }
 
 // TestSnapshotEngineParamMismatchRefused: the domains-section size/seed must
 // agree with the meta section; disagreement is a refusal, not a corruption.
 func TestSnapshotEngineParamMismatchRefused(t *testing.T) {
-	img, _ := engineTestImage(t, sketch.MinHash)
+	img, _ := engineTestImage(t)
 	bad := rewriteSection(t, img, secDomains, func(payload []byte) []byte {
 		eng, size, seed, rest := engineRecord(t, payload)
 		var e enc
@@ -210,37 +243,4 @@ func TestSnapshotEngineParamMismatchRefused(t *testing.T) {
 	if errors.Is(err, ErrCorrupt) {
 		t.Fatalf("param-mismatch refusal tagged ErrCorrupt: %v", err)
 	}
-}
-
-// TestStoreKMVEndToEnd drives a durable KMV lake through mutations, a
-// snapshot and a reopen: the recovered lake must stay on the KMV engine and
-// answer discovery byte-identically to a fresh KMV build over the surviving
-// tables.
-func TestStoreKMVEndToEnd(t *testing.T) {
-	pool, lopts := newStorePool(67, 8)
-	lopts.LSH.Engine = sketch.KMV
-	fsys := NewMemFS()
-	s := mustCreate(t, fsys, pool[:5], lopts, Options{SnapshotEvery: -1})
-	if err := s.Add(pool[5], pool[6]); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if err := s.Remove(pool[1].Name); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r, err := Open(testDir, Options{FS: fsys, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	if got := r.Lake().SketchEngine(); got != sketch.KMV {
-		t.Fatalf("reopened engine %q, want kmv", got)
-	}
-	surviving := []*table.Table{pool[0], pool[2], pool[3], pool[4], pool[5], pool[6]}
-	expectLake(t, "kmv reopen", r.Lake(), surviving, lopts, []*table.Table{pool[0], pool[6], pool[7]})
 }

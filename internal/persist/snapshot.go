@@ -41,7 +41,8 @@ import (
 //	1.0  initial durable format; domains carry MinHash signatures.
 //	1.1  the domains section opens with a sketch-engine record
 //	     (engine name, sketch size, seed); 1.0 files decode as the
-//	     "minhash" engine.
+//	     "minhash" engine. "minhash" is the only engine this build
+//	     decodes; any other name is refused.
 
 const (
 	snapMagic = "DLSNAP\x00\x01"
@@ -143,16 +144,12 @@ func encodeSnapshot(st lake.State, seq uint64) []byte {
 	section(secCatalog, func(e *enc) { e.tables(st.Tables, st.DictVals) })
 	section(secDomains, func(e *enc) {
 		// Since 1.1 the domains section opens with the sketch-engine record:
-		// the engine the persisted sketches were signed under plus the size
-		// and seed they are only meaningful with. Size and seed repeat the
-		// meta section on purpose — the decoder cross-checks them, so a
-		// snapshot whose sections disagree is refused rather than restored
-		// into an index that would silently mis-estimate.
-		eng := st.LSH.Engine
-		if eng == "" {
-			eng = sketch.MinHash
-		}
-		e.str(string(eng))
+		// the engine the persisted sketches were signed under (always
+		// MinHash) plus the size and seed they are only meaningful with. Size
+		// and seed repeat the meta section on purpose — the decoder
+		// cross-checks them, so a snapshot whose sections disagree is refused
+		// rather than restored into an index that would silently mis-estimate.
+		e.str(string(sketch.MinHash))
 		e.uvarint(uint64(st.LSH.NumHashes))
 		e.varint(st.LSH.Seed)
 		e.domains(st.Domains)
@@ -311,7 +308,7 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 	// ErrCorrupt: the bytes are intact and every checksum passed, so falling
 	// back to an older snapshot generation would not help — the file is
 	// refused, never guessed at.
-	if !sketch.Known(domEngine) {
+	if domEngine != sketch.MinHash {
 		return st, 0, fmt.Errorf("persist: %s: snapshot sketch engine %q is not implemented by this build; upgrade or rebuild the lake directory", file, domEngine)
 	}
 	st.LSH.Engine = domEngine

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,62 @@ func TestSaturationShedding(t *testing.T) {
 	}
 	client.Transport.(*http.Transport).CloseIdleConnections()
 	testutil.WaitGoroutinesSettle(t, before)
+}
+
+// TestLoadSmoke is the light-load counterpart of TestSaturationShedding:
+// fixed-rate traffic (50 req/s for 600ms, seven catalog reads per discover,
+// so both the read and compute classes see load) against a live server on
+// default admission settings must come back all 200 — zero errors, zero
+// 429s — with p99 under a second. If light traffic trips admission control,
+// serving is broken in a way the saturation tests cannot show.
+func TestLoadSmoke(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	disc := discoverBody(t)
+	const n, interval = 30, 20 * time.Millisecond
+	statuses := make([]int, n)
+	latencies := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for i := range n {
+		<-tick.C
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			var resp *http.Response
+			var err error
+			if i%8 == 7 {
+				resp, err = client.Post(ts.URL+"/v1/discover", "application/json", bytes.NewReader(disc))
+			} else {
+				resp, err = client.Get(ts.URL + "/v1/lake")
+			}
+			latencies[i] = time.Since(start)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			statuses[i] = resp.StatusCode
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+	for i, status := range statuses {
+		if status != http.StatusOK {
+			t.Fatalf("request %d under light load: status %d", i, status)
+		}
+	}
+	slices.Sort(latencies)
+	if p99 := latencies[(len(latencies)*99-1)/100]; p99 > time.Second {
+		t.Fatalf("p99 %v under light load, want < 1s", p99)
+	}
+	for _, m := range s.MetricsSnapshot() {
+		if m.Shed != 0 || m.Errors != 0 {
+			t.Fatalf("%s: shed %d / errors %d under light load", m.Endpoint, m.Shed, m.Errors)
+		}
+	}
+	client.Transport.(*http.Transport).CloseIdleConnections()
 }
 
 // TestQueueWaitShed pins the timed-queue path over HTTP: with one slot

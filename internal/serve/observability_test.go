@@ -1,25 +1,15 @@
 package serve
 
-// Observability regression pins: the /metrics empty-histogram quantile
-// rendering and the /healthz effective-vs-requested sketch engine
-// surfacing. Both exist because an operator reading these endpoints acts
-// on what they say — a phantom latency on an idle endpoint or a silently
-// ignored -sketch flag sends that action in the wrong direction.
+// Observability regression pin: the /metrics empty-histogram quantile
+// rendering. It exists because an operator reading the endpoint acts on what
+// it says — a phantom latency on an idle endpoint sends that action in the
+// wrong direction.
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/kb"
-	"repro/internal/lake"
-	"repro/internal/lshensemble"
-	"repro/internal/paperdata"
-	"repro/internal/sketch"
 )
 
 // TestMetricsZeroCompletionQuantiles pins the empty-histogram rendering:
@@ -89,75 +79,4 @@ func TestMetricsZeroCompletionQuantiles(t *testing.T) {
 			t.Errorf("%s: idle endpoint got quantiles %d/%d after traffic elsewhere", path, m.P50NS, m.P99NS)
 		}
 	}
-}
-
-// TestHealthzSketchEngineMismatch pins the warm-restart engine surfacing:
-// a lake recovered from a snapshot keeps its persisted sketch engine
-// regardless of the -sketch flag, and /healthz must say so — effective
-// engine, requested engine, and an explicit mismatch bit — instead of
-// letting the operator believe the flag took effect.
-func TestHealthzSketchEngineMismatch(t *testing.T) {
-	health := func(t *testing.T, requested string, opts lake.Options) map[string]any {
-		t.Helper()
-		p, err := core.New(paperdata.CovidLake(), core.Config{Knowledge: kb.Demo(), LakeOptions: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(p, Config{RequestedSketchEngine: requested})
-		rec := newTestResponse(t, s, "/healthz")
-		var out map[string]any
-		if err := json.Unmarshal(rec, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	kmvLake := lake.Options{LSH: lshensemble.Options{Engine: sketch.KMV}}
-
-	// Warm restart with a kmv-persisted lake while the operator asked for
-	// minhash: both engines surfaced, mismatch set.
-	h := health(t, "minhash", kmvLake)
-	if h["sketch_engine"] != "kmv" {
-		t.Errorf("sketch_engine = %v, want kmv", h["sketch_engine"])
-	}
-	if h["requested_sketch_engine"] != "minhash" {
-		t.Errorf("requested_sketch_engine = %v, want minhash", h["requested_sketch_engine"])
-	}
-	if h["sketch_engine_mismatch"] != true {
-		t.Errorf("sketch_engine_mismatch = %v, want true", h["sketch_engine_mismatch"])
-	}
-
-	// Request matches the effective engine: no mismatch, and the omitempty
-	// bit disappears from the JSON rather than reading false-but-present.
-	h = health(t, "kmv", kmvLake)
-	if h["requested_sketch_engine"] != "kmv" {
-		t.Errorf("requested_sketch_engine = %v, want kmv", h["requested_sketch_engine"])
-	}
-	if _, present := h["sketch_engine_mismatch"]; present {
-		t.Errorf("sketch_engine_mismatch present on a match: %v", h["sketch_engine_mismatch"])
-	}
-
-	// No requested engine (flag unset): neither field appears — there is
-	// nothing to mismatch against.
-	h = health(t, "", lake.Options{})
-	if h["sketch_engine"] != "minhash" {
-		t.Errorf("default sketch_engine = %v, want minhash", h["sketch_engine"])
-	}
-	for _, field := range []string{"requested_sketch_engine", "sketch_engine_mismatch"} {
-		if _, present := h[field]; present {
-			t.Errorf("%s present with no requested engine", field)
-		}
-	}
-}
-
-// newTestResponse performs one GET against a handler without a listener
-// and returns the response body.
-func newTestResponse(t *testing.T, s *Server, path string) []byte {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	return rec.Body.Bytes()
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/lake"
 	"repro/internal/paperdata"
 	"repro/internal/persist"
-	"repro/internal/sketch"
 	"repro/internal/table"
 	"repro/internal/testutil"
 )
@@ -68,39 +67,6 @@ func TestWarmingServer(t *testing.T) {
 	health = decodeResp[HealthResponse](t, resp)
 	if health.Status != "ok" || health.ReplayInProgress || health.Persistence != nil {
 		t.Fatalf("post-attach health = %+v", health)
-	}
-	if health.SketchEngine != "minhash" {
-		t.Fatalf("post-attach sketch engine = %q, want minhash", health.SketchEngine)
-	}
-}
-
-// TestHealthzReportsSketchEngine pins the engine surface: a lake built on
-// the KMV engine serves discovery over HTTP and reports "kmv" on /healthz.
-func TestHealthzReportsSketchEngine(t *testing.T) {
-	cfg := core.Config{Knowledge: kb.Demo()}
-	cfg.LakeOptions.LSH.Engine = sketch.KMV
-	p, err := core.New(paperdata.CovidLake(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(p, Config{})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health := decodeResp[HealthResponse](t, resp); health.SketchEngine != "kmv" {
-		t.Fatalf("health sketch engine = %q, want kmv", health.SketchEngine)
-	}
-	resp = postJSON(t, ts.URL+"/v1/discover", DiscoverRequest{
-		Query: EncodeTable(paperdata.T1()), QueryColumn: 1, Methods: []string{"lsh-join"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("kmv discover status = %d", resp.StatusCode)
-	}
-	if out := decodeResp[DiscoverResponse](t, resp); len(out.PerMethod["lsh-join"]) == 0 {
-		t.Fatal("kmv lsh-join discovery returned nothing")
 	}
 }
 

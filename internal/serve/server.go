@@ -40,14 +40,6 @@ type Config struct {
 	// shed on arrival. 0 means DefaultMaxQueueWait; negative disables
 	// queueing entirely — at-capacity requests shed immediately.
 	MaxQueueWait time.Duration
-	// RequestedSketchEngine is the sketch engine the operator asked for
-	// (e.g. the -sketch flag), surfaced on /healthz beside the engine the
-	// attached lake actually runs on. On a warm restart the persisted
-	// snapshot's engine wins, and the two can disagree — /healthz then sets
-	// sketch_engine_mismatch so the discrepancy is observable, not just a
-	// startup log line. Empty means the operator expressed no preference
-	// and no mismatch is ever reported.
-	RequestedSketchEngine string
 }
 
 // Defaults for Config zero values.
@@ -190,21 +182,9 @@ func (s *Server) p() *core.Pipeline { return s.pipe.Load() }
 // the lake is persisted; ReplayInProgress is true while the server is up
 // but the pipeline is still recovering (warming restarts).
 type HealthResponse struct {
-	Status           string `json:"status"` // "ok", "warming", "degraded" or "stopping"
-	ReplayInProgress bool   `json:"replay_in_progress"`
-	// SketchEngine is the containment index's sketch engine ("minhash" or
-	// "kmv"), present once the lake is attached — for a recovered lake it is
-	// whatever the snapshot recorded, not what any flag said.
-	SketchEngine string `json:"sketch_engine,omitempty"`
-	// RequestedSketchEngine echoes Config.RequestedSketchEngine (the
-	// operator's -sketch choice), when one was expressed.
-	RequestedSketchEngine string `json:"requested_sketch_engine,omitempty"`
-	// SketchEngineMismatch is true when the attached lake's engine differs
-	// from the requested one — on a warm restart the snapshot's recorded
-	// engine overrides the flag, and this field is how an operator detects
-	// that the flag did not take effect.
-	SketchEngineMismatch bool            `json:"sketch_engine_mismatch,omitempty"`
-	Persistence          *persist.Status `json:"persistence,omitempty"`
+	Status           string          `json:"status"` // "ok", "warming", "degraded" or "stopping"
+	ReplayInProgress bool            `json:"replay_in_progress"`
+	Persistence      *persist.Status `json:"persistence,omitempty"`
 	// Shards is present in cluster mode: one entry per remote shard process
 	// with its own health status ("down" when unreachable). Any shard not
 	// "ok" degrades the coordinator's overall Status — the coordinator
@@ -229,11 +209,6 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "stopping"
 	}
 	if p := s.p(); p != nil {
-		resp.SketchEngine = string(p.Lake().SketchEngine())
-		if req := s.cfg.RequestedSketchEngine; req != "" {
-			resp.RequestedSketchEngine = req
-			resp.SketchEngineMismatch = resp.SketchEngine != req
-		}
 		if rep, ok := p.Lake().(ShardHealthReporter); ok {
 			resp.Shards = rep.ShardHealth(r.Context())
 			if resp.Status == "ok" {

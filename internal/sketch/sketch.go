@@ -1,22 +1,16 @@
-// Package sketch abstracts the per-domain set summaries behind the LSH
-// Ensemble containment index: a Sketch is the signed summary of one value
-// set's fingerprints, and a Builder is one engine for producing sketches and
-// estimating containment between them. Two engines exist — MinHash
-// signatures (the default: coordinate-aligned minima over a permutation
-// family, bandable for sub-linear LSH probing) and KMV bottom-k sketches
-// (the k smallest remixed fingerprints, cheaper to sign by an order of
-// magnitude but scanned linearly at query time). The LSH Ensemble line of
-// work trades these off explicitly; the accuracy harness in
-// internal/lshensemble keeps the trade measured rather than assumed.
+// Package sketch is the per-domain set summary behind the LSH Ensemble
+// containment index: a Sketch is the MinHash signature of one value set's
+// fingerprints — coordinate-aligned minima over a permutation family, which
+// the ensemble bands for sub-linear probing — and a Builder signs and
+// validates sketches for one (size, seed) geometry.
 //
-// Both sketch forms are flat []uint64, so the persistence layer stores them
-// with one codec and the engine name recorded beside them (see
-// PERSISTENCE.md, domains section).
+// MinHash is the one engine. Its name is still recorded beside persisted
+// sketches (see PERSISTENCE.md, domains section), so a snapshot naming any
+// other engine is refused rather than guessed at.
 package sketch
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/minhash"
 )
@@ -25,83 +19,49 @@ import (
 // renaming an engine is a format change.
 type Engine string
 
-const (
-	// MinHash is the coordinate-aligned signature engine (bandable, the
-	// LSH Ensemble default).
-	MinHash Engine = "minhash"
-	// KMV is the bottom-k distinct-minimum-values engine (fast signing,
-	// linear-scan candidate generation).
-	KMV Engine = "kmv"
-)
-
-// Known reports whether this build implements the engine (the empty string
-// counts: it defaults to MinHash everywhere options are normalized).
-func Known(e Engine) bool {
-	switch e {
-	case "", MinHash, KMV:
-		return true
-	}
-	return false
-}
+// MinHash is the coordinate-aligned signature engine: the only one this
+// build implements.
+const MinHash Engine = "minhash"
 
 // Params configures a Builder.
 type Params struct {
-	// Engine selects the implementation. Empty means MinHash.
+	// Engine must be MinHash or empty (which means MinHash).
 	Engine Engine
-	// Size is the sketch capacity: the MinHash signature length or the KMV
-	// bottom-k bound. Must be positive.
+	// Size is the signature length. Must be positive.
 	Size int
-	// Seed makes sketches deterministic per (engine, size, seed).
+	// Seed makes sketches deterministic per (size, seed).
 	Seed int64
 }
 
-// Sketch is one set's signed summary: a MinHash signature (exactly Size
-// words, position i holding the i-th permutation's minimum) or a KMV sketch
-// (at most Size words, the strictly ascending smallest distinct remixed
-// fingerprints). Sketches are only comparable under the Builder that
-// produced them.
+// Sketch is one set's MinHash signature: exactly Size words, position i
+// holding the i-th permutation's minimum. Sketches are only comparable under
+// the Builder that produced them.
 type Sketch []uint64
 
-// Builder signs fingerprint multisets into sketches and estimates
-// containment between them. Implementations are safe for concurrent use.
+// Builder signs fingerprint multisets into sketches. Implementations are
+// safe for concurrent use.
 type Builder interface {
-	// Engine returns the implementation's name.
-	Engine() Engine
-	// Size returns the sketch capacity.
-	Size() int
 	// SignInto computes the sketch of a fingerprint multiset, writing into
 	// dst when it has capacity (previous contents discarded). Duplicate
 	// fingerprints are harmless: the sketch of a multiset equals the sketch
 	// of its distinct set.
 	SignInto(fps []uint64, dst Sketch) Sketch
-	// Containment estimates |Q∩X|/|Q| in [0,1] from the two sets' sketches
-	// and their exact cardinalities (which the lake always knows — domains
-	// store their deduplicated value sets).
-	Containment(q, x Sketch, qSize, xSize int) float64
-	// Merge combines two sketches of sets into the sketch of their union,
-	// writing into dst when it has capacity. For both engines
-	// Merge(Sign(A), Sign(B)) equals Sign(A ∪ B) exactly.
-	Merge(a, b Sketch, dst Sketch) Sketch
 	// Validate checks that a restored sketch is structurally valid for this
-	// engine — the refuse-don't-guess gate the persistence layer runs on
+	// builder — the refuse-don't-guess gate the persistence layer runs on
 	// every persisted sketch before trusting it.
 	Validate(s Sketch) error
 }
 
-// New constructs the builder for p. Unknown engines and non-positive sizes
-// are errors, never guessed at.
+// New constructs the builder for p. Engines other than MinHash and
+// non-positive sizes are errors, never guessed at.
 func New(p Params) (Builder, error) {
+	if p.Engine != "" && p.Engine != MinHash {
+		return nil, fmt.Errorf("sketch: unknown sketch engine %q (this build implements only %q)", p.Engine, MinHash)
+	}
 	if p.Size <= 0 {
 		return nil, fmt.Errorf("sketch: size must be positive, got %d", p.Size)
 	}
-	switch p.Engine {
-	case "", MinHash:
-		return &minhashBuilder{family: minhash.NewFamily(p.Size, p.Seed), size: p.Size}, nil
-	case KMV:
-		return newKMVBuilder(p.Size, p.Seed), nil
-	default:
-		return nil, fmt.Errorf("sketch: unknown engine %q (this build implements %q and %q)", p.Engine, MinHash, KMV)
-	}
+	return &minhashBuilder{family: minhash.NewFamily(p.Size, p.Seed), size: p.Size}, nil
 }
 
 // minhashBuilder adapts minhash.Family to the Builder interface.
@@ -110,43 +70,8 @@ type minhashBuilder struct {
 	size   int
 }
 
-func (b *minhashBuilder) Engine() Engine { return MinHash }
-func (b *minhashBuilder) Size() int      { return b.size }
-
 func (b *minhashBuilder) SignInto(fps []uint64, dst Sketch) Sketch {
 	return Sketch(b.family.SignFingerprintsInto(fps, minhash.Signature(dst)))
-}
-
-// Containment converts the signature-agreement Jaccard estimate into a
-// containment estimate using the exact set sizes: from J = I/(q+x-I),
-// I = J(q+x)/(1+J), and containment = I/q, clamped to [0,1].
-func (b *minhashBuilder) Containment(q, x Sketch, qSize, xSize int) float64 {
-	if qSize <= 0 {
-		return 0
-	}
-	j := minhash.EstimateJaccard(minhash.Signature(q), minhash.Signature(x))
-	inter := j * float64(qSize+xSize) / (1 + j)
-	return clamp01(inter / float64(qSize))
-}
-
-// Merge is the coordinate-wise minimum: exactly the signature of the union
-// of the two signed sets. Both sketches must come from this builder.
-func (b *minhashBuilder) Merge(a, x Sketch, dst Sketch) Sketch {
-	if len(a) != b.size || len(x) != b.size {
-		panic(fmt.Sprintf("sketch: minhash merge of %d- and %d-word sketches under size %d", len(a), len(x), b.size))
-	}
-	if cap(dst) < b.size {
-		dst = make(Sketch, b.size)
-	}
-	dst = dst[:b.size]
-	for i := range dst {
-		if a[i] < x[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = x[i]
-		}
-	}
-	return dst
 }
 
 func (b *minhashBuilder) Validate(s Sketch) error {
@@ -154,22 +79,4 @@ func (b *minhashBuilder) Validate(s Sketch) error {
 		return fmt.Errorf("sketch: minhash sketch has %d words, want %d", len(s), b.size)
 	}
 	return nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// seededMixer derives the KMV remix constants from a seed: a random odd
-// multiplier (a bijection over 2^64) and a pre-xor, so sketches from
-// different seeds are uncorrelated just as MinHash families are.
-func seededMixer(seed int64) (mul, xor uint64) {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Uint64() | 1, rng.Uint64()
 }

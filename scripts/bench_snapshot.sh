@@ -24,11 +24,10 @@ OUT="BENCH_${PR}.json"
 BENCHTIME="${BENCHTIME:-1x}"
 BENCH="${BENCH:-.}"
 
-# The root package carries the paper-figure benchmarks; loadharness
-# carries BenchmarkServeSaturation, whose qps/p50-ns/p99-ns metrics make
-# serving throughput a tracked number alongside ns/op; cluster carries
-# BenchmarkClusterDiscovery, the HTTP scatter-gather fan-out cost.
-go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem . ./internal/loadharness/ ./internal/cluster/ |
+# The root package carries the paper-figure benchmarks; cluster carries
+# BenchmarkClusterDiscovery, the HTTP scatter-gather fan-out cost. Serving
+# throughput is measured end to end by the repo benchmark (bench/).
+go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem . ./internal/cluster/ |
 	awk '
 	/^Benchmark/ {
 		name = $1
