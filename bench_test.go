@@ -403,8 +403,9 @@ func BenchmarkShardedDiscovery(b *testing.B) {
 
 // BenchmarkSnapshotLoad measures recovering the 360-table lake through the
 // durability layer (persist.Open: read the checksummed snapshot, verify,
-// decode, lake.Restore, replay the empty WAL) — the warm-restart path that
-// displaces the from-scratch rebuild measured by BenchmarkLakeRebuild.
+// decode, lake.New over the persisted tables and KB, replay the empty WAL).
+// It locates the warm-restart cost: decode plus the index build that
+// BenchmarkLakeRebuild measures on its own.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	sl := experiments.JoinSearchLake(17)
 	l, err := lake.New(sl.Tables, lake.Options{Knowledge: kb.Demo()})

@@ -11,8 +11,7 @@ import (
 // TestBatchPlannerAdmission pins the one admission rule behind every
 // catalog shape, with the exact texts their callers surface: lake.New /
 // NewSharded ("lake"), Lake.Add / Sharded.Add / cluster.Coordinator.Add
-// ("lake: add"), lake.Restore ("lake: restore") and persist.Store
-// ("persist: add", "persist: remove").
+// ("lake: add") and persist.Store ("persist: add", "persist: remove").
 func TestBatchPlannerAdmission(t *testing.T) {
 	a, b := table.New("a", "c"), table.New("b", "c")
 	inCatalog := func(name string) (*table.Table, bool) { return a, name == "a" }
@@ -33,7 +32,6 @@ func TestBatchPlannerAdmission(t *testing.T) {
 		{"add: duplicate against catalog", "lake: add", []*table.Table{b, a}, inCatalog, `lake: add: duplicate table name "a"`},
 		{"add: duplicate within batch", "lake: add", []*table.Table{b, table.New("b", "c")}, inCatalog, `lake: add: duplicate table name "b"`},
 		{"coordinator add: batch-only check admits a catalog duplicate", "lake: add", []*table.Table{a}, nil, ""},
-		{"restore: duplicate", "lake: restore", []*table.Table{a, a}, nil, `lake: restore: duplicate table name "a"`},
 		{"store add: nil table", "persist: add", []*table.Table{nil}, inCatalog, "persist: add: nil table"},
 		{"store add: empty name", "persist: add", []*table.Table{table.New("", "c")}, inCatalog, "persist: add: table with empty name"},
 		{"store add: duplicate", "persist: add", []*table.Table{a}, inCatalog, `persist: add: duplicate table name "a"`},

@@ -119,7 +119,9 @@ func (l *Lake) Epochs() []uint64 { return []uint64{l.epoch.Load()} }
 func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 
 // New preprocesses the given tables into a queryable lake. Duplicate table
-// names are rejected: discovery results are reported by name.
+// names are rejected: discovery results are reported by name. New is the
+// only way a lake is built: the persistence layer recovers one by calling it
+// over a snapshot's tables and knowledge base (see State).
 //
 // Preprocessing runs on a worker pool: every table's cells are interned
 // into the lake-wide value dictionary and its domains extracted (with
@@ -134,9 +136,15 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
 	}
-	l := &Lake{tokens: table.NewTokenDict()}
+	l := &Lake{
+		tokens: table.NewTokenDict(),
+		tables: append([]*table.Table(nil), tables...),
+		byName: make(map[string]*table.Table, len(tables)),
+	}
+	for _, t := range tables {
+		l.byName[t.Name] = t
+	}
 	l.dict = table.NewDict()
-	l.setTables(tables)
 	t0 := time.Now()
 	l.knowledge = prepareKnowledge(l.tables, opts)
 	l.knowledge.Compiled() // memoized: clocked here, reused by refreshAnnotator below
@@ -501,15 +509,6 @@ func (l *Lake) Get(name string) (*table.Table, bool) {
 func (l *Lake) lookup(name string) (*table.Table, bool) {
 	t, ok := l.byName[name]
 	return t, ok
-}
-
-// setTables installs a validated initial table set (New, Restore).
-func (l *Lake) setTables(tables []*table.Table) {
-	l.tables = append([]*table.Table(nil), tables...)
-	l.byName = make(map[string]*table.Table, len(tables))
-	for _, t := range tables {
-		l.byName[t.Name] = t
-	}
 }
 
 // Size reports the current number of tables.

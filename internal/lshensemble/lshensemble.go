@@ -27,7 +27,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/minhash"
 	"repro/internal/par"
@@ -77,8 +76,7 @@ type Options struct {
 	Seed int64
 	// Engine names the sketch engine. Only sketch.MinHash (or empty, which
 	// means MinHash) is implemented; check foreign values with Validate
-	// before building — Build panics on any other name (Restore, the
-	// persistence path, returns an error instead).
+	// before building — Build panics on any other name.
 	Engine sketch.Engine
 }
 
@@ -151,14 +149,6 @@ type Index struct {
 	liveCount  int
 	order      []int // live slots sorted by (domain size, key): the equi-depth order
 	parts      []partition
-	// partsStale is set by Restore, which defers the equi-depth partitioning
-	// and band-table build to the first query or mutation: signatures are the
-	// expensive part of a build and they are already cached, so a restored
-	// process reaches "ready" without paying for derived structures it may
-	// never probe (e.g. a snapshot-compaction run). Banding is deterministic
-	// given signatures, so the deferred build is query-identical to an eager
-	// one. The flag is one atomic load on warmed indexes.
-	partsStale atomic.Bool
 	scratch    sync.Pool // *queryScratch
 }
 
@@ -200,9 +190,9 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	}
 	builder, err := sketch.New(opts.sketchParams())
 	if err != nil {
-		// Foreign engine names arrive through lake options (checked with
-		// Validate) or persisted snapshots (Restore); at this point an
-		// unknown engine is a programming error.
+		// Foreign engine names arrive through lake options, which lake.New
+		// checks with Validate; at this point an unknown engine is a
+		// programming error.
 		panic("lshensemble: " + err.Error())
 	}
 	ix := &Index{
@@ -243,28 +233,8 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	return ix
 }
 
-// ensureParts builds the deferred partitioning of a restored index on its
-// first use. Queries call it before taking the read lock; mutations hold the
-// write lock and use ensurePartsLocked directly.
-func (ix *Index) ensureParts() {
-	if !ix.partsStale.Load() {
-		return
-	}
-	ix.mu.Lock()
-	ix.ensurePartsLocked()
-	ix.mu.Unlock()
-}
-
-func (ix *Index) ensurePartsLocked() {
-	if ix.partsStale.Load() {
-		ix.initPartitions()
-		ix.partsStale.Store(false)
-	}
-}
-
 // initPartitions computes the equi-depth partitioning and band tables from
-// scratch over the (fully signed) domain slots — the tail of a fresh build,
-// shared by BuildWithDict and the deferred warm-up of a restored index.
+// scratch over the (fully signed) domain slots — the tail of BuildWithDict.
 // Partitions band independently; they are built in parallel and collected in
 // partition order, so the index layout stays deterministic.
 func (ix *Index) initPartitions() {
@@ -300,8 +270,7 @@ func (ix *Index) initPartitions() {
 			// Bulk band build: hash every domain's band keys once into a flat
 			// slice, count bucket sizes, then carve all buckets out of one
 			// arena. Appending per (domain, band) instead allocates a tiny
-			// slice per bucket and regrows both it and the map incrementally —
-			// the dominant cost of large restores.
+			// slice per bucket and regrows both it and the map incrementally.
 			nb := ix.opts.NumHashes / r
 			if cap(flat) < len(part.domains)*nb {
 				flat = make([]uint64, 0, len(part.domains)*nb)
@@ -361,7 +330,6 @@ func (ix *Index) Add(domains []Domain) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensurePartsLocked()
 	newSlots := make([]int, 0, len(domains))
 	for _, d := range domains {
 		slot := len(ix.domains)
@@ -413,7 +381,6 @@ func (ix *Index) Remove(tables []string) int {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensurePartsLocked()
 	removed := 0
 	var dying []int
 	for slot := range ix.domains {
@@ -458,7 +425,6 @@ func (ix *Index) Remove(tables []string) int {
 func (ix *Index) Compact() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.ensurePartsLocked()
 	if ix.liveCount == len(ix.domains) {
 		return
 	}
@@ -722,7 +688,6 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 		}
 	}
 	s.sig = ix.builder.SignInto(d.Fingerprints, s.sig)
-	ix.ensureParts()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.query(ctx, s.sig, s.qids, len(d.Values), threshold, k, s)
@@ -833,6 +798,9 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 	}
 	return results, nil
 }
+
+// Options returns the index's construction options (defaults applied).
+func (ix *Index) Options() Options { return ix.opts }
 
 // Dict returns the token dictionary the index interns through.
 func (ix *Index) Dict() *table.TokenDict { return ix.dict }

@@ -7,9 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/kb"
-	"repro/internal/lake"
 	"repro/internal/par"
-	"repro/internal/santos"
 	"repro/internal/table"
 )
 
@@ -182,7 +180,7 @@ func (d *dec) done() error {
 // Cells round-trip exactly: kind plus the kind's own payload. This matters
 // because the value dictionary Equal-collapses distinct spellings (Int 82
 // and Float 82.0 share an ID, both null kinds share NullID) — an ID-based
-// encoding would lose the spelling, and a restored lake would render and
+// encoding would lose the spelling, and a recovered lake would render and
 // integrate tables differently from a fresh build over the same CSVs.
 
 func (e *enc) value(v table.Value) {
@@ -471,83 +469,4 @@ func (d *dec) kbDump() kb.Dump {
 		k.Relations = append(k.Relations, r)
 	}
 	return k
-}
-
-// --- Domain and SANTOS codecs ----------------------------------------------
-
-func (e *enc) domains(ds []lake.DomainState) {
-	e.uvarint(uint64(len(ds)))
-	for i := range ds {
-		d := &ds[i]
-		e.str(d.Table)
-		e.uvarint(uint64(d.Column))
-		e.str(d.ColumnName)
-		e.uvarint(uint64(len(d.TokenIDs)))
-		for _, id := range d.TokenIDs {
-			e.uvarint(uint64(id))
-		}
-		e.uvarint(uint64(len(d.Signature)))
-		for _, w := range d.Signature {
-			e.u64(w)
-		}
-	}
-}
-
-func (d *dec) domains() []lake.DomainState {
-	n := d.count(4)
-	out := make([]lake.DomainState, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ds := lake.DomainState{Table: d.str(), Column: int(d.uvarint()), ColumnName: d.str()}
-		nids := d.count(1)
-		ds.TokenIDs = make([]uint32, nids)
-		for j := range ds.TokenIDs {
-			ds.TokenIDs[j] = uint32(d.uvarint())
-		}
-		nsig := d.count(8)
-		ds.Signature = make([]uint64, nsig)
-		for j := range ds.Signature {
-			ds.Signature[j] = d.u64()
-		}
-		out = append(out, ds)
-	}
-	return out
-}
-
-func (e *enc) santosStates(ss []santos.TableState) {
-	e.uvarint(uint64(len(ss)))
-	for i := range ss {
-		s := &ss[i]
-		e.str(s.Table)
-		e.uvarint(uint64(len(s.Cols)))
-		for _, c := range s.Cols {
-			e.uvarint(uint64(c.Col))
-			e.str(c.Type)
-			e.f64(c.Confidence)
-			e.u32(c.TypeID)
-			e.uvarint(uint64(len(c.Edges)))
-			for _, edge := range c.Edges {
-				e.u64(edge)
-			}
-		}
-	}
-}
-
-func (d *dec) santosStates() []santos.TableState {
-	n := d.count(2)
-	out := make([]santos.TableState, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		s := santos.TableState{Table: d.str()}
-		ncols := d.count(1)
-		for j := 0; j < ncols && d.err == nil; j++ {
-			c := santos.ColumnState{Col: int(d.uvarint()), Type: d.str(), Confidence: d.f64(), TypeID: d.u32()}
-			nedges := d.count(8)
-			c.Edges = make([]uint64, nedges)
-			for k := range c.Edges {
-				c.Edges[k] = d.u64()
-			}
-			s.Cols = append(s.Cols, c)
-		}
-		out = append(out, s)
-	}
-	return out
 }

@@ -119,9 +119,9 @@ func runCrashSchedule(fsys FS, pool []*table.Table, initial int, steps []crashSt
 }
 
 // TestCrashMatrix is the fault-injection matrix described above, run once
-// per sketch engine: the 1.1 engine record rides in every snapshot the
-// matrix writes, so the engine's sketches cross crash/recovery under every
-// injected fault.
+// per sketch engine (MinHash is the only one). Snapshots carry no sketches,
+// so every recovery rebuilds the indexes through lake.New under the
+// engine's options.
 func TestCrashMatrix(t *testing.T) {
 	for _, eng := range []sketch.Engine{sketch.MinHash} {
 		t.Run(string(eng), func(t *testing.T) {

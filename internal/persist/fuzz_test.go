@@ -3,6 +3,8 @@ package persist
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/difftest"
@@ -70,8 +72,10 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzSnapshotHeader pins decodeSnapshot on arbitrary bytes: every failure
-// is a typed refusal, and anything that passes all checksums must survive
-// lake.Restore's own validation or fail it cleanly — not panic.
+// is a typed refusal, and anything that passes all checksums must build
+// through buildLake (lake.New) or fail it cleanly — not panic. The corpus
+// includes a 1.1 file, whose token, domains and SANTOS sections the decoder
+// only checksums and skips.
 func FuzzSnapshotHeader(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
 	l, err := lake.New([]*table.Table{difftest.DiffTable(rng, "s0"), difftest.DiffTable(rng, "s1")},
@@ -79,16 +83,17 @@ func FuzzSnapshotHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	st, err := l.Export()
+	img := encodeSnapshot(l.Export(), 3)
+	legacy, err := os.ReadFile(filepath.Join("testdata", "v1.1", snapName(0)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	img := encodeSnapshot(st, 3)
 	f.Add([]byte{})
 	f.Add(img)
 	f.Add(img[:snapHeaderLen])
 	f.Add(img[:len(img)-5])
 	f.Add([]byte(snapMagic + "short"))
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, _, err := decodeSnapshot("fuzz", b)
 		if err != nil {
@@ -98,11 +103,11 @@ func FuzzSnapshotHeader(f *testing.F) {
 			}
 			return
 		}
-		if _, err := lake.Restore(st); err != nil {
-			// A checksum-valid snapshot that fails restore validation is
-			// acceptable for the fuzzer (it fabricated the checksums too);
-			// panics and hangs are what this target exists to rule out.
-			t.Logf("restore rejected decoded state: %v", err)
+		if _, err := buildLake(st); err != nil {
+			// A checksum-valid snapshot that lake.New rejects is acceptable
+			// for the fuzzer (it fabricated the checksums too); panics and
+			// hangs are what this target exists to rule out.
+			t.Logf("lake.New rejected decoded state: %v", err)
 		}
 	})
 }

@@ -13,15 +13,11 @@ import (
 )
 
 // roundTrip pushes a lake through the full snapshot codec — Export,
-// encodeSnapshot, decodeSnapshot, lake.Restore — and returns the recovered
-// lake.
+// encodeSnapshot, decodeSnapshot, buildLake (lake.New) — and returns the
+// recovered lake.
 func roundTrip(t *testing.T, l *lake.Lake) *lake.Lake {
 	t.Helper()
-	st, err := l.Export()
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	img := encodeSnapshot(st, 7)
+	img := encodeSnapshot(l.Export(), 7)
 	st2, seq, err := decodeSnapshot("snap", img)
 	if err != nil {
 		t.Fatalf("decodeSnapshot: %v", err)
@@ -29,9 +25,9 @@ func roundTrip(t *testing.T, l *lake.Lake) *lake.Lake {
 	if seq != 7 {
 		t.Fatalf("decoded seq = %d, want 7", seq)
 	}
-	r, err := lake.Restore(st2)
+	r, err := buildLake(st2)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("buildLake: %v", err)
 	}
 	return r
 }
@@ -112,4 +108,38 @@ func TestRestoredLakeStaysMutable(t *testing.T) {
 	if got, want := difftest.LakeSig(r, queries), difftest.LakeSig(l, queries); got != want {
 		t.Fatalf("mutated restored lake diverged from mutated original\n got:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestSnapshotAfterKBMutation: a KB mutated in place after the lake was
+// built is persisted as it is now, and the reopened lake is annotated
+// against it — it answers exactly as a fresh lake.New over the same tables
+// with the mutated KB. The two added types sort before every existing one,
+// so the mutation shifts every compiled type ID.
+func TestSnapshotAfterKBMutation(t *testing.T) {
+	pool, lopts := newStorePool(43, 13)
+	fsys := NewMemFS()
+	s := mustCreate(t, fsys, pool[:11], lopts, Options{SnapshotEvery: -1})
+	if err := s.Add(pool[11]); err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(k *kb.KB) {
+		k.AddType("aaa first", "")
+		k.AddType("aab second", "")
+	}
+	mutate(s.Lake().Knowledge())
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(testDir, Options{FS: fsys, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	want := difftest.DiffKB()
+	mutate(want)
+	expectLake(t, "reopened after KB mutation", s.Lake(), pool[:12], lake.Options{Knowledge: want},
+		[]*table.Table{pool[0], pool[5], pool[11], pool[12]})
 }

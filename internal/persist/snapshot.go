@@ -6,9 +6,9 @@ import (
 	"hash/crc32"
 	"path/filepath"
 
+	"repro/internal/kb"
 	"repro/internal/lake"
 	"repro/internal/par"
-	"repro/internal/sketch"
 	"repro/internal/table"
 )
 
@@ -38,11 +38,15 @@ import (
 //
 // Format history:
 //
-//	1.0  initial durable format; domains carry MinHash signatures.
+//	1.0  initial durable format: meta, KB, value dictionary, token
+//	     dictionary, catalog, domains (token IDs + MinHash signatures),
+//	     SANTOS semantic graphs.
 //	1.1  the domains section opens with a sketch-engine record
-//	     (engine name, sketch size, seed); 1.0 files decode as the
-//	     "minhash" engine. "minhash" is the only engine this build
-//	     decodes; any other name is refused.
+//	     (engine name, sketch size, seed).
+//	1.2  only what the lake is: meta, KB, value dictionary, catalog. The
+//	     indexes are rebuilt on open (buildLake), so the token, domains
+//	     and SANTOS sections of 1.0/1.1 files are checksummed like every
+//	     section, then skipped.
 
 const (
 	snapMagic = "DLSNAP\x00\x01"
@@ -52,20 +56,19 @@ const (
 	// refuse other majors. FormatMinor changes on additive evolution;
 	// readers accept older minors and refuse newer ones.
 	FormatMajor = 1
-	FormatMinor = 1
+	FormatMinor = 2
 
 	snapHeaderLen = 32
 )
 
-// Section IDs of the snapshot payload.
+// Section IDs of the snapshot payload. IDs 4 (tokens), 6 (domains) and 7
+// (SANTOS) are retired: 1.0 and 1.1 files carry them, so they are never
+// reused.
 const (
 	secMeta    = 1 // LSH options
 	secKB      = 2 // knowledge-base dump
 	secDict    = 3 // value dictionary, ID order
-	secTokens  = 4 // token dictionary, ID order
 	secCatalog = 5 // tables (exact cells via the batch value pool)
-	secDomains = 6 // sketch-engine record (since 1.1) + domains: token IDs + sketches
-	secSantos  = 7 // SANTOS semantic graphs over compiled KB IDs
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -110,7 +113,7 @@ func snapSeq(name string) (uint64, bool) {
 // encodeSnapshot renders a full snapshot file image for a lake state whose
 // last folded WAL record is seq.
 func encodeSnapshot(st lake.State, seq uint64) []byte {
-	sections := make([][]byte, 0, 7)
+	sections := make([][]byte, 0, 4)
 	section := func(id uint32, fill func(*enc)) {
 		var e enc
 		e.u32(id)
@@ -135,26 +138,7 @@ func encodeSnapshot(st lake.State, seq uint64) []byte {
 			e.value(v)
 		}
 	})
-	section(secTokens, func(e *enc) {
-		e.uvarint(uint64(len(st.Tokens)))
-		for _, t := range st.Tokens {
-			e.str(t)
-		}
-	})
 	section(secCatalog, func(e *enc) { e.tables(st.Tables, st.DictVals) })
-	section(secDomains, func(e *enc) {
-		// Since 1.1 the domains section opens with the sketch-engine record:
-		// the engine the persisted sketches were signed under (always
-		// MinHash) plus the size and seed they are only meaningful with. Size
-		// and seed repeat the meta section on purpose — the decoder
-		// cross-checks them, so a snapshot whose sections disagree is refused
-		// rather than restored into an index that would silently mis-estimate.
-		e.str(string(sketch.MinHash))
-		e.uvarint(uint64(st.LSH.NumHashes))
-		e.varint(st.LSH.Seed)
-		e.domains(st.Domains)
-	})
-	section(secSantos, func(e *enc) { e.santosStates(st.Santos) })
 
 	var h enc
 	h.b = append(h.b, snapMagic...)
@@ -232,11 +216,6 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 		id     uint32
 		decode func(d *dec)
 	}
-	var (
-		domEngine sketch.Engine
-		domSize   int
-		domSeed   int64
-	)
 	decodeOne := func(s section) error {
 		body, ok := bodies[s.id]
 		if !ok {
@@ -267,27 +246,7 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 			st.LSH.Seed = d.varint()
 		}},
 		{secKB, func(d *dec) { st.KB = d.kbDump() }},
-		{secTokens, func(d *dec) {
-			n := d.count(1)
-			st.Tokens = make([]string, 0, n)
-			for j := 0; j < n && d.err == nil; j++ {
-				st.Tokens = append(st.Tokens, d.str())
-			}
-		}},
 		{secCatalog, func(d *dec) { st.Tables = d.tables(st.DictVals) }},
-		{secDomains, func(d *dec) {
-			if minor >= 1 {
-				domEngine = sketch.Engine(d.str())
-				domSize = int(d.uvarint())
-				domSeed = d.varint()
-			} else {
-				// 1.0 files predate the engine record; their sketches are
-				// MinHash signatures by definition.
-				domEngine = sketch.MinHash
-			}
-			st.Domains = d.domains()
-		}},
-		{secSantos, func(d *dec) { st.Santos = d.santosStates() }},
 	}
 	secErrs := make([]error, len(sections))
 	par.For(len(sections), func(i int) {
@@ -298,25 +257,19 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 			return st, 0, err
 		}
 	}
-	for _, id := range [...]uint32{secMeta, secKB, secDict, secTokens, secCatalog, secDomains, secSantos} {
+	for _, id := range [...]uint32{secMeta, secKB, secDict, secCatalog} {
 		if !seen[id] {
 			return st, 0, corruptf("%s: missing section id %d", file, id)
 		}
 	}
-	// Sketch-engine refusals, cross-checked after both sections decoded (meta
-	// and domains run concurrently above). These are deliberately NOT tagged
-	// ErrCorrupt: the bytes are intact and every checksum passed, so falling
-	// back to an older snapshot generation would not help — the file is
-	// refused, never guessed at.
-	if domEngine != sketch.MinHash {
-		return st, 0, fmt.Errorf("persist: %s: snapshot sketch engine %q is not implemented by this build; upgrade or rebuild the lake directory", file, domEngine)
-	}
-	st.LSH.Engine = domEngine
-	if minor >= 1 && (domSize != st.LSH.NumHashes || domSeed != st.LSH.Seed) {
-		return st, 0, fmt.Errorf("persist: %s: domains section sketch params (size %d, seed %d) disagree with meta section (size %d, seed %d)",
-			file, domSize, domSeed, st.LSH.NumHashes, st.LSH.Seed)
-	}
 	return st, seq, nil
+}
+
+// buildLake builds the lake a decoded snapshot describes: lake.New over its
+// catalog, annotated with its knowledge base as persisted, under its LSH
+// geometry. Every discovery index is rebuilt here — a snapshot carries none.
+func buildLake(st lake.State) (*lake.Lake, error) {
+	return lake.New(st.Tables, lake.Options{Knowledge: kb.FromDump(st.KB), LSH: st.LSH})
 }
 
 // writeSnapshot atomically writes the snapshot for (st, seq) into dir:

@@ -116,11 +116,7 @@ func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 	if seqs, err := listSnapshots(fsys, dir); err == nil && len(seqs) > 0 {
 		return nil, fmt.Errorf("persist: create: %s already holds %d snapshot(s); open it instead", dir, len(seqs))
 	}
-	st, err := l.Export()
-	if err != nil {
-		return nil, fmt.Errorf("persist: create: %w", err)
-	}
-	if err := writeSnapshot(fsys, dir, st, 0); err != nil {
+	if err := writeSnapshot(fsys, dir, l.Export(), 0); err != nil {
 		return nil, err
 	}
 	wal, walBytes, err := rewriteWAL(fsys, dir, nil)
@@ -141,10 +137,11 @@ func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 
 // Open recovers the lake persisted in dir: it loads the newest snapshot
 // generation that decodes cleanly (falling back past checksum failures,
-// removing the damaged files), replays every WAL record not yet folded
-// into it, truncates the log at the first torn or corrupt record, and
-// reopens the log for appending. Snapshots or logs written by a different
-// format major version are refused with a VersionError, never guessed at.
+// removing the damaged files), builds the lake from it with lake.New,
+// replays every WAL record not yet folded into it, truncates the log at the
+// first torn or corrupt record, and reopens the log for appending.
+// Snapshots or logs written by a different format major version are refused
+// with a VersionError, never guessed at.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
@@ -176,7 +173,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			rerr = corruptf("%s: header sequence %d does not match file name", snapName(seqs[i]), snapSeq)
 		}
 		if rerr == nil {
-			l, rerr = lake.Restore(st)
+			l, rerr = buildLake(st)
 			if rerr != nil {
 				rerr = fmt.Errorf("%w: %s: %s", ErrCorrupt, snapName(seqs[i]), rerr)
 			}
@@ -434,11 +431,7 @@ func (s *Store) snapshotLocked() error {
 	if len(s.snaps) > 0 && s.snapSeq == s.seq {
 		return nil
 	}
-	st, err := s.l.Export()
-	if err != nil {
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if err := writeSnapshot(s.fsys, s.dir, st, s.seq); err != nil {
+	if err := writeSnapshot(s.fsys, s.dir, s.l.Export(), s.seq); err != nil {
 		// A snapshot that failed to write is a disk-side fault (full disk,
 		// I/O error): degrade rather than keep retrying writes. When the
 		// automatic trigger fired this error from inside Add/Remove, the

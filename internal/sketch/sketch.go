@@ -1,12 +1,8 @@
 // Package sketch is the per-domain set summary behind the LSH Ensemble
 // containment index: a Sketch is the MinHash signature of one value set's
 // fingerprints — coordinate-aligned minima over a permutation family, which
-// the ensemble bands for sub-linear probing — and a Builder signs and
-// validates sketches for one (size, seed) geometry.
-//
-// MinHash is the one engine. Its name is still recorded beside persisted
-// sketches (see PERSISTENCE.md, domains section), so a snapshot naming any
-// other engine is refused rather than guessed at.
+// the ensemble bands for sub-linear probing — and a Builder signs sketches
+// for one (size, seed) geometry. MinHash is the one engine.
 package sketch
 
 import (
@@ -15,8 +11,7 @@ import (
 	"repro/internal/minhash"
 )
 
-// Engine names a sketch implementation. The name is recorded in snapshots;
-// renaming an engine is a format change.
+// Engine names a sketch implementation.
 type Engine string
 
 // MinHash is the coordinate-aligned signature engine: the only one this
@@ -46,10 +41,6 @@ type Builder interface {
 	// fingerprints are harmless: the sketch of a multiset equals the sketch
 	// of its distinct set.
 	SignInto(fps []uint64, dst Sketch) Sketch
-	// Validate checks that a restored sketch is structurally valid for this
-	// builder — the refuse-don't-guess gate the persistence layer runs on
-	// every persisted sketch before trusting it.
-	Validate(s Sketch) error
 }
 
 // New constructs the builder for p. Engines other than MinHash and
@@ -61,22 +52,14 @@ func New(p Params) (Builder, error) {
 	if p.Size <= 0 {
 		return nil, fmt.Errorf("sketch: size must be positive, got %d", p.Size)
 	}
-	return &minhashBuilder{family: minhash.NewFamily(p.Size, p.Seed), size: p.Size}, nil
+	return &minhashBuilder{family: minhash.NewFamily(p.Size, p.Seed)}, nil
 }
 
 // minhashBuilder adapts minhash.Family to the Builder interface.
 type minhashBuilder struct {
 	family *minhash.Family
-	size   int
 }
 
 func (b *minhashBuilder) SignInto(fps []uint64, dst Sketch) Sketch {
 	return Sketch(b.family.SignFingerprintsInto(fps, minhash.Signature(dst)))
-}
-
-func (b *minhashBuilder) Validate(s Sketch) error {
-	if len(s) != b.size {
-		return fmt.Errorf("sketch: minhash sketch has %d words, want %d", len(s), b.size)
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package table
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // NullID is the reserved dictionary ID of nulls. Both null kinds share it,
 // mirroring Value.Key: nulls are indistinguishable to join and subsumption
@@ -40,11 +37,6 @@ type Dict struct {
 	bools  [2]uint32 // [false, true]; 0 = unassigned
 	nan    uint32    // NaN cannot key a map (NaN != NaN); 0 = unassigned
 	vals   []Value   // vals[id-1] is the first value interned under the ID
-	// mapsStale is set by RestoreDict, which defers building the kind maps
-	// from the vals log until a caller actually needs value→ID resolution:
-	// ID-based reads (Value, Len, Snapshot) — all a freshly restored lake
-	// serves — work straight off the log. One atomic load on warmed dicts.
-	mapsStale atomic.Bool
 }
 
 // NewDict returns an empty dictionary.
@@ -53,70 +45,6 @@ func NewDict() *Dict {
 		strs:   make(map[string]uint32),
 		ints:   make(map[int64]uint32),
 		floats: make(map[float64]uint32),
-	}
-}
-
-// ensureMaps builds the deferred kind maps of a restored dictionary before
-// the first value→ID resolution. Callers invoke it before taking either
-// lock.
-func (d *Dict) ensureMaps() {
-	if !d.mapsStale.Load() {
-		return
-	}
-	d.mu.Lock()
-	if d.mapsStale.Load() {
-		d.buildMapsLocked()
-		d.mapsStale.Store(false)
-	}
-	d.mu.Unlock()
-}
-
-// buildMapsLocked reconstructs the kind maps from the vals log in one pass
-// over presized maps (incremental growth would rehash the large maps several
-// times). The log is walked in reverse so that if it ever held duplicates,
-// the earliest ID wins — the same answer sequential interning would give.
-func (d *Dict) buildMapsLocked() {
-	var nstr, nint, nfloat int
-	for i := range d.vals {
-		switch v := &d.vals[i]; v.kind {
-		case String:
-			nstr++
-		case Int:
-			nint++
-		case Float:
-			if v.f == float64(int64(v.f)) {
-				nint++
-			} else if v.f == v.f {
-				nfloat++
-			}
-		}
-	}
-	d.strs = make(map[string]uint32, nstr)
-	d.ints = make(map[int64]uint32, nint)
-	d.floats = make(map[float64]uint32, nfloat)
-	for i := len(d.vals) - 1; i >= 0; i-- {
-		id := uint32(i + 1)
-		switch v := &d.vals[i]; v.kind {
-		case String:
-			d.strs[v.s] = id
-		case Int:
-			d.ints[v.i] = id
-		case Float:
-			switch {
-			case v.f == float64(int64(v.f)):
-				d.ints[int64(v.f)] = id
-			case v.f != v.f:
-				d.nan = id
-			default:
-				d.floats[v.f] = id
-			}
-		case Bool:
-			if v.b {
-				d.bools[1] = id
-			} else {
-				d.bools[0] = id
-			}
-		}
 	}
 }
 
@@ -191,7 +119,6 @@ func (d *Dict) Intern(v Value) uint32 {
 	if v.IsNull() {
 		return NullID
 	}
-	d.ensureMaps()
 	d.mu.RLock()
 	id := d.lookupLocked(v)
 	d.mu.RUnlock()
@@ -216,7 +143,6 @@ func (d *Dict) InternRow(row []Value, dst []uint32) []uint32 {
 	}
 	dst = dst[:len(row)]
 	misses := 0
-	d.ensureMaps()
 	d.mu.RLock()
 	for i, v := range row {
 		if v.IsNull() {
@@ -251,7 +177,6 @@ func (d *Dict) Lookup(v Value) (uint32, bool) {
 	if v.IsNull() {
 		return NullID, true
 	}
-	d.ensureMaps()
 	d.mu.RLock()
 	id := d.lookupLocked(v)
 	d.mu.RUnlock()
@@ -270,6 +195,14 @@ func (d *Dict) Value(id uint32) (Value, bool) {
 		return Value{}, false
 	}
 	return d.vals[id-1], true
+}
+
+// Snapshot returns a copy of the interned values in ID order: element i was
+// interned under ID i+1.
+func (d *Dict) Snapshot() []Value {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return append([]Value(nil), d.vals...)
 }
 
 // Len reports how many distinct non-null values have been interned.

@@ -2,7 +2,6 @@ package table
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/minhash"
 )
@@ -32,30 +31,6 @@ type TokenDict struct {
 	ids  map[string]uint32
 	toks []string // toks[id-1] is the token interned under id
 	fps  []uint64 // fps[id-1] is the token's 64-bit FNV-1a fingerprint
-	// idsStale is set by RestoreTokenDict, which defers building the ids map
-	// until a caller needs token→ID resolution; ID-based reads (Token,
-	// Fingerprint(s), Len) work straight off the slices. Mirrors
-	// Dict.mapsStale.
-	idsStale atomic.Bool
-}
-
-// ensureIDs builds the deferred ids map of a restored token dictionary
-// before the first token→ID resolution. Callers invoke it before taking
-// either lock. The map is built in reverse so that if the log ever held
-// duplicates, the earliest ID wins — the answer sequential interning gives.
-func (d *TokenDict) ensureIDs() {
-	if !d.idsStale.Load() {
-		return
-	}
-	d.mu.Lock()
-	if d.idsStale.Load() {
-		d.ids = make(map[string]uint32, len(d.toks))
-		for i := len(d.toks) - 1; i >= 0; i-- {
-			d.ids[d.toks[i]] = uint32(i + 1)
-		}
-		d.idsStale.Store(false)
-	}
-	d.mu.Unlock()
 }
 
 // NewTokenDict returns an empty token dictionary.
@@ -65,7 +40,6 @@ func NewTokenDict() *TokenDict {
 
 // Intern returns the ID of tok, assigning a fresh one on first sight.
 func (d *TokenDict) Intern(tok string) uint32 {
-	d.ensureIDs()
 	d.mu.RLock()
 	id := d.ids[tok]
 	d.mu.RUnlock()
@@ -99,7 +73,6 @@ func (d *TokenDict) InternAll(toks []string, dst []uint32) []uint32 {
 	}
 	dst = dst[:len(toks)]
 	var missed []int
-	d.ensureIDs()
 	d.mu.RLock()
 	for i, tok := range toks {
 		if dst[i] = d.ids[tok]; dst[i] == 0 {
@@ -138,7 +111,6 @@ func (d *TokenDict) InternAll(toks []string, dst []uint32) []uint32 {
 // been interned. Query-side code uses Lookup so transient query tokens do
 // not grow the lake dictionary.
 func (d *TokenDict) Lookup(tok string) uint32 {
-	d.ensureIDs()
 	d.mu.RLock()
 	id := d.ids[tok]
 	d.mu.RUnlock()
