@@ -223,12 +223,6 @@ func (c *Compiled) NumLabels() int { return len(c.labels) }
 // TypeName returns the type name of a compiled type ID.
 func (c *Compiled) TypeName(id uint32) string { return c.types[id] }
 
-// TypeID returns the compiled ID of a type name.
-func (c *Compiled) TypeID(name string) (uint32, bool) {
-	id, ok := c.typeIDs[name]
-	return id, ok
-}
-
 // AncestorIDs returns the compiled ancestor chain of a type ID, nearest
 // first, with the same cycle guard as KB.Ancestors.
 func (c *Compiled) AncestorIDs(id uint32) []uint32 { return c.ancs[id] }

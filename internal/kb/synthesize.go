@@ -11,21 +11,21 @@ import (
 // sortStrings sorts in place; split out so builtin.go stays import-light.
 func sortStrings(xs []string) { sort.Strings(xs) }
 
+// minJaccard is the column-pair value-overlap threshold at or above which
+// two columns draw from the same synthesized type. It must stay positive:
+// Synthesize only compares columns that share a value, and the pairs it
+// never compares have Jaccard 0.
+const minJaccard = 0.3
+
 // SynthesizeOptions configures KB synthesis from a data lake.
 type SynthesizeOptions struct {
-	// MinJaccard is the column-pair value-overlap threshold above which two
-	// columns are considered to draw from the same synthesized type.
-	// Default 0.3.
-	MinJaccard float64
 	// MaxPairsPerTable caps the relationship pairs recorded per column pair
-	// (guards against quadratic blowup on very tall tables). Default 2000.
+	// within one table (guards against quadratic blowup on very tall
+	// tables). Default 2000.
 	MaxPairsPerTable int
 }
 
 func (o SynthesizeOptions) withDefaults() SynthesizeOptions {
-	if o.MinJaccard <= 0 {
-		o.MinJaccard = 0.3
-	}
 	if o.MaxPairsPerTable <= 0 {
 		o.MaxPairsPerTable = 2000
 	}
@@ -37,8 +37,11 @@ func (o SynthesizeOptions) withDefaults() SynthesizeOptions {
 // own value co-occurrence structure supplies semantics.
 //
 //   - Columns that are mostly textual are clustered by value-set Jaccard
-//     similarity (union-find over pairs above MinJaccard); each cluster
-//     becomes a synthesized type "syn:<representative>".
+//     similarity (union-find over pairs at or above minJaccard); each
+//     cluster becomes a synthesized type "syn:<representative>". Candidate
+//     pairs come from a posting list per shared value, so only columns
+//     that share a value are compared; the clusters, and so the KB, do not
+//     depend on the order candidates are found in.
 //   - Every distinct value of a clustered column becomes an entity of the
 //     cluster's type.
 //   - For each table and each ordered pair of clustered columns, row-aligned
@@ -87,12 +90,39 @@ func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
 			parent[rb] = ra
 		}
 	}
-	for i := 0; i < len(cols); i++ {
-		for j := i + 1; j < len(cols); j++ {
-			if tokenize.Jaccard(cols[i].values, cols[j].values) >= opts.MinJaccard {
-				union(i, j)
+	// Each value gets a dense ID and a posting list of the columns holding
+	// it. Column i counts its overlap with every earlier column j through
+	// the postings of its own values (ValueSet output is distinct, so a
+	// column enters a posting list once), then tests exactly
+	// tokenize.Jaccard's expression against the threshold.
+	valueID := make(map[string]int32)
+	var postings [][]int32
+	inter := make([]int32, len(cols))
+	var touched []int32
+	for i, cr := range cols {
+		for _, v := range cr.values {
+			id, ok := valueID[v]
+			if !ok {
+				id = int32(len(postings))
+				valueID[v] = id
+				postings = append(postings, nil)
 			}
+			for _, j := range postings[id] {
+				if inter[j] == 0 {
+					touched = append(touched, j)
+				}
+				inter[j]++
+			}
+			postings[id] = append(postings[id], int32(i))
 		}
+		for _, j := range touched {
+			n := int(inter[j])
+			if float64(n)/float64(len(cols[j].values)+len(cr.values)-n) >= minJaccard {
+				union(int(j), i)
+			}
+			inter[j] = 0
+		}
+		touched = touched[:0]
 	}
 	// Name each cluster after its lexicographically-smallest member key so
 	// synthesis is deterministic regardless of table order quirks.
