@@ -10,11 +10,12 @@ import (
 )
 
 // BenchmarkClusterDiscovery measures a full coordinator discovery fan-out —
-// all diff methods scattered over three HTTP shard servers, merged, and the
-// integration set's tables resolved — against in-process httptest shards.
-// It is the cluster-mode counterpart of the in-process sharded discovery
-// benchmarks: the delta between the two is the serialization + HTTP cost of
-// the scatter-gather seam.
+// all diff methods sent to each of three HTTP shard servers in one
+// /v1/discover call per shard, merged, and the integration set's tables
+// resolved — against in-process httptest shards. It is the cluster-mode
+// counterpart of the in-process sharded discovery benchmarks: the delta
+// between the two is the serialization + HTTP cost of the scatter-gather
+// seam.
 func BenchmarkClusterDiscovery(b *testing.B) {
 	pool := diffPool(91, 12)
 	tc := startCluster(b, pool, 3)

@@ -59,25 +59,18 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // highest; the coordinator sheds instead. A 504 is excluded too: the query
 // was too slow, not the shard absent.
 func (e *ShardError) Is(target error) bool {
-	if target != discovery.ErrShardUnavailable {
-		return false
-	}
-	return e.Status == 0 || e.Status == http.StatusServiceUnavailable
+	return target == discovery.ErrShardUnavailable && (e.Status == 0 || e.Status == http.StatusServiceUnavailable)
 }
 
 // HTTPStatus maps the shard failure onto the coordinator's response —
-// consumed structurally by serve.statusFor.
+// consumed structurally by serve.statusFor: a shard timeout and a shard's
+// client error pass through, everything else (transport failure, 503,
+// 5xx) is 503.
 func (e *ShardError) HTTPStatus() int {
-	switch {
-	case e.Status == 0, e.Status == http.StatusServiceUnavailable:
-		return http.StatusServiceUnavailable
-	case e.Status == http.StatusGatewayTimeout:
-		return http.StatusGatewayTimeout
-	case e.Status >= 400 && e.Status < 500:
+	if e.Status == http.StatusGatewayTimeout || e.Status >= 400 && e.Status < 500 {
 		return e.Status
-	default:
-		return http.StatusServiceUnavailable
 	}
+	return http.StatusServiceUnavailable
 }
 
 // RetryAfterHint passes the shard's own Retry-After through to the
@@ -136,8 +129,8 @@ func (c *shardClient) doRetry(ctx context.Context, op, method, path string, body
 	c.calls.Add(1)
 	start := time.Now()
 	defer func() { c.lat.Observe(time.Since(start)) }()
-	var payload []byte
-	if body != nil {
+	payload, encoded := body.(json.RawMessage) // sent as is
+	if body != nil && !encoded {
 		var err error
 		if payload, err = json.Marshal(body); err != nil {
 			c.errs.Add(1)
@@ -239,10 +232,37 @@ func (c *shardClient) health(ctx context.Context) (serve.HealthResponse, error) 
 	return out, err
 }
 
-func (c *shardClient) discover(ctx context.Context, req serve.DiscoverRequest) (serve.DiscoverResponse, error) {
+// unboundedK is the K sent to shards when the caller asked for an
+// unlimited ranking (k <= 0): shard-side core.Discover would coerce 0 to
+// its default of 10, which is not "all".
+const unboundedK = 1 << 30
+
+// discover asks the shard for every named method's ranking in one call. The
+// body is encoded once per run and shared across shards; a 200 that lacks
+// a requested method is a malformed response, failed like one that does
+// not decode.
+func (c *shardClient) discover(ctx context.Context, q *discovery.Query, methods []string) (serve.DiscoverResponse, error) {
 	var out serve.DiscoverResponse
-	err := c.doIdempotent(ctx, "discover", http.MethodPost, "/v1/discover", req, &out)
-	return out, err
+	body, err := q.Encoded(func() ([]byte, error) {
+		k := q.K
+		if k <= 0 {
+			k = unboundedK
+		}
+		return json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(q.Table), QueryColumn: q.Column, Methods: methods, K: k})
+	})
+	if err != nil {
+		return out, &ShardError{Shard: c.shard, Addr: c.addr, Op: "discover", Err: fmt.Errorf("encode request: %w", err)}
+	}
+	if err := c.doIdempotent(ctx, "discover", http.MethodPost, "/v1/discover", json.RawMessage(body), &out); err != nil {
+		return out, err
+	}
+	for _, m := range methods {
+		if _, ok := out.PerMethod[m]; !ok {
+			c.errs.Add(1)
+			return out, &ShardError{Shard: c.shard, Addr: c.addr, Op: "discover", Err: fmt.Errorf("decode response: no ranking for method %q", m)}
+		}
+	}
+	return out, nil
 }
 
 func (c *shardClient) lakeInfo(ctx context.Context) (serve.LakeResponse, error) {

@@ -23,9 +23,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/discovery"
@@ -417,43 +417,33 @@ func (c *Coordinator) Compact() {
 	})
 }
 
-// unboundedK is the K sent to shards when the caller asked for an
-// unlimited ranking (k <= 0): shard-side core.Discover would coerce 0 to
-// its default of 10, which is not "all".
-const unboundedK = 1 << 30
-
-// DiscoverShard runs one discoverer on one shard over the wire — the
-// remote analogue of one (discoverer, shard) work item in the in-process
-// fan-out. The shard executes the method by name against its own lake and
-// returns (name, score, column) tuples; tables come back as name-only
+// DiscoverShard runs every discoverer of a run on one shard in one
+// /v1/discover call naming all their methods. The request body is encoded
+// once per run (discovery.Query.Encoded) and shared by every shard's call.
+// The shard executes the methods by name against its own lake and returns
+// (name, score, column) tuples per method; tables come back as name-only
 // stubs for discovery.RunAll to materialize after the merge. Scores cross
-// the wire bit-exactly (shortest-round-trip float64 JSON).
-func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, d discovery.Discoverer, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
-	kk := k
-	if kk <= 0 {
-		kk = unboundedK
+// the wire bit-exactly (shortest-round-trip float64 JSON). A failed call —
+// transport error, 503, 429, 504, 4xx, or a 200 missing a requested
+// method — is one *ShardError, and it fills every slot of the shard.
+func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, ds []discovery.Discoverer, q *discovery.Query) ([][]discovery.Result, []error) {
+	methods := make([]string, len(ds))
+	for i, d := range ds {
+		methods[i] = d.Name()
 	}
-	method := d.Name()
-	resp, err := c.shards[shard].discover(ctx, serve.DiscoverRequest{
-		Query:       serve.EncodeTable(q),
-		QueryColumn: queryCol,
-		Methods:     []string{method},
-		K:           kk,
-	})
-	if err != nil {
-		return nil, err
+	per, errs := make([][]discovery.Result, len(ds)), make([]error, len(ds))
+	resp, err := c.shards[shard].discover(ctx, q, methods)
+	for i, m := range methods {
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		per[i] = make([]discovery.Result, len(resp.PerMethod[m]))
+		for j, r := range resp.PerMethod[m] {
+			per[i][j] = discovery.Result{Table: table.New(r.Table), Score: r.Score, Method: m, Column: r.Column}
+		}
 	}
-	wire := resp.PerMethod[method]
-	out := make([]discovery.Result, 0, len(wire))
-	for _, r := range wire {
-		out = append(out, discovery.Result{
-			Table:  table.New(r.Table),
-			Score:  r.Score,
-			Method: method,
-			Column: r.Column,
-		})
-	}
-	return out, nil
+	return per, errs
 }
 
 // ResolveTables materializes a merged ranking — FetchTables under
@@ -562,7 +552,6 @@ func involvedShards[T any](perShard [][]T) []int {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -578,6 +567,5 @@ func firstErr(errs []error) error {
 
 // isUnavailable reports whether err means "shard cannot answer right now".
 func isUnavailable(err error) bool {
-	se, ok := err.(*ShardError)
-	return ok && se.Is(discovery.ErrShardUnavailable)
+	return errors.Is(err, discovery.ErrShardUnavailable)
 }

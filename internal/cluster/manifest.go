@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/sketch"
 )
@@ -135,23 +136,11 @@ func ReconcileManifest(dir string, addrs []string) (*Manifest, error) {
 	if m.Shards != len(addrs) {
 		return nil, fmt.Errorf("cluster: manifest pins %d shards but %d addresses were given — placement is name-hash mod shard count, so changing the count silently misroutes every lookup; rebuild the cluster instead", m.Shards, len(addrs))
 	}
-	if !equalStrings(m.Addrs, addrs) {
+	if !slices.Equal(m.Addrs, addrs) {
 		m.Addrs = addrs
 		if err := SaveManifest(dir, m); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

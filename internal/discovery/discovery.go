@@ -265,13 +265,15 @@ func jaccard(a, b []string) float64 {
 
 // mergeIntegrationSet merges the query table with discovery results from any
 // number of methods into the integration set fed to ALITE: the query
-// first, then discovered tables deduplicated by name in rank order.
+// first, then discovered tables deduplicated by name in rank order. A
+// column-less table — a remote result stub that could not be materialized —
+// cannot be integrated and is left out.
 func mergeIntegrationSet(q *table.Table, resultSets ...[]Result) []*table.Table {
 	out := []*table.Table{q}
 	seen := map[string]bool{q.Name: true}
 	for _, rs := range resultSets {
 		for _, r := range rs {
-			if !seen[r.Table.Name] {
+			if r.Table.NumCols() > 0 && !seen[r.Table.Name] {
 				seen[r.Table.Name] = true
 				out = append(out, r.Table)
 			}

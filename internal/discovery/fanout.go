@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/lake"
 	"repro/internal/par"
@@ -15,13 +16,13 @@ import (
 // seqlock epoch vector that guards multi-index reads. *lake.Lake (its own
 // single shard), *lake.Sharded, and the lake.Catalog interface the pipeline
 // holds all satisfy it, as does a cluster coordinator whose shards are
-// remote processes. How one (discoverer, shard) work item is executed is the
-// target's second interface — in-process targets expose
-// `Shards() []*lake.Lake` and the item is a direct Discover call on the
-// shard lake; remote targets implement Remote and the item is one
-// DiscoverShard transport call. Everything around the item — slot layout,
-// panic containment, tolerance, merge, epoch guard — is the one fan-out in
-// RunAll.
+// remote processes. How a work item is executed is the target's second
+// interface — in-process targets expose `Shards() []*lake.Lake` and the
+// item is one (discoverer, shard) pair, a direct Discover call on the shard
+// lake; remote targets implement Remote and the item is one shard, a single
+// DiscoverShard transport call carrying every discoverer of the run.
+// Everything around the item — the (discoverer, shard) slot grid, panic
+// containment, tolerance, merge, epoch guard — is the one fan-out in RunAll.
 type Target interface {
 	// Epochs samples the target's mutation-epoch vector — see
 	// lake.Catalog.Epochs for the seqlock protocol. A clean run samples
@@ -31,23 +32,50 @@ type Target interface {
 
 // Remote extends Target for shard sets reached over a transport (the
 // cluster coordinator's HTTP shards). The fan-out calls DiscoverShard once
-// per discoverer×shard work item; implementations run the named method on
-// the remote shard and return its ranked results, whose Table pointers may
-// be name-only stubs. After the merge, RunAll materializes the surviving
-// top-k through one ResolveTables batch.
+// per shard with every discoverer of the run; implementations run the
+// named methods on the remote shard in one round trip and return their
+// ranked results, whose Table pointers may be name-only stubs. After the
+// merge, RunAll materializes the surviving top-k through one ResolveTables
+// batch.
 type Remote interface {
 	Target
 	// NumShards reports the shard count (fixed for the target's lifetime).
 	NumShards() int
-	// DiscoverShard runs one discoverer on one shard. An error wrapping
-	// ErrShardUnavailable marks the shard down/degraded — tolerated by
-	// RunAll; any other error is a hard failure.
-	DiscoverShard(ctx context.Context, shard int, d Discoverer, q *table.Table, queryCol, k int) ([]Result, error)
+	// DiscoverShard runs the discoverers ds on one shard and returns one
+	// ranking and one error per discoverer, in ds order: slot i is ds[i]'s
+	// (discoverer, shard) slot of the fan-out. A failure of the shard as a
+	// whole fills every error slot. An error wrapping ErrShardUnavailable
+	// marks the shard down/degraded — tolerated by RunAll; any other error
+	// is a hard failure.
+	DiscoverShard(ctx context.Context, shard int, ds []Discoverer, q *Query) ([][]Result, []error)
 	// ResolveTables fetches the named tables. Names it cannot resolve —
 	// removed mid-run, or their shard became unreachable after answering
 	// the discover call — are simply absent from the map; implementations
 	// return an error only for malformed responses.
 	ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error)
+}
+
+// Query is one RunAll call's query as a Remote receives it. Every shard
+// call of the run — the torn-read retry's included — gets the same *Query,
+// so a transport encodes its request once per run instead of once per
+// shard (Encoded).
+type Query struct {
+	Table  *table.Table
+	Column int
+	// K is the per-method result bound; k <= 0 means unbounded.
+	K int
+
+	once    sync.Once
+	encoded []byte
+	err     error
+}
+
+// Encoded returns what encode returns, running encode on the run's first
+// call only; concurrent callers wait for it. encode must not depend on
+// which shard asks.
+func (q *Query) Encoded(encode func() ([]byte, error)) ([]byte, error) {
+	q.once.Do(func() { q.encoded, q.err = encode() })
+	return q.encoded, q.err
 }
 
 // ErrShardUnavailable marks a per-shard discovery failure caused by the
@@ -108,45 +136,57 @@ func epochsClean(e1, e2 []uint64) bool {
 	return true
 }
 
-// shardCall executes one (discoverer, shard) work item of the fan-out.
-type shardCall func(ctx context.Context, d Discoverer, shard int) ([]Result, error)
+// shardCall runs work item j of one fan-out attempt and writes the
+// (discoverer, shard) slots it covers: slot i*ns+s holds discoverer i's
+// ranking on shard s, and slot j is always the item's first slot.
+type shardCall func(ctx context.Context, j int, per [][]Result, errs []error)
 
 // resolveFunc is Remote.ResolveTables: names in, materialized tables out.
 type resolveFunc func(ctx context.Context, names []string) (map[string]*table.Table, error)
 
-// shardCalls resolves how the target's shards are reached: the shard count
-// plus the per-item call. resolve is non-nil when results arrive as
-// name-only stubs that must be materialized after the merge (remote
-// targets). In-process shard lists are re-read on every call, so a retried
-// attempt sees the target's current shards.
-func shardCalls(t Target, q *table.Table, queryCol, k int) (ns int, call shardCall, resolve resolveFunc, err error) {
+// shardCalls resolves how the target's shards are reached: the shard count,
+// the number of work items and the per-item call. An in-process item is
+// one slot — item j runs discoverer j/ns on shard j%ns — so no method
+// waits for another method on its shard; a remote item is one shard — item
+// j is a single DiscoverShard call carrying every discoverer to shard j,
+// and there is none when there is no discoverer. resolve is non-nil when
+// results arrive as name-only stubs that must be materialized after the
+// merge (remote targets). In-process shard lists are re-read on every
+// call, so a retried attempt sees the target's current shards.
+func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardCall, resolve resolveFunc, err error) {
 	switch tt := t.(type) {
 	case interface{ Shards() []*lake.Lake }:
 		shards := tt.Shards()
-		return len(shards), func(ctx context.Context, d Discoverer, shard int) ([]Result, error) {
-			return d.Discover(ctx, shards[shard], q, queryCol, k)
+		ns = len(shards)
+		return ns, len(ds) * ns, func(ctx context.Context, j int, per [][]Result, errs []error) {
+			per[j], errs[j] = ds[j/ns].Discover(ctx, shards[j%ns], q.Table, q.Column, q.K)
 		}, nil, nil
 	case Remote:
-		return tt.NumShards(), func(ctx context.Context, d Discoverer, shard int) ([]Result, error) {
-			return tt.DiscoverShard(ctx, shard, d, q, queryCol, k)
+		ns = tt.NumShards()
+		return ns, min(len(ds), 1) * ns, func(ctx context.Context, shard int, per [][]Result, errs []error) {
+			rs, es := tt.DiscoverShard(ctx, shard, ds, q)
+			for i := range ds {
+				per[i*ns+shard], errs[i*ns+shard] = rs[i], es[i]
+			}
 		}, tt.ResolveTables, nil
 	default:
-		return 0, nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
+		return 0, 0, nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
 	}
 }
 
 // RunAll executes the given discoverers over one query against every shard
 // of the target and returns the merged result lists slot-indexed: out[i] is
-// ds[i]'s ranked results over the whole catalog. Work item j covers
-// discoverer j/ns on shard j%ns. Per-shard rankings concatenate and re-rank
-// by (score descending, table name ascending) — table names are unique
-// catalog-wide, so the comparator is total and the merge deterministic
-// regardless of shard count, transport or scheduling; against a
-// single-shard target the output is byte-identical to running the methods
-// sequentially. The shards' indexes are immutable and every shared interner
-// is lock-protected, so discoverers — including user-defined similarity
-// hooks (Fig. 4), which must be safe to call concurrently — run without
-// coordination across the discoverer×shard fan-out.
+// ds[i]'s ranked results over the whole catalog. The fan-out fills one slot
+// per (discoverer, shard) pair — one work item per slot in process, one
+// work item per shard for a Remote (see shardCalls). Per-shard rankings
+// concatenate and re-rank by (score descending, table name ascending) —
+// table names are unique catalog-wide, so the comparator is total and the
+// merge deterministic regardless of shard count, transport or scheduling;
+// against a single-shard target the output is byte-identical to running
+// the methods sequentially. The shards' indexes are immutable and every
+// shared interner is lock-protected, so discoverers — including
+// user-defined similarity hooks (Fig. 4), which must be safe to call
+// concurrently — run without coordination across the fan-out.
 //
 // Errors and degradation: slots whose error wraps ErrShardUnavailable — a
 // remote shard down, shedding, or degraded — contribute empty rankings
@@ -158,8 +198,12 @@ func shardCalls(t Target, q *table.Table, queryCol, k int) (ns int, call shardCa
 // about, and the run fails with the first slot's error (a down remote
 // shard's 503 + Retry-After) instead of an empty ranking. Any other failure
 // fails the whole run with the first error in (discoverer, shard) slot
-// order — deterministic regardless of which worker finished first. A panicking discoverer surfaces as its slot's *PanicError: on a
-// worker goroutine a panic would otherwise kill the process.
+// order — deterministic regardless of which worker finished first. A
+// failure of a remote shard as a whole lands in every slot of that shard.
+// A panicking discoverer surfaces as its slot's *PanicError: on a worker
+// goroutine a panic would otherwise kill the process (a Remote contains
+// its own methods' panics; one escaping DiscoverShard is charged to the
+// item's first slot).
 //
 // Torn-read protection: a discovery run concurrent with Add/Remove could
 // otherwise observe the lake between per-index updates (a table visible to
@@ -176,22 +220,23 @@ func shardCalls(t Target, q *table.Table, queryCol, k int) (ns int, call shardCa
 // in-flight discoverer has returned — cancelling a query never leaks a
 // worker goroutine — and reports ctx.Err() when the context was cancelled.
 func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, error) {
+	query := &Query{Table: q, Column: queryCol, K: k}
 	for attempt := 0; ; attempt++ {
 		e1 := t.Epochs()
-		ns, call, resolve, err := shardCalls(t, q, queryCol, k)
+		ns, items, call, resolve, err := shardCalls(t, query, ds)
 		if err != nil {
 			return nil, nil, err
 		}
 		nd := len(ds)
 		per := make([][]Result, nd*ns)
 		errs := make([]error, nd*ns)
-		ferr := par.ForCtx(ctx, nd*ns, func(j int) {
+		ferr := par.ForCtx(ctx, items, func(j int) {
 			defer func() {
 				if r := recover(); r != nil {
 					errs[j] = &PanicError{Method: ds[j/ns].Name(), Value: r}
 				}
 			}()
-			per[j], errs[j] = call(ctx, ds[j/ns], j%ns)
+			call(ctx, j, per, errs)
 		})
 		if ferr != nil {
 			return nil, nil, ferr
@@ -359,15 +404,5 @@ func Discover(ctx context.Context, r *Registry, t Target, q *table.Table, queryC
 	for i, m := range methods {
 		perMethod[m] = all[i]
 	}
-	integrable := make([][]Result, len(all))
-	for i, rs := range all {
-		keep := make([]Result, 0, len(rs))
-		for _, r := range rs {
-			if r.Table.NumCols() > 0 {
-				keep = append(keep, r)
-			}
-		}
-		integrable[i] = keep
-	}
-	return perMethod, mergeIntegrationSet(q, integrable...), shardErrs, nil
+	return perMethod, mergeIntegrationSet(q, all...), shardErrs, nil
 }

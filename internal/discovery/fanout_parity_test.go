@@ -33,14 +33,28 @@ type stubRemote struct {
 func (r *stubRemote) Epochs() []uint64 { return r.sh.Epochs() }
 func (r *stubRemote) NumShards() int   { return r.sh.NumShards() }
 
-func (r *stubRemote) DiscoverShard(ctx context.Context, shard int, d discovery.Discoverer, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
-	rs, err := d.Discover(ctx, r.sh.Shards()[shard], q, queryCol, k)
-	out := make([]discovery.Result, len(rs))
-	for i, res := range rs {
-		res.Table = table.New(res.Table.Name) // only the name crosses the wire
-		out[i] = res
+// DiscoverShard runs the methods one after another on the shard, each in
+// its own slot: a method's panic is contained and answered for that method,
+// as a shard process answers for the methods it runs.
+func (r *stubRemote) DiscoverShard(ctx context.Context, shard int, ds []discovery.Discoverer, q *discovery.Query) ([][]discovery.Result, []error) {
+	per, errs := make([][]discovery.Result, len(ds)), make([]error, len(ds))
+	for i, d := range ds {
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					errs[i] = &discovery.PanicError{Method: d.Name(), Value: v}
+				}
+			}()
+			rs, err := d.Discover(ctx, r.sh.Shards()[shard], q.Table, q.Column, q.K)
+			out := make([]discovery.Result, len(rs))
+			for j, res := range rs {
+				res.Table = table.New(res.Table.Name) // only the name crosses the wire
+				out[j] = res
+			}
+			per[i], errs[i] = out, err
+		}()
 	}
-	return out, err
+	return per, errs
 }
 
 func (r *stubRemote) ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error) {

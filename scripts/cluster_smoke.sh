@@ -110,7 +110,10 @@ echo "   integrated $(jq '.table.rows | length' "$WORK/integrate_resp.json") row
 
 echo "== health + per-shard metrics"
 curl -sf "$COORD/healthz" | jq -e '.status == "ok" and (.shards | length == 3)' >/dev/null
-curl -sf "$COORD/metrics" | grep -q 'dialite_shard_calls_total'
+# Capture the body first: `curl | grep -q` fails under pipefail, since grep
+# exits on its first match and curl then dies writing to the closed pipe (23).
+metrics="$(curl -sf "$COORD/metrics")"
+grep -q 'dialite_shard_calls_total' <<<"$metrics"
 curl -sf "$COORD/metrics?format=json&scope=shards" | jq -e 'length == 3' >/dev/null
 
 echo "== cluster smoke OK"
