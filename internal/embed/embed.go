@@ -50,53 +50,86 @@ func addFeature(vec []float64, feature string, weight float64) {
 	vec[bucket(feature)] += weight
 }
 
-// Column embeds a column's cells. knowledge may be nil, in which case no
-// semantic-type features are produced (the X5 ablation measures exactly
-// this). The result is L2-normalized; an all-null column embeds to the
-// zero vector.
-func Column(values []table.Value, knowledge *kb.KB) []float64 {
-	vec := make([]float64, Dim)
-	for _, v := range values {
-		if v.IsNull() {
-			continue
-		}
-		switch v.Kind() {
-		case table.String:
-			addFeature(vec, "kind:text", wKind)
-			s := v.Str()
-			if knowledge != nil {
-				for _, t := range knowledge.TypesOf(s) {
-					addFeature(vec, "kbtype:"+t, wKBType)
-					for _, anc := range knowledge.Ancestors(t) {
-						addFeature(vec, "kbtype:"+anc, wKBType/2)
+// feature is one hashed feature occurrence: a coordinate and its weight.
+type feature struct {
+	bucket int
+	weight float64
+}
+
+// Columns embeds every column of an integration set: one vector per
+// column, tables in order and columns in order within each. knowledge may
+// be nil, in which case no semantic-type features are produced (the X5
+// ablation measures exactly this). Each vector is L2-normalized; an
+// all-null column embeds to the zero vector.
+//
+// A string value's features depend on the value alone, so they are derived
+// once per distinct value across the set — feature strings built, hashed
+// and KB types looked up — and replayed, in their emission order, into
+// every column holding the value. Each coordinate receives the same
+// additions in the same order as embedding the column on its own, so the
+// float64 sums are bit-identical to it.
+func Columns(tables []*table.Table, knowledge *kb.KB) [][]float64 {
+	memo := make(map[string][]feature)
+	var out [][]float64
+	for _, t := range tables {
+		for c := range t.Columns {
+			vec := make([]float64, Dim)
+			for _, row := range t.Rows {
+				v := row[c]
+				switch v.Kind() {
+				case table.String:
+					fs, ok := memo[v.Str()]
+					if !ok {
+						fs = stringFeatures(v.Str(), knowledge)
+						memo[v.Str()] = fs
 					}
+					for _, f := range fs {
+						vec[f.bucket] += f.weight
+					}
+				case table.Int, table.Float:
+					addFeature(vec, "kind:num", wKind)
+					f, _ := v.AsFloat()
+					addFeature(vec, "mag:"+strconv.Itoa(magnitude(f)), wNumeric)
+					if f < 0 {
+						addFeature(vec, "neg", wNumeric)
+					}
+					if v.Kind() == table.Float && f != math.Trunc(f) {
+						addFeature(vec, "frac", wNumeric)
+					}
+				case table.Bool:
+					addFeature(vec, "kind:bool", wKind)
 				}
 			}
-			for _, tok := range tokenize.Words(s) {
-				addFeature(vec, "tok:"+tok, wToken)
-				if isNumericToken(tok) {
-					addFeature(vec, "tokdigits:"+strconv.Itoa(len(tok)), wNumeric)
-				}
-			}
-			for _, g := range tokenize.QGrams(s, 3) {
-				addFeature(vec, "3g:"+g, wTrigram)
-			}
-		case table.Int, table.Float:
-			addFeature(vec, "kind:num", wKind)
-			f, _ := v.AsFloat()
-			addFeature(vec, "mag:"+strconv.Itoa(magnitude(f)), wNumeric)
-			if f < 0 {
-				addFeature(vec, "neg", wNumeric)
-			}
-			if v.Kind() == table.Float && f != math.Trunc(f) {
-				addFeature(vec, "frac", wNumeric)
-			}
-		case table.Bool:
-			addFeature(vec, "kind:bool", wKind)
+			normalize(vec)
+			out = append(out, vec)
 		}
 	}
-	normalize(vec)
-	return vec
+	return out
+}
+
+// stringFeatures lists a string value's features in emission order: its
+// kind, its KB types (each followed by its decayed ancestors), its word
+// tokens (with a digit-count feature for numeric ones) and its trigrams.
+func stringFeatures(s string, knowledge *kb.KB) []feature {
+	fs := []feature{{bucket("kind:text"), wKind}}
+	if knowledge != nil {
+		for _, t := range knowledge.TypesOf(s) {
+			fs = append(fs, feature{bucket("kbtype:" + t), wKBType})
+			for _, anc := range knowledge.Ancestors(t) {
+				fs = append(fs, feature{bucket("kbtype:" + anc), wKBType / 2})
+			}
+		}
+	}
+	for _, tok := range tokenize.Words(s) {
+		fs = append(fs, feature{bucket("tok:" + tok), wToken})
+		if isNumericToken(tok) {
+			fs = append(fs, feature{bucket("tokdigits:" + strconv.Itoa(len(tok))), wNumeric})
+		}
+	}
+	for _, g := range tokenize.QGrams(s, 3) {
+		fs = append(fs, feature{bucket("3g:" + g), wTrigram})
+	}
+	return fs
 }
 
 // Header embeds a column header (tokens and trigrams under a separate

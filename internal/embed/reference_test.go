@@ -1,0 +1,132 @@
+package embed
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"testing"
+
+	"repro/internal/kb"
+	"repro/internal/paperdata"
+	"repro/internal/synth"
+	"repro/internal/table"
+	"repro/internal/tokenize"
+)
+
+// Column is the per-column embedding Columns replaced, kept verbatim as the
+// reference: it derives every string value's features again in every
+// column that holds it. The property tests in embed_test.go pin its
+// behaviour, and TestColumnsMatchReference pins Columns to it bit for bit.
+func Column(values []table.Value, knowledge *kb.KB) []float64 {
+	vec := make([]float64, Dim)
+	for _, v := range values {
+		if v.IsNull() {
+			continue
+		}
+		switch v.Kind() {
+		case table.String:
+			addFeature(vec, "kind:text", wKind)
+			s := v.Str()
+			if knowledge != nil {
+				for _, t := range knowledge.TypesOf(s) {
+					addFeature(vec, "kbtype:"+t, wKBType)
+					for _, anc := range knowledge.Ancestors(t) {
+						addFeature(vec, "kbtype:"+anc, wKBType/2)
+					}
+				}
+			}
+			for _, tok := range tokenize.Words(s) {
+				addFeature(vec, "tok:"+tok, wToken)
+				if isNumericToken(tok) {
+					addFeature(vec, "tokdigits:"+strconv.Itoa(len(tok)), wNumeric)
+				}
+			}
+			for _, g := range tokenize.QGrams(s, 3) {
+				addFeature(vec, "3g:"+g, wTrigram)
+			}
+		case table.Int, table.Float:
+			addFeature(vec, "kind:num", wKind)
+			f, _ := v.AsFloat()
+			addFeature(vec, "mag:"+strconv.Itoa(magnitude(f)), wNumeric)
+			if f < 0 {
+				addFeature(vec, "neg", wNumeric)
+			}
+			if v.Kind() == table.Float && f != math.Trunc(f) {
+				addFeature(vec, "frac", wNumeric)
+			}
+		case table.Bool:
+			addFeature(vec, "kind:bool", wKind)
+		}
+	}
+	normalize(vec)
+	return vec
+}
+
+// checkColumnsMatchReference asserts that Columns over an integration set
+// equals Column over each of its columns, coordinate by coordinate, in
+// float64 bits.
+func checkColumnsMatchReference(t *testing.T, label string, set []*table.Table, knowledge *kb.KB) {
+	t.Helper()
+	got := Columns(set, knowledge)
+	i := 0
+	for _, tb := range set {
+		for c := range tb.Columns {
+			if i >= len(got) {
+				t.Fatalf("%s: %d vectors, want more", label, len(got))
+			}
+			want := Column(tb.Column(c), knowledge)
+			for d := range want {
+				if math.Float64bits(got[i][d]) != math.Float64bits(want[d]) {
+					t.Fatalf("%s: %s column %d coordinate %d: %v, want %v", label, tb.Name, c, d, got[i][d], want[d])
+				}
+			}
+			i++
+		}
+	}
+	if i != len(got) {
+		t.Fatalf("%s: %d vectors, want %d", label, len(got), i)
+	}
+}
+
+func TestColumnsMatchReference(t *testing.T) {
+	demo := kb.Demo()
+	s := func(v string) table.Value { return table.StringValue(v) }
+	mixed := table.New("mixed", "city", "num", "flag", "mixed")
+	for _, row := range [][]table.Value{
+		{s("Berlin"), table.IntValue(63), table.BoolValue(true), s("New York 2021")},
+		{s("Boston"), table.FloatValue(-8.25), table.BoolValue(false), table.IntValue(1400000)},
+		{table.NullValue(), table.FloatValue(1e15), table.ProducedNull(), s("Berlin")},
+		{s("Berlin"), table.IntValue(-5), table.NullValue(), s("")},
+		{s("USA"), table.FloatValue(0.5), table.BoolValue(true), s("J&J 42")},
+	} {
+		mixed.MustAddRow(row...)
+	}
+	lk := synth.GenerateLake(synth.LakeOptions{Families: 3, TablesPerFamily: 4, RowsPerTable: 40, JoinablePerFamily: 2, NoiseTables: 2, Seed: 1})
+	synthKB := kb.Demo().Merge(kb.Synthesize(lk.Tables, kb.SynthesizeOptions{}))
+	sets := map[string][]*table.Table{
+		"fig2":     {paperdata.T1(), paperdata.T2(), paperdata.T3()},
+		"fig8":     {paperdata.T4(), paperdata.T5(), paperdata.T6(), paperdata.Fig8aExpected(), paperdata.Fig8bExpected()},
+		"vaccines": paperdata.VaccineSet(),
+		"covid":    paperdata.CovidLake(),
+		"mixed":    {mixed, paperdata.T1(), mixed},
+		"empty":    {table.New("none"), table.New("rows only", "a")},
+	}
+	for name, set := range sets {
+		for kname, know := range map[string]*kb.KB{"demo": demo, "nil": nil} {
+			checkColumnsMatchReference(t, fmt.Sprintf("%s kb=%s", name, kname), set, know)
+		}
+	}
+	// A synth integration set: one family's partitions and joinable tables,
+	// which repeat values across columns and tables.
+	var family []*table.Table
+	for _, tb := range lk.Tables {
+		if lk.Truth.FamilyOf[tb.Name] == 0 {
+			family = append(family, tb)
+		}
+	}
+	if len(family) < 2 {
+		t.Fatalf("synth family 0 has %d tables", len(family))
+	}
+	checkColumnsMatchReference(t, "synth family 0", family, synthKB)
+	checkColumnsMatchReference(t, "synth lake", lk.Tables, synthKB)
+}

@@ -17,9 +17,12 @@
 package er
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"iter"
+	"math"
+	"slices"
 
 	"repro/internal/kb"
 	"repro/internal/table"
@@ -56,14 +59,36 @@ func (o Options) annotator() *kb.Annotator {
 
 // cellCodes resolves every cell of t through the cache once; codes[r][c] is
 // the annotation code of row r, column c (kb.CodeEmpty for nulls and
-// empty-canonical values).
+// empty-canonical values). A numeric cell's code is a function of its
+// rendering, which is a function of its kind and bits, so each distinct
+// (kind, bits) is rendered and resolved once per table.
 func cellCodes(t *table.Table, ann *kb.Annotator) [][]uint32 {
+	type number struct {
+		kind table.Kind
+		bits uint64
+	}
+	numbers := make(map[number]uint32)
 	codes := make([][]uint32, len(t.Rows))
 	flat := make([]uint32, len(t.Rows)*t.NumCols())
 	for r, row := range t.Rows {
 		cr := flat[r*t.NumCols() : (r+1)*t.NumCols() : (r+1)*t.NumCols()]
 		for c, v := range row {
-			cr[c] = ann.Code(v)
+			var n number
+			switch v.Kind() {
+			case table.Int:
+				n = number{table.Int, uint64(v.IntVal())}
+			case table.Float:
+				n = number{table.Float, math.Float64bits(v.FloatVal())}
+			default:
+				cr[c] = ann.Code(v)
+				continue
+			}
+			code, ok := numbers[n]
+			if !ok {
+				code = ann.Code(v)
+				numbers[n] = code
+			}
+			cr[c] = code
 		}
 		codes[r] = cr
 	}
@@ -101,20 +126,12 @@ type Resolution struct {
 	Resolved *table.Table
 }
 
-// Similarity scores two aligned rows. comparable is false when the rows
-// share no column filled on both sides (such rows can never be resolved —
-// the fate of the outer join's f9/f10) or when a shared column triggers
-// the conflict veto.
-func Similarity(a, b []table.Value, opts Options) (score float64, comparable bool) {
-	opts = opts.withDefaults()
-	return similarityWith(a, b, opts, func(i int) float64 {
-		return cellSimilarity(a[i], b[i], opts.Knowledge)
-	})
-}
-
-// similarityCodes is Similarity over pre-resolved annotation codes: the
-// entity-identity shortcut is an integer comparison instead of two
-// canonicalizations per compared cell. opts must already have defaults.
+// similarityCodes scores two aligned rows over pre-resolved annotation
+// codes: the entity-identity shortcut is an integer comparison instead of
+// two canonicalizations per compared cell. comparable is false when the
+// rows share no column filled on both sides (such rows can never be
+// resolved — the fate of the outer join's f9/f10) or when a shared column
+// triggers the conflict veto. opts must already have defaults.
 func similarityCodes(a, b []table.Value, ca, cb []uint32, opts Options, tc *textCache) (float64, bool) {
 	return similarityWith(a, b, opts, func(i int) float64 {
 		return cellSimilarityCodes(a[i], b[i], ca[i], cb[i], tc)
@@ -167,7 +184,8 @@ func cellSimilarity(a, b table.Value, knowledge *kb.KB) float64 {
 	if knowledge != nil && knowledge.SameEntity(as, bs) {
 		return 1
 	}
-	return textSimilarity(as, bs)
+	fa, fb := newTextFeat(as), newTextFeat(bs)
+	return fa.similarity(&fb)
 }
 
 // cellSimilarityCodes is cellSimilarity with the entity-identity check over
@@ -189,38 +207,55 @@ func cellSimilarityCodes(a, b table.Value, ca, cb uint32, tc *textCache) float64
 	if kb.SameCode(ca, cb) {
 		return 1
 	}
-	fa, fb := tc.get(ca, a.String()), tc.get(cb, b.String())
-	lev := levenshteinRatio(fa.norm, fb.norm)
-	jac := tokenize.Jaccard(fa.words, fb.words)
+	return tc.score(tc.get(ca, a.String()), tc.get(cb, b.String()))
+}
+
+// textFeat is the text-fallback view of one cell rendering: its normalized
+// form (Levenshtein input) and word set (Jaccard input), plus its dense id
+// within a textCache.
+type textFeat struct {
+	raw   string
+	norm  string
+	words []string
+	id    uint32
+}
+
+func newTextFeat(raw string) textFeat {
+	return textFeat{raw: raw, norm: tokenize.Normalize(raw), words: tokenize.Words(raw)}
+}
+
+// similarity is the string fallback: the better of the Levenshtein ratio
+// over normalized forms and the token Jaccard.
+func (f *textFeat) similarity(o *textFeat) float64 {
+	lev := levenshteinRatio(f.norm, o.norm)
+	jac := tokenize.Jaccard(f.words, o.words)
 	if jac > lev {
 		return jac
 	}
 	return lev
 }
 
-// textFeat is the memoized text-fallback view of one cell rendering: its
-// normalized form (Levenshtein input) and word set (Jaccard input).
-type textFeat struct {
-	raw   string
-	norm  string
-	words []string
-}
-
-// textCache memoizes textFeat per (annotation code, raw rendering) for one
-// resolution run. A cell value reaching the text fallback is re-compared
-// against every blocking partner, so without the cache Normalize and Words
-// re-derive the same strings once per candidate pair instead of once per
-// distinct rendering. Keying by code alone would be unsound — alias
-// renderings ("USA", "United States") share a code but have different word
-// sets — so each code holds a small list keyed by the raw string (almost
-// always length 1; aliases rarely reach the fallback at all, since equal
-// codes already scored 1).
+// textCache memoizes the text fallback for one resolution run. Blocking
+// re-compares a cell value against every partner, and the same value pairs
+// recur across rows and columns, so it keeps:
+//
+//   - one textFeat per (annotation code, raw rendering). Keying by code
+//     alone would be unsound — alias renderings ("USA", "United States")
+//     share a code but have different word sets — so each code holds a
+//     small list keyed by the raw string (almost always length 1; aliases
+//     rarely reach the fallback at all, since equal codes already scored 1);
+//   - one score per ordered pair of textFeat ids, so each distinct pair of
+//     renderings pays for one Levenshtein and one Jaccard.
+//
+// The memo lives and dies with one request; nothing is shared.
 type textCache struct {
-	feats map[uint32][]textFeat
+	feats  map[uint32][]textFeat
+	n      uint32
+	scores map[uint64]float64
 }
 
 func newTextCache() *textCache {
-	return &textCache{feats: make(map[uint32][]textFeat)}
+	return &textCache{feats: make(map[uint32][]textFeat), scores: make(map[uint64]float64)}
 }
 
 func (tc *textCache) get(code uint32, raw string) *textFeat {
@@ -230,9 +265,23 @@ func (tc *textCache) get(code uint32, raw string) *textFeat {
 			return &l[i]
 		}
 	}
-	l = append(l, textFeat{raw: raw, norm: tokenize.Normalize(raw), words: tokenize.Words(raw)})
+	f := newTextFeat(raw)
+	f.id = tc.n
+	tc.n++
+	l = append(l, f)
 	tc.feats[code] = l
 	return &l[len(l)-1]
+}
+
+// score returns a.similarity(b), computed once per ordered pair.
+func (tc *textCache) score(a, b *textFeat) float64 {
+	key := uint64(a.id)<<32 | uint64(b.id)
+	s, ok := tc.scores[key]
+	if !ok {
+		s = a.similarity(b)
+		tc.scores[key] = s
+	}
+	return s
 }
 
 // numericSimilarity scores two numeric cells by relative closeness.
@@ -249,17 +298,6 @@ func numericSimilarity(af, bf float64) float64 {
 		return 0
 	}
 	return 1 - d/den
-}
-
-// textSimilarity is the string fallback: the better of the Levenshtein
-// ratio over normalized forms and the token Jaccard.
-func textSimilarity(as, bs string) float64 {
-	lev := levenshteinRatio(tokenize.Normalize(as), tokenize.Normalize(bs))
-	jac := tokenize.Jaccard(tokenize.Words(as), tokenize.Words(bs))
-	if jac > lev {
-		return jac
-	}
-	return lev
 }
 
 func maxAbs(a, b float64) float64 {
@@ -350,7 +388,6 @@ func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowled
 		return nil, err
 	}
 	codes := cellCodes(t, ann)
-	candidates := blockPairsCodes(codes)
 	tc := newTextCache()
 	done := ctx.Done()
 	parent := make([]int, t.NumRows())
@@ -366,7 +403,8 @@ func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowled
 		return x
 	}
 	res := &Resolution{Input: t}
-	for pi, p := range candidates {
+	pi := 0
+	for a, b := range candidatePairs(codes) {
 		if done != nil && pi%pairCancelStride == 0 {
 			select {
 			case <-done:
@@ -374,14 +412,15 @@ func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowled
 			default:
 			}
 		}
-		sc, comparable := score(t.Rows[p[0]], t.Rows[p[1]], codes[p[0]], codes[p[1]], tc)
+		pi++
+		sc, comparable := score(t.Rows[a], t.Rows[b], codes[a], codes[b], tc)
 		if !comparable {
 			continue
 		}
-		pair := Pair{A: p[0], B: p[1], Score: sc, Matched: sc >= threshold}
+		pair := Pair{A: a, B: b, Score: sc, Matched: sc >= threshold}
 		res.Pairs = append(res.Pairs, pair)
 		if pair.Matched {
-			ra, rb := find(p[0]), find(p[1])
+			ra, rb := find(a), find(b)
 			if ra != rb {
 				if ra > rb {
 					ra, rb = rb, ra
@@ -390,61 +429,66 @@ func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowled
 			}
 		}
 	}
-	byRoot := make(map[int][]int)
-	for i := 0; i < t.NumRows(); i++ {
+	// A root is the smallest row of its cluster (unions keep the smaller
+	// root), so one ascending pass lists clusters by first member, each
+	// sorted.
+	cluster := make([]int, t.NumRows())
+	for i := range cluster {
 		r := find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		sort.Ints(byRoot[r])
-		res.Clusters = append(res.Clusters, byRoot[r])
+		if r == i {
+			cluster[i] = len(res.Clusters)
+			res.Clusters = append(res.Clusters, nil)
+		}
+		res.Clusters[cluster[r]] = append(res.Clusters[cluster[r]], i)
 	}
 	res.Resolved = mergeClusters(t, res.Clusters, knowledge)
 	return res, nil
 }
 
-// blockPairsCodes generates candidate pairs from annotation codes: rows
-// sharing a non-empty code in the same column block together. Each pair is
-// emitted once (a<b) and the output is sorted by (A,B) — identical to the
-// string-keyed reference blockPairs in crosscheck_test.go, whose sorted-key
-// iteration the final pair sort already canonicalizes away.
-func blockPairsCodes(codes [][]uint32) [][2]int {
-	blocks := make(map[uint64][]int32)
-	for r, row := range codes {
-		for c, code := range row {
-			if code <= kb.CodeEmpty {
-				continue
+// candidatePairs yields the blocking candidates from annotation codes: rows
+// sharing a non-empty code in the same column block together. Each pair
+// comes out once (a<b), in ascending (a, b) order — the sequence of the
+// string-keyed reference blockPairs in crosscheck_test.go — without a pair
+// set or a global sort: rows are walked in ascending order, a row's
+// partners are the rows after it in each of its blocks (block rows ascend),
+// marked with the row's stamp so a pair sharing several blocks is taken
+// once, then sorted.
+func candidatePairs(codes [][]uint32) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		blocks := make(map[uint64][]int32)
+		for r, row := range codes {
+			for c, code := range row {
+				if code > kb.CodeEmpty {
+					key := uint64(c)<<32 | uint64(code)
+					blocks[key] = append(blocks[key], int32(r))
+				}
 			}
-			key := uint64(c)<<32 | uint64(code)
-			blocks[key] = append(blocks[key], int32(r))
 		}
-	}
-	seen := make(map[[2]int]bool)
-	var out [][2]int
-	for _, rows := range blocks {
-		for i := 0; i < len(rows); i++ {
-			for j := i + 1; j < len(rows); j++ {
-				p := [2]int{int(rows[i]), int(rows[j])}
-				if seen[p] {
+		stamp := make([]int32, len(codes))
+		var partners []int32
+		for r, row := range codes {
+			partners = partners[:0]
+			for c, code := range row {
+				if code <= kb.CodeEmpty {
 					continue
 				}
-				seen[p] = true
-				out = append(out, p)
+				rows := blocks[uint64(c)<<32|uint64(code)]
+				i, _ := slices.BinarySearch(rows, int32(r))
+				for _, p := range rows[i+1:] {
+					if stamp[p] != int32(r)+1 {
+						stamp[p] = int32(r) + 1
+						partners = append(partners, p)
+					}
+				}
+			}
+			slices.Sort(partners)
+			for _, p := range partners {
+				if !yield(r, int(p)) {
+					return
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
 }
 
 // mergeClusters builds the canonical table: per cluster and column, the
@@ -464,44 +508,51 @@ func mergeClusters(t *table.Table, clusters [][]int, knowledge *kb.KB) *table.Ta
 	return out
 }
 
+// canonicalValue picks the merged value of column c over one cluster. A
+// singleton's non-null cell is its own answer. Otherwise every distinct
+// value (by Key) is counted and rendered once, and the best wins; distinct
+// values that tie on count and rendering ("5" and 5) go to the first in
+// row order.
 func canonicalValue(t *table.Table, cluster []int, c int) table.Value {
-	counts := make(map[string]int)
-	byKey := make(map[string]table.Value)
+	if len(cluster) == 1 {
+		if v := t.Rows[cluster[0]][c]; !v.IsNull() {
+			return v
+		}
+	}
+	type candidate struct {
+		v     table.Value
+		s     string
+		count int
+	}
+	var cands []candidate
+	index := make(map[string]int)
 	anyMissing := false
 	for _, r := range cluster {
 		v := t.Rows[r][c]
 		if v.IsNull() {
-			if v.Kind() == table.Null {
-				anyMissing = true
-			}
+			anyMissing = anyMissing || v.Kind() == table.Null
 			continue
 		}
 		k := v.Key()
-		counts[k]++
-		if _, ok := byKey[k]; !ok {
-			byKey[k] = v
+		i, ok := index[k]
+		if !ok {
+			i = len(cands)
+			index[k] = i
+			cands = append(cands, candidate{v: v, s: v.String()})
 		}
+		cands[i].count++
 	}
-	if len(counts) == 0 {
+	if len(cands) == 0 {
 		if anyMissing {
 			return table.NullValue()
 		}
 		return table.ProducedNull()
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
+	best := cands[0]
+	for _, x := range cands[1:] {
+		if cmp.Or(cmp.Compare(best.count, x.count), cmp.Compare(len(best.s), len(x.s)), cmp.Compare(x.s, best.s)) < 0 {
+			best = x
+		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb2 := keys[a], keys[b]
-		if counts[ka] != counts[kb2] {
-			return counts[ka] > counts[kb2]
-		}
-		sa, sb := byKey[ka].String(), byKey[kb2].String()
-		if len(sa) != len(sb) {
-			return len(sa) > len(sb)
-		}
-		return sa < sb
-	})
-	return byKey[keys[0]]
+	return best.v
 }

@@ -1,9 +1,8 @@
 package schemamatch
 
 import (
-	"fmt"
+	"sort"
 
-	"repro/internal/embed"
 	"repro/internal/kb"
 	"repro/internal/table"
 )
@@ -24,40 +23,12 @@ type AutoHolistic struct {
 
 // Align implements Matcher.
 func (h AutoHolistic) Align(tables []*table.Table) (Alignment, error) {
-	if len(tables) == 0 {
-		return Alignment{}, fmt.Errorf("schemamatch: empty integration set")
+	hw := Holistic{HeaderWeight: h.HeaderWeight}.headerWeight()
+	refs, sim, err := similarities(tables, h.Knowledge, hw)
+	if err != nil {
+		return Alignment{}, err
 	}
-	base := Holistic{Knowledge: h.Knowledge, HeaderWeight: h.HeaderWeight}
-	hw := base.headerWeight()
-	var refs []ColumnRef
-	var vecs [][]float64
-	for ti, t := range tables {
-		for c := 0; c < t.NumCols(); c++ {
-			refs = append(refs, ColumnRef{ti, c})
-			content := embed.Column(t.Column(c), h.Knowledge)
-			if hw > 0 {
-				content = embed.Combine(content, embed.Header(t.Columns[c]), hw)
-			}
-			vecs = append(vecs, content)
-		}
-	}
-	n := len(refs)
-	if n == 0 {
-		return Alignment{}, fmt.Errorf("schemamatch: integration set has no columns")
-	}
-	sim := make([][]float64, n)
-	for i := range sim {
-		sim[i] = make([]float64, n)
-		for j := range sim[i] {
-			if i == j {
-				sim[i][j] = 1
-			} else {
-				sim[i][j] = embed.Cosine(vecs[i], vecs[j])
-			}
-		}
-	}
-	labels := clusterAutoCut(refs, sim)
-	return buildAlignment(tables, refs, labels), nil
+	return buildAlignment(tables, refs, clusterAutoCut(refs, sim)), nil
 }
 
 // snapshotFloor is the merge-sequence floor for auto-cut: merges below
@@ -115,7 +86,7 @@ func clusterAutoCut(refs []ColumnRef, sim [][]float64) []int {
 		for id := range members {
 			ids = append(ids, id)
 		}
-		sortInts(ids)
+		sort.Ints(ids)
 		for ai := 0; ai < len(ids); ai++ {
 			for bi := ai + 1; bi < len(ids); bi++ {
 				a, b := ids[ai], ids[bi]
@@ -133,7 +104,7 @@ func clusterAutoCut(refs []ColumnRef, sim [][]float64) []int {
 			break
 		}
 		members[bestA] = append(members[bestA], members[bestB]...)
-		sortInts(members[bestA])
+		sort.Ints(members[bestA])
 		delete(members, bestB)
 		labels := snapshot()
 		if score := avgSilhouette(labels, sim); score >= bestScore {
@@ -199,12 +170,4 @@ func avgSilhouette(labels []int, sim [][]float64) float64 {
 		}
 	}
 	return total / float64(n)
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -84,40 +84,45 @@ func (h Holistic) minSimilarity() float64 {
 
 // Align implements Matcher.
 func (h Holistic) Align(tables []*table.Table) (Alignment, error) {
+	refs, sim, err := similarities(tables, h.Knowledge, h.headerWeight())
+	if err != nil {
+		return Alignment{}, err
+	}
+	return buildAlignment(tables, refs, clusterConstrained(refs, sim, h.minSimilarity())), nil
+}
+
+// similarities is the one embedding path of the holistic matchers: it
+// embeds every column of the integration set (embed.Columns), blends in
+// its header embedding at weight hw when hw > 0, and returns the column
+// refs with their pairwise cosine matrix. Cosine is symmetric to the bit,
+// so each pair is computed once.
+func similarities(tables []*table.Table, knowledge *kb.KB, hw float64) ([]ColumnRef, [][]float64, error) {
 	if len(tables) == 0 {
-		return Alignment{}, fmt.Errorf("schemamatch: empty integration set")
+		return nil, nil, fmt.Errorf("schemamatch: empty integration set")
 	}
-	var refs []ColumnRef
-	var vecs [][]float64
-	hw := h.headerWeight()
+	vecs := embed.Columns(tables, knowledge)
+	if len(vecs) == 0 {
+		return nil, nil, fmt.Errorf("schemamatch: integration set has no columns")
+	}
+	refs := make([]ColumnRef, 0, len(vecs))
 	for ti, t := range tables {
-		for c := 0; c < t.NumCols(); c++ {
-			refs = append(refs, ColumnRef{ti, c})
-			content := embed.Column(t.Column(c), h.Knowledge)
+		for c, name := range t.Columns {
 			if hw > 0 {
-				content = embed.Combine(content, embed.Header(t.Columns[c]), hw)
+				vecs[len(refs)] = embed.Combine(vecs[len(refs)], embed.Header(name), hw)
 			}
-			vecs = append(vecs, content)
+			refs = append(refs, ColumnRef{ti, c})
 		}
 	}
-	n := len(refs)
-	if n == 0 {
-		return Alignment{}, fmt.Errorf("schemamatch: integration set has no columns")
-	}
-	// Pairwise similarities.
-	sim := make([][]float64, n)
+	sim := make([][]float64, len(vecs))
 	for i := range sim {
-		sim[i] = make([]float64, n)
-		for j := range sim[i] {
-			if i == j {
-				sim[i][j] = 1
-				continue
-			}
+		sim[i] = make([]float64, len(vecs))
+		sim[i][i] = 1
+		for j := range i {
 			sim[i][j] = embed.Cosine(vecs[i], vecs[j])
+			sim[j][i] = sim[i][j]
 		}
 	}
-	labels := clusterConstrained(refs, sim, h.minSimilarity())
-	return buildAlignment(tables, refs, labels), nil
+	return refs, sim, nil
 }
 
 // clusterConstrained performs complete-linkage agglomerative clustering
@@ -224,13 +229,14 @@ func buildAlignment(tables []*table.Table, refs []ColumnRef, labels []int) Align
 		return infos[a].first.Col < infos[b].first.Col
 	})
 	align := Alignment{Pos: make(map[ColumnRef]int)}
-	used := make(map[string]int)
+	used := make(map[string]bool)
 	for pos, info := range infos {
-		name := clusterName(tables, refs, info.members, pos)
-		if c := used[name]; c > 0 {
-			name = name + "_" + strconv.Itoa(c+1)
+		base := clusterName(tables, refs, info.members, pos)
+		name := base
+		for k := 2; used[name]; k++ {
+			name = base + "_" + strconv.Itoa(k)
 		}
-		used[name]++
+		used[name] = true
 		align.Schema = append(align.Schema, name)
 		for _, m := range info.members {
 			align.Pos[refs[m]] = pos
