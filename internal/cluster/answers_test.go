@@ -1,0 +1,386 @@
+// answers_test pins serve's /v1/discover answer cache where it depends on
+// the catalog shape — served bytes stay fresh across Add, Remove and re-Add
+// on a single lake, an in-process sharded lake and a coordinator, whose
+// front door keeps no cache while its shard servers cache their own
+// answers; partial answers are never stored — and the epoch property torn-
+// read detection keys on: a restarted shard never repeats an epoch vector
+// it reported before.
+package cluster_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/lake"
+	"repro/internal/serve"
+	"repro/internal/table"
+)
+
+// postRaw sends body to url and returns the status and response bytes.
+func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// postOK marshals v, posts it to url and requires a 200.
+func postOK(t *testing.T, url string, v any) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, out := postRaw(t, url, body); status != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", url, status, out)
+	}
+}
+
+// directBody is the response to the /v1/discover request body computed by
+// calling the pipeline directly — what the server must send, byte for
+// byte.
+func directBody(t *testing.T, p *core.Pipeline, body []byte) []byte {
+	t.Helper()
+	var req serve.DiscoverRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	q, err := req.Query.DecodeTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Discover(context.Background(), core.DiscoverRequest{Query: q, QueryColumn: req.QueryColumn, Methods: req.Methods, K: req.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Partial() {
+		t.Fatalf("direct discovery is partial: %v", resp.ShardErrors)
+	}
+	out := serve.DiscoverResponse{PerMethod: make(map[string][]serve.DiscoverResult, len(resp.PerMethod))}
+	for m, rs := range resp.PerMethod {
+		list := make([]serve.DiscoverResult, 0, len(rs))
+		for _, r := range rs {
+			list = append(list, serve.DiscoverResult{Table: r.Table.Name, Score: r.Score, Method: r.Method, Column: r.Column})
+		}
+		out.PerMethod[m] = list
+	}
+	for _, tbl := range resp.IntegrationSet {
+		out.IntegrationSet = append(out.IntegrationSet, tbl.Name)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// cacheMetrics reads a server's answer cache counters over its /metrics
+// surface.
+func cacheMetrics(t *testing.T, base string) serve.AnswerCacheMetrics {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics?format=json&scope=cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serve.AnswerCacheMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// renamed copies the first rows rows of src under a new name.
+func renamed(src *table.Table, name string, rows int) *table.Table {
+	out := table.New(name, src.Columns...)
+	out.Rows = append(out.Rows, src.Rows[:rows]...)
+	return out
+}
+
+// sumCacheMetrics adds the answer cache counters of several servers,
+// leaving Bytes out.
+func sumCacheMetrics(t *testing.T, bases []string) serve.AnswerCacheMetrics {
+	t.Helper()
+	var sum serve.AnswerCacheMetrics
+	for _, base := range bases {
+		m := cacheMetrics(t, base)
+		sum.Hits += m.Hits
+		sum.Misses += m.Misses
+		sum.Stale += m.Stale
+		sum.Stores += m.Stores
+		sum.Evictions += m.Evictions
+	}
+	return sum
+}
+
+// TestAnswerCacheFreshness sends one discover body twice after each of
+// Add, Remove and a re-Add of the same name with different contents, on
+// every catalog shape the server fronts. Both answers must equal a direct
+// Pipeline.Discover on an in-process mirror that took the same mutations:
+// the first after a mutation finds an entry whose epoch vector the catalog
+// has moved past, and the second is the cache's fresh answer. Over a
+// coordinator the front door keeps no cache and the shard servers cache
+// their per-shard answers; only the shard that owns the mutated name sees
+// its entry go stale.
+func TestAnswerCacheFreshness(t *testing.T) {
+	pool := diffPool(83, 8)
+	opts := lake.Options{Knowledge: difftest.DiffKB()}
+	const n = 3
+	// Eight requests: the first misses, the first after each mutation is
+	// stale, the rest hit.
+	whole := serve.AnswerCacheMetrics{Hits: 4, Misses: 1, Stale: 3, Stores: 4}
+	shapes := []struct {
+		name string
+		// catalog builds the fronted catalog and returns the addresses of
+		// its shard servers (none for an in-process catalog).
+		catalog func(t *testing.T) (lake.Catalog, []string)
+		// front and shards are the answer cache counters of the front door
+		// and the sum over the shard servers after the eight requests.
+		front, shards serve.AnswerCacheMetrics
+	}{
+		{"lake", func(t *testing.T) (lake.Catalog, []string) {
+			l, err := lake.New(pool, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l, nil
+		}, whole, serve.AnswerCacheMetrics{}},
+		{"sharded", func(t *testing.T) (lake.Catalog, []string) {
+			s, err := lake.NewSharded(pool, n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, nil
+		}, whole, serve.AnswerCacheMetrics{}},
+		// Each request reaches every shard once; every shard misses first,
+		// and only the shard owning the mutated name goes stale.
+		{"coordinator", func(t *testing.T) (lake.Catalog, []string) {
+			tc := startCluster(t, pool, n)
+			t.Cleanup(func() { coordClient(tc.coord) })
+			return tc.coord, tc.addrs
+		}, serve.AnswerCacheMetrics{}, serve.AnswerCacheMetrics{Hits: 8*n - n - 3, Misses: n, Stale: 3, Stores: n + 3}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			catalog, shards := shape.catalog(t)
+			front := httptest.NewServer(serve.New(core.FromCatalog(catalog), serve.Config{Timeout: 10 * time.Second}).Handler())
+			defer front.Close()
+			mirror, err := lake.NewSharded(pool, n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := core.FromCatalog(mirror)
+			q := pool[0]
+			body, err := json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(q), Methods: difftest.DiffMethods, K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer := func(step string) []byte {
+				t.Helper()
+				want := directBody(t, ref, body)
+				for i := range 2 {
+					status, got := postRaw(t, front.URL+"/v1/discover", body)
+					if status != http.StatusOK || !bytes.Equal(got, want) {
+						t.Fatalf("%s, request %d: status %d\n served %s\n direct %s", step, i, status, got, want)
+					}
+				}
+				return want
+			}
+			add := func(tbl *table.Table) {
+				t.Helper()
+				postOK(t, front.URL+"/v1/lake/add", serve.LakeAddRequest{Tables: []serve.TableJSON{serve.EncodeTable(tbl)}})
+				if err := mirror.Add(tbl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const name = "fresh-x"
+			before := answer("before Add")
+			add(renamed(q, name, q.NumRows()))
+			added := answer("after Add")
+			postOK(t, front.URL+"/v1/lake/remove", serve.LakeRemoveRequest{Names: []string{name}})
+			if err := mirror.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+			removed := answer("after Remove")
+			add(renamed(q, name, 2))
+			readded := answer("after re-Add")
+			if bytes.Equal(added, before) || !bytes.Equal(removed, before) || bytes.Equal(readded, added) {
+				t.Fatal("the mutations did not change the answers as planned; the test checks nothing")
+			}
+			if got := sumCacheMetrics(t, []string{front.URL}); got != shape.front {
+				t.Errorf("front door cache counters = %+v, want %+v", got, shape.front)
+			}
+			if got := sumCacheMetrics(t, shards); got != shape.shards {
+				t.Errorf("shard servers' cache counters = %+v, want %+v", got, shape.shards)
+			}
+		})
+	}
+}
+
+// TestAnswerCacheNeverStoresPartial pins that a partial answer — a shard
+// down, which only a remote catalog can report — is served but never
+// stored: the coordinator's front door keeps no cache, so repeating the
+// request while the shard is down recomputes it, and once the shard is
+// back the full answer is served, the shard servers having cached only
+// their own whole answers.
+func TestAnswerCacheNeverStoresPartial(t *testing.T) {
+	pool := diffPool(97, 9)
+	const n, down = 3, 1
+	shards := make([]*killableShard, n)
+	addrs := make([]string, n)
+	for i := range shards {
+		var mine []*table.Table
+		for _, tbl := range pool {
+			if lake.ShardIndex(tbl.Name, n) == i {
+				mine = append(mine, tbl)
+			}
+		}
+		shards[i] = &killableShard{t: t, addr: "127.0.0.1:0", tables: mine}
+		shards[i].start()
+		addrs[i] = "http://" + shards[i].addr
+	}
+	defer func() {
+		for _, ks := range shards {
+			ks.stop()
+		}
+	}()
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: difftest.DiffKB(), ProbeTimeout: time.Second, RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordClient(coord)
+	mirror, err := lake.NewSharded(pool, n, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(serve.New(core.FromCatalog(coord), serve.Config{Timeout: 10 * time.Second}).Handler())
+	defer front.Close()
+	body, err := json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(pool[0]), Methods: difftest.DiffMethods, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shards[down].stop()
+	for i := range 2 {
+		status, got := postRaw(t, front.URL+"/v1/discover", body)
+		var wire serve.DiscoverResponse
+		if err := json.Unmarshal(got, &wire); err != nil || status != http.StatusOK || !wire.Partial {
+			t.Fatalf("request %d with shard %d down: status %d, partial %v (%v): %s", i, down, status, wire.Partial, err, got)
+		}
+	}
+	if m := cacheMetrics(t, front.URL); m != (serve.AnswerCacheMetrics{}) {
+		t.Fatalf("after two partial answers the front door's cache counters are %+v, want none", m)
+	}
+
+	shards[down].start()
+	want := directBody(t, core.FromCatalog(mirror), body)
+	for i := range 2 {
+		if status, got := postRaw(t, front.URL+"/v1/discover", body); status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("request %d after the shard came back: status %d\n served %s\n want %s", i, status, got, want)
+		}
+	}
+	if m := cacheMetrics(t, front.URL); m != (serve.AnswerCacheMetrics{}) {
+		t.Fatalf("after the shard came back the front door's cache counters are %+v, want none", m)
+	}
+	if m := cacheMetrics(t, addrs[down]); m.Stores != 1 || m.Hits != 1 {
+		t.Fatalf("the restarted shard's cache counters are %+v, want one store and one hit", m)
+	}
+}
+
+// shardEpoch samples one shard server's own epoch counter.
+func shardEpoch(t *testing.T, base string) uint64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/lake/epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ep serve.EpochResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ep); err != nil || len(ep.Epochs) != 1 {
+		t.Fatalf("epoch sample: %+v, %v", ep, err)
+	}
+	return ep.Epochs[0]
+}
+
+// TestRestartedShardEpochVectorNeverRepeats provokes the epoch repeat an
+// epoch-keyed cache cannot survive: a persisted shard restarts from a
+// snapshot, so WAL replay does not bring its counter back to where it was,
+// and then takes mutations that do not pass the coordinator until its
+// counter is back at the value it reported before the restart — now over
+// different tables. The coordinator's epoch vector must differ from the
+// one sampled before the restart.
+func TestRestartedShardEpochVectorNeverRepeats(t *testing.T) {
+	pool := diffPool(91, 6)
+	const n, victim = 2, 0
+	shards := make([]*killableShard, n)
+	addrs := make([]string, n)
+	for i := range shards {
+		var mine []*table.Table
+		for _, tbl := range pool {
+			if lake.ShardIndex(tbl.Name, n) == i {
+				mine = append(mine, tbl)
+			}
+		}
+		shards[i] = &killableShard{t: t, addr: "127.0.0.1:0", tables: mine, dir: t.TempDir()}
+		shards[i].start()
+		addrs[i] = "http://" + shards[i].addr
+	}
+	defer func() {
+		for _, ks := range shards {
+			ks.stop()
+		}
+	}()
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: difftest.DiffKB(), ProbeTimeout: time.Second, RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordClient(coord)
+
+	rng := rand.New(rand.NewSource(5))
+	routed := difftest.DiffTable(rng, nameForShard("routed", victim, n))
+	if err := coord.Add(routed); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Remove(routed.Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := shards[victim].store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	before := coord.Epochs()
+
+	shards[victim].stop()
+	shards[victim].start()
+	base := addrs[victim]
+	old := before[1+victim]
+	for i := 0; i < 8 && shardEpoch(t, base) < old; i++ {
+		direct := difftest.DiffTable(rng, nameForShard(fmt.Sprintf("direct%d-", i), victim, n))
+		postOK(t, base+"/v1/lake/add", serve.LakeAddRequest{Tables: []serve.TableJSON{serve.EncodeTable(direct)}})
+	}
+	if after := coord.Epochs(); slices.Equal(before, after) {
+		t.Fatalf("shard %d restarted, took different tables, and the coordinator epoch vector %v repeats the one from before the restart", victim, after)
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/discovery"
 	"repro/internal/lake"
+	"repro/internal/persist"
 	"repro/internal/serve"
 	"repro/internal/table"
 	"repro/internal/testutil"
@@ -37,11 +38,16 @@ import (
 
 // killableShard is one shard server on a fixed address with an explicit
 // lifecycle: stop() tears the listener and server down, start() brings a
-// fresh server up on the same address over the same tables.
+// fresh server up on the same address over the same tables. With dir set
+// the shard is persisted there, like `dialite serve -persist`: the first
+// start creates the store over tables, stop() syncs and closes it, and
+// every later start recovers the lake from it.
 type killableShard struct {
 	t       *testing.T
 	addr    string
 	tables  []*table.Table
+	dir     string
+	store   *persist.Store // the running incarnation's store when dir is set
 	cancel  context.CancelFunc
 	done    chan error
 	stopped bool
@@ -49,11 +55,22 @@ type killableShard struct {
 
 func (ks *killableShard) start() {
 	ks.t.Helper()
-	l, err := lake.New(ks.tables, lake.Options{Knowledge: difftest.DiffKB()})
+	var l *lake.Lake
+	var err error
+	ks.store = nil
+	if ks.dir != "" && persist.Exists(ks.dir, persist.Options{}) {
+		ks.store, err = persist.Open(ks.dir, persist.Options{})
+	} else if l, err = lake.New(ks.tables, lake.Options{Knowledge: difftest.DiffKB()}); err == nil && ks.dir != "" {
+		ks.store, err = persist.Create(ks.dir, l, persist.Options{})
+	}
 	if err != nil {
 		ks.t.Fatal(err)
 	}
-	s := serve.New(core.FromLake(l), serve.Config{Timeout: 10 * time.Second})
+	if ks.store != nil {
+		l = ks.store.Lake()
+	}
+	s := serve.NewWarming(serve.Config{Timeout: 10 * time.Second})
+	s.Attach(core.FromLake(l), ks.store)
 	var ln net.Listener
 	// The previous incarnation's listener may take a moment to release the
 	// port even after Serve returned.

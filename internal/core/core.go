@@ -153,23 +153,10 @@ type DiscoverRequest struct {
 	K int
 }
 
-// DiscoverResponse is the discovery stage's output.
-type DiscoverResponse struct {
-	// PerMethod holds each method's ranked results.
-	PerMethod map[string][]discovery.Result
-	// IntegrationSet is the deduplicated union of all results with the
-	// query table first — the input to Align & Integrate.
-	IntegrationSet []*table.Table
-	// ShardErrors is non-empty when the discovery run was partial: some
-	// shards of a cluster-mode catalog were unreachable and contributed
-	// nothing (discovery.RunAll). PerMethod and IntegrationSet then
-	// cover the reachable shards only. Always empty for in-process lakes.
-	ShardErrors []discovery.ShardError
-}
-
-// Partial reports whether the discovery run covered only part of the
-// catalog — see ShardErrors.
-func (r *DiscoverResponse) Partial() bool { return len(r.ShardErrors) > 0 }
+// DiscoverResponse is the discovery stage's output: per-method rankings,
+// the integration set, the partial marker and the epoch vector the answer
+// holds under (see discovery.Answer).
+type DiscoverResponse = discovery.Answer
 
 // Discover runs stage 1. The configured discoverers fan out concurrently
 // (discovery.RunAll), so a multi-method query costs as much as its slowest
@@ -198,11 +185,11 @@ func (p *Pipeline) Discover(ctx context.Context, req DiscoverRequest) (*Discover
 	if k == 0 {
 		k = 10
 	}
-	perMethod, set, shardErrs, err := discovery.Discover(ctx, p.discoverers, p.lake, req.Query, req.QueryColumn, k, methods)
+	resp, err := discovery.DiscoverAnswer(ctx, p.discoverers, p.lake, req.Query, req.QueryColumn, k, methods)
 	if err != nil {
 		return nil, fmt.Errorf("core: discover: %w", err)
 	}
-	return &DiscoverResponse{PerMethod: perMethod, IntegrationSet: set, ShardErrors: shardErrs}, nil
+	return resp, nil
 }
 
 // IntegrateRequest configures the align-and-integrate stage.

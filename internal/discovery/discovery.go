@@ -42,6 +42,14 @@ type Result struct {
 // scan — the contract the serving layer's per-request timeouts rely on.
 // Implementations must treat an uncancelled ctx as a no-op (results
 // identical to running without one).
+//
+// An answer must depend only on the shard lake's state, the query table,
+// queryCol and k — never on time, randomness or state outside the lake.
+// serve caches whole /v1/discover answers under the catalog's epoch
+// vector and serves them while it stays unchanged, so a discoverer
+// reading anything else would be answered stale. Registry.Register
+// refuses duplicate names, which keeps a method name a stable part of the
+// cache key.
 type Discoverer interface {
 	Name() string
 	Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error)

@@ -220,12 +220,20 @@ func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardC
 // in-flight discoverer has returned — cancelling a query never leaks a
 // worker goroutine — and reports ctx.Err() when the context was cancelled.
 func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, error) {
+	out, serrs, _, err := runAll(ctx, t, q, queryCol, k, ds)
+	return out, serrs, err
+}
+
+// runAll is RunAll that also returns the epoch vector the answer is proved
+// to hold under: the vector sampled before and after the final attempt
+// when the two are equal and all even, nil when that attempt was torn.
+func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, []uint64, error) {
 	query := &Query{Table: q, Column: queryCol, K: k}
 	for attempt := 0; ; attempt++ {
 		e1 := t.Epochs()
 		ns, items, call, resolve, err := shardCalls(t, query, ds)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		nd := len(ds)
 		per := make([][]Result, nd*ns)
@@ -239,11 +247,11 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 			call(ctx, j, per, errs)
 		})
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, nil, nil, ferr
 		}
 		serrs, err := collectSlots(per, errs, ns)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		out := make([][]Result, nd)
 		if ns == 1 && len(serrs) == 0 {
@@ -257,7 +265,7 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 		}
 		if resolve != nil {
 			if err := materialize(ctx, out, resolve); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		// A clean run sampled the same all-even epoch vector on both sides:
@@ -265,8 +273,11 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 		// started before it finished. A down shard's sentinel element is
 		// even and stable while it stays down, so degraded targets do not
 		// retry-storm.
-		if epochsClean(e1, t.Epochs()) || attempt == tornRetries {
-			return out, serrs, nil
+		if epochsClean(e1, t.Epochs()) {
+			return out, serrs, e1, nil
+		}
+		if attempt == tornRetries {
+			return out, serrs, nil, nil
 		}
 	}
 }
@@ -392,17 +403,51 @@ func (r *Registry) resolve(names []string) ([]Discoverer, error) {
 // either answer or fail hard. Cancelling ctx aborts the fan-out and returns
 // ctx.Err() (see RunAll).
 func Discover(ctx context.Context, r *Registry, t Target, q *table.Table, queryCol, k int, methods []string) (perMethod map[string][]Result, integrationSet []*table.Table, shardErrs []ShardError, err error) {
+	a, err := DiscoverAnswer(ctx, r, t, q, queryCol, k, methods)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return a.PerMethod, a.IntegrationSet, a.ShardErrors, nil
+}
+
+// Answer is the discovery stage's output (core.DiscoverResponse).
+type Answer struct {
+	// PerMethod holds each method's ranked results, keyed by method name.
+	PerMethod map[string][]Result
+	// IntegrationSet is the deduplicated union of all results with the
+	// query table first — the input to Align & Integrate.
+	IntegrationSet []*table.Table
+	// ShardErrors is non-empty when the run was partial: some shards of a
+	// cluster-mode catalog were unreachable and contributed nothing
+	// (RunAll). PerMethod and IntegrationSet then cover the reachable
+	// shards only. Always empty for in-process lakes.
+	ShardErrors []ShardError
+	// Epochs is the target's epoch vector sampled before and after the
+	// final fan-out attempt, when the two samples are equal and all even:
+	// the answer is the catalog's answer at that vector. Nil when the final
+	// attempt was torn (RunAll).
+	Epochs []uint64
+}
+
+// Partial reports whether the run covered only part of the catalog — see
+// ShardErrors.
+func (a *Answer) Partial() bool { return len(a.ShardErrors) > 0 }
+
+// DiscoverAnswer is Discover returning an Answer, which also carries the
+// epoch vector — what a caller needs to key answers by the catalog state
+// they hold under (serve's answer cache).
+func DiscoverAnswer(ctx context.Context, r *Registry, t Target, q *table.Table, queryCol, k int, methods []string) (*Answer, error) {
 	ds, err := r.resolve(methods)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	all, shardErrs, err := RunAll(ctx, t, q, queryCol, k, ds)
+	all, shardErrs, epochs, err := runAll(ctx, t, q, queryCol, k, ds)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	perMethod = make(map[string][]Result, len(methods))
+	perMethod := make(map[string][]Result, len(methods))
 	for i, m := range methods {
 		perMethod[m] = all[i]
 	}
-	return perMethod, mergeIntegrationSet(q, all...), shardErrs, nil
+	return &Answer{PerMethod: perMethod, IntegrationSet: mergeIntegrationSet(q, all...), ShardErrors: shardErrs, Epochs: epochs}, nil
 }

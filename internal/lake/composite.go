@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"math/rand/v2"
 	"sync/atomic"
 
 	"repro/internal/kb"
@@ -13,7 +14,21 @@ import (
 // Multi-index readers sample it before and after a run to detect a torn
 // read — see Lake.Epoch and discovery.RunAll. It is advisory: mutations
 // never block on it.
+//
+// Catalog constructors seed it (see seed), so equal samples mean equal
+// contents across process restarts too — the property serve's answer
+// cache keys on.
 type Epoch struct{ n atomic.Uint64 }
+
+// seed starts the counter at a random even value below 2^62. A counter
+// starting at 0 in every process would repeat: persist.Open replays the
+// WAL since the last snapshot through Add/Remove, so a restarted shard
+// climbs back through values it already reported, and any mutation that
+// did not pass the coordinator (or a shard swapped for an older store)
+// lands it on an old value holding different contents. A random base puts
+// each incarnation in its own stretch of the counter space; below 2^62
+// stays far below the coordinator's down-shard sentinel.
+func (e *Epoch) seed() { e.n.Store(rand.Uint64() >> 2 &^ 1) }
 
 // Begin marks the start of a mutation (the counter goes odd). Callers must
 // have finished all validation first: a rejected batch never perturbs the
@@ -109,6 +124,7 @@ func NewComposite(n int, knowledge *kb.KB) *Composite {
 		knowledge = kb.New()
 	}
 	c := &Composite{n: n}
+	c.Mutations.seed()
 	c.knowledge = knowledge
 	c.dict = table.NewDict()
 	c.refreshAnnotator()

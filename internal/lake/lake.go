@@ -141,6 +141,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		tables: append([]*table.Table(nil), tables...),
 		byName: make(map[string]*table.Table, len(tables)),
 	}
+	l.epoch.seed()
 	for _, t := range tables {
 		l.byName[t.Name] = t
 	}

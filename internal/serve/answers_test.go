@@ -1,0 +1,239 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/discovery"
+	"repro/internal/lake"
+	"repro/internal/paperdata"
+	"repro/internal/table"
+)
+
+// postBody sends a raw body and returns the status and response bytes.
+func postBody(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// churningDiscoverer adds and removes a table on the shard it runs on at
+// every call, so the epoch moves across every fan-out attempt and the
+// final one is torn.
+type churningDiscoverer struct{ calls *atomic.Int64 }
+
+func (churningDiscoverer) Name() string { return "churning" }
+
+func (d churningDiscoverer) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
+	tmp := table.New(fmt.Sprintf("churn%d", d.calls.Add(1)), "City")
+	tmp.MustAddRow(table.StringValue("Berlin"))
+	if err := l.Add(tmp); err != nil {
+		return nil, err
+	}
+	return nil, l.Remove(tmp.Name)
+}
+
+// TestAnswerCacheStoresNothingWrong sends each request twice and requires
+// that nothing but a whole, untorn 200 answer is stored: caller errors, a
+// contained discoverer panic (500) and an answer whose final fan-out
+// attempt was torn are each recomputed on the repeat. A clean answer is
+// then stored and served once, and the /metrics text carries the counters.
+func TestAnswerCacheStoresNothingWrong(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	calls := &atomic.Int64{}
+	for _, d := range []discovery.Discoverer{
+		churningDiscoverer{calls: calls},
+		discovery.SimilarityFunc{FuncName: "bad-hook", Sim: func(query, candidate *table.Table) float64 { panic("user hook exploded") }},
+	} {
+		if err := s.p().Discoverers().Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		what   string
+		body   []byte
+		status int
+	}{
+		{"unknown method", discoverBody(t, "no-such-method"), http.StatusBadRequest},
+		{"query column out of range", []byte(`{"query":{"name":"q","columns":["a"],"rows":[["x"]]},"queryColumn":3}`), http.StatusBadRequest},
+		{"panicking discoverer", discoverBody(t, "lsh-join", "bad-hook"), http.StatusInternalServerError},
+		{"torn final attempt", discoverBody(t, "churning"), http.StatusOK},
+	} {
+		for i := range 2 {
+			if status, out := postBody(t, ts.URL+"/v1/discover", c.body); status != c.status {
+				t.Fatalf("%s, request %d: status %d, want %d: %s", c.what, i, status, c.status, out)
+			}
+		}
+		if m := s.answerCacheMetrics(); m.Stores != 0 || m.Hits != 0 {
+			t.Fatalf("after %s the cache counters are %+v, want nothing stored or served", c.what, m)
+		}
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("the churning discoverer ran %d times, want 4 (two requests, two attempts each)", got)
+	}
+
+	body := discoverBody(t, "lsh-join")
+	_, first := postBody(t, ts.URL+"/v1/discover", body)
+	_, second := postBody(t, ts.URL+"/v1/discover", body)
+	if !bytes.Equal(first, second) {
+		t.Fatalf("the cached answer differs from the computed one:\n%s\n%s", second, first)
+	}
+	m := s.answerCacheMetrics()
+	if m.Stores != 1 || m.Hits != 1 || m.Stale != 0 || m.Misses != 9 || m.Bytes != int64(len(body)+len(first)) {
+		t.Fatalf("cache counters = %+v, want 1 store, 1 hit, 9 misses, %d bytes", m, len(body)+len(first))
+	}
+	_, text := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		"# TYPE dialite_answer_cache_hits_total counter\ndialite_answer_cache_hits_total 1\n",
+		"dialite_answer_cache_misses_total 9\n",
+		"dialite_answer_cache_stale_total 0\n",
+		"dialite_answer_cache_stores_total 1\n",
+		"dialite_answer_cache_evictions_total 0\n",
+		fmt.Sprintf("# TYPE dialite_answer_cache_bytes gauge\ndialite_answer_cache_bytes %d\n", m.Bytes),
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// TestAnswerCacheConcurrentWithMutation has two readers repeat one body
+// while a writer adds and removes tables the query finds. After each
+// acknowledged mutation the writer's own request must be answered exactly
+// as a direct Pipeline.Discover answers now, whatever the readers stored
+// around the mutation. CI runs this package under -race.
+func TestAnswerCacheConcurrentWithMutation(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := discoverBody(t, "santos-union", "lsh-join", "josie-join")
+	direct := func() []byte {
+		resp, err := s.p().Discover(context.Background(), core.DiscoverRequest{Query: paperdata.T1(), QueryColumn: 1, Methods: []string{"santos-union", "lsh-join", "josie-join"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := encodeJSON(encodeDiscoverResponse(resp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/discover", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("reader: status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 12 {
+		name := fmt.Sprintf("T1-copy%d", i/2)
+		if i%2 == 0 {
+			cp := paperdata.T1()
+			cp.Name = name
+			postJSON(t, ts.URL+"/v1/lake/add", LakeAddRequest{Tables: []TableJSON{EncodeTable(cp)}}).Body.Close()
+		} else {
+			postJSON(t, ts.URL+"/v1/lake/remove", LakeRemoveRequest{Names: []string{name}}).Body.Close()
+		}
+		want := direct()
+		if status, got := postBody(t, ts.URL+"/v1/discover", body); status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("after mutation %d: status %d\n served %s\n direct %s", i, status, got, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if m := s.answerCacheMetrics(); m.Stores == 0 || m.Stale == 0 {
+		t.Fatalf("cache counters = %+v: the cache was never exercised across a mutation", m)
+	}
+}
+
+// TestAnswerCacheByteBound fills the cache past answerCacheBytes: the held
+// bytes never exceed the bound, the oldest entries go first, a replaced
+// entry is accounted once, and an answer larger than the bound is not
+// stored at all.
+func TestAnswerCacheByteBound(t *testing.T) {
+	c := newAnswerCache()
+	epochs := []uint64{2}
+	current := func() []uint64 { return epochs }
+	const half = 32 << 10
+	entry := func(i int) (key [sha256.Size]byte, body, resp []byte) {
+		body = bytes.Repeat([]byte{'b'}, half)
+		copy(body, fmt.Sprint(i))
+		return sha256.Sum256(body), body, bytes.Repeat([]byte{'r'}, half)
+	}
+	const n = 3 * answerCacheBytes / (2 * half)
+	for i := range n {
+		key, body, resp := entry(i)
+		c.store(key, body, epochs, resp)
+		if got := c.metrics().Bytes; got > answerCacheBytes {
+			t.Fatalf("after %d stores the cache holds %d bytes, bound %d", i+1, got, answerCacheBytes)
+		}
+	}
+	const fit = answerCacheBytes / (2 * half)
+	if m := c.metrics(); m.Stores != n || m.Evictions != n-fit || m.Bytes != int64(fit*2*half) {
+		t.Fatalf("counters = %+v, want %d stores, %d evictions, %d bytes", m, n, n-fit, fit*2*half)
+	}
+	for i, wantHit := range map[int]bool{0: false, n - fit - 1: false, n - fit: true, n - 1: true} {
+		key, body, _ := entry(i)
+		if hit := c.lookup(key, body, current) != nil; hit != wantHit {
+			t.Errorf("entry %d: hit %v, want %v (oldest evicted first)", i, hit, wantHit)
+		}
+	}
+	key, body, resp := entry(n - 1)
+	c.store(key, body, epochs, resp)
+	if got := c.metrics().Bytes; got != int64(fit*2*half) {
+		t.Fatalf("replacing an entry changed the held bytes to %d, want %d", got, fit*2*half)
+	}
+	huge := bytes.Repeat([]byte{'h'}, answerCacheBytes)
+	c.store(sha256.Sum256(huge), huge, epochs, resp)
+	if m := c.metrics(); m.Bytes != int64(fit*2*half) || m.Stores != n+1 {
+		t.Fatalf("an answer over the bound was stored: %+v", m)
+	}
+}

@@ -185,10 +185,6 @@ func (s *Server) newEndpointMetrics(path string) *endpointMetrics {
 	return m
 }
 
-// metricsHandler serves GET /metrics: Prometheus text exposition by
-// default, the JSON snapshot with ?format=json. It bypasses admission and
-// works while warming or degraded — observability must answer exactly when
-// the serving path is refusing.
 // shardMetrics reports the attached catalog's per-shard transport counters,
 // or nil outside cluster mode (no catalog attached, or a local one).
 func (s *Server) shardMetrics() []ShardMetrics {
@@ -203,13 +199,31 @@ func (s *Server) shardMetrics() []ShardMetrics {
 	return rep.ShardMetrics()
 }
 
+// answerCacheMetrics reports the attached pipeline's answer cache counters
+// (all zero while warming and over a remote catalog, which has no cache).
+func (s *Server) answerCacheMetrics() AnswerCacheMetrics {
+	if a := s.live.Load(); a != nil && a.answers != nil {
+		return a.answers.metrics()
+	}
+	return AnswerCacheMetrics{}
+}
+
+// metricsHandler serves GET /metrics: Prometheus text exposition by
+// default, the JSON snapshot with ?format=json — per endpoint
+// ([]EndpointMetrics) unless scope=shards ([]ShardMetrics) or scope=cache
+// (AnswerCacheMetrics) asks for another view. It bypasses admission and
+// works while warming or degraded — observability must answer exactly when
+// the serving path is refusing.
 func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
-		if r.URL.Query().Get("scope") == "shards" {
+		switch r.URL.Query().Get("scope") {
+		case "shards":
 			writeJSON(w, http.StatusOK, s.shardMetrics())
-			return
+		case "cache":
+			writeJSON(w, http.StatusOK, s.answerCacheMetrics())
+		default:
+			writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 		}
-		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 		return
 	}
 	var b strings.Builder
@@ -239,6 +253,21 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "dialite_request_seconds_sum{endpoint=%q} %g\n", m.Endpoint, time.Duration(m.SumNS).Seconds())
 		fmt.Fprintf(&b, "dialite_request_seconds_count{endpoint=%q} %d\n", m.Endpoint, m.Count)
 	}
+	cache := s.answerCacheMetrics()
+	for _, c := range []struct {
+		name, help string
+		value      uint64
+	}{
+		{"hits", "/v1/discover requests answered from the answer cache.", cache.Hits},
+		{"misses", "/v1/discover requests whose body had no cached answer.", cache.Misses},
+		{"stale", "/v1/discover requests whose cached answer predates the catalog's epoch vector.", cache.Stale},
+		{"stores", "/v1/discover answers stored in the answer cache.", cache.Stores},
+		{"evictions", "Answer cache entries evicted oldest-first to stay within its byte bound.", cache.Evictions},
+	} {
+		name := "dialite_answer_cache_" + c.name + "_total"
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, c.help, name, name, c.value)
+	}
+	fmt.Fprintf(&b, "# HELP dialite_answer_cache_bytes Request + response bytes held by the answer cache.\n# TYPE dialite_answer_cache_bytes gauge\ndialite_answer_cache_bytes %d\n", cache.Bytes)
 	// Cluster mode: per-shard fan-out transport counters + round-trip
 	// latency, labeled by shard index and address.
 	if shards := s.shardMetrics(); len(shards) > 0 {

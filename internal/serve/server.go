@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -59,7 +61,7 @@ const (
 // and answers every pipeline endpoint with 503 + Retry-After, and /healthz
 // reports the replay. Attach flips it live once recovery finishes.
 type Server struct {
-	pipe  atomic.Pointer[core.Pipeline]
+	live  atomic.Pointer[attachment]
 	store atomic.Pointer[persist.Store]
 	cfg   Config
 	mux   *http.ServeMux
@@ -77,6 +79,13 @@ type Server struct {
 	// returns with an acknowledged mutation still volatile.
 	closing atomic.Bool
 	mutGate sync.RWMutex
+}
+
+// attachment is what Attach installs: the pipeline and the /v1/discover
+// answer cache that belongs to it (answers.go; nil over a remote catalog).
+type attachment struct {
+	pipe    *core.Pipeline
+	answers *answerCache
 }
 
 // New builds a server over a constructed pipeline.
@@ -167,16 +176,30 @@ func NewWarming(cfg Config) *Server {
 // flips the server live. store may be nil for an in-memory lake; p must
 // not be nil. When a store is attached, lake mutations route through it —
 // logged and fsynced before they are acknowledged — and shutdown syncs
-// and closes its WAL after draining in-flight mutations.
+// and closes its WAL after draining in-flight mutations. Each Attach starts
+// a fresh /v1/discover answer cache, unless the catalog is remote (a
+// cluster coordinator): the shard servers behind it cache the per-shard
+// answers they send under their own in-process epochs, while a front-door
+// entry would pay a round trip to every shard on every hit just to sample
+// the vector.
 func (s *Server) Attach(p *core.Pipeline, store *persist.Store) {
 	if store != nil {
 		s.store.Store(store)
 	}
-	s.pipe.Store(p) // last: readiness is observed through this pointer
+	a := &attachment{pipe: p}
+	if _, remote := p.Lake().(discovery.Remote); !remote {
+		a.answers = newAnswerCache()
+	}
+	s.live.Store(a) // last: readiness is observed through this pointer
 }
 
 // p returns the attached pipeline, or nil while warming.
-func (s *Server) p() *core.Pipeline { return s.pipe.Load() }
+func (s *Server) p() *core.Pipeline {
+	if a := s.live.Load(); a != nil {
+		return a.pipe
+	}
+	return nil
+}
 
 // HealthResponse is the /healthz body. Persistence is present only when
 // the lake is persisted; ReplayInProgress is true while the server is up
@@ -303,26 +326,43 @@ type ErrorBody struct {
 	Status int    `json:"status"`
 }
 
+// rawJSON is a response body already encoded by encodeJSON; writeJSON
+// sends it as is. The answer cache stores and serves these bytes.
+type rawJSON []byte
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	// Marshal before touching the response: encoding can fail after the
 	// fact (a lake cell parsed as ±Inf has no JSON representation), and a
 	// failure discovered after WriteHeader would turn into a silent 200
 	// with a truncated body. This way it becomes an honest 500.
+	raw, ok := body.(rawJSON)
+	if !ok {
+		var err error
+		if raw, err = encodeJSON(body); err != nil {
+			if status == http.StatusInternalServerError {
+				// The error envelope itself failed to encode; nothing left to say.
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("response not representable as JSON: %v", err))
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(raw)
+}
+
+// encodeJSON is the one response encoding: HTML characters unescaped,
+// trailing newline.
+func encodeJSON(body any) (rawJSON, error) {
 	buf := &bytes.Buffer{}
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(body); err != nil {
-		if status == http.StatusInternalServerError {
-			// The error envelope itself failed to encode; nothing left to say.
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("response not representable as JSON: %v", err))
-		return
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	return buf.Bytes(), nil
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -443,8 +483,11 @@ func (s *Server) handle(m *endpointMetrics, class endpointClass, fn func(ctx con
 
 // decodeBody strictly decodes the request body: unknown fields and trailing
 // garbage are rejected, and numbers keep full precision (json.Number).
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeBody(r *http.Request, dst any) error { return decodeJSON(r.Body, dst) }
+
+// decodeJSON is decodeBody over any reader.
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -492,20 +535,45 @@ type DiscoverResponse struct {
 	ShardErrors    []ShardErrorJSON            `json:"shardErrors,omitempty"`
 }
 
+// discover answers from the attached answer cache when the same body was
+// answered under the catalog's current epoch vector, and otherwise runs the
+// discovery stage and caches the answer when it is whole (not partial) and
+// proved untorn (see answers.go). Over a remote catalog there is no cache.
 func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, fmt.Errorf("malformed request body: %w", err)
+	}
+	live := s.live.Load()
+	var key [sha256.Size]byte
+	if live.answers != nil {
+		key = sha256.Sum256(body)
+		if hit := live.answers.lookup(key, body, live.pipe.Lake().Epochs); hit != nil {
+			return rawJSON(hit), nil
+		}
+	}
 	var req DiscoverRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
 		return nil, err
 	}
 	q, err := req.Query.DecodeTable()
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.p().Discover(ctx, core.DiscoverRequest{Query: q, QueryColumn: req.QueryColumn, Methods: req.Methods, K: req.K})
+	resp, err := live.pipe.Discover(ctx, core.DiscoverRequest{Query: q, QueryColumn: req.QueryColumn, Methods: req.Methods, K: req.K})
 	if err != nil {
 		return nil, err
 	}
-	return encodeDiscoverResponse(resp), nil
+	out := encodeDiscoverResponse(resp)
+	if live.answers == nil || resp.Partial() || resp.Epochs == nil {
+		return out, nil
+	}
+	raw, err := encodeJSON(out)
+	if err != nil {
+		return out, nil // writeJSON turns the same failure into its 500
+	}
+	live.answers.store(key, body, resp.Epochs, raw)
+	return raw, nil
 }
 
 func encodeDiscoverResponse(resp *core.DiscoverResponse) DiscoverResponse {
