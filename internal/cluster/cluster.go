@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/discovery"
@@ -65,10 +66,12 @@ type Config struct {
 }
 
 // Coordinator implements lake.Catalog and discovery's remote target over a
-// set of shard processes. It holds no table data: reads scatter to the
+// set of shard processes. It owns no table data: reads scatter to the
 // shards and gather deterministically, mutations route by lake.ShardIndex,
 // and the composite-level state (value dictionary, KB annotator) lives
-// coordinator-side exactly as lake.Sharded keeps it composite-side.
+// coordinator-side exactly as lake.Sharded keeps it composite-side. The one
+// copy of shard data it keeps is the bounded, epoch-keyed cache of the
+// tables discovery materialized (tables.go).
 type Coordinator struct {
 	// Composite carries the routing rule (NumShards, ShardFor), the
 	// coordinator-local seqlock counter over routed mutations (Epochs
@@ -78,6 +81,7 @@ type Coordinator struct {
 	*lake.Composite
 	cfg    Config
 	shards []*shardClient
+	tables *tableCache
 }
 
 var (
@@ -121,6 +125,7 @@ func New(cfg Config) (*Coordinator, error) {
 		Composite: lake.NewComposite(len(cfg.Addrs), cfg.Knowledge),
 		cfg:       cfg,
 		shards:    make([]*shardClient, len(cfg.Addrs)),
+		tables:    newTableCache(tableCacheBytes, len(cfg.Addrs)),
 	}
 	for i, addr := range cfg.Addrs {
 		base, err := normalizeAddr(addr)
@@ -184,17 +189,26 @@ func (c *Coordinator) callCtx() (context.Context, context.CancelFunc) {
 // with its *ShardError (first in shard order), so callers can tell "no such
 // table" from "its shard is down".
 func (c *Coordinator) FetchTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
-	return c.fetchTables(ctx, names, nil)
+	resolved, err := c.fetchShards(ctx, lake.PartitionNames(names, len(c.shards)), nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*table.Table, len(names))
+	for _, ts := range resolved {
+		for _, t := range ts {
+			out[t.Name] = t
+		}
+	}
+	return out, nil
 }
 
-// fetchTables scatters one getTables batch per involved shard and gathers
-// the decoded tables; tolerate (nil means nothing is) decides which
-// per-shard failures merely drop that shard's names instead of failing the
-// fetch.
-func (c *Coordinator) fetchTables(ctx context.Context, names []string, tolerate func(error) bool) (map[string]*table.Table, error) {
-	perShard := lake.PartitionNames(names, len(c.shards))
+// fetchShards scatters one getTables batch to every shard with names in
+// perShard and gathers the decoded tables: resolved[s] is what shard s
+// returned. tolerate (nil means nothing is) decides which per-shard
+// failures merely drop that shard's names instead of failing the fetch.
+func (c *Coordinator) fetchShards(ctx context.Context, perShard [][]string, tolerate func(error) bool) ([][]*table.Table, error) {
 	involved := involvedShards(perShard)
-	resolved := make([][]*table.Table, len(involved))
+	resolved := make([][]*table.Table, len(perShard))
 	errs := make([]error, len(involved))
 	par.For(len(involved), func(j int) {
 		i := involved[j]
@@ -205,18 +219,12 @@ func (c *Coordinator) fetchTables(ctx context.Context, names []string, tolerate 
 			}
 			return
 		}
-		resolved[j], errs[j] = decodeTables(i, resp.Tables)
+		resolved[i], errs[j] = decodeTables(i, resp.Tables)
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-	out := make(map[string]*table.Table, len(names))
-	for _, ts := range resolved {
-		for _, t := range ts {
-			out[t.Name] = t
-		}
-	}
-	return out, nil
+	return resolved, nil
 }
 
 // decodeTables decodes one shard's wire tables; a table that does not
@@ -451,8 +459,52 @@ func (c *Coordinator) DiscoverShard(ctx context.Context, shard int, ds []discove
 // after answering the discover calls simply drop their names from the map
 // (the ranking entries keep their stubs; the epoch resample decides if it
 // matters), and only other failures and malformed responses error.
-func (c *Coordinator) ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
-	return c.fetchTables(ctx, names, isUnavailable)
+//
+// A name whose owning shard's element of epochs (the attempt's before-
+// sample) is cacheable is served from the table cache when it holds the
+// name under that element, and fetched and stored under it otherwise; a
+// shard call the cache avoids is not made. Only names requested from the
+// shard that returned them are stored.
+func (c *Coordinator) ResolveTables(ctx context.Context, names []string, epochs []uint64) (map[string]*table.Table, error) {
+	out := make(map[string]*table.Table, len(names))
+	perShard := make([][]string, len(c.shards))
+	for _, n := range names {
+		s := c.ShardFor(n)
+		if e, ok := c.tableEpoch(epochs, s); ok {
+			if t := c.tables.lookup(n, s, e); t != nil {
+				out[n] = t
+				continue
+			}
+		}
+		perShard[s] = append(perShard[s], n)
+	}
+	resolved, err := c.fetchShards(ctx, perShard, isUnavailable)
+	if err != nil {
+		return nil, err
+	}
+	for s, ts := range resolved {
+		e, cacheable := c.tableEpoch(epochs, s)
+		for _, t := range ts {
+			out[t.Name] = t
+			if cacheable && slices.Contains(perShard[s], t.Name) {
+				c.tables.store(t.Name, s, e, t)
+			}
+		}
+	}
+	return out, nil
+}
+
+// tableEpoch returns shard s's element of an epoch vector and whether the
+// table cache may key on it. It may only when the vector has the
+// coordinator's shape — its own counter and one element per shard (a shard
+// server is a single lake, and a down shard's epochDown is one element too)
+// — and the element is even (no mutation in flight) and not epochDown.
+func (c *Coordinator) tableEpoch(epochs []uint64, s int) (uint64, bool) {
+	if len(epochs) != 1+len(c.shards) {
+		return 0, false
+	}
+	e := epochs[1+s]
+	return e, e%2 == 0 && e != epochDown
 }
 
 // ShardHealth probes every shard's /healthz (and epoch endpoint, for the
@@ -484,23 +536,29 @@ func probeShards(ctx context.Context, shards []*shardClient, timeout time.Durati
 	return out
 }
 
-// ShardMetrics snapshots the per-shard fan-out transport counters — the
-// coordinator /metrics aggregation.
+// ShardMetrics snapshots the per-shard fan-out transport counters and each
+// shard's share of the table cache — the coordinator /metrics aggregation.
 func (c *Coordinator) ShardMetrics() []serve.ShardMetrics {
 	out := make([]serve.ShardMetrics, len(c.shards))
 	for i, sc := range c.shards {
 		p50, p99, max, sum, count := sc.lat.Quantiles()
+		tc := &c.tables.shards[i]
 		out[i] = serve.ShardMetrics{
-			Shard:   i,
-			Addr:    sc.addr,
-			Calls:   sc.calls.Load(),
-			Errors:  sc.errs.Load(),
-			Retries: sc.retryCount.Load(),
-			Count:   count,
-			P50NS:   int64(p50),
-			P99NS:   int64(p99),
-			MaxNS:   int64(max),
-			SumNS:   int64(sum),
+			Shard:               i,
+			Addr:                sc.addr,
+			Calls:               sc.calls.Load(),
+			Errors:              sc.errs.Load(),
+			Retries:             sc.retryCount.Load(),
+			Count:               count,
+			P50NS:               int64(p50),
+			P99NS:               int64(p99),
+			MaxNS:               int64(max),
+			SumNS:               int64(sum),
+			TableCacheHits:      tc.hits.Load(),
+			TableCacheMisses:    tc.misses.Load(),
+			TableCacheStale:     tc.stale.Load(),
+			TableCacheEvictions: tc.evictions.Load(),
+			TableCacheBytes:     tc.bytes.Load(),
 		}
 	}
 	return out

@@ -23,7 +23,10 @@ import (
 
 // Result is one discovered table.
 type Result struct {
-	// Table is the discovered lake table.
+	// Table is the discovered lake table. It is shared, not copied — an
+	// in-process lake hands out its own table, a cluster coordinator the
+	// one in its table cache — so it is read-only: no consumer may write
+	// to it.
 	Table *table.Table
 	// Score is method-specific (containment, overlap, semantic score,
 	// user similarity) — comparable within one method, not across methods.

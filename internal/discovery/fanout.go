@@ -51,8 +51,11 @@ type Remote interface {
 	// ResolveTables fetches the named tables. Names it cannot resolve —
 	// removed mid-run, or their shard became unreachable after answering
 	// the discover call — are simply absent from the map; implementations
-	// return an error only for malformed responses.
-	ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error)
+	// return an error only for malformed responses. epochs is the vector
+	// the attempt sampled before its fan-out; an implementation may serve
+	// a table it fetched earlier under the same vector element, because
+	// RunAll retries any attempt whose after-sample differs.
+	ResolveTables(ctx context.Context, names []string, epochs []uint64) (map[string]*table.Table, error)
 }
 
 // Query is one RunAll call's query as a Remote receives it. Every shard
@@ -141,8 +144,9 @@ func epochsClean(e1, e2 []uint64) bool {
 // ranking on shard s, and slot j is always the item's first slot.
 type shardCall func(ctx context.Context, j int, per [][]Result, errs []error)
 
-// resolveFunc is Remote.ResolveTables: names in, materialized tables out.
-type resolveFunc func(ctx context.Context, names []string) (map[string]*table.Table, error)
+// resolveFunc is Remote.ResolveTables: names and the attempt's before-
+// sample in, materialized tables out.
+type resolveFunc func(ctx context.Context, names []string, epochs []uint64) (map[string]*table.Table, error)
 
 // shardCalls resolves how the target's shards are reached: the shard count,
 // the number of work items and the per-item call. An in-process item is
@@ -264,7 +268,7 @@ func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 			}
 		}
 		if resolve != nil {
-			if err := materialize(ctx, out, resolve); err != nil {
+			if err := materialize(ctx, out, resolve, e1); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -320,7 +324,8 @@ func collectSlots(per [][]Result, errs []error, ns int) ([]ShardError, error) {
 // A name that resolves to nothing (removed mid-run, or its shard died after
 // answering) keeps its stub — the ranking entry stays correct by (name,
 // score), and Discover excludes column-less stubs from the integration set.
-func materialize(ctx context.Context, out [][]Result, resolve resolveFunc) error {
+// epochs, the attempt's before-sample, passes through to the resolver.
+func materialize(ctx context.Context, out [][]Result, resolve resolveFunc, epochs []uint64) error {
 	var names []string
 	seen := make(map[string]bool)
 	for _, rs := range out {
@@ -334,7 +339,7 @@ func materialize(ctx context.Context, out [][]Result, resolve resolveFunc) error
 	if len(names) == 0 {
 		return nil
 	}
-	resolved, err := resolve(ctx, names)
+	resolved, err := resolve(ctx, names, epochs)
 	if err != nil {
 		return err
 	}
@@ -415,7 +420,8 @@ type Answer struct {
 	// PerMethod holds each method's ranked results, keyed by method name.
 	PerMethod map[string][]Result
 	// IntegrationSet is the deduplicated union of all results with the
-	// query table first — the input to Align & Integrate.
+	// query table first — the input to Align & Integrate. Its discovered
+	// tables are the results' shared tables, read-only like Result.Table.
 	IntegrationSet []*table.Table
 	// ShardErrors is non-empty when the run was partial: some shards of a
 	// cluster-mode catalog were unreachable and contributed nothing

@@ -57,7 +57,7 @@ func (r *stubRemote) DiscoverShard(ctx context.Context, shard int, ds []discover
 	return per, errs
 }
 
-func (r *stubRemote) ResolveTables(ctx context.Context, names []string) (map[string]*table.Table, error) {
+func (r *stubRemote) ResolveTables(ctx context.Context, names []string, _ []uint64) (map[string]*table.Table, error) {
 	r.resolves.Add(1)
 	out := make(map[string]*table.Table, len(names))
 	for _, n := range names {

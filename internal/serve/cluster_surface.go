@@ -150,7 +150,11 @@ type ShardHealthReporter interface {
 // ShardMetrics is one shard's fan-out transport counters as the
 // coordinator's /metrics reports them. Latency fields are the round-trip
 // time of shard calls, from the same log2-bucketed histogram the endpoint
-// metrics use.
+// metrics use. The TableCache fields are the shard's share of the
+// coordinator's decoded-table cache: lookups of its table names that hit,
+// missed (no entry) or found an entry under another epoch (stale), its
+// entries evicted to stay within the cache's bound, and the bytes its
+// entries hold now. A fetch the cache avoided is not a call.
 type ShardMetrics struct {
 	Shard   int    `json:"shard"`
 	Addr    string `json:"addr"`
@@ -162,6 +166,12 @@ type ShardMetrics struct {
 	P99NS   int64  `json:"p99_ns"`
 	MaxNS   int64  `json:"max_ns"`
 	SumNS   int64  `json:"sum_ns"`
+
+	TableCacheHits      uint64 `json:"table_cache_hits"`
+	TableCacheMisses    uint64 `json:"table_cache_misses"`
+	TableCacheStale     uint64 `json:"table_cache_stale"`
+	TableCacheEvictions uint64 `json:"table_cache_evictions"`
+	TableCacheBytes     int64  `json:"table_cache_bytes"`
 }
 
 // ShardMetricsReporter is implemented by cluster-mode catalogs; /metrics

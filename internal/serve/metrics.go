@@ -287,6 +287,14 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "dialite_shard_rtt_seconds_sum{shard=\"%d\",addr=%q} %g\n", m.Shard, m.Addr, time.Duration(m.SumNS).Seconds())
 			fmt.Fprintf(&b, "dialite_shard_rtt_seconds_count{shard=\"%d\",addr=%q} %d\n", m.Shard, m.Addr, m.Count)
 		}
+		shardCounter("dialite_shard_table_cache_hits_total", "Discovery tables of the shard served from the coordinator's table cache.", func(m ShardMetrics) uint64 { return m.TableCacheHits })
+		shardCounter("dialite_shard_table_cache_misses_total", "Discovery tables of the shard the table cache did not hold.", func(m ShardMetrics) uint64 { return m.TableCacheMisses })
+		shardCounter("dialite_shard_table_cache_stale_total", "Discovery tables of the shard cached under an epoch the shard has moved past.", func(m ShardMetrics) uint64 { return m.TableCacheStale })
+		shardCounter("dialite_shard_table_cache_evictions_total", "Table cache entries of the shard evicted least recently used first to stay within its byte bound.", func(m ShardMetrics) uint64 { return m.TableCacheEvictions })
+		fmt.Fprintf(&b, "# HELP dialite_shard_table_cache_bytes Bytes of the shard's decoded tables held by the table cache.\n# TYPE dialite_shard_table_cache_bytes gauge\n")
+		for _, m := range shards {
+			fmt.Fprintf(&b, "dialite_shard_table_cache_bytes{shard=\"%d\",addr=%q} %d\n", m.Shard, m.Addr, m.TableCacheBytes)
+		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))

@@ -114,6 +114,7 @@ curl -sf "$COORD/healthz" | jq -e '.status == "ok" and (.shards | length == 3)' 
 # exits on its first match and curl then dies writing to the closed pipe (23).
 metrics="$(curl -sf "$COORD/metrics")"
 grep -q 'dialite_shard_calls_total' <<<"$metrics"
+grep -q 'dialite_shard_table_cache_hits_total' <<<"$metrics"
 curl -sf "$COORD/metrics?format=json&scope=shards" | jq -e 'length == 3' >/dev/null
 
 echo "== cluster smoke OK"
