@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/lake"
+	"repro/internal/lru"
 	"repro/internal/serve"
 	"repro/internal/table"
 )
@@ -99,14 +100,14 @@ func directBody(t *testing.T, p *core.Pipeline, body []byte) []byte {
 
 // cacheMetrics reads a server's answer cache counters over its /metrics
 // surface.
-func cacheMetrics(t *testing.T, base string) serve.AnswerCacheMetrics {
+func cacheMetrics(t *testing.T, base string) lru.Stats {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics?format=json&scope=cache")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m serve.AnswerCacheMetrics
+	var m lru.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,9 @@ func renamed(src *table.Table, name string, rows int) *table.Table {
 
 // sumCacheMetrics adds the answer cache counters of several servers,
 // leaving Bytes out.
-func sumCacheMetrics(t *testing.T, bases []string) serve.AnswerCacheMetrics {
+func sumCacheMetrics(t *testing.T, bases []string) lru.Stats {
 	t.Helper()
-	var sum serve.AnswerCacheMetrics
+	var sum lru.Stats
 	for _, base := range bases {
 		m := cacheMetrics(t, base)
 		sum.Hits += m.Hits
@@ -151,7 +152,7 @@ func TestAnswerCacheFreshness(t *testing.T) {
 	const n = 3
 	// Eight requests: the first misses, the first after each mutation is
 	// stale, the rest hit.
-	whole := serve.AnswerCacheMetrics{Hits: 4, Misses: 1, Stale: 3, Stores: 4}
+	whole := lru.Stats{Hits: 4, Misses: 1, Stale: 3, Stores: 4}
 	shapes := []struct {
 		name string
 		// catalog builds the fronted catalog and returns the addresses of
@@ -159,7 +160,7 @@ func TestAnswerCacheFreshness(t *testing.T) {
 		catalog func(t *testing.T) (lake.Catalog, []string)
 		// front and shards are the answer cache counters of the front door
 		// and the sum over the shard servers after the eight requests.
-		front, shards serve.AnswerCacheMetrics
+		front, shards lru.Stats
 	}{
 		{"lake", func(t *testing.T) (lake.Catalog, []string) {
 			l, err := lake.New(pool, opts)
@@ -167,21 +168,21 @@ func TestAnswerCacheFreshness(t *testing.T) {
 				t.Fatal(err)
 			}
 			return l, nil
-		}, whole, serve.AnswerCacheMetrics{}},
+		}, whole, lru.Stats{}},
 		{"sharded", func(t *testing.T) (lake.Catalog, []string) {
 			s, err := lake.NewSharded(pool, n, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s, nil
-		}, whole, serve.AnswerCacheMetrics{}},
+		}, whole, lru.Stats{}},
 		// Each request reaches every shard once; every shard misses first,
 		// and only the shard owning the mutated name goes stale.
 		{"coordinator", func(t *testing.T) (lake.Catalog, []string) {
 			tc := startCluster(t, pool, n)
 			t.Cleanup(func() { coordClient(tc.coord) })
 			return tc.coord, tc.addrs
-		}, serve.AnswerCacheMetrics{}, serve.AnswerCacheMetrics{Hits: 8*n - n - 3, Misses: n, Stale: 3, Stores: n + 3}},
+		}, lru.Stats{}, lru.Stats{Hits: 8*n - n - 3, Misses: n, Stale: 3, Stores: n + 3}},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -291,7 +292,7 @@ func TestAnswerCacheNeverStoresPartial(t *testing.T) {
 			t.Fatalf("request %d with shard %d down: status %d, partial %v (%v): %s", i, down, status, wire.Partial, err, got)
 		}
 	}
-	if m := cacheMetrics(t, front.URL); m != (serve.AnswerCacheMetrics{}) {
+	if m := cacheMetrics(t, front.URL); m != (lru.Stats{}) {
 		t.Fatalf("after two partial answers the front door's cache counters are %+v, want none", m)
 	}
 
@@ -302,7 +303,7 @@ func TestAnswerCacheNeverStoresPartial(t *testing.T) {
 			t.Fatalf("request %d after the shard came back: status %d\n served %s\n want %s", i, status, got, want)
 		}
 	}
-	if m := cacheMetrics(t, front.URL); m != (serve.AnswerCacheMetrics{}) {
+	if m := cacheMetrics(t, front.URL); m != (lru.Stats{}) {
 		t.Fatalf("after the shard came back the front door's cache counters are %+v, want none", m)
 	}
 	if m := cacheMetrics(t, addrs[down]); m.Stores != 1 || m.Hits != 1 {

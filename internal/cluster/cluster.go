@@ -32,6 +32,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/kb"
 	"repro/internal/lake"
+	"repro/internal/lru"
 	"repro/internal/par"
 	"repro/internal/serve"
 	"repro/internal/table"
@@ -81,7 +82,8 @@ type Coordinator struct {
 	*lake.Composite
 	cfg    Config
 	shards []*shardClient
-	tables *tableCache
+	all    []int // every shard index, ascending: what Epochs and Size probe
+	tables *lru.Cache[string, cachedTable]
 }
 
 var (
@@ -125,13 +127,14 @@ func New(cfg Config) (*Coordinator, error) {
 		Composite: lake.NewComposite(len(cfg.Addrs), cfg.Knowledge),
 		cfg:       cfg,
 		shards:    make([]*shardClient, len(cfg.Addrs)),
-		tables:    newTableCache(tableCacheBytes, len(cfg.Addrs)),
+		tables:    lru.New[string, cachedTable](tableCacheBytes, len(cfg.Addrs)),
 	}
 	for i, addr := range cfg.Addrs {
 		base, err := normalizeAddr(addr)
 		if err != nil {
 			return nil, err
 		}
+		c.all = append(c.all, i)
 		c.shards[i] = &shardClient{
 			shard:       i,
 			addr:        base,
@@ -158,23 +161,31 @@ const epochDown = ^uint64(0) - 1
 // read retries, while a steadily-down shard leaves it stable (no retry
 // storm while degraded).
 func (c *Coordinator) Epochs() []uint64 {
-	per := make([][]uint64, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		ep, err := c.shards[i].epochs(ctx)
-		if err != nil || len(ep.Epochs) == 0 {
-			per[i] = []uint64{epochDown}
-			return
-		}
-		per[i] = ep.Epochs
-	})
+	eps, errs := c.probeEpochs(c.all)
 	out := make([]uint64, 0, 1+2*len(c.shards))
 	out = append(out, c.Epoch())
-	for _, v := range per {
-		out = append(out, v...)
+	for i, ep := range eps {
+		if errs[i] != nil || len(ep.Epochs) == 0 {
+			out = append(out, epochDown)
+			continue
+		}
+		out = append(out, ep.Epochs...)
 	}
 	return out
+}
+
+// probeEpochs samples the epoch endpoint of each shard in involved
+// concurrently, each under ProbeTimeout: eps[j] and errs[j] are
+// involved[j]'s answer. Epochs, Size and probeInvolved each apply their own
+// rule to what it returns.
+func (c *Coordinator) probeEpochs(involved []int) (eps []serve.EpochResponse, errs []error) {
+	eps, errs = make([]serve.EpochResponse, len(involved)), make([]error, len(involved))
+	par.For(len(involved), func(j int) {
+		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		defer cancel()
+		eps[j], errs[j] = c.shards[involved[j]].epochs(ctx)
+	})
+	return eps, errs
 }
 
 // callCtx is the context for the catalog mutations, which lake.Catalog
@@ -264,17 +275,12 @@ func (c *Coordinator) TableNames(ctx context.Context) ([]string, error) {
 // Size sums the reachable shards' table counts (down shards contribute
 // zero; /healthz carries the per-shard detail).
 func (c *Coordinator) Size() int {
-	per := make([]int, len(c.shards))
-	par.For(len(c.shards), func(i int) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		if ep, err := c.shards[i].epochs(ctx); err == nil {
-			per[i] = ep.Size
-		}
-	})
+	eps, errs := c.probeEpochs(c.all)
 	n := 0
-	for _, v := range per {
-		n += v
+	for i, ep := range eps {
+		if errs[i] == nil {
+			n += ep.Size
+		}
 	}
 	return n
 }
@@ -284,16 +290,9 @@ func (c *Coordinator) Size() int {
 // clean — no partial batch, no rollback. The returned error is a
 // *ShardError carrying 503.
 func (c *Coordinator) probeInvolved(involved []int) error {
-	errs := make([]error, len(involved))
-	par.For(len(involved), func(j int) {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-		defer cancel()
-		_, errs[j] = c.shards[involved[j]].epochs(ctx)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("cluster: mutation refused, shard unreachable: %w", err)
-		}
+	_, errs := c.probeEpochs(involved)
+	if err := firstErr(errs); err != nil {
+		return fmt.Errorf("cluster: mutation refused, shard unreachable: %w", err)
 	}
 	return nil
 }
@@ -471,8 +470,8 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string, epochs 
 	for _, n := range names {
 		s := c.ShardFor(n)
 		if e, ok := c.tableEpoch(epochs, s); ok {
-			if t := c.tables.lookup(n, s, e); t != nil {
-				out[n] = t
+			if ct, ok := c.tables.Get(s, n, func(ct cachedTable) bool { return ct.epoch == e }); ok {
+				out[n] = ct.t
 				continue
 			}
 		}
@@ -487,7 +486,7 @@ func (c *Coordinator) ResolveTables(ctx context.Context, names []string, epochs 
 		for _, t := range ts {
 			out[t.Name] = t
 			if cacheable && slices.Contains(perShard[s], t.Name) {
-				c.tables.store(t.Name, s, e, t)
+				c.tables.Put(s, t.Name, cachedTable{epoch: e, t: t}, tableBytes(t))
 			}
 		}
 	}
@@ -542,23 +541,18 @@ func (c *Coordinator) ShardMetrics() []serve.ShardMetrics {
 	out := make([]serve.ShardMetrics, len(c.shards))
 	for i, sc := range c.shards {
 		p50, p99, max, sum, count := sc.lat.Quantiles()
-		tc := &c.tables.shards[i]
 		out[i] = serve.ShardMetrics{
-			Shard:               i,
-			Addr:                sc.addr,
-			Calls:               sc.calls.Load(),
-			Errors:              sc.errs.Load(),
-			Retries:             sc.retryCount.Load(),
-			Count:               count,
-			P50NS:               int64(p50),
-			P99NS:               int64(p99),
-			MaxNS:               int64(max),
-			SumNS:               int64(sum),
-			TableCacheHits:      tc.hits.Load(),
-			TableCacheMisses:    tc.misses.Load(),
-			TableCacheStale:     tc.stale.Load(),
-			TableCacheEvictions: tc.evictions.Load(),
-			TableCacheBytes:     tc.bytes.Load(),
+			Shard:      i,
+			Addr:       sc.addr,
+			Calls:      sc.calls.Load(),
+			Errors:     sc.errs.Load(),
+			Retries:    sc.retryCount.Load(),
+			Count:      count,
+			P50NS:      int64(p50),
+			P99NS:      int64(p99),
+			MaxNS:      int64(max),
+			SumNS:      int64(sum),
+			TableCache: serve.TableCache(c.tables.Stats(i)),
 		}
 	}
 	return out

@@ -50,9 +50,9 @@ func withMetric(src *table.Table, name string, delta int64) *table.Table {
 // Bytes left out.
 func tableCacheTotals(c *cluster.Coordinator) (hits, misses, stale uint64) {
 	for _, m := range c.ShardMetrics() {
-		hits += m.TableCacheHits
-		misses += m.TableCacheMisses
-		stale += m.TableCacheStale
+		hits += m.TableCache.Hits
+		misses += m.TableCache.Misses
+		stale += m.TableCache.Stale
 	}
 	return hits, misses, stale
 }
@@ -152,11 +152,11 @@ func checkTableCacheSeries(t *testing.T, base string, c *cluster.Coordinator) {
 	want := c.ShardMetrics()
 	for _, m := range want {
 		for series, v := range map[string]int64{
-			"dialite_shard_table_cache_hits_total":      int64(m.TableCacheHits),
-			"dialite_shard_table_cache_misses_total":    int64(m.TableCacheMisses),
-			"dialite_shard_table_cache_stale_total":     int64(m.TableCacheStale),
-			"dialite_shard_table_cache_evictions_total": int64(m.TableCacheEvictions),
-			"dialite_shard_table_cache_bytes":           m.TableCacheBytes,
+			"dialite_shard_table_cache_hits_total":      int64(m.TableCache.Hits),
+			"dialite_shard_table_cache_misses_total":    int64(m.TableCache.Misses),
+			"dialite_shard_table_cache_stale_total":     int64(m.TableCache.Stale),
+			"dialite_shard_table_cache_evictions_total": int64(m.TableCache.Evictions),
+			"dialite_shard_table_cache_bytes":           m.TableCache.Bytes,
 		} {
 			line := fmt.Sprintf("%s{shard=\"%d\",addr=%q} %d\n", series, m.Shard, m.Addr, v)
 			if !strings.Contains(string(text), line) {
@@ -174,7 +174,7 @@ func checkTableCacheSeries(t *testing.T, base string, c *cluster.Coordinator) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if i >= len(got) || got[i].TableCacheHits != want[i].TableCacheHits || got[i].TableCacheBytes != want[i].TableCacheBytes {
+		if i >= len(got) || got[i].TableCache.Hits != want[i].TableCache.Hits || got[i].TableCache.Bytes != want[i].TableCache.Bytes {
 			t.Fatalf("scope=shards %+v, want the table cache counters of %+v", got, want)
 		}
 	}
@@ -266,7 +266,7 @@ func TestResolveTablesKeysOnlyOnCleanElements(t *testing.T) {
 		return got
 	}
 	cacheCounts := func(m serve.ShardMetrics) [4]int64 {
-		return [4]int64{int64(m.TableCacheHits), int64(m.TableCacheMisses), int64(m.TableCacheStale), m.TableCacheBytes}
+		return [4]int64{int64(m.TableCache.Hits), int64(m.TableCache.Misses), int64(m.TableCache.Stale), m.TableCache.Bytes}
 	}
 
 	// On an empty cache a spoiled shard's names are neither looked up nor

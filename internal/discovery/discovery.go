@@ -15,6 +15,8 @@ package discovery
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/lake"
@@ -234,10 +236,13 @@ func (s SimilarityFunc) Discover(ctx context.Context, l *lake.Lake, q *table.Tab
 // rankResults orders per-table results by score descending (name
 // tie-break) and truncates to k.
 func rankResults(best map[string]Result, k int) []Result {
-	out := make([]Result, 0, len(best))
-	for _, r := range best {
-		out = append(out, r)
-	}
+	return topK(slices.AppendSeq(make([]Result, 0, len(best)), maps.Values(best)), k)
+}
+
+// topK sorts results by score descending, then table name ascending, and
+// truncates them to k (k <= 0 keeps all): the one ranking order of every
+// discoverer and of the cross-shard merge.
+func topK(out []Result, k int) []Result {
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {
 			return out[a].Score > out[b].Score

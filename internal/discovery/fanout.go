@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/lake"
@@ -356,29 +355,15 @@ func materialize(ctx context.Context, out [][]Result, resolve resolveFunc, epoch
 // mergeShardRankings concatenates one discoverer's per-shard rankings and
 // re-ranks them globally. Every discoverer reports at most one result per
 // table and each table lives on exactly one shard, so the concatenation
-// has no duplicates and the (score descending, name ascending) comparator
-// — the same order rankResults produces — is total. Per-shard lists were
-// already truncated to their local top-k, which is safe: a shard's k+1st
-// result can never enter the global top k.
+// has no duplicates and topK's (score descending, name ascending) order is
+// total. Per-shard lists were already truncated to their local top-k, which
+// is safe: a shard's k+1st result can never enter the global top k.
 func mergeShardRankings(lists [][]Result, k int) []Result {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]Result, 0, total)
+	out := []Result{}
 	for _, l := range lists {
 		out = append(out, l...)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Table.Name < out[b].Table.Name
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return topK(out, k)
 }
 
 // resolve maps method names to registered discoverers, in input order.

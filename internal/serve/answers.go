@@ -2,11 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
-	"crypto/sha256"
 	"slices"
-	"sync"
-	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/lru"
 )
 
 // The /v1/discover answer cache. DIALITE is interactive: a user re-runs
@@ -41,26 +40,16 @@ import (
 // heap is ≈ 4 MB. discover-zipf's 256 distinct requests measured 1.62 MB
 // (body 3–6 kB plus response ≈ 2 kB each), so its whole working set fits
 // with room to spare, while non-repeating traffic (churn-mixed) cycles
-// through the bound oldest-first.
+// through the bound least recently used first.
 const answerCacheBytes = 4 << 20
 
-// answerCache is one attached pipeline's answer cache. mu guards entries,
-// order and bytes; the counters are atomic.
-type answerCache struct {
-	mu      sync.Mutex
-	entries map[[sha256.Size]byte]*list.Element // of *answer
-	order   list.List                           // oldest first
-	bytes   int64
-
-	hits, misses, stale, stores, evictions atomic.Uint64
-}
+// answerCache is one attached pipeline's answer cache (the bounded cache of
+// ARCHITECTURE.md, one tag), keyed by the request body itself: the map's
+// hash and equality decide which request an entry answers.
+type answerCache struct{ *lru.Cache[string, answer] }
 
 // answer is one immutable cache entry.
 type answer struct {
-	key [sha256.Size]byte
-	// body is compared on every hit, so a digest collision cannot serve
-	// another request's answer.
-	body []byte
 	// epochs is the all-even vector the answer was computed under.
 	epochs []uint64
 	// resp is the response body exactly as writeJSON emits it, trailing
@@ -68,89 +57,25 @@ type answer struct {
 	resp []byte
 }
 
-func (a *answer) size() int64 { return int64(len(a.body) + len(a.resp)) }
-
 func newAnswerCache() *answerCache {
-	return &answerCache{entries: make(map[[sha256.Size]byte]*list.Element)}
+	return &answerCache{lru.New[string, answer](answerCacheBytes, 1)}
 }
 
 // lookup returns the stored response for body when the catalog still
 // samples the vector it was computed under, nil otherwise. epochs is called
-// only when an entry for body exists, so a body seen for the first time
-// costs one hash and one map probe. Every call counts as exactly one of
-// hit, miss (no entry) or stale (the vector moved).
-func (c *answerCache) lookup(key [sha256.Size]byte, body []byte, epochs func() []uint64) []byte {
-	c.mu.Lock()
-	var a *answer
-	if el, ok := c.entries[key]; ok {
-		a = el.Value.(*answer)
-	}
-	c.mu.Unlock()
-	if a == nil || !bytes.Equal(a.body, body) {
-		c.misses.Add(1)
-		return nil
-	}
+// only when an entry for body exists. The body's bytes are viewed as the
+// key without a copy, which is safe because Get keeps no key.
+func (c *answerCache) lookup(body []byte, epochs func() []uint64) []byte {
 	// a.epochs is all even, so equality also proves no mutation is in
 	// flight now.
-	if !slices.Equal(epochs(), a.epochs) {
-		c.stale.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
+	a, _ := c.Get(0, unsafe.String(unsafe.SliceData(body), len(body)), func(a answer) bool { return slices.Equal(epochs(), a.epochs) })
 	return a.resp
 }
 
 // store records resp as the answer to body under epochs, which must be
-// the clean vector RunAll proved (core.DiscoverResponse.Epochs). An entry
-// for the same body is replaced; the oldest entries are evicted until the
-// cache fits answerCacheBytes again. The slices are copied, so the cache
-// holds exactly the bytes it accounts for.
-func (c *answerCache) store(key [sha256.Size]byte, body []byte, epochs []uint64, resp []byte) {
-	if len(body)+len(resp) > answerCacheBytes {
-		return
-	}
-	a := &answer{key: key, body: bytes.Clone(body), epochs: epochs, resp: bytes.Clone(resp)}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.bytes -= c.order.Remove(el).(*answer).size()
-	}
-	c.entries[key] = c.order.PushBack(a)
-	c.bytes += a.size()
-	c.stores.Add(1)
-	for c.bytes > answerCacheBytes {
-		old := c.order.Remove(c.order.Front()).(*answer)
-		delete(c.entries, old.key)
-		c.bytes -= old.size()
-		c.evictions.Add(1)
-	}
-}
-
-// AnswerCacheMetrics is the /v1/discover answer cache's counters, served
-// by GET /metrics?format=json&scope=cache. Every discover request that
-// reads its body counts as exactly one of Hits, Misses (no entry) or Stale
-// (an entry whose epoch vector the catalog has moved past); Stores counts
-// answers recorded, Evictions entries dropped oldest-first to stay within
-// the byte bound, and Bytes the body + response bytes held now.
-type AnswerCacheMetrics struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Stale     uint64 `json:"stale"`
-	Stores    uint64 `json:"stores"`
-	Evictions uint64 `json:"evictions"`
-	Bytes     int64  `json:"bytes"`
-}
-
-func (c *answerCache) metrics() AnswerCacheMetrics {
-	c.mu.Lock()
-	n := c.bytes
-	c.mu.Unlock()
-	return AnswerCacheMetrics{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Stale:     c.stale.Load(),
-		Stores:    c.stores.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     n,
-	}
+// the clean vector RunAll proved (core.DiscoverResponse.Epochs). The body
+// is copied into the key and resp is cloned, so the cache holds exactly the
+// bytes it accounts for.
+func (c *answerCache) store(body []byte, epochs []uint64, resp []byte) {
+	c.Put(0, string(body), answer{epochs: epochs, resp: bytes.Clone(resp)}, int64(len(body)+len(resp)))
 }

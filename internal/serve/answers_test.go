@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"net/http"
@@ -195,45 +194,113 @@ func TestAnswerCacheConcurrentWithMutation(t *testing.T) {
 }
 
 // TestAnswerCacheByteBound fills the cache past answerCacheBytes: the held
-// bytes never exceed the bound, the oldest entries go first, a replaced
-// entry is accounted once, and an answer larger than the bound is not
-// stored at all.
+// bytes never exceed the bound, the least recently used (here the oldest)
+// entries go first, a replaced entry is accounted once, and an answer
+// larger than the bound is not stored at all.
 func TestAnswerCacheByteBound(t *testing.T) {
 	c := newAnswerCache()
 	epochs := []uint64{2}
 	current := func() []uint64 { return epochs }
 	const half = 32 << 10
-	entry := func(i int) (key [sha256.Size]byte, body, resp []byte) {
+	entry := func(i int) (body, resp []byte) {
 		body = bytes.Repeat([]byte{'b'}, half)
 		copy(body, fmt.Sprint(i))
-		return sha256.Sum256(body), body, bytes.Repeat([]byte{'r'}, half)
+		return body, bytes.Repeat([]byte{'r'}, half)
 	}
 	const n = 3 * answerCacheBytes / (2 * half)
 	for i := range n {
-		key, body, resp := entry(i)
-		c.store(key, body, epochs, resp)
-		if got := c.metrics().Bytes; got > answerCacheBytes {
+		body, resp := entry(i)
+		c.store(body, epochs, resp)
+		if got := c.Stats(0).Bytes; got > answerCacheBytes {
 			t.Fatalf("after %d stores the cache holds %d bytes, bound %d", i+1, got, answerCacheBytes)
 		}
 	}
 	const fit = answerCacheBytes / (2 * half)
-	if m := c.metrics(); m.Stores != n || m.Evictions != n-fit || m.Bytes != int64(fit*2*half) {
+	if m := c.Stats(0); m.Stores != n || m.Evictions != n-fit || m.Bytes != int64(fit*2*half) {
 		t.Fatalf("counters = %+v, want %d stores, %d evictions, %d bytes", m, n, n-fit, fit*2*half)
 	}
 	for i, wantHit := range map[int]bool{0: false, n - fit - 1: false, n - fit: true, n - 1: true} {
-		key, body, _ := entry(i)
-		if hit := c.lookup(key, body, current) != nil; hit != wantHit {
+		body, _ := entry(i)
+		if hit := c.lookup(body, current) != nil; hit != wantHit {
 			t.Errorf("entry %d: hit %v, want %v (oldest evicted first)", i, hit, wantHit)
 		}
 	}
-	key, body, resp := entry(n - 1)
-	c.store(key, body, epochs, resp)
-	if got := c.metrics().Bytes; got != int64(fit*2*half) {
+	body, resp := entry(n - 1)
+	c.store(body, epochs, resp)
+	if got := c.Stats(0).Bytes; got != int64(fit*2*half) {
 		t.Fatalf("replacing an entry changed the held bytes to %d, want %d", got, fit*2*half)
 	}
 	huge := bytes.Repeat([]byte{'h'}, answerCacheBytes)
-	c.store(sha256.Sum256(huge), huge, epochs, resp)
-	if m := c.metrics(); m.Bytes != int64(fit*2*half) || m.Stores != n+1 {
+	c.store(huge, epochs, resp)
+	if m := c.Stats(0); m.Bytes != int64(fit*2*half) || m.Stores != n+1 {
 		t.Fatalf("an answer over the bound was stored: %+v", m)
+	}
+}
+
+// TestAnswerCacheHitProtectsEntry fills the cache exactly, hits the oldest
+// entry and stores one more: the least recently used entry, not the one
+// just served, is evicted.
+func TestAnswerCacheHitProtectsEntry(t *testing.T) {
+	c := newAnswerCache()
+	epochs := []uint64{2}
+	current := func() []uint64 { return epochs }
+	const half = 32 << 10
+	body := func(i int) []byte { return []byte(fmt.Sprintf("%0*d", half, i)) }
+	resp := bytes.Repeat([]byte{'r'}, half)
+	const fit = answerCacheBytes / (2 * half)
+	for i := range fit {
+		c.store(body(i), epochs, resp)
+	}
+	if c.lookup(body(0), current) == nil {
+		t.Fatal("entry 0 is not cached")
+	}
+	c.store(body(fit), epochs, resp)
+	if c.lookup(body(0), current) == nil {
+		t.Fatal("the entry just served was evicted")
+	}
+	if c.lookup(body(1), current) != nil {
+		t.Fatal("entry 1, the least recently used, survived the eviction")
+	}
+}
+
+// TestAnswerCacheStaleReleasesBytes requires a lookup under a moved epoch
+// vector to count stale and release the entry's bytes at once.
+func TestAnswerCacheStaleReleasesBytes(t *testing.T) {
+	c := newAnswerCache()
+	c.store([]byte("body"), []uint64{2}, []byte("resp\n"))
+	if c.lookup([]byte("body"), func() []uint64 { return []uint64{4} }) != nil {
+		t.Fatal("served an answer stored under another epoch vector")
+	}
+	if m := c.Stats(0); m.Stale != 1 || m.Bytes != 0 {
+		t.Fatalf("after a stale lookup the counters are %+v, want 1 stale and 0 bytes", m)
+	}
+}
+
+// TestAnswerCacheKeepsNoCallerBuffer overwrites the caller's body buffer
+// after a store and after a hit: the cache must still answer the original
+// body, and only it. A lookup views the buffer as its key without a copy,
+// so this pins that the cache keeps no such view.
+func TestAnswerCacheKeepsNoCallerBuffer(t *testing.T) {
+	c := newAnswerCache()
+	epochs := []uint64{2}
+	current := func() []uint64 { return epochs }
+	const orig = `{"query":"original"}`
+	want := []byte("answer\n")
+	buf := []byte(orig)
+	c.store(buf, epochs, want)
+	copy(buf, `{"query":"OVERWRITE"}`)
+	if got := c.lookup([]byte(orig), current); !bytes.Equal(got, want) {
+		t.Fatalf("after overwriting the stored body's buffer: lookup = %q, want %q", got, want)
+	}
+	buf = []byte(orig)
+	if c.lookup(buf, current) == nil {
+		t.Fatal("no hit for the stored body")
+	}
+	copy(buf, `{"query":"OVERWRITE"}`)
+	if got := c.lookup([]byte(orig), current); !bytes.Equal(got, want) {
+		t.Fatalf("after overwriting a hit's buffer: lookup = %q, want %q", got, want)
+	}
+	if c.lookup(buf, current) != nil {
+		t.Fatal("the overwritten body is answered as if it were the stored one")
 	}
 }

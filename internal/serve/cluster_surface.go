@@ -150,11 +150,9 @@ type ShardHealthReporter interface {
 // ShardMetrics is one shard's fan-out transport counters as the
 // coordinator's /metrics reports them. Latency fields are the round-trip
 // time of shard calls, from the same log2-bucketed histogram the endpoint
-// metrics use. The TableCache fields are the shard's share of the
-// coordinator's decoded-table cache: lookups of its table names that hit,
-// missed (no entry) or found an entry under another epoch (stale), its
-// entries evicted to stay within the cache's bound, and the bytes its
-// entries hold now. A fetch the cache avoided is not a call.
+// metrics use. TableCache is the shard's share of the coordinator's
+// decoded-table cache (lru.Stats, tagged by shard). A fetch the cache
+// avoided is not a call.
 type ShardMetrics struct {
 	Shard   int    `json:"shard"`
 	Addr    string `json:"addr"`
@@ -167,11 +165,18 @@ type ShardMetrics struct {
 	MaxNS   int64  `json:"max_ns"`
 	SumNS   int64  `json:"sum_ns"`
 
-	TableCacheHits      uint64 `json:"table_cache_hits"`
-	TableCacheMisses    uint64 `json:"table_cache_misses"`
-	TableCacheStale     uint64 `json:"table_cache_stale"`
-	TableCacheEvictions uint64 `json:"table_cache_evictions"`
-	TableCacheBytes     int64  `json:"table_cache_bytes"`
+	TableCache
+}
+
+// TableCache is lru.Stats under the table_cache_ names ShardMetrics's JSON
+// has always carried; the two types convert into each other.
+type TableCache struct {
+	Hits      uint64 `json:"table_cache_hits"`
+	Misses    uint64 `json:"table_cache_misses"`
+	Stale     uint64 `json:"table_cache_stale"`
+	Stores    uint64 `json:"table_cache_stores"`
+	Evictions uint64 `json:"table_cache_evictions"`
+	Bytes     int64  `json:"table_cache_bytes"`
 }
 
 // ShardMetricsReporter is implemented by cluster-mode catalogs; /metrics

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // Per-endpoint serving metrics. Everything is lock-free atomics: the
@@ -201,17 +203,41 @@ func (s *Server) shardMetrics() []ShardMetrics {
 
 // answerCacheMetrics reports the attached pipeline's answer cache counters
 // (all zero while warming and over a remote catalog, which has no cache).
-func (s *Server) answerCacheMetrics() AnswerCacheMetrics {
+func (s *Server) answerCacheMetrics() lru.Stats {
 	if a := s.live.Load(); a != nil && a.answers != nil {
-		return a.answers.metrics()
+		return a.answers.Stats(0)
 	}
-	return AnswerCacheMetrics{}
+	return lru.Stats{}
+}
+
+// writeCacheFamily renders one bounded cache's counters as a metric family:
+// name_{hits,misses,stale,stores,evictions}_total and name_bytes, one sample
+// per stats element under labels[i] ("" for an unlabelled family). what
+// names the items the cache holds.
+func writeCacheFamily(b *strings.Builder, name, what string, labels []string, stats []lru.Stats) {
+	for _, f := range []struct {
+		suffix, kind, help string
+		value              func(lru.Stats) int64
+	}{
+		{"hits_total", "counter", "Lookups of %s served from the cache.", func(s lru.Stats) int64 { return int64(s.Hits) }},
+		{"misses_total", "counter", "Lookups of %s the cache did not hold.", func(s lru.Stats) int64 { return int64(s.Misses) }},
+		{"stale_total", "counter", "Lookups of %s cached under an epoch the catalog has moved past (the entry is dropped).", func(s lru.Stats) int64 { return int64(s.Stale) }},
+		{"stores_total", "counter", "Stores of %s into the cache.", func(s lru.Stats) int64 { return int64(s.Stores) }},
+		{"evictions_total", "counter", "Cached %s evicted least recently used first to stay within the cache's byte bound.", func(s lru.Stats) int64 { return int64(s.Evictions) }},
+		{"bytes", "gauge", "Bytes the cache holds for %s.", func(s lru.Stats) int64 { return s.Bytes }},
+	} {
+		series := name + "_" + f.suffix
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", series, fmt.Sprintf(f.help, what), series, f.kind)
+		for i, st := range stats {
+			fmt.Fprintf(b, "%s%s %d\n", series, labels[i], f.value(st))
+		}
+	}
 }
 
 // metricsHandler serves GET /metrics: Prometheus text exposition by
 // default, the JSON snapshot with ?format=json — per endpoint
 // ([]EndpointMetrics) unless scope=shards ([]ShardMetrics) or scope=cache
-// (AnswerCacheMetrics) asks for another view. It bypasses admission and
+// (the answer cache's lru.Stats) asks for another view. It bypasses admission and
 // works while warming or degraded — observability must answer exactly when
 // the serving path is refusing.
 func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
@@ -253,21 +279,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "dialite_request_seconds_sum{endpoint=%q} %g\n", m.Endpoint, time.Duration(m.SumNS).Seconds())
 		fmt.Fprintf(&b, "dialite_request_seconds_count{endpoint=%q} %d\n", m.Endpoint, m.Count)
 	}
-	cache := s.answerCacheMetrics()
-	for _, c := range []struct {
-		name, help string
-		value      uint64
-	}{
-		{"hits", "/v1/discover requests answered from the answer cache.", cache.Hits},
-		{"misses", "/v1/discover requests whose body had no cached answer.", cache.Misses},
-		{"stale", "/v1/discover requests whose cached answer predates the catalog's epoch vector.", cache.Stale},
-		{"stores", "/v1/discover answers stored in the answer cache.", cache.Stores},
-		{"evictions", "Answer cache entries evicted oldest-first to stay within its byte bound.", cache.Evictions},
-	} {
-		name := "dialite_answer_cache_" + c.name + "_total"
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, c.help, name, name, c.value)
-	}
-	fmt.Fprintf(&b, "# HELP dialite_answer_cache_bytes Request + response bytes held by the answer cache.\n# TYPE dialite_answer_cache_bytes gauge\ndialite_answer_cache_bytes %d\n", cache.Bytes)
+	writeCacheFamily(&b, "dialite_answer_cache", "/v1/discover answers", []string{""}, []lru.Stats{s.answerCacheMetrics()})
 	// Cluster mode: per-shard fan-out transport counters + round-trip
 	// latency, labeled by shard index and address.
 	if shards := s.shardMetrics(); len(shards) > 0 {
@@ -287,14 +299,11 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "dialite_shard_rtt_seconds_sum{shard=\"%d\",addr=%q} %g\n", m.Shard, m.Addr, time.Duration(m.SumNS).Seconds())
 			fmt.Fprintf(&b, "dialite_shard_rtt_seconds_count{shard=\"%d\",addr=%q} %d\n", m.Shard, m.Addr, m.Count)
 		}
-		shardCounter("dialite_shard_table_cache_hits_total", "Discovery tables of the shard served from the coordinator's table cache.", func(m ShardMetrics) uint64 { return m.TableCacheHits })
-		shardCounter("dialite_shard_table_cache_misses_total", "Discovery tables of the shard the table cache did not hold.", func(m ShardMetrics) uint64 { return m.TableCacheMisses })
-		shardCounter("dialite_shard_table_cache_stale_total", "Discovery tables of the shard cached under an epoch the shard has moved past.", func(m ShardMetrics) uint64 { return m.TableCacheStale })
-		shardCounter("dialite_shard_table_cache_evictions_total", "Table cache entries of the shard evicted least recently used first to stay within its byte bound.", func(m ShardMetrics) uint64 { return m.TableCacheEvictions })
-		fmt.Fprintf(&b, "# HELP dialite_shard_table_cache_bytes Bytes of the shard's decoded tables held by the table cache.\n# TYPE dialite_shard_table_cache_bytes gauge\n")
-		for _, m := range shards {
-			fmt.Fprintf(&b, "dialite_shard_table_cache_bytes{shard=\"%d\",addr=%q} %d\n", m.Shard, m.Addr, m.TableCacheBytes)
+		labels, stats := make([]string, len(shards)), make([]lru.Stats, len(shards))
+		for i, m := range shards {
+			labels[i], stats[i] = fmt.Sprintf("{shard=\"%d\",addr=%q}", m.Shard, m.Addr), lru.Stats(m.TableCache)
 		}
+		writeCacheFamily(&b, "dialite_shard_table_cache", "the shard's decoded discovery tables", labels, stats)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -545,10 +544,8 @@ func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 		return nil, fmt.Errorf("malformed request body: %w", err)
 	}
 	live := s.live.Load()
-	var key [sha256.Size]byte
 	if live.answers != nil {
-		key = sha256.Sum256(body)
-		if hit := live.answers.lookup(key, body, live.pipe.Lake().Epochs); hit != nil {
+		if hit := live.answers.lookup(body, live.pipe.Lake().Epochs); hit != nil {
 			return rawJSON(hit), nil
 		}
 	}
@@ -572,7 +569,7 @@ func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return out, nil // writeJSON turns the same failure into its 500
 	}
-	live.answers.store(key, body, resp.Epochs, raw)
+	live.answers.store(body, resp.Epochs, raw)
 	return raw, nil
 }
 
