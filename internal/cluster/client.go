@@ -86,6 +86,10 @@ func (e *ShardError) RetryAfterHint() string {
 	return ""
 }
 
+// shardRetries bounds the retry attempts of one idempotent read against a
+// transiently failing shard: a read is tried at most 1+shardRetries times.
+const shardRetries = 2
+
 // shardClient is one shard's HTTP transport: a shared pooled client
 // (connection reuse across calls and shards), per-call deadlines derived
 // from the request context and capped by the configured call timeout, and
@@ -98,7 +102,6 @@ type shardClient struct {
 	hc    *http.Client
 
 	callTimeout time.Duration
-	retries     int
 	backoff     time.Duration
 
 	// Fan-out metrics behind the coordinator's /metrics: logical calls,
@@ -139,7 +142,7 @@ func (c *shardClient) doRetry(ctx context.Context, op, method, path string, body
 	}
 	attempts := 1
 	if idempotent {
-		attempts += c.retries
+		attempts += shardRetries
 	}
 	var last *ShardError
 	for attempt := 0; attempt < attempts; attempt++ {

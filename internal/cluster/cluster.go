@@ -55,15 +55,10 @@ type Config struct {
 	// ProbeTimeout caps the cheap sampling calls (epoch vectors, health,
 	// mutation pre-probes). 0 means 2s.
 	ProbeTimeout time.Duration
-	// Retries bounds per-call retry attempts for idempotent reads against
-	// a transiently failing shard. 0 means 2; negative disables.
-	Retries int
-	// RetryBackoff is the base backoff between retry attempts (linear:
-	// attempt n waits n*RetryBackoff). 0 means 50ms.
+	// RetryBackoff is the base backoff between the shardRetries retry
+	// attempts of an idempotent read (linear: attempt n waits
+	// n*RetryBackoff). 0 means 50ms.
 	RetryBackoff time.Duration
-	// Client overrides the HTTP client; nil builds a pooled transport
-	// shared by every shard (connection reuse across the fan-out).
-	Client *http.Client
 }
 
 // Coordinator implements lake.Catalog and discovery's remote target over a
@@ -107,22 +102,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ProbeTimeout == 0 {
 		cfg.ProbeTimeout = 2 * time.Second
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
+	// One pooled transport shared by every shard: connection reuse across
+	// the fan-out.
+	hc := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	c := &Coordinator{
 		Composite: lake.NewComposite(len(cfg.Addrs), cfg.Knowledge),
 		cfg:       cfg,
@@ -140,7 +128,6 @@ func New(cfg Config) (*Coordinator, error) {
 			addr:        base,
 			hc:          hc,
 			callTimeout: cfg.CallTimeout,
-			retries:     cfg.Retries,
 			backoff:     cfg.RetryBackoff,
 		}
 	}

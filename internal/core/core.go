@@ -30,8 +30,6 @@ type Config struct {
 	Knowledge *kb.KB
 	// SynthesizeKB merges a lake-synthesized KB into Knowledge.
 	SynthesizeKB bool
-	// LakeOptions tunes index construction (LSH parameters).
-	LakeOptions lake.Options
 	// Shards splits the catalog across this many shard lakes (lake.Sharded):
 	// private per-shard interners and indexes, hash-routed mutations,
 	// scatter-gather discovery with byte-identical rankings. 0 or 1 builds
@@ -52,9 +50,7 @@ type Pipeline struct {
 // built-in discoverers and operators registered. cfg.Shards > 1 builds a
 // sharded catalog.
 func New(tables []*table.Table, cfg Config) (*Pipeline, error) {
-	lopts := cfg.LakeOptions
-	lopts.Knowledge = cfg.Knowledge
-	lopts.SynthesizeKB = cfg.SynthesizeKB
+	lopts := lake.Options{Knowledge: cfg.Knowledge, SynthesizeKB: cfg.SynthesizeKB}
 	var (
 		c   lake.Catalog
 		err error

@@ -80,26 +80,22 @@ func (SantosUnion) Discover(ctx context.Context, l *lake.Lake, q *table.Table, q
 }
 
 // LSHJoin is joinable search by domain containment (LSH Ensemble).
-type LSHJoin struct {
-	// Threshold is the minimum containment of the query column's domain in
-	// the candidate column. Default 0.5.
-	Threshold float64
-}
+type LSHJoin struct{}
+
+// lshThreshold is the minimum containment of the query column's domain in
+// a candidate column for LSHJoin to report it.
+const lshThreshold = 0.5
 
 // Name implements Discoverer.
 func (LSHJoin) Name() string { return "lsh-join" }
 
 // Discover implements Discoverer.
-func (d LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error) {
-	th := d.Threshold
-	if th == 0 {
-		th = 0.5
-	}
+func (LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error) {
 	domain, err := l.ResolveQuery(q, queryCol)
 	if err != nil {
 		return nil, fmt.Errorf("discovery: lsh-join: %w", err)
 	}
-	hits, err := l.Join().QueryDomainCtx(ctx, domain, th, 0)
+	hits, err := l.Join().QueryDomainCtx(ctx, domain, lshThreshold, 0)
 	if err != nil {
 		return nil, err
 	}

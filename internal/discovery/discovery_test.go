@@ -51,7 +51,7 @@ func TestFig2LSHJoinFindsT3(t *testing.T) {
 	// city column contains 2/3 of the query's cities; T2's contains none).
 	l := demoLake(t)
 	q := paperdata.T1()
-	got, err := LSHJoin{Threshold: 0.5}.Discover(context.Background(), l, q, cityCol(t, q), 0)
+	got, err := LSHJoin{}.Discover(context.Background(), l, q, cityCol(t, q), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestQueryTableNeverDiscovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := paperdata.T1()
-	for _, d := range []Discoverer{LSHJoin{Threshold: 0.1}, JosieJoin{}, SyntacticUnion{}} {
+	for _, d := range []Discoverer{LSHJoin{}, JosieJoin{}, SyntacticUnion{}} {
 		got, err := d.Discover(context.Background(), l, q, cityCol(t, q), 0)
 		if err != nil {
 			t.Fatal(err)

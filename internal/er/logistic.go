@@ -110,26 +110,15 @@ type TrainingPair struct {
 type TrainOptions struct {
 	// Knowledge feeds the feature extractor.
 	Knowledge *kb.KB
-	// Epochs of full-batch gradient descent. Default 500.
-	Epochs int
-	// LearningRate. Default 0.5.
-	LearningRate float64
-	// L2 regularization strength. Default 0.001.
-	L2 float64
 }
 
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.Epochs <= 0 {
-		o.Epochs = 500
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.5
-	}
-	if o.L2 <= 0 {
-		o.L2 = 0.001
-	}
-	return o
-}
+// Training runs trainEpochs of full-batch gradient descent at step
+// trainLearningRate with L2 regularization strength trainL2.
+const (
+	trainEpochs       = 500
+	trainLearningRate = 0.5
+	trainL2           = 0.001
+)
 
 // TrainLogistic fits a logistic-regression matcher on labeled row pairs by
 // full-batch gradient descent. Pairs whose rows share no both-filled
@@ -137,7 +126,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // Training is deterministic: weights start at zero and the data order is
 // the caller's.
 func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, error) {
-	opts = opts.withDefaults()
 	type example struct {
 		x []float64
 		y float64
@@ -159,7 +147,7 @@ func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, err
 	}
 	nf := len(data[0].x)
 	m := &LogisticModel{Weights: make([]float64, nf)}
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
+	for epoch := 0; epoch < trainEpochs; epoch++ {
 		gw := make([]float64, nf)
 		gb := 0.0
 		for _, ex := range data {
@@ -170,9 +158,9 @@ func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, err
 			}
 			gb += diff
 		}
-		scale := opts.LearningRate / float64(len(data))
+		scale := trainLearningRate / float64(len(data))
 		for i := range m.Weights {
-			m.Weights[i] -= scale*gw[i] + opts.LearningRate*opts.L2*m.Weights[i]
+			m.Weights[i] -= scale*gw[i] + trainLearningRate*trainL2*m.Weights[i]
 		}
 		m.Bias -= scale * gb
 	}

@@ -199,10 +199,11 @@ func unionProv(a, b []string) []string {
 	return out
 }
 
-// dedupeTuples removes value-duplicate tuples, keeping the first occurrence
-// (and its provenance). Inputs are processed in order, so source tuples
-// added before merged tuples always win, matching the paper's provenance.
-func dedupeTuples(tuples []Tuple) []Tuple {
+// DedupeTuples removes value-duplicate tuples (equal Tuple.Key), keeping
+// the first occurrence and its provenance. Inputs are processed in order,
+// so source tuples added before merged tuples always win, matching the
+// paper's provenance.
+func DedupeTuples(tuples []Tuple) []Tuple {
 	seen := make(map[string]bool, len(tuples))
 	out := make([]Tuple, 0, len(tuples))
 	for _, t := range tuples {

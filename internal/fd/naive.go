@@ -23,7 +23,7 @@ const NaiveLimit = 22
 // lexicographically-smallest provenance) wins, matching the minimal-witness
 // provenance of the paper's figures.
 func Naive(in Input) ([]Tuple, error) {
-	ts := dedupeTuples(in.Tuples)
+	ts := DedupeTuples(in.Tuples)
 	n := len(ts)
 	if n > NaiveLimit {
 		return nil, fmt.Errorf("fd: naive enumeration over %d tuples exceeds limit %d", n, NaiveLimit)

@@ -95,8 +95,6 @@ func Apply(ctx context.Context, op Operator, tables []*table.Table, matcher sche
 
 // ALITEFD is the default operator: ALITE's Full Disjunction.
 type ALITEFD struct {
-	// Workers > 0 selects the parallel FD algorithm.
-	Workers int
 	// Dict optionally shares a value dictionary (usually the lake's) with
 	// the FD closure, so cell interning is reused across integrations.
 	Dict *table.Dict
@@ -106,14 +104,11 @@ type ALITEFD struct {
 func (ALITEFD) Name() string { return "alite-fd" }
 
 // Run implements Operator. Cancellation reaches the FD closure itself: the
-// complementation rounds poll ctx (fd.ALITECtx / fd.ParallelCtx).
+// complementation rounds poll ctx (fd.ALITECtx).
 func (o ALITEFD) Run(ctx context.Context, schema []string, sets []AlignedSet) ([]fd.Tuple, error) {
 	in := fd.Input{Schema: schema, Dict: o.Dict}
 	for _, s := range sets {
 		in.Tuples = append(in.Tuples, s.Tuples...)
-	}
-	if o.Workers > 0 {
-		return fd.ParallelCtx(ctx, in, o.Workers)
 	}
 	return fd.ALITECtx(ctx, in)
 }
@@ -162,7 +157,7 @@ func (Union) Run(ctx context.Context, schema []string, sets []AlignedSet) ([]fd.
 	for _, s := range sets {
 		all = append(all, s.Tuples...)
 	}
-	return dedupe(all), nil
+	return fd.DedupeTuples(all), nil
 }
 
 // foldJoin implements the left-deep natural join chain. outer selects full
@@ -213,7 +208,7 @@ func foldJoin(ctx context.Context, schema []string, sets []AlignedSet, outer boo
 				}
 			}
 		}
-		cur = dedupe(out)
+		cur = fd.DedupeTuples(out)
 		curPos = union(curPos, next.Positions)
 	}
 	sorted := append([]fd.Tuple(nil), cur...)
@@ -257,19 +252,6 @@ func union(a, b []int) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-func dedupe(tuples []fd.Tuple) []fd.Tuple {
-	seen := make(map[string]bool, len(tuples))
-	out := make([]fd.Tuple, 0, len(tuples))
-	for _, t := range tuples {
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
-	}
 	return out
 }
 

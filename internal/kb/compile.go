@@ -214,15 +214,6 @@ func sortedBoolKeys(m map[string]bool) []string {
 // space (annotation codes at or beyond it are lake-local extended IDs).
 func (c *Compiled) NumStrings() int { return len(c.strs) }
 
-// NumTypes reports the number of compiled type names.
-func (c *Compiled) NumTypes() int { return len(c.types) }
-
-// NumLabels reports the number of compiled relationship labels.
-func (c *Compiled) NumLabels() int { return len(c.labels) }
-
-// TypeName returns the type name of a compiled type ID.
-func (c *Compiled) TypeName(id uint32) string { return c.types[id] }
-
 // AncestorIDs returns the compiled ancestor chain of a type ID, nearest
 // first, with the same cycle guard as KB.Ancestors.
 func (c *Compiled) AncestorIDs(id uint32) []uint32 { return c.ancs[id] }

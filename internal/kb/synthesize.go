@@ -17,20 +17,13 @@ func sortStrings(xs []string) { sort.Strings(xs) }
 // never compares have Jaccard 0.
 const minJaccard = 0.3
 
-// SynthesizeOptions configures KB synthesis from a data lake.
-type SynthesizeOptions struct {
-	// MaxPairsPerTable caps the relationship pairs recorded per column pair
-	// within one table (guards against quadratic blowup on very tall
-	// tables). Default 2000.
-	MaxPairsPerTable int
-}
+// maxPairsPerTable caps the relationship pairs recorded per column pair
+// within one table (guards against quadratic blowup on very tall tables).
+const maxPairsPerTable = 2000
 
-func (o SynthesizeOptions) withDefaults() SynthesizeOptions {
-	if o.MaxPairsPerTable <= 0 {
-		o.MaxPairsPerTable = 2000
-	}
-	return o
-}
+// SynthesizeOptions is Synthesize's options argument. It has no fields;
+// callers pass SynthesizeOptions{}.
+type SynthesizeOptions struct{}
 
 // Synthesize builds a knowledge base from the data lake itself, mirroring
 // SANTOS's synthesized KB: when no curated KB covers a domain, the lake's
@@ -48,8 +41,7 @@ func (o SynthesizeOptions) withDefaults() SynthesizeOptions {
 //     value pairs become relationships labeled
 //     "syn:<typeA>-><typeB>", so two tables that relate the same kinds of
 //     things in the same way share relationship labels.
-func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
-	opts = opts.withDefaults()
+func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 	type colRef struct {
 		tableIdx int
 		col      int
@@ -160,7 +152,7 @@ func Synthesize(tables []*table.Table, opts SynthesizeOptions) *KB {
 				label := "syn:" + colType[[2]int{ti, a}] + "->" + colType[[2]int{ti, b}]
 				added := 0
 				for _, row := range t.Rows {
-					if added >= opts.MaxPairsPerTable {
+					if added >= maxPairsPerTable {
 						break
 					}
 					va, vb := row[a], row[b]

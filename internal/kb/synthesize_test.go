@@ -71,11 +71,11 @@ func TestSynthesizeEmptyLake(t *testing.T) {
 
 func TestSynthesizePairCap(t *testing.T) {
 	big := table.New("big", "x", "y")
-	for i := 0; i < 100; i++ {
+	for i := 0; i < maxPairsPerTable+100; i++ {
 		big.MustAddRow(table.StringValue(stringN("x", i)), table.StringValue(stringN("y", i)))
 	}
-	k := Synthesize([]*table.Table{big}, SynthesizeOptions{MaxPairsPerTable: 10})
-	if k.NumRelations() > 10 {
+	k := Synthesize([]*table.Table{big}, SynthesizeOptions{})
+	if k.NumRelations() > maxPairsPerTable {
 		t.Errorf("pair cap not applied: %d relations", k.NumRelations())
 	}
 }
@@ -99,5 +99,5 @@ func TestMostlyTextual(t *testing.T) {
 }
 
 func stringN(prefix string, i int) string {
-	return prefix + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
+	return prefix + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
 }

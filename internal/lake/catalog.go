@@ -106,5 +106,13 @@ func (s *Sharded) FetchTables(ctx context.Context, names []string) (map[string]*
 	return fetchLocal(ctx, names, s.Get)
 }
 
-// TableNames implements Catalog over Tables.
-func (s *Sharded) TableNames(ctx context.Context) ([]string, error) { return namesOf(ctx, s.Tables()) }
+// TableNames implements Catalog: the catalog order Tables reports, copied
+// without looking up any table.
+func (s *Sharded) TableNames(ctx context.Context) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]string(nil), s.order...), nil
+}

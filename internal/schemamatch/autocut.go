@@ -9,22 +9,18 @@ import (
 
 // AutoHolistic is the holistic matcher with automatic cut selection: the
 // constrained agglomerative merge sequence is scored by average silhouette
-// at every step, and the best-scoring clustering wins. It removes the one
-// knob (MinSimilarity) the fixed-threshold matcher exposes, at the cost of
-// an extra O(n²) scoring pass per merge — the trade the ALITE paper makes
-// when selecting the number of integration IDs data-driven.
+// at every step, and the best-scoring clustering wins. It needs no
+// similarity floor (the fixed-threshold matcher's minSimilarity), at the
+// cost of an extra O(n²) scoring pass per merge — the trade the ALITE paper
+// makes when selecting the number of integration IDs data-driven.
 type AutoHolistic struct {
 	// Knowledge supplies semantic-type features (may be nil).
 	Knowledge *kb.KB
-	// HeaderWeight blends header embeddings (default 0.25; negative
-	// disables).
-	HeaderWeight float64
 }
 
 // Align implements Matcher.
 func (h AutoHolistic) Align(tables []*table.Table) (Alignment, error) {
-	hw := Holistic{HeaderWeight: h.HeaderWeight}.headerWeight()
-	refs, sim, err := similarities(tables, h.Knowledge, hw)
+	refs, sim, err := similarities(tables, h.Knowledge)
 	if err != nil {
 		return Alignment{}, err
 	}

@@ -93,7 +93,7 @@ func TestAutoHolisticHeaderlessStillAligns(t *testing.T) {
 			tb.Columns[c] = ""
 		}
 	}
-	got, err := AutoHolistic{Knowledge: kb.Demo(), HeaderWeight: -1}.Align(tables)
+	got, err := AutoHolistic{Knowledge: kb.Demo()}.Align(tables)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestIntegrationSchemaNamesUnique(t *testing.T) {
 		}
 	}
 	for name, m := range map[string]Matcher{
-		"holistic":      Holistic{MinSimilarity: 0.99},
+		"holistic":      Holistic{},
 		"auto-holistic": AutoHolistic{},
 		"header":        HeaderMatcher{},
 	} {

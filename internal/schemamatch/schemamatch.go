@@ -53,50 +53,35 @@ type Holistic struct {
 	// Knowledge supplies semantic-type features to the embeddings; nil
 	// disables them (ablation X5 measures the difference).
 	Knowledge *kb.KB
-	// HeaderWeight blends header embeddings into content embeddings.
-	// Headers in data lakes are unreliable, so the default is a light 0.25.
-	// Negative disables headers entirely.
-	HeaderWeight float64
-	// MinSimilarity is the complete-linkage floor: two clusters merge only
-	// while every cross pair has cosine at least this. Default 0.42 —
-	// above the ~0.36 cosine two numeric columns of different magnitudes
-	// share through their common kind feature alone, so unrelated measure
+}
+
+const (
+	// headerWeight blends header embeddings into content embeddings.
+	// Headers in data lakes are unreliable, so the weight is a light 0.25.
+	headerWeight = 0.25
+	// minSimilarity is the complete-linkage floor: two clusters merge only
+	// while every cross pair has cosine at least this. 0.42 is above the
+	// ~0.36 cosine two numeric columns of different magnitudes share
+	// through their common kind feature alone, so unrelated measure
 	// columns do not collapse.
-	MinSimilarity float64
-}
-
-func (h Holistic) headerWeight() float64 {
-	if h.HeaderWeight < 0 {
-		return 0
-	}
-	if h.HeaderWeight == 0 {
-		return 0.25
-	}
-	return h.HeaderWeight
-}
-
-func (h Holistic) minSimilarity() float64 {
-	if h.MinSimilarity <= 0 {
-		return 0.42
-	}
-	return h.MinSimilarity
-}
+	minSimilarity = 0.42
+)
 
 // Align implements Matcher.
 func (h Holistic) Align(tables []*table.Table) (Alignment, error) {
-	refs, sim, err := similarities(tables, h.Knowledge, h.headerWeight())
+	refs, sim, err := similarities(tables, h.Knowledge)
 	if err != nil {
 		return Alignment{}, err
 	}
-	return buildAlignment(tables, refs, clusterConstrained(refs, sim, h.minSimilarity())), nil
+	return buildAlignment(tables, refs, clusterConstrained(refs, sim, minSimilarity)), nil
 }
 
 // similarities is the one embedding path of the holistic matchers: it
 // embeds every column of the integration set (embed.Columns), blends in
-// its header embedding at weight hw when hw > 0, and returns the column
+// its header embedding at headerWeight, and returns the column
 // refs with their pairwise cosine matrix. Cosine is symmetric to the bit,
 // so each pair is computed once.
-func similarities(tables []*table.Table, knowledge *kb.KB, hw float64) ([]ColumnRef, [][]float64, error) {
+func similarities(tables []*table.Table, knowledge *kb.KB) ([]ColumnRef, [][]float64, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("schemamatch: empty integration set")
 	}
@@ -107,9 +92,7 @@ func similarities(tables []*table.Table, knowledge *kb.KB, hw float64) ([]Column
 	refs := make([]ColumnRef, 0, len(vecs))
 	for ti, t := range tables {
 		for c, name := range t.Columns {
-			if hw > 0 {
-				vecs[len(refs)] = embed.Combine(vecs[len(refs)], embed.Header(name), hw)
-			}
+			vecs[len(refs)] = embed.Combine(vecs[len(refs)], embed.Header(name), headerWeight)
 			refs = append(refs, ColumnRef{ti, c})
 		}
 	}

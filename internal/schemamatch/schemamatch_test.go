@@ -58,7 +58,7 @@ func TestHolisticWithoutHeaders(t *testing.T) {
 			tb.Columns[c] = ""
 		}
 	}
-	got, err := Holistic{Knowledge: kb.Demo(), HeaderWeight: -1}.Align(tables)
+	got, err := Holistic{Knowledge: kb.Demo()}.Align(tables)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestUniqueIntegrationIDs(t *testing.T) {
 	a.MustAddRow(table.StringValue("p"))
 	b := table.New("b", "x")
 	b.MustAddRow(table.IntValue(42424242))
-	got, err := Holistic{MinSimilarity: 0.99}.Align([]*table.Table{a, b})
+	got, err := Holistic{}.Align([]*table.Table{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Schema) == 2 && got.Schema[0] == got.Schema[1] {
-		t.Errorf("duplicate integration IDs: %v", got.Schema)
+	if len(got.Schema) != 2 || got.Schema[0] == got.Schema[1] {
+		t.Errorf("want two distinct integration IDs, got %v", got.Schema)
 	}
 }
 

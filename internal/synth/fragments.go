@@ -16,13 +16,16 @@ type FragmentOptions struct {
 	// Entities is the number of real-world entities fragmented across the
 	// tables. Default 20.
 	Entities int
-	// AliasRate is the probability a mention uses the alias spelling
-	// instead of the canonical one (the J&J-vs-JnJ effect). Default 0.4.
-	AliasRate float64
-	// NullRate is the probability an agency cell is a missing null (the
-	// t12/t14 effect). Default 0.25.
-	NullRate float64
 }
+
+const (
+	// aliasRate is the probability a mention uses the alias spelling
+	// instead of the canonical one (the J&J-vs-JnJ effect).
+	aliasRate = 0.4
+	// fragmentNullRate is the probability an agency cell is a missing null
+	// (the t12/t14 effect).
+	fragmentNullRate = 0.25
+)
 
 func (o FragmentOptions) withDefaults() FragmentOptions {
 	if o.Seed == 0 {
@@ -30,12 +33,6 @@ func (o FragmentOptions) withDefaults() FragmentOptions {
 	}
 	if o.Entities <= 0 {
 		o.Entities = 20
-	}
-	if o.AliasRate == 0 {
-		o.AliasRate = 0.4
-	}
-	if o.NullRate == 0 {
-		o.NullRate = 0.25
 	}
 	return o
 }
@@ -99,13 +96,13 @@ func Fragments(opts FragmentOptions) *FragmentSet {
 	tb := table.New("TB", "Country", "Agency")
 	tc := table.New("TC", "Name", "Country")
 	spell := func(canonical, alias string) string {
-		if rng.Float64() < opts.AliasRate {
+		if rng.Float64() < aliasRate {
 			return alias
 		}
 		return canonical
 	}
 	agencyCell := func(e entity) table.Value {
-		if rng.Float64() < opts.NullRate {
+		if rng.Float64() < fragmentNullRate {
 			return table.NullValue()
 		}
 		return table.StringValue(e.agency)
