@@ -226,11 +226,6 @@ func BenchmarkX2FDScaling(b *testing.B) {
 			fd.ALITE(big)
 		}
 	})
-	b.Run(fmt.Sprintf("Parallel/n=%d", len(big.Tuples)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fd.Parallel(big, 0)
-		}
-	})
 }
 
 // BenchmarkLakeBuild measures offline lake preprocessing (SANTOS

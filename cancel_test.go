@@ -47,26 +47,21 @@ func TestCancelMidFDPrompt(t *testing.T) {
 		t.Fatalf("workload has %d tuples, want 399", len(in.Tuples))
 	}
 	before := runtime.NumGoroutine()
-	for _, alg := range []struct {
-		name string
-		run  func(ctx context.Context) error
-	}{
-		{"ALITE", func(ctx context.Context) error { _, err := fd.ALITECtx(ctx, in); return err }},
-		{"Parallel", func(ctx context.Context) error { _, err := fd.ParallelCtx(ctx, in, 4); return err }},
-	} {
-		t.Run(alg.name, func(t *testing.T) {
-			lat, err := cancelLatency(t, time.Millisecond, alg.run)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want Canceled (or nil when the closure won the race)", err)
-			}
-			if err == nil {
-				t.Skip("closure finished before the cancel landed (fast machine); covered by the pre-cancel tests")
-			}
-			if lat > 50*time.Millisecond {
-				t.Errorf("cancel-to-return latency %v exceeds the 50ms acceptance bound", lat)
-			}
+	t.Run("ALITE", func(t *testing.T) {
+		lat, err := cancelLatency(t, time.Millisecond, func(ctx context.Context) error {
+			_, err := fd.ALITECtx(ctx, in)
+			return err
 		})
-	}
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want Canceled (or nil when the closure won the race)", err)
+		}
+		if err == nil {
+			t.Skip("closure finished before the cancel landed (fast machine); covered by the pre-cancel tests")
+		}
+		if lat > 50*time.Millisecond {
+			t.Errorf("cancel-to-return latency %v exceeds the 50ms acceptance bound", lat)
+		}
+	})
 	testutil.WaitGoroutinesSettle(t, before)
 }
 

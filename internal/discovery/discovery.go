@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/lake"
 	"repro/internal/table"
+	"repro/internal/tokenize"
 )
 
 // Result is one discovered table.
@@ -181,7 +182,7 @@ func (SyntacticUnion) Discover(ctx context.Context, l *lake.Lake, q *table.Table
 			counted++
 			bestSim := 0.0
 			for _, ld := range doms {
-				if s := jaccard(qd, ld); s > bestSim {
+				if s := tokenize.Jaccard(qd, ld); s > bestSim {
 					bestSim = s
 				}
 			}
@@ -249,30 +250,6 @@ func topK(out []Result, k int) []Result {
 		out = out[:k]
 	}
 	return out
-}
-
-// jaccard is tokenize.Jaccard inlined over value sets (both already
-// normalized/deduplicated).
-func jaccard(a, b []string) float64 {
-	as := make(map[string]bool, len(a))
-	for _, x := range a {
-		as[x] = true
-	}
-	inter := 0
-	bs := make(map[string]bool, len(b))
-	for _, x := range b {
-		if !bs[x] {
-			bs[x] = true
-			if as[x] {
-				inter++
-			}
-		}
-	}
-	union := len(as) + len(bs) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }
 
 // mergeIntegrationSet merges the query table with discovery results from any

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -120,11 +121,16 @@ func TestSyntacticUnionBaseline(t *testing.T) {
 	// T1 shares values with T3 (cities) but almost nothing with T2 (its
 	// rows are disjoint) — the syntactic baseline misses T2, which is
 	// exactly why SANTOS exists (experiment X4's point).
-	if len(got) == 0 {
-		t.Fatal("baseline found nothing")
+	if len(got) != 1 {
+		t.Fatalf("syntactic baseline found %d tables, want exactly T3", len(got))
 	}
 	if got[0].Table.Name != "T3" {
 		t.Errorf("syntactic top-1 = %s, want T3", got[0].Table.Name)
+	}
+	// The score is pinned to the bit: 2/15, the mean over T1's columns of
+	// the best Jaccard similarity against any T3 column.
+	if bits := math.Float64bits(got[0].Score); bits != 0x3fc1111111111111 {
+		t.Errorf("syntactic T3 score = %v (bits %#x), want 2/15 (bits 0x3fc1111111111111)", got[0].Score, bits)
 	}
 }
 

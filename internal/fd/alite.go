@@ -60,10 +60,9 @@ type ctuple struct {
 	prov []int32
 }
 
-// closer holds the shared closure state used by ALITE, Parallel and
-// Incremental. All hot-path identity work happens on integers: values are
-// interned once per tuple on entry, and every subsequent lookup, merge and
-// dedup runs on IDs.
+// closer holds the closure state shared by ALITE and Incremental. All
+// hot-path identity work happens on integers: values are interned once per
+// tuple on entry, and every subsequent lookup, merge and dedup runs on IDs.
 type closer struct {
 	dict *table.Dict
 
@@ -82,8 +81,7 @@ type closer struct {
 	// indices, in insertion order.
 	buckets map[uint64][]int32
 
-	// vs is the sequential paths' candidate scratch; parallel workers carry
-	// their own.
+	// vs is the candidate scratch reused across worklist items.
 	vs visitScratch
 }
 
@@ -193,8 +191,8 @@ func (c *closer) seed(tuples []Tuple) []int {
 }
 
 // visitScratch is an epoch-stamped visited set reused across candidates
-// calls, replacing a per-call map allocation. Each caller owns one; the
-// returned slice is valid until the next call on the same scratch.
+// calls, replacing a per-call map allocation. The slice candidates returns
+// is valid until its next call.
 type visitScratch struct {
 	stamp []uint32
 	epoch uint32
@@ -204,7 +202,8 @@ type visitScratch struct {
 // candidates returns the indices of tuples sharing at least one non-null
 // value ID with tuple idx, excluding idx itself, deduplicated, in inverted-
 // index order.
-func (c *closer) candidates(idx int, vs *visitScratch) []int {
+func (c *closer) candidates(idx int) []int {
+	vs := &c.vs
 	if n := len(c.tuples); len(vs.stamp) < n {
 		vs.stamp = append(vs.stamp, make([]uint32, n-len(vs.stamp))...)
 	}
@@ -362,7 +361,7 @@ func (c *closer) run(ctx context.Context, work []int) error {
 		}
 		i := work[0]
 		work = work[1:]
-		for _, j := range c.candidates(i, &c.vs) {
+		for _, j := range c.candidates(i) {
 			if stride++; stride >= cancelStride {
 				stride = 0
 				if err := checkCancel(ctx, done); err != nil {

@@ -6,18 +6,16 @@
 // tuples obtainable by merging join-consistent, connected sets of source
 // tuples, where nulls never join and never conflict.
 //
-// Three algorithms are provided:
+// Two algorithms are provided:
 //
 //   - ALITE: the complementation-closure algorithm of the ALITE paper
 //     (Khatiwada et al., VLDB 2022) over the outer union of the inputs,
 //     with a (position,value) inverted index generating candidate pairs.
-//   - Parallel: a round-synchronous parallel variant of the same closure
-//     (the ParaFD comparison point of the ALITE paper).
 //   - Naive: exact enumeration of connected, consistent tuple subsets —
 //     exponential, used as the ground truth in tests and as the baseline
 //     in the X2 scaling experiment.
 //
-// All three agree on output values; tests assert it, including by property
+// Both agree on output values; tests assert it, including by property
 // testing. Provenance follows the paper's figures: every output tuple
 // carries the set of source-tuple IDs it was assembled from, and a tuple
 // whose values coincide with a plain source tuple keeps that tuple's

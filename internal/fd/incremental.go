@@ -1,10 +1,6 @@
 package fd
 
-import (
-	"context"
-
-	"repro/internal/table"
-)
+import "context"
 
 // Incremental maintains a Full Disjunction as tuples arrive (for example,
 // as the user adds one more discovered table to the integration set). It
@@ -25,16 +21,9 @@ type Incremental struct {
 // NewIncremental starts an incremental FD over the given integration
 // schema, optionally seeded with initial aligned tuples.
 func NewIncremental(schema []string, initial []Tuple) *Incremental {
-	return NewIncrementalDict(schema, initial, nil)
-}
-
-// NewIncrementalDict is NewIncremental with a shared value dictionary
-// (usually the lake's), so cell interning is reused across integrations.
-// A nil dict interns privately.
-func NewIncrementalDict(schema []string, initial []Tuple, dict *table.Dict) *Incremental {
 	inc := &Incremental{
 		schema: append([]string(nil), schema...),
-		c:      newCloser(dict),
+		c:      newCloser(nil),
 	}
 	inc.Add(initial)
 	return inc

@@ -13,8 +13,8 @@ import (
 //	codeUnset       — cache slot not computed yet (never returned);
 //	CodeEmpty       — the value's canonical form is empty (or the cell is
 //	                  null): skipped by every annotation consumer;
-//	codeBase + id   — the canonical form's identity. id below
-//	                  Compiled.NumStrings() is a compiled canonical-string
+//	codeBase + id   — the canonical form's identity. An id below the
+//	                  compiled string count is a compiled canonical-string
 //	                  ID (deterministic); ids at or beyond it are extended
 //	                  IDs the annotator assigns to canonicals outside the
 //	                  KB, so entity-resolution blocking and SameEntity work

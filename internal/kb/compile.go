@@ -210,10 +210,6 @@ func sortedBoolKeys(m map[string]bool) []string {
 	return out
 }
 
-// NumStrings reports the number of canonical strings in the compiled ID
-// space (annotation codes at or beyond it are lake-local extended IDs).
-func (c *Compiled) NumStrings() int { return len(c.strs) }
-
 // AncestorIDs returns the compiled ancestor chain of a type ID, nearest
 // first, with the same cycle guard as KB.Ancestors.
 func (c *Compiled) AncestorIDs(id uint32) []uint32 { return c.ancs[id] }

@@ -167,12 +167,3 @@ func CompleteTuples(t *table.Table) int {
 	}
 	return n
 }
-
-// initials returns the upper-cased first letters of each word.
-func initials(s string) string {
-	var b strings.Builder
-	for _, w := range strings.Fields(s) {
-		b.WriteString(strings.ToUpper(w[:1]))
-	}
-	return b.String()
-}

@@ -229,9 +229,3 @@ func TestCompleteTuples(t *testing.T) {
 		t.Errorf("CompleteTuples = %d, want 1", got)
 	}
 }
-
-func TestInitials(t *testing.T) {
-	if initials("Johnson And Johnson") != "JAJ" {
-		t.Errorf("initials = %q", initials("Johnson And Johnson"))
-	}
-}

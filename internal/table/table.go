@@ -48,19 +48,6 @@ func (t *Table) MustAddRow(cells ...Value) {
 	}
 }
 
-// AddStringRow parses each raw cell with Parse and appends the row.
-func (t *Table) AddStringRow(raw ...string) error {
-	if len(raw) != t.NumCols() {
-		return fmt.Errorf("table %q: row has %d cells, want %d", t.Name, len(raw), t.NumCols())
-	}
-	row := make([]Value, len(raw))
-	for i, s := range raw {
-		row[i] = Parse(s)
-	}
-	t.Rows = append(t.Rows, row)
-	return nil
-}
-
 // ColumnIndex returns the index of the first column with the given header.
 func (t *Table) ColumnIndex(name string) (int, bool) {
 	for i, c := range t.Columns {
@@ -82,15 +69,6 @@ func (t *Table) Column(c int) []Value {
 		out[i] = row[c]
 	}
 	return out
-}
-
-// ColumnByName returns the cells of the first column with the given header.
-func (t *Table) ColumnByName(name string) ([]Value, error) {
-	i, ok := t.ColumnIndex(name)
-	if !ok {
-		return nil, fmt.Errorf("table %q: no column named %q", t.Name, name)
-	}
-	return t.Column(i), nil
 }
 
 // DistinctStrings returns the set of distinct non-null cell renderings of
@@ -145,9 +123,6 @@ func (t *Table) Clone() *Table {
 	}
 	return out
 }
-
-// RowKey returns a canonical key for row r, suitable for set semantics.
-func (t *Table) RowKey(r int) string { return RowKey(t.Rows[r]) }
 
 // RowKey returns a canonical key for a row of values.
 func RowKey(row []Value) string {
@@ -224,38 +199,6 @@ func (t *Table) EqualUnordered(o *Table) bool {
 	a.SortRows()
 	b.SortRows()
 	return a.Equal(b)
-}
-
-// DedupRows removes duplicate rows (set semantics), keeping first
-// occurrences in order, and returns the receiver for chaining.
-func (t *Table) DedupRows() *Table {
-	seen := make(map[string]bool, len(t.Rows))
-	out := t.Rows[:0]
-	for _, row := range t.Rows {
-		k := RowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	t.Rows = out
-	return t
-}
-
-// NullFraction reports the fraction of cells that are null (either kind).
-func (t *Table) NullFraction() float64 {
-	if t.NumRows() == 0 || t.NumCols() == 0 {
-		return 0
-	}
-	nulls := 0
-	for _, row := range t.Rows {
-		for _, v := range row {
-			if v.IsNull() {
-				nulls++
-			}
-		}
-	}
-	return float64(nulls) / float64(t.NumRows()*t.NumCols())
 }
 
 // String renders the table as an aligned ASCII grid, matching how the

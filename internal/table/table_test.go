@@ -39,19 +39,6 @@ func TestMustAddRowPanics(t *testing.T) {
 	New("x", "a").MustAddRow(IntValue(1), IntValue(2))
 }
 
-func TestAddStringRow(t *testing.T) {
-	tb := New("x", "a", "b")
-	if err := tb.AddStringRow("42", "Berlin"); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Cell(0, 0).Kind() != Int || tb.Cell(0, 1).Kind() != String {
-		t.Error("AddStringRow did not type-infer")
-	}
-	if err := tb.AddStringRow("only-one"); err == nil {
-		t.Error("arity mismatch must error")
-	}
-}
-
 func TestColumnIndexAndAccess(t *testing.T) {
 	tb := sample()
 	i, ok := tb.ColumnIndex("City")
@@ -64,13 +51,6 @@ func TestColumnIndexAndAccess(t *testing.T) {
 	col := tb.Column(1)
 	if len(col) != 3 || col[0].Str() != "Berlin" {
 		t.Errorf("Column(1) = %v", col)
-	}
-	byName, err := tb.ColumnByName("Country")
-	if err != nil || byName[2].Str() != "Spain" {
-		t.Errorf("ColumnByName = %v, %v", byName, err)
-	}
-	if _, err := tb.ColumnByName("nope"); err == nil {
-		t.Error("ColumnByName(nope) should error")
 	}
 }
 
@@ -166,18 +146,6 @@ func TestSortRowsCanonical(t *testing.T) {
 	}
 }
 
-func TestDedupRows(t *testing.T) {
-	tb := New("x", "a", "b")
-	tb.MustAddRow(IntValue(1), StringValue("x"))
-	tb.MustAddRow(IntValue(1), StringValue("x"))
-	tb.MustAddRow(FloatValue(1), StringValue("x")) // numerically equal -> same key
-	tb.MustAddRow(IntValue(2), StringValue("x"))
-	tb.DedupRows()
-	if tb.NumRows() != 2 {
-		t.Errorf("DedupRows left %d rows, want 2:\n%s", tb.NumRows(), tb)
-	}
-}
-
 func TestRowKeyDistinguishes(t *testing.T) {
 	a := []Value{StringValue("ab"), StringValue("c")}
 	b := []Value{StringValue("a"), StringValue("bc")}
@@ -200,19 +168,6 @@ func TestCompareRows(t *testing.T) {
 	short := []Value{IntValue(1)}
 	if CompareRows(short, a) >= 0 {
 		t.Error("shorter row must sort first on prefix tie")
-	}
-}
-
-func TestNullFraction(t *testing.T) {
-	tb := New("x", "a", "b")
-	tb.MustAddRow(NullValue(), IntValue(1))
-	tb.MustAddRow(ProducedNull(), NullValue())
-	got := tb.NullFraction()
-	if got != 0.75 {
-		t.Errorf("NullFraction = %v, want 0.75", got)
-	}
-	if New("e", "a").NullFraction() != 0 {
-		t.Error("empty table NullFraction must be 0")
 	}
 }
 

@@ -92,22 +92,6 @@ func QGrams(s string, q int) []string {
 	return out
 }
 
-// TokenSet returns the deduplicated normalized word tokens of all inputs,
-// in first-seen order. It is the set view used by overlap search.
-func TokenSet(values []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, v := range values {
-		for _, w := range Words(v) {
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
-		}
-	}
-	return out
-}
-
 // ValueSet normalizes each input as a whole value (not word-split) and
 // deduplicates, in first-seen order. Joinable search over key-like columns
 // uses whole-value sets: "new york" is one domain member, not two tokens.

@@ -85,10 +85,6 @@ func TestQGramsCountProperty(t *testing.T) {
 
 func TestTokenSetAndValueSet(t *testing.T) {
 	vals := []string{"New York", "new  york", "Boston", ""}
-	ts := TokenSet(vals)
-	if !reflect.DeepEqual(ts, []string{"new", "york", "boston"}) {
-		t.Errorf("TokenSet = %v", ts)
-	}
 	vs := ValueSet(vals)
 	if !reflect.DeepEqual(vs, []string{"new york", "boston"}) {
 		t.Errorf("ValueSet = %v", vs)
