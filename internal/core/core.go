@@ -281,15 +281,9 @@ func (p *Pipeline) ResolveEntities(ctx context.Context, t *table.Table, opts er.
 	if opts.Knowledge == nil {
 		opts.Knowledge = p.lake.Knowledge()
 		if opts.Annotator == nil {
-			// Resolving with the lake's own KB: scope the lake-wide
-			// annotation cache per request — but only while the KB is
-			// unchanged since the lake was built or last re-annotated
-			// (kb.Annotator.UpToDate). A mutated KB falls back to a fresh
-			// per-call cache over the recompiled engine, honoring the
-			// mutation as the string path always did.
-			if ann := p.lake.Annotator(); ann.UpToDate(opts.Knowledge) {
-				opts.Annotator = ann.ERScope()
-			}
+			// Resolving with the lake's own KB, which is frozen at build:
+			// scope the lake-wide annotation cache per request.
+			opts.Annotator = p.lake.Annotator().ERScope()
 		}
 	}
 	return er.Resolve(ctx, t, opts)

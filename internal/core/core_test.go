@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/discovery"
@@ -146,6 +148,70 @@ func TestResolveEntitiesRequestScoped(t *testing.T) {
 	}
 	if len(again.Clusters) != len(got.Clusters) {
 		t.Fatalf("second scoped resolution diverged: %d vs %d clusters", len(again.Clusters), len(got.Clusters))
+	}
+}
+
+// TestResolveEntitiesConcurrentWithAdd pins that the lake-wide annotator
+// is fixed at construction: resolutions of one user table through it run
+// while AddTables grows the catalog, on a single lake and on a 3-shard one,
+// and every result equals the one computed before the adds. Under -race it
+// also pins that nothing writes the annotator after construction.
+func TestResolveEntitiesConcurrentWithAdd(t *testing.T) {
+	user := table.New("guest", "City", "Country")
+	for _, r := range [][2]string{
+		{"Boston", "USA"}, {"Boston", "United States"}, {"Berlin", "Germany"},
+		{"Lemuria", "Atlantis"}, {"Lemuria ", "Atlantis"},
+	} {
+		user.MustAddRow(table.StringValue(r[0]), table.StringValue(r[1]))
+	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := New(paperdata.CovidLake(), Config{Knowledge: kb.Demo(), Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolve := func() string {
+				res, err := p.ResolveEntities(context.Background(), user, er.Options{})
+				if err != nil {
+					return err.Error()
+				}
+				return fmt.Sprintf("%v %v\n%s", res.Clusters, res.Pairs, res.Resolved)
+			}
+			want := resolve()
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if got := resolve(); got != want {
+							t.Errorf("resolution during AddTables:\n%s\nwant\n%s", got, want)
+							return
+						}
+						select {
+						case <-done:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			for i := 0; i < 8; i++ {
+				extra := table.New(fmt.Sprintf("A%d", i), "City", "Country")
+				extra.MustAddRow(table.StringValue("Lemuria"), table.StringValue("Atlantis"))
+				extra.MustAddRow(table.StringValue(fmt.Sprintf("Town %d", i)), table.StringValue("USA"))
+				extra.MustAddRow(table.StringValue("Berlin"), table.StringValue("Germany"))
+				if err := p.AddTables(extra); err != nil {
+					t.Error(err)
+				}
+			}
+			close(done)
+			wg.Wait()
+			if got := resolve(); got != want {
+				t.Errorf("resolution after AddTables:\n%s\nwant\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -310,35 +376,6 @@ func TestFromDir(t *testing.T) {
 	}
 	if _, err := FromDir(filepath.Join(dir, "no"), Config{}); err == nil {
 		t.Error("missing dir must error")
-	}
-}
-
-// TestResolveEntitiesHonorsKBMutation pins the annotation-cache staleness
-// guard: mutating the lake's KB after the build must be honored by entity
-// resolution (the lake-wide cache compiled at build time is bypassed once
-// the KB version moves).
-func TestResolveEntitiesHonorsKBMutation(t *testing.T) {
-	p, err := New(paperdata.CovidLake(), Config{Knowledge: kb.Demo()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := table.New("m", "org")
-	tb.MustAddRow(table.StringValue("Globex Corp"))
-	tb.MustAddRow(table.StringValue("GBX"))
-	res, err := p.ResolveEntities(context.Background(), tb, er.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 2 {
-		t.Fatalf("before alias: %d clusters, want 2", len(res.Clusters))
-	}
-	p.Lake().Knowledge().AddAlias("GBX", "Globex Corp")
-	res, err = p.ResolveEntities(context.Background(), tb, er.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 1 {
-		t.Fatalf("after alias: %d clusters, want 1 (mutation must be honored)", len(res.Clusters))
 	}
 }
 

@@ -264,28 +264,6 @@ func mergeIDs(a, b []uint32, dst []uint32) []uint32 {
 	return dst
 }
 
-// mergeProv is the linear sorted-merge of two provenance ID sets.
-func mergeProv(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // materialize builds the merged ctuple for tuples i and j given their
 // merged ID vector. Value semantics match Merge: the non-null side wins;
 // when both sides are null, a missing null (±) survives over a produced
@@ -305,7 +283,7 @@ func (c *closer) materialize(i, j int, ids []uint32) ctuple {
 			vals[p] = table.ProducedNull()
 		}
 	}
-	return ctuple{vals: vals, ids: append([]uint32(nil), ids...), prov: mergeProv(a.prov, b.prov)}
+	return ctuple{vals: vals, ids: append([]uint32(nil), ids...), prov: unionSorted(a.prov, b.prov)}
 }
 
 // tryMerge merges tuples i and j if complementable and the merge carries

@@ -23,6 +23,7 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -157,7 +158,7 @@ func Merge(a, b Tuple) Tuple {
 			vals[i] = table.ProducedNull()
 		}
 	}
-	return Tuple{Values: vals, Prov: unionProv(a.Prov, b.Prov)}
+	return Tuple{Values: vals, Prov: unionSorted(a.Prov, b.Prov)}
 }
 
 // Subsumes reports whether sup subsumes sub: everywhere sub is non-null,
@@ -175,9 +176,10 @@ func Subsumes(sup, sub []table.Value) bool {
 	return true
 }
 
-// unionProv merges two sorted provenance sets with a linear sorted-merge.
-func unionProv(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
+// unionSorted merges two sorted sets — provenance TIDs or provenance IDs —
+// with a linear sorted-merge.
+func unionSorted[T cmp.Ordered](a, b []T) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

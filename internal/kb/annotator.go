@@ -111,19 +111,6 @@ func NewAnnotator(ck *Compiled, dict *table.Dict) *Annotator {
 // a knowledge-free annotator).
 func (a *Annotator) Compiled() *Compiled { return a.ck }
 
-// UpToDate reports whether the annotator still resolves against the current
-// compiled form of k — the staleness guard shared by everything that caches
-// an annotator beside a mutable KB (core.ResolveEntities, lake.Lake.Add).
-// KB.Compiled() is memoized per mutation, so pointer equality detects any
-// mutation since the annotator was created; a nil k matches only a
-// knowledge-free annotator.
-func (a *Annotator) UpToDate(k *KB) bool {
-	if k == nil {
-		return a.ck == nil
-	}
-	return a.ck == k.Compiled()
-}
-
 // QueryScope returns a transient annotator for resolving one foreign
 // query's values: lake values (String cells interned in the shared dict)
 // still resolve through the shared bounded cache, but every other string is

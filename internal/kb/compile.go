@@ -3,7 +3,6 @@ package kb
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // This file compiles a KB into an immutable integer-ID engine. The string
@@ -53,32 +52,23 @@ type Compiled struct {
 	rels     map[uint64][]uint32 // subjID<<32|objID -> label IDs, insertion order
 }
 
-// compiledMemo pairs a compiled engine with the KB version it was built
-// from, so Compiled() can invalidate on mutation.
-type compiledMemo struct {
-	version uint64
-	c       *Compiled
-}
-
-// Compiled returns the compiled form of the KB, memoized until the next
-// mutation (AddType/AddEntity/AddAlias/AddRelation bump an internal
-// version). Concurrent callers may compile redundantly but always observe a
-// consistent engine; mutating a KB concurrently with any use was never safe.
+// Compiled returns the compiled form of the KB and freezes the KB: the
+// first call compiles and stores the engine, and every later call returns
+// the same *Compiled. Concurrent first callers may compile redundantly, but
+// CompareAndSwap keeps one engine for all of them.
 func (k *KB) Compiled() *Compiled {
 	if k == nil {
 		return nil
 	}
-	v := atomic.LoadUint64(&k.version)
-	if m := k.compiled.Load(); m != nil && m.version == v {
-		return m.c
+	if c := k.compiled.Load(); c != nil {
+		return c
 	}
-	c := Compile(k)
-	k.compiled.Store(&compiledMemo{version: v, c: c})
-	return c
+	k.compiled.CompareAndSwap(nil, Compile(k))
+	return k.compiled.Load()
 }
 
-// Compile freezes the KB into its integer-ID form. The KB must not be
-// mutated concurrently.
+// Compile builds the KB's integer-ID form. The KB must not be mutated
+// concurrently; Compiled is the entry point that also freezes it.
 func Compile(k *KB) *Compiled {
 	c := &Compiled{
 		ids:      make(map[string]uint32),

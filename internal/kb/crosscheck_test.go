@@ -184,27 +184,6 @@ func TestCrossCheckDemoKB(t *testing.T) {
 	}
 }
 
-func TestCompiledMemoInvalidation(t *testing.T) {
-	k := Demo()
-	c1 := k.Compiled()
-	if k.Compiled() != c1 {
-		t.Error("Compiled must be memoized while the KB is unchanged")
-	}
-	k.AddEntity("atlantis", TypeCity)
-	c2 := k.Compiled()
-	if c2 == c1 {
-		t.Error("Compiled must recompile after a mutation")
-	}
-	ann := NewAnnotator(c2, nil)
-	s := c2.NewScratch()
-	vals := []string{"atlantis"}
-	want := k.AnnotateColumn(vals)
-	got, _ := c2.AnnotateColumnCodes(ann.CodeStrings(vals, nil), s)
-	if got != want || got.Type != TypeCity {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-}
-
 // TestAnnotatorNumericRenderings pins the dict-backed cache against the
 // dict's deliberate Int/Float ID collision: an Int and a numerically-equal
 // integral Float share a value ID but can render — and therefore

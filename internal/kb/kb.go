@@ -18,16 +18,21 @@ import (
 // KB is an in-memory knowledge base. All entity strings are stored and
 // queried in normalized form (tokenize.Normalize); callers may pass raw
 // cell values.
+//
+// A KB is mutable until it is first compiled, and frozen from then on: the
+// first Compiled() call fixes its content, and AddType, AddEntity, AddAlias
+// and AddRelation panic afterwards. Every catalog compiles its KB when it
+// is built (lake.New, lake.NewComposite), and er.Resolve compiles the KB
+// it is handed, so a KB passed to either is frozen by the call. To extend
+// a frozen KB, build a new one or Merge it into a fresh copy.
 type KB struct {
 	parent      map[string]string   // type -> parent type ("" when root)
 	entityTypes map[string][]string // entity -> declared types
 	alias       map[string]string   // alias -> canonical entity
 	relations   map[string][]string // "subj\x1fobj" -> labels
 
-	// version counts mutations; Compiled() memoizes the compiled engine per
-	// version (see compile.go).
-	version  uint64
-	compiled atomic.Pointer[compiledMemo]
+	// compiled is set once, by the first Compiled() call (see compile.go).
+	compiled atomic.Pointer[Compiled]
 }
 
 // New returns an empty knowledge base.
@@ -40,16 +45,23 @@ func New() *KB {
 	}
 }
 
+// checkMutable panics when the KB is frozen (see KB).
+func (k *KB) checkMutable() {
+	if k.compiled.Load() != nil {
+		panic("kb: KB is frozen once compiled; build a new KB, or Merge it into a fresh copy")
+	}
+}
+
 // AddType declares a type with an optional parent ("" for a root type).
 func (k *KB) AddType(typ, parent string) {
-	atomic.AddUint64(&k.version, 1)
+	k.checkMutable()
 	k.parent[typ] = parent
 }
 
 // AddEntity declares an entity with one or more types. Repeated calls
 // accumulate types.
 func (k *KB) AddEntity(entity string, types ...string) {
-	atomic.AddUint64(&k.version, 1)
+	k.checkMutable()
 	e := tokenize.Normalize(entity)
 	if e == "" {
 		return
@@ -69,7 +81,7 @@ func (k *KB) AddEntity(entity string, types ...string) {
 // AddAlias maps an alias to a canonical entity; lookups and relationship
 // queries resolve aliases first. ("J&J" → "jnj", "USA" → "united states".)
 func (k *KB) AddAlias(aliasName, canonical string) {
-	atomic.AddUint64(&k.version, 1)
+	k.checkMutable()
 	a := tokenize.Normalize(aliasName)
 	c := tokenize.Normalize(canonical)
 	if a == "" || c == "" || a == c {
@@ -80,7 +92,7 @@ func (k *KB) AddAlias(aliasName, canonical string) {
 
 // AddRelation records a directed relationship subject --label--> object.
 func (k *KB) AddRelation(subject, label, object string) {
-	atomic.AddUint64(&k.version, 1)
+	k.checkMutable()
 	s := k.Canonical(subject)
 	o := k.Canonical(object)
 	if s == "" || o == "" {

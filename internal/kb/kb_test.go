@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -195,5 +197,46 @@ func TestMerge(t *testing.T) {
 	}
 	if m.Canonical("bln") != "berlin" {
 		t.Error("merge must keep aliases")
+	}
+}
+
+// TestCompiledFreezesKB pins the freeze contract: the first Compiled() call
+// fixes the KB, later calls return the same engine, and each of the four
+// mutators panics on the frozen KB without changing it. Merge still yields
+// a mutable copy.
+func TestCompiledFreezesKB(t *testing.T) {
+	k := Demo()
+	c := k.Compiled()
+	if k.Compiled() != c {
+		t.Fatal("Compiled must return the same engine on every call")
+	}
+	mutators := []struct {
+		name string
+		f    func()
+	}{
+		{"AddType", func() { k.AddType("island", TypePlace) }},
+		{"AddEntity", func() { k.AddEntity("atlantis", TypeCity) }},
+		{"AddAlias", func() { k.AddAlias("atl", "atlantis") }},
+		{"AddRelation", func() { k.AddRelation("atlantis", "locatedIn", "ocean") }},
+	}
+	for _, m := range mutators {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s on a frozen KB did not panic", m.name)
+				} else if !strings.Contains(fmt.Sprint(r), "Merge") {
+					t.Errorf("%s panic %q does not point at Merge", m.name, r)
+				}
+			}()
+			m.f()
+		}()
+	}
+	if k.Compiled() != c || k.HasEntity("atlantis") || k.Canonical("atl") != "atl" {
+		t.Error("a rejected mutation changed the frozen KB")
+	}
+	cp := k.Merge(New())
+	cp.AddEntity("atlantis", TypeCity)
+	if !cp.HasEntity("atlantis") || k.HasEntity("atlantis") {
+		t.Error("Merge must give an independent, mutable copy of a frozen KB")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Catalog is the mutable table-repository contract the pipeline and the
 // serving layer consume: everything they need from a lake without naming
 // its concrete shape, and nothing they do not call through it (the concrete
-// types keep Get, Tables and RefreshKB for callers that hold one). *Lake
+// types keep Get and Tables for callers that hold one). *Lake
 // (one shard — itself), *Sharded (N in-process shards behind a routing
 // hash), and cluster.Coordinator (N remote `dialite serve` shard processes)
 // all satisfy it, which is what lets `dialite serve -shards N` and `dialite

@@ -9,8 +9,8 @@ import (
 )
 
 // Epoch is the seqlock-style mutation counter every catalog shape keeps:
-// odd while an answer-changing mutation (Add, Remove, KB re-annotation) is
-// applying its per-index deltas, even when the catalog is settled.
+// odd while an answer-changing mutation (Add, Remove) is applying its
+// per-index deltas, even when the catalog is settled.
 // Multi-index readers sample it before and after a run to detect a torn
 // read — see Lake.Epoch and discovery.RunAll. It is advisory: mutations
 // never block on it.
@@ -43,16 +43,17 @@ func (e *Epoch) Load() uint64 { return e.n.Load() }
 
 // kbState is the shared state the integration and analysis stages read
 // from any catalog: the knowledge base, the value dictionary, and the KB
-// annotation cache over both. The annotator is replaced (never mutated)
-// when the KB has moved on, so readers load it without a lock.
+// annotation cache over both. All three are set once, at construction: the
+// catalog compiles its KB then, which freezes it (see kb.KB), so the
+// annotator never goes stale and readers need no lock.
 type kbState struct {
 	knowledge *kb.KB
 	dict      *table.Dict
-	annotator atomic.Pointer[kb.Annotator]
+	annotator *kb.Annotator
 }
 
 // Knowledge returns the (possibly merged) knowledge base the catalog was
-// annotated with.
+// annotated with. It is frozen: mutating it panics.
 func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 
 // Dict returns the catalog-level value dictionary. A Lake interns every
@@ -66,19 +67,8 @@ func (s *kbState) Dict() *table.Dict { return s.dict }
 // Annotator returns the catalog-level KB annotation cache, backed by Dict:
 // every distinct value's canonical entity is resolved at most once, and
 // SANTOS queries (on a Lake), integration matching and entity resolution
-// share the cached codes. Mutations replace the annotator when they detect
-// the KB was mutated, so callers should not cache it across mutations.
-func (s *kbState) Annotator() *kb.Annotator { return s.annotator.Load() }
-
-// staleKB reports whether the KB was mutated since the annotator was built:
-// compiled type IDs are incomparable across KB snapshots, so a stale
-// annotator must be refreshed before anything new is annotated.
-func (s *kbState) staleKB() bool { return !s.Annotator().UpToDate(s.knowledge) }
-
-// refreshAnnotator rebuilds the annotator over the KB as compiled now.
-func (s *kbState) refreshAnnotator() {
-	s.annotator.Store(kb.NewAnnotator(s.knowledge.Compiled(), s.dict))
-}
+// share the cached codes.
+func (s *kbState) Annotator() *kb.Annotator { return s.annotator }
 
 // prepareKnowledge resolves Options into the KB a build annotates with:
 // the curated KB, merged with a KB synthesized from the tables when asked,
@@ -108,17 +98,16 @@ func prepareKnowledge(tables []*table.Table, opts Options) *kb.KB {
 type Composite struct {
 	kbState
 	// Mutations is the composite seqlock counter. The embedding catalog's
-	// own Add/Remove/RefreshKB bracket each routed mutation with
-	// Begin/End once validation has passed; nothing else may tick it.
+	// own Add/Remove bracket each routed mutation with Begin/End once
+	// validation has passed; nothing else may tick it.
 	Mutations Epoch
 	n         int
 }
 
 // NewComposite builds the composite core of an n-shard catalog over
-// knowledge (nil means an empty KB). It compiles the KB: built before the
-// shards, it seeds KB.Compiled's memo so every shard and the composite
-// annotator hold the same *Compiled pointer — the identity UpToDate
-// staleness checks compare.
+// knowledge (nil means an empty KB). It compiles, and so freezes, the KB:
+// built before the shards, it fixes the one *Compiled every shard and the
+// composite annotator share.
 func NewComposite(n int, knowledge *kb.KB) *Composite {
 	if knowledge == nil {
 		knowledge = kb.New()
@@ -127,7 +116,7 @@ func NewComposite(n int, knowledge *kb.KB) *Composite {
 	c.Mutations.seed()
 	c.knowledge = knowledge
 	c.dict = table.NewDict()
-	c.refreshAnnotator()
+	c.annotator = kb.NewAnnotator(knowledge.Compiled(), c.dict)
 	return c
 }
 

@@ -96,8 +96,8 @@ type colRef struct {
 }
 
 // Epoch returns the lake's mutation epoch: even when every discovery index
-// reflects the same catalog state, odd while Add/Remove/RefreshKB is
-// applying per-index deltas. A reader that samples Epoch before and after a
+// reflects the same catalog state, odd while Add/Remove is applying
+// per-index deltas. A reader that samples Epoch before and after a
 // multi-index run and sees the same even value is guaranteed the run was
 // not torn across a mutation; any other pair means some index may have been
 // read mid-mutation and the run should be retried. Compact does not bump
@@ -148,7 +148,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	l.dict = table.NewDict()
 	t0 := time.Now()
 	l.knowledge = prepareKnowledge(l.tables, opts)
-	l.knowledge.Compiled() // memoized: clocked here, reused by refreshAnnotator below
+	ck := l.knowledge.Compiled() // freezes the KB: the lake's KB is fixed from here on
 	l.stats.KBPrep = time.Since(t0)
 	// Phase 1 (parallel per table): intern every cell into the lake value
 	// dictionary, every domain member into the lake token dictionary, and
@@ -163,7 +163,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	// The lake-wide annotation cache: every KB canonicalization — SANTOS
 	// build and query annotation, entity resolution over lake-derived
 	// tables — resolves each distinct lake value (interned above) once.
-	l.refreshAnnotator()
+	l.annotator = kb.NewAnnotator(ck, l.dict)
 	// Phase 2: the three indexes read disjoint inputs; build concurrently,
 	// all over the shared token dictionary (complete after phase 1, so the
 	// builds only read it). Each stage clocks itself for BuildStats.
@@ -221,12 +221,9 @@ func FromDir(dir string, opts Options) (*Lake, error) {
 // discovery.RunAll does this automatically.
 //
 // KB semantics: the added tables are annotated against the knowledge base
-// as compiled now. If the KB has been mutated since the lake was built (or
-// last re-annotated), compiled type IDs are incomparable across snapshots,
-// so Add refreshes the lake-wide annotator and re-annotates the SANTOS
-// index in full — still without re-extracting or re-signing any domain. A
-// KB synthesized at build time (Options.SynthesizeKB) is not re-synthesized
-// for added tables; rebuild the lake to fold new tables into the synthesis.
+// fixed at build. A KB synthesized at build time (Options.SynthesizeKB) is
+// not re-synthesized for added tables; rebuild the lake to fold new tables
+// into the synthesis.
 func (l *Lake) Add(tables ...*table.Table) error {
 	if len(tables) == 0 {
 		return nil
@@ -238,15 +235,6 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	}
 	l.epoch.Begin()
 	defer l.epoch.End()
-	// A KB mutated since the last (re-)annotation invalidates every
-	// compiled ID in the SANTOS index; refresh the annotator and re-annotate
-	// the semantic graphs below (the KB-independent indexes are untouched).
-	staleKB := l.staleKB()
-	if staleKB {
-		t0 := time.Now()
-		l.refreshAnnotator()
-		l.stats.KBPrep += time.Since(t0)
-	}
 	t0 := time.Now()
 	newDomains := extractDomains(tables, l.dict, l.tokens)
 	l.stats.DomainExtraction += time.Since(t0)
@@ -262,11 +250,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	par.Do(
 		func() {
 			t := time.Now()
-			if staleKB {
-				l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
-			} else {
-				l.santosIx.Add(tables)
-			}
+			l.santosIx.Add(tables)
 			l.stats.Santos += time.Since(t)
 		},
 		func() {
@@ -354,35 +338,6 @@ func (l *Lake) Remove(names ...string) error {
 		},
 	)
 	return nil
-}
-
-// RefreshKB re-annotates the lake against its knowledge base as compiled
-// now, and reports whether anything was stale. Add already refreshes a
-// mutated KB as a side effect; RefreshKB is the explicit trigger for the
-// remaining case — a KB mutation with no subsequent Add — so live-KB union
-// search never has to wait for the next table churn to see new entities.
-// The annotator is replaced and the SANTOS layer rebuilt in full against
-// the recompiled engine (compiled type IDs are incomparable across KB
-// snapshots); domain extraction, MinHash fingerprints and the
-// KB-independent indexes are untouched. When the annotator is already
-// current this is a cheap no-op returning false. RefreshKB follows Add's
-// concurrency contract. A KB synthesized at build time is not
-// re-synthesized; rebuild the lake to fold mutations into the synthesis.
-func (l *Lake) RefreshKB() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.staleKB() {
-		return false
-	}
-	l.epoch.Begin()
-	defer l.epoch.End()
-	t0 := time.Now()
-	l.refreshAnnotator()
-	l.stats.KBPrep += time.Since(t0)
-	t0 = time.Now()
-	l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
-	l.stats.Santos += time.Since(t0)
-	return true
 }
 
 // Compact folds accumulated mutation debt out of the discovery indexes:

@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,104 +144,90 @@ func TestStatsAccumulateAcrossMutations(t *testing.T) {
 	}
 }
 
-// TestAddAfterKBMutation pins the staleness guard: mutating the KB between
-// build and Add must refresh the lake annotator and re-annotate SANTOS, so
-// the grown lake answers exactly like a fresh build over the current KB.
-func TestAddAfterKBMutation(t *testing.T) {
-	knowledge := kb.Demo()
-	l, err := New(paperdata.CovidLake(), Options{Knowledge: knowledge})
-	if err != nil {
-		t.Fatal(err)
+// TestCatalogFreezesKB pins that a catalog's knowledge base is fixed when
+// the catalog is built, for every catalog shape: mutating Knowledge()
+// panics. With SynthesizeKB the catalog holds a merged copy, so the
+// caller's own KB stays mutable, and mutating it changes none of the
+// catalog's annotations or SANTOS answers.
+func TestCatalogFreezesKB(t *testing.T) {
+	type catalog interface {
+		Knowledge() *kb.KB
+		Annotator() *kb.Annotator
 	}
-	oldAnn := l.Annotator()
-	// Teach the KB a new city; the lake's annotator snapshot predates it.
-	knowledge.AddEntity("atlantis", "City")
-	if oldAnn.UpToDate(knowledge) {
-		t.Fatal("annotator unexpectedly current after KB mutation")
+	type hasShards interface{ Shards() []*Lake }
+	shapes := []struct {
+		name  string
+		build func(Options) (catalog, error)
+	}{
+		{"New", func(o Options) (catalog, error) { return New(paperdata.CovidLake(), o) }},
+		{"NewSharded", func(o Options) (catalog, error) { return NewSharded(paperdata.CovidLake(), 3, o) }},
+		{"NewComposite", func(o Options) (catalog, error) {
+			return NewComposite(3, prepareKnowledge(paperdata.CovidLake(), o)), nil
+		}},
 	}
-	extra := cityTable("T9", "Atlantis", "Berlin")
-	if err := l.Add(extra); err != nil {
-		t.Fatal(err)
+	towns := []string{"Atlantis", "El Dorado", "Lemuria", "Berlin"}
+	query := cityTable("T10", towns...)
+	// answers renders what the catalog computes from its KB: the
+	// annotator's column annotation of the towns, and each shard's SANTOS
+	// ranking for a query over them.
+	answers := func(c catalog) string {
+		ann := c.Annotator()
+		ck := ann.Compiled()
+		a, _ := ck.AnnotateColumnCodes(ann.CodeStrings(towns, nil), ck.NewScratch())
+		out := fmt.Sprintf("%+v", a)
+		if sh, ok := c.(hasShards); ok {
+			for _, l := range sh.Shards() {
+				res, err := l.Santos().Query(query, 0, 0)
+				out += fmt.Sprintf(" %v", err)
+				for _, r := range res {
+					out += fmt.Sprintf(" %s/%v/%d", r.Table.Name, r.Score, r.MatchedColumn)
+				}
+			}
+		}
+		return out
 	}
-	if l.Annotator() == oldAnn || !l.Annotator().UpToDate(knowledge) {
-		t.Fatal("Add did not refresh the stale annotator")
-	}
-	// The grown lake must agree with a from-scratch build over the mutated
-	// KB — including annotations of the pre-existing tables, which were
-	// re-annotated rather than left as an incomparable old-ID snapshot.
-	fresh, err := New(l.Tables(), Options{Knowledge: knowledge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := paperdata.T1()
-	city, _ := q.ColumnIndex(paperdata.ColCity)
-	got, err1 := l.Santos().Query(q, city, 0)
-	want, err2 := fresh.Santos().Query(q, city, 0)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("post-mutation results: got %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Table.Name != want[i].Table.Name || got[i].Score != want[i].Score || got[i].MatchedColumn != want[i].MatchedColumn {
-			t.Errorf("result %d: got %s/%v/%d, want %s/%v/%d", i,
-				got[i].Table.Name, got[i].Score, got[i].MatchedColumn,
-				want[i].Table.Name, want[i].Score, want[i].MatchedColumn)
+	mutateTowns := func(k *kb.KB) {
+		for _, town := range towns[:3] {
+			k.AddEntity(town, kb.TypeCity)
 		}
 	}
-}
-
-// TestRefreshKBAfterMutation pins the explicit re-annotation trigger: a KB
-// mutation with *no* subsequent Add used to leave SANTOS queries on the
-// build-time snapshot until the next Add or rebuild; RefreshKB closes that
-// gap on demand, mirroring TestAddAfterKBMutation without the Add.
-func TestRefreshKBAfterMutation(t *testing.T) {
-	knowledge := kb.Demo()
-	l, err := New(paperdata.CovidLake(), Options{Knowledge: knowledge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.RefreshKB() {
-		t.Fatal("RefreshKB reported work on an up-to-date lake")
-	}
-	oldAnn := l.Annotator()
-	knowledge.AddEntity("atlantis", "City")
-	if oldAnn.UpToDate(knowledge) {
-		t.Fatal("annotator unexpectedly current after KB mutation")
-	}
-	if !l.RefreshKB() {
-		t.Fatal("RefreshKB reported no-op on a stale lake")
-	}
-	if l.Annotator() == oldAnn || !l.Annotator().UpToDate(knowledge) {
-		t.Fatal("RefreshKB did not replace the stale annotator")
-	}
-	// The refreshed lake must agree with a from-scratch build over the
-	// mutated KB — annotations of every table re-ran against the recompiled
-	// engine, not an incomparable old-ID snapshot.
-	fresh, err := New(l.Tables(), Options{Knowledge: knowledge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := paperdata.T1()
-	city, _ := q.ColumnIndex(paperdata.ColCity)
-	got, err1 := l.Santos().Query(q, city, 0)
-	want, err2 := fresh.Santos().Query(q, city, 0)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("post-refresh results: got %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Table.Name != want[i].Table.Name || got[i].Score != want[i].Score || got[i].MatchedColumn != want[i].MatchedColumn {
-			t.Errorf("result %d: got %s/%v/%d, want %s/%v/%d", i,
-				got[i].Table.Name, got[i].Score, got[i].MatchedColumn,
-				want[i].Table.Name, want[i].Score, want[i].MatchedColumn)
+	for _, shape := range shapes {
+		for _, synth := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/synth=%v", shape.name, synth), func(t *testing.T) {
+				own := kb.Demo()
+				c, err := shape.build(Options{Knowledge: own, SynthesizeKB: synth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.Annotator().Compiled() != c.Knowledge().Compiled() {
+					t.Fatal("the annotator must resolve against the catalog's one compiled KB")
+				}
+				before := answers(c)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("mutating the catalog's Knowledge() did not panic")
+						}
+					}()
+					mutateTowns(c.Knowledge())
+				}()
+				if !synth {
+					if c.Knowledge() != own {
+						t.Fatal("without synthesis the catalog must hold the caller's KB")
+					}
+					return
+				}
+				if c.Knowledge() == own {
+					t.Fatal("with synthesis the catalog must hold a merged copy")
+				}
+				mutateTowns(own) // the caller's KB stays mutable
+				if !own.HasEntity("Atlantis") {
+					t.Fatal("the caller's KB did not take the mutation")
+				}
+				if after := answers(c); after != before {
+					t.Errorf("the caller's KB mutation reached the catalog:\n before %s\n after  %s", before, after)
+				}
+			})
 		}
-	}
-	// A second refresh with no further mutation is a no-op again.
-	if l.RefreshKB() {
-		t.Fatal("RefreshKB reported work twice for one mutation")
 	}
 }

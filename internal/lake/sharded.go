@@ -129,9 +129,7 @@ func (s *Sharded) Epochs() []uint64 {
 // concurrently. Validation is atomic across the whole composite: a nil
 // table, an empty name, or a name duplicating any batch member or any
 // table on any shard rejects the entire batch before anything is indexed.
-// KB semantics match Lake.Add: a KB mutated since the last (re-)annotation
-// refreshes every shard — including shards receiving no tables — so
-// compiled type IDs stay comparable catalog-wide.
+// KB semantics match Lake.Add.
 func (s *Sharded) Add(tables ...*table.Table) error {
 	if len(tables) == 0 {
 		return nil
@@ -142,18 +140,12 @@ func (s *Sharded) Add(tables ...*table.Table) error {
 		return err
 	}
 	perShard := PartitionTables(tables, len(s.shards))
-	stale := s.staleKB()
 	s.Mutations.Begin()
 	defer s.Mutations.End()
-	if stale {
-		s.refreshAnnotator()
-	}
 	errs := make([]error, len(s.shards))
 	par.For(len(s.shards), func(i int) {
 		if len(perShard[i]) > 0 {
 			errs[i] = s.shards[i].Add(perShard[i]...)
-		} else if stale {
-			s.shards[i].RefreshKB()
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -215,22 +207,6 @@ func (s *Sharded) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	par.For(len(s.shards), func(i int) { s.shards[i].Compact() })
-}
-
-// RefreshKB re-annotates every shard (and the composite annotator) against
-// the knowledge base as compiled now, reporting whether anything was stale.
-// See Lake.RefreshKB.
-func (s *Sharded) RefreshKB() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.staleKB() {
-		return false
-	}
-	s.Mutations.Begin()
-	defer s.Mutations.End()
-	s.refreshAnnotator()
-	par.For(len(s.shards), func(i int) { s.shards[i].RefreshKB() })
-	return true
 }
 
 // Get returns a table by name, from the shard its name routes to.

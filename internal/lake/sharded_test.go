@@ -172,48 +172,3 @@ func TestNewRejectsKMVEngine(t *testing.T) {
 		t.Errorf("NewSharded with kmv engine = %v, want unknown-engine error", err)
 	}
 }
-
-// TestShardedRefreshKB pins KB-mutation semantics across shards: after the
-// shared KB is mutated, a composite Add must re-annotate every shard —
-// including shards receiving no tables — exactly as the unsharded lake
-// re-annotates everything.
-func TestShardedRefreshKB(t *testing.T) {
-	knowledge := difftest.DiffKB()
-	rng := rand.New(rand.NewSource(5))
-	tables := make([]*table.Table, 5)
-	for i := range tables {
-		tables[i] = difftest.DiffTable(rng, string(rune('r'+i))+"_kb")
-	}
-	opts := lake.Options{Knowledge: knowledge}
-	s, err := lake.NewSharded(tables, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un, err := lake.New(tables, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knowledge.AddEntity("atlantis", "city")
-	if !s.RefreshKB() {
-		t.Fatal("RefreshKB reported nothing stale after a KB mutation")
-	}
-	if s.RefreshKB() {
-		t.Fatal("second RefreshKB reported stale")
-	}
-	if !un.RefreshKB() {
-		t.Fatal("unsharded RefreshKB reported nothing stale")
-	}
-	verifyShardedEquivalence(t, s, un, tables, rand.New(rand.NewSource(6)), "after RefreshKB")
-
-	// Mutate again; this time let a composite Add trigger the refresh.
-	knowledge.AddEntity("el dorado", "city")
-	extra := difftest.DiffTable(rng, "extra_kb")
-	if err := s.Add(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := un.Add(extra); err != nil {
-		t.Fatal(err)
-	}
-	pool := append(append([]*table.Table(nil), tables...), extra)
-	verifyShardedEquivalence(t, s, un, pool, rand.New(rand.NewSource(7)), "Add with stale KB")
-}

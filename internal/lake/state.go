@@ -16,9 +16,8 @@ import (
 // not deep-copy rows — tables are treated as immutable lake-wide).
 type State struct {
 	Tables []*table.Table
-	// KB is the lake's knowledge base content as it is now: curated plus any
-	// build-time synthesis, already merged, including in-place mutations not
-	// yet folded in by RefreshKB.
+	// KB is the lake's knowledge base content, fixed at build: curated plus
+	// any build-time synthesis, already merged.
 	KB  kb.Dump
 	LSH lshensemble.Options
 	// DictVals is the value dictionary in ID order (vals[i] interned under

@@ -109,37 +109,3 @@ func TestRestoredLakeStaysMutable(t *testing.T) {
 		t.Fatalf("mutated restored lake diverged from mutated original\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
-
-// TestSnapshotAfterKBMutation: a KB mutated in place after the lake was
-// built is persisted as it is now, and the reopened lake is annotated
-// against it — it answers exactly as a fresh lake.New over the same tables
-// with the mutated KB. The two added types sort before every existing one,
-// so the mutation shifts every compiled type ID.
-func TestSnapshotAfterKBMutation(t *testing.T) {
-	pool, lopts := newStorePool(43, 13)
-	fsys := NewMemFS()
-	s := mustCreate(t, fsys, pool[:11], lopts, Options{SnapshotEvery: -1})
-	if err := s.Add(pool[11]); err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(k *kb.KB) {
-		k.AddType("aaa first", "")
-		k.AddType("aab second", "")
-	}
-	mutate(s.Lake().Knowledge())
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(testDir, Options{FS: fsys, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	want := difftest.DiffKB()
-	mutate(want)
-	expectLake(t, "reopened after KB mutation", s.Lake(), pool[:12], lake.Options{Knowledge: want},
-		[]*table.Table{pool[0], pool[5], pool[11], pool[12]})
-}

@@ -1,8 +1,6 @@
 package schemamatch
 
 import (
-	"sort"
-
 	"repro/internal/kb"
 	"repro/internal/table"
 )
@@ -18,98 +16,32 @@ type AutoHolistic struct {
 	Knowledge *kb.KB
 }
 
-// Align implements Matcher.
+// Align implements Matcher. It runs the constrained merge sequence down to
+// snapshotFloor, scores the all-singletons start and every clustering
+// after a merge by average silhouette (distance = 1 - cosine), and keeps
+// the best. Ties prefer fewer clusters (the later merge).
 func (h AutoHolistic) Align(tables []*table.Table) (Alignment, error) {
 	refs, sim, err := similarities(tables, h.Knowledge)
 	if err != nil {
 		return Alignment{}, err
 	}
-	return buildAlignment(tables, refs, clusterAutoCut(refs, sim)), nil
+	best := make([]int, len(refs))
+	for i := range best {
+		best[i] = i
+	}
+	bestScore := avgSilhouette(best, sim)
+	clusterConstrained(refs, sim, snapshotFloor, func(labels []int) {
+		if score := avgSilhouette(labels, sim); score >= bestScore {
+			best, bestScore = labels, score
+		}
+	})
+	return buildAlignment(tables, refs, best), nil
 }
 
 // snapshotFloor is the merge-sequence floor for auto-cut: merges below
 // this similarity are never candidates, which bounds the sequence without
 // influencing cut selection in practice.
 const snapshotFloor = 0.05
-
-// clusterAutoCut builds the constrained merge sequence down to
-// snapshotFloor, scores every intermediate clustering by average
-// silhouette (distance = 1 - cosine), and returns the best. Ties prefer
-// fewer clusters (the later snapshot).
-func clusterAutoCut(refs []ColumnRef, sim [][]float64) []int {
-	n := len(refs)
-	members := make(map[int][]int, n)
-	for i := 0; i < n; i++ {
-		members[i] = []int{i}
-	}
-	snapshot := func() []int {
-		out := make([]int, n)
-		for id, ms := range members {
-			for _, x := range ms {
-				out[x] = id
-			}
-		}
-		return out
-	}
-	best := snapshot()
-	bestScore := avgSilhouette(best, sim)
-	linkSim := func(a, b int) float64 {
-		m := 1.0
-		for _, x := range members[a] {
-			for _, y := range members[b] {
-				if s := sim[x][y]; s < m {
-					m = s
-				}
-			}
-		}
-		return m
-	}
-	conflict := func(a, b int) bool {
-		seen := make(map[int]bool)
-		for _, x := range members[a] {
-			seen[refs[x].Table] = true
-		}
-		for _, y := range members[b] {
-			if seen[refs[y].Table] {
-				return true
-			}
-		}
-		return false
-	}
-	for {
-		bestA, bestB, bestS := -1, -1, snapshotFloor
-		ids := make([]int, 0, len(members))
-		for id := range members {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for ai := 0; ai < len(ids); ai++ {
-			for bi := ai + 1; bi < len(ids); bi++ {
-				a, b := ids[ai], ids[bi]
-				if conflict(a, b) {
-					continue
-				}
-				if s := linkSim(a, b); s > bestS || (s == bestS && bestA == -1) {
-					if s >= snapshotFloor {
-						bestA, bestB, bestS = a, b, s
-					}
-				}
-			}
-		}
-		if bestA < 0 {
-			break
-		}
-		members[bestA] = append(members[bestA], members[bestB]...)
-		sort.Ints(members[bestA])
-		delete(members, bestB)
-		labels := snapshot()
-		if score := avgSilhouette(labels, sim); score >= bestScore {
-			bestScore = score
-			best = labels
-		}
-	}
-	return best
-}
 
 // avgSilhouette computes the mean silhouette coefficient of a clustering
 // under distance 1 - sim. Singleton points contribute 0 (the standard

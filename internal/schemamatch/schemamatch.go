@@ -73,7 +73,7 @@ func (h Holistic) Align(tables []*table.Table) (Alignment, error) {
 	if err != nil {
 		return Alignment{}, err
 	}
-	return buildAlignment(tables, refs, clusterConstrained(refs, sim, minSimilarity)), nil
+	return buildAlignment(tables, refs, clusterConstrained(refs, sim, minSimilarity, nil)), nil
 }
 
 // similarities is the one embedding path of the holistic matchers: it
@@ -109,17 +109,24 @@ func similarities(tables []*table.Table, knowledge *kb.KB) ([]ColumnRef, [][]flo
 }
 
 // clusterConstrained performs complete-linkage agglomerative clustering
-// with same-table cannot-link constraints. It returns a cluster label per
-// ref.
-func clusterConstrained(refs []ColumnRef, sim [][]float64, minSim float64) []int {
+// with same-table cannot-link constraints, merging the most similar pair
+// of clusters while its similarity is at least minSim. It returns a cluster
+// label per ref. When merged is non-nil it is called after every merge
+// with the labels of the clustering at that step (a fresh slice each call).
+func clusterConstrained(refs []ColumnRef, sim [][]float64, minSim float64, merged func(labels []int)) []int {
 	n := len(refs)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = i
-	}
 	members := make(map[int][]int, n)
 	for i := 0; i < n; i++ {
 		members[i] = []int{i}
+	}
+	labels := func() []int {
+		out := make([]int, n)
+		for id, ms := range members {
+			for _, x := range ms {
+				out[x] = id
+			}
+		}
+		return out
 	}
 	// linkSim computes complete-linkage similarity between two clusters:
 	// the MINIMUM pairwise similarity (every member pair must be similar).
@@ -172,14 +179,11 @@ func clusterConstrained(refs []ColumnRef, sim [][]float64, minSim float64) []int
 		members[bestA] = append(members[bestA], members[bestB]...)
 		sort.Ints(members[bestA])
 		delete(members, bestB)
-	}
-	// Relabel compactly.
-	for id, ms := range members {
-		for _, x := range ms {
-			labels[x] = id
+		if merged != nil {
+			merged(labels())
 		}
 	}
-	return labels
+	return labels()
 }
 
 // buildAlignment turns cluster labels into an Alignment with
@@ -271,29 +275,33 @@ type HeaderMatcher struct{}
 
 // Align implements Matcher.
 func (HeaderMatcher) Align(tables []*table.Table) (Alignment, error) {
+	return alignByKey(tables, func(t *table.Table, c int) string { return tokenize.Normalize(t.Columns[c]) })
+}
+
+// alignByKey clusters columns by a string key: columns with equal non-empty
+// keys share a label, numbered by first occurrence, and every column with
+// an empty key is a singleton.
+func alignByKey(tables []*table.Table, key func(t *table.Table, col int) string) (Alignment, error) {
 	if len(tables) == 0 {
 		return Alignment{}, fmt.Errorf("schemamatch: empty integration set")
 	}
 	var refs []ColumnRef
 	var labels []int
-	byHeader := make(map[string]int)
+	byKey := make(map[string]int)
 	next := 0
 	for ti, t := range tables {
 		for c := 0; c < t.NumCols(); c++ {
 			refs = append(refs, ColumnRef{ti, c})
-			norm := tokenize.Normalize(t.Columns[c])
-			if norm == "" {
-				labels = append(labels, next)
+			k := key(t, c)
+			l, ok := byKey[k]
+			if !ok {
+				l = next
 				next++
-				continue
+				if k != "" {
+					byKey[k] = l
+				}
 			}
-			if l, ok := byHeader[norm]; ok {
-				labels = append(labels, l)
-			} else {
-				byHeader[norm] = next
-				labels = append(labels, next)
-				next++
-			}
+			labels = append(labels, l)
 		}
 	}
 	return buildAlignment(tables, refs, labels), nil
@@ -313,32 +321,7 @@ func (o Oracle) Align(tables []*table.Table) (Alignment, error) {
 	if o.Label == nil {
 		return Alignment{}, fmt.Errorf("schemamatch: oracle needs a Label function")
 	}
-	if len(tables) == 0 {
-		return Alignment{}, fmt.Errorf("schemamatch: empty integration set")
-	}
-	var refs []ColumnRef
-	var labels []int
-	byLabel := make(map[string]int)
-	next := 0
-	for ti, t := range tables {
-		for c := 0; c < t.NumCols(); c++ {
-			refs = append(refs, ColumnRef{ti, c})
-			l := o.Label(t.Name, c)
-			if l == "" {
-				labels = append(labels, next)
-				next++
-				continue
-			}
-			if id, ok := byLabel[l]; ok {
-				labels = append(labels, id)
-			} else {
-				byLabel[l] = next
-				labels = append(labels, next)
-				next++
-			}
-		}
-	}
-	return buildAlignment(tables, refs, labels), nil
+	return alignByKey(tables, func(t *table.Table, c int) string { return o.Label(t.Name, c) })
 }
 
 // PairwiseScores compares a predicted alignment against a truth alignment

@@ -19,9 +19,9 @@ import (
 // would answer at that instant.
 //
 // Why the vector is a sound key: a method name always names the same
-// discoverer (Registry.Register refuses duplicates); Add, Remove and
-// RefreshKB tick the epoch, and SANTOS reads the annotator bound at the
-// last (re-)annotation, not the live KB; Compact never changes answers; a
+// discoverer (Registry.Register refuses duplicates); Add and Remove tick
+// the epoch, and the catalog's KB and annotator are fixed at build, so
+// SANTOS answers move only with them; Compact never changes answers; a
 // mutation applied to one shard behind a composite's back ticks that
 // shard's element; and the cache lives and dies with the process whose
 // counters it compares. Discoverers keep their side of it: an answer

@@ -803,9 +803,8 @@ func (s *Server) mutate(direct func() error, durable func(*persist.Store) error)
 // starts, it runs to completion (aborting a half-applied index delta would
 // be worse than finishing it), so the per-request timeout bounds only the
 // wait to start — the deadline is checked after decoding, and an already-
-// expired request mutates nothing. The worst case is a KB-stale Add, which
-// re-annotates the SANTOS layer in full while holding the lake write lock;
-// trigger RefreshKB out of band after KB mutations to keep adds cheap.
+// expired request mutates nothing. An Add annotates only its own tables:
+// the catalog's KB is fixed at build, so nothing is ever re-annotated.
 func (s *Server) lakeAdd(ctx context.Context, r *http.Request) (any, error) {
 	var req LakeAddRequest
 	if err := decodeBody(r, &req); err != nil {
