@@ -233,12 +233,6 @@ func (p *Pipeline) Integrate(ctx context.Context, req IntegrateRequest) (*Integr
 	if matcher == nil {
 		matcher = schemamatch.Holistic{Knowledge: p.lake.Knowledge()}
 	}
-	// The default FD operator shares the lake-wide value dictionary, so
-	// interning the integration set's cells is a cache hit for lake values.
-	if fdOp, ok := op.(integrate.ALITEFD); ok && fdOp.Dict == nil {
-		fdOp.Dict = p.lake.Dict()
-		op = fdOp
-	}
 	out, tuples, err := integrate.Apply(ctx, op, req.Tables, matcher, req.RowIDs, req.WithProvenance)
 	if err != nil {
 		return nil, fmt.Errorf("core: integrate: %w", err)

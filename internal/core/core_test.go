@@ -13,6 +13,7 @@ import (
 	"repro/internal/er"
 	"repro/internal/integrate"
 	"repro/internal/kb"
+	"repro/internal/lake"
 	"repro/internal/paperdata"
 	"repro/internal/table"
 	"repro/internal/tokenize"
@@ -422,5 +423,73 @@ func TestPipelineMutableLake(t *testing.T) {
 	}
 	if err := p.AddTables(table.New("")); err == nil {
 		t.Error("AddTables must propagate validation errors")
+	}
+}
+
+// TestServedStagesNeverIntern: only building and mutating a catalog writes
+// its value and token dictionaries. Every served stage over user tables
+// full of unseen strings, ints and floats — integration under both
+// operators, an end-to-end run, entity resolution and discovery — leaves
+// the catalog's dictionary and every shard lake's interners as built, on a
+// single lake and on a 3-shard composite.
+func TestServedStagesNeverIntern(t *testing.T) {
+	ctx := context.Background()
+	var users []*table.Table
+	for i := 0; i < 5; i++ {
+		u := table.New(fmt.Sprintf("user%d", i), paperdata.ColCountry, paperdata.ColCity, paperdata.ColVaccRate, "Score", "Ratio")
+		for r := 0; r < 4; r++ {
+			u.MustAddRow(
+				table.StringValue(fmt.Sprintf("Land %d-%d", i, r)),
+				table.StringValue([]string{"Boston", "Berlin", fmt.Sprintf("Town %d-%d", i, r), "Toronto"}[r]),
+				table.StringValue(fmt.Sprintf("%d%%", 40+10*i+r)),
+				table.IntValue(int64(1000*i+r)),
+				table.FloatValue(float64(i)+float64(r)/8),
+			)
+		}
+		users = append(users, u)
+	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			p, err := New(paperdata.CovidLake(), Config{Knowledge: kb.Demo(), Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := func() string {
+				n := 0
+				if d := p.Lake().Dict(); d != nil {
+					n = d.Len()
+				}
+				out := fmt.Sprintf("catalog dict %d;", n)
+				for i, l := range p.Lake().(interface{ Shards() []*lake.Lake }).Shards() {
+					out += fmt.Sprintf(" shard %d dict %d tokens %d;", i, l.Dict().Len(), l.Tokens().Len())
+				}
+				return out
+			}
+			want := counts()
+			lakeTables, err := p.Lake().FetchTables(ctx, []string{"T2", "T3"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range users {
+				for _, op := range []string{"alite-fd", "outer-join"} {
+					set := []*table.Table{u, lakeTables["T2"], lakeTables["T3"]}
+					if _, err := p.Integrate(ctx, IntegrateRequest{Tables: set, Operator: op}); err != nil {
+						t.Fatalf("%s %s: %v", u.Name, op, err)
+					}
+				}
+				if _, err := p.Run(ctx, RunRequest{Query: u, QueryColumn: 1}); err != nil {
+					t.Fatalf("%s run: %v", u.Name, err)
+				}
+				if _, err := p.ResolveEntities(ctx, u, er.Options{}); err != nil {
+					t.Fatalf("%s resolve: %v", u.Name, err)
+				}
+				if _, err := p.Discover(ctx, DiscoverRequest{Query: u, QueryColumn: 1}); err != nil {
+					t.Fatalf("%s discover: %v", u.Name, err)
+				}
+				if got := counts(); got != want {
+					t.Fatalf("after serving %s: %s\nwant %s", u.Name, got, want)
+				}
+			}
+		})
 	}
 }

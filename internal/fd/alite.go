@@ -21,7 +21,7 @@ import (
 //
 // Internally the closure runs on interned value IDs (table.Dict): bucket
 // keys are pos<<32|id integers, tuple dedup hashes ID slices, and value
-// comparisons are integer equality. in.Dict supplies a shared (lake-wide)
+// comparisons are integer equality. in.Dict supplies a shared
 // dictionary; nil interns privately.
 func ALITE(in Input) []Tuple {
 	out, _ := ALITECtx(context.Background(), in)

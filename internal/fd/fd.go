@@ -56,10 +56,10 @@ func (t Tuple) Key() string { return table.RowKey(t.Values) }
 type Input struct {
 	Schema []string
 	Tuples []Tuple
-	// Dict optionally supplies a shared value dictionary (usually the
-	// lake's), so cell interning is reused across integrations. Nil means
-	// each FD computation interns into a private dictionary. The FD output
-	// is identical either way.
+	// Dict optionally supplies a shared value dictionary, which the
+	// closure interns every input cell into. Nil means each FD computation
+	// interns into a private dictionary, as the pipeline's requests do. The
+	// FD output is identical either way.
 	Dict *table.Dict
 }
 

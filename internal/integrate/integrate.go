@@ -95,8 +95,9 @@ func Apply(ctx context.Context, op Operator, tables []*table.Table, matcher sche
 
 // ALITEFD is the default operator: ALITE's Full Disjunction.
 type ALITEFD struct {
-	// Dict optionally shares a value dictionary (usually the lake's) with
-	// the FD closure, so cell interning is reused across integrations.
+	// Dict optionally shares a value dictionary with the FD closure. Nil,
+	// which the pipeline always passes, interns each call into a private
+	// dictionary, so requests never grow the lake's (see fd.Input.Dict).
 	Dict *table.Dict
 }
 

@@ -14,10 +14,12 @@ import (
 // op prefixes every error ("lake: add", "persist: remove", ...).
 
 // CheckAdd validates a batch of new tables atomically: a nil table, an empty
-// name, or a name duplicating an earlier batch member or a table already in
-// the catalog rejects the whole batch. lookup is the catalog's Get; nil
-// checks the batch against itself only (a build from scratch, or a
-// coordinator whose shards make the catalog-side check).
+// name, rows without columns (persist's table codec spends no bytes on an
+// empty row, so it could not bound their count on decode), or a name
+// duplicating an earlier batch member or a table already in the catalog
+// rejects the whole batch. lookup is the catalog's Get; nil checks the
+// batch against itself only (a build from scratch, or a coordinator whose
+// shards make the catalog-side check).
 func CheckAdd(op string, tables []*table.Table, lookup func(name string) (*table.Table, bool)) error {
 	batch := make(map[string]bool, len(tables))
 	for _, t := range tables {
@@ -26,6 +28,9 @@ func CheckAdd(op string, tables []*table.Table, lookup func(name string) (*table
 		}
 		if t.Name == "" {
 			return fmt.Errorf("%s: table with empty name", op)
+		}
+		if len(t.Columns) == 0 && len(t.Rows) > 0 {
+			return fmt.Errorf("%s: table %q has rows but no columns", op, t.Name)
 		}
 		dup := batch[t.Name]
 		if !dup && lookup != nil {

@@ -42,10 +42,11 @@ func (e *Epoch) End() { e.n.Add(1) }
 func (e *Epoch) Load() uint64 { return e.n.Load() }
 
 // kbState is the shared state the integration and analysis stages read
-// from any catalog: the knowledge base, the value dictionary, and the KB
-// annotation cache over both. All three are set once, at construction: the
-// catalog compiles its KB then, which freezes it (see kb.KB), so the
-// annotator never goes stale and readers need no lock.
+// from any catalog: the knowledge base, the value dictionary (nil on a
+// composite), and the KB annotation cache over both. All three are set
+// once, at construction: the catalog compiles its KB then, which freezes
+// it (see kb.KB), so the annotator never goes stale and readers need no
+// lock.
 type kbState struct {
 	knowledge *kb.KB
 	dict      *table.Dict
@@ -57,17 +58,15 @@ type kbState struct {
 func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 
 // Dict returns the catalog-level value dictionary. A Lake interns every
-// cell of every table into it, so integration over the lake shares it and
-// the FD closure's interning is a cache hit for lake values. Composites
-// (Sharded, the cluster coordinator) keep shard dictionaries private and
-// intern into this one lazily during cross-shard integration; see
-// SHARDING.md.
+// cell of every table into it, in New and Add only: requests never write
+// to it. Composites (Sharded, the cluster coordinator) keep no dictionary
+// of their own and return nil; see SHARDING.md.
 func (s *kbState) Dict() *table.Dict { return s.dict }
 
-// Annotator returns the catalog-level KB annotation cache, backed by Dict:
-// every distinct value's canonical entity is resolved at most once, and
-// SANTOS queries (on a Lake), integration matching and entity resolution
-// share the cached codes.
+// Annotator returns the catalog-level KB annotation cache. A Lake's is
+// backed by Dict: every distinct lake value's canonical entity is resolved
+// at most once, and SANTOS queries and entity resolution share the cached
+// codes. A composite's is detached, since its Dict is nil.
 func (s *kbState) Annotator() *kb.Annotator { return s.annotator }
 
 // prepareKnowledge resolves Options into the KB a build annotates with:
@@ -92,9 +91,10 @@ func prepareKnowledge(tables []*table.Table, opts Options) *kb.KB {
 // Composite is the state a multi-shard catalog keeps above its shards,
 // whatever the shards are — Sharded's in-process lakes or the cluster
 // coordinator's remote processes: the routing rule, the composite seqlock
-// counter over routed mutations, and the composite-level
-// Knowledge/Annotator/Dict triple the cross-shard stages (integration
-// matching, entity resolution) read. Catalogs embed it.
+// counter over routed mutations, and the composite-level Knowledge and
+// Annotator the cross-shard stages (integration matching, entity
+// resolution) read. Its Dict is nil, so the annotator is detached: it
+// caches nothing per value ID. Catalogs embed it.
 type Composite struct {
 	kbState
 	// Mutations is the composite seqlock counter. The embedding catalog's
@@ -115,8 +115,7 @@ func NewComposite(n int, knowledge *kb.KB) *Composite {
 	c := &Composite{n: n}
 	c.Mutations.seed()
 	c.knowledge = knowledge
-	c.dict = table.NewDict()
-	c.annotator = kb.NewAnnotator(knowledge.Compiled(), c.dict)
+	c.annotator = kb.NewAnnotator(knowledge.Compiled(), nil)
 	return c
 }
 

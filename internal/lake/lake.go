@@ -45,11 +45,10 @@ type Options struct {
 }
 
 // Lake is a preprocessed, mutable table repository. The catalog fields
-// (tables, byName, domains, domainIdx, santosIx, stats) are
-// guarded by mu: accessors take the read lock, Add/Remove/Compact the write
-// lock. The interners (dict, tokens) and each discovery index carry their
-// own synchronization, so queries against an index captured before a
-// mutation stay safe.
+// (tables, byName, domains, domainIdx, stats) are guarded by mu: accessors
+// take the read lock, Add/Remove/Compact the write lock. The interners
+// (dict, tokens) and each discovery index carry their own synchronization,
+// so queries against an index captured before a mutation stay safe.
 type Lake struct {
 	// kbState holds the knowledge base, the lake-wide value dictionary and
 	// the annotation cache (Knowledge, Dict, Annotator).
@@ -505,14 +504,8 @@ func (l *Lake) DomainFor(tableName string, col int) *lshensemble.Domain {
 	return &l.domains[i]
 }
 
-// Santos returns the semantic union-search index. Add may replace the
-// index (KB-mutation re-annotation), so capture it per query rather than
-// caching it across mutations.
-func (l *Lake) Santos() *santos.Index {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.santosIx
-}
+// Santos returns the semantic union-search index.
+func (l *Lake) Santos() *santos.Index { return l.santosIx }
 
 // Join returns the LSH Ensemble containment index.
 func (l *Lake) Join() *lshensemble.Index { return l.joinIx }

@@ -93,7 +93,7 @@ func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 func (d *dec) uvarint() uint64 {
 	// One- to three-byte forms cover counts, kinds, token IDs and cell
-	// indexes (the value dictionary holds tens of thousands of entries);
+	// indexes (a catalog's pool holds tens of thousands of entries);
 	// inlining them keeps the per-cell decode loops out of binary.Uvarint's
 	// generic path.
 	if b := d.b; d.err == nil && d.off < len(b) {
@@ -230,12 +230,12 @@ func (d *dec) value() table.Value {
 // exact spellings (it is keyed by kind and raw payload bits, so NaN — which
 // cannot key a map — and 82 vs 82.0 all get distinct entries).
 //
-// When the batch travels next to a value-dictionary snapshot (the catalog
-// section does; WAL records do not), pool entries whose exact spelling is a
-// dictionary representative are encoded as references into that dictionary
-// instead of re-encoded values — in practice nearly the whole pool — so the
-// decoded dictionary doubles as the decoded pool. Callers without a
-// dictionary pass nil and get the self-contained form.
+// Snapshots written before format 1.2's section 3 went empty carry the
+// lake's value dictionary there, and their catalog encodes cells as
+// indexes into a combined space: index i below the dictionary's length is
+// dictionary ID i+1's value, and the pool's entries are numbered past it.
+// The decoder still resolves that form; with an empty dictionary it is the
+// self-contained one every batch is written in.
 
 // cellKey identifies an exact cell value in the pool map.
 type cellKey struct {
@@ -261,41 +261,21 @@ func keyOf(v table.Value) cellKey {
 	return k
 }
 
-func (e *enc) tables(ts []*table.Table, dictVals []table.Value) {
-	// Cells encode as uvarint indexes into a combined value space: index i
-	// below len(dictVals) is dictionary ID i+1's value verbatim; extras —
-	// cells whose exact spelling is not a dictionary representative — are
-	// numbered past the dictionary in first-seen order and carried in full
-	// ahead of the table bodies. A snapshot's catalog therefore stores
-	// almost no cell payloads (the lake dictionary interns every distinct
-	// cell), and the decoder resolves cells straight off the already-decoded
-	// dictionary section, materializing no per-catalog pool. A WAL record
-	// passes nil dictVals and is self-contained: every cell is an extra.
-	var dictIdx map[cellKey]uint64
-	if dictVals != nil {
-		dictIdx = make(map[cellKey]uint64, len(dictVals))
-		for i, v := range dictVals {
-			dictIdx[keyOf(v)] = uint64(i)
-		}
-	}
-	nd := uint64(len(dictVals))
-	var extras []table.Value
-	extraIdx := make(map[cellKey]uint64)
+func (e *enc) tables(ts []*table.Table) {
+	// The pool is numbered in first-seen order and written ahead of the
+	// table bodies that reference it.
+	var pool []table.Value
+	poolIdx := make(map[cellKey]uint64)
 	cellAt := func(v table.Value) uint64 {
 		k := keyOf(v)
-		if di, ok := dictIdx[k]; ok {
-			return di
-		}
-		ei, ok := extraIdx[k]
+		i, ok := poolIdx[k]
 		if !ok {
-			ei = uint64(len(extras))
-			extraIdx[k] = ei
-			extras = append(extras, v)
+			i = uint64(len(pool))
+			poolIdx[k] = i
+			pool = append(pool, v)
 		}
-		return nd + ei
+		return i
 	}
-	// Pre-pass to collect the extras: they must be written before any body
-	// that references them.
 	for _, t := range ts {
 		for _, row := range t.Rows {
 			for _, v := range row {
@@ -303,8 +283,8 @@ func (e *enc) tables(ts []*table.Table, dictVals []table.Value) {
 			}
 		}
 	}
-	e.uvarint(uint64(len(extras)))
-	for _, v := range extras {
+	e.uvarint(uint64(len(pool)))
+	for _, v := range pool {
 		e.value(v)
 	}
 	e.uvarint(uint64(len(ts)))
@@ -333,17 +313,17 @@ func (e *enc) tables(ts []*table.Table, dictVals []table.Value) {
 }
 
 func (d *dec) tables(dictVals []table.Value) []*table.Table {
-	nex := d.count(1)
-	var extras []table.Value
-	if nex > 0 {
-		extras = make([]table.Value, 0, nex)
+	npool := d.count(1)
+	var pool []table.Value
+	if npool > 0 {
+		pool = make([]table.Value, 0, npool)
 	}
-	for i := 0; i < nex && d.err == nil; i++ {
-		extras = append(extras, d.value())
+	for i := 0; i < npool && d.err == nil; i++ {
+		pool = append(pool, d.value())
 	}
 	nt := d.count(2)
 	// Slice out each table's framed body first, then decode the bodies in
-	// parallel: tables only share the (read-only) dictionary and extras,
+	// parallel: tables only share the (read-only) legacy dictionary and pool,
 	// and the catalog is the bulk of a snapshot.
 	bodies := make([][]byte, 0, nt)
 	for i := 0; i < nt && d.err == nil; i++ {
@@ -357,7 +337,7 @@ func (d *dec) tables(dictVals []table.Value) []*table.Table {
 	errs := make([]error, len(bodies))
 	par.For(len(bodies), func(i int) {
 		td := &dec{b: bodies[i]}
-		out[i] = td.tableBody(dictVals, extras)
+		out[i] = td.tableBody(dictVals, pool)
 		if td.err == nil && td.off != len(td.b) {
 			td.fail("table %d: %d trailing bytes", i, len(td.b)-td.off)
 		}
@@ -371,10 +351,10 @@ func (d *dec) tables(dictVals []table.Value) []*table.Table {
 	return out
 }
 
-// tableBody decodes one framed table. Cell indexes resolve against the
-// shared value dictionary first, then the catalog's extras (see
-// enc.tables for the combined index space).
-func (d *dec) tableBody(dict, extras []table.Value) *table.Table {
+// tableBody decodes one framed table. Cell indexes resolve against a
+// legacy snapshot's value dictionary first, then the batch's pool (see the
+// table codec for the combined index space).
+func (d *dec) tableBody(dict, pool []table.Value) *table.Table {
 	t := &table.Table{Name: d.str()}
 	ncols := d.count(1)
 	t.Columns = make([]string, ncols)
@@ -393,7 +373,7 @@ func (d *dec) tableBody(dict, extras []table.Value) *table.Table {
 	}
 	nd := uint64(len(dict))
 	// One allocation for all rows instead of one per row: cell copying out
-	// of the dictionary is the decode hot loop.
+	// of the pool is the decode hot loop.
 	arena := make([]table.Value, nrows*ncols)
 	t.Rows = make([][]table.Value, 0, nrows)
 	for r := 0; r < nrows && d.err == nil; r++ {
@@ -403,10 +383,10 @@ func (d *dec) tableBody(dict, extras []table.Value) *table.Table {
 			switch {
 			case pi < nd:
 				row[c] = dict[pi]
-			case pi-nd < uint64(len(extras)):
-				row[c] = extras[pi-nd]
+			case pi-nd < uint64(len(pool)):
+				row[c] = pool[pi-nd]
 			case d.err == nil:
-				d.fail("table %q: cell index %d out of %d dictionary + %d extra values", t.Name, pi, nd, len(extras))
+				d.fail("table %q: cell index %d out of %d dictionary + %d pool values", t.Name, pi, nd, len(pool))
 			}
 		}
 		t.Rows = append(t.Rows, row)

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,7 +27,9 @@ import (
 // Add fx07+fx08, Remove fx01, Add fx09. v1.1 is that directory as written;
 // v1.0 has the same snapshot with the 1.1 sketch-engine record stripped and
 // the minor stamped 0; v1.1-kmv has the record naming "kmv", the engine
-// earlier builds offered beside MinHash.
+// earlier builds offered beside MinHash. v1.2 follows the same recipe under
+// the last build that wrote the lake's value dictionary into section 3, so
+// its catalog cells are references into that dictionary.
 
 // legacySurvivors are the tables every testdata store recovers to.
 var legacySurvivors = []string{"fx00", "fx02", "fx03", "fx04", "fx05", "fx06", "fx07", "fx08", "fx09"}
@@ -88,6 +91,71 @@ func TestSnapshotWritesFourSections(t *testing.T) {
 	if minor := uint16(img[10]) | uint16(img[11])<<8; minor != FormatMinor || FormatMinor != 2 {
 		t.Fatalf("written minor = %d, FormatMinor = %d; want 2", minor, FormatMinor)
 	}
+}
+
+// sectionPayload returns the payload of the section with the given ID.
+func sectionPayload(t *testing.T, img []byte, id uint32) []byte {
+	t.Helper()
+	for _, f := range snapshotFrames(img) {
+		if f.id == id {
+			d := &dec{b: img[f.off+4:]}
+			return img[f.off+12 : f.off+12+int(d.u64())]
+		}
+	}
+	t.Fatalf("no section %d", id)
+	return nil
+}
+
+// TestSnapshotIndependentOfHistory: a snapshot is a function of the
+// catalog and its KB alone. A store churned through adds and removes of
+// tables with fresh cells writes, at the same seq, the same bytes as a
+// lake built fresh over its surviving tables — the values of removed
+// tables leave no trace — and its value-dictionary section is empty.
+func TestSnapshotIndependentOfHistory(t *testing.T) {
+	pool, lopts := newStorePool(7, 4)
+	s := mustCreate(t, NewMemFS(), pool, lopts, Options{SnapshotEvery: -1})
+	defer s.Close()
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("churn%02d", i)
+		if err := s.Add(difftest.DiffTable(rng, name)); err != nil {
+			t.Fatal(err)
+		}
+		// Every fifth churn table survives, so added tables are part of
+		// the compared catalog too.
+		if i%5 != 0 {
+			if err := s.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seq := s.Status().Seq
+	st := s.Lake().Export()
+	fresh, err := lake.New(st.Tables, lake.Options{Knowledge: kb.FromDump(st.KB), LSH: st.LSH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := encodeSnapshot(st, seq), encodeSnapshot(fresh.Export(), seq)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("churned store's snapshot is %d bytes, a fresh lake's %d", len(got), len(want))
+	}
+	if p := sectionPayload(t, got, secDict); !bytes.Equal(p, []byte{0}) {
+		t.Fatalf("value-dictionary section payload = %d bytes, want the single byte 0", len(p))
+	}
+}
+
+// TestDictionaryReferencesStillOpen: a data directory whose snapshot
+// carries the value dictionary, with catalog cells referencing it, opens
+// and upgrades like the older fixtures.
+func TestDictionaryReferencesStillOpen(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "v1.2", snapName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := sectionPayload(t, img, secDict); len(p) < 2 {
+		t.Fatalf("fixture's value-dictionary section is %d bytes; it must carry a dictionary", len(p))
+	}
+	checkLegacyStore(t, "v1.2")
 }
 
 // TestSnapshotNewerMinorRefused: a minor version beyond this build's is a

@@ -92,3 +92,34 @@ func (OSFS) SyncDir(dir string) error {
 	defer d.Close()
 	return d.Sync()
 }
+
+// replaceFile atomically replaces path with the concatenated chunks: temp
+// file, one write per chunk, file sync, close, rename into place, directory
+// sync. A crash at any of those points leaves path naming either its old
+// file or the complete new one. It returns the bytes written.
+func replaceFile(fsys FS, path string, chunks ...[]byte) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
+			f.Close()
+			return 0, err
+		}
+		n += int64(len(c))
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	return n, fsys.SyncDir(filepath.Dir(path))
+}

@@ -46,7 +46,9 @@ import (
 //	1.2  only what the lake is: meta, KB, value dictionary, catalog. The
 //	     indexes are rebuilt on open (buildLake), so the token, domains
 //	     and SANTOS sections of 1.0/1.1 files are checksummed like every
-//	     section, then skipped.
+//	     section, then skipped. Later 1.2 writers leave the value
+//	     dictionary empty and the catalog carries its own cell pool;
+//	     catalog references into a non-empty dictionary still resolve.
 
 const (
 	snapMagic = "DLSNAP\x00\x01"
@@ -67,7 +69,7 @@ const (
 const (
 	secMeta    = 1 // LSH options
 	secKB      = 2 // knowledge-base dump
-	secDict    = 3 // value dictionary, ID order
+	secDict    = 3 // value dictionary, ID order; written empty
 	secCatalog = 5 // tables (exact cells via the batch value pool)
 )
 
@@ -132,13 +134,8 @@ func encodeSnapshot(st lake.State, seq uint64) []byte {
 		e.varint(st.LSH.Seed)
 	})
 	section(secKB, func(e *enc) { e.kbDump(st.KB) })
-	section(secDict, func(e *enc) {
-		e.uvarint(uint64(len(st.DictVals)))
-		for _, v := range st.DictVals {
-			e.value(v)
-		}
-	})
-	section(secCatalog, func(e *enc) { e.tables(st.Tables, st.DictVals) })
+	section(secDict, func(e *enc) { e.uvarint(0) })
+	section(secCatalog, func(e *enc) { e.tables(st.Tables) })
 
 	var h enc
 	h.b = append(h.b, snapMagic...)
@@ -228,13 +225,14 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 		}
 		return nil
 	}
-	// The dictionary decodes first: the catalog's cell pool references it
-	// (see the table codec), so it is an input to the remaining sections.
+	// The dictionary decodes first: an older 1.2 catalog's cells reference
+	// it (see the table codec), so it is an input to the remaining sections.
+	var dictVals []table.Value
 	if err := decodeOne(section{secDict, func(d *dec) {
 		n := d.count(1)
-		st.DictVals = make([]table.Value, 0, n)
+		dictVals = make([]table.Value, 0, n)
 		for j := 0; j < n && d.err == nil; j++ {
-			st.DictVals = append(st.DictVals, d.value())
+			dictVals = append(dictVals, d.value())
 		}
 	}}); err != nil {
 		return st, 0, err
@@ -246,7 +244,7 @@ func decodeSnapshot(file string, b []byte) (lake.State, uint64, error) {
 			st.LSH.Seed = d.varint()
 		}},
 		{secKB, func(d *dec) { st.KB = d.kbDump() }},
-		{secCatalog, func(d *dec) { st.Tables = d.tables(st.DictVals) }},
+		{secCatalog, func(d *dec) { st.Tables = d.tables(dictVals) }},
 	}
 	secErrs := make([]error, len(sections))
 	par.For(len(sections), func(i int) {
@@ -272,33 +270,11 @@ func buildLake(st lake.State) (*lake.Lake, error) {
 	return lake.New(st.Tables, lake.Options{Knowledge: kb.FromDump(st.KB), LSH: st.LSH})
 }
 
-// writeSnapshot atomically writes the snapshot for (st, seq) into dir:
-// temp file, file sync, rename into place, directory sync. A crash at any
-// of those points leaves either no new snapshot or a complete one — never
-// a half-written file under the final name.
+// writeSnapshot atomically writes the snapshot for (st, seq) into dir (see
+// replaceFile): a crash leaves either no new snapshot or a complete one —
+// never a half-written file under the final name.
 func writeSnapshot(fsys FS, dir string, st lake.State, seq uint64) error {
-	img := encodeSnapshot(st, seq)
-	final := filepath.Join(dir, snapName(seq))
-	tmp := final + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		return fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if _, err := replaceFile(fsys, filepath.Join(dir, snapName(seq)), encodeSnapshot(st, seq)); err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
 	return nil

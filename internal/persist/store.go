@@ -257,44 +257,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// rewriteWAL atomically replaces the WAL with header+frames (temp file,
-// sync, rename, dir sync) and reopens it for appending.
+// rewriteWAL atomically replaces the WAL with header+frames (see
+// replaceFile) and reopens it for appending.
 func rewriteWAL(fsys FS, dir string, frames [][]byte) (File, int64, error) {
 	final := filepath.Join(dir, walFile)
-	tmp := final + ".tmp"
-	f, err := fsys.Create(tmp)
+	n, err := replaceFile(fsys, final, append([][]byte{walHeader()}, frames...)...)
 	if err != nil {
-		return nil, 0, fmt.Errorf("persist: wal: %w", err)
-	}
-	n := int64(0)
-	write := func(b []byte) error {
-		if err != nil {
-			return err
-		}
-		if _, err = f.Write(b); err == nil {
-			n += int64(len(b))
-		}
-		return err
-	}
-	_ = write(walHeader())
-	for _, fr := range frames {
-		_ = write(fr)
-	}
-	if err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("persist: wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("persist: wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, 0, fmt.Errorf("persist: wal: %w", err)
-	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		return nil, 0, fmt.Errorf("persist: wal: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
 		return nil, 0, fmt.Errorf("persist: wal: %w", err)
 	}
 	h, err := fsys.Append(final)

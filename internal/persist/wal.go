@@ -72,7 +72,7 @@ func encodeAddRecord(seq uint64, tables []*table.Table) []byte {
 	var e enc
 	e.u64(seq)
 	e.u8(walOpAdd)
-	e.tables(tables, nil)
+	e.tables(tables)
 	return frameRecord(e.b)
 }
 

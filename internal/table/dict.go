@@ -197,14 +197,6 @@ func (d *Dict) Value(id uint32) (Value, bool) {
 	return d.vals[id-1], true
 }
 
-// Snapshot returns a copy of the interned values in ID order: element i was
-// interned under ID i+1.
-func (d *Dict) Snapshot() []Value {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]Value(nil), d.vals...)
-}
-
 // Len reports how many distinct non-null values have been interned.
 func (d *Dict) Len() int {
 	d.mu.RLock()
