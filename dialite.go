@@ -137,7 +137,10 @@ type (
 func NewServer(p *Pipeline, cfg ServeConfig) *Server { return serve.New(p, cfg) }
 
 // EncodeTableJSON converts a table to the serve endpoints' wire form — what
-// a client posts as a query or inline integration member.
+// a client posts as a query or inline integration member. It boxes
+// nothing: the result's Rows stays nil, and marshalling it (encoding/json)
+// writes the cells straight from t. Rows is filled when a client decodes
+// a response.
 func EncodeTableJSON(t *Table) TableJSON { return serve.EncodeTable(t) }
 
 // Cluster mode (shard-per-process over HTTP), re-exported.

@@ -115,8 +115,9 @@ type shardClient struct {
 }
 
 // do runs one logical call against the shard: marshal body (nil means no
-// body), POST/GET path, decode a 200 into out (json.Number preserved, so
-// int64 cells and float64 scores round-trip bit-exactly), map any failure
+// body), POST/GET path, decode a 200 into out (serve.DecodeResponse:
+// json.Number preserved, so int64 cells and float64 scores round-trip
+// bit-exactly, and table batches read without []any), map any failure
 // to a *ShardError. Idempotent calls retry transport failures and 503s
 // with linear backoff; the caller's ctx bounds the whole loop and each
 // attempt is additionally capped by callTimeout.
@@ -211,9 +212,7 @@ func (c *shardClient) attempt(ctx context.Context, op, method, path string, payl
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	dec := json.NewDecoder(resp.Body)
-	dec.UseNumber() // int64 cells survive the round trip bit-exactly
-	if err := dec.Decode(out); err != nil {
+	if err := serve.DecodeResponse(resp.Body, out); err != nil {
 		return &ShardError{Shard: c.shard, Addr: c.addr, Op: op, Err: fmt.Errorf("decode response: %w", err)}
 	}
 	return nil

@@ -25,7 +25,7 @@ package fd
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -219,11 +219,13 @@ func DedupeTuples(tuples []Tuple) []Tuple {
 
 // sortTuples orders tuples canonically by values, then provenance.
 func sortTuples(tuples []Tuple) {
-	sort.SliceStable(tuples, func(i, j int) bool {
-		if c := table.CompareRows(tuples[i].Values, tuples[j].Values); c != 0 {
-			return c < 0
+	slices.SortStableFunc(tuples, func(a, b Tuple) int {
+		if c := table.CompareRows(a.Values, b.Values); c != 0 {
+			return c
 		}
-		return strings.Join(tuples[i].Prov, ",") < strings.Join(tuples[j].Prov, ",")
+		// The comma-joined form is the order, not slices.Compare: ["a!"]
+		// sorts before ["a", "b"] here ('!' < ','), after it there.
+		return strings.Compare(strings.Join(a.Prov, ","), strings.Join(b.Prov, ","))
 	})
 }
 

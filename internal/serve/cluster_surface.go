@@ -81,7 +81,7 @@ type LakeTablesResponse struct {
 
 func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 	var req LakeTablesRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Names) == 0 {

@@ -354,8 +354,20 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 // encodeJSON is the one response encoding: HTML characters unescaped,
 // trailing newline.
-func encodeJSON(body any) (rawJSON, error) {
-	buf := &bytes.Buffer{}
+func encodeJSON(body any) (rawJSON, error) { return appendJSON(nil, body) }
+
+// appendJSON appends encodeJSON's bytes for body to b. A table-bearing
+// response writes itself (codec.go), byte for byte what encoding/json
+// would write.
+func appendJSON(b []byte, body any) ([]byte, error) {
+	if a, ok := body.(jsonAppender); ok {
+		b, err := a.appendJSON(b)
+		if err != nil {
+			return nil, err
+		}
+		return append(b, '\n'), nil
+	}
+	buf := bytes.NewBuffer(b)
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(body); err != nil {
@@ -481,11 +493,18 @@ func (s *Server) handle(m *endpointMetrics, class endpointClass, fn func(ctx con
 }
 
 // decodeBody strictly decodes the request body: unknown fields and trailing
-// garbage are rejected, and numbers keep full precision (json.Number).
-func decodeBody(r *http.Request, dst any) error { return decodeJSON(r.Body, dst) }
+// garbage are rejected, and numbers keep full precision (json.Number). A
+// table-bearing body goes through the request reader (reader.go) first.
+func (s *Server) decodeBody(r *http.Request, dst any) error {
+	return decodeWith(r.Body, r.ContentLength, s.cfg.MaxBodyBytes, dst, decodeStrict)
+}
 
-// decodeJSON is decodeBody over any reader.
-func decodeJSON(r io.Reader, dst any) error {
+// decodeJSON is decodeBody over a body already read.
+func decodeJSON(body []byte, dst any) error { return decodeBytes(body, dst, decodeStrict) }
+
+// decodeStrict is the reference decode every request body has always had;
+// the request reader falls back to it for every body it declines.
+func decodeStrict(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
 	dec.DisallowUnknownFields()
@@ -539,7 +558,7 @@ type DiscoverResponse struct {
 // discovery stage and caches the answer when it is whole (not partial) and
 // proved untorn (see answers.go). Over a remote catalog there is no cache.
 func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("malformed request body: %w", err)
 	}
@@ -550,7 +569,7 @@ func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 		}
 	}
 	var req DiscoverRequest
-	if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+	if err := decodeJSON(body, &req); err != nil {
 		return nil, err
 	}
 	q, err := req.Query.DecodeTable()
@@ -639,7 +658,7 @@ func (s *Server) integrationSet(ctx context.Context, req IntegrateRequest) ([]*t
 
 func (s *Server) integrate(ctx context.Context, r *http.Request) (any, error) {
 	var req IntegrateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	set, err := s.integrationSet(ctx, req)
@@ -671,7 +690,7 @@ type PipelineResponse struct {
 
 func (s *Server) pipeline(ctx context.Context, r *http.Request) (any, error) {
 	var req PipelineRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	q, err := req.Query.DecodeTable()
@@ -712,7 +731,7 @@ type CorrelateResponse struct {
 
 func (s *Server) correlate(ctx context.Context, r *http.Request) (any, error) {
 	var req CorrelateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	t, err := req.Table.DecodeTable()
@@ -744,7 +763,7 @@ type ResolveResponse struct {
 
 func (s *Server) resolve(ctx context.Context, r *http.Request) (any, error) {
 	var req ResolveRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	t, err := req.Table.DecodeTable()
@@ -807,7 +826,7 @@ func (s *Server) mutate(direct func() error, durable func(*persist.Store) error)
 // the catalog's KB is fixed at build, so nothing is ever re-annotated.
 func (s *Server) lakeAdd(ctx context.Context, r *http.Request) (any, error) {
 	var req LakeAddRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Tables) == 0 {
@@ -837,7 +856,7 @@ func (s *Server) lakeAdd(ctx context.Context, r *http.Request) (any, error) {
 // lakeRemove follows lakeAdd's transactional (run-to-completion) contract.
 func (s *Server) lakeRemove(ctx context.Context, r *http.Request) (any, error) {
 	var req LakeRemoveRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Names) == 0 {
