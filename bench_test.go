@@ -446,7 +446,7 @@ func BenchmarkKBAnnotate(b *testing.B) {
 		pairs[i] = [2]string{subjVals[i], objVals[i]}
 	}
 	ck := know.Compiled()
-	ann := kb.NewAnnotator(ck, nil)
+	ann := kb.NewAnnotator(ck)
 	s := ck.NewScratch()
 	colCodes := ann.CodeStrings(colVals, nil)
 	subjCodes := ann.CodeStrings(subjVals, nil)

@@ -64,7 +64,7 @@ type Config struct {
 // Coordinator implements lake.Catalog and discovery's remote target over a
 // set of shard processes. It owns no table data: reads scatter to the
 // shards and gather deterministically, mutations route by lake.ShardIndex,
-// and the composite-level state (value dictionary, KB annotator) lives
+// and the composite-level state (the knowledge base) lives
 // coordinator-side exactly as lake.Sharded keeps it composite-side. The one
 // copy of shard data it keeps is the bounded, epoch-keyed cache of the
 // tables discovery materialized (tables.go).
@@ -72,7 +72,7 @@ type Coordinator struct {
 	// Composite carries the routing rule (NumShards, ShardFor), the
 	// coordinator-local seqlock counter over routed mutations (Epochs
 	// prepends it to the concatenated shard vectors), and the
-	// coordinator-level Knowledge/Annotator/Dict — the exact analogue of
+	// coordinator-level Knowledge/Dict — the exact analogue of
 	// what lake.Sharded keeps composite-side.
 	*lake.Composite
 	cfg    Config

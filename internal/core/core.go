@@ -260,25 +260,15 @@ func (p *Pipeline) Correlate(ctx context.Context, t *table.Table, colA, colB str
 }
 
 // ResolveEntities runs entity resolution over an integrated table with the
-// pipeline's knowledge base (stage 3, Example 5). ctx is observed across
-// the pair-comparison loop; a cancelled call returns ctx.Err() promptly.
-//
-// Resolution is request-scoped: when resolving with the lake's own KB the
-// call runs through a kb.Annotator.ERScope of the lake-wide annotation
-// cache — known lake canonicals and compiled-KB entities resolve to their
-// shared codes, while strings outside both are cached (with collision-free
-// top-down extended IDs) only for the duration of the call. Resolving any
-// number of unrelated user-supplied tables through one long-lived pipeline
-// therefore no longer grows the pipeline's memory. Pass your own
-// er.Options.Annotator (or Knowledge) to override the scoping.
+// pipeline's knowledge base (stage 3, Example 5) unless opts names another.
+// ctx is observed across the pair-comparison loop; a cancelled call returns
+// ctx.Err() promptly. Resolution is request-scoped: er.Resolve caches
+// canonicalizations for the call only, so resolving any number of
+// unrelated user-supplied tables through one long-lived pipeline never
+// grows the pipeline's memory.
 func (p *Pipeline) ResolveEntities(ctx context.Context, t *table.Table, opts er.Options) (*er.Resolution, error) {
 	if opts.Knowledge == nil {
 		opts.Knowledge = p.lake.Knowledge()
-		if opts.Annotator == nil {
-			// Resolving with the lake's own KB, which is frozen at build:
-			// scope the lake-wide annotation cache per request.
-			opts.Annotator = p.lake.Annotator().ERScope()
-		}
 	}
 	return er.Resolve(ctx, t, opts)
 }

@@ -106,10 +106,8 @@ func TestDiscoverValidation(t *testing.T) {
 
 // TestResolveEntitiesRequestScoped pins the ER scoping semantics: resolving
 // a foreign (non-lake) table through the pipeline must produce exactly the
-// resolution a fresh per-call annotator would, while running through a
-// request scope of the shared lake cache (kb.Annotator.ERScope) — same
-// clusters, same pair scores, with nothing request-specific surviving the
-// call in the shared annotator (pinned structurally in the kb package).
+// resolution a fresh per-call annotator over the lake's KB would — same
+// clusters, same pair scores.
 func TestResolveEntitiesRequestScoped(t *testing.T) {
 	p := demoPipeline(t)
 	tb := table.New("guest", "Vaccine", "Agency", "Country")

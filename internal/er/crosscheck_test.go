@@ -230,32 +230,6 @@ func TestCrossCheckResolveLearned(t *testing.T) {
 	}
 }
 
-// TestCrossCheckResolveDictAnnotator runs the same cross-check through a
-// dict-backed annotation cache (the lake path): cached codes keyed by
-// interned value IDs must change nothing.
-func TestCrossCheckResolveDictAnnotator(t *testing.T) {
-	know := kb.Demo()
-	for _, seed := range []int64{41, 42} {
-		rng := rand.New(rand.NewSource(seed))
-		tb := randomERTable(rng, fmt.Sprintf("t%d", seed))
-		dict := table.NewDict()
-		var buf []uint32
-		for _, row := range tb.Rows {
-			buf = dict.InternRow(row, buf)
-		}
-		opts := Options{Knowledge: know, Annotator: kb.NewAnnotator(know.Compiled(), dict)}
-		got, err := Resolve(context.Background(), tb, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refResolve(tb, Options{Knowledge: know})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResolution(t, fmt.Sprintf("seed=%d", seed), got, want)
-	}
-}
-
 // blockPairs generates candidate pairs: rows sharing a canonicalized cell
 // value in the same column. Each pair is emitted once (a<b), ordered. It is
 // the string reference for blockPairsCodes, which Resolve uses.

@@ -34,27 +34,11 @@ type Options struct {
 	// Knowledge supplies aliases for equality features and blocking; nil
 	// disables alias awareness.
 	Knowledge *kb.KB
-	// Annotator optionally supplies a prebuilt entity-resolution cache over
-	// Knowledge's compiled form (e.g. the lake's dict-backed cache, so lake
-	// values resolve without re-canonicalization). Nil builds a transient
-	// cache from Knowledge.
-	Annotator *kb.Annotator
 	// Threshold is the minimum average similarity for a match. Default 0.6.
 	Threshold float64
 	// Veto rejects a pair outright when a column filled on both sides has
 	// similarity below it. Default 0.25.
 	Veto float64
-}
-
-// annotator returns the entity-resolution cache to resolve through: the
-// supplied one, or a transient cache over the (memoized) compiled KB. With
-// nil Knowledge the cache still canonicalizes by normalization alone, which
-// is exactly the knowledge-free blocking and similarity semantics.
-func (o Options) annotator() *kb.Annotator {
-	if o.Annotator != nil {
-		return o.Annotator
-	}
-	return kb.NewAnnotator(o.Knowledge.Compiled(), nil)
 }
 
 // cellCodes resolves every cell of t through the cache once; codes[r][c] is
@@ -357,30 +341,33 @@ func levenshteinRatio(a, b string) float64 {
 const pairCancelStride = 256
 
 // Resolve performs entity resolution over the rows of t. Every cell is
-// canonicalized once through the knowledge base's compiled annotation cache
-// (see kb.Annotator); blocking, the alias-aware similarity shortcut, and
-// clustering then run on integer annotation codes. Output is byte-identical
-// to the retained string reference path (pinned by crosscheck_test.go).
+// canonicalized once through an annotation cache over the knowledge base's
+// compiled form (see kb.Annotator), built for this call and dropped with
+// it; blocking, the alias-aware similarity shortcut, and clustering then
+// run on integer annotation codes. With nil Knowledge the cache
+// canonicalizes by normalization alone, which is exactly the knowledge-free
+// semantics. Output is byte-identical to the retained string reference
+// path (pinned by crosscheck_test.go).
 //
 // ctx is observed cooperatively across the blocking-pair comparison loop:
-// once cancelled, Resolve returns (nil, ctx.Err()) promptly. For
-// request-scoped resolution against a shared lake annotator, pass
-// Options.Annotator = annotator.ERScope().
+// once cancelled, Resolve returns (nil, ctx.Err()) promptly.
 func Resolve(ctx context.Context, t *table.Table, opts Options) (*Resolution, error) {
 	opts = opts.withDefaults()
-	return resolveWith(ctx, t, opts.annotator(), opts.Knowledge, opts.Threshold,
+	return resolveWith(ctx, t, opts.Knowledge, opts.Threshold,
 		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
 			return similarityCodes(a, b, ca, cb, opts, tc)
 		})
 }
 
 // resolveWith is the shared resolution flow around a pair scorer: resolve
-// every cell to its annotation code once, block on the codes, score each
+// every cell to its annotation code once, through a fresh annotator over
+// knowledge's compiled form, block on the codes, score each
 // candidate pair (score reports ok=false for pairs that cannot be compared,
 // which are dropped), union matched pairs (score >= threshold) transitively,
 // and merge each cluster into its canonical tuple.
-func resolveWith(ctx context.Context, t *table.Table, ann *kb.Annotator, knowledge *kb.KB, threshold float64,
+func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshold float64,
 	score func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool)) (*Resolution, error) {
+	ann := kb.NewAnnotator(knowledge.Compiled())
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("er: nil or zero-column table")
 	}

@@ -179,7 +179,7 @@ func ResolveLearned(ctx context.Context, t *table.Table, model *LogisticModel, k
 	if threshold <= 0 {
 		threshold = 0.5
 	}
-	return resolveWith(ctx, t, Options{Knowledge: knowledge}.annotator(), knowledge, threshold,
+	return resolveWith(ctx, t, knowledge, threshold,
 		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
 			x, ok := featuresCodes(a, b, ca, cb, tc)
 			if !ok {

@@ -223,9 +223,7 @@ type Scratch struct {
 	pairEpoch   uint32
 
 	// Column-code dedupe state (see Annotator.ColumnCodes).
-	seenStr      map[string]struct{}
-	seenVal      []uint32 // per dict value ID: valSeenEpoch stamp
-	valSeenEpoch uint32
+	seenStr map[string]struct{}
 }
 
 // NewScratch allocates working memory sized to the compiled universe.

@@ -11,6 +11,8 @@ package kb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -101,7 +103,7 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := randomKB(rng)
 		ck := k.Compiled()
-		ann := NewAnnotator(ck, nil)
+		ann := NewAnnotator(ck)
 		s := ck.NewScratch()
 		// Reuse one scratch across every call: epoch handling must keep
 		// successive annotations independent.
@@ -132,7 +134,7 @@ func TestCrossCheckSameEntity(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
 		rng := rand.New(rand.NewSource(seed))
 		k := randomKB(rng)
-		ann := NewAnnotator(k.Compiled(), nil)
+		ann := NewAnnotator(k.Compiled())
 		vals := randomValues(rng, 40)
 		for i := 0; i < len(vals); i++ {
 			for j := 0; j < len(vals); j++ {
@@ -150,7 +152,7 @@ func TestCrossCheckSameEntity(t *testing.T) {
 func TestCrossCheckDemoKB(t *testing.T) {
 	k := Demo()
 	ck := k.Compiled()
-	ann := NewAnnotator(ck, nil)
+	ann := NewAnnotator(ck)
 	s := ck.NewScratch()
 	cols := [][]string{
 		{"Berlin", "Manchester", "Barcelona", "Nowhereville"},
@@ -184,26 +186,20 @@ func TestCrossCheckDemoKB(t *testing.T) {
 	}
 }
 
-// TestAnnotatorNumericRenderings pins the dict-backed cache against the
-// dict's deliberate Int/Float ID collision: an Int and a numerically-equal
-// integral Float share a value ID but can render — and therefore
-// canonicalize — differently, so their codes must come from the rendering,
-// never from one shared ID slot.
+// TestAnnotatorNumericRenderings pins that a numeric cell codes as its
+// rendering: an Int and a numerically-equal integral Float can render — and
+// therefore canonicalize — differently, so their codes must agree exactly
+// when the reference says their renderings are the same entity.
 func TestAnnotatorNumericRenderings(t *testing.T) {
-	d := table.NewDict()
 	iv := table.IntValue(1000000000000000)
 	fv := table.FloatValue(1e15)
-	if d.Intern(iv) != d.Intern(fv) {
-		t.Fatal("test premise: dict must collide Int 10^15 with Float 1e15")
-	}
 	k := Demo()
-	ann := NewAnnotator(k.Compiled(), d)
 	// Resolve in both orders: neither value's cached code may leak to the
 	// other.
 	for _, first := range []table.Value{iv, fv} {
-		a2 := NewAnnotator(k.Compiled(), d)
-		a2.Code(first)
-		ci, cf := a2.Code(iv), a2.Code(fv)
+		a := NewAnnotator(k.Compiled())
+		a.Code(first)
+		ci, cf := a.Code(iv), a.Code(fv)
 		want := k.SameEntity(iv.String(), fv.String())
 		if SameCode(ci, cf) != want {
 			t.Fatalf("first=%v: SameCode=%v, reference SameEntity(%q,%q)=%v",
@@ -211,23 +207,22 @@ func TestAnnotatorNumericRenderings(t *testing.T) {
 		}
 	}
 	// Same-rendering numerics still agree.
+	ann := NewAnnotator(k.Compiled())
 	if !SameCode(ann.Code(table.IntValue(82)), ann.Code(table.FloatValue(82))) {
 		t.Error("Int 82 and Float 82 render identically and must share a code")
 	}
 }
 
-// TestQueryScope checks that a query scope resolves interned lake values
-// through the shared cache (identical codes) while keeping foreign strings
-// internally consistent.
+// TestQueryScope checks that a query scope answers renderings the root has
+// cached with the root's codes while keeping foreign strings internally
+// consistent.
 func TestQueryScope(t *testing.T) {
-	d := table.NewDict()
-	berlin := table.StringValue("Berlin")
-	d.Intern(berlin)
 	k := Demo()
-	ann := NewAnnotator(k.Compiled(), d)
+	ann := NewAnnotator(k.Compiled())
+	berlin, elsewhere := ann.CodeString("Berlin"), ann.CodeString("Elsewhere")
 	scope := ann.QueryScope()
-	if scope.Code(berlin) != ann.Code(berlin) {
-		t.Error("scope must share codes for interned lake values")
+	if scope.CodeString("Berlin") != berlin || scope.CodeString("Elsewhere") != elsewhere {
+		t.Error("scope must share the root's codes for renderings the root cached")
 	}
 	if scope.QueryScope().parent != ann {
 		t.Error("scoping a scope must re-root at the shared annotator")
@@ -241,4 +236,129 @@ func TestQueryScope(t *testing.T) {
 	if SameCode(a, scope.CodeString("different stranger")) {
 		t.Error("scope must give distinct canonicals distinct codes")
 	}
+}
+
+// TestQueryScopeNeverWritesRoot pins that queries never write shared
+// annotation state: whatever a scope resolves — a rendering the root
+// cached, a foreign string, or another rendering of a canonical the root
+// knows — the root's caches keep their size, and the scope agrees with the
+// root wherever both answer. Codes the root allocates while the scope lives
+// never alias the scope's own.
+func TestQueryScopeNeverWritesRoot(t *testing.T) {
+	root := NewAnnotator(Demo().Compiled())
+	cached := []string{"Berlin", "Gotham City", "##"}
+	want := root.CodeStrings(cached, nil)
+	rawN, extN := root.Size()
+
+	scope := root.QueryScope()
+	if scope.QueryScope().parent != root {
+		t.Fatal("scoping a scope must re-root at the root")
+	}
+	for i, s := range cached {
+		if got := scope.CodeString(s); got != want[i] {
+			t.Errorf("scope code for root-cached %q = %d, want the root's %d", s, got, want[i])
+		}
+	}
+	foreign := scope.CodeString("Narnia")
+	other := scope.CodeString("  GOTHAM  city. ") // unseen rendering, root-known canonical
+	if other != want[1] {
+		t.Errorf("unseen rendering of a root canonical got %d, want the root's %d", other, want[1])
+	}
+	if r, e := root.Size(); r != rawN || e != extN {
+		t.Fatalf("root grew from (raw %d, ext %d) to (raw %d, ext %d) under a scope", rawN, extN, r, e)
+	}
+
+	// The root learns new canonicals while the scope lives; the scope's
+	// answers stay one code per canonical.
+	root.CodeString("Wakanda")
+	root.CodeString("Narnia")
+	if SameCode(scope.CodeString("Wakanda"), foreign) {
+		t.Error("a root code allocated after the scope aliased the scope's own")
+	}
+	if got := scope.CodeString("narnia!"); got != foreign {
+		t.Errorf("scope identity drifted after root growth: %d vs %d", got, foreign)
+	}
+}
+
+// FuzzAnnotatorMatchesKB drives a root annotator and a QueryScope of it with
+// strings drawn from the demo KB's entity names and aliases — verbatim, in
+// other cases, with punctuation, or replaced by raw noise — and checks both
+// against the string reference: SameCode agrees with SameEntity pairwise,
+// CodeEmpty marks exactly the empty canonicals, and an Int, Float or Bool
+// cell codes as its rendering.
+func FuzzAnnotatorMatchesKB(f *testing.F) {
+	k := Demo()
+	var names []string
+	for e := range k.entityTypes {
+		names = append(names, e)
+	}
+	for a := range k.alias {
+		names = append(names, a)
+	}
+	sort.Strings(names)
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 1, 1, 2, 5, 3, 9, 4, 2, 5, 7, 0, 2})
+	f.Add([]byte{5, 33, 5, 46, 3, 3, 1, 3, 0, 200, 2, 17, 4, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 80)] // the pairwise check is quadratic
+		var vals []string
+		var cells []table.Value
+		for i := 0; i+1 < len(data); i += 2 {
+			op, b := data[i], data[i+1]
+			name := names[int(b)%len(names)]
+			switch op % 6 {
+			case 0:
+				vals = append(vals, name)
+			case 1:
+				vals = append(vals, strings.ToUpper(name))
+			case 2:
+				vals = append(vals, " "+strings.ReplaceAll(name, " ", ". ")+"!")
+			case 3:
+				vals = append(vals, string(data[i:min(len(data), i+int(b%8))]))
+			case 4:
+				cells = append(cells, table.IntValue(int64(b)*1e13), table.FloatValue(float64(b)*1e13))
+			default:
+				cells = append(cells, table.FloatValue(float64(b)/8), table.BoolValue(b%2 == 0))
+			}
+		}
+		for _, v := range cells {
+			vals = append(vals, v.String())
+		}
+		root := NewAnnotator(k.Compiled())
+		root.CodeStrings(vals[:len(vals)/2], nil)
+		scope := root.QueryScope()
+		// The root grows past the scope on every other value, so the scope
+		// both borrows root codes and allocates its own.
+		for i := 1; i < len(vals); i += 2 {
+			root.CodeString(vals[i])
+		}
+		scopeCodes := scope.CodeStrings(vals, nil)
+		rootCodes := root.CodeStrings(vals, nil)
+		same := make([]bool, len(vals)*len(vals))
+		for i, x := range vals {
+			for j, y := range vals {
+				same[i*len(vals)+j] = k.SameEntity(x, y)
+			}
+		}
+		for name, codes := range map[string][]uint32{"root": rootCodes, "scope": scopeCodes} {
+			for i, x := range vals {
+				if (codes[i] == CodeEmpty) != (k.Canonical(x) == "") {
+					t.Fatalf("%s: code %d for %q, canonical %q", name, codes[i], x, k.Canonical(x))
+				}
+				for j, y := range vals {
+					if SameCode(codes[i], codes[j]) != same[i*len(vals)+j] {
+						t.Fatalf("%s: SameCode(%q, %q) = %v, SameEntity = %v",
+							name, x, y, SameCode(codes[i], codes[j]), same[i*len(vals)+j])
+					}
+				}
+			}
+		}
+		for _, a := range []*Annotator{root, scope} {
+			for _, v := range cells {
+				if a.Code(v) != a.CodeString(v.String()) {
+					t.Fatalf("Code(%v) != CodeString(%q)", v, v.String())
+				}
+			}
+		}
+	})
 }

@@ -57,7 +57,6 @@ type Catalog interface {
 
 	// Shared state the integration/analysis stages read.
 	Knowledge() *kb.KB
-	Annotator() *kb.Annotator
 	Dict() *table.Dict
 }
 

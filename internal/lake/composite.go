@@ -42,15 +42,12 @@ func (e *Epoch) End() { e.n.Add(1) }
 func (e *Epoch) Load() uint64 { return e.n.Load() }
 
 // kbState is the shared state the integration and analysis stages read
-// from any catalog: the knowledge base, the value dictionary (nil on a
-// composite), and the KB annotation cache over both. All three are set
-// once, at construction: the catalog compiles its KB then, which freezes
-// it (see kb.KB), so the annotator never goes stale and readers need no
-// lock.
+// from any catalog: the knowledge base and the value dictionary (nil on a
+// composite). Both are set once, at construction: the catalog compiles its
+// KB then, which freezes it (see kb.KB), so readers need no lock.
 type kbState struct {
 	knowledge *kb.KB
 	dict      *table.Dict
-	annotator *kb.Annotator
 }
 
 // Knowledge returns the (possibly merged) knowledge base the catalog was
@@ -62,12 +59,6 @@ func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 // to it. Composites (Sharded, the cluster coordinator) keep no dictionary
 // of their own and return nil; see SHARDING.md.
 func (s *kbState) Dict() *table.Dict { return s.dict }
-
-// Annotator returns the catalog-level KB annotation cache. A Lake's is
-// backed by Dict: every distinct lake value's canonical entity is resolved
-// at most once, and SANTOS queries and entity resolution share the cached
-// codes. A composite's is detached, since its Dict is nil.
-func (s *kbState) Annotator() *kb.Annotator { return s.annotator }
 
 // prepareKnowledge resolves Options into the KB a build annotates with:
 // the curated KB, merged with a KB synthesized from the tables when asked,
@@ -91,10 +82,9 @@ func prepareKnowledge(tables []*table.Table, opts Options) *kb.KB {
 // Composite is the state a multi-shard catalog keeps above its shards,
 // whatever the shards are — Sharded's in-process lakes or the cluster
 // coordinator's remote processes: the routing rule, the composite seqlock
-// counter over routed mutations, and the composite-level Knowledge and
-// Annotator the cross-shard stages (integration matching, entity
-// resolution) read. Its Dict is nil, so the annotator is detached: it
-// caches nothing per value ID. Catalogs embed it.
+// counter over routed mutations, and the composite-level Knowledge the
+// cross-shard stages (integration matching, entity resolution) read. Its
+// Dict is nil. Catalogs embed it.
 type Composite struct {
 	kbState
 	// Mutations is the composite seqlock counter. The embedding catalog's
@@ -106,8 +96,7 @@ type Composite struct {
 
 // NewComposite builds the composite core of an n-shard catalog over
 // knowledge (nil means an empty KB). It compiles, and so freezes, the KB:
-// built before the shards, it fixes the one *Compiled every shard and the
-// composite annotator share.
+// built before the shards, it fixes the one *Compiled every shard shares.
 func NewComposite(n int, knowledge *kb.KB) *Composite {
 	if knowledge == nil {
 		knowledge = kb.New()
@@ -115,7 +104,7 @@ func NewComposite(n int, knowledge *kb.KB) *Composite {
 	c := &Composite{n: n}
 	c.Mutations.seed()
 	c.knowledge = knowledge
-	c.annotator = kb.NewAnnotator(knowledge.Compiled(), nil)
+	knowledge.Compiled()
 	return c
 }
 

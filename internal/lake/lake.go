@@ -50,8 +50,8 @@ type Options struct {
 // (dict, tokens) and each discovery index carry their own synchronization,
 // so queries against an index captured before a mutation stay safe.
 type Lake struct {
-	// kbState holds the knowledge base, the lake-wide value dictionary and
-	// the annotation cache (Knowledge, Dict, Annotator).
+	// kbState holds the knowledge base and the lake-wide value dictionary
+	// (Knowledge, Dict).
 	kbState
 	// epoch is bumped only after validation succeeds, so failed mutations
 	// leave it untouched — see Epoch.
@@ -147,7 +147,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	l.dict = table.NewDict()
 	t0 := time.Now()
 	l.knowledge = prepareKnowledge(l.tables, opts)
-	ck := l.knowledge.Compiled() // freezes the KB: the lake's KB is fixed from here on
+	l.knowledge.Compiled() // freezes the KB: the lake's KB is fixed from here on
 	l.stats.KBPrep = time.Since(t0)
 	// Phase 1 (parallel per table): intern every cell into the lake value
 	// dictionary, every domain member into the lake token dictionary, and
@@ -159,17 +159,13 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		l.domainIdx[colRef{d.Table, d.Column}] = i
 	}
 	l.stats.DomainExtraction = time.Since(t0)
-	// The lake-wide annotation cache: every KB canonicalization — SANTOS
-	// build and query annotation, entity resolution over lake-derived
-	// tables — resolves each distinct lake value (interned above) once.
-	l.annotator = kb.NewAnnotator(ck, l.dict)
 	// Phase 2: the three indexes read disjoint inputs; build concurrently,
 	// all over the shared token dictionary (complete after phase 1, so the
 	// builds only read it). Each stage clocks itself for BuildStats.
 	par.Do(
 		func() {
 			t := time.Now()
-			l.santosIx = santos.BuildWithAnnotator(l.tables, l.Annotator())
+			l.santosIx = santos.Build(l.tables, l.knowledge)
 			l.stats.Santos = time.Since(t)
 		},
 		func() {

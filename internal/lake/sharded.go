@@ -40,7 +40,7 @@ import (
 // bookkeeping.
 type Sharded struct {
 	// Composite carries the routing rule, the composite epoch, and the
-	// composite-level Knowledge/Annotator/Dict the cross-shard stages read.
+	// composite-level Knowledge/Dict the cross-shard stages read.
 	*Composite
 	mu sync.RWMutex
 	// shards is fixed at construction; the *Lake values are mutable, the
@@ -82,8 +82,8 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
 	}
-	// The composite compiles the KB before the fan-out, so every shard and
-	// the composite annotator share one *Compiled (see NewComposite).
+	// The composite compiles the KB before the fan-out, so every shard
+	// shares one *Compiled (see NewComposite).
 	s := &Sharded{
 		Composite: NewComposite(n, prepareKnowledge(tables, opts)),
 		shards:    make([]*Lake, n),

@@ -185,8 +185,7 @@ func TestCrossCheckDemoLake(t *testing.T) {
 // path's rendered-string dedupe (cross-kind collisions like the string "12"
 // versus the int 12 must collapse exactly as DistinctStrings collapses
 // them) — plus demo-KB alias spellings, whose distinct raw forms must keep
-// voting separately. Both the detached annotator (santos.Build) and a
-// dict-backed annotator mimicking the lake cache are checked.
+// voting separately.
 func TestCrossCheckMixedKindLakes(t *testing.T) {
 	know := kb.Demo()
 	for _, seed := range []int64{11, 12, 13} {
@@ -220,29 +219,17 @@ func TestCrossCheckMixedKindLakes(t *testing.T) {
 		}
 		q := mk("query", 8)
 
-		dict := table.NewDict()
-		var buf []uint32
-		for _, tb := range lakeTables {
-			for _, row := range tb.Rows {
-				buf = dict.InternRow(row, buf)
+		ix := Build(lakeTables, know)
+		for col := 0; col < q.NumCols(); col++ {
+			got, gerr := ix.Query(q, col, 0)
+			want, werr := refQuery(lakeTables, know, q, col, 0)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("seed=%d col=%d: error mismatch: %v vs %v", seed, col, gerr, werr)
 			}
-		}
-		indexes := map[string]*Index{
-			"detached": Build(lakeTables, know),
-			"dict":     BuildWithAnnotator(lakeTables, kb.NewAnnotator(know.Compiled(), dict)),
-		}
-		for variant, ix := range indexes {
-			for col := 0; col < q.NumCols(); col++ {
-				got, gerr := ix.Query(q, col, 0)
-				want, werr := refQuery(lakeTables, know, q, col, 0)
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("%s seed=%d col=%d: error mismatch: %v vs %v", variant, seed, col, gerr, werr)
-				}
-				if gerr != nil {
-					continue
-				}
-				assertSameRanking(t, fmt.Sprintf("%s seed=%d col=%d", variant, seed, col), got, want)
+			if gerr != nil {
+				continue
 			}
+			assertSameRanking(t, fmt.Sprintf("seed=%d col=%d", seed, col), got, want)
 		}
 	}
 }

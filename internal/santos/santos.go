@@ -11,11 +11,11 @@
 // the caller (kb.Merge) or used individually.
 //
 // Annotation runs on the compiled KB (kb.Compile): cell values resolve to
-// integer annotation codes through a kb.Annotator — shared lake-wide when
-// built through lake.New, so each distinct lake value is canonicalized
-// exactly once — and column/pair votes run over dense type and label IDs
-// with pooled scratch, never re-walking the type hierarchy or building
-// string keys per row pair.
+// integer annotation codes through the index's kb.Annotator — a cache keyed
+// by rendered value, so each distinct lake rendering is canonicalized once
+// per index — and column/pair votes run over dense type and label IDs with
+// pooled scratch, never re-walking the type hierarchy or building string
+// keys per row pair.
 package santos
 
 import (
@@ -70,8 +70,7 @@ type tableSemantics struct {
 // precomputed offline as the demo's preprocessing step. The index is
 // mutable — Add annotates and appends tables, Remove evicts their semantic
 // graphs — but always against the KB snapshot compiled at build time (see
-// BuildWithAnnotator). Mutations take the write lock, queries the read
-// lock.
+// Build). Mutations take the write lock, queries the read lock.
 type Index struct {
 	mu      sync.RWMutex
 	ann     *kb.Annotator
@@ -79,28 +78,22 @@ type Index struct {
 	tables  []tableSemantics
 }
 
-// Build annotates every lake table against the knowledge base through a
-// private annotation cache. Lake preprocessing uses BuildWithAnnotator to
-// share the lake-wide cache instead.
+// Build annotates every lake table against the knowledge base (nil means
+// an empty KB) through an annotation cache the index owns and keeps: Add
+// annotates through it, and queries through a QueryScope of it. Tables
+// without any annotated column are indexed but can never match. Annotation
+// is per-table pure work over the immutable compiled KB, so tables are
+// annotated in parallel; slot-indexed results keep the index order — and
+// therefore query results — identical to a sequential build.
+//
+// The index snapshots the KB as compiled at build time: queries and the
+// indexed semantic graphs always share one KB state. Compiling freezes the
+// KB (see kb.KB); rebuild to annotate against a different one.
 func Build(lakeTables []*table.Table, knowledge *kb.KB) *Index {
 	if knowledge == nil {
 		knowledge = kb.New()
 	}
-	return BuildWithAnnotator(lakeTables, kb.NewAnnotator(knowledge.Compiled(), nil))
-}
-
-// BuildWithAnnotator annotates every lake table through the given
-// annotation cache (the lake's dict-backed cache, when built through
-// lake.New). Tables without any annotated column are indexed but can never
-// match. Annotation is per-table pure work over the immutable compiled KB,
-// so tables are annotated in parallel; slot-indexed results keep the index
-// order — and therefore query results — identical to a sequential build.
-//
-// The index snapshots the KB as compiled at build time: queries and the
-// indexed semantic graphs always share one KB state. Mutating the source
-// KB after Build does not affect this index (it never re-annotated the
-// indexed tables anyway); rebuild to pick up KB changes.
-func BuildWithAnnotator(lakeTables []*table.Table, ann *kb.Annotator) *Index {
+	ann := kb.NewAnnotator(knowledge.Compiled())
 	ix := &Index{ann: ann, tables: make([]tableSemantics, len(lakeTables))}
 	ix.scratch.New = func() any { return ann.Compiled().NewScratch() }
 	par.For(len(lakeTables), func(i int) {
@@ -119,10 +112,9 @@ func (ix *Index) NumTables() int {
 }
 
 // Add annotates the given tables against the index's build-time KB snapshot
-// (through the shared annotation cache, so lake values resolve to cached
-// codes) and appends their semantic graphs. Callers are responsible for
-// name uniqueness, as with Build. Add is exclusive with queries and other
-// mutations.
+// (through the index's annotation cache) and appends their semantic graphs.
+// Callers are responsible for name uniqueness, as with Build. Add is
+// exclusive with queries and other mutations.
 func (ix *Index) Add(lakeTables []*table.Table) {
 	if len(lakeTables) == 0 {
 		return
@@ -341,10 +333,10 @@ type Result struct {
 // and a table scores the maximum over its columns. Tables scoring zero
 // (no type-compatible column) are omitted. k<=0 returns all matches.
 //
-// The query table is annotated through a transient scope of the index's
-// shared annotation cache: lake tables resolve entirely from cached codes,
+// The query table is annotated through a QueryScope of the index's
+// annotation cache: renderings the index has seen resolve to cached codes,
 // while foreign query values are canonicalized per query and reclaimed, so
-// query traffic never grows the shared cache.
+// query traffic never grows the index's cache.
 func (ix *Index) Query(q *table.Table, intentCol int, k int) ([]Result, error) {
 	return ix.QueryCtx(context.Background(), q, intentCol, k)
 }
@@ -361,9 +353,8 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	if intentCol < 0 || intentCol >= q.NumCols() {
 		return nil, fmt.Errorf("santos: intent column %d out of range for table %q with %d columns", intentCol, q.Name, q.NumCols())
 	}
-	// Query values resolve through a per-query scope: lake values hit the
-	// shared bounded cache, foreign query strings are reclaimed with the
-	// scope instead of accumulating in the lake-wide annotator.
+	// Query values resolve through a per-query scope, which reads the
+	// index's cache and never writes it.
 	s := ix.scratch.Get().(*kb.Scratch)
 	qs := annotate(q, ix.ann.QueryScope(), s)
 	ix.scratch.Put(s)

@@ -195,3 +195,28 @@ func TestNumTables(t *testing.T) {
 		t.Error("NumTables broken")
 	}
 }
+
+// TestQueryNeverWritesIndexAnnotator pins that query traffic leaves the
+// index's annotation cache as it was: foreign strings — in the intent
+// column, in a mostly-textual column and as a string cell of a numeric
+// column — are cached only in the query's scope. Adding a table is what
+// grows the cache.
+func TestQueryNeverWritesIndexAnnotator(t *testing.T) {
+	ix := demoIndex()
+	raw, ext := ix.ann.Size()
+	q := table.New("guest", "City", "Country", "Count")
+	q.MustAddRow(table.StringValue("Berlin"), table.StringValue("Atlantis"), table.IntValue(3))
+	q.MustAddRow(table.StringValue("Gotham"), table.StringValue("Germany"), table.StringValue("many"))
+	q.MustAddRow(table.StringValue("Boston"), table.StringValue("Erewhon"), table.IntValue(4))
+	for col := 0; col < q.NumCols(); col++ {
+		ix.Query(q, col, 0)
+	}
+	ix.Query(paperdata.T1(), 1, 0)
+	if r, e := ix.ann.Size(); r != raw || e != ext {
+		t.Fatalf("queries grew the index annotator from (raw %d, ext %d) to (raw %d, ext %d)", raw, ext, r, e)
+	}
+	ix.Add([]*table.Table{q})
+	if r, _ := ix.ann.Size(); r == raw {
+		t.Fatal("Add must annotate through the index annotator")
+	}
+}

@@ -20,7 +20,7 @@ import (
 //
 // Why the vector is a sound key: a method name always names the same
 // discoverer (Registry.Register refuses duplicates); Add and Remove tick
-// the epoch, and the catalog's KB and annotator are fixed at build, so
+// the epoch, and the catalog's KB is fixed at build, so
 // SANTOS answers move only with them; Compact never changes answers; a
 // mutation applied to one shard behind a composite's back ticks that
 // shard's element; and the cache lives and dies with the process whose

@@ -11,10 +11,10 @@
 // query stops computing mid-stage instead of occupying a worker until it
 // finishes. Lake mutations are the exception: they are transactional and
 // run to completion once started (the deadline is checked before the
-// mutation begins). Entity resolution runs request-scoped
-// (kb.Annotator.ERScope via core.Pipeline.ResolveEntities), so serving
-// unrelated user tables does not grow server memory. Errors are structured
-// JSON; shutdown is graceful.
+// mutation begins). Entity resolution runs request-scoped (er.Resolve
+// builds its annotation cache per call), so serving unrelated user tables
+// does not grow server memory. Errors are structured JSON; shutdown is
+// graceful.
 package serve
 
 import (

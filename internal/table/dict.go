@@ -169,20 +169,6 @@ func (d *Dict) InternRow(row []Value, dst []uint32) []uint32 {
 	return dst
 }
 
-// Lookup returns the ID of v without interning it. ok reports whether v has
-// an ID: nulls always do (NullID), and non-null values exactly when a prior
-// Intern assigned one. Cache layers keyed by value ID (the lake's KB
-// annotation cache) use Lookup so probe values never grow the dictionary.
-func (d *Dict) Lookup(v Value) (uint32, bool) {
-	if v.IsNull() {
-		return NullID, true
-	}
-	d.mu.RLock()
-	id := d.lookupLocked(v)
-	d.mu.RUnlock()
-	return id, id != 0
-}
-
 // Value returns a representative value for id — the first value interned
 // under it — and whether the ID is known. NullID reports a missing null.
 func (d *Dict) Value(id uint32) (Value, bool) {

@@ -34,13 +34,9 @@ func FuzzDictIntern(f *testing.F) {
 		}
 		sizeAfter := d.Len()
 		for k, v := range vals {
-			// Re-interning and lookup both return the first ID and never grow.
+			// Re-interning returns the first ID and never grows.
 			if again := d.Intern(v); again != ids[k] {
 				t.Fatalf("re-intern of %v: %d then %d", v, ids[k], again)
-			}
-			got, ok := d.Lookup(v)
-			if !ok || got != ids[k] {
-				t.Fatalf("Lookup(%v) = %d,%v want %d", v, got, ok, ids[k])
 			}
 			rep, ok := d.Value(ids[k])
 			if !ok || !rep.Equal(v) {
@@ -48,7 +44,7 @@ func FuzzDictIntern(f *testing.F) {
 			}
 		}
 		if d.Len() != sizeAfter {
-			t.Fatalf("lookups grew the dictionary: %d -> %d", sizeAfter, d.Len())
+			t.Fatalf("re-interning grew the dictionary: %d -> %d", sizeAfter, d.Len())
 		}
 		// Two values share an ID exactly when Equal: the Int/integral-Float
 		// collision must hold both ways.
