@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"math"
 	"slices"
 
 	"repro/internal/kb"
@@ -39,44 +38,6 @@ type Options struct {
 	// Veto rejects a pair outright when a column filled on both sides has
 	// similarity below it. Default 0.25.
 	Veto float64
-}
-
-// cellCodes resolves every cell of t through the cache once; codes[r][c] is
-// the annotation code of row r, column c (kb.CodeEmpty for nulls and
-// empty-canonical values). A numeric cell's code is a function of its
-// rendering, which is a function of its kind and bits, so each distinct
-// (kind, bits) is rendered and resolved once per table.
-func cellCodes(t *table.Table, ann *kb.Annotator) [][]uint32 {
-	type number struct {
-		kind table.Kind
-		bits uint64
-	}
-	numbers := make(map[number]uint32)
-	codes := make([][]uint32, len(t.Rows))
-	flat := make([]uint32, len(t.Rows)*t.NumCols())
-	for r, row := range t.Rows {
-		cr := flat[r*t.NumCols() : (r+1)*t.NumCols() : (r+1)*t.NumCols()]
-		for c, v := range row {
-			var n number
-			switch v.Kind() {
-			case table.Int:
-				n = number{table.Int, uint64(v.IntVal())}
-			case table.Float:
-				n = number{table.Float, math.Float64bits(v.FloatVal())}
-			default:
-				cr[c] = ann.Code(v)
-				continue
-			}
-			code, ok := numbers[n]
-			if !ok {
-				code = ann.Code(v)
-				numbers[n] = code
-			}
-			cr[c] = code
-		}
-		codes[r] = cr
-	}
-	return codes
 }
 
 func (o Options) withDefaults() Options {
@@ -110,18 +71,6 @@ type Resolution struct {
 	Resolved *table.Table
 }
 
-// similarityCodes scores two aligned rows over pre-resolved annotation
-// codes: the entity-identity shortcut is an integer comparison instead of
-// two canonicalizations per compared cell. comparable is false when the
-// rows share no column filled on both sides (such rows can never be
-// resolved — the fate of the outer join's f9/f10) or when a shared column
-// triggers the conflict veto. opts must already have defaults.
-func similarityCodes(a, b []table.Value, ca, cb []uint32, opts Options, tc *textCache) (float64, bool) {
-	return similarityWith(a, b, opts, func(i int) float64 {
-		return cellSimilarityCodes(a[i], b[i], ca[i], cb[i], tc)
-	})
-}
-
 // similarityWith is the shared row-scoring core: sim(i) scores column i's
 // two (non-null) cells.
 func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (score float64, comparable bool) {
@@ -153,59 +102,117 @@ func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (
 	return total / float64(considered), true
 }
 
-// cellSimilarity scores two non-null cells in [0,1]. Reference
-// implementation; the resolution hot path uses cellSimilarityCodes.
-func cellSimilarity(a, b table.Value, knowledge *kb.KB) float64 {
-	if a.Equal(b) {
-		return 1
-	}
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
-	if aok && bok {
-		return numericSimilarity(af, bf)
-	}
-	as, bs := a.String(), b.String()
-	if knowledge != nil && knowledge.SameEntity(as, bs) {
-		return 1
-	}
-	fa, fb := newTextFeat(as), newTextFeat(bs)
-	return fa.similarity(&fb)
+// valueTable is the one table of the distinct cells a resolution or
+// training call compares. A cell is keyed by its exact value
+// (table.Value.Exact: kind and payload bits) and gets a dense id; its entry
+// holds the value, its annotation code and, from its first text
+// comparison on, its text features. Text scores are memoized per ordered
+// pair of ids, so blocking's repeated comparisons of the same two values
+// pay for one Levenshtein and one Jaccard.
+//
+// Everything an entry holds is a function of kind and payload bits, and a
+// text score is a function of two renderings, so the table answers exactly
+// as canonicalizing every compared cell afresh would. The key is exact, not
+// Equal's: Int 10^15 equals Float 10^15, but their renderings
+// ("1000000000000000", "1e+15") and so their codes differ. The table lives
+// and dies with one call; nothing is shared.
+type valueTable struct {
+	ann    *kb.Annotator
+	ids    map[table.ExactKey]uint32
+	cells  []cell
+	scores map[uint64]float64
 }
 
-// cellSimilarityCodes is cellSimilarity with the entity-identity check over
-// annotation codes. Equal non-empty codes mean equal canonical forms, which
-// scores 1 both with knowledge (SameEntity) and without (equal normalized
-// strings make the Levenshtein ratio exactly 1). The numeric comparison
-// stays ahead of the code check, exactly as in the reference — distinct
-// numbers may share a canonical form ("-5" and "5" both normalize to "5")
-// and must keep their numeric score.
-func cellSimilarityCodes(a, b table.Value, ca, cb uint32, tc *textCache) float64 {
-	if a.Equal(b) {
+type cell struct {
+	v    table.Value
+	code uint32    // kb.CodeEmpty for nulls and empty-canonical values
+	text *textFeat // nil until the cell first reaches the text fallback
+}
+
+// newValueTable starts an empty table annotating through a fresh annotator
+// over knowledge's compiled form (normalization alone when knowledge is
+// nil, the knowledge-free semantics).
+func newValueTable(knowledge *kb.KB) *valueTable {
+	return &valueTable{
+		ann:    kb.NewAnnotator(knowledge.Compiled()),
+		ids:    make(map[table.ExactKey]uint32),
+		scores: make(map[uint64]float64),
+	}
+}
+
+// id returns v's dense id, annotating v on first sight.
+func (vt *valueTable) id(v table.Value) uint32 {
+	i, ok := vt.ids[v.Exact()]
+	if !ok {
+		i = uint32(len(vt.cells))
+		vt.ids[v.Exact()] = i
+		vt.cells = append(vt.cells, cell{v: v, code: vt.ann.Code(v)})
+	}
+	return i
+}
+
+// index enters every cell of t: ids[r*cols+c] and codes[r*cols+c] are row
+// r, column c's id and annotation code.
+func (vt *valueTable) index(t *table.Table) (ids, codes []uint32) {
+	cols := t.NumCols()
+	ids, codes = make([]uint32, len(t.Rows)*cols), make([]uint32, len(t.Rows)*cols)
+	for r, row := range t.Rows {
+		for c, v := range row {
+			id := vt.id(v)
+			ids[r*cols+c], codes[r*cols+c] = id, vt.cells[id].code
+		}
+	}
+	return ids, codes
+}
+
+// similarity scores two non-null cells in [0,1] by id. Equal values score
+// 1, two numbers their relative closeness, and equal non-empty codes 1:
+// equal codes mean equal canonical forms, which score 1 both with
+// knowledge (KB.SameEntity) and without (equal normalized strings make the
+// Levenshtein ratio exactly 1). The numeric check stays ahead of the code
+// check, because distinct numbers may share a canonical form ("-5" and "5"
+// both normalize to "5") and must keep their numeric score. Everything
+// else falls back to text, memoized per ordered pair.
+func (vt *valueTable) similarity(i, j uint32) float64 {
+	a, b := &vt.cells[i], &vt.cells[j]
+	if a.v.Equal(b.v) {
 		return 1
 	}
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
+	af, aok := a.v.AsFloat()
+	bf, bok := b.v.AsFloat()
 	if aok && bok {
 		return numericSimilarity(af, bf)
 	}
-	if kb.SameCode(ca, cb) {
+	if kb.SameCode(a.code, b.code) {
 		return 1
 	}
-	return tc.score(tc.get(ca, a.String()), tc.get(cb, b.String()))
+	key := uint64(i)<<32 | uint64(j)
+	s, ok := vt.scores[key]
+	if !ok {
+		s = vt.text(i).similarity(vt.text(j))
+		vt.scores[key] = s
+	}
+	return s
+}
+
+func (vt *valueTable) text(i uint32) *textFeat {
+	c := &vt.cells[i]
+	if c.text == nil {
+		f := newTextFeat(c.v.String())
+		c.text = &f
+	}
+	return c.text
 }
 
 // textFeat is the text-fallback view of one cell rendering: its normalized
-// form (Levenshtein input) and word set (Jaccard input), plus its dense id
-// within a textCache.
+// form (Levenshtein input) and word set (Jaccard input).
 type textFeat struct {
-	raw   string
 	norm  string
 	words []string
-	id    uint32
 }
 
 func newTextFeat(raw string) textFeat {
-	return textFeat{raw: raw, norm: tokenize.Normalize(raw), words: tokenize.Words(raw)}
+	return textFeat{norm: tokenize.Normalize(raw), words: tokenize.Words(raw)}
 }
 
 // similarity is the string fallback: the better of the Levenshtein ratio
@@ -217,55 +224,6 @@ func (f *textFeat) similarity(o *textFeat) float64 {
 		return jac
 	}
 	return lev
-}
-
-// textCache memoizes the text fallback for one resolution run. Blocking
-// re-compares a cell value against every partner, and the same value pairs
-// recur across rows and columns, so it keeps:
-//
-//   - one textFeat per (annotation code, raw rendering). Keying by code
-//     alone would be unsound — alias renderings ("USA", "United States")
-//     share a code but have different word sets — so each code holds a
-//     small list keyed by the raw string (almost always length 1; aliases
-//     rarely reach the fallback at all, since equal codes already scored 1);
-//   - one score per ordered pair of textFeat ids, so each distinct pair of
-//     renderings pays for one Levenshtein and one Jaccard.
-//
-// The memo lives and dies with one request; nothing is shared.
-type textCache struct {
-	feats  map[uint32][]textFeat
-	n      uint32
-	scores map[uint64]float64
-}
-
-func newTextCache() *textCache {
-	return &textCache{feats: make(map[uint32][]textFeat), scores: make(map[uint64]float64)}
-}
-
-func (tc *textCache) get(code uint32, raw string) *textFeat {
-	l := tc.feats[code]
-	for i := range l {
-		if l[i].raw == raw {
-			return &l[i]
-		}
-	}
-	f := newTextFeat(raw)
-	f.id = tc.n
-	tc.n++
-	l = append(l, f)
-	tc.feats[code] = l
-	return &l[len(l)-1]
-}
-
-// score returns a.similarity(b), computed once per ordered pair.
-func (tc *textCache) score(a, b *textFeat) float64 {
-	key := uint64(a.id)<<32 | uint64(b.id)
-	s, ok := tc.scores[key]
-	if !ok {
-		s = a.similarity(b)
-		tc.scores[key] = s
-	}
-	return s
 }
 
 // numericSimilarity scores two numeric cells by relative closeness.
@@ -340,42 +298,45 @@ func levenshteinRatio(a, b string) float64 {
 // comparison loop is the quadratic-in-the-worst-case part of ER.
 const pairCancelStride = 256
 
-// Resolve performs entity resolution over the rows of t. Every cell is
-// canonicalized once through an annotation cache over the knowledge base's
-// compiled form (see kb.Annotator), built for this call and dropped with
-// it; blocking, the alias-aware similarity shortcut, and clustering then
-// run on integer annotation codes. With nil Knowledge the cache
-// canonicalizes by normalization alone, which is exactly the knowledge-free
-// semantics. Output is byte-identical to the retained string reference
-// path (pinned by crosscheck_test.go).
+// Resolve performs entity resolution over the rows of t. Every distinct
+// cell is entered once into a value table built for this call and dropped
+// with it (see valueTable): its annotation code comes from a fresh
+// annotator over the knowledge base's compiled form (see kb.Annotator), so
+// blocking and the alias-aware similarity shortcut run on integer codes.
+// With nil Knowledge the annotator canonicalizes by normalization alone,
+// which is exactly the knowledge-free semantics. Output is byte-identical
+// to the string reference kept in the package's tests (pinned by
+// crosscheck_test.go and FuzzResolveMatchesReference).
 //
 // ctx is observed cooperatively across the blocking-pair comparison loop:
 // once cancelled, Resolve returns (nil, ctx.Err()) promptly.
 func Resolve(ctx context.Context, t *table.Table, opts Options) (*Resolution, error) {
 	opts = opts.withDefaults()
 	return resolveWith(ctx, t, opts.Knowledge, opts.Threshold,
-		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
-			return similarityCodes(a, b, ca, cb, opts, tc)
+		func(a, b []table.Value, sim func(i int) float64) (float64, bool) {
+			return similarityWith(a, b, opts, sim)
 		})
 }
 
-// resolveWith is the shared resolution flow around a pair scorer: resolve
-// every cell to its annotation code once, through a fresh annotator over
-// knowledge's compiled form, block on the codes, score each
-// candidate pair (score reports ok=false for pairs that cannot be compared,
-// which are dropped), union matched pairs (score >= threshold) transitively,
-// and merge each cluster into its canonical tuple.
+// resolveWith is the shared resolution flow around a pair scorer: enter
+// every cell of t into one value table, block on its codes, score each
+// candidate pair (sim(i) scores column i's two non-null cells through the
+// table; score reports ok=false for pairs that cannot be compared, which
+// are dropped), union matched pairs (score >= threshold) transitively, and
+// merge each cluster into its canonical tuple.
 func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshold float64,
-	score func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool)) (*Resolution, error) {
-	ann := kb.NewAnnotator(knowledge.Compiled())
+	score func(a, b []table.Value, sim func(i int) float64) (float64, bool)) (*Resolution, error) {
 	if t == nil || t.NumCols() == 0 {
 		return nil, fmt.Errorf("er: nil or zero-column table")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	codes := cellCodes(t, ann)
-	tc := newTextCache()
+	vt := newValueTable(knowledge)
+	ids, codes := vt.index(t)
+	cols := t.NumCols()
+	var ia, ib []uint32
+	sim := func(i int) float64 { return vt.similarity(ia[i], ib[i]) }
 	done := ctx.Done()
 	parent := make([]int, t.NumRows())
 	for i := range parent {
@@ -391,7 +352,7 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 	}
 	res := &Resolution{Input: t}
 	pi := 0
-	for a, b := range candidatePairs(codes) {
+	for a, b := range candidatePairs(codes, cols) {
 		if done != nil && pi%pairCancelStride == 0 {
 			select {
 			case <-done:
@@ -400,7 +361,8 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 			}
 		}
 		pi++
-		sc, comparable := score(t.Rows[a], t.Rows[b], codes[a], codes[b], tc)
+		ia, ib = ids[a*cols:(a+1)*cols], ids[b*cols:(b+1)*cols]
+		sc, comparable := score(t.Rows[a], t.Rows[b], sim)
 		if !comparable {
 			continue
 		}
@@ -432,7 +394,8 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 	return res, nil
 }
 
-// candidatePairs yields the blocking candidates from annotation codes: rows
+// candidatePairs yields the blocking candidates from the flat annotation
+// codes of a cols-column table (codes[r*cols+c] is row r, column c's): rows
 // sharing a non-empty code in the same column block together. Each pair
 // comes out once (a<b), in ascending (a, b) order — the sequence of the
 // string-keyed reference blockPairs in crosscheck_test.go — without a pair
@@ -440,28 +403,27 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 // partners are the rows after it in each of its blocks (block rows ascend),
 // marked with the row's stamp so a pair sharing several blocks is taken
 // once, then sorted.
-func candidatePairs(codes [][]uint32) iter.Seq2[int, int] {
+func candidatePairs(codes []uint32, cols int) iter.Seq2[int, int] {
 	return func(yield func(int, int) bool) {
+		rows := len(codes) / cols
 		blocks := make(map[uint64][]int32)
-		for r, row := range codes {
-			for c, code := range row {
-				if code > kb.CodeEmpty {
-					key := uint64(c)<<32 | uint64(code)
-					blocks[key] = append(blocks[key], int32(r))
-				}
+		for k, code := range codes {
+			if code > kb.CodeEmpty {
+				key := uint64(k%cols)<<32 | uint64(code)
+				blocks[key] = append(blocks[key], int32(k/cols))
 			}
 		}
-		stamp := make([]int32, len(codes))
+		stamp := make([]int32, rows)
 		var partners []int32
-		for r, row := range codes {
+		for r := 0; r < rows; r++ {
 			partners = partners[:0]
-			for c, code := range row {
+			for c, code := range codes[r*cols : (r+1)*cols] {
 				if code <= kb.CodeEmpty {
 					continue
 				}
-				rows := blocks[uint64(c)<<32|uint64(code)]
-				i, _ := slices.BinarySearch(rows, int32(r))
-				for _, p := range rows[i+1:] {
+				block := blocks[uint64(c)<<32|uint64(code)]
+				i, _ := slices.BinarySearch(block, int32(r))
+				for _, p := range block[i+1:] {
 					if stamp[p] != int32(r)+1 {
 						stamp[p] = int32(r) + 1
 						partners = append(partners, p)

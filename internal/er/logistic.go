@@ -19,25 +19,10 @@ var FeatureNames = []string{
 	"exact_match_frac", // fraction of both-filled columns matching exactly
 }
 
-// Features computes the learned matcher's feature vector for a row pair.
-// The second result is false when the rows share no both-filled column
-// (such pairs are never matchable, mirroring the rule matcher).
-func Features(a, b []table.Value, knowledge *kb.KB) ([]float64, bool) {
-	return featuresWith(a, b, func(i int) float64 {
-		return cellSimilarity(a[i], b[i], knowledge)
-	})
-}
-
-// featuresCodes is Features over pre-resolved annotation codes, the
-// ResolveLearned hot path.
-func featuresCodes(a, b []table.Value, ca, cb []uint32, tc *textCache) ([]float64, bool) {
-	return featuresWith(a, b, func(i int) float64 {
-		return cellSimilarityCodes(a[i], b[i], ca[i], cb[i], tc)
-	})
-}
-
-// featuresWith is the shared feature-extraction core: sim(i) scores column
-// i's two (non-null) cells.
+// featuresWith computes the learned matcher's feature vector for a row
+// pair, in FeatureNames order; sim(i) scores column i's two (non-null)
+// cells. The second result is false when the rows share no both-filled
+// column (such pairs are never matchable, mirroring the rule matcher).
 func featuresWith(a, b []table.Value, sim func(i int) float64) ([]float64, bool) {
 	n := len(a)
 	if n == 0 {
@@ -121,18 +106,29 @@ const (
 )
 
 // TrainLogistic fits a logistic-regression matcher on labeled row pairs by
-// full-batch gradient descent. Pairs whose rows share no both-filled
-// column are skipped (they are never matchable at inference either).
-// Training is deterministic: weights start at zero and the data order is
-// the caller's.
+// full-batch gradient descent. Cells are scored through one value table
+// over opts.Knowledge, exactly as ResolveLearned scores them. Pairs whose
+// rows share no both-filled column are skipped (they are never matchable
+// at inference either). Training is deterministic: weights start at zero
+// and the data order is the caller's.
 func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, error) {
+	vt := newValueTable(opts.Knowledge)
+	return trainLogistic(pairs, func(a, b []table.Value) ([]float64, bool) {
+		return featuresWith(a, b, func(i int) float64 {
+			return vt.similarity(vt.id(a[i]), vt.id(b[i]))
+		})
+	})
+}
+
+// trainLogistic is TrainLogistic over a given pair featurizer.
+func trainLogistic(pairs []TrainingPair, features func(a, b []table.Value) ([]float64, bool)) (*LogisticModel, error) {
 	type example struct {
 		x []float64
 		y float64
 	}
 	var data []example
 	for _, p := range pairs {
-		x, ok := Features(p.A, p.B, opts.Knowledge)
+		x, ok := features(p.A, p.B)
 		if !ok {
 			continue
 		}
@@ -171,17 +167,23 @@ func TrainLogistic(pairs []TrainingPair, opts TrainOptions) (*LogisticModel, err
 // the rule matcher: candidate pairs come from the same blocking, a pair
 // matches when P(match) >= threshold (0.5 when threshold <= 0), and
 // clusters merge transitively as in Resolve. ctx is observed across the
-// pair-scoring loop exactly as in Resolve.
+// pair-scoring loop exactly as in Resolve. The model must carry one weight
+// per FeatureNames entry: Predict tolerates other lengths, so a
+// caller-built model of another length would silently drop a feature or
+// ignore a weight.
 func ResolveLearned(ctx context.Context, t *table.Table, model *LogisticModel, knowledge *kb.KB, threshold float64) (*Resolution, error) {
 	if model == nil {
 		return nil, fmt.Errorf("er: nil model")
+	}
+	if len(model.Weights) != len(FeatureNames) {
+		return nil, fmt.Errorf("er: model has %d weights, want %d (one per FeatureNames entry)", len(model.Weights), len(FeatureNames))
 	}
 	if threshold <= 0 {
 		threshold = 0.5
 	}
 	return resolveWith(ctx, t, knowledge, threshold,
-		func(a, b []table.Value, ca, cb []uint32, tc *textCache) (float64, bool) {
-			x, ok := featuresCodes(a, b, ca, cb, tc)
+		func(a, b []table.Value, sim func(i int) float64) (float64, bool) {
+			x, ok := featuresWith(a, b, sim)
 			if !ok {
 				return 0, false
 			}

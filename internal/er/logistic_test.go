@@ -133,6 +133,12 @@ func TestResolveLearnedValidation(t *testing.T) {
 	if _, err := ResolveLearned(context.Background(), paperdata.Fig8bExpected(), nil, k, 0); err == nil {
 		t.Error("nil model must error")
 	}
+	for _, n := range []int{len(FeatureNames) - 1, len(FeatureNames) + 1} {
+		m := &LogisticModel{Weights: make([]float64, n)}
+		if _, err := ResolveLearned(context.Background(), paperdata.Fig8bExpected(), m, k, 0); err == nil {
+			t.Errorf("a %d-weight model must error", n)
+		}
+	}
 }
 
 func TestPredictRange(t *testing.T) {

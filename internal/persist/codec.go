@@ -227,8 +227,9 @@ func (d *dec) value() table.Value {
 // A table batch (the snapshot catalog, or one WAL Add record) encodes a
 // batch-local exact-value pool followed by rows as pool indexes: open-data
 // tables repeat cells heavily, and unlike dictionary IDs the pool preserves
-// exact spellings (it is keyed by kind and raw payload bits, so NaN — which
-// cannot key a map — and 82 vs 82.0 all get distinct entries).
+// exact spellings (it is keyed by table.Value.Exact, kind and raw payload
+// bits, so NaN — which cannot key a map — and 82 vs 82.0 all get distinct
+// entries).
 //
 // Snapshots written before format 1.2's section 3 went empty carry the
 // lake's value dictionary there, and their catalog encodes cells as
@@ -237,41 +238,16 @@ func (d *dec) value() table.Value {
 // The decoder still resolves that form; with an empty dictionary it is the
 // self-contained one every batch is written in.
 
-// cellKey identifies an exact cell value in the pool map.
-type cellKey struct {
-	kind table.Kind
-	s    string
-	bits uint64
-}
-
-func keyOf(v table.Value) cellKey {
-	k := cellKey{kind: v.Kind()}
-	switch v.Kind() {
-	case table.String:
-		k.s = v.Str()
-	case table.Int:
-		k.bits = uint64(v.IntVal())
-	case table.Float:
-		k.bits = math.Float64bits(v.FloatVal())
-	case table.Bool:
-		if v.BoolVal() {
-			k.bits = 1
-		}
-	}
-	return k
-}
-
 func (e *enc) tables(ts []*table.Table) {
 	// The pool is numbered in first-seen order and written ahead of the
 	// table bodies that reference it.
 	var pool []table.Value
-	poolIdx := make(map[cellKey]uint64)
+	poolIdx := make(map[table.ExactKey]uint64)
 	cellAt := func(v table.Value) uint64 {
-		k := keyOf(v)
-		i, ok := poolIdx[k]
+		i, ok := poolIdx[v.Exact()]
 		if !ok {
 			i = uint64(len(pool))
-			poolIdx[k] = i
+			poolIdx[v.Exact()] = i
 			pool = append(pool, v)
 		}
 		return i

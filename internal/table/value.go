@@ -17,6 +17,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -204,6 +205,36 @@ func (v Value) Key() string {
 	default:
 		return "\x05?"
 	}
+}
+
+// ExactKey is a comparable identity of one exact cell value: its kind and
+// raw payload. Unlike Key it keeps every distinction Equal forgives, so
+// Int 82 and Float 82, −0 and +0, NaN payloads, and the two null kinds
+// each get their own key.
+type ExactKey struct {
+	kind Kind
+	s    string
+	bits uint64
+}
+
+// Exact returns the value's ExactKey. Two values share it exactly when
+// they have the same kind and payload bits, so every function of kind and
+// payload (the rendering among them) agrees on values with one key.
+func (v Value) Exact() ExactKey {
+	k := ExactKey{kind: v.kind}
+	switch v.kind {
+	case String:
+		k.s = v.s
+	case Int:
+		k.bits = uint64(v.i)
+	case Float:
+		k.bits = math.Float64bits(v.f)
+	case Bool:
+		if v.b {
+			k.bits = 1
+		}
+	}
+	return k
 }
 
 // intRepr reports whether the numeric value is exactly representable as an

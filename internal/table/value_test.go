@@ -155,6 +155,39 @@ func TestKeyConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestExactKey pins Exact as identity of kind and payload bits: values
+// built apart from the same kind and payload share a key, and every
+// distinction Equal forgives (Int vs integral Float, −0 vs +0, NaN
+// payloads, the two null kinds) keeps its own key.
+func TestExactKey(t *testing.T) {
+	build := []func() Value{
+		NullValue, ProducedNull,
+		func() Value { return StringValue("") },
+		func() Value { return StringValue("82") },
+		func() Value { return StringValue("true") },
+		func() Value { return IntValue(0) },
+		func() Value { return IntValue(82) },
+		func() Value { return IntValue(1e15) },
+		func() Value { return IntValue(math.MinInt64) },
+		func() Value { return FloatValue(0) },
+		func() Value { return FloatValue(math.Copysign(0, -1)) },
+		func() Value { return FloatValue(82) },
+		func() Value { return FloatValue(1e15) },
+		func() Value { return FloatValue(math.NaN()) },
+		func() Value { return FloatValue(math.Float64frombits(0xfff8000000000000)) },
+		func() Value { return BoolValue(false) },
+		func() Value { return BoolValue(true) },
+	}
+	for i, bi := range build {
+		for j, bj := range build {
+			a, b := bi(), bj()
+			if same := a.Exact() == b.Exact(); same != (i == j) {
+				t.Errorf("Exact(%v %v) == Exact(%v %v) is %v", a.Kind(), a, b.Kind(), b, same)
+			}
+		}
+	}
+}
+
 func TestCompareOrderingProperties(t *testing.T) {
 	vals := []Value{
 		NullValue(), ProducedNull(), BoolValue(false), BoolValue(true),
