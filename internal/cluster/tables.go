@@ -31,11 +31,13 @@ import (
 // are shared by every request that hits them and must be treated as
 // read-only (discovery.Result.Table).
 
-// tableCacheBytes bounds the bytes the cache holds (tableBytes). It is
-// sized against heap_mb, the benchmark's tightest bound: 0.08 of the
-// ≈ 59 MB a cluster-fanout coordinator process measures is ≈ 4.7 MB. At
-// ≈ 30 kB per decoded 120-row table that is ≈ 140 tables, a third of
-// cluster-fanout's 448-table working set; the hottest of them stay.
+// tableCacheBytes bounds the bytes the cache holds (tableBytes). The
+// benchmark samples heap_mb after set-up, before the cache fills, so the
+// bound caps what the cache adds on top of that reading: 4 MiB is under a
+// tenth of the ≈ 44 MB a cluster-fanout process holds then. At ≈ 22 kB per
+// decoded 120-row table (32-byte cells) it holds ≈ 190 tables, over two
+// fifths of cluster-fanout's 448-table working set; the hottest of them
+// stay.
 const tableCacheBytes = 4 << 20
 
 // cachedTable is one entry of the coordinator's table cache (the bounded

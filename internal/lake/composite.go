@@ -41,10 +41,11 @@ func (e *Epoch) End() { e.n.Add(1) }
 // Load samples the counter.
 func (e *Epoch) Load() uint64 { return e.n.Load() }
 
-// kbState is the shared state the integration and analysis stages read
-// from any catalog: the knowledge base and the value dictionary (nil on a
-// composite). Both are set once, at construction: the catalog compiles its
-// KB then, which freezes it (see kb.KB), so readers need no lock.
+// kbState is the shared state of any catalog: the knowledge base the
+// integration and analysis stages read, and the value dictionary only the
+// benchmark reads (empty on a Lake, nil on a composite). Both are set once,
+// at construction: the catalog compiles its KB then, which freezes it (see
+// kb.KB), so readers need no lock.
 type kbState struct {
 	knowledge *kb.KB
 	dict      *table.Dict
@@ -54,10 +55,12 @@ type kbState struct {
 // annotated with. It is frozen: mutating it panics.
 func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 
-// Dict returns the catalog-level value dictionary. A Lake interns every
-// cell of every table into it, in New and Add only: requests never write
-// to it. Composites (Sharded, the cluster coordinator) keep no dictionary
-// of their own and return nil; see SHARDING.md.
+// Dict returns the catalog-level value dictionary. A Lake's starts empty
+// and no shipped code reads or writes it: New and Add intern no cells. It
+// stays only because the benchmark module calls Dict (and may hand it to
+// the FD closure); the benchmark-only change that drops those calls
+// deletes it. Composites (Sharded, the cluster coordinator) keep no
+// dictionary and return nil; see SHARDING.md.
 func (s *kbState) Dict() *table.Dict { return s.dict }
 
 // prepareKnowledge resolves Options into the KB a build annotates with:

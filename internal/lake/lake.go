@@ -46,12 +46,12 @@ type Options struct {
 
 // Lake is a preprocessed, mutable table repository. The catalog fields
 // (tables, byName, domains, domainIdx, stats) are guarded by mu: accessors
-// take the read lock, Add/Remove/Compact the write lock. The interners
-// (dict, tokens) and each discovery index carry their own synchronization,
-// so queries against an index captured before a mutation stay safe.
+// take the read lock, Add/Remove/Compact the write lock. The token
+// dictionary and each discovery index carry their own synchronization, so
+// queries against an index captured before a mutation stay safe.
 type Lake struct {
-	// kbState holds the knowledge base and the lake-wide value dictionary
-	// (Knowledge, Dict).
+	// kbState holds the knowledge base and the value dictionary that only
+	// the benchmark reads (Knowledge, Dict).
 	kbState
 	// epoch is bumped only after validation succeeds, so failed mutations
 	// leave it untouched — see Epoch.
@@ -79,7 +79,7 @@ type BuildStats struct {
 	// KBPrep covers KB synthesis/merging (when enabled) plus compiling the
 	// knowledge base into its integer-ID annotation engine.
 	KBPrep time.Duration
-	// DomainExtraction covers cell/token interning, domain extraction, and
+	// DomainExtraction covers token interning, domain extraction, and
 	// MinHash fingerprinting.
 	DomainExtraction time.Duration
 	// Santos, LSH and Josie cover the respective index builds.
@@ -122,12 +122,13 @@ func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 // only way a lake is built: the persistence layer recovers one by calling it
 // over a snapshot's tables and knowledge base (see State).
 //
-// Preprocessing runs on a worker pool: every table's cells are interned
-// into the lake-wide value dictionary and its domains extracted (with
+// Preprocessing runs on a worker pool: every table's domains are extracted
+// and their members interned into the lake-wide token dictionary (with
 // MinHash fingerprints computed once per domain) in parallel, then the
 // SANTOS annotation, LSH Ensemble, and JOSIE indexes are built
 // concurrently. All results are collected in table order, so the lake is
-// byte-identical to a sequential build.
+// byte-identical to a sequential build. Cells are not interned: no served
+// path reads a value dictionary (see Dict).
 func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if err := opts.LSH.Validate(); err != nil {
 		return nil, fmt.Errorf("lake: %w", err)
@@ -144,16 +145,15 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	for _, t := range tables {
 		l.byName[t.Name] = t
 	}
-	l.dict = table.NewDict()
+	l.dict = table.NewDict() // empty; see Dict
 	t0 := time.Now()
 	l.knowledge = prepareKnowledge(l.tables, opts)
 	l.knowledge.Compiled() // freezes the KB: the lake's KB is fixed from here on
 	l.stats.KBPrep = time.Since(t0)
-	// Phase 1 (parallel per table): intern every cell into the lake value
-	// dictionary, every domain member into the lake token dictionary, and
-	// extract the joinable-search domains.
+	// Phase 1 (parallel per table): extract the joinable-search domains and
+	// intern every domain member into the lake token dictionary.
 	t0 = time.Now()
-	l.domains = extractDomains(l.tables, l.dict, l.tokens)
+	l.domains = extractDomains(l.tables, l.tokens)
 	l.domainIdx = make(map[colRef]int, len(l.domains))
 	for i, d := range l.domains {
 		l.domainIdx[colRef{d.Table, d.Column}] = i
@@ -195,9 +195,9 @@ func FromDir(dir string, opts Options) (*Lake, error) {
 }
 
 // Add incrementally indexes additional tables into the lake, maintaining
-// all three discovery indexes without a rebuild: the new tables' cells and
-// domain tokens intern into the shared dictionaries and their domains are
-// extracted exactly as New does (one worker per table, MinHash fingerprints
+// all three discovery indexes without a rebuild: the new tables' domains
+// are extracted and their tokens interned into the shared token dictionary
+// exactly as New does (one worker per table, MinHash fingerprints
 // computed once), then the SANTOS, LSH Ensemble and JOSIE indexes absorb
 // the delta concurrently. After Add returns, every discovery query is
 // answered identically to a fresh New over the enlarged table set.
@@ -231,7 +231,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	l.epoch.Begin()
 	defer l.epoch.End()
 	t0 := time.Now()
-	newDomains := extractDomains(tables, l.dict, l.tokens)
+	newDomains := extractDomains(tables, l.tokens)
 	l.stats.DomainExtraction += time.Since(t0)
 	for _, t := range tables {
 		l.byName[t.Name] = t
@@ -268,9 +268,9 @@ func (l *Lake) Add(tables ...*table.Table) error {
 // their sets (folded away by the next compaction). After Remove returns,
 // every discovery query is answered identically to a fresh New over the
 // surviving tables, Get reports the removed names as absent (ok=false), and
-// DomainFor returns nil for their columns. Interned values and tokens stay
-// in the shared dictionaries by design (interners are append-only); they
-// can no longer match any indexed domain.
+// DomainFor returns nil for their columns. Interned tokens stay in the
+// shared token dictionary by design (interners are append-only); they can
+// no longer match any indexed domain.
 //
 // Validation is atomic: an unknown name rejects the whole batch before
 // anything is dropped (duplicate names within the batch are tolerated).
@@ -348,25 +348,18 @@ func (l *Lake) Compact() {
 }
 
 // extractDomains pulls the normalized value set of every textual column,
-// one worker per table, interning every cell into dict and every domain
-// member into tokens along the way. Per-table results land in slot order,
-// so the flattened domain list — and every index built from it — is
-// identical to a sequential extraction. Domain token IDs and MinHash
+// one worker per table, interning every domain member into tokens along the
+// way. Per-table results land in slot order, so the flattened domain list —
+// and every index built from it — is identical to a sequential extraction. Domain token IDs and MinHash
 // fingerprints are precomputed here, once per lake: index builds (and
 // rebuilds, e.g. experiments re-indexing under different LSH parameters)
 // and query-side fast paths reuse them instead of re-hashing every value.
 // Fingerprints come from the token dictionary's cache, so each distinct
 // token in the lake is FNV-hashed exactly once.
-func extractDomains(tables []*table.Table, dict *table.Dict, tokens *table.TokenDict) []lshensemble.Domain {
+func extractDomains(tables []*table.Table, tokens *table.TokenDict) []lshensemble.Domain {
 	perTable := make([][]lshensemble.Domain, len(tables))
 	par.For(len(tables), func(i int) {
 		t := tables[i]
-		if dict != nil {
-			var idbuf []uint32
-			for _, row := range t.Rows {
-				idbuf = dict.InternRow(row, idbuf)
-			}
-		}
 		var out []lshensemble.Domain
 		for c := 0; c < t.NumCols(); c++ {
 			if !kb.MostlyTextual(t, c) {

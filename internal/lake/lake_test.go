@@ -44,6 +44,25 @@ func TestNewBuildsAllIndexes(t *testing.T) {
 	}
 }
 
+// TestBuildInternsNoCells: New and Add intern domain tokens but no cells,
+// so the value dictionary Dict returns stays empty.
+func TestBuildInternsNoCells(t *testing.T) {
+	l := demoLake(t)
+	if n := l.Dict().Len(); n != 0 {
+		t.Errorf("after New the value dictionary holds %d values", n)
+	}
+	tokens := l.Tokens().Len()
+	if err := l.Add(paperdata.T1(), paperdata.T4()); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Dict().Len(); n != 0 {
+		t.Errorf("after Add the value dictionary holds %d values", n)
+	}
+	if l.Tokens().Len() <= tokens {
+		t.Errorf("Add interned no tokens: %d before, %d after", tokens, l.Tokens().Len())
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New([]*table.Table{nil}, Options{}); err == nil {
 		t.Error("nil table must error")

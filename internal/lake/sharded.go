@@ -10,7 +10,7 @@ import (
 )
 
 // Sharded partitions the catalog across N shard lakes, each with its own
-// value/token dictionaries and discovery indexes. Tables route to shards by
+// token dictionary and discovery indexes. Tables route to shards by
 // a stable hash of the table name (ShardIndex), so the placement of a table
 // depends only on its name and the shard count — not on insertion order,
 // process identity, or the rest of the catalog — which keeps the routing
@@ -18,11 +18,11 @@ import (
 //
 // Sharding removes the last shared-interner contention from the build path:
 // NewSharded builds the shard lakes concurrently and each shard interns
-// into private dictionaries, so no lock is shared between shards at any
-// point of preprocessing. The cost is that per-shard token IDs are
+// into a private token dictionary, so no lock is shared between shards at
+// any point of preprocessing. The cost is that per-shard token IDs are
 // incomparable across shards; discovery never compares them (rankings merge
 // by score and name), and the cross-shard stages (integration, entity
-// resolution) go through a composite-level dictionary instead.
+// resolution) intern into per-request tables of their own.
 //
 // Discovery equivalence: a Sharded catalog answers every discovery query
 // identically to an unsharded New over the same tables — same result sets,

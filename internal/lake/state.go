@@ -8,7 +8,7 @@ import (
 
 // State is what a lake is, as opposed to what preprocessing derives from
 // it: the tables, the knowledge base they are annotated with, and the LSH
-// geometry. The value dictionary and the discovery indexes are not part of
+// geometry. The token dictionary and the discovery indexes are not part of
 // it — New rebuilds them from exactly these inputs, so a lake rebuilt from
 // a State answers every query as the exporting lake does (the
 // rebuild-equivalence guarantee every mutation maintains). It references

@@ -223,51 +223,14 @@ func sortedUnique(keys []uint64) []uint64 {
 	return out
 }
 
-// rowPairs extracts row-aligned (a,b) string pairs where both cells are
-// non-null. It is retained as part of the string reference path the
-// cross-check suite pins the compiled engine against.
-func rowPairs(t *table.Table, a, b int) [][2]string {
-	var out [][2]string
-	for _, row := range t.Rows {
-		if row[a].IsNull() || row[b].IsNull() {
-			continue
-		}
-		out = append(out, [2]string{row[a].String(), row[b].String()})
-	}
-	return out
-}
-
 // supertypeDecay is the type-match score multiplier per hierarchy hop when
 // the query and candidate column types differ but one subsumes the other.
 const supertypeDecay = 0.5
 
-// typeMatchScore scores how well candidate type ct matches query type qt,
-// walking the string hierarchy. Reference implementation for the
-// cross-check suite; queries use typeMatchScoreID.
-func typeMatchScore(knowledge *kb.KB, qt, ct string) float64 {
-	if qt == ct {
-		return 1
-	}
-	w := 1.0
-	for _, anc := range knowledge.Ancestors(ct) {
-		w *= supertypeDecay
-		if anc == qt {
-			return w
-		}
-	}
-	w = 1.0
-	for _, anc := range knowledge.Ancestors(qt) {
-		w *= supertypeDecay
-		if anc == ct {
-			return w
-		}
-	}
-	return 0
-}
-
-// typeMatchScoreID is typeMatchScore over compiled type IDs (type IDs are
-// unique per type name, and compiled ancestor chains replicate the string
-// walk, so the score is identical).
+// typeMatchScoreID scores how well candidate type ct matches query type qt
+// over compiled type IDs. It equals the string-hierarchy walk the tests
+// keep as typeMatchScore (type IDs are unique per type name, and compiled
+// ancestor chains replicate the string walk).
 func typeMatchScoreID(ck *kb.Compiled, qt, ct uint32) float64 {
 	if qt == ct {
 		return 1

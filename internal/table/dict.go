@@ -11,8 +11,8 @@ const NullID uint32 = 0
 // same ID exactly when they are Equal (their Key strings collide), so the
 // performance-critical layers — the FD complementation closure above all —
 // can replace string-keyed hashing and Value.Equal comparisons with integer
-// identity. A Dict is safe for concurrent use; a lake owns one Dict shared
-// by every pipeline operation, so IDs are stable lake-wide.
+// identity. A Dict is safe for concurrent use; the FD closure interns each
+// integration into a private one by default.
 //
 // The table is split by kind (strings, integers, non-integral floats,
 // booleans) rather than keyed by Value.Key, so interning allocates nothing:
@@ -55,20 +55,18 @@ func (d *Dict) lookupLocked(v Value) uint32 {
 	case String:
 		return d.strs[v.s]
 	case Int:
-		return d.ints[v.i]
+		return d.ints[v.int()]
 	case Float:
-		if v.f == float64(int64(v.f)) {
-			return d.ints[int64(v.f)]
+		f := v.float()
+		if integral(f) {
+			return d.ints[int64(f)]
 		}
-		if v.f != v.f {
+		if f != f {
 			return d.nan
 		}
-		return d.floats[v.f]
+		return d.floats[f]
 	case Bool:
-		if v.b {
-			return d.bools[1]
-		}
-		return d.bools[0]
+		return d.bools[v.n]
 	default:
 		return 0
 	}
@@ -93,22 +91,18 @@ func (d *Dict) assignLocked(v Value) uint32 {
 	case String:
 		d.strs[v.s] = id
 	case Int:
-		d.ints[v.i] = id
+		d.ints[v.int()] = id
 	case Float:
-		switch {
-		case v.f == float64(int64(v.f)):
-			d.ints[int64(v.f)] = id
-		case v.f != v.f:
+		switch f := v.float(); {
+		case integral(f):
+			d.ints[int64(f)] = id
+		case f != f:
 			d.nan = id
 		default:
-			d.floats[v.f] = id
+			d.floats[f] = id
 		}
 	case Bool:
-		if v.b {
-			d.bools[1] = id
-		} else {
-			d.bools[0] = id
-		}
+		d.bools[v.n] = id
 	}
 	return id
 }
@@ -134,9 +128,9 @@ func (d *Dict) Intern(v Value) uint32 {
 }
 
 // InternRow interns every cell of row into dst, which is grown as needed
-// and returned. It is the bulk path the FD closure and lake preprocessing
-// use: the read lock is taken once per row, and the write lock only when
-// the row carries values never seen before.
+// and returned. It is the bulk path fd.RemoveSubsumed uses: the read lock is
+// taken once per row, and the write lock only when the row carries values
+// never seen before.
 func (d *Dict) InternRow(row []Value, dst []uint32) []uint32 {
 	if cap(dst) < len(row) {
 		dst = make([]uint32, len(row))

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/minhash"
@@ -52,6 +53,69 @@ func FuzzDictIntern(f *testing.F) {
 			if ids[1] != ids[2] {
 				t.Fatalf("Int %d and integral Float %v interned apart: %d vs %d", i, fl, ids[1], ids[2])
 			}
+		}
+	})
+}
+
+// fuzzValue builds a value of any kind from the fuzzer's raw inputs.
+func fuzzValue(kind byte, s string, i int64, fbits uint64, b bool) Value {
+	switch Kind(kind % 6) {
+	case Null:
+		return NullValue()
+	case PNull:
+		return ProducedNull()
+	case String:
+		return StringValue(s)
+	case Int:
+		return IntValue(i)
+	case Float:
+		return FloatValue(math.Float64frombits(fbits))
+	default:
+		return BoolValue(b)
+	}
+}
+
+// FuzzValueOrder pins the four identities of a cell against each other on
+// arbitrary pairs of any kinds: Equal, Key collision, Dict ID equality and
+// Compare == 0 all agree; Compare is antisymmetric; and an equal Exact key
+// implies Equal and the same rendering.
+func FuzzValueOrder(f *testing.F) {
+	const (
+		int64Edge = 0x43e0000000000000 // 2^63
+		two53     = 0x4340000000000000 // 2^53
+		negZero   = 0x8000000000000000
+	)
+	f.Add(byte(Int), "", int64(math.MaxInt64), uint64(0), false, byte(Float), "", int64(0), uint64(int64Edge), false)
+	f.Add(byte(Int), "", int64(math.MinInt64), uint64(0), false, byte(Float), "", int64(0), uint64(0xc3e0000000000000), false)
+	f.Add(byte(Float), "", int64(0), uint64(negZero), false, byte(Float), "", int64(0), uint64(0), false)
+	f.Add(byte(Float), "", int64(0), uint64(negZero), false, byte(Int), "", int64(0), uint64(0), false)
+	f.Add(byte(Float), "", int64(0), uint64(0x7ff8000000000001), false, byte(Float), "", int64(0), uint64(0xfff8000000000000), false)
+	f.Add(byte(Int), "", int64(1<<53+1), uint64(0), false, byte(Float), "", int64(0), uint64(two53), false)
+	f.Add(byte(Int), "", int64(1<<53-1), uint64(0), false, byte(Float), "", int64(0), uint64(two53), false)
+	f.Add(byte(Null), "", int64(0), uint64(0), false, byte(PNull), "", int64(0), uint64(0), false)
+	f.Add(byte(String), "82", int64(0), uint64(0), true, byte(Int), "", int64(82), uint64(0), true)
+	f.Fuzz(func(t *testing.T, ka byte, sa string, ia int64, fa uint64, ba bool, kb byte, sb string, ib int64, fb uint64, bb bool) {
+		a, b := fuzzValue(ka, sa, ia, fa, ba), fuzzValue(kb, sb, ib, fb, bb)
+		d := NewDict()
+		eq := a.Equal(b)
+		if got := b.Equal(a); got != eq {
+			t.Fatalf("Equal(%v %v, %v %v) is not symmetric", a.Kind(), a, b.Kind(), b)
+		}
+		if keq := a.Key() == b.Key(); keq != eq {
+			t.Fatalf("Equal(%v %v, %v %v) = %v but Key match = %v", a.Kind(), a, b.Kind(), b, eq, keq)
+		}
+		if ideq := d.Intern(a) == d.Intern(b); ideq != eq {
+			t.Fatalf("Equal(%v %v, %v %v) = %v but Dict ID match = %v", a.Kind(), a, b.Kind(), b, eq, ideq)
+		}
+		c := a.Compare(b)
+		if (c == 0) != eq {
+			t.Fatalf("Equal(%v %v, %v %v) = %v but Compare = %d", a.Kind(), a, b.Kind(), b, eq, c)
+		}
+		if back := b.Compare(a); back != -c {
+			t.Fatalf("Compare(%v %v, %v %v) = %d but reversed = %d", a.Kind(), a, b.Kind(), b, c, back)
+		}
+		if a.Exact() == b.Exact() && (!eq || a.String() != b.String()) {
+			t.Fatalf("%v %v and %v %v share an Exact key but Equal = %v, renderings %q, %q", a.Kind(), a, b.Kind(), b, eq, a, b)
 		}
 	})
 }

@@ -16,6 +16,7 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -58,12 +59,14 @@ func (k Kind) String() string {
 
 // Value is a single typed cell. The zero Value is a missing null.
 // Values are immutable; all methods are value receivers.
+//
+// One word holds every non-string payload: n is the Int, the Float's
+// math.Float64bits, or the Bool (1 or 0), so a cell is 32 bytes on 64-bit
+// platforms. Kinds that do not use s or n leave them zero.
 type Value struct {
 	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
 }
 
 // NullValue returns a missing null (the "±" of the paper's figures).
@@ -76,13 +79,18 @@ func ProducedNull() Value { return Value{kind: PNull} }
 func StringValue(s string) Value { return Value{kind: String, s: s} }
 
 // IntValue returns an integer cell.
-func IntValue(i int64) Value { return Value{kind: Int, i: i} }
+func IntValue(i int64) Value { return Value{kind: Int, n: uint64(i)} }
 
 // FloatValue returns a floating-point cell.
-func FloatValue(f float64) Value { return Value{kind: Float, f: f} }
+func FloatValue(f float64) Value { return Value{kind: Float, n: math.Float64bits(f)} }
 
 // BoolValue returns a boolean cell.
-func BoolValue(b bool) Value { return Value{kind: Bool, b: b} }
+func BoolValue(b bool) Value {
+	if b {
+		return Value{kind: Bool, n: 1}
+	}
+	return Value{kind: Bool}
+}
 
 // nullTokens are raw CSV spellings interpreted as missing nulls.
 var nullTokens = map[string]bool{
@@ -137,22 +145,28 @@ func (v Value) IsProduced() bool { return v.kind == PNull }
 func (v Value) Str() string { return v.s }
 
 // IntVal returns the underlying int64; only meaningful for Int kind.
-func (v Value) IntVal() int64 { return v.i }
+func (v Value) IntVal() int64 { return v.int() }
 
 // FloatVal returns the underlying float64; only meaningful for Float kind.
-func (v Value) FloatVal() float64 { return v.f }
+func (v Value) FloatVal() float64 { return v.float() }
 
 // BoolVal returns the underlying bool; only meaningful for Bool kind.
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.bool() }
+
+// int, float and bool read n as the payload of the named kind; each is
+// only meaningful for that kind.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) bool() bool     { return v.n != 0 }
 
 // AsFloat converts numeric values to float64. The second result reports
 // whether the value was numeric (Int or Float).
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case Int:
-		return float64(v.i), true
+		return float64(v.int()), true
 	case Float:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -169,11 +183,11 @@ func (v Value) String() string {
 	case String:
 		return v.s
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case Bool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.bool())
 	default:
 		return "?"
 	}
@@ -189,16 +203,17 @@ func (v Value) Key() string {
 	case String:
 		return "\x01" + v.s
 	case Int:
-		return "\x02" + strconv.FormatInt(v.i, 10)
+		return "\x02" + strconv.FormatInt(v.int(), 10)
 	case Float:
 		// Integral floats collide with ints so that CSV re-parsing noise
 		// (e.g. "82" vs "82.0") does not break joins.
-		if v.f == float64(int64(v.f)) {
-			return "\x02" + strconv.FormatInt(int64(v.f), 10)
+		f := v.float()
+		if integral(f) {
+			return "\x02" + strconv.FormatInt(int64(f), 10)
 		}
-		return "\x03" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "\x03" + strconv.FormatFloat(f, 'g', -1, 64)
 	case Bool:
-		if v.b {
+		if v.bool() {
 			return "\x04T"
 		}
 		return "\x04F"
@@ -214,40 +229,36 @@ func (v Value) Key() string {
 type ExactKey struct {
 	kind Kind
 	s    string
-	bits uint64
+	n    uint64
 }
 
-// Exact returns the value's ExactKey. Two values share it exactly when
-// they have the same kind and payload bits, so every function of kind and
-// payload (the rendering among them) agrees on values with one key.
-func (v Value) Exact() ExactKey {
-	k := ExactKey{kind: v.kind}
-	switch v.kind {
-	case String:
-		k.s = v.s
-	case Int:
-		k.bits = uint64(v.i)
-	case Float:
-		k.bits = math.Float64bits(v.f)
-	case Bool:
-		if v.b {
-			k.bits = 1
-		}
-	}
-	return k
+// Exact returns the value's ExactKey: the cell's own fields, since the
+// constructors zero the fields a kind does not use. Two values share it
+// exactly when they have the same kind and payload bits, so every function
+// of kind and payload (the rendering among them) agrees on values with one
+// key.
+func (v Value) Exact() ExactKey { return ExactKey(v) }
+
+// integral reports whether f is a whole number inside the int64 range, so
+// that int64(f) is exact. The range is checked explicitly: Go leaves
+// int64(f) implementation-defined for an out-of-range f (amd64 yields
+// MinInt64, arm64 saturates to MaxInt64), so the round trip
+// f == float64(int64(f)) would call 2^63 integral on some platforms.
+func integral(f float64) bool {
+	return f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f)
 }
 
 // intRepr reports whether the numeric value is exactly representable as an
-// int64 — Int kind, or an integral Float — and that representation. The
-// integrality test is the same expression Key uses, so intRepr-equality is
-// exactly Key collision for int-like numerics.
+// int64 — Int kind, or an integral Float — and that representation. Key and
+// Dict use the same integrality test, so intRepr-equality is exactly Key
+// collision for int-like numerics.
 func (v Value) intRepr() (int64, bool) {
 	switch v.kind {
 	case Int:
-		return v.i, true
+		return v.int(), true
 	case Float:
-		if v.f == float64(int64(v.f)) {
-			return int64(v.f), true
+		if f := v.float(); integral(f) {
+			return int64(f), true
 		}
 	}
 	return 0, false
@@ -276,10 +287,11 @@ func (v Value) Equal(o Value) bool {
 		}
 		// Both non-integral floats; NaNs collide under Key, so they are
 		// equal here too.
-		if v.f != v.f || o.f != o.f {
-			return v.f != v.f && o.f != o.f
+		vf, of := v.float(), o.float()
+		if vf != vf || of != of {
+			return vf != vf && of != of
 		}
-		return v.f == o.f
+		return vf == of
 	}
 	if v.kind != o.kind {
 		return false
@@ -288,7 +300,7 @@ func (v Value) Equal(o Value) bool {
 	case String:
 		return v.s == o.s
 	case Bool:
-		return v.b == o.b
+		return v.n == o.n
 	default:
 		return false
 	}
@@ -321,13 +333,7 @@ func (v Value) Compare(o Value) int {
 	case 0:
 		return 0
 	case 1:
-		if v.b == o.b {
-			return 0
-		}
-		if !v.b {
-			return -1
-		}
-		return 1
+		return cmp.Compare(v.n, o.n) // false (0) < true (1)
 	case 2:
 		// Int-like pairs compare as exact int64s, so values float64
 		// rounding cannot distinguish (e.g. 2^53 vs 2^53+1) still order
@@ -364,6 +370,13 @@ func (v Value) Compare(o Value) int {
 		case vf < of:
 			return -1
 		case vf > of:
+			return 1
+		case vIsInt != oIsInt:
+			// float64 rounds an Int near MaxInt64 to 2^63, a float
+			// outside the int64 range and so above every Int.
+			if vIsInt {
+				return -1
+			}
 			return 1
 		default:
 			return 0

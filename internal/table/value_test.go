@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseNullSpellings(t *testing.T) {
@@ -188,6 +189,17 @@ func TestExactKey(t *testing.T) {
 	}
 }
 
+// TestValueSize pins the cell layout: one word for every non-string
+// payload keeps a Value at 32 bytes where pointers are 8 bytes.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("cell size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
 func TestCompareOrderingProperties(t *testing.T) {
 	vals := []Value{
 		NullValue(), ProducedNull(), BoolValue(false), BoolValue(true),
@@ -211,6 +223,46 @@ func TestCompareOrderingProperties(t *testing.T) {
 				t.Errorf("chain order broken at %v vs %v", vals[i], vals[j])
 			}
 		}
+	}
+}
+
+// TestCompareAgreesWithEqualAtInt64Edge: float64 rounds every Int near
+// MaxInt64 to 2^63, a float just outside the int64 range. Compare must still
+// order such a pair strictly, as Equal tells them apart, or sorting cannot
+// canonicalize a bag holding both and EqualUnordered depends on row order.
+func TestCompareAgreesWithEqualAtInt64Edge(t *testing.T) {
+	above := FloatValue(1 << 63)
+	below := FloatValue(math.Nextafter(-(1 << 63), math.Inf(-1)))
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{IntValue(math.MaxInt64), above, -1},
+		{IntValue(math.MaxInt64 - 1), above, -1},
+		{IntValue(math.MinInt64), FloatValue(-(1 << 63)), 0},
+		{IntValue(math.MinInt64), below, 1},
+		{IntValue(0), FloatValue(math.Inf(1)), -1},
+	} {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+		if eq := c.a.Equal(c.b); eq != (c.want == 0) {
+			t.Errorf("Equal(%v, %v) = %v", c.a, c.b, eq)
+		}
+		if kq := c.a.Key() == c.b.Key(); kq != (c.want == 0) {
+			t.Errorf("Key(%v) == Key(%v) is %v", c.a, c.b, kq)
+		}
+	}
+	x, y := New("t", "v"), New("t", "v")
+	x.MustAddRow(IntValue(math.MaxInt64))
+	x.MustAddRow(above)
+	y.MustAddRow(above)
+	y.MustAddRow(IntValue(math.MaxInt64))
+	if !x.EqualUnordered(y) {
+		t.Error("EqualUnordered depends on row order at the int64 edge")
 	}
 }
 
