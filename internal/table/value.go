@@ -226,11 +226,7 @@ func (v Value) Key() string {
 // raw payload. Unlike Key it keeps every distinction Equal forgives, so
 // Int 82 and Float 82, −0 and +0, NaN payloads, and the two null kinds
 // each get their own key.
-type ExactKey struct {
-	kind Kind
-	s    string
-	n    uint64
-}
+type ExactKey Value
 
 // Exact returns the value's ExactKey: the cell's own fields, since the
 // constructors zero the fields a kind does not use. Two values share it
