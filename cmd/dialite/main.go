@@ -127,11 +127,7 @@ func mutateLake(p *core.Pipeline, growDir, drop string) error {
 		}
 		fmt.Fprintf(os.Stderr, "added %d tables from %s (lake now %d tables)\n", len(tables), growDir, p.Lake().Size())
 	}
-	if drop != "" {
-		names := strings.Split(drop, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
+	if names := splitCommaList(drop); len(names) > 0 {
 		if err := p.RemoveTables(names...); err != nil {
 			return err
 		}
@@ -523,10 +519,7 @@ func cmdDiscover(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	var ms []string
-	if *methods != "" {
-		ms = strings.Split(*methods, ",")
-	}
+	ms := splitCommaList(*methods)
 	resp, err := p.Discover(ctx, core.DiscoverRequest{Query: q, QueryColumn: *col, Methods: ms, K: *k})
 	if err != nil {
 		return err
@@ -563,23 +556,19 @@ func cmdIntegrate(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *tables == "" {
+	names := splitCommaList(*tables)
+	if len(names) == 0 {
 		return fmt.Errorf("-tables is required")
-	}
-	given := strings.Split(*tables, ",")
-	names := make([]string, len(given))
-	for i, name := range given {
-		names[i] = strings.TrimSpace(name)
 	}
 	got, err := p.Lake().FetchTables(ctx, names)
 	if err != nil {
 		return err
 	}
 	var set []*table.Table
-	for i, name := range names {
+	for _, name := range names {
 		t, ok := got[name]
 		if !ok {
-			return fmt.Errorf("table %q not in lake", given[i])
+			return fmt.Errorf("table %q not in lake", name)
 		}
 		set = append(set, t)
 	}

@@ -211,6 +211,23 @@ func TestCmdDiscoverGrowDrop(t *testing.T) {
 	}
 }
 
+// TestCmdListFlags: -methods, -drop and -tables read one comma list rule —
+// entries trimmed, empty entries dropped.
+func TestCmdListFlags(t *testing.T) {
+	lakeDir, queryPath := writeDemoLake(t)
+	ctx := context.Background()
+	if err := cmdDiscover(ctx, []string{"-lake", lakeDir, "-query", queryPath, "-col", "1", "-methods", "santos-union, lsh-join"}); err != nil {
+		t.Errorf("spaced -methods: %v", err)
+	}
+	if err := cmdDiscover(ctx, []string{"-lake", lakeDir, "-query", queryPath, "-col", "1", "-drop", "T3,"}); err != nil {
+		t.Errorf("trailing comma in -drop: %v", err)
+	}
+	err := cmdIntegrate(ctx, []string{"-lake", lakeDir, "-tables", "T2, nope"})
+	if err == nil || err.Error() != `table "nope" not in lake` {
+		t.Errorf("-tables \"T2, nope\": %v, want table \"nope\" not in lake", err)
+	}
+}
+
 func TestCmdServeValidation(t *testing.T) {
 	lakeDir, _ := writeDemoLake(t)
 	if err := cmdServe(context.Background(), []string{}); err == nil {

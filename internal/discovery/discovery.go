@@ -19,7 +19,9 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/josie"
 	"repro/internal/lake"
+	"repro/internal/lshensemble"
 	"repro/internal/table"
 	"repro/internal/tokenize"
 )
@@ -100,17 +102,9 @@ func (LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, query
 	if err != nil {
 		return nil, err
 	}
-	best := make(map[string]Result)
-	for _, h := range hits {
-		t, ok := l.Get(h.Domain.Table)
-		if !ok || t.Name == q.Name {
-			continue
-		}
-		if cur, seen := best[t.Name]; !seen || h.Containment > cur.Score {
-			best[t.Name] = Result{Table: t, Score: h.Containment, Method: "lsh-join", Column: h.Domain.Column}
-		}
-	}
-	return rankResults(best, k), nil
+	return bestPerTable(l, q, "lsh-join", k, hits, func(h lshensemble.Result) (*table.Domain, float64) {
+		return h.Domain, h.Containment
+	}), nil
 }
 
 // JosieJoin is exact top-k joinable search by overlap (JOSIE-style).
@@ -129,17 +123,27 @@ func (JosieJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, que
 	if err != nil {
 		return nil, err
 	}
+	return bestPerTable(l, q, "josie-join", k, hits, func(h josie.Result) (*table.Domain, float64) {
+		return h.Set, float64(h.Overlap)
+	}), nil
+}
+
+// bestPerTable ranks the tables behind joinable-search hits, each by its
+// best-scoring column; the query table itself and tables no longer in the
+// lake are skipped.
+func bestPerTable[H any](l *lake.Lake, q *table.Table, method string, k int, hits []H, hit func(H) (*table.Domain, float64)) []Result {
 	best := make(map[string]Result)
 	for _, h := range hits {
-		t, ok := l.Get(h.Set.Table)
+		d, score := hit(h)
+		t, ok := l.Get(d.Table)
 		if !ok || t.Name == q.Name {
 			continue
 		}
-		if cur, seen := best[t.Name]; !seen || float64(h.Overlap) > cur.Score {
-			best[t.Name] = Result{Table: t, Score: float64(h.Overlap), Method: "josie-join", Column: h.Set.Column}
+		if cur, seen := best[t.Name]; !seen || score > cur.Score {
+			best[t.Name] = Result{Table: t, Score: score, Method: method, Column: d.Column}
 		}
 	}
-	return rankResults(best, k), nil
+	return rankResults(best, k)
 }
 
 // SyntacticUnion is the unionability baseline (Nargesian et al. style):

@@ -29,7 +29,6 @@ package josie
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -39,29 +38,9 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Set is one indexed column domain.
-type Set struct {
-	Table      string
-	Column     int
-	ColumnName string
-	Values     []string // normalized, deduplicated value set
-	// IDs optionally carries Values interned into the dictionary the index
-	// is built with (lake extraction precomputes it). When set it must be
-	// deduplicated and parallel to the distinct members of Values; when nil,
-	// Build interns Values itself.
-	IDs []uint32
-
-	key string // precomputed "table[col]", set by Build
-}
-
-// Key identifies the set as "table[col]". Sets that went through Build
-// return a precomputed key; detached sets format one on the fly.
-func (s *Set) Key() string {
-	if s.key != "" {
-		return s.key
-	}
-	return fmt.Sprintf("%s[%d]", s.Table, s.Column)
-}
+// Set is one indexed column domain: the lake's extracted domain type,
+// indexed as it is.
+type Set = table.Domain
 
 // Index is an inverted index over set members. The bulk of the postings
 // live in a CSR arena built at Build (or the latest compaction): the base
@@ -71,10 +50,9 @@ func (s *Set) Key() string {
 // dead (their base postings are skipped at query time, their delta postings
 // pruned eagerly). Mutations take the write lock, queries the read lock.
 type Index struct {
-	mu       sync.RWMutex
-	sets     []Set
-	dict     *table.TokenDict
-	trustIDs bool // precomputed Set.IDs belong to dict (caller-supplied dict)
+	mu   sync.RWMutex
+	sets []Set
+	dict *table.TokenDict
 
 	// Base CSR arena: covers sets[:baseSets] as of the last Build/Compact.
 	numTokens int      // dict size at build time; larger IDs have no base postings
@@ -99,42 +77,30 @@ const (
 	autoCompactFraction = 4
 )
 
-// Build constructs the inverted index over a private token dictionary. Set
+// Build constructs the inverted index over a private token dictionary,
+// dropping any IDs the sets carry (they belong to another dictionary). Set
 // values are assumed normalized (use tokenize.ValueSet when extracting from
 // tables); interning deduplicates defensively so posting lists never
 // double-count a set.
-func Build(sets []Set) *Index { return BuildWithDict(sets, nil) }
+func Build(sets []Set) *Index { return BuildWithDict(table.WithoutIDs(sets), table.NewTokenDict()) }
 
-// BuildWithDict constructs the inverted index, interning set members into
-// dict (nil means a fresh private dictionary). Sharing one dictionary
-// across indexes — as lake preprocessing does — makes query-side token
-// lookups and cached fingerprints agree lake-wide. Precomputed Set.IDs are
-// only meaningful relative to the dictionary they were interned in, so
-// they are trusted exactly when the caller supplies that dictionary; under
-// a private dictionary every set is re-interned from Values, which keeps
-// Build(lakeDomains) safe for index rebuilds (the IDs cached by a lake
-// would otherwise be read against the wrong dictionary).
+// BuildWithDict constructs the inverted index over dict, which every ID the
+// sets carry must come from. Sharing one dictionary across indexes — as lake
+// preprocessing does — makes query-side token lookups agree lake-wide. A set
+// with IDs is indexed under them as it is (they must be deduplicated, as lake
+// extraction's are); a set without IDs is interned here.
 //
 // Interning runs one worker per set; the CSR fill afterwards is a cheap
 // integer counting pass. Posting lists are filled in set order, so the
 // index is identical to a sequential build regardless of scheduling.
 func BuildWithDict(sets []Set, dict *table.TokenDict) *Index {
-	trustIDs := dict != nil
-	if dict == nil {
-		dict = table.NewTokenDict()
-	}
 	ix := &Index{
-		sets:     append([]Set(nil), sets...),
-		dict:     dict,
-		trustIDs: trustIDs,
-		dead:     make([]bool, len(sets)),
+		sets: append([]Set(nil), sets...),
+		dict: dict,
+		dead: make([]bool, len(sets)),
 	}
-	// Phase 1 (parallel per set): intern members to token IDs and precompute
-	// result keys.
 	par.For(len(ix.sets), func(i int) {
-		s := &ix.sets[i]
-		s.key = fmt.Sprintf("%s[%d]", s.Table, s.Column)
-		if s.IDs == nil || !trustIDs {
+		if s := &ix.sets[i]; s.IDs == nil {
 			s.IDs = internDedup(dict, s.Values)
 		}
 	})
@@ -183,8 +149,7 @@ func (ix *Index) fillCSR() {
 // set receives the next set index and its postings land in the delta
 // segment, which queries merge with the base arena (delta set indices are
 // all larger than base indices, so merged posting lists stay sorted).
-// Precomputed Set.IDs are trusted exactly when the index was built over a
-// caller-supplied dictionary, mirroring BuildWithDict. Once the delta
+// Sets are interned as BuildWithDict interns them. Once the delta
 // outgrows the auto-compaction threshold it is folded into a fresh arena.
 // Add is exclusive with queries and other mutations.
 func (ix *Index) Add(sets []Set) {
@@ -198,8 +163,7 @@ func (ix *Index) Add(sets []Set) {
 		if si >= math.MaxInt32 {
 			panic("josie: index full: more than ~2B sets (int32 set-index space exhausted)")
 		}
-		s.key = fmt.Sprintf("%s[%d]", s.Table, s.Column)
-		if s.IDs == nil || !ix.trustIDs {
+		if s.IDs == nil {
 			s.IDs = internDedup(ix.dict, s.Values)
 		}
 		ix.sets = append(ix.sets, s)
@@ -517,7 +481,7 @@ func (ix *Index) topKTokens(ctx context.Context, tokens []queryToken, k int) ([]
 		if results[a].Overlap != results[b].Overlap {
 			return results[a].Overlap > results[b].Overlap
 		}
-		return results[a].Set.key < results[b].Set.key
+		return results[a].Set.Key() < results[b].Set.Key()
 	})
 	if k > 0 && len(results) > k {
 		results = results[:k]

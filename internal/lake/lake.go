@@ -63,7 +63,7 @@ type Lake struct {
 	santosIx  *santos.Index
 	joinIx    *lshensemble.Index
 	josieIx   *josie.Index
-	domains   []lshensemble.Domain
+	domains   []table.Domain
 	domainIdx map[colRef]int // (table, column) -> index into domains
 	stats     BuildStats
 }
@@ -79,8 +79,8 @@ type BuildStats struct {
 	// KBPrep covers KB synthesis/merging (when enabled) plus compiling the
 	// knowledge base into its integer-ID annotation engine.
 	KBPrep time.Duration
-	// DomainExtraction covers token interning, domain extraction, and
-	// MinHash fingerprinting.
+	// DomainExtraction covers domain extraction and token interning (which
+	// fingerprints each new token once, into the token dictionary).
 	DomainExtraction time.Duration
 	// Santos, LSH and Josie cover the respective index builds.
 	Santos time.Duration
@@ -123,8 +123,8 @@ func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 // over a snapshot's tables and knowledge base (see State).
 //
 // Preprocessing runs on a worker pool: every table's domains are extracted
-// and their members interned into the lake-wide token dictionary (with
-// MinHash fingerprints computed once per domain) in parallel, then the
+// and their members interned into the lake-wide token dictionary (which
+// fingerprints each distinct token once) in parallel, then the
 // SANTOS annotation, LSH Ensemble, and JOSIE indexes are built
 // concurrently. All results are collected in table order, so the lake is
 // byte-identical to a sequential build. Cells are not interned: no served
@@ -175,7 +175,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		},
 		func() {
 			t := time.Now()
-			l.josieIx = josie.BuildWithDict(josieSets(l.domains), l.tokens)
+			l.josieIx = josie.BuildWithDict(l.domains, l.tokens)
 			l.stats.Josie = time.Since(t)
 		},
 	)
@@ -197,10 +197,10 @@ func FromDir(dir string, opts Options) (*Lake, error) {
 // Add incrementally indexes additional tables into the lake, maintaining
 // all three discovery indexes without a rebuild: the new tables' domains
 // are extracted and their tokens interned into the shared token dictionary
-// exactly as New does (one worker per table, MinHash fingerprints
-// computed once), then the SANTOS, LSH Ensemble and JOSIE indexes absorb
-// the delta concurrently. After Add returns, every discovery query is
-// answered identically to a fresh New over the enlarged table set.
+// exactly as New does (one worker per table), then the SANTOS, LSH Ensemble
+// and JOSIE indexes absorb the same domains concurrently. After Add
+// returns, every discovery query is answered identically to a fresh New
+// over the enlarged table set.
 //
 // Validation is atomic: a nil table, an empty or duplicate name (against
 // the lake or within the batch) rejects the whole batch before anything is
@@ -255,7 +255,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 		},
 		func() {
 			t := time.Now()
-			l.josieIx.Add(josieSets(newDomains))
+			l.josieIx.Add(newDomains)
 			l.stats.Josie += time.Since(t)
 		},
 	)
@@ -304,7 +304,7 @@ func (l *Lake) Remove(names ...string) error {
 	for n := range doomed {
 		delete(l.byName, n)
 	}
-	keptDomains := make([]lshensemble.Domain, 0, len(l.domains))
+	keptDomains := make([]table.Domain, 0, len(l.domains))
 	for i := range l.domains {
 		if !doomed[l.domains[i].Table] {
 			keptDomains = append(keptDomains, l.domains[i])
@@ -350,53 +350,31 @@ func (l *Lake) Compact() {
 // extractDomains pulls the normalized value set of every textual column,
 // one worker per table, interning every domain member into tokens along the
 // way. Per-table results land in slot order, so the flattened domain list —
-// and every index built from it — is identical to a sequential extraction. Domain token IDs and MinHash
-// fingerprints are precomputed here, once per lake: index builds (and
-// rebuilds, e.g. experiments re-indexing under different LSH parameters)
-// and query-side fast paths reuse them instead of re-hashing every value.
-// Fingerprints come from the token dictionary's cache, so each distinct
-// token in the lake is FNV-hashed exactly once.
-func extractDomains(tables []*table.Table, tokens *table.TokenDict) []lshensemble.Domain {
-	perTable := make([][]lshensemble.Domain, len(tables))
+// and every index built from it — is identical to a sequential extraction.
+// Each domain is built once, with its token IDs and key precomputed, and the
+// same slice feeds JOSIE and the LSH Ensemble. Domains carry no fingerprints:
+// the token dictionary hashes each distinct token once and the LSH Ensemble
+// signs from its cache.
+func extractDomains(tables []*table.Table, tokens *table.TokenDict) []table.Domain {
+	perTable := make([][]table.Domain, len(tables))
 	par.For(len(tables), func(i int) {
 		t := tables[i]
-		var out []lshensemble.Domain
+		var out []table.Domain
 		for c := 0; c < t.NumCols(); c++ {
 			if !kb.MostlyTextual(t, c) {
 				continue
 			}
-			vals := columnValueSet(t, c)
-			if len(vals) == 0 {
-				continue
+			if vals := columnValueSet(t, c); len(vals) > 0 {
+				out = append(out, table.NewDomain(t, c, vals, tokens.InternAll(vals, nil)))
 			}
-			ids := tokens.InternAll(vals, nil)
-			out = append(out, lshensemble.Domain{
-				Table:        t.Name,
-				Column:       c,
-				ColumnName:   t.Columns[c],
-				Values:       vals,
-				IDs:          ids,
-				Fingerprints: tokens.Fingerprints(ids, nil),
-			})
 		}
 		perTable[i] = out
 	})
-	var out []lshensemble.Domain
+	var out []table.Domain
 	for _, ds := range perTable {
 		out = append(out, ds...)
 	}
 	return out
-}
-
-// josieSets views extracted domains as the JOSIE index's input sets; the
-// value and ID slices are shared, not copied.
-func josieSets(domains []lshensemble.Domain) []josie.Set {
-	sets := make([]josie.Set, len(domains))
-	for i := range domains {
-		d := &domains[i]
-		sets[i] = josie.Set{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
-	}
-	return sets
 }
 
 // columnValueSet extracts the normalized value set of a column in one pass:
@@ -477,13 +455,12 @@ func (l *Lake) Stats() BuildStats {
 func (l *Lake) Tokens() *table.TokenDict { return l.tokens }
 
 // DomainFor returns the extracted domain of one lake table column — with
-// its cached token IDs and MinHash fingerprints — or nil when the column
-// produced no domain (non-textual or empty). ResolveQuery serves it when the
-// query table is the lake's own. After Remove(tableName), every column of
-// that table returns nil;
-// previously returned pointers stay readable but describe the removed
+// its cached token IDs — or nil when the column produced no domain
+// (non-textual or empty). ResolveQuery serves it when the query table is the
+// lake's own. After Remove(tableName), every column of that table returns
+// nil; previously returned pointers stay readable but describe the removed
 // domain.
-func (l *Lake) DomainFor(tableName string, col int) *lshensemble.Domain {
+func (l *Lake) DomainFor(tableName string, col int) *table.Domain {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	i, ok := l.domainIdx[colRef{tableName, col}]
@@ -505,7 +482,7 @@ func (l *Lake) Josie() *josie.Index { return l.josieIx }
 // Domains returns the extracted column domains of the current tables (for
 // baselines and experiments). The returned slice is a stable snapshot —
 // later mutations never shift its elements.
-func (l *Lake) Domains() []lshensemble.Domain {
+func (l *Lake) Domains() []table.Domain {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.domains
@@ -521,18 +498,18 @@ func QueryDomain(q *table.Table, col int) ([]string, error) {
 }
 
 // ResolveQuery resolves a query column into the domain the joinable indexes
-// search with: value set, token IDs and MinHash fingerprints. When q is the
-// lake's own table (pointer identity — a renamed, copied or modified table
-// never matches) and the column was indexed, that is the cached domain,
-// extracted and hashed once at build. Every other query — in particular
-// every table that arrives over the wire — gets a transient domain built in
-// one pass: QueryDomain's value set resolved against the lake's token
-// dictionary by lookup (lshensemble.ResolveDomain), so queries never intern
-// and the dictionary never grows. Both shapes take the same path through the
-// indexes (QueryDomainCtx, TopKIDsCtx) and rank identically for equal cells.
-// An out-of-range column never has a cached domain, so it always reaches
+// search with: value set and token IDs. When q is the lake's own table
+// (pointer identity — a renamed, copied or modified table never matches) and
+// the column was indexed, that is the cached domain, extracted and interned
+// once at build. Every other query — in particular every table that arrives
+// over the wire — gets a transient domain built in one pass: QueryDomain's
+// value set resolved against the lake's token dictionary by lookup
+// (table.ResolveDomain), so queries never intern and the dictionary never
+// grows. Both shapes take the same path through the indexes
+// (QueryDomainCtx, TopKIDsCtx) and rank identically for equal cells. An
+// out-of-range column never has a cached domain, so it always reaches
 // QueryDomain's range check.
-func (l *Lake) ResolveQuery(q *table.Table, col int) (*lshensemble.Domain, error) {
+func (l *Lake) ResolveQuery(q *table.Table, col int) (*table.Domain, error) {
 	if lt, ok := l.Get(q.Name); ok && lt == q {
 		if d := l.DomainFor(q.Name, col); d != nil {
 			return d, nil
@@ -542,5 +519,5 @@ func (l *Lake) ResolveQuery(q *table.Table, col int) (*lshensemble.Domain, error
 	if err != nil {
 		return nil, err
 	}
-	return lshensemble.ResolveDomain(l.tokens, vals), nil
+	return table.ResolveDomain(l.tokens, vals), nil
 }

@@ -23,7 +23,6 @@ package lshensemble
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -35,36 +34,9 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Domain is one indexed column: the deduplicated normalized value set of a
-// table column, plus the identifiers discovery needs to report results.
-type Domain struct {
-	Table      string   // owning table name
-	Column     int      // column index within the table
-	ColumnName string   // column header (may be empty/unreliable)
-	Values     []string // normalized, deduplicated value set
-	// Fingerprints optionally caches minhash.Fingerprints(Values), so each
-	// value is FNV-hashed once per lake rather than once per index build.
-	// Callers that index the same domains more than once (rebuilds under
-	// different LSH parameters) should precompute it, as lake extraction
-	// does; Build computes missing fingerprints only into its own private
-	// copy of the domain slice.
-	Fingerprints []uint64
-	// IDs optionally carries Values interned into the token dictionary the
-	// index is built with, parallel to Values (lake extraction precomputes
-	// it). When nil, Build interns Values itself.
-	IDs []uint32
-
-	key string // precomputed "table[col]", set by Build
-}
-
-// Key identifies the domain as "table[col]". Domains that went through
-// Build return a precomputed key; detached domains format one on the fly.
-func (d *Domain) Key() string {
-	if d.key != "" {
-		return d.key
-	}
-	return fmt.Sprintf("%s[%d]", d.Table, d.Column)
-}
+// Domain is one indexed column: the lake's extracted domain type, indexed as
+// it is.
+type Domain = table.Domain
 
 // Options configures index construction.
 type Options struct {
@@ -141,7 +113,6 @@ type Index struct {
 	opts       Options
 	builder    sketch.Builder
 	dict       *table.TokenDict
-	trustIDs   bool // precomputed Domain.IDs belong to dict (caller-supplied dict)
 	domains    []Domain
 	signatures []sketch.Sketch
 	alive      []bool  // per slot: false once removed
@@ -152,11 +123,12 @@ type Index struct {
 	scratch    sync.Pool // *queryScratch
 }
 
-// queryScratch is the reusable per-query working memory: the signature
-// buffer, the query token-ID set, and the candidate-dedup scratch. Pooled per
-// index; query results never alias scratch memory.
+// queryScratch is the reusable per-query working memory: the fingerprint and
+// signature buffers, the query token-ID set, and the candidate-dedup
+// scratch. Pooled per index; query results never alias scratch memory.
 type queryScratch struct {
 	qids  map[uint32]struct{}
+	fps   []uint64
 	sig   sketch.Sketch
 	seen  []uint32 // per domain index: epoch stamp
 	epoch uint32
@@ -166,28 +138,23 @@ type queryScratch struct {
 
 func newQueryScratch() any { return &queryScratch{qids: make(map[uint32]struct{})} }
 
-// Build constructs the ensemble over a private token dictionary. Domains
+// Build constructs the ensemble over a private token dictionary, dropping
+// any IDs and fingerprints the domains carry (they belong to another
+// dictionary), so Build(lake.Domains(), otherOpts) rebuilds are safe. Domains
 // with empty value sets are indexed but can never be returned (containment
 // verification removes them).
 func Build(domains []Domain, opts Options) *Index {
-	return BuildWithDict(domains, opts, nil)
+	return BuildWithDict(table.WithoutIDs(domains), opts, table.NewTokenDict())
 }
 
-// BuildWithDict constructs the ensemble, interning domain members into dict
-// (nil means a fresh private dictionary). Sharing one dictionary across
-// indexes — as lake preprocessing does — makes query-side token lookups and
-// cached fingerprints agree lake-wide. Precomputed Domain.IDs are only
-// meaningful relative to the dictionary they were interned in, so they are
-// trusted exactly when the caller supplies that dictionary; under a private
-// dictionary every domain is re-interned from Values, which keeps
-// Build(lake.Domains(), otherOpts) rebuilds safe. Fingerprints are
-// dictionary-independent (pure FNV-1a of the value) and always reusable.
+// BuildWithDict constructs the ensemble over dict, which every ID the domains
+// carry must come from. Sharing one dictionary across indexes — as lake
+// preprocessing does — makes query-side token lookups and cached
+// fingerprints agree lake-wide. A domain with IDs is indexed under them as it
+// is; a domain without IDs is interned here and keeps the fingerprints read
+// while interning it.
 func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index {
 	opts = opts.withDefaults()
-	trustIDs := dict != nil
-	if dict == nil {
-		dict = table.NewTokenDict()
-	}
 	builder, err := sketch.New(opts.sketchParams())
 	if err != nil {
 		// Foreign engine names arrive through lake options, which lake.New
@@ -199,7 +166,6 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 		opts:      opts,
 		builder:   builder,
 		dict:      dict,
-		trustIDs:  trustIDs,
 		domains:   append([]Domain(nil), domains...),
 		alive:     make([]bool, len(domains)),
 		partOf:    make([]int32, len(domains)),
@@ -208,29 +174,42 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 	ix.scratch.New = newQueryScratch
 	// Sign domains in parallel: each sketch depends only on its own
 	// domain, so the result is deterministic regardless of scheduling.
-	// Token IDs and fingerprints are computed once per domain and cached on
-	// it; fingerprints of freshly interned domains come from the
-	// dictionary's cache rather than re-hashing the strings. Sketches
-	// live in one contiguous arena (workers write disjoint ranges) instead
-	// of one allocation per domain.
+	// Sketches live in one contiguous arena (workers write disjoint ranges)
+	// instead of one allocation per domain.
 	ix.signatures = make([]sketch.Sketch, len(ix.domains))
 	sigArena := make([]uint64, len(ix.domains)*opts.NumHashes)
 	par.For(len(ix.domains), func(i int) {
 		d := &ix.domains[i]
-		d.key = fmt.Sprintf("%s[%d]", d.Table, d.Column)
-		if d.IDs == nil || !trustIDs {
-			d.IDs = dict.InternAll(d.Values, nil)
-		}
-		if d.Fingerprints == nil {
-			d.Fingerprints = dict.Fingerprints(d.IDs, nil)
-		}
+		ix.intern(d)
 		slot := sigArena[i*opts.NumHashes : i*opts.NumHashes : (i+1)*opts.NumHashes]
-		ix.signatures[i] = ix.builder.SignInto(d.Fingerprints, slot)
+		var fps []uint64
+		ix.signatures[i] = ix.sign(d, &fps, slot)
 		ix.alive[i] = true
 		ix.partOf[i] = -1
 	})
 	ix.initPartitions()
 	return ix
+}
+
+// intern gives a domain that arrived without IDs its IDs and fingerprints in
+// the index's dictionary; a domain with IDs is left as it is.
+func (ix *Index) intern(d *Domain) {
+	if d.IDs == nil {
+		d.IDs = ix.dict.InternAll(d.Values, nil)
+		d.Fingerprints = ix.dict.Fingerprints(d.IDs, nil)
+	}
+}
+
+// sign computes d's sketch into dst from the fingerprints d carries or, for
+// a domain without them (a lake domain), from the dictionary's cached
+// fingerprints of its IDs, read into *buf.
+func (ix *Index) sign(d *Domain, buf *[]uint64, dst sketch.Sketch) sketch.Sketch {
+	fps := d.Fingerprints
+	if fps == nil {
+		*buf = ix.dict.Fingerprints(d.IDs, *buf)
+		fps = *buf
+	}
+	return ix.builder.SignInto(fps, dst)
 }
 
 // initPartitions computes the equi-depth partitioning and band tables from
@@ -314,16 +293,14 @@ func (ix *Index) orderLess(a, b int) bool {
 	if la, lb := len(ix.domains[a].Values), len(ix.domains[b].Values); la != lb {
 		return la < lb
 	}
-	return ix.domains[a].key < ix.domains[b].key
+	return ix.domains[a].Key() < ix.domains[b].Key()
 }
 
-// Add indexes additional domains: each one is signed from its cached
-// fingerprints (computed once at lake extraction; signing is the only
-// per-value work) and inserted into the equi-depth partitioning, moving the
-// handful of existing slots whose partition assignment shifted. Precomputed
-// Domain.IDs are trusted exactly when the index was built over a
-// caller-supplied dictionary, mirroring BuildWithDict. Add is exclusive
-// with queries and other mutations.
+// Add indexes additional domains: each one is interned as BuildWithDict
+// interns it, signed (the only per-value work) and inserted into the
+// equi-depth partitioning, moving the handful of existing slots whose
+// partition assignment shifted. Add is exclusive with queries and other
+// mutations.
 func (ix *Index) Add(domains []Domain) {
 	if len(domains) == 0 {
 		return
@@ -331,17 +308,12 @@ func (ix *Index) Add(domains []Domain) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	newSlots := make([]int, 0, len(domains))
+	var fps []uint64
 	for _, d := range domains {
 		slot := len(ix.domains)
-		d.key = fmt.Sprintf("%s[%d]", d.Table, d.Column)
-		if d.IDs == nil || !ix.trustIDs {
-			d.IDs = ix.dict.InternAll(d.Values, nil)
-		}
-		if d.Fingerprints == nil {
-			d.Fingerprints = ix.dict.Fingerprints(d.IDs, nil)
-		}
+		ix.intern(&d)
 		ix.domains = append(ix.domains, d)
-		ix.signatures = append(ix.signatures, ix.builder.SignInto(d.Fingerprints, nil))
+		ix.signatures = append(ix.signatures, ix.sign(&d, &fps, nil))
 		ix.alive = append(ix.alive, true)
 		ix.partOf = append(ix.partOf, -1)
 		ix.liveCount++
@@ -621,32 +593,11 @@ type Result struct {
 	Containment float64 // exact |Q∩X|/|Q|
 }
 
-// ResolveDomain returns the transient query-side domain of values — a
-// normalized, deduplicated value set, as tokenize.ValueSet and lake
-// extraction produce — resolved against dict by lookup, never interning:
-// lake-vocabulary tokens get their ID and cached fingerprint, and a token
-// outside the vocabulary (which can never intersect an indexed domain,
-// though it still counts toward |Q|) keeps ID 0 and is hashed on the fly.
-// Every query reaches the indexes through a domain of this shape or a
-// lake's own cached one.
-func ResolveDomain(dict *table.TokenDict, values []string) *Domain {
-	d := &Domain{Values: values, IDs: make([]uint32, len(values)), Fingerprints: make([]uint64, len(values))}
-	for i, tok := range values {
-		if id := dict.Lookup(tok); id != 0 {
-			d.IDs[i] = id
-			d.Fingerprints[i] = dict.Fingerprint(id)
-		} else {
-			d.Fingerprints[i] = minhash.Fingerprint(tok)
-		}
-	}
-	return d
-}
-
 // Query returns the indexed domains whose exact containment of the
 // normalized query value set is at least threshold, ranked by containment
 // descending (ties broken by domain key), truncated to k (k<=0 means all).
 // rawQuery is normalized with tokenize.ValueSet, matching how domains are
-// extracted from tables, and resolved with ResolveDomain.
+// extracted from tables, and resolved with table.ResolveDomain.
 func (ix *Index) Query(rawQuery []string, threshold float64, k int) []Result {
 	res, _ := ix.QueryCtx(context.Background(), rawQuery, threshold, k)
 	return res
@@ -655,14 +606,14 @@ func (ix *Index) Query(rawQuery []string, threshold float64, k int) []Result {
 // QueryCtx is Query with cooperative cancellation — QueryDomainCtx over the
 // normalized raw values.
 func (ix *Index) QueryCtx(ctx context.Context, rawQuery []string, threshold float64, k int) ([]Result, error) {
-	return ix.QueryDomainCtx(ctx, &Domain{Values: tokenize.ValueSet(rawQuery)}, threshold, k)
+	return ix.QueryDomainCtx(ctx, table.ResolveDomain(ix.dict, tokenize.ValueSet(rawQuery)), threshold, k)
 }
 
 // QueryDomain answers a containment query for an already-extracted domain:
-// a lake's cached domain or a ResolveDomain result, whose token IDs and
-// fingerprints are used as they are. The domain's Values must be normalized
-// and deduplicated; a domain missing IDs or fingerprints is resolved against
-// the index's dictionary first.
+// a lake's cached domain or a table.ResolveDomain result, whose token IDs
+// (and fingerprints, when it carries them) are used as they are. The
+// domain's Values must be normalized and deduplicated; a domain without IDs
+// is resolved against the index's dictionary first.
 func (ix *Index) QueryDomain(d *Domain, threshold float64, k int) []Result {
 	res, _ := ix.QueryDomainCtx(context.Background(), d, threshold, k)
 	return res
@@ -676,8 +627,8 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 	if d == nil || len(d.Values) == 0 {
 		return nil, ctx.Err()
 	}
-	if d.IDs == nil || d.Fingerprints == nil {
-		d = ResolveDomain(ix.dict, d.Values)
+	if d.IDs == nil {
+		d = table.ResolveDomain(ix.dict, d.Values)
 	}
 	s := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(s)
@@ -687,7 +638,7 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 			s.qids[id] = struct{}{}
 		}
 	}
-	s.sig = ix.builder.SignInto(d.Fingerprints, s.sig)
+	s.sig = ix.sign(d, &s.fps, s.sig)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.query(ctx, s.sig, s.qids, len(d.Values), threshold, k, s)
@@ -791,7 +742,7 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 		if results[a].Containment != results[b].Containment {
 			return results[a].Containment > results[b].Containment
 		}
-		return results[a].Domain.key < results[b].Domain.key
+		return results[a].Domain.Key() < results[b].Domain.Key()
 	})
 	if k > 0 && len(results) > k {
 		results = results[:k]

@@ -35,7 +35,7 @@ func layoutSig(ix *Index) string {
 		p := &ix.parts[pi]
 		keys := make([]string, 0, len(p.domains))
 		for _, di := range p.domains {
-			keys = append(keys, ix.domains[di].key)
+			keys = append(keys, ix.domains[di].Key())
 		}
 		sort.Strings(keys)
 		fmt.Fprintf(&b, "part%d upper=%d members=%v\n", pi, p.upper, keys)
@@ -48,7 +48,7 @@ func layoutSig(ix *Index) string {
 			for _, k := range bucketKeys {
 				members := make([]string, 0, len(bt.buckets[k]))
 				for _, di := range bt.buckets[k] {
-					members = append(members, ix.domains[di].key)
+					members = append(members, ix.domains[di].Key())
 				}
 				sort.Strings(members)
 				fmt.Fprintf(&b, "  r=%d %x %v\n", bt.r, k, members)

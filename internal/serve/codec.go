@@ -97,8 +97,9 @@ func (tj TableJSON) DecodeTable() (*table.Table, error) {
 }
 
 // decodeValue maps a decoded JSON cell to a Value. Numbers arrive as
-// json.Number (the request decoder enables UseNumber, preserving int64
-// precision that float64 round-tripping would lose).
+// json.Number from the request decoder, which enables UseNumber to keep
+// int64 precision, and as float64 from a client that decoded Rows without
+// it; a float64 is an Int exactly when table.Integral says it is whole.
 func decodeValue(cell any) (table.Value, error) {
 	switch c := cell.(type) {
 	case nil:
@@ -116,8 +117,8 @@ func decodeValue(cell any) (table.Value, error) {
 			return table.Value{}, fmt.Errorf("unrepresentable number %q", c.String())
 		}
 		return table.FloatValue(f), nil
-	case float64: // defensive: decoders without UseNumber
-		if c == float64(int64(c)) {
+	case float64:
+		if table.Integral(c) {
 			return table.IntValue(int64(c)), nil
 		}
 		return table.FloatValue(c), nil

@@ -405,6 +405,24 @@ func TestTableJSONNumberRule(t *testing.T) {
 	}
 }
 
+// TestRowsFloatNumberRule pins DecodeTable over Rows a client filled
+// without UseNumber, where every number is a float64: a whole number inside
+// the int64 range is an Int, anything else a Float, by table.Integral on
+// every platform (2^63 is outside the range; −0 is whole).
+func TestRowsFloatNumberRule(t *testing.T) {
+	tj := TableJSON{Name: "f", Columns: []string{"a"}, Rows: [][]any{{float64(1 << 63)}, {float64(-(1 << 63))}, {float64(1 << 53)}, {math.Copysign(0, -1)}, {0.5}}}
+	want := []table.Value{table.FloatValue(1 << 63), table.IntValue(math.MinInt64), table.IntValue(1 << 53), table.IntValue(0), table.FloatValue(0.5)}
+	tbl, err := tj.DecodeTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if got := tbl.Cell(i, 0); got.Exact() != w.Exact() {
+			t.Errorf("row %d: %v (%v), want %v (%v)", i, got, got.Kind(), w, w.Kind())
+		}
+	}
+}
+
 // TestServedBytesMatchReference checks each table-bearing response byte
 // for byte against encoding/json over the same answer in the boxed Rows
 // form, on the paper's tables.

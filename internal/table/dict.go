@@ -58,7 +58,7 @@ func (d *Dict) lookupLocked(v Value) uint32 {
 		return d.ints[v.int()]
 	case Float:
 		f := v.float()
-		if integral(f) {
+		if Integral(f) {
 			return d.ints[int64(f)]
 		}
 		if f != f {
@@ -94,7 +94,7 @@ func (d *Dict) assignLocked(v Value) uint32 {
 		d.ints[v.int()] = id
 	case Float:
 		switch f := v.float(); {
-		case integral(f):
+		case Integral(f):
 			d.ints[int64(f)] = id
 		case f != f:
 			d.nan = id

@@ -1,0 +1,78 @@
+package table
+
+import (
+	"fmt"
+
+	"repro/internal/minhash"
+)
+
+// Domain is one extracted column: the normalized, deduplicated value set of
+// a table column, the identifiers discovery reports results by, and the
+// values' IDs in a TokenDict. It is the one input type of the joinable-search
+// indexes: a lake extracts each domain once (NewDomain) and hands the same
+// slice to JOSIE and the LSH Ensemble, which keep the IDs they are given and
+// intern only a domain that carries none.
+type Domain struct {
+	Table      string   // owning table name
+	Column     int      // column index within the table
+	ColumnName string   // column header (may be empty/unreliable)
+	Values     []string // normalized, deduplicated value set
+	// IDs is Values interned into the TokenDict the indexes are built on,
+	// parallel to Values; 0 marks a query token outside the vocabulary.
+	IDs []uint32
+	// Fingerprints, when set, are the values' MinHash fingerprints, parallel
+	// to IDs. A ResolveDomain query domain carries them, because its
+	// out-of-vocabulary tokens have no cached fingerprint, and so does a
+	// domain an index interned itself. Lake domains leave it nil: signing
+	// reads each token's fingerprint from the TokenDict.
+	Fingerprints []uint64
+
+	key string // "table[col]", precomputed by NewDomain
+}
+
+// NewDomain returns the domain of column col of t, with its key precomputed.
+func NewDomain(t *Table, col int, values []string, ids []uint32) Domain {
+	return Domain{Table: t.Name, Column: col, ColumnName: t.Columns[col], Values: values, IDs: ids, key: domainKey(t.Name, col)}
+}
+
+// Key identifies the domain as "table[col]": precomputed for domains made by
+// NewDomain, formatted on the fly for any other.
+func (d *Domain) Key() string {
+	if d.key != "" {
+		return d.key
+	}
+	return domainKey(d.Table, d.Column)
+}
+
+func domainKey(table string, col int) string { return fmt.Sprintf("%s[%d]", table, col) }
+
+// WithoutIDs copies domains for an index over a private dictionary: IDs and
+// fingerprints resolved against any other dictionary are dropped, so the
+// index interns every domain from its Values.
+func WithoutIDs(domains []Domain) []Domain {
+	out := make([]Domain, len(domains))
+	for i, d := range domains {
+		d.IDs, d.Fingerprints = nil, nil
+		out[i] = d
+	}
+	return out
+}
+
+// ResolveDomain returns the transient query-side domain of values — a
+// normalized, deduplicated value set, as tokenize.ValueSet and lake
+// extraction produce — resolved against dict by lookup, never interning:
+// vocabulary tokens get their ID and cached fingerprint, and a token outside
+// the vocabulary (which can never intersect an indexed domain, though it
+// still counts toward |Q|) keeps ID 0 and is hashed on the fly.
+func ResolveDomain(dict *TokenDict, values []string) *Domain {
+	d := &Domain{Values: values, IDs: make([]uint32, len(values)), Fingerprints: make([]uint64, len(values))}
+	for i, tok := range values {
+		if id := dict.Lookup(tok); id != 0 {
+			d.IDs[i] = id
+			d.Fingerprints[i] = dict.Fingerprint(id)
+		} else {
+			d.Fingerprints[i] = minhash.Fingerprint(tok)
+		}
+	}
+	return d
+}

@@ -208,7 +208,7 @@ func (v Value) Key() string {
 		// Integral floats collide with ints so that CSV re-parsing noise
 		// (e.g. "82" vs "82.0") does not break joins.
 		f := v.float()
-		if integral(f) {
+		if Integral(f) {
 			return "\x02" + strconv.FormatInt(int64(f), 10)
 		}
 		return "\x03" + strconv.FormatFloat(f, 'g', -1, 64)
@@ -235,12 +235,12 @@ type ExactKey Value
 // key.
 func (v Value) Exact() ExactKey { return ExactKey(v) }
 
-// integral reports whether f is a whole number inside the int64 range, so
+// Integral reports whether f is a whole number inside the int64 range, so
 // that int64(f) is exact. The range is checked explicitly: Go leaves
 // int64(f) implementation-defined for an out-of-range f (amd64 yields
 // MinInt64, arm64 saturates to MaxInt64), so the round trip
 // f == float64(int64(f)) would call 2^63 integral on some platforms.
-func integral(f float64) bool {
+func Integral(f float64) bool {
 	return f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f)
 }
 
@@ -253,7 +253,7 @@ func (v Value) intRepr() (int64, bool) {
 	case Int:
 		return v.int(), true
 	case Float:
-		if f := v.float(); integral(f) {
+		if f := v.float(); Integral(f) {
 			return int64(f), true
 		}
 	}
