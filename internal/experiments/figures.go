@@ -167,9 +167,9 @@ func Fig4() Row {
 		Sim: func(q, c *table.Table) float64 {
 			best := 0
 			for qc := 0; qc < q.NumCols(); qc++ {
-				qd := tokenize.ValueSet(q.DistinctStrings(qc))
+				qd := q.ValueSet(qc)
 				for cc := 0; cc < c.NumCols(); cc++ {
-					if ov := tokenize.Overlap(qd, tokenize.ValueSet(c.DistinctStrings(cc))); ov > best {
+					if ov := tokenize.Overlap(qd, c.ValueSet(cc)); ov > best {
 						best = ov
 					}
 				}

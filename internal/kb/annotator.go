@@ -224,18 +224,7 @@ type ColumnCodes struct {
 // as DistinctStrings dedupes, so cross-kind rendering collisions ("82" the
 // string vs 82 the int) collapse as the reference does.
 func (a *Annotator) ColumnCodes(t *table.Table, c int, s *Scratch) ColumnCodes {
-	nonNull, text := 0, 0
-	for _, row := range t.Rows {
-		v := row[c]
-		if v.IsNull() {
-			continue
-		}
-		nonNull++
-		if v.Kind() == table.String {
-			text++
-		}
-	}
-	if nonNull == 0 || text*2 < nonNull {
+	if !MostlyTextual(t, c) {
 		return ColumnCodes{}
 	}
 	out := ColumnCodes{Rows: make([]uint32, len(t.Rows))}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // sortStrings sorts in place; split out so builtin.go stays import-light.
@@ -41,23 +40,43 @@ type SynthesizeOptions struct{}
 //     value pairs become relationships labeled
 //     "syn:<typeA>-><typeB>", so two tables that relate the same kinds of
 //     things in the same way share relationship labels.
+//
+// Synthesize extracts each table's TextualDomains and runs SynthesizeDomains.
 func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
-	type colRef struct {
-		tableIdx int
-		col      int
-		values   []string // normalized distinct values
+	domains := make([][]table.Domain, len(tables))
+	for i, t := range tables {
+		domains[i] = TextualDomains(t)
 	}
-	var cols []colRef
-	for ti, t := range tables {
-		for c := 0; c < t.NumCols(); c++ {
-			if !MostlyTextual(t, c) {
-				continue
-			}
-			vals := tokenize.ValueSet(t.DistinctStrings(c))
-			if len(vals) == 0 {
-				continue
-			}
-			cols = append(cols, colRef{tableIdx: ti, col: c, values: vals})
+	return SynthesizeDomains(tables, domains)
+}
+
+// TextualDomains returns the domains of t's mostly textual columns
+// (MostlyTextual) with a non-empty value set (table.Table.ValueSet), in
+// column order and without token IDs: the columns KB synthesis clusters and
+// a lake's joinable-search indexes search.
+func TextualDomains(t *table.Table) []table.Domain {
+	var out []table.Domain
+	for c := 0; c < t.NumCols(); c++ {
+		if !MostlyTextual(t, c) {
+			continue
+		}
+		if vals := t.ValueSet(c); len(vals) > 0 {
+			out = append(out, table.NewDomain(t, c, vals, nil))
+		}
+	}
+	return out
+}
+
+// SynthesizeDomains is Synthesize over domains already extracted:
+// domains[i] is TextualDomains(tables[i]). A lake build passes the domains
+// it indexes, so each column's value set is computed once. The domains come
+// per table, not as one flat list, because table names may repeat: a
+// domain's Table name cannot say whose rows its relationships come from.
+func SynthesizeDomains(tables []*table.Table, domains [][]table.Domain) *KB {
+	var cols []*table.Domain // every domain, in table then column order
+	for ti := range domains {
+		for j := range domains[ti] {
+			cols = append(cols, &domains[ti][j])
 		}
 	}
 	// Union-find clustering of columns by value overlap.
@@ -65,8 +84,7 @@ func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -84,15 +102,15 @@ func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 	}
 	// Each value gets a dense ID and a posting list of the columns holding
 	// it. Column i counts its overlap with every earlier column j through
-	// the postings of its own values (ValueSet output is distinct, so a
-	// column enters a posting list once), then tests exactly
-	// tokenize.Jaccard's expression against the threshold.
+	// the postings of its own values (value sets are distinct, so a column
+	// enters a posting list once), then tests exactly tokenize.Jaccard's
+	// expression against the threshold.
 	valueID := make(map[string]int32)
 	var postings [][]int32
 	inter := make([]int32, len(cols))
 	var touched []int32
-	for i, cr := range cols {
-		for _, v := range cr.values {
+	for i, d := range cols {
+		for _, v := range d.Values {
 			id, ok := valueID[v]
 			if !ok {
 				id = int32(len(postings))
@@ -109,7 +127,7 @@ func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 		}
 		for _, j := range touched {
 			n := int(inter[j])
-			if float64(n)/float64(len(cols[j].values)+len(cr.values)-n) >= minJaccard {
+			if float64(n)/float64(len(cols[j].Values)+len(d.Values)-n) >= minJaccard {
 				union(int(j), i)
 			}
 			inter[j] = 0
@@ -119,37 +137,34 @@ func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 	// Name each cluster after its lexicographically-smallest member key so
 	// synthesis is deterministic regardless of table order quirks.
 	clusterName := make(map[int]string)
-	for i := range cols {
+	for i, d := range cols {
 		r := find(i)
-		key := fmt.Sprintf("%s.%d", tables[cols[i].tableIdx].Name, cols[i].col)
+		key := fmt.Sprintf("%s.%d", d.Table, d.Column)
 		if cur, ok := clusterName[r]; !ok || key < cur {
 			clusterName[r] = key
 		}
 	}
-	typeOf := func(i int) string { return "syn:" + clusterName[find(i)] }
 
 	k := New()
-	colType := make(map[[2]int]string) // (tableIdx, col) -> type
-	for i, cr := range cols {
-		tn := typeOf(i)
-		k.AddType(tn, "")
-		colType[[2]int{cr.tableIdx, cr.col}] = tn
-		for _, v := range cr.values {
-			k.AddEntity(v, tn)
+	types := make([]string, len(cols)) // parallel to cols
+	for i, d := range cols {
+		types[i] = "syn:" + clusterName[find(i)]
+		k.AddType(types[i], "")
+		for _, v := range d.Values {
+			k.AddEntity(v, types[i])
 		}
 	}
-	// Relationship extraction from row co-occurrence.
+	// Relationship extraction from row co-occurrence: every domain is
+	// clustered, so table ti's clustered columns are its domains, the next
+	// len(domains[ti]) entries of cols.
+	first := 0
 	for ti, t := range tables {
-		var clustered []int
-		for c := 0; c < t.NumCols(); c++ {
-			if _, ok := colType[[2]int{ti, c}]; ok {
-				clustered = append(clustered, c)
-			}
-		}
-		for ai := 0; ai < len(clustered); ai++ {
-			for bi := ai + 1; bi < len(clustered); bi++ {
-				a, b := clustered[ai], clustered[bi]
-				label := "syn:" + colType[[2]int{ti, a}] + "->" + colType[[2]int{ti, b}]
+		ds, ts := cols[first:first+len(domains[ti])], types[first:]
+		first += len(ds)
+		for ai := range ds {
+			for bi := ai + 1; bi < len(ds); bi++ {
+				a, b := ds[ai].Column, ds[bi].Column
+				label := "syn:" + ts[ai] + "->" + ts[bi]
 				added := 0
 				for _, row := range t.Rows {
 					if added >= maxPairsPerTable {

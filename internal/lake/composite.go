@@ -64,12 +64,14 @@ func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 func (s *kbState) Dict() *table.Dict { return s.dict }
 
 // prepareKnowledge resolves Options into the KB a build annotates with:
-// the curated KB, merged with a KB synthesized from the tables when asked,
-// and never nil.
-func prepareKnowledge(tables []*table.Table, opts Options) *kb.KB {
+// the curated KB, merged with the KB synthesize returns when SynthesizeKB
+// asks for one, and never nil. A Lake synthesizes from the domains it has
+// just extracted (kb.SynthesizeDomains); a composite from its whole input
+// (kb.Synthesize), before any shard extracts.
+func prepareKnowledge(opts Options, synthesize func() *kb.KB) *kb.KB {
 	knowledge := opts.Knowledge
 	if opts.SynthesizeKB {
-		syn := kb.Synthesize(tables, kb.SynthesizeOptions{})
+		syn := synthesize()
 		if knowledge != nil {
 			knowledge = knowledge.Merge(syn)
 		} else {

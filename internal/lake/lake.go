@@ -19,6 +19,7 @@ package lake
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,7 +29,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/santos"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // Options configures lake preprocessing.
@@ -122,13 +122,15 @@ func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 // only way a lake is built: the persistence layer recovers one by calling it
 // over a snapshot's tables and knowledge base (see State).
 //
-// Preprocessing runs on a worker pool: every table's domains are extracted
-// and their members interned into the lake-wide token dictionary (which
-// fingerprints each distinct token once) in parallel, then the
-// SANTOS annotation, LSH Ensemble, and JOSIE indexes are built
-// concurrently. All results are collected in table order, so the lake is
-// byte-identical to a sequential build. Cells are not interned: no served
-// path reads a value dictionary (see Dict).
+// The build computes each column's value set once. Every table's domains are
+// extracted and their members interned into the lake-wide token dictionary
+// (which fingerprints each distinct token once) on a worker pool; the
+// knowledge base is synthesized from those same domains (when
+// Options.SynthesizeKB asks), merged and compiled; then the SANTOS
+// annotation, LSH Ensemble, and JOSIE indexes are built concurrently. All
+// results are collected in table order, so the lake is byte-identical to a
+// sequential build. Cells are not interned: no served path reads a value
+// dictionary (see Dict).
 func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if err := opts.LSH.Validate(); err != nil {
 		return nil, fmt.Errorf("lake: %w", err)
@@ -146,20 +148,24 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		l.byName[t.Name] = t
 	}
 	l.dict = table.NewDict() // empty; see Dict
+	// Phase 1 (parallel per table): extract the textual domains, which KB
+	// synthesis and the joinable-search indexes read, and intern every
+	// domain member into the lake token dictionary.
 	t0 := time.Now()
-	l.knowledge = prepareKnowledge(l.tables, opts)
-	l.knowledge.Compiled() // freezes the KB: the lake's KB is fixed from here on
-	l.stats.KBPrep = time.Since(t0)
-	// Phase 1 (parallel per table): extract the joinable-search domains and
-	// intern every domain member into the lake token dictionary.
-	t0 = time.Now()
-	l.domains = extractDomains(l.tables, l.tokens)
+	perTable := extractDomains(l.tables, l.tokens)
+	l.domains = slices.Concat(perTable...)
 	l.domainIdx = make(map[colRef]int, len(l.domains))
 	for i, d := range l.domains {
 		l.domainIdx[colRef{d.Table, d.Column}] = i
 	}
 	l.stats.DomainExtraction = time.Since(t0)
-	// Phase 2: the three indexes read disjoint inputs; build concurrently,
+	// Phase 2: the KB, synthesized from the domains just extracted, merged
+	// and compiled. Compiling freezes it: the lake's KB is fixed from here on.
+	t0 = time.Now()
+	l.knowledge = prepareKnowledge(opts, func() *kb.KB { return kb.SynthesizeDomains(l.tables, perTable) })
+	l.knowledge.Compiled()
+	l.stats.KBPrep = time.Since(t0)
+	// Phase 3: the three indexes read disjoint inputs; build concurrently,
 	// all over the shared token dictionary (complete after phase 1, so the
 	// builds only read it). Each stage clocks itself for BuildStats.
 	par.Do(
@@ -231,7 +237,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	l.epoch.Begin()
 	defer l.epoch.End()
 	t0 := time.Now()
-	newDomains := extractDomains(tables, l.tokens)
+	newDomains := slices.Concat(extractDomains(tables, l.tokens)...)
 	l.stats.DomainExtraction += time.Since(t0)
 	for _, t := range tables {
 		l.byName[t.Name] = t
@@ -347,66 +353,24 @@ func (l *Lake) Compact() {
 	par.Do(l.joinIx.Compact, l.josieIx.Compact)
 }
 
-// extractDomains pulls the normalized value set of every textual column,
-// one worker per table, interning every domain member into tokens along the
-// way. Per-table results land in slot order, so the flattened domain list —
-// and every index built from it — is identical to a sequential extraction.
-// Each domain is built once, with its token IDs and key precomputed, and the
-// same slice feeds JOSIE and the LSH Ensemble. Domains carry no fingerprints:
-// the token dictionary hashes each distinct token once and the LSH Ensemble
-// signs from its cache.
-func extractDomains(tables []*table.Table, tokens *table.TokenDict) []table.Domain {
+// extractDomains extracts every table's kb.TextualDomains, one worker per
+// table, and interns every domain member into tokens, so each domain is
+// built once, with its token IDs and key precomputed, and the same slices
+// feed KB synthesis, JOSIE and the LSH Ensemble. Results land in slot
+// order, one slice per table, so everything built from them is identical to
+// a sequential extraction. Domains carry no fingerprints: the token
+// dictionary hashes each distinct token once and the LSH Ensemble signs
+// from its cache.
+func extractDomains(tables []*table.Table, tokens *table.TokenDict) [][]table.Domain {
 	perTable := make([][]table.Domain, len(tables))
 	par.For(len(tables), func(i int) {
-		t := tables[i]
-		var out []table.Domain
-		for c := 0; c < t.NumCols(); c++ {
-			if !kb.MostlyTextual(t, c) {
-				continue
-			}
-			if vals := columnValueSet(t, c); len(vals) > 0 {
-				out = append(out, table.NewDomain(t, c, vals, tokens.InternAll(vals, nil)))
-			}
+		ds := kb.TextualDomains(tables[i])
+		for j := range ds {
+			ds[j].IDs = tokens.InternAll(ds[j].Values, nil)
 		}
-		perTable[i] = out
+		perTable[i] = ds
 	})
-	var out []table.Domain
-	for _, ds := range perTable {
-		out = append(out, ds...)
-	}
-	return out
-}
-
-// columnValueSet extracts the normalized value set of a column in one pass:
-// it is tokenize.ValueSet(t.DistinctStrings(c)) — same output, same order —
-// without materializing the intermediate distinct-string slice or scanning
-// the rows twice. Raw renderings dedupe first (so each distinct cell string
-// normalizes once), then normalized forms dedupe, both in first-seen order.
-func columnValueSet(t *table.Table, c int) []string {
-	seenRaw := make(map[string]struct{})
-	seenNorm := make(map[string]struct{})
-	var out []string
-	for _, row := range t.Rows {
-		v := row[c]
-		if v.IsNull() {
-			continue
-		}
-		s := v.String()
-		if _, dup := seenRaw[s]; dup {
-			continue
-		}
-		seenRaw[s] = struct{}{}
-		n := tokenize.Normalize(s)
-		if n == "" {
-			continue
-		}
-		if _, dup := seenNorm[n]; dup {
-			continue
-		}
-		seenNorm[n] = struct{}{}
-		out = append(out, n)
-	}
-	return out
+	return perTable
 }
 
 // Tables returns the lake's current tables: the build-time tables in input
@@ -489,12 +453,12 @@ func (l *Lake) Domains() []table.Domain {
 }
 
 // QueryDomain extracts the normalized value set of a query table column,
-// with the extractor the lake's indexes are built with (columnValueSet).
+// with the extractor the lake's indexes are built with (table.ValueSet).
 func QueryDomain(q *table.Table, col int) ([]string, error) {
 	if col < 0 || col >= q.NumCols() {
 		return nil, fmt.Errorf("lake: query column %d out of range for table %q", col, q.Name)
 	}
-	return columnValueSet(q, col), nil
+	return q.ValueSet(col), nil
 }
 
 // ResolveQuery resolves a query column into the domain the joinable indexes

@@ -159,7 +159,8 @@ func TestCatalogFreezesKB(t *testing.T) {
 		{"New", func(o Options) (catalog, error) { return New(paperdata.CovidLake(), o) }},
 		{"NewSharded", func(o Options) (catalog, error) { return NewSharded(paperdata.CovidLake(), 3, o) }},
 		{"NewComposite", func(o Options) (catalog, error) {
-			return NewComposite(3, prepareKnowledge(paperdata.CovidLake(), o)), nil
+			syn := func() *kb.KB { return kb.Synthesize(paperdata.CovidLake(), kb.SynthesizeOptions{}) }
+			return NewComposite(3, prepareKnowledge(o, syn)), nil
 		}},
 	}
 	towns := []string{"Atlantis", "El Dorado", "Lemuria", "Berlin"}

@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzColumnValueSet pins the one extractor both sides of a query share:
-// columnValueSet — what the lake indexes are built from and, through
-// QueryDomain, what every query column is resolved with — is
+// table.ValueSet — what the lake indexes and KB synthesis are built from
+// and, through QueryDomain, what every query column is resolved with — is
 // tokenize.ValueSet(t.DistinctStrings(c)), same members, same order, for
 // any mix of cell kinds. The fuzz input is one column, cells separated by
 // newlines and parsed like CSV cells (so empty cells are nulls and numerals
@@ -30,8 +30,8 @@ func FuzzColumnValueSet(f *testing.F) {
 			q.MustAddRow(table.StringValue("x"), table.Parse(cell))
 		}
 		want := tokenize.ValueSet(q.DistinctStrings(1))
-		if got := columnValueSet(q, 1); !reflect.DeepEqual(got, want) {
-			t.Fatalf("columnValueSet = %q, ValueSet(DistinctStrings) = %q", got, want)
+		if got := q.ValueSet(1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("table.ValueSet = %q, ValueSet(DistinctStrings) = %q", got, want)
 		}
 		got, err := QueryDomain(q, 1)
 		if err != nil || !reflect.DeepEqual(got, want) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/kb"
 	"repro/internal/par"
 	"repro/internal/table"
 )
@@ -75,6 +76,9 @@ func ShardIndex(name string, n int) int {
 // synthesis (Options.SynthesizeKB) runs once over the full table set, so
 // the knowledge base — and therefore every SANTOS annotation — is identical
 // to an unsharded build; the shards then share the one compiled KB.
+// kb.Synthesize extracts every table's domains for it, and each shard
+// extracts its own again, into its private token dictionary: the one build
+// that computes a column's value set twice.
 func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("lake: sharded: shard count %d, need at least 1", n)
@@ -84,8 +88,9 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	}
 	// The composite compiles the KB before the fan-out, so every shard
 	// shares one *Compiled (see NewComposite).
+	synthesize := func() *kb.KB { return kb.Synthesize(tables, kb.SynthesizeOptions{}) }
 	s := &Sharded{
-		Composite: NewComposite(n, prepareKnowledge(tables, opts)),
+		Composite: NewComposite(n, prepareKnowledge(opts, synthesize)),
 		shards:    make([]*Lake, n),
 	}
 	shardOpts := opts
@@ -234,20 +239,4 @@ func (s *Sharded) Tables() []*table.Table {
 		}
 	}
 	return out
-}
-
-// Stats returns the sum of the shards' per-stage preprocessing timings.
-// Stages run concurrently across and within shards, so the sum can exceed
-// build wall time by roughly the parallelism factor.
-func (s *Sharded) Stats() BuildStats {
-	var sum BuildStats
-	for _, sh := range s.shards {
-		st := sh.Stats()
-		sum.KBPrep += st.KBPrep
-		sum.DomainExtraction += st.DomainExtraction
-		sum.Santos += st.Santos
-		sum.LSH += st.LSH
-		sum.Josie += st.Josie
-	}
-	return sum
 }

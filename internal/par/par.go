@@ -21,12 +21,13 @@ func For(n int, fn func(i int)) {
 }
 
 // ForCtx is For with cooperative cancellation: workers stop claiming new
-// work items once ctx is done, and ForCtx returns ctx.Err() (nil when every
-// item ran). Items already started always run to completion and every
-// worker goroutine has exited before ForCtx returns — cancellation can
-// leave trailing items unprocessed, never a leaked goroutine. fn is
-// responsible for its own intra-item cancellation checks when single items
-// are long-running.
+// work items once ctx is done, and ForCtx returns ctx.Err() as it stands
+// once the workers are done — nil when ctx was never cancelled, and the
+// error even when every item ran before the cancellation landed. Items
+// already started always run to completion and every worker goroutine has
+// exited before ForCtx returns — cancellation can leave trailing items
+// unprocessed, never a leaked goroutine. fn is responsible for its own
+// intra-item cancellation checks when single items are long-running.
 func ForCtx(ctx context.Context, n int, fn func(i int)) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/tokenize"
 )
 
 // Table is an ordered collection of rows over named columns. Column names in
@@ -72,9 +74,9 @@ func (t *Table) Column(c int) []Value {
 }
 
 // DistinctStrings returns the set of distinct non-null cell renderings of
-// column c, in first-seen order. It is the domain extraction used by the
-// joinable-search indexes (LSH Ensemble, JOSIE), which operate on string
-// domains as the paper's systems do.
+// column c, in first-seen order: the value sequence a column annotation
+// votes over (kb.KB.AnnotateColumn; kb.Annotator.ColumnCodes keeps the same
+// order). Discovery domains are normalized on top of it: see ValueSet.
 func (t *Table) DistinctStrings(c int) []string {
 	seen := make(map[string]bool)
 	var out []string
@@ -88,6 +90,39 @@ func (t *Table) DistinctStrings(c int) []string {
 			seen[s] = true
 			out = append(out, s)
 		}
+	}
+	return out
+}
+
+// ValueSet returns the normalized value set of column c: the domain the
+// joinable-search indexes (LSH Ensemble, JOSIE) and KB synthesis read, and
+// the one extractor query columns are resolved with. It equals
+// tokenize.ValueSet(t.DistinctStrings(c)) — same members, same order —
+// computed in one pass: raw renderings dedupe first (so each distinct cell
+// string normalizes once), then normalized forms, both in first-seen order.
+func (t *Table) ValueSet(c int) []string {
+	seenRaw := make(map[string]struct{})
+	seenNorm := make(map[string]struct{})
+	var out []string
+	for _, row := range t.Rows {
+		v := row[c]
+		if v.IsNull() {
+			continue
+		}
+		s := v.String()
+		if _, dup := seenRaw[s]; dup {
+			continue
+		}
+		seenRaw[s] = struct{}{}
+		n := tokenize.Normalize(s)
+		if n == "" {
+			continue
+		}
+		if _, dup := seenNorm[n]; dup {
+			continue
+		}
+		seenNorm[n] = struct{}{}
+		out = append(out, n)
 	}
 	return out
 }
