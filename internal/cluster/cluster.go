@@ -291,7 +291,8 @@ func (c *Coordinator) probeInvolved(involved []int) error {
 // shard. Cross-shard atomicity is compensated, not transactional: if any
 // shard rejects its sub-batch (e.g. a duplicate name), sub-batches already
 // applied elsewhere are rolled back with best-effort removes, and the first
-// shard's error (in shard order) is returned.
+// shard's error (in shard order) is returned, followed by any rollback that
+// failed (see applyRouted).
 func (c *Coordinator) Add(tables ...*table.Table) error {
 	if len(tables) == 0 {
 		return nil
@@ -304,29 +305,9 @@ func (c *Coordinator) Add(tables ...*table.Table) error {
 	if err := c.probeInvolved(involved); err != nil {
 		return err
 	}
-	c.Mutations.Begin()
-	defer c.Mutations.End()
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	errs := make([]error, len(involved))
-	par.For(len(involved), func(j int) {
-		errs[j] = c.shards[involved[j]].add(ctx, encodeTables(perShard[involved[j]]))
-	})
-	if firstErr(errs) == nil {
-		return nil
-	}
-	// Compensate: remove the sub-batches that did apply, so the catalog
-	// returns to its pre-Add state. Best effort — a shard dying between
-	// apply and rollback leaves its sub-batch behind, which the error
-	// makes loud rather than silent.
-	rbCtx, rbCancel := c.callCtx()
-	defer rbCancel()
-	par.For(len(involved), func(j int) {
-		if errs[j] == nil {
-			_ = c.shards[involved[j]].remove(rbCtx, tableNames(perShard[involved[j]]))
-		}
-	})
-	return firstErr(errs)
+	return c.applyRouted(involved,
+		func(ctx context.Context, i int) error { return c.shards[i].add(ctx, encodeTables(perShard[i])) },
+		func(ctx context.Context, i int) error { return c.shards[i].remove(ctx, tableNames(perShard[i])) })
 }
 
 // Remove validates that every named table exists (fetching the doomed
@@ -357,29 +338,53 @@ func (c *Coordinator) Remove(names ...string) error {
 	if _, err := lake.CheckRemove("lake: remove", unique, fetched); err != nil {
 		return err
 	}
+	return c.applyRouted(involved,
+		func(ctx context.Context, i int) error { return c.shards[i].remove(ctx, perShard[i]) },
+		func(ctx context.Context, i int) error {
+			back := make([]*table.Table, len(perShard[i]))
+			for k, n := range perShard[i] {
+				back[k] = doomed[n]
+			}
+			return c.shards[i].add(ctx, encodeTables(back))
+		})
+}
+
+// applyRouted is the coordinator's one routed-mutation path. Inside the
+// composite epoch bracket it runs do on every involved shard concurrently
+// under CallTimeout; when any shard fails, it runs undo — under a fresh
+// CallTimeout — on the shards whose do succeeded, so the catalog returns
+// to its pre-mutation state. Cross-shard atomicity is compensated, not
+// transactional, and compensation is best effort: a shard dying between
+// apply and rollback keeps its sub-batch. The result is the first apply
+// failure in shard order, unchanged when every compensation succeeded;
+// otherwise each failed compensation, naming its shard, is joined after it
+// (the apply failure stays first, so it alone sets the response status).
+func (c *Coordinator) applyRouted(involved []int, do, undo func(ctx context.Context, shard int) error) error {
 	c.Mutations.Begin()
 	defer c.Mutations.End()
-	mctx, mcancel := c.callCtx()
-	defer mcancel()
+	ctx, cancel := c.callCtx()
+	defer cancel()
 	errs := make([]error, len(involved))
-	par.For(len(involved), func(j int) {
-		errs[j] = c.shards[involved[j]].remove(mctx, perShard[involved[j]])
-	})
-	if firstErr(errs) == nil {
+	par.For(len(involved), func(j int) { errs[j] = do(ctx, involved[j]) })
+	failed := firstErr(errs)
+	if failed == nil {
 		return nil
 	}
 	rbCtx, rbCancel := c.callCtx()
 	defer rbCancel()
+	rbErrs := make([]error, len(involved))
 	par.For(len(involved), func(j int) {
-		if errs[j] == nil {
-			back := make([]*table.Table, 0, len(perShard[involved[j]]))
-			for _, n := range perShard[involved[j]] {
-				back = append(back, doomed[n])
-			}
-			_ = c.shards[involved[j]].add(rbCtx, encodeTables(back))
+		if errs[j] != nil {
+			return
+		}
+		if err := undo(rbCtx, involved[j]); err != nil {
+			rbErrs[j] = fmt.Errorf("cluster: rollback on shard %d: %w", involved[j], err)
 		}
 	})
-	return firstErr(errs)
+	if firstErr(rbErrs) == nil {
+		return failed
+	}
+	return errors.Join(append([]error{failed}, rbErrs...)...)
 }
 
 // encodeTables and tableNames project a shard's sub-batch onto the two wire

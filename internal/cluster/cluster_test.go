@@ -230,6 +230,62 @@ func TestClusterAddRollback(t *testing.T) {
 	}
 }
 
+// TestClusterRollbackFailureReported makes a cross-shard Add fail on one
+// shard while the other accepts its sub-batch and then dies before the
+// compensating remove reaches it. The apply failure must still come first
+// (it sets the response status), and the unrestored shard must be named in
+// the error, not dropped: its sub-batch survives the failed batch.
+func TestClusterRollbackFailureReported(t *testing.T) {
+	const n = 2
+	healthy := startShardServer(t, nil)
+	l, err := lake.New(nil, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := serve.New(core.FromLake(l), serve.Config{Timeout: 10 * time.Second}).Handler()
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/lake/remove" {
+			// The shard goes away between its add and the rollback: the
+			// connection drops without an answer.
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(dying.Close)
+	coord, err := cluster.New(cluster.Config{
+		Addrs:        []string{healthy.URL, dying.URL},
+		CallTimeout:  10 * time.Second,
+		ProbeTimeout: 2 * time.Second,
+		RetryBackoff: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := difftest.DiffTable(rand.New(rand.NewSource(3)), nameForShard("dup", 0, n))
+	fresh := difftest.DiffTable(rand.New(rand.NewSource(4)), nameForShard("fresh", 1, n))
+	if err := coord.Add(dup); err != nil {
+		t.Fatal(err)
+	}
+	err = coord.Add(fresh, dup)
+	if err == nil {
+		t.Fatal("cross-shard Add with a duplicate succeeded, want error")
+	}
+	var se *cluster.ShardError
+	if !errors.As(err, &se) || se.Shard != 0 || se.Op != "add" {
+		t.Fatalf("first error in %q is not shard 0's add failure", err)
+	}
+	if !strings.Contains(err.Error(), "rollback on shard 1") {
+		t.Fatalf("error %q does not name the unrestored shard 1", err)
+	}
+	if _, ok := coordGet(t, coord, fresh.Name); !ok {
+		t.Fatalf("%q is gone although its rollback failed", fresh.Name)
+	}
+}
+
 // TestClusterPartialReads kills one shard and asserts the degradation
 // contract: discovery still answers, marked partial with that shard's
 // error; mutations routed to the dead shard refuse fast with 503; and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -375,6 +376,94 @@ func TestFromDir(t *testing.T) {
 	}
 	if _, err := FromDir(filepath.Join(dir, "no"), Config{}); err == nil {
 		t.Error("missing dir must error")
+	}
+}
+
+// TestFromDirLakeChecks loads the COVID lake from CSV files without a
+// knowledge base and checks the lake size, a missing directory and a
+// directory holding no CSV files.
+func TestFromDirLakeChecks(t *testing.T) {
+	dir := t.TempDir()
+	for _, tb := range paperdata.CovidLake() {
+		if err := tb.WriteCSVFile(filepath.Join(dir, tb.Name+".csv")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := FromDir(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Lake().Size() != 2 {
+		t.Errorf("FromDir size = %d", p.Lake().Size())
+	}
+	if _, err := FromDir(filepath.Join(dir, "missing"), Config{}); err == nil {
+		t.Error("missing dir must error")
+	}
+	if _, err := FromDir(t.TempDir(), Config{}); err == nil {
+		t.Error("dir without CSVs must error")
+	}
+}
+
+// TestFromDirErrorPaths covers the loading failures FromDir must surface:
+// an unreadable directory (a plain file in its place), malformed CSV
+// content, and duplicate table names from files whose base names collide
+// after extension stripping.
+func TestFromDirErrorPaths(t *testing.T) {
+	base := t.TempDir()
+
+	notADir := filepath.Join(base, "file.txt")
+	if err := os.WriteFile(notADir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromDir(notADir, Config{}); err == nil {
+		t.Error("FromDir over a plain file must error")
+	}
+
+	malformed := filepath.Join(base, "malformed")
+	if err := os.Mkdir(malformed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// An unterminated quote is a csv.Reader parse error.
+	if err := os.WriteFile(filepath.Join(malformed, "bad.csv"), []byte("a,b\n\"unterminated,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromDir(malformed, Config{}); err == nil || !strings.Contains(err.Error(), "bad") {
+		t.Errorf("malformed CSV error = %v, want mention of the file", err)
+	}
+
+	empty := filepath.Join(base, "emptyfile")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(empty, "zero.csv"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromDir(empty, Config{}); err == nil {
+		t.Error("zero-byte CSV must error")
+	}
+
+	dup := filepath.Join(base, "dup")
+	if err := os.Mkdir(dup, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"t.csv", "t.CSV"} {
+		if err := os.WriteFile(filepath.Join(dup, name), []byte("City\nBerlin\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := FromDir(dup, Config{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate table names error = %v", err)
+	}
+
+	if os.Geteuid() != 0 {
+		locked := filepath.Join(base, "locked")
+		if err := os.Mkdir(locked, 0o000); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Chmod(locked, 0o755)
+		if _, err := FromDir(locked, Config{}); err == nil {
+			t.Error("unreadable dir must error")
+		}
 	}
 }
 

@@ -38,18 +38,15 @@ type voteEntry struct {
 // safe for concurrent use.
 type Compiled struct {
 	strs   []string          // canonical strings; ID = index
-	ids    map[string]uint32 // canonical string -> its own ID
 	lookup map[string]uint32 // normalized known string (incl. alias sources) -> alias-resolved ID
 
 	progs [][]voteEntry // per canonical-string ID; nil when not an entity
 
-	types   []string // type names; typeID = index
-	typeIDs map[string]uint32
-	ancs    [][]uint32 // per typeID: ancestor chain, nearest first (cycle-guarded)
+	types []string   // type names; typeID = index
+	ancs  [][]uint32 // per typeID: ancestor chain, nearest first (cycle-guarded)
 
-	labels   []string // relationship labels; labelID = index
-	labelIDs map[string]uint32
-	rels     map[uint64][]uint32 // subjID<<32|objID -> label IDs, insertion order
+	labels []string            // relationship labels; labelID = index
+	rels   map[uint64][]uint32 // subjID<<32|objID -> label IDs, insertion order
 }
 
 // Compiled returns the compiled form of the KB and freezes the KB: the
@@ -68,14 +65,11 @@ func (k *KB) Compiled() *Compiled {
 }
 
 // Compile builds the KB's integer-ID form. The KB must not be mutated
-// concurrently; Compiled is the entry point that also freezes it.
+// concurrently; Compiled is the entry point that also freezes it. The
+// string -> ID maps of the three universes are needed only while
+// compiling, so they are not kept.
 func Compile(k *KB) *Compiled {
-	c := &Compiled{
-		ids:      make(map[string]uint32),
-		typeIDs:  make(map[string]uint32),
-		labelIDs: make(map[string]uint32),
-		rels:     make(map[uint64][]uint32, len(k.relations)),
-	}
+	c := &Compiled{rels: make(map[uint64][]uint32, len(k.relations))}
 
 	// Type universe: hierarchy keys and parents, plus every type an entity
 	// declares (entities may reference types never declared via AddType).
@@ -92,15 +86,16 @@ func Compile(k *KB) *Compiled {
 		}
 	}
 	c.types = sortedBoolKeys(typeSet)
+	typeIDs := make(map[string]uint32, len(c.types))
 	for i, t := range c.types {
-		c.typeIDs[t] = uint32(i)
+		typeIDs[t] = uint32(i)
 	}
 	// Ancestor chains reuse the reference walk, so the cycle guard — and
 	// therefore the chain cut points — are identical by construction.
 	c.ancs = make([][]uint32, len(c.types))
 	for i, t := range c.types {
 		for _, anc := range k.Ancestors(t) {
-			c.ancs[i] = append(c.ancs[i], c.typeIDs[anc])
+			c.ancs[i] = append(c.ancs[i], typeIDs[anc])
 		}
 	}
 
@@ -112,8 +107,9 @@ func Compile(k *KB) *Compiled {
 		}
 	}
 	c.labels = sortedBoolKeys(labelSet)
+	labelIDs := make(map[string]uint32, len(c.labels))
 	for i, l := range c.labels {
-		c.labelIDs[l] = uint32(i)
+		labelIDs[l] = uint32(i)
 	}
 	if uint64(len(c.labels)) >= 1<<31 || uint64(len(c.types)) >= 1<<31 {
 		panic("kb: compile: more than 2^31 distinct labels or types")
@@ -139,24 +135,25 @@ func Compile(k *KB) *Compiled {
 	if uint64(len(c.strs)) >= 1<<31 {
 		panic("kb: compile: more than 2^31 distinct canonical strings")
 	}
+	ids := make(map[string]uint32, len(c.strs))
 	for i, s := range c.strs {
-		c.ids[s] = uint32(i)
+		ids[s] = uint32(i)
 	}
 
 	// Resolution map: one alias hop, exactly as Canonical does — the alias
 	// map applies even to strings that are themselves entities, and alias
 	// chains are deliberately NOT chased (a→b with b→c resolves a to b).
 	c.lookup = make(map[string]uint32, len(c.strs)+len(k.alias))
-	for s, id := range c.ids {
+	for s, id := range ids {
 		if t, ok := k.alias[s]; ok {
-			c.lookup[s] = c.ids[t]
+			c.lookup[s] = ids[t]
 		} else {
 			c.lookup[s] = id
 		}
 	}
 	for a, t := range k.alias {
 		if _, ok := c.lookup[a]; !ok {
-			c.lookup[a] = c.ids[t]
+			c.lookup[a] = ids[t]
 		}
 	}
 
@@ -166,7 +163,7 @@ func Compile(k *KB) *Compiled {
 	for e, types := range k.entityTypes {
 		prog := make([]voteEntry, 0, len(types)*2)
 		for _, t := range types {
-			ti := c.typeIDs[t]
+			ti := typeIDs[t]
 			prog = append(prog, voteEntry{typ: ti, w: 1})
 			w := 1.0
 			for _, anc := range c.ancs[ti] {
@@ -174,17 +171,17 @@ func Compile(k *KB) *Compiled {
 				prog = append(prog, voteEntry{typ: anc, w: w})
 			}
 		}
-		c.progs[c.ids[e]] = prog
+		c.progs[ids[e]] = prog
 	}
 
 	// Relations: packed integer keys over the stored (not re-resolved)
 	// canonical endpoints, mirroring the string map's keys.
 	for key, ls := range k.relations {
 		i := strings.IndexByte(key, '\x1f')
-		pk := uint64(c.ids[key[:i]])<<32 | uint64(c.ids[key[i+1:]])
+		pk := uint64(ids[key[:i]])<<32 | uint64(ids[key[i+1:]])
 		lids := make([]uint32, len(ls))
 		for j, l := range ls {
-			lids[j] = c.labelIDs[l]
+			lids[j] = labelIDs[l]
 		}
 		c.rels[pk] = lids
 	}

@@ -154,10 +154,7 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	t0 := time.Now()
 	perTable := extractDomains(l.tables, l.tokens)
 	l.domains = slices.Concat(perTable...)
-	l.domainIdx = make(map[colRef]int, len(l.domains))
-	for i, d := range l.domains {
-		l.domainIdx[colRef{d.Table, d.Column}] = i
-	}
+	l.reindexDomains()
 	l.stats.DomainExtraction = time.Since(t0)
 	// Phase 2: the KB, synthesized from the domains just extracted, merged
 	// and compiled. Compiling freezes it: the lake's KB is fixed from here on.
@@ -167,37 +164,13 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	l.stats.KBPrep = time.Since(t0)
 	// Phase 3: the three indexes read disjoint inputs; build concurrently,
 	// all over the shared token dictionary (complete after phase 1, so the
-	// builds only read it). Each stage clocks itself for BuildStats.
-	par.Do(
-		func() {
-			t := time.Now()
-			l.santosIx = santos.Build(l.tables, l.knowledge)
-			l.stats.Santos = time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.joinIx = lshensemble.BuildWithDict(l.domains, opts.LSH, l.tokens)
-			l.stats.LSH = time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.josieIx = josie.BuildWithDict(l.domains, l.tokens)
-			l.stats.Josie = time.Since(t)
-		},
+	// builds only read it).
+	l.eachIndex(
+		func() { l.santosIx = santos.Build(l.tables, l.knowledge) },
+		func() { l.joinIx = lshensemble.BuildWithDict(l.domains, opts.LSH, l.tokens) },
+		func() { l.josieIx = josie.BuildWithDict(l.domains, l.tokens) },
 	)
 	return l, nil
-}
-
-// FromDir loads every CSV in dir and preprocesses it into a lake.
-func FromDir(dir string, opts Options) (*Lake, error) {
-	tables, err := table.LoadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lake: %w", err)
-	}
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("lake: no CSV tables in %s", dir)
-	}
-	return New(tables, opts)
 }
 
 // Add incrementally indexes additional tables into the lake, maintaining
@@ -248,22 +221,10 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	for i := range newDomains {
 		l.domainIdx[colRef{newDomains[i].Table, newDomains[i].Column}] = base + i
 	}
-	par.Do(
-		func() {
-			t := time.Now()
-			l.santosIx.Add(tables)
-			l.stats.Santos += time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.joinIx.Add(newDomains)
-			l.stats.LSH += time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.josieIx.Add(newDomains)
-			l.stats.Josie += time.Since(t)
-		},
+	l.eachIndex(
+		func() { l.santosIx.Add(tables) },
+		func() { l.joinIx.Add(newDomains) },
+		func() { l.josieIx.Add(newDomains) },
 	)
 	return nil
 }
@@ -317,28 +278,40 @@ func (l *Lake) Remove(names ...string) error {
 		}
 	}
 	l.domains = keptDomains
+	l.reindexDomains()
+	l.eachIndex(
+		func() { l.santosIx.Remove(nameList) },
+		func() { l.joinIx.Remove(nameList) },
+		func() { l.josieIx.Remove(nameList) },
+	)
+	return nil
+}
+
+// reindexDomains rebuilds the (table, column) -> domains index from scratch;
+// Add extends it in place instead.
+func (l *Lake) reindexDomains() {
 	l.domainIdx = make(map[colRef]int, len(l.domains))
 	for i, d := range l.domains {
 		l.domainIdx[colRef{d.Table, d.Column}] = i
 	}
-	par.Do(
-		func() {
+}
+
+// eachIndex is the one place the lake builds its three discovery indexes
+// or applies a delta to them: New's builds, Add's and Remove's deltas
+// (Compact, which changes no answer and clocks nothing, is apart). It runs one step per index
+// concurrently (the indexes share nothing but the token dictionary, which
+// the steps only read) and adds each step's wall time to that index's
+// BuildStats field — New starts from zero, so its stats are the build's
+// own times, and every mutation accumulates on top.
+func (l *Lake) eachIndex(santosStep, lshStep, josieStep func()) {
+	clocked := func(step func(), d *time.Duration) func() {
+		return func() {
 			t := time.Now()
-			l.santosIx.Remove(nameList)
-			l.stats.Santos += time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.joinIx.Remove(nameList)
-			l.stats.LSH += time.Since(t)
-		},
-		func() {
-			t := time.Now()
-			l.josieIx.Remove(nameList)
-			l.stats.Josie += time.Since(t)
-		},
-	)
-	return nil
+			step()
+			*d += time.Since(t)
+		}
+	}
+	par.Do(clocked(santosStep, &l.stats.Santos), clocked(lshStep, &l.stats.LSH), clocked(josieStep, &l.stats.Josie))
 }
 
 // Compact folds accumulated mutation debt out of the discovery indexes:

@@ -1,9 +1,6 @@
 package lake
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/kb"
@@ -98,29 +95,6 @@ func TestSynthesizeKBOption(t *testing.T) {
 	}
 }
 
-func TestFromDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, tb := range paperdata.CovidLake() {
-		if err := tb.WriteCSVFile(filepath.Join(dir, tb.Name+".csv")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, err := FromDir(dir, Options{Knowledge: kb.Demo()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Size() != 2 {
-		t.Errorf("FromDir size = %d", l.Size())
-	}
-	if _, err := FromDir(filepath.Join(dir, "missing"), Options{}); err == nil {
-		t.Error("missing dir must error")
-	}
-	emptyDir := t.TempDir()
-	if _, err := FromDir(emptyDir, Options{}); err == nil {
-		t.Error("dir without CSVs must error")
-	}
-}
-
 func TestQueryDomain(t *testing.T) {
 	q := paperdata.T1()
 	d, err := QueryDomain(q, 1)
@@ -132,68 +106,5 @@ func TestQueryDomain(t *testing.T) {
 	}
 	if _, err := QueryDomain(q, 9); err == nil {
 		t.Error("out of range must error")
-	}
-}
-
-// TestFromDirErrorPaths covers the loading failures FromDir must surface:
-// an unreadable directory (a plain file in its place), malformed CSV
-// content, and duplicate table names from files whose base names collide
-// after extension stripping.
-func TestFromDirErrorPaths(t *testing.T) {
-	base := t.TempDir()
-
-	notADir := filepath.Join(base, "file.txt")
-	if err := os.WriteFile(notADir, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromDir(notADir, Options{}); err == nil {
-		t.Error("FromDir over a plain file must error")
-	}
-
-	malformed := filepath.Join(base, "malformed")
-	if err := os.Mkdir(malformed, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// An unterminated quote is a csv.Reader parse error.
-	if err := os.WriteFile(filepath.Join(malformed, "bad.csv"), []byte("a,b\n\"unterminated,1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromDir(malformed, Options{}); err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Errorf("malformed CSV error = %v, want mention of the file", err)
-	}
-
-	empty := filepath.Join(base, "emptyfile")
-	if err := os.Mkdir(empty, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(empty, "zero.csv"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromDir(empty, Options{}); err == nil {
-		t.Error("zero-byte CSV must error")
-	}
-
-	dup := filepath.Join(base, "dup")
-	if err := os.Mkdir(dup, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"t.csv", "t.CSV"} {
-		if err := os.WriteFile(filepath.Join(dup, name), []byte("City\nBerlin\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := FromDir(dup, Options{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate table names error = %v", err)
-	}
-
-	if os.Geteuid() != 0 {
-		locked := filepath.Join(base, "locked")
-		if err := os.Mkdir(locked, 0o000); err != nil {
-			t.Fatal(err)
-		}
-		defer os.Chmod(locked, 0o755)
-		if _, err := FromDir(locked, Options{}); err == nil {
-			t.Error("unreadable dir must error")
-		}
 	}
 }

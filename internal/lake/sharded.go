@@ -145,18 +145,7 @@ func (s *Sharded) Add(tables ...*table.Table) error {
 		return err
 	}
 	perShard := PartitionTables(tables, len(s.shards))
-	s.Mutations.Begin()
-	defer s.Mutations.End()
-	errs := make([]error, len(s.shards))
-	par.For(len(s.shards), func(i int) {
-		if len(perShard[i]) > 0 {
-			errs[i] = s.shards[i].Add(perShard[i]...)
-		}
-	})
-	if err := errors.Join(errs...); err != nil {
-		// Pre-validated batches cannot fail shard-side unless a shard was
-		// mutated behind the composite's back; surface it rather than
-		// recording names that may not all be indexed.
+	if err := s.routed(func(i int) error { return s.shards[i].Add(perShard[i]...) }); err != nil {
 		return err
 	}
 	for _, t := range tables {
@@ -180,15 +169,7 @@ func (s *Sharded) Remove(names ...string) error {
 		return err
 	}
 	perShard := PartitionNames(unique, len(s.shards))
-	s.Mutations.Begin()
-	defer s.Mutations.End()
-	errs := make([]error, len(s.shards))
-	par.For(len(s.shards), func(i int) {
-		if len(perShard[i]) > 0 {
-			errs[i] = s.shards[i].Remove(perShard[i]...)
-		}
-	})
-	if err := errors.Join(errs...); err != nil {
+	if err := s.routed(func(i int) error { return s.shards[i].Remove(perShard[i]...) }); err != nil {
 		return err
 	}
 	doomed := make(map[string]bool, len(unique))
@@ -203,6 +184,20 @@ func (s *Sharded) Remove(names ...string) error {
 	}
 	s.order = kept
 	return nil
+}
+
+// routed is the composite's one mutation path: inside the composite epoch
+// bracket it runs step on every shard concurrently and joins their errors.
+// step receives the shard index; Lake.Add and Lake.Remove return at once on
+// a shard's empty sub-batch. Pre-validated batches cannot fail shard-side
+// unless a shard was mutated behind the composite's back; the caller
+// surfaces that rather than recording names that may not all be applied.
+func (s *Sharded) routed(step func(i int) error) error {
+	s.Mutations.Begin()
+	defer s.Mutations.End()
+	errs := make([]error, len(s.shards))
+	par.For(len(s.shards), func(i int) { errs[i] = step(i) })
+	return errors.Join(errs...)
 }
 
 // Compact forces every shard's index compaction (concurrently). Like

@@ -317,28 +317,10 @@ func (s *Store) Add(tables ...*table.Table) error {
 	if len(tables) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if s.readOnly != nil {
-		return s.readOnly
-	}
-	// Pre-validate so the log only ever records batches that apply cleanly
-	// (replay depends on it). These are lake.Add's own atomic checks.
-	if err := lake.CheckAdd("persist: add", tables, s.l.Get); err != nil {
-		return err
-	}
-	if err := s.appendWAL(encodeAddRecord(s.seq+1, tables)); err != nil {
-		return err
-	}
-	if err := s.l.Add(tables...); err != nil {
-		s.broken = fmt.Errorf("persist: store inconsistent: logged add failed to apply: %w", err)
-		return s.broken
-	}
-	s.seq++
-	return s.maybeSnapshotLocked()
+	return s.logged("add",
+		func() error { return lake.CheckAdd("persist: add", tables, s.l.Get) },
+		func(seq uint64) []byte { return encodeAddRecord(seq, tables) },
+		func() error { return s.l.Add(tables...) })
 }
 
 // Remove durably drops the named tables, with the same logging contract as
@@ -347,26 +329,47 @@ func (s *Store) Remove(names ...string) error {
 	if len(names) == 0 {
 		return nil
 	}
+	return s.logged("remove",
+		func() error { _, err := lake.CheckRemove("persist: remove", names, s.l.Get); return err },
+		func(seq uint64) []byte { return encodeRemoveRecord(seq, names) },
+		func() error { return s.l.Remove(names...) })
+}
+
+// logged is the store's one mutation path, in this order: the sticky
+// broken and read-only refusals; validate, so the log only ever records
+// batches that apply cleanly (replay depends on it — these are the lake's
+// own atomic checks); append the record for the next sequence and fsync
+// it; apply it to the lake; advance seq; fire the snapshot trigger. A
+// logged record that then fails to apply breaks the store for good: the
+// log and the lake disagree. op ("add", "remove") names the mutation in
+// that error.
+func (s *Store) logged(op string, validate func() error, record func(seq uint64) []byte, apply func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if s.readOnly != nil {
-		return s.readOnly
-	}
-	if _, err := lake.CheckRemove("persist: remove", names, s.l.Get); err != nil {
+	if err := s.refusalLocked(); err != nil {
 		return err
 	}
-	if err := s.appendWAL(encodeRemoveRecord(s.seq+1, names)); err != nil {
+	if err := validate(); err != nil {
 		return err
 	}
-	if err := s.l.Remove(names...); err != nil {
-		s.broken = fmt.Errorf("persist: store inconsistent: logged remove failed to apply: %w", err)
+	if err := s.appendWAL(record(s.seq + 1)); err != nil {
+		return err
+	}
+	if err := apply(); err != nil {
+		s.broken = fmt.Errorf("persist: store inconsistent: logged %s failed to apply: %w", op, err)
 		return s.broken
 	}
 	s.seq++
 	return s.maybeSnapshotLocked()
+}
+
+// refusalLocked returns the sticky error that refuses every write — the
+// store is broken, or degraded to read-only — or nil. s.mu must be held.
+func (s *Store) refusalLocked() error {
+	if s.broken != nil {
+		return s.broken
+	}
+	return s.readOnly
 }
 
 // maybeSnapshotLocked fires the automatic snapshot trigger once enough log
@@ -386,11 +389,8 @@ func (s *Store) maybeSnapshotLocked() error {
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if s.readOnly != nil {
-		return s.readOnly
+	if err := s.refusalLocked(); err != nil {
+		return err
 	}
 	return s.snapshotLocked()
 }

@@ -126,24 +126,6 @@ func Jaccard(a, b []string) float64 {
 	return float64(inter) / float64(len(as)+len(bs)-inter)
 }
 
-// Containment computes |a∩b| / |a| — the fraction of a's members found in
-// b. This is the similarity LSH Ensemble indexes for joinable search.
-// Returns 0 when a is empty.
-func Containment(a, b []string) float64 {
-	as := toSet(a)
-	if len(as) == 0 {
-		return 0
-	}
-	bs := toSet(b)
-	inter := 0
-	for x := range as {
-		if bs[x] {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(as))
-}
-
 // Overlap computes |a∩b| over string sets.
 func Overlap(a, b []string) int {
 	as := toSet(a)
