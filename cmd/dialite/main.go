@@ -17,7 +17,8 @@
 //
 // The demo knowledge base (world cities, vaccines, agencies and their
 // aliases) is always loaded; -synth additionally synthesizes a knowledge
-// base from the lake itself.
+// base from the lake itself (not in cluster mode: serve refuses -synth
+// with -coordinator or -shard-of).
 package main
 
 import (
@@ -163,7 +164,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateServeFlags(*addr, *timeout, *maxBodyBytes, *lakeDir, *persistDir, *shards, *coordinator, *shardAddrs, *shardOf); err != nil {
+	if err := validateServeFlags(*addr, *timeout, *maxBodyBytes, *lakeDir, *persistDir, *shards, *synthKB, *coordinator, *shardAddrs, *shardOf); err != nil {
 		return err
 	}
 	cfg := serve.Config{Timeout: *timeout, MaxBodyBytes: *maxBodyBytes, MaxInflight: *maxInflight, MaxQueueWait: *maxQueueWait}
@@ -175,7 +176,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	// empty — a valid shard holds no tables until mutations route to it).
 	buildLocal := func() (*core.Pipeline, error) {
 		if *shardOf != "" {
-			return newShardPipeline(*lakeDir, *synthKB, *shardOf)
+			return newShardPipeline(*lakeDir, *shardOf)
 		}
 		return newPipeline(*lakeDir, *synthKB, *shards)
 	}
@@ -259,7 +260,7 @@ func createStore(dir string, build func() (*core.Pipeline, error)) (*core.Pipeli
 // error — a bad listen address or a nonsensical timeout should fail before
 // the lake is built, not as a late bind error or a silently applied
 // default.
-func validateServeFlags(addr string, timeout time.Duration, maxBodyBytes int64, lakeDir, persistDir string, shards int, coordinator bool, shardAddrs, shardOf string) error {
+func validateServeFlags(addr string, timeout time.Duration, maxBodyBytes int64, lakeDir, persistDir string, shards int, synth, coordinator bool, shardAddrs, shardOf string) error {
 	if timeout <= 0 {
 		return fmt.Errorf("-timeout must be positive, got %s (the per-request deadline is what load shedding budgets against)", timeout)
 	}
@@ -287,6 +288,9 @@ func validateServeFlags(addr string, timeout time.Duration, maxBodyBytes int64, 
 		if shardOf != "" {
 			return fmt.Errorf("-coordinator conflicts with -shard-of: a process is either the coordinator or a shard, not both")
 		}
+		if synth {
+			return fmt.Errorf("-synth conflicts with -coordinator: cluster mode runs on the curated KB (for a synthesized KB use -shards N)")
+		}
 		return nil
 	}
 	if shardAddrs != "" {
@@ -298,6 +302,9 @@ func validateServeFlags(addr string, timeout time.Duration, maxBodyBytes int64, 
 		}
 		if shards > 1 {
 			return fmt.Errorf("-shard-of conflicts with -shards: a shard server is a single lake")
+		}
+		if synth {
+			return fmt.Errorf("-synth conflicts with -shard-of: a shard would synthesize from its own slice only; cluster mode runs on the curated KB (for a synthesized KB use -shards N)")
 		}
 		if lakeDir == "" && !persist.Exists(persistDir, persist.Options{}) {
 			return fmt.Errorf("-shard-of needs -lake to slice (warm restarts recover the slice from -persist and may drop -shard-of)")
@@ -334,7 +341,7 @@ func parseShardOf(s string) (shard, count int, err error) {
 // to shard I, so N such servers partition the directory with no overlap
 // and no gaps. An empty slice is valid — the shard fills via routed
 // mutations.
-func newShardPipeline(lakeDir string, synthKB bool, shardOf string) (*core.Pipeline, error) {
+func newShardPipeline(lakeDir, shardOf string) (*core.Pipeline, error) {
 	if lakeDir == "" {
 		return nil, fmt.Errorf("-lake directory is required")
 	}
@@ -353,7 +360,7 @@ func newShardPipeline(lakeDir string, synthKB bool, shardOf string) (*core.Pipel
 		}
 	}
 	fmt.Fprintf(os.Stderr, "dialite: shard %d/%d holds %d of %d tables from %s\n", shard, count, len(mine), len(all), lakeDir)
-	return core.New(mine, core.Config{Knowledge: kb.Demo(), SynthesizeKB: synthKB})
+	return core.New(mine, core.Config{Knowledge: kb.Demo()})
 }
 
 // serveCoordinator stands up cluster mode's front door: a serve.Server

@@ -266,6 +266,20 @@ func TestCmdServeValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-shards") || !strings.Contains(err.Error(), "-persist") {
 		t.Errorf("-shards with -persist = %v, want conflict error naming both flags", err)
 	}
+	// Cluster mode runs on the curated KB: a coordinator would ignore
+	// -synth, and each shard would synthesize from its own slice only. The
+	// context is done, so a flag set that passes validation returns at once
+	// instead of serving.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-coordinator", "-shard-addrs", "http://127.0.0.1:1", "-synth", "-addr", "127.0.0.1:0"},
+		{"-lake", lakeDir, "-shard-of", "0/2", "-synth", "-addr", "127.0.0.1:0"},
+	} {
+		if err := cmdServe(done, args); err == nil || !strings.Contains(err.Error(), "-synth conflicts") {
+			t.Errorf("serve %v = %v, want a -synth conflict error", args, err)
+		}
+	}
 	// 0 and 1 are legal no-op values; exercised end to end below.
 }
 

@@ -22,9 +22,12 @@ import (
 // A KB is mutable until it is first compiled, and frozen from then on: the
 // first Compiled() call fixes its content, and AddType, AddEntity, AddAlias
 // and AddRelation panic afterwards. Every catalog compiles its KB when it
-// is built (lake.New, lake.NewComposite), and er.Resolve compiles the KB
-// it is handed, so a KB passed to either is frozen by the call. To extend
-// a frozen KB, build a new one or Merge it into a fresh copy.
+// is built (lake.New, lake.NewSharded, lake.NewComposite), and er.Resolve
+// compiles the KB it is handed, so a KB passed to either is frozen by the
+// call. The exception is a KB passed with lake.Options.SynthesizeKB: the
+// build copies it and synthesizes into the copy, so the caller's KB is
+// neither modified nor frozen. To extend a frozen KB, build a new one or
+// Merge it into a fresh copy.
 type KB struct {
 	parent      map[string]string   // type -> parent type ("" when root)
 	entityTypes map[string][]string // entity -> declared types
@@ -62,19 +65,8 @@ func (k *KB) AddType(typ, parent string) {
 // accumulate types.
 func (k *KB) AddEntity(entity string, types ...string) {
 	k.checkMutable()
-	e := tokenize.Normalize(entity)
-	if e == "" {
-		return
-	}
-	have := make(map[string]bool)
-	for _, t := range k.entityTypes[e] {
-		have[t] = true
-	}
-	for _, t := range types {
-		if !have[t] {
-			k.entityTypes[e] = append(k.entityTypes[e], t)
-			have[t] = true
-		}
+	if e := tokenize.Normalize(entity); e != "" && len(types) > 0 {
+		k.entityTypes[e] = appendUnique(k.entityTypes[e], types...)
 	}
 }
 
@@ -93,18 +85,16 @@ func (k *KB) AddAlias(aliasName, canonical string) {
 // AddRelation records a directed relationship subject --label--> object.
 func (k *KB) AddRelation(subject, label, object string) {
 	k.checkMutable()
-	s := k.Canonical(subject)
-	o := k.Canonical(object)
+	k.relate(k.Canonical(subject), label, k.Canonical(object))
+}
+
+// relate is AddRelation over endpoints already in stored (canonical) form.
+func (k *KB) relate(s, label, o string) {
 	if s == "" || o == "" {
 		return
 	}
 	key := s + "\x1f" + o
-	for _, l := range k.relations[key] {
-		if l == label {
-			return
-		}
-	}
-	k.relations[key] = append(k.relations[key], label)
+	k.relations[key] = appendUnique(k.relations[key], label)
 }
 
 // Canonical normalizes s and resolves one alias hop.

@@ -2,9 +2,11 @@ package kb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/table"
+	"repro/internal/tokenize"
 )
 
 // sortStrings sorts in place; split out so builtin.go stays import-light.
@@ -41,13 +43,16 @@ type SynthesizeOptions struct{}
 //     "syn:<typeA>-><typeB>", so two tables that relate the same kinds of
 //     things in the same way share relationship labels.
 //
-// Synthesize extracts each table's TextualDomains and runs SynthesizeDomains.
+// Synthesize extracts each table's TextualDomains and runs SynthesizeDomains
+// into an empty KB.
 func Synthesize(tables []*table.Table, _ SynthesizeOptions) *KB {
 	domains := make([][]table.Domain, len(tables))
 	for i, t := range tables {
 		domains[i] = TextualDomains(t)
 	}
-	return SynthesizeDomains(tables, domains)
+	k := New()
+	SynthesizeDomains(k, tables, domains)
+	return k
 }
 
 // TextualDomains returns the domains of t's mostly textual columns
@@ -67,12 +72,19 @@ func TextualDomains(t *table.Table) []table.Domain {
 	return out
 }
 
-// SynthesizeDomains is Synthesize over domains already extracted:
+// SynthesizeDomains is Synthesize over domains already extracted, into k:
 // domains[i] is TextualDomains(tables[i]). A lake build passes the domains
 // it indexes, so each column's value set is computed once. The domains come
 // per table, not as one flat list, because table names may repeat: a
 // domain's Table name cannot say whose rows its relationships come from.
-func SynthesizeDomains(tables []*table.Table, domains [][]table.Domain) *KB {
+//
+// k ends up exactly as k.Merge(Synthesize(tables)) would be, without the
+// copy: a type k declares keeps its parent, entity types and relation
+// labels are appended after k's own, and relation endpoints are keyed by
+// tokenize.Normalize alone, never resolved through k's aliases. Domain
+// values are stored as they are, already normalized. k must not be frozen.
+func SynthesizeDomains(k *KB, tables []*table.Table, domains [][]table.Domain) {
+	k.checkMutable()
 	var cols []*table.Domain // every domain, in table then column order
 	for ti := range domains {
 		for j := range domains[ti] {
@@ -145,13 +157,14 @@ func SynthesizeDomains(tables []*table.Table, domains [][]table.Domain) *KB {
 		}
 	}
 
-	k := New()
 	types := make([]string, len(cols)) // parallel to cols
 	for i, d := range cols {
 		types[i] = "syn:" + clusterName[find(i)]
-		k.AddType(types[i], "")
+		if _, ok := k.parent[types[i]]; !ok {
+			k.parent[types[i]] = ""
+		}
 		for _, v := range d.Values {
-			k.AddEntity(v, types[i])
+			k.entityTypes[v] = appendUnique(k.entityTypes[v], types[i])
 		}
 	}
 	// Relationship extraction from row co-occurrence: every domain is
@@ -174,13 +187,12 @@ func SynthesizeDomains(tables []*table.Table, domains [][]table.Domain) *KB {
 					if va.IsNull() || vb.IsNull() {
 						continue
 					}
-					k.AddRelation(va.String(), label, vb.String())
+					k.relate(tokenize.Normalize(va.String()), label, tokenize.Normalize(vb.String()))
 					added++
 				}
 			}
 		}
 	}
-	return k
 }
 
 // MostlyTextual reports whether at least half of the column's non-null
@@ -201,8 +213,9 @@ func MostlyTextual(t *table.Table, c int) bool {
 }
 
 // Merge returns a KB containing everything in k plus everything in other;
-// conflicting aliases keep k's entry. SANTOS runs with the curated KB
-// merged with the synthesized one.
+// conflicting aliases and type parents keep k's entry. Merging with New()
+// copies k. A lake build does not merge: it synthesizes straight into a
+// copy of its curated KB (SynthesizeDomains).
 func (k *KB) Merge(other *KB) *KB {
 	out := New()
 	copyInto := func(src *KB) {
@@ -228,15 +241,12 @@ func (k *KB) Merge(other *KB) *KB {
 	return out
 }
 
+// appendUnique appends the items dst does not hold yet. Type and label
+// lists are short, so a scan beats building a set.
 func appendUnique(dst []string, items ...string) []string {
-	have := make(map[string]bool, len(dst))
-	for _, d := range dst {
-		have[d] = true
-	}
 	for _, it := range items {
-		if !have[it] {
+		if !slices.Contains(dst, it) {
 			dst = append(dst, it)
-			have[it] = true
 		}
 	}
 	return dst

@@ -63,27 +63,6 @@ func (s *kbState) Knowledge() *kb.KB { return s.knowledge }
 // dictionary and return nil; see SHARDING.md.
 func (s *kbState) Dict() *table.Dict { return s.dict }
 
-// prepareKnowledge resolves Options into the KB a build annotates with:
-// the curated KB, merged with the KB synthesize returns when SynthesizeKB
-// asks for one, and never nil. A Lake synthesizes from the domains it has
-// just extracted (kb.SynthesizeDomains); a composite from its whole input
-// (kb.Synthesize), before any shard extracts.
-func prepareKnowledge(opts Options, synthesize func() *kb.KB) *kb.KB {
-	knowledge := opts.Knowledge
-	if opts.SynthesizeKB {
-		syn := synthesize()
-		if knowledge != nil {
-			knowledge = knowledge.Merge(syn)
-		} else {
-			knowledge = syn
-		}
-	}
-	if knowledge == nil {
-		knowledge = kb.New()
-	}
-	return knowledge
-}
-
 // Composite is the state a multi-shard catalog keeps above its shards,
 // whatever the shards are — Sharded's in-process lakes or the cluster
 // coordinator's remote processes: the routing rule, the composite seqlock

@@ -3,6 +3,7 @@ package lake
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/kb"
@@ -56,4 +57,74 @@ func TestSynthesizedKBEveryBuild(t *testing.T) {
 			t.Errorf("%s: synthesis added no type; the check compares nothing", lk.name)
 		}
 	}
+}
+
+// TestSynthesizedKBMergeRule pins the rule a build synthesizes into its
+// curated KB by, on the edge cases the paper lakes never reach: an alias
+// whose source is a lake cell value (relation endpoints are normalized, not
+// alias-resolved), a curated syn:-named type with a parent (the curated
+// parent wins), and a curated entity and relation that the lake also
+// holds (synthesized types and labels come after the curated ones). Every
+// build shape must hold exactly curated.Merge(kb.Synthesize(tables)), and
+// the caller's curated KB must come out neither modified nor frozen.
+func TestSynthesizedKBMergeRule(t *testing.T) {
+	rows := func(name string, pairs ...string) *table.Table {
+		tb := table.New(name, "City", "Country")
+		for i := 0; i < len(pairs); i += 2 {
+			tb.MustAddRow(table.StringValue(pairs[i]), table.StringValue(pairs[i+1]))
+		}
+		return tb
+	}
+	tables := []*table.Table{
+		rows("A", "Berlin", "Germany", "Paris", "France", "Rome", "Italy", "Madrid", "Spain"),
+		rows("B", "Berlin", "Germany", "Paris", "France", "Rome", "Italy", "Lisbon", "Portugal"),
+		rows("C", "Vienna", "Austria", "Paris", "France", "Rome", "Italy", "Oslo", "Norway"),
+		rows("D", "Madrid", "Spain", "Lisbon", "Portugal", "Oslo", "Norway", "Berlin", "Germany"),
+	}
+	curated := func() *kb.KB {
+		k := kb.New()
+		k.AddType("place", "")
+		k.AddType("city", "place")
+		k.AddType("syn:A.0", "place")
+		k.AddEntity("Berlin", "city")
+		k.AddAlias("Paris", "Rome")
+		k.AddRelation("Berlin", "capitalOf", "Germany")
+		return k
+	}
+	own := curated()
+	want := own.Merge(kb.Synthesize(tables, kb.SynthesizeOptions{})).Dump()
+	// The edge cases must be in want, or the comparison below pins nothing.
+	label := "syn:syn:A.0->syn:A.1"
+	if !slices.Contains(want.Types, kb.TypeDecl{Type: "syn:A.0", Parent: "place"}) ||
+		!slices.ContainsFunc(want.Entities, func(e kb.EntityDecl) bool {
+			return e.Entity == "berlin" && slices.Equal(e.Types, []string{"city", "syn:A.0"})
+		}) ||
+		!slices.ContainsFunc(want.Relations, func(r kb.RelationDecl) bool {
+			return r.Subject == "paris" && r.Object == "france" && slices.Equal(r.Labels, []string{label})
+		}) ||
+		!slices.ContainsFunc(want.Relations, func(r kb.RelationDecl) bool {
+			return r.Subject == "berlin" && r.Object == "germany" && slices.Equal(r.Labels, []string{"capitalOf", label})
+		}) {
+		t.Fatalf("the reference KB misses an edge case: %+v", want)
+	}
+	builds := []struct {
+		name  string
+		build func(Options) (Catalog, error)
+	}{
+		{"New", func(o Options) (Catalog, error) { return New(tables, o) }},
+		{"NewSharded", func(o Options) (Catalog, error) { return NewSharded(tables, 3, o) }},
+	}
+	for _, b := range builds {
+		c, err := b.build(Options{Knowledge: own, SynthesizeKB: true})
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if got := c.Knowledge().Dump(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s's KB differs from curated.Merge(Synthesize(tables)):\n got  %+v\n want %+v", b.name, got, want)
+		}
+		if !reflect.DeepEqual(own.Dump(), curated().Dump()) {
+			t.Fatalf("%s modified the caller's curated KB", b.name)
+		}
+	}
+	own.AddEntity("Atlantis", "city") // panics if a build froze it
 }

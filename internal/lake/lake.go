@@ -4,7 +4,7 @@
 // user" — constructing a Lake preprocesses every table once: semantic
 // annotation for SANTOS, MinHash/LSH for LSH Ensemble, an inverted index
 // for JOSIE-style search, and (optionally) a knowledge base synthesized
-// from the lake itself merged into the curated one.
+// from the lake itself and added to a copy of the curated one.
 //
 // The lake is a living object: open-data portals churn daily, so Add and
 // Remove maintain all three discovery indexes incrementally instead of
@@ -36,8 +36,9 @@ type Options struct {
 	// Knowledge is the curated KB (kb.Demo() for the demonstration); nil
 	// means none.
 	Knowledge *kb.KB
-	// SynthesizeKB additionally synthesizes a KB from the lake tables and
-	// merges it with Knowledge, as SANTOS does for uncovered domains.
+	// SynthesizeKB additionally synthesizes a KB from the lake tables, as
+	// SANTOS does for uncovered domains, into a copy of Knowledge: the
+	// catalog holds the copy, and Knowledge stays unfrozen and unmodified.
 	SynthesizeKB bool
 	// LSH configures the LSH Ensemble index. New rejects an LSH.Engine other
 	// than empty or sketch.MinHash (see lshensemble.Options.Validate).
@@ -76,8 +77,9 @@ type Lake struct {
 // per-stage work into the same fields, so the stats always cover the total
 // preprocessing effort spent on the lake's current shape.
 type BuildStats struct {
-	// KBPrep covers KB synthesis/merging (when enabled) plus compiling the
-	// knowledge base into its integer-ID annotation engine.
+	// KBPrep covers KB synthesis into the copy of the curated KB (when
+	// enabled) plus compiling the knowledge base into its integer-ID
+	// annotation engine.
 	KBPrep time.Duration
 	// DomainExtraction covers domain extraction and token interning (which
 	// fingerprints each new token once, into the token dictionary).
@@ -122,15 +124,15 @@ func (l *Lake) Shards() []*Lake { return []*Lake{l} }
 // only way a lake is built: the persistence layer recovers one by calling it
 // over a snapshot's tables and knowledge base (see State).
 //
-// The build computes each column's value set once. Every table's domains are
-// extracted and their members interned into the lake-wide token dictionary
-// (which fingerprints each distinct token once) on a worker pool; the
-// knowledge base is synthesized from those same domains (when
-// Options.SynthesizeKB asks), merged and compiled; then the SANTOS
-// annotation, LSH Ensemble, and JOSIE indexes are built concurrently. All
-// results are collected in table order, so the lake is byte-identical to a
-// sequential build. Cells are not interned: no served path reads a value
-// dictionary (see Dict).
+// The build computes each column's value set once, in the three phases
+// every build shape shares (NewSharded runs them per shard): extract, which
+// extracts every table's domains and interns their members into the lake's
+// token dictionary; the KB, synthesized from those same domains when
+// Options.SynthesizeKB asks, and compiled (knowledgeFor); and index, which
+// builds the SANTOS annotation, LSH Ensemble, and JOSIE indexes
+// concurrently. All results are collected in table order, so the lake is
+// byte-identical to a sequential build. Cells are not interned: no served
+// path reads a value dictionary (see Dict).
 func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if err := opts.LSH.Validate(); err != nil {
 		return nil, fmt.Errorf("lake: %w", err)
@@ -138,6 +140,19 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
 	}
+	l, perTable := extract(tables)
+	t0 := time.Now()
+	knowledge := knowledgeFor(opts, l.tables, perTable)
+	l.stats.KBPrep = time.Since(t0)
+	l.index(knowledge, opts.LSH)
+	return l, nil
+}
+
+// extract is every build's first phase. It makes the unindexed lake over
+// tables and extracts every table's domains (extractDomains), interning
+// their members into the lake's own token dictionary. It returns the
+// domains per table, in table order, for KB synthesis.
+func extract(tables []*table.Table) (*Lake, [][]table.Domain) {
 	l := &Lake{
 		tokens: table.NewTokenDict(),
 		tables: append([]*table.Table(nil), tables...),
@@ -148,29 +163,47 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 		l.byName[t.Name] = t
 	}
 	l.dict = table.NewDict() // empty; see Dict
-	// Phase 1 (parallel per table): extract the textual domains, which KB
-	// synthesis and the joinable-search indexes read, and intern every
-	// domain member into the lake token dictionary.
 	t0 := time.Now()
 	perTable := extractDomains(l.tables, l.tokens)
 	l.domains = slices.Concat(perTable...)
 	l.reindexDomains()
 	l.stats.DomainExtraction = time.Since(t0)
-	// Phase 2: the KB, synthesized from the domains just extracted, merged
-	// and compiled. Compiling freezes it: the lake's KB is fixed from here on.
-	t0 = time.Now()
-	l.knowledge = prepareKnowledge(opts, func() *kb.KB { return kb.SynthesizeDomains(l.tables, perTable) })
-	l.knowledge.Compiled()
-	l.stats.KBPrep = time.Since(t0)
-	// Phase 3: the three indexes read disjoint inputs; build concurrently,
-	// all over the shared token dictionary (complete after phase 1, so the
-	// builds only read it).
+	return l, perTable
+}
+
+// knowledgeFor is every build's KB phase: it resolves Options into the
+// compiled, never nil KB the catalog annotates with, built once. Without
+// SynthesizeKB that is Options.Knowledge itself, which compiling freezes.
+// With it, the KB synthesized from domains (domains[i] is tables[i]'s, as
+// extract gave them) is added to a copy of Options.Knowledge, which may
+// already be frozen and is left untouched. The result equals
+// Knowledge.Merge(kb.Synthesize(tables)) without paying for that copy of
+// the synthesized KB.
+func knowledgeFor(opts Options, tables []*table.Table, domains [][]table.Domain) *kb.KB {
+	k := opts.Knowledge
+	if k == nil {
+		k = kb.New()
+	} else if opts.SynthesizeKB {
+		k = k.Merge(kb.New())
+	}
+	if opts.SynthesizeKB {
+		kb.SynthesizeDomains(k, tables, domains)
+	}
+	k.Compiled()
+	return k
+}
+
+// index is every build's last phase: the lake takes the compiled KB, and
+// the three indexes, which read disjoint inputs, are built concurrently
+// over the token dictionary (complete after extract, so the builds only
+// read it).
+func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options) {
+	l.knowledge = knowledge
 	l.eachIndex(
 		func() { l.santosIx = santos.Build(l.tables, l.knowledge) },
-		func() { l.joinIx = lshensemble.BuildWithDict(l.domains, opts.LSH, l.tokens) },
+		func() { l.joinIx = lshensemble.BuildWithDict(l.domains, lsh, l.tokens) },
 		func() { l.josieIx = josie.BuildWithDict(l.domains, l.tokens) },
 	)
-	return l, nil
 }
 
 // Add incrementally indexes additional tables into the lake, maintaining

@@ -159,8 +159,11 @@ func TestCatalogFreezesKB(t *testing.T) {
 		{"New", func(o Options) (catalog, error) { return New(paperdata.CovidLake(), o) }},
 		{"NewSharded", func(o Options) (catalog, error) { return NewSharded(paperdata.CovidLake(), 3, o) }},
 		{"NewComposite", func(o Options) (catalog, error) {
-			syn := func() *kb.KB { return kb.Synthesize(paperdata.CovidLake(), kb.SynthesizeOptions{}) }
-			return NewComposite(3, prepareKnowledge(o, syn)), nil
+			k := o.Knowledge
+			if o.SynthesizeKB {
+				k = k.Merge(kb.Synthesize(paperdata.CovidLake(), kb.SynthesizeOptions{}))
+			}
+			return NewComposite(3, k), nil
 		}},
 	}
 	towns := []string{"Atlantis", "El Dorado", "Lemuria", "Berlin"}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/kb"
 	"repro/internal/par"
 	"repro/internal/table"
 )
@@ -72,42 +71,43 @@ func ShardIndex(name string, n int) int {
 // NewSharded preprocesses tables into an n-shard lake. Validation matches
 // New (nil tables, empty or duplicate names reject the whole input), with
 // duplicates checked across the entire input before routing — two
-// same-named tables landing on different shards must not coexist. KB
-// synthesis (Options.SynthesizeKB) runs once over the full table set, so
-// the knowledge base — and therefore every SANTOS annotation — is identical
-// to an unsharded build; the shards then share the one compiled KB.
-// kb.Synthesize extracts every table's domains for it, and each shard
-// extracts its own again, into its private token dictionary: the one build
-// that computes a column's value set twice.
+// same-named tables landing on different shards must not coexist.
+//
+// It runs New's three phases with the KB phase lifted to the composite.
+// The shards extract concurrently, each into its private token dictionary;
+// the KB is then synthesized once (Options.SynthesizeKB), from the shards'
+// domains gathered back into input table order, and compiled once, so it —
+// and therefore every SANTOS annotation — is identical to an unsharded
+// build's; last, every shard builds its indexes over that one compiled KB.
+// Each column's value set is computed once.
 func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("lake: sharded: shard count %d, need at least 1", n)
 	}
+	if err := opts.LSH.Validate(); err != nil {
+		return nil, fmt.Errorf("lake: %w", err)
+	}
 	if err := CheckAdd("lake", tables, nil); err != nil {
 		return nil, err
 	}
-	// The composite compiles the KB before the fan-out, so every shard
-	// shares one *Compiled (see NewComposite).
-	synthesize := func() *kb.KB { return kb.Synthesize(tables, kb.SynthesizeOptions{}) }
-	s := &Sharded{
-		Composite: NewComposite(n, prepareKnowledge(opts, synthesize)),
-		shards:    make([]*Lake, n),
-	}
-	shardOpts := opts
-	shardOpts.Knowledge = s.knowledge
-	shardOpts.SynthesizeKB = false // already folded into knowledge above
 	parts := PartitionTables(tables, n)
-	errs := make([]error, n)
-	par.For(n, func(i int) {
-		s.shards[i], errs[i] = New(parts[i], shardOpts)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	s.order = make([]string, 0, len(tables))
+	s := &Sharded{shards: make([]*Lake, n), order: make([]string, 0, len(tables))}
+	perShard := make([][][]table.Domain, n)
+	par.For(n, func(i int) { s.shards[i], perShard[i] = extract(parts[i]) })
+	// PartitionTables keeps input order within a shard, so table t is the
+	// next one of its shard.
+	domains := make([][]table.Domain, 0, len(tables))
+	next := make([]int, n)
 	for _, t := range tables {
+		i := ShardIndex(t.Name, n)
+		domains = append(domains, perShard[i][next[i]])
+		next[i]++
 		s.order = append(s.order, t.Name)
 	}
+	// NewComposite finds the KB compiled, so every shard shares one
+	// *Compiled.
+	s.Composite = NewComposite(n, knowledgeFor(opts, tables, domains))
+	par.For(n, func(i int) { s.shards[i].index(s.knowledge, opts.LSH) })
 	return s, nil
 }
 
