@@ -1,10 +1,13 @@
 // answers_test pins serve's /v1/discover answer cache where it depends on
 // the catalog shape — served bytes stay fresh across Add, Remove and re-Add
 // on a single lake, an in-process sharded lake and a coordinator, whose
-// front door keeps no cache while its shard servers cache their own
-// answers; partial answers are never stored — and the epoch property torn-
-// read detection keys on: a restarted shard never repeats an epoch vector
-// it reported before.
+// front door caches like every other catalog while its shard servers cache
+// their own answers; partial answers are never stored; on a coordinator a
+// hit costs one epoch probe round, and mutations made on a shard server
+// behind the coordinator's back, a shard restart, and readers racing a
+// writer never get a stale answer served — and the epoch property all of
+// it keys on: a restarted shard never repeats an epoch vector it reported
+// before.
 package cluster_test
 
 import (
@@ -13,10 +16,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,9 +149,9 @@ func sumCacheMetrics(t *testing.T, bases []string) lru.Stats {
 // Pipeline.Discover on an in-process mirror that took the same mutations:
 // the first after a mutation finds an entry whose epoch vector the catalog
 // has moved past, and the second is the cache's fresh answer. Over a
-// coordinator the front door keeps no cache and the shard servers cache
-// their per-shard answers; only the shard that owns the mutated name sees
-// its entry go stale.
+// coordinator the front door's counters are a single lake's, so only its
+// misses reach the shard servers, which cache their per-shard answers; only
+// the shard that owns the mutated name sees its entry go stale.
 func TestAnswerCacheFreshness(t *testing.T) {
 	pool := diffPool(83, 8)
 	opts := lake.Options{Knowledge: difftest.DiffKB()}
@@ -176,13 +182,14 @@ func TestAnswerCacheFreshness(t *testing.T) {
 			}
 			return s, nil
 		}, whole, lru.Stats{}},
-		// Each request reaches every shard once; every shard misses first,
-		// and only the shard owning the mutated name goes stale.
+		// The four front-door misses and stales each reach every shard once;
+		// every shard misses first, and only the shard owning the mutated
+		// name goes stale.
 		{"coordinator", func(t *testing.T) (lake.Catalog, []string) {
 			tc := startCluster(t, pool, n)
 			t.Cleanup(func() { coordClient(tc.coord) })
 			return tc.coord, tc.addrs
-		}, lru.Stats{}, lru.Stats{Hits: 8*n - n - 3, Misses: n, Stale: 3, Stores: n + 3}},
+		}, whole, lru.Stats{Hits: 4*n - n - 3, Misses: n, Stale: 3, Stores: n + 3}},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -243,10 +250,10 @@ func TestAnswerCacheFreshness(t *testing.T) {
 
 // TestAnswerCacheNeverStoresPartial pins that a partial answer — a shard
 // down, which only a remote catalog can report — is served but never
-// stored: the coordinator's front door keeps no cache, so repeating the
-// request while the shard is down recomputes it, and once the shard is
-// back the full answer is served, the shard servers having cached only
-// their own whole answers.
+// stored: repeating the request while the shard is down misses the
+// coordinator's front door and recomputes it, and once the shard is back
+// the full answer is served, stored and then served again from the front
+// door, the shard servers having cached only their own whole answers.
 func TestAnswerCacheNeverStoresPartial(t *testing.T) {
 	pool := diffPool(97, 9)
 	const n, down = 3, 1
@@ -292,8 +299,8 @@ func TestAnswerCacheNeverStoresPartial(t *testing.T) {
 			t.Fatalf("request %d with shard %d down: status %d, partial %v (%v): %s", i, down, status, wire.Partial, err, got)
 		}
 	}
-	if m := cacheMetrics(t, front.URL); m != (lru.Stats{}) {
-		t.Fatalf("after two partial answers the front door's cache counters are %+v, want none", m)
+	if m := cacheMetrics(t, front.URL); m != (lru.Stats{Misses: 2}) {
+		t.Fatalf("after two partial answers the front door's cache counters are %+v, want two misses and no store", m)
 	}
 
 	shards[down].start()
@@ -303,11 +310,11 @@ func TestAnswerCacheNeverStoresPartial(t *testing.T) {
 			t.Fatalf("request %d after the shard came back: status %d\n served %s\n want %s", i, status, got, want)
 		}
 	}
-	if m := cacheMetrics(t, front.URL); m != (lru.Stats{}) {
-		t.Fatalf("after the shard came back the front door's cache counters are %+v, want none", m)
+	if m := cacheMetrics(t, front.URL); m.Hits != 1 || m.Misses != 3 || m.Stale != 0 || m.Stores != 1 {
+		t.Fatalf("after the shard came back the front door's cache counters are %+v, want three misses, one store and one hit", m)
 	}
-	if m := cacheMetrics(t, addrs[down]); m.Stores != 1 || m.Hits != 1 {
-		t.Fatalf("the restarted shard's cache counters are %+v, want one store and one hit", m)
+	if m := cacheMetrics(t, addrs[down]); m.Stores != 1 || m.Hits != 0 {
+		t.Fatalf("the restarted shard's cache counters are %+v, want one store and no hit", m)
 	}
 }
 
@@ -383,5 +390,279 @@ func TestRestartedShardEpochVectorNeverRepeats(t *testing.T) {
 	}
 	if after := coord.Epochs(); slices.Equal(before, after) {
 		t.Fatalf("shard %d restarted, took different tables, and the coordinator epoch vector %v repeats the one from before the restart", victim, after)
+	}
+}
+
+// frontDoor serves a coordinator the way `dialite serve -coordinator` does,
+// and returns the base URL of that front door.
+func frontDoor(t *testing.T, c *cluster.Coordinator) string {
+	t.Helper()
+	front := httptest.NewServer(serve.New(core.FromCatalog(c), serve.Config{Timeout: 10 * time.Second}).Handler())
+	t.Cleanup(front.Close)
+	return front.URL
+}
+
+// discoverBody is the /v1/discover request body for the differential
+// methods' top 5 on q's first column.
+func discoverBody(t *testing.T, q *table.Table) []byte {
+	t.Helper()
+	body, err := json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(q), Methods: difftest.DiffMethods, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// requireAnswer posts body to the front door and requires the bytes a
+// direct Pipeline.Discover over the mirror answers, which it returns.
+func requireAnswer(t *testing.T, front string, mirror *lake.Sharded, body []byte, step string) []byte {
+	t.Helper()
+	want := directBody(t, core.FromCatalog(mirror), body)
+	if status, got := postRaw(t, front+"/v1/discover", body); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("%s: status %d\n served %s\n mirror %s", step, status, got, want)
+	}
+	return want
+}
+
+// addBehind adds tbl on the shard server at base, behind the coordinator's
+// back, and to the mirror; removeBehind removes name the same way.
+func addBehind(t *testing.T, base string, mirror *lake.Sharded, tbl *table.Table) {
+	t.Helper()
+	postOK(t, base+"/v1/lake/add", serve.LakeAddRequest{Tables: []serve.TableJSON{serve.EncodeTable(tbl)}})
+	if err := mirror.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func removeBehind(t *testing.T, base string, mirror *lake.Sharded, name string) {
+	t.Helper()
+	postOK(t, base+"/v1/lake/remove", serve.LakeRemoveRequest{Names: []string{name}})
+	if err := mirror.Remove(name); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shardCalls sums the coordinator's calls to its shards.
+func shardCalls(c *cluster.Coordinator) uint64 {
+	var n uint64
+	for _, m := range c.ShardMetrics() {
+		n += m.Calls
+	}
+	return n
+}
+
+// meteredRequests sums, per endpoint, the requests the servers at bases
+// admitted. The epoch probe bypasses metering, so it is the one shard call
+// this leaves out.
+func meteredRequests(t *testing.T, bases []string) map[string]uint64 {
+	t.Helper()
+	out := map[string]uint64{}
+	for _, base := range bases {
+		resp, err := http.Get(base + "/metrics?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []serve.EndpointMetrics
+		err = json.NewDecoder(resp.Body).Decode(&ms)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			out[m.Endpoint] += m.Admitted
+		}
+	}
+	return out
+}
+
+// TestAnswerCacheHitIsOneProbeRound pins what a repeated /v1/discover costs
+// at a coordinator's front door: the bytes of the first answer, for exactly
+// one call per shard, each an epoch probe — no shard /v1/discover and no
+// table fetch.
+func TestAnswerCacheHitIsOneProbeRound(t *testing.T) {
+	pool := diffPool(61, 9)
+	const n = 3
+	tc := startCluster(t, pool, n)
+	defer coordClient(tc.coord)
+	front := frontDoor(t, tc.coord)
+	body := discoverBody(t, pool[0])
+	status, warm := postRaw(t, front+"/v1/discover", body)
+	if status != http.StatusOK {
+		t.Fatalf("warm request: status %d: %s", status, warm)
+	}
+	calls, metered := shardCalls(tc.coord), meteredRequests(t, tc.addrs)
+	if status, got := postRaw(t, front+"/v1/discover", body); status != http.StatusOK || !bytes.Equal(got, warm) {
+		t.Fatalf("repeat: status %d\n served %s\n first %s", status, got, warm)
+	}
+	if got := shardCalls(tc.coord) - calls; got != n {
+		t.Errorf("a repeated request made %d shard calls, want %d epoch probes", got, n)
+	}
+	if got := meteredRequests(t, tc.addrs); !maps.Equal(got, metered) {
+		t.Errorf("a repeated request reached the shards' endpoints: admitted %v, before it %v", got, metered)
+	}
+	if m := cacheMetrics(t, front); m.Hits != 1 || m.Misses != 1 || m.Stores != 1 {
+		t.Errorf("front door cache counters = %+v, want one miss, one store and one hit", m)
+	}
+}
+
+// TestAnswerCacheDirectShardMutation adds a table on one shard server
+// directly, where the coordinator's own counter never sees it, and later
+// removes it. After each step the front door must answer what an
+// in-process mirror that took the same steps answers, though it holds an
+// entry for the body from before the step.
+func TestAnswerCacheDirectShardMutation(t *testing.T) {
+	pool := diffPool(67, 9)
+	const n, owner = 3, 1
+	tc := startCluster(t, pool, n)
+	defer coordClient(tc.coord)
+	front := frontDoor(t, tc.coord)
+	mirror, err := lake.NewSharded(pool, n, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pool[0]
+	body := discoverBody(t, q)
+	before := requireAnswer(t, front, mirror, body, "before")
+	requireAnswer(t, front, mirror, body, "repeat")
+	name := nameForShard("behind", owner, n)
+	addBehind(t, tc.addrs[owner], mirror, renamed(q, name, q.NumRows()))
+	added := requireAnswer(t, front, mirror, body, "after a direct Add")
+	requireAnswer(t, front, mirror, body, "repeat after a direct Add")
+	removeBehind(t, tc.addrs[owner], mirror, name)
+	removed := requireAnswer(t, front, mirror, body, "after a direct Remove")
+	if bytes.Equal(added, before) || !bytes.Equal(removed, before) {
+		t.Fatal("the direct mutations did not change the answers as planned; the test checks nothing")
+	}
+	if m := cacheMetrics(t, front); m.Hits != 2 || m.Stale != 2 {
+		t.Errorf("front door cache counters = %+v, want two hits and two stale", m)
+	}
+}
+
+// TestAnswerCacheRestartedShard moves a persisted shard's counter with a
+// routed Add and Remove, snapshots it and warms the front door. It then
+// restarts the shard, so WAL replay does not bring the counter back, and
+// adds tables on it directly — first one that changes the answer, then more
+// until the counter is back at the value it reported before the restart,
+// the repeat an epoch-keyed cache cannot survive. The coordinator's own
+// counter never moves after the warm-up, and the front door must never
+// serve the entry it stored before the restart.
+func TestAnswerCacheRestartedShard(t *testing.T) {
+	pool := diffPool(71, 6)
+	const n, victim = 2, 0
+	shards := make([]*killableShard, n)
+	addrs := make([]string, n)
+	for i := range shards {
+		var mine []*table.Table
+		for _, tbl := range pool {
+			if lake.ShardIndex(tbl.Name, n) == i {
+				mine = append(mine, tbl)
+			}
+		}
+		shards[i] = &killableShard{t: t, addr: "127.0.0.1:0", tables: mine, dir: t.TempDir()}
+		shards[i].start()
+		addrs[i] = "http://" + shards[i].addr
+	}
+	defer func() {
+		for _, ks := range shards {
+			ks.stop()
+		}
+	}()
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: difftest.DiffKB(), ProbeTimeout: time.Second, RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordClient(coord)
+	front := frontDoor(t, coord)
+	mirror, err := lake.NewSharded(pool, n, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	routed := difftest.DiffTable(rng, nameForShard("routed", victim, n))
+	if err := coord.Add(routed); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Remove(routed.Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := shards[victim].store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	q := pool[0]
+	body := discoverBody(t, q)
+	before := requireAnswer(t, front, mirror, body, "before the restart")
+	requireAnswer(t, front, mirror, body, "repeat before the restart")
+	old := shardEpoch(t, addrs[victim])
+
+	shards[victim].stop()
+	shards[victim].start()
+	addBehind(t, addrs[victim], mirror, renamed(q, nameForShard("restarted", victim, n), q.NumRows()))
+	for i := 0; i < 8 && shardEpoch(t, addrs[victim]) < old; i++ {
+		addBehind(t, addrs[victim], mirror, difftest.DiffTable(rng, nameForShard(fmt.Sprintf("direct%d-", i), victim, n)))
+	}
+	if after := requireAnswer(t, front, mirror, body, "after the restart and direct Adds"); bytes.Equal(after, before) {
+		t.Fatal("the direct Adds did not change the answer; the test checks nothing")
+	}
+	if m := cacheMetrics(t, front); m.Hits != 1 || m.Stale != 1 {
+		t.Errorf("front door cache counters = %+v, want the warm hit and one stale", m)
+	}
+}
+
+// TestAnswerCacheReadersAndWriter runs two readers repeating one query
+// through the front door while a writer adds and removes one table directly
+// on its owning shard server. Readers may straddle a mutation; after every
+// ack the writer's own read must equal an in-process mirror's. Run it under
+// -race.
+func TestAnswerCacheReadersAndWriter(t *testing.T) {
+	pool := diffPool(73, 8)
+	const n, owner = 3, 2
+	tc := startCluster(t, pool, n)
+	defer coordClient(tc.coord)
+	front := frontDoor(t, tc.coord)
+	mirror, err := lake.NewSharded(pool, n, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pool[0]
+	body := discoverBody(t, q)
+	name := nameForShard("churn", owner, n)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				resp, err := http.Post(front+"/v1/discover", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("reader: status %d, %v", resp.StatusCode, err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	prev := requireAnswer(t, front, mirror, body, "before the writer")
+	for i := range 12 {
+		if i%2 == 0 {
+			addBehind(t, tc.addrs[owner], mirror, renamed(q, name, q.NumRows()-i/2%3))
+		} else {
+			removeBehind(t, tc.addrs[owner], mirror, name)
+		}
+		got := requireAnswer(t, front, mirror, body, fmt.Sprintf("after mutation %d", i))
+		if bytes.Equal(got, prev) {
+			t.Fatalf("mutation %d did not change the answer; the test checks nothing", i)
+		}
+		prev = got
 	}
 }

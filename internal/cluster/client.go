@@ -105,13 +105,14 @@ type shardClient struct {
 	backoff     time.Duration
 
 	// Fan-out metrics behind the coordinator's /metrics: logical calls,
-	// calls that failed after retries, retry attempts, and round-trip
-	// latency (per logical call, retries included — it is what the
-	// fan-out felt).
-	calls      atomic.Uint64
-	errs       atomic.Uint64
-	retryCount atomic.Uint64
-	lat        serve.Latency
+	// calls that failed after retries, retry attempts, failed rollbacks
+	// (applyRouted), and round-trip latency (per logical call, retries
+	// included — it is what the fan-out felt).
+	calls         atomic.Uint64
+	errs          atomic.Uint64
+	retryCount    atomic.Uint64
+	rollbackFails atomic.Uint64
+	lat           serve.Latency
 }
 
 // do runs one logical call against the shard: marshal body (nil means no

@@ -378,6 +378,7 @@ func (c *Coordinator) applyRouted(involved []int, do, undo func(ctx context.Cont
 			return
 		}
 		if err := undo(rbCtx, involved[j]); err != nil {
+			c.shards[involved[j]].rollbackFails.Add(1)
 			rbErrs[j] = fmt.Errorf("cluster: rollback on shard %d: %w", involved[j], err)
 		}
 	})
@@ -534,17 +535,18 @@ func (c *Coordinator) ShardMetrics() []serve.ShardMetrics {
 	for i, sc := range c.shards {
 		p50, p99, max, sum, count := sc.lat.Quantiles()
 		out[i] = serve.ShardMetrics{
-			Shard:      i,
-			Addr:       sc.addr,
-			Calls:      sc.calls.Load(),
-			Errors:     sc.errs.Load(),
-			Retries:    sc.retryCount.Load(),
-			Count:      count,
-			P50NS:      int64(p50),
-			P99NS:      int64(p99),
-			MaxNS:      int64(max),
-			SumNS:      int64(sum),
-			TableCache: serve.TableCache(c.tables.Stats(i)),
+			Shard:            i,
+			Addr:             sc.addr,
+			Calls:            sc.calls.Load(),
+			Errors:           sc.errs.Load(),
+			Retries:          sc.retryCount.Load(),
+			RollbackFailures: sc.rollbackFails.Load(),
+			Count:            count,
+			P50NS:            int64(p50),
+			P99NS:            int64(p99),
+			MaxNS:            int64(max),
+			SumNS:            int64(sum),
+			TableCache:       serve.TableCache(c.tables.Stats(i)),
 		}
 	}
 	return out

@@ -284,6 +284,14 @@ func TestClusterRollbackFailureReported(t *testing.T) {
 	if _, ok := coordGet(t, coord, fresh.Name); !ok {
 		t.Fatalf("%q is gone although its rollback failed", fresh.Name)
 	}
+	if m := coord.ShardMetrics(); m[0].RollbackFailures != 0 || m[1].RollbackFailures != 1 {
+		t.Fatalf("rollback failures per shard = %d, %d; want 0, 1", m[0].RollbackFailures, m[1].RollbackFailures)
+	}
+	rec := httptest.NewRecorder()
+	serve.New(core.FromCatalog(coord), serve.Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := fmt.Sprintf("dialite_shard_rollback_failures_total{shard=\"1\",addr=%q} 1\n", dying.URL); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("/metrics does not carry %q", want)
+	}
 }
 
 // TestClusterPartialReads kills one shard and asserts the degradation

@@ -13,10 +13,10 @@ import (
 )
 
 // TestSynthesizedKBEveryBuild pins the build order's one shared read: a Lake
-// synthesizes its KB from the domains it has just extracted, a Sharded from
-// kb.Synthesize over its whole input, and both hold exactly the KB the
-// curated one merged with kb.Synthesize(tables) gives — Dump for Dump — on
-// the paper lakes and on synthetic lakes.
+// synthesizes its KB from the domains it has just extracted, a Sharded once
+// from its shards' domains gathered back into input order, and both hold
+// exactly the KB the curated one merged with kb.Synthesize(tables) gives —
+// Dump for Dump — on the paper lakes and on synthetic lakes.
 func TestSynthesizedKBEveryBuild(t *testing.T) {
 	lakes := []struct {
 		name   string

@@ -51,26 +51,35 @@ func New[K comparable, V any](max int64, tags int) *Cache[K, V] {
 // Get returns key's value when fresh accepts it, counting exactly one hit,
 // miss or stale against tag. A hit makes the entry the most recently used; a
 // stale entry is dropped and its bytes released. fresh runs with the cache
-// locked, so it must be cheap and must not use the cache. Get never keeps
-// key: a caller may pass a key that views memory it reuses afterwards.
+// unlocked, so it may be slow (a cluster coordinator samples its epoch
+// vector over the network) and may use the cache; when the entry is replaced
+// or dropped meanwhile, fresh's verdict still decides what Get returns and
+// counts, but a replacement is never dropped for it. Get never keeps key: a
+// caller may pass a key that views memory it reuses afterwards.
 func (c *Cache[K, V]) Get(tag int, key K, fresh func(V) bool) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var zero V
+	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.tags[tag].Misses++
+		c.mu.Unlock()
 		return zero, false
 	}
-	e := el.Value.(*entry[K, V])
-	if !fresh(e.v) {
+	v := el.Value.(*entry[K, V]).v
+	c.mu.Unlock()
+	ok = fresh(v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !ok {
 		c.tags[tag].Stale++
-		c.remove(el)
+		if c.entries[key] == el {
+			c.remove(el)
+		}
 		return zero, false
 	}
 	c.tags[tag].Hits++
-	c.order.MoveToBack(el)
-	return e.v, true
+	c.order.MoveToBack(el) // a no-op once el has left the list
+	return v, true
 }
 
 // Put stores v, which holds size bytes, as key's value and counts one store

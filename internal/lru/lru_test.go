@@ -123,6 +123,30 @@ func TestStaleDropsEntry(t *testing.T) {
 	}
 }
 
+// TestFreshRunsUnlocked lets fresh use the cache, as a slow check may while
+// other requests store: it replaces the entry it is judging. The verdict
+// still decides the Get, but the replacement is neither dropped for a stale
+// verdict nor displaced by a hit's reordering.
+func TestFreshRunsUnlocked(t *testing.T) {
+	c := New[string, int](100, 1)
+	c.Put(0, "a", 1, 5)
+	c.Put(0, "b", 2, 5)
+	if _, ok := c.Get(0, "a", func(int) bool { c.Put(0, "a", 3, 7); return false }); ok {
+		t.Fatal("served an entry fresh rejected")
+	}
+	checkAccounting(t, c)
+	if v, ok := c.Get(0, "a", always); !ok || v != 3 {
+		t.Fatalf("Get(a) = %d, %v after a stale verdict on the entry it replaced; want the replacement 3", v, ok)
+	}
+	if v, ok := c.Get(0, "b", func(int) bool { c.Put(0, "b", 4, 5); return true }); !ok || v != 2 {
+		t.Fatalf("Get(b) = %d, %v; want the value fresh accepted, 2", v, ok)
+	}
+	checkAccounting(t, c)
+	if s := c.Stats(0); s.Hits != 2 || s.Stale != 1 || s.Stores != 4 || s.Bytes != 12 {
+		t.Fatalf("stats = %+v; want 2 hits, 1 stale, 4 stores, 12 bytes", s)
+	}
+}
+
 // TestConcurrentGetPutStats races Gets, Puts and Stats over a few keys;
 // run under -race. The accounting must hold once they finish.
 func TestConcurrentGetPutStats(t *testing.T) {

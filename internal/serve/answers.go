@@ -23,17 +23,25 @@ import (
 // the epoch, and the catalog's KB is fixed at build, so
 // SANTOS answers move only with them; Compact never changes answers; a
 // mutation applied to one shard behind a composite's back ticks that
-// shard's element; and the cache lives and dies with the process whose
-// counters it compares. Discoverers keep their side of it: an answer
+// shard's element; and an in-process cache lives and dies with the process
+// whose counters it compares. Discoverers keep their side of it: an answer
 // depends only on (shard lake state, query, column, k) — see
 // discovery.Discoverer.
 //
-// Only in-process catalogs (*lake.Lake, *lake.Sharded) get a cache. A
-// remote catalog (discovery.Remote: the cluster coordinator) samples its
-// vector with a round trip to every shard, so a front-door hit would still
-// cost one network call per shard; instead each shard server caches the
-// per-shard /v1/discover answers it sends the coordinator, keyed by its own
-// in-process counter.
+// Every catalog gets a cache, a cluster coordinator's front door included.
+// There the vector is sampled across processes: element 0, the
+// coordinator's own counter, in process, and each shard's element with one
+// epoch probe round, which is all a hit costs. It is still a sound key. A
+// stored vector is clean, and its after-sample was taken before the store,
+// so before any request that hits it arrived. At a hit each shard's probe
+// reads the even element stored; shard counters never go back and every
+// incarnation starts its counter at random, so each shard held that element
+// from the stored after-sample through its probe. Those intervals all
+// contain the instant the hitting request arrived, when every shard held
+// the stored state, so the stored bytes are what a fresh run would have
+// answered then. Each shard server also caches the per-shard answers it
+// sends the coordinator, under its own counter, for the front door's
+// misses.
 
 // answerCacheBytes bounds the cache's stored body + response bytes. It is
 // sized against heap_mb, the benchmark's tightest bound: 0.08 of a ≈ 50 MB

@@ -152,18 +152,21 @@ type ShardHealthReporter interface {
 // time of shard calls, from the same log2-bucketed histogram the endpoint
 // metrics use. TableCache is the shard's share of the coordinator's
 // decoded-table cache (lru.Stats, tagged by shard). A fetch the cache
-// avoided is not a call.
+// avoided is not a call. RollbackFailures counts the compensations that
+// failed on the shard, each leaving its sub-batch of a failed cross-shard
+// mutation applied.
 type ShardMetrics struct {
-	Shard   int    `json:"shard"`
-	Addr    string `json:"addr"`
-	Calls   uint64 `json:"calls"`
-	Errors  uint64 `json:"errors"`
-	Retries uint64 `json:"retries"`
-	Count   uint64 `json:"count"`
-	P50NS   int64  `json:"p50_ns"`
-	P99NS   int64  `json:"p99_ns"`
-	MaxNS   int64  `json:"max_ns"`
-	SumNS   int64  `json:"sum_ns"`
+	Shard            int    `json:"shard"`
+	Addr             string `json:"addr"`
+	Calls            uint64 `json:"calls"`
+	Errors           uint64 `json:"errors"`
+	Retries          uint64 `json:"retries"`
+	RollbackFailures uint64 `json:"rollback_failures"`
+	Count            uint64 `json:"count"`
+	P50NS            int64  `json:"p50_ns"`
+	P99NS            int64  `json:"p99_ns"`
+	MaxNS            int64  `json:"max_ns"`
+	SumNS            int64  `json:"sum_ns"`
 
 	TableCache
 }

@@ -202,9 +202,9 @@ func (s *Server) shardMetrics() []ShardMetrics {
 }
 
 // answerCacheMetrics reports the attached pipeline's answer cache counters
-// (all zero while warming and over a remote catalog, which has no cache).
+// (all zero while warming).
 func (s *Server) answerCacheMetrics() lru.Stats {
-	if a := s.live.Load(); a != nil && a.answers != nil {
+	if a := s.live.Load(); a != nil {
 		return a.answers.Stats(0)
 	}
 	return lru.Stats{}
@@ -292,6 +292,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		shardCounter("dialite_shard_calls_total", "Coordinator-to-shard calls attempted (retries counted once).", func(m ShardMetrics) uint64 { return m.Calls })
 		shardCounter("dialite_shard_errors_total", "Coordinator-to-shard calls that failed after retries.", func(m ShardMetrics) uint64 { return m.Errors })
 		shardCounter("dialite_shard_retries_total", "Coordinator-to-shard attempt retries (idempotent reads only).", func(m ShardMetrics) uint64 { return m.Retries })
+		shardCounter("dialite_shard_rollback_failures_total", "Compensating rollbacks that failed on the shard, leaving its sub-batch of a failed cross-shard mutation applied.", func(m ShardMetrics) uint64 { return m.RollbackFailures })
 		fmt.Fprintf(&b, "# HELP dialite_shard_rtt_seconds Shard call round-trip latency, bucketed upper-bound quantiles.\n# TYPE dialite_shard_rtt_seconds summary\n")
 		for _, m := range shards {
 			fmt.Fprintf(&b, "dialite_shard_rtt_seconds{shard=\"%d\",addr=%q,quantile=\"0.5\"} %g\n", m.Shard, m.Addr, time.Duration(m.P50NS).Seconds())

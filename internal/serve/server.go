@@ -81,7 +81,7 @@ type Server struct {
 }
 
 // attachment is what Attach installs: the pipeline and the /v1/discover
-// answer cache that belongs to it (answers.go; nil over a remote catalog).
+// answer cache that belongs to it (answers.go).
 type attachment struct {
 	pipe    *core.Pipeline
 	answers *answerCache
@@ -176,20 +176,13 @@ func NewWarming(cfg Config) *Server {
 // not be nil. When a store is attached, lake mutations route through it —
 // logged and fsynced before they are acknowledged — and shutdown syncs
 // and closes its WAL after draining in-flight mutations. Each Attach starts
-// a fresh /v1/discover answer cache, unless the catalog is remote (a
-// cluster coordinator): the shard servers behind it cache the per-shard
-// answers they send under their own in-process epochs, while a front-door
-// entry would pay a round trip to every shard on every hit just to sample
-// the vector.
+// a fresh /v1/discover answer cache, whatever the catalog; over a cluster
+// coordinator a hit costs one epoch probe per shard.
 func (s *Server) Attach(p *core.Pipeline, store *persist.Store) {
 	if store != nil {
 		s.store.Store(store)
 	}
-	a := &attachment{pipe: p}
-	if _, remote := p.Lake().(discovery.Remote); !remote {
-		a.answers = newAnswerCache()
-	}
-	s.live.Store(a) // last: readiness is observed through this pointer
+	s.live.Store(&attachment{pipe: p, answers: newAnswerCache()}) // last: readiness is observed through this pointer
 }
 
 // p returns the attached pipeline, or nil while warming.
@@ -556,17 +549,15 @@ type DiscoverResponse struct {
 // discover answers from the attached answer cache when the same body was
 // answered under the catalog's current epoch vector, and otherwise runs the
 // discovery stage and caches the answer when it is whole (not partial) and
-// proved untorn (see answers.go). Over a remote catalog there is no cache.
+// proved untorn (see answers.go).
 func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("malformed request body: %w", err)
 	}
 	live := s.live.Load()
-	if live.answers != nil {
-		if hit := live.answers.lookup(body, live.pipe.Lake().Epochs); hit != nil {
-			return rawJSON(hit), nil
-		}
+	if hit := live.answers.lookup(body, live.pipe.Lake().Epochs); hit != nil {
+		return rawJSON(hit), nil
 	}
 	var req DiscoverRequest
 	if err := decodeJSON(body, &req); err != nil {
@@ -581,7 +572,7 @@ func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	out := encodeDiscoverResponse(resp)
-	if live.answers == nil || resp.Partial() || resp.Epochs == nil {
+	if resp.Partial() || resp.Epochs == nil {
 		return out, nil
 	}
 	raw, err := encodeJSON(out)

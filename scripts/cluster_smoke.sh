@@ -98,6 +98,13 @@ jq -e '(.partial // false) == false' "$WORK/discover_resp.json" >/dev/null
 jq -e '.integrationSet | length >= 1' "$WORK/discover_resp.json" >/dev/null
 echo "   integration set: $(jq -c '.integrationSet' "$WORK/discover_resp.json")"
 
+echo "== repeat the discover: the coordinator answers from its answer cache"
+curl -sf -X POST -d @"$WORK/discover_req.json" "$COORD/v1/discover" >"$WORK/discover_again.json"
+cmp "$WORK/discover_resp.json" "$WORK/discover_again.json"
+hits="$(curl -sf "$COORD/metrics" | awk '$1 == "dialite_answer_cache_hits_total" { print $2 }')"
+test "${hits:-0}" -ge 1
+echo "   answer cache hits: $hits"
+
 echo "== integrate the discovered set"
 # The integration set names lake tables plus the query itself; the query is
 # not in the lake, so it rides along inline.
