@@ -441,41 +441,18 @@ func subsumesIDs(sup, sub []uint32) bool {
 // non-null values all appear in a tuple with strictly more information).
 // Value-duplicates are removed first; an all-null tuple is dropped whenever
 // any other tuple exists. The survivors are exactly the maximal tuples,
-// with their original Tuple structs preserved in input order.
+// with their original Tuple structs preserved in input order. The tuples
+// seed a private closer, as ALITE's do, without running the closure.
 func RemoveSubsumed(tuples []Tuple) []Tuple {
-	dict := table.NewDict()
-	cts := make([]ctuple, 0, len(tuples))
+	c := newCloser(nil)
 	orig := make([]Tuple, 0, len(tuples))
-	byHash := make(map[uint64][]int32, len(tuples))
-	buckets := make(map[uint64][]int32)
-	var idbuf []uint32
 	for _, t := range tuples {
-		idbuf = dict.InternRow(t.Values, idbuf)
-		h := hashIDs(idbuf)
-		dup := false
-		for _, idx := range byHash[h] {
-			if equalIDs(cts[idx].ids, idbuf) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		idx := int32(len(cts))
-		ids := append([]uint32(nil), idbuf...)
-		cts = append(cts, ctuple{vals: t.Values, ids: ids})
-		orig = append(orig, t)
-		byHash[h] = append(byHash[h], idx)
-		for pos, id := range ids {
-			if id == table.NullID {
-				continue
-			}
-			bk := uint64(pos)<<32 | uint64(id)
-			buckets[bk] = append(buckets[bk], idx)
+		if ct := c.intern(t); c.lookup(ct.ids) < 0 {
+			c.add(ct)
+			orig = append(orig, t)
 		}
 	}
-	keep := removeSubsumedIDs(cts, buckets)
+	keep := removeSubsumedIDs(c.tuples, c.buckets)
 	out := make([]Tuple, 0, len(keep))
 	for _, idx := range keep {
 		out = append(out, orig[idx])

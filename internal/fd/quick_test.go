@@ -116,6 +116,61 @@ func TestQuickRemoveSubsumedAntichain(t *testing.T) {
 	}
 }
 
+// TestQuickRemoveSubsumedContract pins RemoveSubsumed's documented contract
+// against a brute-force reference built from Subsumes and Tuple.Key: of
+// each set of value-duplicates only the first occurrence's struct (its
+// provenance and null kinds included) survives, a survivor is subsumed by no
+// other distinct tuple, and survivors keep input order. Random inputs are
+// salted with value-duplicates that carry fresh provenance and flipped null
+// kinds, inserted at random positions.
+func TestQuickRemoveSubsumedContract(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tuples := randomInput(rng).Tuples
+		for k, dups := 0, rng.Intn(6); k < dups; k++ {
+			src := tuples[rng.Intn(len(tuples))]
+			vals := append([]table.Value(nil), src.Values...)
+			for i, v := range vals {
+				if v.IsNull() && rng.Intn(2) == 0 {
+					if v.Kind() == table.Null {
+						vals[i] = table.ProducedNull()
+					} else {
+						vals[i] = table.NullValue()
+					}
+				}
+			}
+			at := rng.Intn(len(tuples) + 1)
+			dup := Tuple{Values: vals, Prov: []string{"d" + string(rune('0'+k))}}
+			tuples = append(tuples[:at], append([]Tuple{dup}, tuples[at:]...)...)
+		}
+		seen := map[string]bool{}
+		var firsts []Tuple
+		for _, tu := range tuples {
+			if !seen[tu.Key()] {
+				seen[tu.Key()] = true
+				firsts = append(firsts, tu)
+			}
+		}
+		var want []Tuple
+		for i, tu := range firsts {
+			subsumed := false
+			for j, other := range firsts {
+				if i != j && Subsumes(other.Values, tu.Values) {
+					subsumed = true
+					break
+				}
+			}
+			if !subsumed {
+				want = append(want, tu)
+			}
+		}
+		return reflect.DeepEqual(RemoveSubsumed(tuples), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickMergeProperties: merging complementable tuples is commutative
 // in values and subsumes both sides.
 func TestQuickMergeProperties(t *testing.T) {

@@ -213,9 +213,10 @@ func (ix *Index) sign(d *Domain, buf *[]uint64, dst sketch.Sketch) sketch.Sketch
 }
 
 // initPartitions computes the equi-depth partitioning and band tables from
-// scratch over the (fully signed) domain slots — the tail of BuildWithDict.
-// Partitions band independently; they are built in parallel and collected in
-// partition order, so the index layout stays deterministic.
+// scratch over the (fully signed, all live) domain slots — the tail of
+// BuildWithDict and of compaction. Partitions band independently; they are
+// built in parallel and collected in partition order, so the index layout
+// stays deterministic.
 func (ix *Index) initPartitions() {
 	// Equi-depth partitioning by domain size.
 	ix.order = make([]int, len(ix.domains))
@@ -392,8 +393,10 @@ func (ix *Index) Remove(tables []string) int {
 
 // Compact rebuilds the slot arrays densely over the live domains, dropping
 // dead-slot bookkeeping (and releasing the memory retained by removed
-// domains). Query behavior is unchanged. Compact is exclusive with queries
-// and other mutations.
+// domains), and re-lays the partitions through initPartitions, the build's
+// own bulk layout; the cached sketches are reused, nothing is re-signed.
+// Query behavior is unchanged. Compact is exclusive with queries and other
+// mutations.
 func (ix *Index) Compact() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -415,26 +418,21 @@ func (ix *Index) compactLocked() {
 	}
 	ix.domains, ix.signatures = domains, sigs
 	ix.alive = make([]bool, n)
-	ix.partOf = make([]int32, n)
-	ix.order = make([]int, n)
-	for i := 0; i < n; i++ {
+	for i := range ix.alive {
 		ix.alive[i] = true
-		ix.partOf[i] = -1
-		ix.order[i] = i
 	}
-	sort.SliceStable(ix.order, func(a, b int) bool { return ix.orderLess(ix.order[a], ix.order[b]) })
-	ix.parts = ix.parts[:0]
-	ix.reshard()
+	ix.partOf = make([]int32, n)
+	ix.initPartitions()
 }
 
 // reshard recomputes the equi-depth partition boundaries over the current
-// live order and moves exactly the slots whose assignment changed between
-// band tables — adding or removing one table shifts each boundary by at
-// most one position, so steady-state mutations re-band O(partitions)
-// domains, not O(domains). The resulting partition layout (boundaries,
-// membership, size upper bounds and bucket contents) is identical to what
-// a fresh Build over the live domains would construct. Callers hold the
-// write lock.
+// live order, grows or trims the partition count, and moves exactly the
+// slots whose assignment changed between band tables — adding or removing
+// one table shifts each boundary by at most one position, so steady-state
+// mutations re-band O(partitions) domains, not O(domains). The resulting
+// partition layout (boundaries, membership, size upper bounds and bucket
+// contents) is identical to what a fresh Build over the live domains would
+// construct. Callers hold the write lock.
 func (ix *Index) reshard() {
 	n := len(ix.order)
 	nparts := ix.opts.NumPartitions

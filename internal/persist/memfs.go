@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -210,7 +211,7 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	}
 	ino, ok := m.files[name]
 	if !ok {
-		return nil, fmt.Errorf("memfs: %s: file does not exist", name)
+		return nil, fmt.Errorf("memfs: %s: %w", name, fs.ErrNotExist)
 	}
 	return append([]byte(nil), ino.data...), nil
 }

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"time"
@@ -106,14 +107,18 @@ func Exists(dir string, opts Options) bool {
 
 // Create initializes dir as the durable home of l: an initial snapshot of
 // the lake's current state plus an empty WAL. It refuses a directory that
-// already holds a snapshot (Open that instead).
+// already holds a snapshot (Open that instead) or that it cannot list.
 func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("persist: create: %w", err)
 	}
-	if seqs, err := listSnapshots(fsys, dir); err == nil && len(seqs) > 0 {
+	seqs, err := listSnapshots(fsys, dir)
+	if err != nil {
+		return nil, fmt.Errorf("persist: create: %w", err)
+	}
+	if len(seqs) > 0 {
 		return nil, fmt.Errorf("persist: create: %s already holds %d snapshot(s); open it instead", dir, len(seqs))
 	}
 	if err := writeSnapshot(fsys, dir, l.Export(), 0); err != nil {
@@ -141,7 +146,8 @@ func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 // replays every WAL record not yet folded into it, truncates the log at the
 // first torn or corrupt record, and reopens the log for appending.
 // Snapshots or logs written by a different format major version are refused
-// with a VersionError, never guessed at.
+// with a VersionError, never guessed at. Only a missing log means nothing
+// was logged; a log that cannot be read refuses Open.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
@@ -154,8 +160,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	walPath := filepath.Join(dir, walFile)
 	walImg, err := fsys.ReadFile(walPath)
-	if err != nil {
-		walImg = nil // no WAL file: nothing was ever logged past the snapshot
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		// An unreadable log may hold acknowledged records: refuse before
+		// anything is written, never rewrite it empty.
+		return nil, fmt.Errorf("persist: open: %w", err)
 	}
 	recs, validLen, err := decodeWAL(walImg)
 	if err != nil {

@@ -293,6 +293,113 @@ func TestCreateRefusesExistingDirectory(t *testing.T) {
 	}
 }
 
+// unreadableFS wraps an FS and fails ReadFile of one file and ReadDir of
+// one directory with errUnreadable: an I/O error, not a missing entry.
+type unreadableFS struct {
+	FS
+	file, dir string
+}
+
+var errUnreadable = errors.New("injected: input/output error")
+
+func (u unreadableFS) ReadFile(name string) ([]byte, error) {
+	if name == u.file {
+		return nil, errUnreadable
+	}
+	return u.FS.ReadFile(name)
+}
+
+func (u unreadableFS) ReadDir(dir string) ([]string, error) {
+	if dir == u.dir {
+		return nil, errUnreadable
+	}
+	return u.FS.ReadDir(dir)
+}
+
+// TestOpenRefusesUnreadableWAL pins that only a missing WAL means nothing
+// was logged: a WAL that exists but cannot be read refuses Open before
+// anything is written, so its acknowledged records survive for a later
+// Open that can read them.
+func TestOpenRefusesUnreadableWAL(t *testing.T) {
+	pool, lopts := newStorePool(23, 4)
+	fsys := NewMemFS()
+	s := mustCreate(t, fsys, pool[:1], lopts, Options{SnapshotEvery: -1})
+	if err := s.Add(pool[1], pool[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(testDir, walFile)
+	before, err := fsys.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(testDir, Options{FS: unreadableFS{FS: fsys, file: walPath}}); !errors.Is(err, errUnreadable) {
+		t.Fatalf("Open over an unreadable WAL = %v, want the read error", err)
+	}
+	if after, err := fsys.ReadFile(walPath); err != nil || string(after) != string(before) {
+		t.Fatalf("WAL changed by the refused Open: %d -> %d bytes (%v)", len(before), len(after), err)
+	}
+	s, err = Open(testDir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLake(t, "after refusal", s.Lake(), pool[:3], lopts, []*table.Table{pool[1], pool[3]})
+}
+
+// TestOpenWithoutWAL pins the other side of that rule: a missing WAL (a
+// crash inside Create between the snapshot and the log) means nothing was
+// logged, so Open recovers the snapshot and starts a fresh log.
+func TestOpenWithoutWAL(t *testing.T) {
+	pool, lopts := newStorePool(37, 3)
+	fsys := NewMemFS()
+	s := mustCreate(t, fsys, pool[:2], lopts, Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(filepath.Join(testDir, walFile)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(testDir, Options{FS: fsys})
+	if err != nil {
+		t.Fatalf("Open without a WAL: %v", err)
+	}
+	if err := s.Add(pool[2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(testDir, Options{FS: fsys}); err != nil {
+		t.Fatal(err)
+	}
+	expectLake(t, "fresh log", s.Lake(), pool, lopts, []*table.Table{pool[0], pool[2]})
+}
+
+// TestCreateRefusesUnlistableDir pins that Create writes nothing over a
+// directory it cannot list: it cannot tell whether a store lives there.
+func TestCreateRefusesUnlistableDir(t *testing.T) {
+	pool, lopts := newStorePool(29, 4)
+	fsys := NewMemFS()
+	s := mustCreate(t, fsys, pool[:2], lopts, Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := lake.New(pool[2:3], lopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(testDir, l, Options{FS: unreadableFS{FS: fsys, dir: testDir}}); !errors.Is(err, errUnreadable) {
+		t.Fatalf("Create over an unlistable directory = %v, want the listing error", err)
+	}
+	s, err = Open(testDir, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectLake(t, "after refusal", s.Lake(), pool[:2], lopts, []*table.Table{pool[0], pool[3]})
+}
+
 // corruptScenario builds a two-generation store directory: snap-0 from
 // Create, two logged adds folded into snap-2, then one more logged remove —
 // so recovery from the newest snapshot replays record 3, and fallback to

@@ -127,42 +127,6 @@ func (d *Dict) Intern(v Value) uint32 {
 	return d.assignLocked(v)
 }
 
-// InternRow interns every cell of row into dst, which is grown as needed
-// and returned. It is the bulk path fd.RemoveSubsumed uses: the read lock is
-// taken once per row, and the write lock only when the row carries values
-// never seen before.
-func (d *Dict) InternRow(row []Value, dst []uint32) []uint32 {
-	if cap(dst) < len(row) {
-		dst = make([]uint32, len(row))
-	}
-	dst = dst[:len(row)]
-	misses := 0
-	d.mu.RLock()
-	for i, v := range row {
-		if v.IsNull() {
-			dst[i] = NullID
-			continue
-		}
-		if dst[i] = d.lookupLocked(v); dst[i] == 0 {
-			misses++
-		}
-	}
-	d.mu.RUnlock()
-	if misses == 0 {
-		return dst
-	}
-	d.mu.Lock()
-	for i, v := range row {
-		if dst[i] == 0 && !v.IsNull() {
-			if dst[i] = d.lookupLocked(v); dst[i] == 0 {
-				dst[i] = d.assignLocked(v)
-			}
-		}
-	}
-	d.mu.Unlock()
-	return dst
-}
-
 // Value returns a representative value for id — the first value interned
 // under it — and whether the ID is known. NullID reports a missing null.
 func (d *Dict) Value(id uint32) (Value, bool) {

@@ -103,20 +103,6 @@ func TestDictEqualValuesShareID(t *testing.T) {
 	}
 }
 
-func TestDictInternRow(t *testing.T) {
-	d := NewDict()
-	row := []Value{StringValue("x"), NullValue(), IntValue(7)}
-	ids := d.InternRow(row, nil)
-	if len(ids) != 3 || ids[1] != NullID || ids[0] == ids[2] {
-		t.Fatalf("InternRow = %v", ids)
-	}
-	// Reuses the destination buffer when it fits.
-	again := d.InternRow(row[:2], ids)
-	if &again[0] != &ids[0] {
-		t.Fatalf("InternRow did not reuse the destination buffer")
-	}
-}
-
 func TestDictConcurrentInterning(t *testing.T) {
 	d := NewDict()
 	const goroutines = 16
