@@ -21,8 +21,19 @@ import (
 // Coerce interprets a cell numerically. Ints and floats pass through;
 // strings are parsed after stripping currency symbols, commas and spaces,
 // honoring a trailing percent sign (stripped) or magnitude suffix
-// (k=1e3, M=1e6, B/G=1e9). Nulls and non-numeric strings fail.
+// (k=1e3, M=1e6, B/G=1e9). Nulls and non-numeric strings fail, and so does
+// every non-finite result, whatever the cell's kind: ParseFloat accepts
+// "nan" and "inf", a suffix can overflow to ±Inf, and a Float cell may hold
+// either, but no analysis (nor its JSON answer) can use them.
 func Coerce(v table.Value) (float64, bool) {
+	f, ok := coerce(v)
+	if !ok || math.IsInf(f, 0) || math.IsNaN(f) {
+		return 0, false
+	}
+	return f, true
+}
+
+func coerce(v table.Value) (float64, bool) {
 	if f, ok := v.AsFloat(); ok {
 		return f, true
 	}

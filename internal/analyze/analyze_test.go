@@ -28,6 +28,20 @@ func TestCoerce(t *testing.T) {
 		{table.StringValue(""), 0, false},
 		{table.StringValue("%"), 0, false},
 		{table.BoolValue(true), 0, false},
+		// Non-finite results are not numbers to an analysis: ParseFloat
+		// accepts these spellings, a suffix can overflow, and a Float cell
+		// can hold ±Inf or NaN itself.
+		{table.StringValue("nan"), 0, false},
+		{table.StringValue("NaN"), 0, false},
+		{table.StringValue("inf"), 0, false},
+		{table.StringValue("-Infinity"), 0, false},
+		{table.StringValue("Infinity%"), 0, false},
+		{table.StringValue("1e308k"), 0, false},
+		{table.StringValue("-1e308B"), 0, false},
+		{table.Parse("inf"), 0, false},
+		{table.FloatValue(math.Inf(-1)), 0, false},
+		{table.FloatValue(math.NaN()), 0, false},
+		{table.FloatValue(math.MaxFloat64), math.MaxFloat64, true},
 	}
 	for _, c := range cases {
 		got, ok := Coerce(c.in)

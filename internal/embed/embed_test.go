@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -88,10 +89,39 @@ func TestNumericColumnsClusterByMagnitude(t *testing.T) {
 }
 
 func TestMagnitude(t *testing.T) {
-	cases := map[float64]int{0: 0, 0.5: 0, 1: 1, 9: 1, 10: 2, 147: 3, 1.4e6: 7, -147: 3}
+	cases := map[float64]int{0: 0, 0.5: 0, 1: 1, 9: 1, 10: 2, 147: 3, 1.4e6: 7, -147: 3,
+		math.MaxFloat64: 309, -math.MaxFloat64: 309,
+		// Non-finite values share one fixed magnitude on every platform.
+		math.Inf(1): -1, math.Inf(-1): -1,
+	}
 	for f, want := range cases {
 		if got := magnitude(f); got != want {
 			t.Errorf("magnitude(%v) = %d, want %d", f, got, want)
+		}
+	}
+	if got := magnitude(math.NaN()); got != -1 {
+		t.Errorf("magnitude(NaN) = %d, want -1", got)
+	}
+}
+
+// TestBucketIsFNV1a pins the resumable in-place hash to hash/fnv: bucket
+// of any string, and bucketAfter of any split of it into a prefix and the
+// rest (as string or bytes), equal New32a's sum modulo Dim.
+func TestBucketIsFNV1a(t *testing.T) {
+	f := func(s string, cut uint8) bool {
+		h := fnv.New32a()
+		h.Write([]byte(s))
+		want := int(h.Sum32() % uint32(Dim))
+		i := int(cut) % (len(s) + 1)
+		prefix := fnvAdd(fnvOffset32, s[:i])
+		return bucket(s) == want && bucketAfter(prefix, s[i:]) == want && bucketAfter(prefix, []byte(s[i:])) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"", "kind:text", "tok:berlin", "3g:_日本", "\xff"} {
+		if !f(s, 3) {
+			t.Errorf("bucket(%q) differs from hash/fnv", s)
 		}
 	}
 }

@@ -130,3 +130,62 @@ func TestColumnsMatchReference(t *testing.T) {
 	checkColumnsMatchReference(t, "synth family 0", family, synthKB)
 	checkColumnsMatchReference(t, "synth lake", lk.Tables, synthKB)
 }
+
+// FuzzColumnsMatchReference pins Columns to Column in float64 bits on
+// fuzzed integration sets: data[0] picks one to three tables, and the
+// remaining bytes, cycled, pick each table's shape and cells. Cells mix
+// words the demo KB types, raw slices of the fuzzed text (punctuation,
+// multi-byte and invalid UTF-8 included), numbers of every magnitude with
+// ±Inf, NaN and −0 among them, bools and both nulls.
+func FuzzColumnsMatchReference(f *testing.F) {
+	f.Add([]byte{}, "")
+	f.Add([]byte{2, 3, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, "Berlin, USA")
+	f.Add([]byte{1, 1, 2, 12, 13, 14, 15, 16, 17}, "日本 Tokyo \xff 42")
+	demo := kb.Demo()
+	f.Fuzz(func(t *testing.T, data []byte, text string) {
+		data = append(append([]byte(nil), data...), 0, 0, 0)
+		words := []string{"Berlin", "Boston", "USA", "United States", "J&J", "42", "", "new york 2021"}
+		nums := []float64{0, -0.0, 0.5, 1, -147, 1.4e6, 1e15, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+		next := 1
+		b := func() int {
+			v := int(data[next%len(data)])
+			next++
+			return v
+		}
+		var set []*table.Table
+		for ti := 0; ti < 1+int(data[0])%3; ti++ {
+			cols, rows := 1+b()%3, b()%6
+			headers := make([]string, cols)
+			for c := range headers {
+				headers[c] = fmt.Sprintf("c%d", c)
+			}
+			tb := table.New(fmt.Sprintf("t%d", ti), headers...)
+			for r := 0; r < rows; r++ {
+				row := make([]table.Value, cols)
+				for c := range row {
+					switch k := b(); k % 7 {
+					case 0:
+						row[c] = table.StringValue(words[k/7%len(words)])
+					case 1:
+						lo := k % (len(text) + 1)
+						row[c] = table.StringValue(text[lo:])
+					case 2:
+						row[c] = table.FloatValue(nums[k/7%len(nums)])
+					case 3:
+						row[c] = table.IntValue(int64(k) - 100)
+					case 4:
+						row[c] = table.BoolValue(k%2 == 0)
+					case 5:
+						row[c] = table.NullValue()
+					default:
+						row[c] = table.ProducedNull()
+					}
+				}
+				tb.Rows = append(tb.Rows, row)
+			}
+			set = append(set, tb)
+		}
+		checkColumnsMatchReference(t, "demo", set, demo)
+		checkColumnsMatchReference(t, "nil", set, nil)
+	})
+}

@@ -21,7 +21,9 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/kb"
 	"repro/internal/table"
@@ -103,12 +105,17 @@ func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (
 }
 
 // valueTable is the one table of the distinct cells a resolution or
-// training call compares. A cell is keyed by its exact value
-// (table.Value.Exact: kind and payload bits) and gets a dense id; its entry
-// holds the value, its annotation code and, from its first text
-// comparison on, its text features. Text scores are memoized per ordered
-// pair of ids, so blocking's repeated comparisons of the same two values
-// pay for one Levenshtein and one Jaccard.
+// training call compares. A cell is keyed by its exact value (kind and
+// payload bits, as table.Value.Exact) and gets a dense id. The key is kept
+// per kind: strings by their string, Ints by their payload and Floats by
+// their bits, in three maps, and the two nulls and the two bools in fixed
+// slots, so no key hashes a generic struct. An entry is derived once, on
+// entry: the value, its rendering and its annotation code. Its text
+// features follow on its first text comparison, and a number's Equal class
+// on the first merge where it meets another number. Text scores are
+// memoized per pair of ids, so
+// blocking's repeated comparisons of the same two values pay for one
+// Levenshtein and one Jaccard.
 //
 // Everything an entry holds is a function of kind and payload bits, and a
 // text score is a function of two renderings, so the table answers exactly
@@ -118,15 +125,38 @@ func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (
 // and dies with one call; nothing is shared.
 type valueTable struct {
 	ann    *kb.Annotator
-	ids    map[table.ExactKey]uint32
+	strs   map[string]uint32
+	ints   map[int64]uint32
+	floats map[uint64]uint32
+	fixed  [4]uint32 // id+1 of Null, PNull, false, true; 0 until entered
 	cells  []cell
+	texts  []textForm // texts[id], grown on demand
 	scores map[uint64]float64
+
+	// classes interns numbers by Equal (table.Dict IDs are exactly Key's
+	// classes); mark (id or class → candidate) and cands are the merge's
+	// scratch.
+	classes *table.Dict
+	mark    []int32
+	cands   []mergeCand
+	// lev holds the Levenshtein rows every text comparison reuses.
+	lev [2][]int
 }
 
 type cell struct {
-	v    table.Value
-	code uint32    // kb.CodeEmpty for nulls and empty-canonical values
-	text *textFeat // nil until the cell first reaches the text fallback
+	v     table.Value
+	s     string // v.String(), rendered once
+	code  uint32 // kb.CodeEmpty for nulls and empty-canonical values
+	class uint32 // a number's Equal class, 0 until the merge first asks
+}
+
+// textForm is a cell's text-fallback view, derived on its first text
+// comparison: the normalized rendering's runes (Levenshtein input) and its
+// sorted, distinct words (Jaccard input).
+type textForm struct {
+	done  bool
+	runes []rune
+	words []string
 }
 
 // newValueTable starts an empty table annotating through a fresh annotator
@@ -134,26 +164,78 @@ type cell struct {
 // nil, the knowledge-free semantics).
 func newValueTable(knowledge *kb.KB) *valueTable {
 	return &valueTable{
-		ann:    kb.NewAnnotator(knowledge.Compiled()),
-		ids:    make(map[table.ExactKey]uint32),
-		scores: make(map[uint64]float64),
+		ann:     kb.NewAnnotator(knowledge.Compiled()),
+		strs:    make(map[string]uint32),
+		ints:    make(map[int64]uint32),
+		floats:  make(map[uint64]uint32),
+		scores:  make(map[uint64]float64),
+		classes: table.NewDict(),
 	}
 }
 
-// id returns v's dense id, annotating v on first sight.
+// id returns v's dense id, entering and annotating v on first sight.
 func (vt *valueTable) id(v table.Value) uint32 {
-	i, ok := vt.ids[v.Exact()]
+	switch v.Kind() {
+	case table.String:
+		return idIn(vt, vt.strs, v.Str(), v)
+	case table.Int:
+		return idIn(vt, vt.ints, v.IntVal(), v)
+	case table.Float:
+		return idIn(vt, vt.floats, math.Float64bits(v.FloatVal()), v)
+	}
+	var slot *uint32
+	switch {
+	case v.Kind() != table.Bool:
+		slot = &vt.fixed[v.Kind()] // Null or PNull
+	case v.BoolVal():
+		slot = &vt.fixed[3]
+	default:
+		slot = &vt.fixed[2]
+	}
+	if *slot == 0 {
+		*slot = vt.enter(v) + 1
+	}
+	return *slot - 1
+}
+
+// idIn returns the id of v, whose key in its kind's map is k.
+func idIn[K comparable](vt *valueTable, ids map[K]uint32, k K, v table.Value) uint32 {
+	i, ok := ids[k]
 	if !ok {
-		i = uint32(len(vt.cells))
-		vt.ids[v.Exact()] = i
-		vt.cells = append(vt.cells, cell{v: v, code: vt.ann.Code(v)})
+		i = vt.enter(v)
+		ids[k] = i
 	}
 	return i
 }
 
+// enter appends a new entry for v. Its code is the code of its rendering,
+// computed without the annotator's rendering cache, which would only repeat
+// the table's own dedup.
+func (vt *valueTable) enter(v table.Value) uint32 {
+	c := cell{v: v, s: v.String(), code: kb.CodeEmpty}
+	if !v.IsNull() {
+		c.code = vt.ann.CodeUncached(c.s)
+	}
+	vt.cells = append(vt.cells, c)
+	return uint32(len(vt.cells) - 1)
+}
+
 // index enters every cell of t: ids[r*cols+c] and codes[r*cols+c] are row
-// r, column c's id and annotation code.
+// r, column c's id and annotation code. An empty table's maps are first
+// sized by t's cell count per kind, a bound on its distinct values, so
+// entering never regrows them.
 func (vt *valueTable) index(t *table.Table) (ids, codes []uint32) {
+	if len(vt.cells) == 0 {
+		var kinds [table.Bool + 1]int
+		for _, row := range t.Rows {
+			for _, v := range row {
+				kinds[v.Kind()]++
+			}
+		}
+		vt.strs = make(map[string]uint32, kinds[table.String])
+		vt.ints = make(map[int64]uint32, kinds[table.Int])
+		vt.floats = make(map[uint64]uint32, kinds[table.Float])
+	}
 	cols := t.NumCols()
 	ids, codes = make([]uint32, len(t.Rows)*cols), make([]uint32, len(t.Rows)*cols)
 	for r, row := range t.Rows {
@@ -172,8 +254,11 @@ func (vt *valueTable) index(t *table.Table) (ids, codes []uint32) {
 // Levenshtein ratio exactly 1). The numeric check stays ahead of the code
 // check, because distinct numbers may share a canonical form ("-5" and "5"
 // both normalize to "5") and must keep their numeric score. Everything
-// else falls back to text, memoized per ordered pair.
+// else falls back to text, memoized per pair (the text score is symmetric).
 func (vt *valueTable) similarity(i, j uint32) float64 {
+	if i == j {
+		return 1 // one exact value; Equal to itself
+	}
 	a, b := &vt.cells[i], &vt.cells[j]
 	if a.v.Equal(b.v) {
 		return 1
@@ -186,44 +271,101 @@ func (vt *valueTable) similarity(i, j uint32) float64 {
 	if kb.SameCode(a.code, b.code) {
 		return 1
 	}
-	key := uint64(i)<<32 | uint64(j)
+	key := uint64(min(i, j))<<32 | uint64(max(i, j))
 	s, ok := vt.scores[key]
 	if !ok {
-		s = vt.text(i).similarity(vt.text(j))
+		ti := *vt.text(i) // a copy: text(j) may grow vt.texts
+		s = vt.textScore(ti, *vt.text(j))
 		vt.scores[key] = s
 	}
 	return s
 }
 
-func (vt *valueTable) text(i uint32) *textFeat {
-	c := &vt.cells[i]
-	if c.text == nil {
-		f := newTextFeat(c.v.String())
-		c.text = &f
+// text returns cell i's text form, deriving it on first use. The pointer
+// is valid until the next call.
+func (vt *valueTable) text(i uint32) *textForm {
+	if int(i) >= len(vt.texts) {
+		vt.texts = append(vt.texts, make([]textForm, len(vt.cells)-len(vt.texts))...)
 	}
-	return c.text
+	f := &vt.texts[i]
+	if !f.done {
+		f.done = true
+		n := tokenize.Normalize(vt.cells[i].s)
+		f.runes = []rune(n)
+		if n != "" {
+			f.words = strings.Split(n, " ")
+			slices.Sort(f.words)
+			f.words = slices.Compact(f.words)
+		}
+	}
+	return f
 }
 
-// textFeat is the text-fallback view of one cell rendering: its normalized
-// form (Levenshtein input) and word set (Jaccard input).
-type textFeat struct {
-	norm  string
-	words []string
-}
-
-func newTextFeat(raw string) textFeat {
-	return textFeat{norm: tokenize.Normalize(raw), words: tokenize.Words(raw)}
-}
-
-// similarity is the string fallback: the better of the Levenshtein ratio
+// textScore is the string fallback: the better of the Levenshtein ratio
 // over normalized forms and the token Jaccard.
-func (f *textFeat) similarity(o *textFeat) float64 {
-	lev := levenshteinRatio(f.norm, o.norm)
-	jac := tokenize.Jaccard(f.words, o.words)
+func (vt *valueTable) textScore(a, b textForm) float64 {
+	lev := vt.levenshteinRatio(a.runes, b.runes)
+	jac := jaccardSorted(a.words, b.words)
 	if jac > lev {
 		return jac
 	}
 	return lev
+}
+
+// levenshteinRatio returns 1 - dist/maxLen in [0,1], on the table's two
+// reused rows.
+func (vt *valueTable) levenshteinRatio(ar, br []rune) float64 {
+	la, lb := len(ar), len(br)
+	if la == 0 && lb == 0 {
+		return 1
+	}
+	if len(vt.lev[0]) < lb+1 {
+		vt.lev = [2][]int{make([]int, lb+1), make([]int, lb+1)}
+	}
+	prev, cur := vt.lev[0][:lb+1], vt.lev[1][:lb+1]
+	for j := 0; j <= lb; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= la; i++ {
+		cur[0] = i
+		for j := 1; j <= lb; j++ {
+			cost := 1
+			if ar[i-1] == br[j-1] {
+				cost = 0
+			}
+			m := prev[j] + 1 // deletion
+			if x := cur[j-1] + 1; x < m {
+				m = x // insertion
+			}
+			if x := prev[j-1] + cost; x < m {
+				m = x // substitution
+			}
+			cur[j] = m
+		}
+		prev, cur = cur, prev
+	}
+	return 1 - float64(prev[lb])/float64(max(la, lb))
+}
+
+// jaccardSorted is tokenize.Jaccard over two sorted, distinct word lists,
+// counting the intersection by a merge.
+func jaccardSorted(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			inter++
+			i, j = i+1, j+1
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // numericSimilarity scores two numeric cells by relative closeness.
@@ -253,44 +395,6 @@ func maxAbs(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// levenshteinRatio returns 1 - dist/maxLen in [0,1].
-func levenshteinRatio(a, b string) float64 {
-	ar, br := []rune(a), []rune(b)
-	if len(ar) == 0 && len(br) == 0 {
-		return 1
-	}
-	la, lb := len(ar), len(br)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ar[i-1] == br[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1 // deletion
-			if x := cur[j-1] + 1; x < m {
-				m = x // insertion
-			}
-			if x := prev[j-1] + cost; x < m {
-				m = x // substitution
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	dist := prev[lb]
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(dist)/float64(maxLen)
 }
 
 // pairCancelStride bounds how many blocking-generated candidate pairs are
@@ -352,7 +456,9 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 	}
 	res := &Resolution{Input: t}
 	pi := 0
-	for a, b := range candidatePairs(codes, cols) {
+	// The block count is near the distinct value count: a value rarely
+	// spans columns.
+	for a, b := range candidatePairs(codes, cols, len(vt.cells)) {
 		if done != nil && pi%pairCancelStride == 0 {
 			select {
 			case <-done:
@@ -390,7 +496,7 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 		}
 		res.Clusters[cluster[r]] = append(res.Clusters[cluster[r]], i)
 	}
-	res.Resolved = mergeClusters(t, res.Clusters, knowledge)
+	res.Resolved = vt.merge(t, ids, res.Clusters)
 	return res, nil
 }
 
@@ -399,31 +505,60 @@ func resolveWith(ctx context.Context, t *table.Table, knowledge *kb.KB, threshol
 // sharing a non-empty code in the same column block together. Each pair
 // comes out once (a<b), in ascending (a, b) order — the sequence of the
 // string-keyed reference blockPairs in crosscheck_test.go — without a pair
-// set or a global sort: rows are walked in ascending order, a row's
-// partners are the rows after it in each of its blocks (block rows ascend),
-// marked with the row's stamp so a pair sharing several blocks is taken
-// once, then sorted.
-func candidatePairs(codes []uint32, cols int) iter.Seq2[int, int] {
+// set or a global sort. blocksHint sizes the block map.
+//
+// The blocks are laid out by a counting sort: one map numbers each
+// (column, code) block and counts its cells, prefix sums give each block a
+// span of one flat member array, and filling it in row-major order leaves
+// every span's rows ascending, with each cell knowing its slot. Rows are
+// then walked in ascending order: a row's partners in a block are the
+// slots after its own, marked with the row's stamp so a pair sharing
+// several blocks is taken once, then sorted.
+func candidatePairs(codes []uint32, cols, blocksHint int) iter.Seq2[int, int] {
 	return func(yield func(int, int) bool) {
 		rows := len(codes) / cols
-		blocks := make(map[uint64][]int32)
+		blockOf := make(map[uint64]int32, blocksHint)
+		// blk[k] is cell k's block (-1 for none); end[b+1] counts block b's
+		// cells, then the prefix sums make end[b+1] the end of its span.
+		blk := make([]int32, len(codes))
+		end := []int32{0}
 		for k, code := range codes {
-			if code > kb.CodeEmpty {
-				key := uint64(k%cols)<<32 | uint64(code)
-				blocks[key] = append(blocks[key], int32(k/cols))
+			if code <= kb.CodeEmpty {
+				blk[k] = -1
+				continue
+			}
+			key := uint64(k%cols)<<32 | uint64(code)
+			b, ok := blockOf[key]
+			if !ok {
+				b = int32(len(end) - 1)
+				blockOf[key] = b
+				end = append(end, 0)
+			}
+			blk[k] = b
+			end[b+1]++
+		}
+		for b := 1; b < len(end); b++ {
+			end[b] += end[b-1]
+		}
+		next := slices.Clone(end[:len(end)-1]) // next[b]: block b's next free slot
+		members := make([]int32, end[len(end)-1])
+		slot := make([]int32, len(codes))
+		for k, b := range blk {
+			if b >= 0 {
+				slot[k] = next[b]
+				members[next[b]] = int32(k / cols)
+				next[b]++
 			}
 		}
 		stamp := make([]int32, rows)
 		var partners []int32
 		for r := 0; r < rows; r++ {
 			partners = partners[:0]
-			for c, code := range codes[r*cols : (r+1)*cols] {
-				if code <= kb.CodeEmpty {
+			for k := r * cols; k < (r+1)*cols; k++ {
+				if blk[k] < 0 {
 					continue
 				}
-				block := blocks[uint64(c)<<32|uint64(code)]
-				i, _ := slices.BinarySearch(block, int32(r))
-				for _, p := range block[i+1:] {
+				for _, p := range members[slot[k]+1 : end[blk[k]+1]] {
 					if stamp[p] != int32(r)+1 {
 						stamp[p] = int32(r) + 1
 						partners = append(partners, p)
@@ -440,56 +575,67 @@ func candidatePairs(codes []uint32, cols int) iter.Seq2[int, int] {
 	}
 }
 
-// mergeClusters builds the canonical table: per cluster and column, the
-// most frequent non-null value wins; ties prefer the longest rendering,
-// then the lexicographically smallest (which selects "J&J" over "JnJ" and
-// "United States" over "USA", as in Fig. 8(d)). All-null columns keep a
-// missing null if any member had one, else a produced null.
-func mergeClusters(t *table.Table, clusters [][]int, knowledge *kb.KB) *table.Table {
+// merge builds the canonical table from the table's ids (ids[r*cols+c] is
+// row r, column c's): per cluster and column, the most frequent non-null
+// value wins; ties prefer the longest rendering, then the lexicographically
+// smallest (which selects "J&J" over "JnJ" and "United States" over "USA",
+// as in Fig. 8(d)). All-null columns keep a missing null if any member had
+// one, else a produced null. The rows are cut from one backing array.
+func (vt *valueTable) merge(t *table.Table, ids []uint32, clusters [][]int) *table.Table {
 	out := table.New("ER("+t.Name+")", t.Columns...)
-	for _, cluster := range clusters {
-		row := make([]table.Value, t.NumCols())
-		for c := 0; c < t.NumCols(); c++ {
-			row[c] = canonicalValue(t, cluster, c)
+	cols := t.NumCols()
+	if len(clusters) == 0 {
+		return out
+	}
+	flat := make([]table.Value, len(clusters)*cols)
+	out.Rows = make([][]table.Value, len(clusters))
+	for i, cluster := range clusters {
+		row := flat[i*cols : (i+1)*cols : (i+1)*cols]
+		for c := range row {
+			row[c] = vt.canonical(ids, cols, cluster, c)
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[i] = row
 	}
 	return out
 }
 
-// canonicalValue picks the merged value of column c over one cluster. A
-// singleton's non-null cell is its own answer. Otherwise every distinct
-// value (by Key) is counted and rendered once, and the best wins; distinct
-// values that tie on count and rendering ("5" and 5) go to the first in
-// row order.
-func canonicalValue(t *table.Table, cluster []int, c int) table.Value {
+// mergeCand is one candidate among a cluster's cells in one column: the
+// id of its first cell in row order, and how many cells it counts (those
+// with its id, and after foldEqual those of its whole Equal class).
+type mergeCand struct {
+	id    uint32
+	count int
+}
+
+// canonical picks the merged value of column c over one cluster. A
+// singleton's non-null cell is its own answer. Otherwise the cells are
+// counted per id, then per Equal class (foldEqual), and the best class
+// wins by count, then rendering; classes that tie on both ("5" and 5
+// render alike but are not Equal) go to the first in row order.
+func (vt *valueTable) canonical(ids []uint32, cols int, cluster []int, c int) table.Value {
 	if len(cluster) == 1 {
-		if v := t.Rows[cluster[0]][c]; !v.IsNull() {
+		if v := vt.cells[ids[cluster[0]*cols+c]].v; !v.IsNull() {
 			return v
 		}
 	}
-	type candidate struct {
-		v     table.Value
-		s     string
-		count int
-	}
-	var cands []candidate
-	index := make(map[string]int)
+	cands := vt.cands[:0]
 	anyMissing := false
 	for _, r := range cluster {
-		v := t.Rows[r][c]
+		id := ids[r*cols+c]
+		v := vt.cells[id].v
 		if v.IsNull() {
 			anyMissing = anyMissing || v.Kind() == table.Null
 			continue
 		}
-		k := v.Key()
-		i, ok := index[k]
-		if !ok {
-			i = len(cands)
-			index[k] = i
-			cands = append(cands, candidate{v: v, s: v.String()})
+		vt.growMark(id)
+		if vt.mark[id] == 0 {
+			cands = append(cands, mergeCand{id: id})
+			vt.mark[id] = int32(len(cands))
 		}
-		cands[i].count++
+		cands[vt.mark[id]-1].count++
+	}
+	for _, x := range cands {
+		vt.mark[x.id] = 0
 	}
 	if len(cands) == 0 {
 		if anyMissing {
@@ -497,11 +643,67 @@ func canonicalValue(t *table.Table, cluster []int, c int) table.Value {
 		}
 		return table.ProducedNull()
 	}
+	cands = vt.foldEqual(cands)
+	vt.cands = cands
 	best := cands[0]
 	for _, x := range cands[1:] {
-		if cmp.Or(cmp.Compare(best.count, x.count), cmp.Compare(len(best.s), len(x.s)), cmp.Compare(x.s, best.s)) < 0 {
+		bs, xs := vt.cells[best.id].s, vt.cells[x.id].s
+		if cmp.Or(cmp.Compare(best.count, x.count), cmp.Compare(len(bs), len(xs)), cmp.Compare(xs, bs)) < 0 {
 			best = x
 		}
 	}
-	return best.v
+	return vt.cells[best.id].v
+}
+
+// foldEqual merges candidates whose exact values differ but are Equal
+// into their class's first candidate, keeping first-occurrence order.
+// Only numbers can be (Int 5 and Float 5, −0 and +0, NaN payloads), so
+// only numbers are interned into classes, and only when two of them meet.
+func (vt *valueTable) foldEqual(cands []mergeCand) []mergeCand {
+	numbers := 0
+	for _, x := range cands {
+		if _, ok := vt.cells[x.id].v.AsFloat(); ok {
+			numbers++
+		}
+	}
+	if numbers < 2 {
+		return cands
+	}
+	out := cands[:0]
+	for _, x := range cands {
+		if _, ok := vt.cells[x.id].v.AsFloat(); !ok {
+			out = append(out, x)
+			continue
+		}
+		k := vt.class(x.id)
+		vt.growMark(k)
+		if vt.mark[k] == 0 {
+			out = append(out, x)
+			vt.mark[k] = int32(len(out))
+		} else {
+			out[vt.mark[k]-1].count += x.count
+		}
+	}
+	for _, x := range out {
+		if k := vt.cells[x.id].class; k != 0 {
+			vt.mark[k] = 0
+		}
+	}
+	return out
+}
+
+// growMark extends the merge's mark array to cover index i.
+func (vt *valueTable) growMark(i uint32) {
+	if int(i) >= len(vt.mark) {
+		vt.mark = append(vt.mark, make([]int32, int(i)+1-len(vt.mark))...)
+	}
+}
+
+// class returns cell id's Equal class, interning it on first use.
+func (vt *valueTable) class(id uint32) uint32 {
+	c := &vt.cells[id]
+	if c.class == 0 {
+		c.class = vt.classes.Intern(c.v)
+	}
+	return c.class
 }

@@ -2,7 +2,7 @@ package fd
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/table"
 )
@@ -37,7 +37,7 @@ func ALITECtx(ctx context.Context, in Input) ([]Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := newCloser(in.Dict)
+	c := newCloser(in.Dict, in.Tuples)
 	if err := c.run(ctx, c.seed(in.Tuples)); err != nil {
 		return nil, err
 	}
@@ -74,27 +74,65 @@ type closer struct {
 	provs   []string
 
 	tuples []ctuple
-	// byHash indexes tuples by an FNV-1a hash of their ID slice; collisions
-	// are resolved by comparing ID slices, so dedup is exact.
-	byHash map[uint64][]int32
-	// buckets is the (position, value) inverted index: pos<<32|id -> tuple
-	// indices, in insertion order.
-	buckets map[uint64][]int32
+	// byHash indexes tuples by an FNV-1a hash of their ID slice: it holds
+	// the last tuple added under a hash, and hashNext[idx] the one added
+	// before idx under the same hash (-1 ends the chain). Collisions are
+	// resolved by comparing ID slices, so dedup is exact.
+	byHash   map[uint64]int32
+	hashNext []int32
+	// buckets is the (position, value) inverted index: pos<<32|id -> the
+	// first and last entry of a chain through entries, in insertion order.
+	// No bucket owns a slice: every entry lives in the one entries array.
+	buckets map[uint64]chain
+	entries []entry
 
 	// vs is the candidate scratch reused across worklist items.
 	vs visitScratch
+	// idChunk is the unused rest of the chunk idSlice cuts from.
+	idChunk []uint32
 }
 
-func newCloser(dict *table.Dict) *closer {
+// chain is one inverted-index bucket: the indices into closer.entries of
+// its first and last entry.
+type chain struct{ head, tail int32 }
+
+// entry is one bucket member: a tuple index and the next entry of the same
+// bucket (-1 ends the chain).
+type entry struct{ tuple, next int32 }
+
+// newCloser returns an empty closer interning into dict (nil: a private
+// dictionary), its maps and slices sized for the tuples it will be seeded
+// with.
+func newCloser(dict *table.Dict, seed []Tuple) *closer {
 	if dict == nil {
 		dict = table.NewDict()
 	}
-	return &closer{
-		dict:    dict,
-		provIDs: make(map[string]int32),
-		byHash:  make(map[uint64][]int32),
-		buckets: make(map[uint64][]int32),
+	cells := 0
+	for _, t := range seed {
+		for _, v := range t.Values {
+			if !v.IsNull() {
+				cells++
+			}
+		}
 	}
+	return &closer{
+		dict:     dict,
+		provIDs:  make(map[string]int32, len(seed)),
+		tuples:   make([]ctuple, 0, len(seed)),
+		byHash:   make(map[uint64]int32, len(seed)),
+		hashNext: make([]int32, 0, len(seed)),
+		buckets:  make(map[uint64]chain, cells),
+		entries:  make([]entry, 0, cells),
+	}
+}
+
+// first returns the first entry of the (pos, id) bucket, or -1 when no
+// tuple holds id at pos.
+func (c *closer) first(pos int, id uint32) int32 {
+	if ch, ok := c.buckets[uint64(pos)<<32|uint64(id)]; ok {
+		return ch.head
+	}
+	return -1
 }
 
 // provID interns a provenance string.
@@ -111,7 +149,7 @@ func (c *closer) provID(s string) int32 {
 // intern converts a public tuple into closure form. Values are shared, not
 // copied.
 func (c *closer) intern(t Tuple) ctuple {
-	ids := make([]uint32, len(t.Values))
+	ids := c.idSlice(len(t.Values))
 	for i, v := range t.Values {
 		ids[i] = c.dict.Intern(v)
 	}
@@ -119,9 +157,23 @@ func (c *closer) intern(t Tuple) ctuple {
 	for i, p := range t.Prov {
 		prov[i] = c.provID(p)
 	}
-	sort.Slice(prov, func(i, j int) bool { return prov[i] < prov[j] })
+	slices.Sort(prov)
 	return ctuple{vals: t.Values, ids: ids, prov: prov}
 }
+
+// idSlice returns a fresh n-ID slice cut from the closer's current chunk,
+// so tuples' ID vectors do not each cost an allocation.
+func (c *closer) idSlice(n int) []uint32 {
+	if len(c.idChunk) < n {
+		c.idChunk = make([]uint32, max(n, idChunkLen))
+	}
+	s := c.idChunk[:n:n]
+	c.idChunk = c.idChunk[n:]
+	return s
+}
+
+// idChunkLen is how many IDs one chunk of the closer's ID storage holds.
+const idChunkLen = 1024
 
 // hashIDs is FNV-1a over the words of an ID slice.
 func hashIDs(ids []uint32) uint64 {
@@ -151,7 +203,11 @@ func equalIDs(a, b []uint32) bool {
 
 // lookup returns the index of the tuple with exactly these value IDs, or -1.
 func (c *closer) lookup(ids []uint32) int {
-	for _, idx := range c.byHash[hashIDs(ids)] {
+	idx, ok := c.byHash[hashIDs(ids)]
+	if !ok {
+		return -1
+	}
+	for ; idx >= 0; idx = c.hashNext[idx] {
 		if equalIDs(c.tuples[idx].ids, ids) {
 			return int(idx)
 		}
@@ -161,18 +217,30 @@ func (c *closer) lookup(ids []uint32) int {
 
 // add registers a tuple known to carry fresh value IDs.
 func (c *closer) add(ct ctuple) int {
-	idx := len(c.tuples)
+	idx := int32(len(c.tuples))
 	c.tuples = append(c.tuples, ct)
 	h := hashIDs(ct.ids)
-	c.byHash[h] = append(c.byHash[h], int32(idx))
+	prev, ok := c.byHash[h]
+	if !ok {
+		prev = -1
+	}
+	c.byHash[h] = idx
+	c.hashNext = append(c.hashNext, prev)
 	for pos, id := range ct.ids {
 		if id == table.NullID {
 			continue
 		}
 		bk := uint64(pos)<<32 | uint64(id)
-		c.buckets[bk] = append(c.buckets[bk], int32(idx))
+		e := int32(len(c.entries))
+		c.entries = append(c.entries, entry{tuple: idx, next: -1})
+		if ch, ok := c.buckets[bk]; ok {
+			c.entries[ch.tail].next = e
+			c.buckets[bk] = chain{ch.head, e}
+		} else {
+			c.buckets[bk] = chain{e, e}
+		}
 	}
-	return idx
+	return int(idx)
 }
 
 // seed interns and adds tuples, deduplicating by value (first occurrence —
@@ -220,8 +288,8 @@ func (c *closer) candidates(idx int) []int {
 		if id == table.NullID {
 			continue
 		}
-		for _, j := range c.buckets[uint64(pos)<<32|uint64(id)] {
-			if vs.stamp[j] != vs.epoch {
+		for e := c.first(pos, id); e >= 0; e = c.entries[e].next {
+			if j := c.entries[e].tuple; vs.stamp[j] != vs.epoch {
 				vs.stamp[j] = vs.epoch
 				vs.out = append(vs.out, int(j))
 			}
@@ -283,7 +351,9 @@ func (c *closer) materialize(i, j int, ids []uint32) ctuple {
 			vals[p] = table.ProducedNull()
 		}
 	}
-	return ctuple{vals: vals, ids: append([]uint32(nil), ids...), prov: unionSorted(a.prov, b.prov)}
+	idc := c.idSlice(len(ids))
+	copy(idc, ids)
+	return ctuple{vals: vals, ids: idc, prov: unionSorted(a.prov, b.prov)}
 }
 
 // tryMerge merges tuples i and j if complementable and the merge carries
@@ -354,35 +424,38 @@ func (c *closer) run(ctx context.Context, work []int) error {
 	return nil
 }
 
-// tuple converts closure tuple idx back to public form; provenance strings
-// are rendered and sorted lexicographically, as the paper's figures are.
-func (c *closer) tuple(idx int) Tuple {
-	ct := &c.tuples[idx]
-	prov := make([]string, len(ct.prov))
-	for i, p := range ct.prov {
-		prov[i] = c.provs[p]
-	}
-	sort.Strings(prov)
-	return Tuple{Values: ct.vals, Prov: prov}
-}
-
 // finalize removes subsumed closure tuples and returns the survivors in
-// canonical order.
+// canonical order, converted back to public form: provenance strings are
+// rendered and sorted lexicographically, as the paper's figures are, each
+// tuple's cut from one backing array.
 func (c *closer) finalize() []Tuple {
-	keep := removeSubsumedIDs(c.tuples, c.buckets)
+	keep := c.removeSubsumed()
+	n := 0
+	for _, idx := range keep {
+		n += len(c.tuples[idx].prov)
+	}
+	provs := make([]string, 0, n)
 	out := make([]Tuple, 0, len(keep))
 	for _, idx := range keep {
-		out = append(out, c.tuple(idx))
+		ct := &c.tuples[idx]
+		start := len(provs)
+		for _, p := range ct.prov {
+			provs = append(provs, c.provs[p])
+		}
+		prov := provs[start:len(provs):len(provs)]
+		slices.Sort(prov)
+		out = append(out, Tuple{Values: ct.vals, Prov: prov})
 	}
 	sortTuples(out)
 	return out
 }
 
-// removeSubsumedIDs returns the indices of subsumption-maximal tuples, in
-// input order. tuples must be value-deduplicated; buckets is their
-// (position, value-ID) inverted index. An all-null tuple is dropped
-// whenever any other tuple exists.
-func removeSubsumedIDs(tuples []ctuple, buckets map[uint64][]int32) []int {
+// removeSubsumed returns the indices of the closer's subsumption-maximal
+// tuples, in input order. The closer's tuples are value-deduplicated and
+// its buckets index them. An all-null tuple is dropped whenever any other
+// tuple exists.
+func (c *closer) removeSubsumed() []int {
+	tuples := c.tuples
 	removed := make([]bool, len(tuples))
 	for i := range tuples {
 		t := &tuples[i]
@@ -403,8 +476,8 @@ func removeSubsumedIDs(tuples []ctuple, buckets map[uint64][]int32) []int {
 		}
 		// A subsumer must share every non-null value of t, in particular
 		// its first one.
-		bk := uint64(firstNonNull)<<32 | uint64(t.ids[firstNonNull])
-		for _, j := range buckets[bk] {
+		for e := c.first(firstNonNull, t.ids[firstNonNull]); e >= 0; e = c.entries[e].next {
+			j := c.entries[e].tuple
 			if int(j) == i || removed[j] {
 				continue
 			}
@@ -444,7 +517,7 @@ func subsumesIDs(sup, sub []uint32) bool {
 // with their original Tuple structs preserved in input order. The tuples
 // seed a private closer, as ALITE's do, without running the closure.
 func RemoveSubsumed(tuples []Tuple) []Tuple {
-	c := newCloser(nil)
+	c := newCloser(nil, tuples)
 	orig := make([]Tuple, 0, len(tuples))
 	for _, t := range tuples {
 		if ct := c.intern(t); c.lookup(ct.ids) < 0 {
@@ -452,7 +525,7 @@ func RemoveSubsumed(tuples []Tuple) []Tuple {
 			orig = append(orig, t)
 		}
 	}
-	keep := removeSubsumedIDs(c.tuples, c.buckets)
+	keep := c.removeSubsumed()
 	out := make([]Tuple, 0, len(keep))
 	for _, idx := range keep {
 		out = append(out, orig[idx])

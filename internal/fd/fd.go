@@ -82,6 +82,15 @@ type Relation struct {
 // union the ALITE algorithm closes over.
 func OuterUnion(schema []string, rels []Relation) (Input, error) {
 	in := Input{Schema: append([]string(nil), schema...)}
+	rows := 0
+	for _, rel := range rels {
+		if rel.Table != nil {
+			rows += rel.Table.NumRows()
+		}
+	}
+	if rows > 0 {
+		in.Tuples = make([]Tuple, 0, rows)
+	}
 	for ri, rel := range rels {
 		t := rel.Table
 		if t == nil {
@@ -103,22 +112,43 @@ func OuterUnion(schema []string, rels []Relation) (Input, error) {
 		if rel.RowIDs != nil && len(rel.RowIDs) != t.NumRows() {
 			return Input{}, fmt.Errorf("fd: relation %q: %d row IDs for %d rows", t.Name, len(rel.RowIDs), t.NumRows())
 		}
+		// Every tuple of the relation is cut from one backing array of
+		// values and one of provenance, as three-index slices; default row
+		// IDs are substrings of one string.
+		w := len(schema)
+		cells := make([]table.Value, t.NumRows()*w)
+		provs := slices.Clone(rel.RowIDs)
+		if provs == nil {
+			provs = defaultRowIDs(t.Name, t.NumRows())
+		}
 		for r, row := range t.Rows {
-			vals := make([]table.Value, len(schema))
+			vals := cells[r*w : (r+1)*w : (r+1)*w]
 			for i := range vals {
 				vals[i] = table.ProducedNull()
 			}
 			for c, p := range rel.ColPos {
 				vals[p] = row[c]
 			}
-			id := t.Name + ":" + strconv.Itoa(r)
-			if rel.RowIDs != nil {
-				id = rel.RowIDs[r]
-			}
-			in.Tuples = append(in.Tuples, Tuple{Values: vals, Prov: []string{id}})
+			in.Tuples = append(in.Tuples, Tuple{Values: vals, Prov: provs[r : r+1 : r+1]})
 		}
 	}
 	return in, nil
+}
+
+// defaultRowIDs returns "<name>:<row>" for rows 0..n-1, cut from one
+// string.
+func defaultRowIDs(name string, n int) []string {
+	var b []byte
+	ends := make([]int, n)
+	for r := range ends {
+		b = strconv.AppendInt(append(append(b, name...), ':'), int64(r), 10)
+		ends[r] = len(b)
+	}
+	all, ids, start := string(b), make([]string, n), 0
+	for r, end := range ends {
+		ids[r], start = all[start:end], end
+	}
+	return ids
 }
 
 // Complementable reports whether two aligned tuples can merge: they share
@@ -217,16 +247,43 @@ func DedupeTuples(tuples []Tuple) []Tuple {
 	return out
 }
 
-// sortTuples orders tuples canonically by values, then provenance.
+// sortTuples orders tuples canonically by values, then provenance, stably.
+// It sorts a permutation of indices, whose ties break by index so the
+// order is exactly the stable one, then moves each tuple once along the
+// permutation's cycles: a stable in-place merge would rotate the pointerful
+// tuples many times, each move paying write barriers while GC marks.
 func sortTuples(tuples []Tuple) {
-	slices.SortStableFunc(tuples, func(a, b Tuple) int {
+	perm := make([]int32, len(tuples))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int {
+		a, b := &tuples[i], &tuples[j]
 		if c := table.CompareRows(a.Values, b.Values); c != 0 {
 			return c
 		}
 		// The comma-joined form is the order, not slices.Compare: ["a!"]
 		// sorts before ["a", "b"] here ('!' < ','), after it there.
-		return strings.Compare(strings.Join(a.Prov, ","), strings.Join(b.Prov, ","))
+		if c := strings.Compare(strings.Join(a.Prov, ","), strings.Join(b.Prov, ",")); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
 	})
+	// perm[k] is the index of the tuple that belongs at k; -1 marks a slot
+	// already filled.
+	for start := range perm {
+		if perm[start] < 0 {
+			continue
+		}
+		held := tuples[start]
+		k := int32(start)
+		for perm[k] != int32(start) {
+			src := perm[k]
+			tuples[k], perm[k] = tuples[src], -1
+			k = src
+		}
+		tuples[k], perm[k] = held, -1
+	}
 }
 
 // ToTable renders tuples as a table over the integration schema. When
@@ -239,13 +296,19 @@ func ToTable(name string, schema []string, tuples []Tuple, withProvenance bool) 
 		cols = append([]string{"TIDs"}, schema...)
 	}
 	out := table.New(name, cols...)
-	for _, t := range tuples {
-		row := make([]table.Value, 0, len(cols))
+	if len(tuples) == 0 {
+		return out
+	}
+	// The rows are cut from one backing array, as three-index slices.
+	w := len(cols)
+	cells := make([]table.Value, len(tuples)*w)
+	out.Rows = make([][]table.Value, len(tuples))
+	for i, t := range tuples {
+		row := cells[i*w : i*w : (i+1)*w]
 		if withProvenance {
 			row = append(row, table.StringValue("{"+strings.Join(t.Prov, ", ")+"}"))
 		}
-		row = append(row, t.Values...)
-		out.Rows = append(out.Rows, row)
+		out.Rows[i] = append(row, t.Values...)
 	}
 	return out
 }

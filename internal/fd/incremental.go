@@ -23,7 +23,7 @@ type Incremental struct {
 func NewIncremental(schema []string, initial []Tuple) *Incremental {
 	inc := &Incremental{
 		schema: append([]string(nil), schema...),
-		c:      newCloser(nil),
+		c:      newCloser(nil, initial),
 	}
 	inc.Add(initial)
 	return inc

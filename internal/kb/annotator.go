@@ -189,6 +189,18 @@ func (a *Annotator) CodeString(s string) uint32 {
 	return c
 }
 
+// CodeUncached returns the annotation code of a rendered value, as
+// CodeString does, without entering the rendering in the annotator's
+// rendering cache: for a caller that keeps one entry per distinct value
+// itself (entity resolution's value table), where that cache would only
+// repeat its own dedup.
+func (a *Annotator) CodeUncached(s string) uint32 {
+	if c := a.borrow(s, true); c != codeUnset {
+		return c
+	}
+	return a.computeCode(s)
+}
+
 // CodeStrings resolves raw strings into dst (grown as needed) and returns
 // it.
 func (a *Annotator) CodeStrings(vals []string, dst []uint32) []uint32 {

@@ -10,6 +10,7 @@ package schemamatch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -110,63 +111,58 @@ func similarities(tables []*table.Table, knowledge *kb.KB) ([]ColumnRef, [][]flo
 
 // clusterConstrained performs complete-linkage agglomerative clustering
 // with same-table cannot-link constraints, merging the most similar pair
-// of clusters while its similarity is at least minSim. It returns a cluster
-// label per ref. When merged is non-nil it is called after every merge
-// with the labels of the clustering at that step (a fresh slice each call).
+// of clusters while its similarity is at least minSim; among equally
+// similar pairs the first in (smaller id, larger id) order wins, a
+// cluster's id being its smallest member. It returns a cluster label (that
+// id) per ref. When merged is non-nil it is called after every merge with
+// the labels of the clustering at that step (a fresh slice each call).
+//
+// The linkage is kept in a matrix: link[a*n+b] is the minimum of sim[x][y]
+// over x in cluster a and y in cluster b, capped at 1, and a merge
+// updates it by min, which equals recomputing the minimum over the merged
+// members. Each cluster's tables are a bitset, so a cannot-link check is a
+// few word ANDs.
 func clusterConstrained(refs []ColumnRef, sim [][]float64, minSim float64, merged func(labels []int)) []int {
 	n := len(refs)
-	members := make(map[int][]int, n)
-	for i := 0; i < n; i++ {
-		members[i] = []int{i}
-	}
-	labels := func() []int {
-		out := make([]int, n)
-		for id, ms := range members {
-			for _, x := range ms {
-				out[x] = id
+	link := make([]float64, n*n)
+	for x := range n {
+		for y := range n {
+			link[x*n+y] = 1
+			if s := sim[x][y]; s < 1 {
+				link[x*n+y] = s
 			}
 		}
-		return out
 	}
-	// linkSim computes complete-linkage similarity between two clusters:
-	// the MINIMUM pairwise similarity (every member pair must be similar).
-	linkSim := func(a, b int) float64 {
-		m := 1.0
-		for _, x := range members[a] {
-			for _, y := range members[b] {
-				if s := sim[x][y]; s < m {
-					m = s
-				}
-			}
-		}
-		return m
+	tables := 0
+	for _, r := range refs {
+		tables = max(tables, r.Table+1)
+	}
+	words := (tables + 63) / 64
+	bits := make([]uint64, n*words)
+	for x, r := range refs {
+		bits[x*words+r.Table/64] |= 1 << (r.Table % 64)
 	}
 	conflict := func(a, b int) bool {
-		tablesSeen := make(map[int]bool)
-		for _, x := range members[a] {
-			tablesSeen[refs[x].Table] = true
-		}
-		for _, y := range members[b] {
-			if tablesSeen[refs[y].Table] {
+		for w := range words {
+			if bits[a*words+w]&bits[b*words+w] != 0 {
 				return true
 			}
 		}
 		return false
 	}
+	labels := make([]int, n)
+	live := make([]int, n) // the live cluster ids, ascending
+	for i := range n {
+		labels[i], live[i] = i, i
+	}
 	for {
 		bestA, bestB, bestS := -1, -1, minSim
-		ids := make([]int, 0, len(members))
-		for id := range members {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for ai := 0; ai < len(ids); ai++ {
-			for bi := ai + 1; bi < len(ids); bi++ {
-				a, b := ids[ai], ids[bi]
+		for ai, a := range live {
+			for _, b := range live[ai+1:] {
 				if conflict(a, b) {
 					continue
 				}
-				if s := linkSim(a, b); s > bestS || (s == bestS && bestA == -1) {
+				if s := link[a*n+b]; s > bestS || (s == bestS && bestA == -1) {
 					if s >= minSim {
 						bestA, bestB, bestS = a, b, s
 					}
@@ -176,14 +172,25 @@ func clusterConstrained(refs []ColumnRef, sim [][]float64, minSim float64, merge
 		if bestA < 0 {
 			break
 		}
-		members[bestA] = append(members[bestA], members[bestB]...)
-		sort.Ints(members[bestA])
-		delete(members, bestB)
+		a, b := bestA, bestB
+		for _, c := range live {
+			link[a*n+c] = min(link[a*n+c], link[b*n+c])
+			link[c*n+a] = min(link[c*n+a], link[c*n+b])
+		}
+		for w := range words {
+			bits[a*words+w] |= bits[b*words+w]
+		}
+		for x, l := range labels {
+			if l == b {
+				labels[x] = a
+			}
+		}
+		live = slices.DeleteFunc(live, func(c int) bool { return c == b })
 		if merged != nil {
-			merged(labels())
+			merged(slices.Clone(labels))
 		}
 	}
-	return labels()
+	return labels
 }
 
 // buildAlignment turns cluster labels into an Alignment with

@@ -539,6 +539,77 @@ func TestUnrepresentableCellIs500(t *testing.T) {
 	}
 }
 
+// endpointSnapshot returns one endpoint's metrics snapshot.
+func endpointSnapshot(t *testing.T, s *Server, path string) EndpointMetrics {
+	t.Helper()
+	for _, m := range s.MetricsSnapshot() {
+		if m.Endpoint == path {
+			return m
+		}
+	}
+	t.Fatalf("no metrics for %s", path)
+	return EndpointMetrics{}
+}
+
+// TestUnencodableResponseCountsAsError pins Server.handle's accounting: a
+// response that fails to encode is answered 500 and counted as an error,
+// never as completed, so admitted = completed + errors + in-flight holds
+// for what the client actually got.
+func TestUnencodableResponseCountsAsError(t *testing.T) {
+	tbl := table.New("posinf", "City", "Value")
+	tbl.MustAddRow(table.StringValue("Boston"), table.IntValue(1))
+	tbl.MustAddRow(table.StringValue("Boston"), table.Parse("Inf"))
+	p, err := core.New([]*table.Table{tbl}, core.Config{Knowledge: kb.Demo()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp := postJSON(t, ts.URL+"/v1/integrate", IntegrateRequest{Names: []string{"posinf"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	m := endpointSnapshot(t, s, "/v1/integrate")
+	if m.Admitted != 1 || m.Completed != 0 || m.Errors != 1 {
+		t.Fatalf("admitted/completed/errors = %d/%d/%d, want 1/0/1", m.Admitted, m.Completed, m.Errors)
+	}
+}
+
+// TestCorrelateSkipsNonFiniteCells posts /v1/correlate over columns
+// holding "nan", "inf" and an overflowing suffixed number: those cells are
+// not numbers to Pearson, so the answer is a 200 with a finite r over the
+// three finite pairs, counted as completed.
+func TestCorrelateSkipsNonFiniteCells(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := CorrelateRequest{
+		Table: TableJSON{Name: "t", Columns: []string{"a", "b"}, Rows: [][]any{
+			{1, 2}, {2, 4}, {3, 7}, {"nan", 5}, {4, "inf"}, {"1e308k", 9},
+		}},
+		ColA: "a", ColB: "b",
+	}
+	resp := postJSON(t, ts.URL+"/v1/correlate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %+v", resp.StatusCode, decodeResp[ErrorBody](t, resp))
+	}
+	var got struct {
+		R float64 `json:"r"`
+		N int     `json:"n"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got.N != 3 || math.IsNaN(got.R) || math.IsInf(got.R, 0) {
+		t.Fatalf("r, n = %v, %d, want a finite r over 3 pairs", got.R, got.N)
+	}
+	m := endpointSnapshot(t, s, "/v1/correlate")
+	if m.Admitted != 1 || m.Completed != 1 || m.Errors != 0 {
+		t.Fatalf("admitted/completed/errors = %d/%d/%d, want 1/1/0", m.Admitted, m.Completed, m.Errors)
+	}
+}
+
 // TestDecodeBodyReadError checks that a body the server cannot read whole
 // fails exactly as it did when encoding/json read the stream itself: the
 // reference decoder sees the bytes that arrived, then the read error.

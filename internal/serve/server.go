@@ -336,13 +336,18 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 				w.WriteHeader(http.StatusInternalServerError)
 				return
 			}
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("response not representable as JSON: %v", err))
+			writeUnrepresentable(w, err)
 			return
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(raw)
+}
+
+// writeUnrepresentable answers the 500 for a response encodeJSON refused.
+func writeUnrepresentable(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, fmt.Sprintf("response not representable as JSON: %v", err))
 }
 
 // encodeJSON is the one response encoding: HTML characters unescaped,
@@ -480,8 +485,19 @@ func (s *Server) handle(m *endpointMetrics, class endpointClass, fn func(ctx con
 			writeError(w, statusFor(err), err.Error())
 			return
 		}
+		// Encode before counting, and count before writing: a response
+		// that cannot be encoded is answered 500 and is an error, not a
+		// completion.
+		raw, ok := out.(rawJSON)
+		if !ok {
+			if raw, err = encodeJSON(out); err != nil {
+				m.errored.Add(1)
+				writeUnrepresentable(w, err)
+				return
+			}
+		}
 		m.completed.Add(1)
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, raw)
 	}
 }
 

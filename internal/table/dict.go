@@ -17,7 +17,10 @@ const NullID uint32 = 0
 // The table is split by kind (strings, integers, non-integral floats,
 // booleans) rather than keyed by Value.Key, so interning allocates nothing:
 // no key string is ever built. Integral floats land in the integer map,
-// preserving Key's Int/Float collision ("82" joins "82.0").
+// preserving Key's Int/Float collision ("82" joins "82.0"). The other
+// floats are keyed by their bits: apart from NaN (one slot) and ±0
+// (integral), two floats are equal exactly when their bits are, and an
+// integer key takes the map's fast path.
 //
 // IDs are dense: non-null values receive 1, 2, 3, ... in interning order,
 // which keeps derived structures (bucket keys, ID-slice hashes) compact.
@@ -33,10 +36,10 @@ type Dict struct {
 	mu     sync.RWMutex
 	strs   map[string]uint32
 	ints   map[int64]uint32
-	floats map[float64]uint32
-	bools  [2]uint32 // [false, true]; 0 = unassigned
-	nan    uint32    // NaN cannot key a map (NaN != NaN); 0 = unassigned
-	vals   []Value   // vals[id-1] is the first value interned under the ID
+	floats map[uint64]uint32 // non-integral, non-NaN floats by bits
+	bools  [2]uint32         // [false, true]; 0 = unassigned
+	nan    uint32            // every NaN payload, as Equal has it; 0 = unassigned
+	vals   []Value           // vals[id-1] is the first value interned under the ID
 }
 
 // NewDict returns an empty dictionary.
@@ -44,7 +47,7 @@ func NewDict() *Dict {
 	return &Dict{
 		strs:   make(map[string]uint32),
 		ints:   make(map[int64]uint32),
-		floats: make(map[float64]uint32),
+		floats: make(map[uint64]uint32),
 	}
 }
 
@@ -64,7 +67,7 @@ func (d *Dict) lookupLocked(v Value) uint32 {
 		if f != f {
 			return d.nan
 		}
-		return d.floats[f]
+		return d.floats[v.n]
 	case Bool:
 		return d.bools[v.n]
 	default:
@@ -99,7 +102,7 @@ func (d *Dict) assignLocked(v Value) uint32 {
 		case f != f:
 			d.nan = id
 		default:
-			d.floats[f] = id
+			d.floats[v.n] = id
 		}
 	case Bool:
 		d.bools[v.n] = id
