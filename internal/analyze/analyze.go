@@ -81,7 +81,30 @@ type Stats struct {
 	Std     float64 // population standard deviation
 }
 
-// ColumnStats computes Stats for column col.
+// normalize scales xs in place by the power of two that brings its largest
+// magnitude into [0.5, 1), and returns that power's exponent e: each
+// original value is xs[i]·2^e. Sums of squares over scaled values cannot
+// overflow, nor underflow to zero while the spread is non-zero. Scaling by
+// a power of two is exact (short of subnormal results), so every Mean, Std
+// and Pearson r that is finite without it keeps its bits.
+func normalize(xs []float64) int {
+	var m float64
+	for _, x := range xs {
+		m = max(m, math.Abs(x))
+	}
+	if m == 0 {
+		return 0
+	}
+	_, e := math.Frexp(m)
+	for i := range xs {
+		xs[i] = math.Ldexp(xs[i], -e)
+	}
+	return e
+}
+
+// ColumnStats computes Stats for column col. Sum is the plain sum, which
+// may overflow; Mean and Std are computed over normalized values, so they
+// stay finite for any finite cells.
 func ColumnStats(t *table.Table, col int) (Stats, error) {
 	if col < 0 || col >= t.NumCols() {
 		return Stats{}, fmt.Errorf("analyze: column %d out of range for table %q", col, t.Name)
@@ -112,13 +135,19 @@ func ColumnStats(t *table.Table, col int) (Stats, error) {
 		s.Min, s.Max = 0, 0
 		return s, nil
 	}
-	s.Mean = s.Sum / float64(s.Numeric)
+	e := normalize(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean := sum / float64(s.Numeric)
 	var ss float64
 	for _, x := range xs {
-		d := x - s.Mean
+		d := x - mean
 		ss += d * d
 	}
-	s.Std = math.Sqrt(ss / float64(s.Numeric))
+	s.Mean = math.Ldexp(mean, e)
+	s.Std = math.Ldexp(math.Sqrt(ss/float64(s.Numeric)), e)
 	return s, nil
 }
 
@@ -126,7 +155,8 @@ func ColumnStats(t *table.Table, col int) (Stats, error) {
 // over the rows where both coerce to numbers (pairwise-complete, exactly
 // how the demo's analyst computes over an integrated table with nulls).
 // It also reports how many rows contributed. Fewer than two complete pairs
-// or a zero-variance side is an error.
+// or a zero-variance side is an error. r is scale-free, so each column is
+// normalized first and any finite cells give a finite r.
 func Pearson(t *table.Table, colA, colB int) (r float64, n int, err error) {
 	if colA < 0 || colA >= t.NumCols() || colB < 0 || colB >= t.NumCols() {
 		return 0, 0, fmt.Errorf("analyze: column out of range for table %q", t.Name)
@@ -144,6 +174,8 @@ func Pearson(t *table.Table, colA, colB int) (r float64, n int, err error) {
 	if n < 2 {
 		return 0, n, fmt.Errorf("analyze: only %d complete pairs between columns %d and %d", n, colA, colB)
 	}
+	normalize(xs)
+	normalize(ys)
 	var mx, my float64
 	for i := range xs {
 		mx += xs[i]

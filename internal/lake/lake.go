@@ -7,20 +7,22 @@
 // from the lake itself and added to a copy of the curated one.
 //
 // The lake is a living object: open-data portals churn daily, so Add and
-// Remove maintain all three discovery indexes incrementally instead of
-// rebuilding them — JOSIE grows a delta segment and tombstones beside its
-// CSR arena, the LSH Ensemble moves only the domains whose equi-depth
-// partition shifted, and SANTOS annotates or evicts per-table semantic
-// graphs. Every mutation leaves the lake query-equivalent to a fresh New
-// over the surviving tables (pinned by the differential harness in
-// differential_test.go). Mutations are exclusive with each other; queries
-// run concurrently with mutations — see the concurrency notes on Add.
+// Remove maintain the discovery indexes — the LSH Ensemble moves only the
+// domains whose equi-depth partition shifted, SANTOS annotates or evicts
+// per-table semantic graphs, and JOSIE, whose whole build is one counting
+// pass, is rebuilt over the surviving domains and published as a fresh
+// immutable index. Every mutation leaves the lake query-equivalent to a
+// fresh New over the surviving tables (pinned by the differential harness
+// in differential_test.go). Mutations are exclusive with each other;
+// queries run concurrently with mutations — see the concurrency notes on
+// Add.
 package lake
 
 import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/josie"
@@ -48,8 +50,9 @@ type Options struct {
 // Lake is a preprocessed, mutable table repository. The catalog fields
 // (tables, byName, domains, domainIdx, stats) are guarded by mu: accessors
 // take the read lock, Add/Remove/Compact the write lock. The token
-// dictionary and each discovery index carry their own synchronization, so
-// queries against an index captured before a mutation stay safe.
+// dictionary, SANTOS and the LSH Ensemble carry their own synchronization;
+// JOSIE is immutable and each mutation publishes a fresh build, so queries
+// against an index captured before a mutation stay safe.
 type Lake struct {
 	// kbState holds the knowledge base and the value dictionary that only
 	// the benchmark reads (Knowledge, Dict).
@@ -63,7 +66,7 @@ type Lake struct {
 	tokens    *table.TokenDict
 	santosIx  *santos.Index
 	joinIx    *lshensemble.Index
-	josieIx   *josie.Index
+	josieIx   atomic.Pointer[josie.Index]
 	domains   []table.Domain
 	domainIdx map[colRef]int // (table, column) -> index into domains
 	stats     BuildStats
@@ -202,17 +205,21 @@ func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options) {
 	l.eachIndex(
 		func() { l.santosIx = santos.Build(l.tables, l.knowledge) },
 		func() { l.joinIx = lshensemble.BuildWithDict(l.domains, lsh, l.tokens) },
-		func() { l.josieIx = josie.BuildWithDict(l.domains, l.tokens) },
+		l.buildJosie,
 	)
 }
 
-// Add incrementally indexes additional tables into the lake, maintaining
-// all three discovery indexes without a rebuild: the new tables' domains
-// are extracted and their tokens interned into the shared token dictionary
-// exactly as New does (one worker per table), then the SANTOS, LSH Ensemble
-// and JOSIE indexes absorb the same domains concurrently. After Add
-// returns, every discovery query is answered identically to a fresh New
-// over the enlarged table set.
+// buildJosie is JOSIE's step in every build and mutation: it builds the
+// index over the current domains and publishes it. Readers holding the
+// previous build keep it, so a JOSIE query never waits on a mutation.
+func (l *Lake) buildJosie() { l.josieIx.Store(josie.BuildWithDict(l.domains, l.tokens)) }
+
+// Add incrementally indexes additional tables into the lake: the new
+// tables' domains are extracted and their tokens interned into the shared
+// token dictionary exactly as New does (one worker per table), then SANTOS
+// and the LSH Ensemble absorb the same domains while JOSIE is rebuilt over
+// every domain, concurrently. After Add returns, every discovery query is
+// answered identically to a fresh New over the enlarged table set.
 //
 // Validation is atomic: a nil table, an empty or duplicate name (against
 // the lake or within the batch) rejects the whole batch before anything is
@@ -257,20 +264,20 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	l.eachIndex(
 		func() { l.santosIx.Add(tables) },
 		func() { l.joinIx.Add(newDomains) },
-		func() { l.josieIx.Add(newDomains) },
+		l.buildJosie,
 	)
 	return nil
 }
 
 // Remove drops the named tables from the lake and from all three discovery
 // indexes: SANTOS evicts their semantic graphs, the LSH Ensemble re-shards
-// their domains out of the equi-depth partitioning, and JOSIE tombstones
-// their sets (folded away by the next compaction). After Remove returns,
-// every discovery query is answered identically to a fresh New over the
-// surviving tables, Get reports the removed names as absent (ok=false), and
-// DomainFor returns nil for their columns. Interned tokens stay in the
-// shared token dictionary by design (interners are append-only); they can
-// no longer match any indexed domain.
+// their domains out of the equi-depth partitioning, and JOSIE is rebuilt
+// over the surviving domains. After Remove returns, every discovery query
+// is answered identically to a fresh New over the surviving tables, Get
+// reports the removed names as absent (ok=false), and DomainFor returns nil
+// for their columns. Interned tokens stay in the shared token dictionary by
+// design (interners are append-only); they can no longer match any indexed
+// domain.
 //
 // Validation is atomic: an unknown name rejects the whole batch before
 // anything is dropped (duplicate names within the batch are tolerated).
@@ -315,7 +322,7 @@ func (l *Lake) Remove(names ...string) error {
 	l.eachIndex(
 		func() { l.santosIx.Remove(nameList) },
 		func() { l.joinIx.Remove(nameList) },
-		func() { l.josieIx.Remove(nameList) },
+		l.buildJosie,
 	)
 	return nil
 }
@@ -331,11 +338,12 @@ func (l *Lake) reindexDomains() {
 
 // eachIndex is the one place the lake builds its three discovery indexes
 // or applies a delta to them: New's builds, Add's and Remove's deltas
-// (Compact, which changes no answer and clocks nothing, is apart). It runs one step per index
-// concurrently (the indexes share nothing but the token dictionary, which
-// the steps only read) and adds each step's wall time to that index's
-// BuildStats field — New starts from zero, so its stats are the build's
-// own times, and every mutation accumulates on top.
+// (JOSIE's delta is a rebuild; Compact, which changes no answer and clocks
+// nothing, is apart). It runs one step per index concurrently (the indexes
+// share nothing but the token dictionary, which the steps only read) and
+// adds each step's wall time to that index's BuildStats field — New starts
+// from zero, so its stats are the build's own times, and every mutation
+// accumulates on top.
 func (l *Lake) eachIndex(santosStep, lshStep, josieStep func()) {
 	clocked := func(step func(), d *time.Duration) func() {
 		return func() {
@@ -347,16 +355,16 @@ func (l *Lake) eachIndex(santosStep, lshStep, josieStep func()) {
 	par.Do(clocked(santosStep, &l.stats.Santos), clocked(lshStep, &l.stats.LSH), clocked(josieStep, &l.stats.Josie))
 }
 
-// Compact folds accumulated mutation debt out of the discovery indexes:
-// JOSIE merges its delta segment and tombstones back into a dense CSR
-// arena, and the LSH Ensemble drops dead domain slots. Both happen
-// automatically past internal thresholds; Compact forces them (e.g. after a
-// bulk removal, or before a latency-sensitive query burst). Query results
+// Compact folds accumulated mutation debt out of the LSH Ensemble, the one
+// index that keeps any: it drops dead domain slots, which also happens
+// automatically past an internal threshold; Compact forces it (e.g. after a
+// bulk removal, or before a latency-sensitive query burst). JOSIE has no
+// debt to fold, since every mutation publishes a fresh build. Query results
 // are unaffected. Compact follows Add's concurrency contract.
 func (l *Lake) Compact() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	par.Do(l.joinIx.Compact, l.josieIx.Compact)
+	l.joinIx.Compact()
 }
 
 // extractDomains extracts every table's kb.TextualDomains, one worker per
@@ -446,8 +454,10 @@ func (l *Lake) Santos() *santos.Index { return l.santosIx }
 // Join returns the LSH Ensemble containment index.
 func (l *Lake) Join() *lshensemble.Index { return l.joinIx }
 
-// Josie returns the exact top-k overlap index.
-func (l *Lake) Josie() *josie.Index { return l.josieIx }
+// Josie returns the exact top-k overlap index as of the latest build or
+// mutation. The index is immutable: a later mutation publishes a new one
+// and leaves this one answering as it did.
+func (l *Lake) Josie() *josie.Index { return l.josieIx.Load() }
 
 // Domains returns the extracted column domains of the current tables (for
 // baselines and experiments). The returned slice is a stable snapshot —

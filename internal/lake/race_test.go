@@ -7,10 +7,12 @@ package lake_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/josie"
 	"repro/internal/lake"
 	"repro/internal/table"
 )
@@ -78,5 +80,69 @@ func TestQueriesConcurrentWithMutation(t *testing.T) {
 	wg.Wait()
 	if l.Size() != 8 {
 		t.Errorf("post-churn size = %d", l.Size())
+	}
+}
+
+// TestJosiePublishedPerMutation pins JOSIE's mutation contract: every Add
+// and Remove publishes a fresh immutable build. An index loaded before a
+// mutation answers identically afterwards — also while the mutation runs,
+// since readers race the writer here — and the index published afterwards
+// answers exactly as josie.BuildWithDict over the lake's surviving domains.
+func TestJosiePublishedPerMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pool := make([]*table.Table, 12)
+	for i := range pool {
+		pool[i] = difftest.DiffTable(rng, fmt.Sprintf("j%02d", i))
+	}
+	queries := [][]string{difftest.DiffTable(rng, "foreign").DistinctStrings(0)}
+	for _, p := range pool {
+		queries = append(queries, p.DistinctStrings(0))
+	}
+	sig := func(ix *josie.Index) string {
+		var b strings.Builder
+		for _, q := range queries {
+			for _, r := range ix.TopK(q, 0) {
+				fmt.Fprintf(&b, "%s|%d;", r.Set.Key(), r.Overlap)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	l, err := lake.New(pool[:6], lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even rounds add pool[6..11], odd rounds remove pool[0..5].
+	for round := 0; round < 12; round++ {
+		old := l.Josie()
+		want := sig(old)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := sig(old); got != want {
+					t.Errorf("round %d: a loaded index changed its answers during a mutation", round)
+				}
+			}()
+		}
+		if round%2 == 0 {
+			err = l.Add(pool[6+round/2])
+		} else {
+			err = l.Remove(pool[round/2].Name)
+		}
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sig(old); got != want {
+			t.Fatalf("round %d: a loaded index changed its answers after the mutation\n got:\n%s\nwant:\n%s", round, got, want)
+		}
+		if l.Josie() == old {
+			t.Fatalf("round %d: the mutation published no new index", round)
+		}
+		if got, want := sig(l.Josie()), sig(josie.BuildWithDict(l.Domains(), l.Tokens())); got != want {
+			t.Fatalf("round %d: published index diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
+		}
 	}
 }

@@ -610,6 +610,34 @@ func TestCorrelateSkipsNonFiniteCells(t *testing.T) {
 	}
 }
 
+// TestCorrelateHugeMagnitudes posts /v1/correlate over finite cells whose
+// squares overflow float64: the answer is a 200 with a finite r, not a 500
+// for an unrepresentable NaN.
+func TestCorrelateHugeMagnitudes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := CorrelateRequest{
+		Table: TableJSON{Name: "t", Columns: []string{"a", "b"}, Rows: [][]any{
+			{1e200, 1e200}, {-1e200, -1e200}, {1, 2},
+		}},
+		ColA: "a", ColB: "b",
+	}
+	resp := postJSON(t, ts.URL+"/v1/correlate", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %+v", resp.StatusCode, decodeResp[ErrorBody](t, resp))
+	}
+	var got CorrelateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got.N != 3 || !(math.Abs(got.R-1) <= 1e-12) {
+		t.Fatalf("r, n = %v, %d, want r = 1 over 3 pairs", got.R, got.N)
+	}
+	if m := endpointSnapshot(t, s, "/v1/correlate"); m.Completed != 1 || m.Errors != 0 {
+		t.Fatalf("completed/errors = %d/%d, want 1/0", m.Completed, m.Errors)
+	}
+}
+
 // TestDecodeBodyReadError checks that a body the server cannot read whole
 // fails exactly as it did when encoding/json read the stream itself: the
 // reference decoder sees the bytes that arrived, then the read error.
