@@ -218,12 +218,12 @@ func BenchmarkX2FDScaling(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("ALITE/n=%d", len(small.Tuples)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fd.ALITE(small)
+			fd.ALITECtx(context.Background(), small)
 		}
 	})
 	b.Run(fmt.Sprintf("ALITE/n=%d", len(big.Tuples)), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fd.ALITE(big)
+			fd.ALITECtx(context.Background(), big)
 		}
 	})
 }
@@ -722,7 +722,7 @@ func BenchmarkIncrementalFD(b *testing.B) {
 	split := len(in.Tuples) - 3*40 // the last 40 entities arrive late
 	b.Run("Recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fd.ALITE(in)
+			fd.ALITECtx(context.Background(), in)
 		}
 	})
 	b.Run("IncrementalAdd", func(b *testing.B) {

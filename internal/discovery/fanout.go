@@ -186,10 +186,12 @@ func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardC
 // table names are unique catalog-wide, so the comparator is total and the
 // merge deterministic regardless of shard count, transport or scheduling;
 // against a single-shard target the output is byte-identical to running
-// the methods sequentially. The shards' indexes are immutable and every
-// shared interner is lock-protected, so discoverers — including
-// user-defined similarity hooks (Fig. 4), which must be safe to call
-// concurrently — run without coordination across the fan-out.
+// the methods sequentially. A shard's SANTOS and JOSIE indexes are
+// immutable (its mutations publish new ones), its LSH Ensemble is the one
+// index that takes a read lock, and every shared interner is
+// lock-protected, so discoverers — including user-defined similarity hooks
+// (Fig. 4), which must be safe to call concurrently — run without
+// coordination across the fan-out.
 //
 // Errors and degradation: slots whose error wraps ErrShardUnavailable — a
 // remote shard down, shedding, or degraded — contribute empty rankings

@@ -83,7 +83,7 @@ func X2FDScaling() Row {
 		return row
 	}
 	t0 = time.Now()
-	aliteSmall := fd.ALITE(smallIn)
+	aliteSmall, _ := fd.ALITECtx(context.Background(), smallIn) // never cancelled, so never fails
 	aliteSmallDur := time.Since(t0)
 	// Both outputs are canonically sorted: compare them tuple by tuple.
 	agree := slices.EqualFunc(naiveOut, aliteSmall, func(a, b fd.Tuple) bool { return a.Key() == b.Key() })
@@ -94,7 +94,7 @@ func X2FDScaling() Row {
 		return row
 	}
 	t0 = time.Now()
-	fd.ALITE(bigIn)
+	fd.ALITECtx(context.Background(), bigIn)
 	aliteBigDur := time.Since(t0)
 
 	speedup := float64(naiveDur) / float64(aliteSmallDur+1)

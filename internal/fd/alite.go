@@ -7,7 +7,7 @@ import (
 	"repro/internal/table"
 )
 
-// ALITE computes the Full Disjunction of the input by complementation
+// ALITECtx computes the Full Disjunction of the input by complementation
 // closure, the algorithm of the ALITE paper:
 //
 //  1. Deduplicate the outer-union tuples (set semantics).
@@ -23,16 +23,13 @@ import (
 // keys are pos<<32|id integers, tuple dedup hashes ID slices, and value
 // comparisons are integer equality. in.Dict supplies a shared
 // dictionary; nil interns privately.
-func ALITE(in Input) []Tuple {
-	out, _ := ALITECtx(context.Background(), in)
-	return out
-}
-
-// ALITECtx is ALITE with cooperative cancellation: the closure checks ctx
-// between candidate-generation rounds (and, amortized, inside long candidate
-// scans), returning (nil, ctx.Err()) once the context is cancelled instead of
-// running the closure to fixpoint. An uncancelled call is byte-identical to
-// ALITE — the checkpoints only observe the context, never the closure state.
+//
+// The closure is cooperatively cancellable: it checks ctx between
+// candidate-generation rounds (and, amortized, inside long candidate
+// scans), returning (nil, ctx.Err()) once the context is cancelled instead
+// of running the closure to fixpoint. An uncancelled call's output does not
+// depend on ctx — the checkpoints only observe the context, never the
+// closure state.
 func ALITECtx(ctx context.Context, in Input) ([]Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -60,7 +57,7 @@ type ctuple struct {
 	prov []int32
 }
 
-// closer holds the closure state shared by ALITE and Incremental. All
+// closer holds the closure state shared by ALITECtx and Incremental. All
 // hot-path identity work happens on integers: values are interned once per
 // tuple on entry, and every subsequent lookup, merge and dedup runs on IDs.
 type closer struct {
@@ -515,7 +512,7 @@ func subsumesIDs(sup, sub []uint32) bool {
 // Value-duplicates are removed first; an all-null tuple is dropped whenever
 // any other tuple exists. The survivors are exactly the maximal tuples,
 // with their original Tuple structs preserved in input order. The tuples
-// seed a private closer, as ALITE's do, without running the closure.
+// seed a private closer, as ALITECtx's do, without running the closure.
 func RemoveSubsumed(tuples []Tuple) []Tuple {
 	c := newCloser(nil, tuples)
 	orig := make([]Tuple, 0, len(tuples))

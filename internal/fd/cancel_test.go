@@ -35,8 +35,12 @@ func denseInput(tuples, cols int, seed int64) Input {
 
 func TestALITECtxUncancelledIdentical(t *testing.T) {
 	in := denseInput(120, 5, 1)
-	want := ALITE(in)
-	got, err := ALITECtx(context.Background(), in)
+	want := alite(in)
+	// A cancellable context that is never cancelled takes every checkpoint
+	// the background context skips.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := ALITECtx(ctx, in)
 	if err != nil {
 		t.Fatal(err)
 	}

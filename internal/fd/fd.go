@@ -8,7 +8,7 @@
 //
 // Two algorithms are provided:
 //
-//   - ALITE: the complementation-closure algorithm of the ALITE paper
+//   - ALITECtx: the complementation-closure algorithm of the ALITE paper
 //     (Khatiwada et al., VLDB 2022) over the outer union of the inputs,
 //     with a (position,value) inverted index generating candidate pairs.
 //   - Naive: exact enumeration of connected, consistent tuple subsets —

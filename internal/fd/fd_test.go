@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +10,13 @@ import (
 	"repro/internal/paperdata"
 	"repro/internal/table"
 )
+
+// alite runs the closure uncancelled: a context that is never done cannot
+// fail it.
+func alite(in Input) []Tuple {
+	out, _ := ALITECtx(context.Background(), in)
+	return out
+}
 
 // fig3Input aligns the paper's T1,T2,T3 onto the Fig. 3 integration schema.
 func fig3Input(t *testing.T) Input {
@@ -46,7 +54,7 @@ func valuesTable(name string, schema []string, tuples []Tuple) *table.Table {
 
 func TestALITEReproducesFig3(t *testing.T) {
 	in := fig3Input(t)
-	got := ALITE(in)
+	got := alite(in)
 	gotTable := valuesTable("got", in.Schema, got)
 	want := paperdata.Fig3Expected()
 	want.Columns = in.Schema // same headers by construction
@@ -79,7 +87,7 @@ func TestALITEReproducesFig3(t *testing.T) {
 
 func TestALITEReproducesFig8b(t *testing.T) {
 	in := fig8Input(t)
-	got := ALITE(in)
+	got := alite(in)
 	gotTable := valuesTable("got", in.Schema, got)
 	want := paperdata.Fig8bExpected()
 	want.Columns = in.Schema
@@ -108,7 +116,7 @@ func TestALITEReproducesFig8b(t *testing.T) {
 func TestNaiveMatchesALITEOnFixtures(t *testing.T) {
 	for _, mk := range []func(*testing.T) Input{fig3Input, fig8Input} {
 		in := mk(t)
-		a := ALITE(in)
+		a := alite(in)
 		n, err := Naive(in)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +298,7 @@ func TestALITEMatchesNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for iter := 0; iter < 120; iter++ {
 		in := randomInput(rng)
-		a := ALITE(in)
+		a := alite(in)
 		n, err := Naive(in)
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +315,7 @@ func TestFDAxiomsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 80; iter++ {
 		in := randomInput(rng)
-		out := ALITE(in)
+		out := alite(in)
 		// Antichain: no output tuple subsumed by another.
 		for i := range out {
 			for j := range out {
@@ -330,7 +338,7 @@ func TestFDAxiomsRandomized(t *testing.T) {
 			}
 		}
 		// Idempotence: FD of the FD result is itself.
-		again := ALITE(Input{Schema: in.Schema, Tuples: out})
+		again := alite(Input{Schema: in.Schema, Tuples: out})
 		if !sameValues(out, again) {
 			t.Fatalf("iteration %d: FD is not idempotent", iter)
 		}
@@ -339,7 +347,7 @@ func TestFDAxiomsRandomized(t *testing.T) {
 		for i, p := range rng.Perm(len(in.Tuples)) {
 			perm[i] = in.Tuples[p]
 		}
-		permOut := ALITE(Input{Schema: in.Schema, Tuples: perm})
+		permOut := alite(Input{Schema: in.Schema, Tuples: perm})
 		if !sameValues(out, permOut) {
 			t.Fatalf("iteration %d: FD depends on input order", iter)
 		}

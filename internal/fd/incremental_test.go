@@ -15,7 +15,7 @@ func TestIncrementalMatchesRecomputation(t *testing.T) {
 		split := 1 + rng.Intn(len(in.Tuples)-1)
 		inc := NewIncremental(in.Schema, in.Tuples[:split])
 		inc.Add(in.Tuples[split:])
-		full := ALITE(in)
+		full := alite(in)
 		if !sameValues(inc.Result(), full) {
 			t.Fatalf("iteration %d: incremental diverges from recomputation\nincremental:\n%s\nfull:\n%s",
 				iter, valuesTable("i", in.Schema, inc.Result()), valuesTable("f", in.Schema, full))
@@ -31,7 +31,7 @@ func TestIncrementalOneTupleAtATime(t *testing.T) {
 		for _, tu := range in.Tuples {
 			inc.Add([]Tuple{tu})
 		}
-		if !sameValues(inc.Result(), ALITE(in)) {
+		if !sameValues(inc.Result(), alite(in)) {
 			t.Fatalf("iteration %d: tuple-at-a-time diverges", iter)
 		}
 	}
@@ -44,7 +44,7 @@ func TestIncrementalOnFig8(t *testing.T) {
 	inc := NewIncremental(in.Schema, in.Tuples[:4]) // t11..t14
 	inc.Add(in.Tuples[4:])                          // t15, t16
 	got := inc.Result()
-	if !sameValues(got, ALITE(in)) {
+	if !sameValues(got, alite(in)) {
 		t.Fatalf("incremental Fig. 8 result diverges:\n%s", valuesTable("g", in.Schema, got))
 	}
 	found := false
@@ -73,7 +73,7 @@ func TestIncrementalResultDoesNotConsumeState(t *testing.T) {
 	if inc.ClosureSize() <= before {
 		t.Error("Add must grow the closure")
 	}
-	if !sameValues(inc.Result(), ALITE(in)) {
+	if !sameValues(inc.Result(), alite(in)) {
 		t.Error("adding after Result must still converge")
 	}
 }

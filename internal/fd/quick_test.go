@@ -15,7 +15,7 @@ import (
 func TestQuickClosureEqualsEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
 		in := randomInput(rand.New(rand.NewSource(seed)))
-		a := ALITE(in)
+		a := alite(in)
 		n, err := Naive(in)
 		if err != nil {
 			return false
@@ -50,7 +50,7 @@ func TestQuickSharedDictClosure(t *testing.T) {
 		shared.Dict = dict
 		// Shared-dict runs must match fresh-dict runs exactly — values,
 		// provenance, and ordering.
-		return same(ALITE(shared), ALITE(in))
+		return same(alite(shared), alite(in))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -66,7 +66,7 @@ func TestQuickIncrementalEqualsBatch(t *testing.T) {
 		for _, tu := range in.Tuples {
 			inc.Add([]Tuple{tu})
 		}
-		batch := ALITE(in)
+		batch := alite(in)
 		got := inc.Result()
 		if len(got) != len(batch) {
 			return false

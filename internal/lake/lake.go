@@ -8,18 +8,20 @@
 //
 // The lake is a living object: open-data portals churn daily, so Add and
 // Remove maintain the discovery indexes — the LSH Ensemble moves only the
-// domains whose equi-depth partition shifted, SANTOS annotates or evicts
-// per-table semantic graphs, and JOSIE, whose whole build is one counting
-// pass, is rebuilt over the surviving domains and published as a fresh
-// immutable index. Every mutation leaves the lake query-equivalent to a
-// fresh New over the surviving tables (pinned by the differential harness
-// in differential_test.go). Mutations are exclusive with each other;
-// queries run concurrently with mutations — see the concurrency notes on
-// Add.
+// domains whose equi-depth partition shifted, in place; SANTOS derives its
+// next index, sharing the kept per-table semantic graphs and annotating
+// only the added tables; and JOSIE, whose whole build is one counting pass,
+// is rebuilt over the surviving domains. The catalog, SANTOS and JOSIE are
+// published together as one immutable view of the lake. Every mutation
+// leaves the lake query-equivalent to a fresh New over the surviving tables
+// (pinned by the differential harness in differential_test.go). Mutations
+// are exclusive with each other; queries run concurrently with mutations —
+// see the concurrency notes on Add.
 package lake
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,29 +49,45 @@ type Options struct {
 	LSH lshensemble.Options
 }
 
-// Lake is a preprocessed, mutable table repository. The catalog fields
-// (tables, byName, domains, domainIdx, stats) are guarded by mu: accessors
-// take the read lock, Add/Remove/Compact the write lock. The token
-// dictionary, SANTOS and the LSH Ensemble carry their own synchronization;
-// JOSIE is immutable and each mutation publishes a fresh build, so queries
-// against an index captured before a mutation stay safe.
+// Lake is a preprocessed, mutable table repository. Everything a read
+// needs but the LSH Ensemble — the tables, the domains, SANTOS, JOSIE and
+// the build stats — is one immutable view behind an atomic pointer: every
+// accessor loads it once and takes no lock, and each Add or Remove
+// publishes the next view. mu only serializes the mutations. The token
+// dictionary and the LSH Ensemble, which mutations change in place, carry
+// their own synchronization.
 type Lake struct {
 	// kbState holds the knowledge base and the value dictionary that only
 	// the benchmark reads (Knowledge, Dict).
 	kbState
 	// epoch is bumped only after validation succeeds, so failed mutations
 	// leave it untouched — see Epoch.
-	epoch     Epoch
-	mu        sync.RWMutex
-	tables    []*table.Table
-	byName    map[string]*table.Table
-	tokens    *table.TokenDict
-	santosIx  *santos.Index
-	joinIx    *lshensemble.Index
-	josieIx   atomic.Pointer[josie.Index]
-	domains   []table.Domain
-	domainIdx map[colRef]int // (table, column) -> index into domains
-	stats     BuildStats
+	epoch  Epoch
+	mu     sync.Mutex // serializes Add, Remove and Compact
+	tokens *table.TokenDict
+	joinIx *lshensemble.Index
+	view   atomic.Pointer[view]
+}
+
+// view is one published state of the lake. A mutation never writes an
+// element a published view can read: it builds new slices (Add appends
+// past their length) and clones the map before changing it. domains holds
+// each table's domains contiguously, in table order.
+type view struct {
+	tables  []*table.Table
+	byName  map[string]entry
+	domains []table.Domain
+	santos  *santos.Index
+	josie   *josie.Index
+	stats   BuildStats
+}
+
+// entry is one catalog table and the span domains[lo:hi] of its view's
+// domains extracted from it: indices, so an entry kept across mutations
+// never pins an older domains array.
+type entry struct {
+	t      *table.Table
+	lo, hi int
 }
 
 // BuildStats breaks lake preprocessing down per stage, so "which stage
@@ -91,12 +109,6 @@ type BuildStats struct {
 	Santos time.Duration
 	LSH    time.Duration
 	Josie  time.Duration
-}
-
-// colRef addresses one column of one lake table.
-type colRef struct {
-	table  string
-	column int
 }
 
 // Epoch returns the lake's mutation epoch: even when every discovery index
@@ -145,9 +157,8 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 	}
 	l, perTable := extract(tables)
 	t0 := time.Now()
-	knowledge := knowledgeFor(opts, l.tables, perTable)
-	l.stats.KBPrep = time.Since(t0)
-	l.index(knowledge, opts.LSH)
+	knowledge := knowledgeFor(opts, tables, perTable)
+	l.index(knowledge, opts.LSH, time.Since(t0))
 	return l, nil
 }
 
@@ -156,21 +167,16 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 // their members into the lake's own token dictionary. It returns the
 // domains per table, in table order, for KB synthesis.
 func extract(tables []*table.Table) (*Lake, [][]table.Domain) {
-	l := &Lake{
-		tokens: table.NewTokenDict(),
-		tables: append([]*table.Table(nil), tables...),
-		byName: make(map[string]*table.Table, len(tables)),
-	}
+	l := &Lake{tokens: table.NewTokenDict()}
 	l.epoch.seed()
-	for _, t := range tables {
-		l.byName[t.Name] = t
-	}
 	l.dict = table.NewDict() // empty; see Dict
+	v := &view{tables: append([]*table.Table(nil), tables...)}
 	t0 := time.Now()
-	perTable := extractDomains(l.tables, l.tokens)
-	l.domains = slices.Concat(perTable...)
-	l.reindexDomains()
-	l.stats.DomainExtraction = time.Since(t0)
+	perTable := extractDomains(tables, l.tokens)
+	v.domains = slices.Concat(perTable...)
+	v.reindex()
+	v.stats.DomainExtraction = time.Since(t0)
+	l.view.Store(v)
 	return l, perTable
 }
 
@@ -199,40 +205,38 @@ func knowledgeFor(opts Options, tables []*table.Table, domains [][]table.Domain)
 // index is every build's last phase: the lake takes the compiled KB, and
 // the three indexes, which read disjoint inputs, are built concurrently
 // over the token dictionary (complete after extract, so the builds only
-// read it).
-func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options) {
+// read it). SANTOS is an empty index over the KB that every table of the
+// view is added to. kbPrep is the KB phase's time, for BuildStats.
+func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Duration) {
 	l.knowledge = knowledge
-	l.eachIndex(
-		func() { l.santosIx = santos.Build(l.tables, l.knowledge) },
-		func() { l.joinIx = lshensemble.BuildWithDict(l.domains, lsh, l.tokens) },
-		l.buildJosie,
-	)
+	next := *l.view.Load()
+	next.stats.KBPrep = kbPrep
+	next.santos = santos.Build(nil, knowledge)
+	l.eachIndex(&next, next.tables, nil, func() { l.joinIx = lshensemble.BuildWithDict(next.domains, lsh, l.tokens) })
 }
-
-// buildJosie is JOSIE's step in every build and mutation: it builds the
-// index over the current domains and publishes it. Readers holding the
-// previous build keep it, so a JOSIE query never waits on a mutation.
-func (l *Lake) buildJosie() { l.josieIx.Store(josie.BuildWithDict(l.domains, l.tokens)) }
 
 // Add incrementally indexes additional tables into the lake: the new
 // tables' domains are extracted and their tokens interned into the shared
 // token dictionary exactly as New does (one worker per table), then SANTOS
-// and the LSH Ensemble absorb the same domains while JOSIE is rebuilt over
-// every domain, concurrently. After Add returns, every discovery query is
-// answered identically to a fresh New over the enlarged table set.
+// annotates the new tables and the LSH Ensemble absorbs their domains while
+// JOSIE is rebuilt over every domain, concurrently. After Add returns,
+// every discovery query is answered identically to a fresh New over the
+// enlarged table set.
 //
 // Validation is atomic: a nil table, an empty or duplicate name (against
 // the lake or within the batch) rejects the whole batch before anything is
 // indexed.
 //
 // Concurrency contract: mutations (Add, Remove, Compact) are exclusive with
-// each other; discovery queries may run concurrently with a mutation. Each
-// index applies its delta atomically with respect to its own queries, but a
-// multi-index query running mid-mutation may observe the lake between index
-// updates (e.g. a table already visible to JOSIE but not yet to SANTOS);
-// queries issued after Add returns see the delta everywhere. Multi-index
-// readers detect that window via the mutation epoch (see Epoch) and retry —
-// discovery.RunAll does this automatically.
+// each other; discovery queries and catalog reads may run concurrently with
+// a mutation and never wait on it. The catalog, SANTOS and JOSIE change
+// together, when the mutation publishes its view: a reader sees all of a
+// view or none of it. The LSH Ensemble applies its delta in place, under
+// its own lock, before the view is published, so a multi-index query
+// running mid-mutation may observe LSH already changed while SANTOS and
+// JOSIE are not yet; queries issued after Add returns see the delta
+// everywhere. Multi-index readers detect that window via the mutation epoch
+// (see Epoch) and retry — discovery.RunAll does this automatically.
 //
 // KB semantics: the added tables are annotated against the knowledge base
 // fixed at build. A KB synthesized at build time (Options.SynthesizeKB) is
@@ -244,40 +248,37 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := CheckAdd("lake: add", tables, l.lookup); err != nil {
+	prev := l.view.Load()
+	if err := CheckAdd("lake: add", tables, prev.get); err != nil {
 		return err
 	}
 	l.epoch.Begin()
 	defer l.epoch.End()
+	next := *prev
 	t0 := time.Now()
-	newDomains := slices.Concat(extractDomains(tables, l.tokens)...)
-	l.stats.DomainExtraction += time.Since(t0)
-	for _, t := range tables {
-		l.byName[t.Name] = t
-		l.tables = append(l.tables, t)
+	perTable := extractDomains(tables, l.tokens)
+	next.stats.DomainExtraction += time.Since(t0)
+	next.tables = append(prev.tables, tables...)
+	next.byName = maps.Clone(prev.byName)
+	for i, t := range tables {
+		lo := len(next.domains)
+		next.domains = append(next.domains, perTable[i]...)
+		next.byName[t.Name] = entry{t, lo, len(next.domains)}
 	}
-	base := len(l.domains)
-	l.domains = append(l.domains, newDomains...)
-	for i := range newDomains {
-		l.domainIdx[colRef{newDomains[i].Table, newDomains[i].Column}] = base + i
-	}
-	l.eachIndex(
-		func() { l.santosIx.Add(tables) },
-		func() { l.joinIx.Add(newDomains) },
-		l.buildJosie,
-	)
+	newDomains := next.domains[len(prev.domains):]
+	l.eachIndex(&next, tables, nil, func() { l.joinIx.Add(newDomains) })
 	return nil
 }
 
 // Remove drops the named tables from the lake and from all three discovery
-// indexes: SANTOS evicts their semantic graphs, the LSH Ensemble re-shards
-// their domains out of the equi-depth partitioning, and JOSIE is rebuilt
-// over the surviving domains. After Remove returns, every discovery query
-// is answered identically to a fresh New over the surviving tables, Get
-// reports the removed names as absent (ok=false), and DomainFor returns nil
-// for their columns. Interned tokens stay in the shared token dictionary by
-// design (interners are append-only); they can no longer match any indexed
-// domain.
+// indexes: SANTOS derives an index without their semantic graphs, the LSH
+// Ensemble re-shards their domains out of the equi-depth partitioning, and
+// JOSIE is rebuilt over the surviving domains. After Remove returns, every
+// discovery query is answered identically to a fresh New over the surviving
+// tables, Get reports the removed names as absent (ok=false), and DomainFor
+// returns nil for their columns. Interned tokens stay in the shared token
+// dictionary by design (interners are append-only); they can no longer
+// match any indexed domain.
 //
 // Validation is atomic: an unknown name rejects the whole batch before
 // anything is dropped (duplicate names within the batch are tolerated).
@@ -288,7 +289,8 @@ func (l *Lake) Remove(names ...string) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	nameList, err := CheckRemove("lake: remove", names, l.lookup)
+	prev := l.view.Load()
+	nameList, err := CheckRemove("lake: remove", names, prev.get)
 	if err != nil {
 		return err
 	}
@@ -298,53 +300,53 @@ func (l *Lake) Remove(names ...string) error {
 	}
 	l.epoch.Begin()
 	defer l.epoch.End()
-	// New slices rather than in-place filtering: accessors hand the old
-	// backing arrays to concurrent readers, which must keep seeing the
-	// pre-removal state rather than shifted elements.
-	kept := make([]*table.Table, 0, len(l.tables)-len(doomed))
-	for _, t := range l.tables {
+	next := *prev
+	next.tables = make([]*table.Table, 0, len(prev.tables)-len(doomed))
+	for _, t := range prev.tables {
 		if !doomed[t.Name] {
-			kept = append(kept, t)
+			next.tables = append(next.tables, t)
 		}
 	}
-	l.tables = kept
-	for n := range doomed {
-		delete(l.byName, n)
-	}
-	keptDomains := make([]table.Domain, 0, len(l.domains))
-	for i := range l.domains {
-		if !doomed[l.domains[i].Table] {
-			keptDomains = append(keptDomains, l.domains[i])
+	next.domains = make([]table.Domain, 0, len(prev.domains))
+	for i := range prev.domains {
+		if !doomed[prev.domains[i].Table] {
+			next.domains = append(next.domains, prev.domains[i])
 		}
 	}
-	l.domains = keptDomains
-	l.reindexDomains()
-	l.eachIndex(
-		func() { l.santosIx.Remove(nameList) },
-		func() { l.joinIx.Remove(nameList) },
-		l.buildJosie,
-	)
+	next.reindex()
+	l.eachIndex(&next, nil, nameList, func() { l.joinIx.Remove(nameList) })
 	return nil
 }
 
-// reindexDomains rebuilds the (table, column) -> domains index from scratch;
-// Add extends it in place instead.
-func (l *Lake) reindexDomains() {
-	l.domainIdx = make(map[colRef]int, len(l.domains))
-	for i, d := range l.domains {
-		l.domainIdx[colRef{d.Table, d.Column}] = i
+// reindex builds the view's name map from scratch, walking its tables and
+// their contiguous domains together; Add extends a clone of the previous
+// one instead.
+func (v *view) reindex() {
+	v.byName = make(map[string]entry, len(v.tables))
+	lo := 0
+	for _, t := range v.tables {
+		hi := lo
+		for hi < len(v.domains) && v.domains[hi].Table == t.Name {
+			hi++
+		}
+		v.byName[t.Name] = entry{t, lo, hi}
+		lo = hi
 	}
 }
 
 // eachIndex is the one place the lake builds its three discovery indexes
-// or applies a delta to them: New's builds, Add's and Remove's deltas
-// (JOSIE's delta is a rebuild; Compact, which changes no answer and clocks
-// nothing, is apart). It runs one step per index concurrently (the indexes
-// share nothing but the token dictionary, which the steps only read) and
-// adds each step's wall time to that index's BuildStats field — New starts
-// from zero, so its stats are the build's own times, and every mutation
-// accumulates on top.
-func (l *Lake) eachIndex(santosStep, lshStep, josieStep func()) {
+// or applies a delta to them, and the one place it publishes a view: New's
+// builds, Add's and Remove's deltas (Compact, which changes no answer and
+// clocks nothing, is apart). next is the view being built, with its
+// catalog already updated and its santos the index to derive from. It runs
+// one step per index concurrently (the indexes share nothing but the token
+// dictionary, which the steps only read): SANTOS is derived with the added
+// tables and without the removed names, lshStep applies the LSH Ensemble's
+// build or delta, and JOSIE is rebuilt over next's domains. Each step's
+// wall time is added to that index's field of next's BuildStats — New
+// starts from zero, so its stats are the build's own times, and every
+// mutation accumulates on top. Then next is published.
+func (l *Lake) eachIndex(next *view, added []*table.Table, removed []string, lshStep func()) {
 	clocked := func(step func(), d *time.Duration) func() {
 		return func() {
 			t := time.Now()
@@ -352,7 +354,12 @@ func (l *Lake) eachIndex(santosStep, lshStep, josieStep func()) {
 			*d += time.Since(t)
 		}
 	}
-	par.Do(clocked(santosStep, &l.stats.Santos), clocked(lshStep, &l.stats.LSH), clocked(josieStep, &l.stats.Josie))
+	par.Do(
+		clocked(func() { next.santos = next.santos.With(added, removed) }, &next.stats.Santos),
+		clocked(lshStep, &next.stats.LSH),
+		clocked(func() { next.josie = josie.BuildWithDict(next.domains, l.tokens) }, &next.stats.Josie),
+	)
+	l.view.Store(next)
 }
 
 // Compact folds accumulated mutation debt out of the LSH Ensemble, the one
@@ -391,40 +398,23 @@ func extractDomains(tables []*table.Table, tokens *table.TokenDict) [][]table.Do
 // order minus removals, with added tables appended in Add order. The
 // returned slice is a stable snapshot — later mutations never shift its
 // elements.
-func (l *Lake) Tables() []*table.Table {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.tables
-}
+func (l *Lake) Tables() []*table.Table { return l.view.Load().tables }
 
 // Get returns a table by name. After Remove(name), ok is false: removed
 // tables are absent from the catalog, not merely unreachable.
-func (l *Lake) Get(name string) (*table.Table, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.lookup(name)
-}
+func (l *Lake) Get(name string) (*table.Table, bool) { return l.view.Load().get(name) }
 
-// lookup is Get for callers already holding mu.
-func (l *Lake) lookup(name string) (*table.Table, bool) {
-	t, ok := l.byName[name]
-	return t, ok
+func (v *view) get(name string) (*table.Table, bool) {
+	e, ok := v.byName[name]
+	return e.t, ok
 }
 
 // Size reports the current number of tables.
-func (l *Lake) Size() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.tables)
-}
+func (l *Lake) Size() int { return len(l.view.Load().tables) }
 
 // Stats returns the per-stage preprocessing timing breakdown, including
 // work accumulated by incremental mutations.
-func (l *Lake) Stats() BuildStats {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.stats
-}
+func (l *Lake) Stats() BuildStats { return l.view.Load().stats }
 
 // Tokens returns the lake-wide token dictionary: every domain member of
 // every lake table is interned in it, and the discovery indexes are built
@@ -439,17 +429,23 @@ func (l *Lake) Tokens() *table.TokenDict { return l.tokens }
 // nil; previously returned pointers stay readable but describe the removed
 // domain.
 func (l *Lake) DomainFor(tableName string, col int) *table.Domain {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	i, ok := l.domainIdx[colRef{tableName, col}]
-	if !ok {
-		return nil
-	}
-	return &l.domains[i]
+	return l.view.Load().domainFor(tableName, col)
 }
 
-// Santos returns the semantic union-search index.
-func (l *Lake) Santos() *santos.Index { return l.santosIx }
+func (v *view) domainFor(tableName string, col int) *table.Domain {
+	e := v.byName[tableName]
+	for i := e.lo; i < e.hi; i++ {
+		if v.domains[i].Column == col {
+			return &v.domains[i]
+		}
+	}
+	return nil
+}
+
+// Santos returns the semantic union-search index as of the latest build or
+// mutation. The index is immutable: a later mutation publishes a new one
+// and leaves this one answering as it did.
+func (l *Lake) Santos() *santos.Index { return l.view.Load().santos }
 
 // Join returns the LSH Ensemble containment index.
 func (l *Lake) Join() *lshensemble.Index { return l.joinIx }
@@ -457,16 +453,12 @@ func (l *Lake) Join() *lshensemble.Index { return l.joinIx }
 // Josie returns the exact top-k overlap index as of the latest build or
 // mutation. The index is immutable: a later mutation publishes a new one
 // and leaves this one answering as it did.
-func (l *Lake) Josie() *josie.Index { return l.josieIx.Load() }
+func (l *Lake) Josie() *josie.Index { return l.view.Load().josie }
 
 // Domains returns the extracted column domains of the current tables (for
 // baselines and experiments). The returned slice is a stable snapshot —
 // later mutations never shift its elements.
-func (l *Lake) Domains() []table.Domain {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.domains
-}
+func (l *Lake) Domains() []table.Domain { return l.view.Load().domains }
 
 // QueryDomain extracts the normalized value set of a query table column,
 // with the extractor the lake's indexes are built with (table.ValueSet).
@@ -488,10 +480,12 @@ func QueryDomain(q *table.Table, col int) ([]string, error) {
 // grows. Both shapes take the same path through the indexes
 // (QueryDomainCtx, TopKIDsCtx) and rank identically for equal cells. An
 // out-of-range column never has a cached domain, so it always reaches
-// QueryDomain's range check.
+// QueryDomain's range check. The table and its domain are read from one
+// view.
 func (l *Lake) ResolveQuery(q *table.Table, col int) (*table.Domain, error) {
-	if lt, ok := l.Get(q.Name); ok && lt == q {
-		if d := l.DomainFor(q.Name, col); d != nil {
+	v := l.view.Load()
+	if lt, ok := v.get(q.Name); ok && lt == q {
+		if d := v.domainFor(q.Name, col); d != nil {
 			return d, nil
 		}
 	}

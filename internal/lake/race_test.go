@@ -5,8 +5,11 @@
 package lake_test
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/josie"
 	"repro/internal/lake"
+	"repro/internal/santos"
 	"repro/internal/table"
 )
 
@@ -83,22 +87,24 @@ func TestQueriesConcurrentWithMutation(t *testing.T) {
 	}
 }
 
-// TestJosiePublishedPerMutation pins JOSIE's mutation contract: every Add
-// and Remove publishes a fresh immutable build. An index loaded before a
-// mutation answers identically afterwards — also while the mutation runs,
-// since readers race the writer here — and the index published afterwards
-// answers exactly as josie.BuildWithDict over the lake's surviving domains.
-func TestJosiePublishedPerMutation(t *testing.T) {
+// TestViewPublishedPerMutation pins the lake's mutation contract: every Add
+// and Remove publishes a fresh immutable view — the tables, SANTOS and
+// JOSIE. Everything loaded before a mutation answers identically
+// afterwards — also while the mutation runs, since readers race the writer
+// here — and the indexes published afterwards answer exactly as fresh
+// builds over the lake's surviving tables and domains.
+func TestViewPublishedPerMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pool := make([]*table.Table, 12)
 	for i := range pool {
 		pool[i] = difftest.DiffTable(rng, fmt.Sprintf("j%02d", i))
 	}
-	queries := [][]string{difftest.DiffTable(rng, "foreign").DistinctStrings(0)}
+	foreign := difftest.DiffTable(rng, "foreign")
+	queries := [][]string{foreign.DistinctStrings(0)}
 	for _, p := range pool {
 		queries = append(queries, p.DistinctStrings(0))
 	}
-	sig := func(ix *josie.Index) string {
+	josieSig := func(ix *josie.Index) string {
 		var b strings.Builder
 		for _, q := range queries {
 			for _, r := range ix.TopK(q, 0) {
@@ -108,21 +114,54 @@ func TestJosiePublishedPerMutation(t *testing.T) {
 		}
 		return b.String()
 	}
+	santosSig := func(ix *santos.Index) string {
+		var b strings.Builder
+		for _, q := range append([]*table.Table{foreign}, pool...) {
+			rs, err := ix.Query(q, 0, 0)
+			fmt.Fprintf(&b, "%v:", err)
+			for _, r := range rs {
+				fmt.Fprintf(&b, "%s|%x|%d;", r.Table.Name, math.Float64bits(r.Score), r.MatchedColumn)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	tablesSig := func(ts []*table.Table) string {
+		var b strings.Builder
+		for _, t := range ts {
+			fmt.Fprintf(&b, "%s;", t.Name)
+		}
+		return b.String()
+	}
+	// loaded is what a reader captured before a mutation, and sig what it
+	// answers.
+	type loaded struct {
+		josie  *josie.Index
+		santos *santos.Index
+		tables []*table.Table
+	}
+	sig := func(v loaded) [3]string {
+		return [3]string{josieSig(v.josie), santosSig(v.santos), tablesSig(v.tables)}
+	}
+	parts := [3]string{"JOSIE", "SANTOS", "Tables"}
 	l, err := lake.New(pool[:6], lake.Options{Knowledge: difftest.DiffKB()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Even rounds add pool[6..11], odd rounds remove pool[0..5].
 	for round := 0; round < 12; round++ {
-		old := l.Josie()
+		old := loaded{l.Josie(), l.Santos(), l.Tables()}
 		want := sig(old)
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := sig(old); got != want {
-					t.Errorf("round %d: a loaded index changed its answers during a mutation", round)
+				got := sig(old)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("round %d: a loaded %s changed its answers during a mutation", round, parts[i])
+					}
 				}
 			}()
 		}
@@ -135,14 +174,110 @@ func TestJosiePublishedPerMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sig(old); got != want {
-			t.Fatalf("round %d: a loaded index changed its answers after the mutation\n got:\n%s\nwant:\n%s", round, got, want)
+		got := sig(old)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: a loaded %s changed its answers after the mutation\n got:\n%s\nwant:\n%s", round, parts[i], got[i], want[i])
+			}
 		}
-		if l.Josie() == old {
+		if l.Josie() == old.josie || l.Santos() == old.santos {
 			t.Fatalf("round %d: the mutation published no new index", round)
 		}
-		if got, want := sig(l.Josie()), sig(josie.BuildWithDict(l.Domains(), l.Tokens())); got != want {
-			t.Fatalf("round %d: published index diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
+		if got, want := josieSig(l.Josie()), josieSig(josie.BuildWithDict(l.Domains(), l.Tokens())); got != want {
+			t.Fatalf("round %d: published JOSIE diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
 		}
+		if got, want := santosSig(l.Santos()), santosSig(santos.Build(l.Tables(), l.Knowledge())); got != want {
+			t.Fatalf("round %d: published SANTOS diverged from a build over Tables()\n got:\n%s\nwant:\n%s", round, got, want)
+		}
+	}
+}
+
+// TestShardedReadsRaceWriters pins that a Sharded's catalog reads take no
+// lock yet never tear: readers call Size, Tables and TableNames while a
+// writer adds and removes tables, and every read equals one catalog order
+// the writer published.
+func TestShardedReadsRaceWriters(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := make([]*table.Table, 16)
+	for i := range pool {
+		pool[i] = difftest.DiffTable(rng, fmt.Sprintf("s%02d", i))
+	}
+	s, err := lake.NewSharded(pool[:8], 3, lake.Options{Knowledge: difftest.DiffKB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(ts []*table.Table) []string {
+		out := make([]string, len(ts))
+		for i, t := range ts {
+			out[i] = t.Name
+		}
+		return out
+	}
+	// published holds every catalog order the writer left behind, in order.
+	var mu sync.Mutex
+	published := [][]string{names(s.Tables())}
+	var reads [][]string
+	var sizes []int
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rs [][]string
+			var ns []int
+			for {
+				select {
+				case <-stop:
+					mu.Lock()
+					reads, sizes = append(reads, rs...), append(sizes, ns...)
+					mu.Unlock()
+					return
+				default:
+				}
+				tn, err := s.TableNames(context.Background())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rs = append(rs, names(s.Tables()), tn)
+				ns = append(ns, s.Size())
+			}
+		}()
+	}
+	mutate := func(apply func() error) {
+		if err := apply(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		published = append(published, names(s.Tables()))
+		mu.Unlock()
+	}
+	// Each round adds an extra table, removes it with a base table in one
+	// batch, and puts the base table back at the end of the order.
+	for round := 0; round < 20; round++ {
+		extra, base := pool[8+round%8], pool[round%8]
+		mutate(func() error { return s.Add(extra) })
+		mutate(func() error { return s.Remove(extra.Name, base.Name) })
+		mutate(func() error { return s.Add(base) })
+	}
+	close(stop)
+	wg.Wait()
+	lens := map[int]bool{}
+	for _, p := range published {
+		lens[len(p)] = true
+	}
+	for _, r := range reads {
+		if !slices.ContainsFunc(published, func(p []string) bool { return slices.Equal(p, r) }) {
+			t.Fatalf("read %v equals no published catalog order", r)
+		}
+	}
+	for _, n := range sizes {
+		if !lens[n] {
+			t.Fatalf("Size %d equals no published catalog size", n)
+		}
+	}
+	if len(reads) == 0 {
+		t.Fatal("no reads ran")
 	}
 }

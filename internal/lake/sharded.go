@@ -3,7 +3,9 @@ package lake
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/table"
@@ -33,8 +35,10 @@ import (
 // partition sizes (see SHARDING.md for the banded-probing caveat at scale).
 //
 // Concurrency contract: identical to Lake — mutations are exclusive with
-// each other, queries run concurrently with mutations, and the composite
-// epoch (Epoch) lets multi-index readers detect and retry torn reads.
+// each other, queries and catalog reads run concurrently with mutations
+// and take no lock (the catalog order is published behind an atomic
+// pointer, as a Lake publishes its view), and the composite epoch (Epoch)
+// lets multi-index readers detect and retry torn reads.
 // Mutations must go through the Sharded value; mutating a shard returned by
 // Shards() directly bypasses epoch accounting and catalog-order
 // bookkeeping.
@@ -42,14 +46,15 @@ type Sharded struct {
 	// Composite carries the routing rule, the composite epoch, and the
 	// composite-level Knowledge/Dict the cross-shard stages read.
 	*Composite
-	mu sync.RWMutex
+	mu sync.Mutex // serializes Add, Remove and Compact
 	// shards is fixed at construction; the *Lake values are mutable, the
 	// slice is not.
 	shards []*Lake
-	// order holds table names in catalog order (build order, then Add
+	// order holds the tables in catalog order (build order, then Add
 	// order, minus removals) so Tables() reports the same sequence an
-	// unsharded lake would.
-	order []string
+	// unsharded lake would. A mutation publishes a new slice and never
+	// writes a published one.
+	order atomic.Pointer[[]*table.Table]
 }
 
 // ShardIndex routes a table name to a shard: FNV-1a (64-bit) of the name,
@@ -91,7 +96,7 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 		return nil, err
 	}
 	parts := PartitionTables(tables, n)
-	s := &Sharded{shards: make([]*Lake, n), order: make([]string, 0, len(tables))}
+	s := &Sharded{shards: make([]*Lake, n)}
 	perShard := make([][][]table.Domain, n)
 	par.For(n, func(i int) { s.shards[i], perShard[i] = extract(parts[i]) })
 	// PartitionTables keeps input order within a shard, so table t is the
@@ -102,12 +107,13 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 		i := ShardIndex(t.Name, n)
 		domains = append(domains, perShard[i][next[i]])
 		next[i]++
-		s.order = append(s.order, t.Name)
 	}
+	order := append([]*table.Table(nil), tables...)
+	s.order.Store(&order)
 	// NewComposite finds the KB compiled, so every shard shares one
 	// *Compiled.
 	s.Composite = NewComposite(n, knowledgeFor(opts, tables, domains))
-	par.For(n, func(i int) { s.shards[i].index(s.knowledge, opts.LSH) })
+	par.For(n, func(i int) { s.shards[i].index(s.knowledge, opts.LSH, 0) })
 	return s, nil
 }
 
@@ -145,13 +151,7 @@ func (s *Sharded) Add(tables ...*table.Table) error {
 		return err
 	}
 	perShard := PartitionTables(tables, len(s.shards))
-	if err := s.routed(func(i int) error { return s.shards[i].Add(perShard[i]...) }); err != nil {
-		return err
-	}
-	for _, t := range tables {
-		s.order = append(s.order, t.Name)
-	}
-	return nil
+	return s.routed(func(i int) error { return s.shards[i].Add(perShard[i]...) }, slices.Concat(s.Tables(), tables))
 }
 
 // Remove drops the named tables from their shards concurrently. Validation
@@ -168,36 +168,32 @@ func (s *Sharded) Remove(names ...string) error {
 	if err != nil {
 		return err
 	}
-	perShard := PartitionNames(unique, len(s.shards))
-	if err := s.routed(func(i int) error { return s.shards[i].Remove(perShard[i]...) }); err != nil {
-		return err
-	}
 	doomed := make(map[string]bool, len(unique))
 	for _, n := range unique {
 		doomed[n] = true
 	}
-	kept := s.order[:0]
-	for _, n := range s.order {
-		if !doomed[n] {
-			kept = append(kept, n)
-		}
-	}
-	s.order = kept
-	return nil
+	perShard := PartitionNames(unique, len(s.shards))
+	order := slices.DeleteFunc(slices.Clone(s.Tables()), func(t *table.Table) bool { return doomed[t.Name] })
+	return s.routed(func(i int) error { return s.shards[i].Remove(perShard[i]...) }, order)
 }
 
 // routed is the composite's one mutation path: inside the composite epoch
-// bracket it runs step on every shard concurrently and joins their errors.
-// step receives the shard index; Lake.Add and Lake.Remove return at once on
-// a shard's empty sub-batch. Pre-validated batches cannot fail shard-side
-// unless a shard was mutated behind the composite's back; the caller
-// surfaces that rather than recording names that may not all be applied.
-func (s *Sharded) routed(step func(i int) error) error {
+// bracket it runs step on every shard concurrently, joins their errors and,
+// when every shard succeeded, publishes order as the catalog order. step
+// receives the shard index; Lake.Add and Lake.Remove return at once on a
+// shard's empty sub-batch. Pre-validated batches cannot fail shard-side
+// unless a shard was mutated behind the composite's back; routed then
+// surfaces that rather than publishing an order the shards may not match.
+func (s *Sharded) routed(step func(i int) error, order []*table.Table) error {
 	s.Mutations.Begin()
 	defer s.Mutations.End()
 	errs := make([]error, len(s.shards))
 	par.For(len(s.shards), func(i int) { errs[i] = step(i) })
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	s.order.Store(&order)
+	return nil
 }
 
 // Compact forces every shard's index compaction (concurrently). Like
@@ -215,23 +211,10 @@ func (s *Sharded) Get(name string) (*table.Table, bool) {
 }
 
 // Size reports the current number of tables across all shards.
-func (s *Sharded) Size() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.order)
-}
+func (s *Sharded) Size() int { return len(s.Tables()) }
 
 // Tables returns the current tables in catalog order — build order, then
 // Add order, minus removals — matching what an unsharded lake over the same
-// history would report. The returned slice is a fresh snapshot.
-func (s *Sharded) Tables() []*table.Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*table.Table, 0, len(s.order))
-	for _, n := range s.order {
-		if t, ok := s.Get(n); ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// history would report. The returned slice is a stable snapshot — later
+// mutations never shift its elements.
+func (s *Sharded) Tables() []*table.Table { return *s.order.Load() }

@@ -22,13 +22,12 @@ type State struct {
 	LSH lshensemble.Options
 }
 
-// Export flattens the lake. It holds the catalog read lock, so it is
-// exclusive with mutations and captures a consistent cut of the catalog.
+// Export flattens the lake. It reads the tables from one published view,
+// so it captures a consistent cut of the catalog without a lock: it never
+// waits on a mutation, and the KB Dump runs beside one.
 func (l *Lake) Export() State {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	return State{
-		Tables: append([]*table.Table(nil), l.tables...),
+		Tables: append([]*table.Table(nil), l.Tables()...),
 		KB:     l.knowledge.Dump(),
 		LSH:    l.joinIx.Options(),
 	}

@@ -22,8 +22,7 @@ func santosSig(rs []Result) string {
 // same compiled KB snapshot).
 func TestAddMatchesRebuild(t *testing.T) {
 	all := append(paperdata.CovidLake(), paperdata.T1())
-	grown := Build(all[:2], kb.Demo())
-	grown.Add(all[2:])
+	grown := Build(all[:2], kb.Demo()).With(all[2:], nil)
 	fresh := Build(all, kb.Demo())
 	q := paperdata.T1()
 	city, _ := q.ColumnIndex(paperdata.ColCity)
@@ -45,21 +44,32 @@ func TestAddMatchesRebuild(t *testing.T) {
 
 func TestRemoveEvictsGraph(t *testing.T) {
 	ix := demoIndex()
-	if n := ix.Remove([]string{"T2", "absent"}); n != 1 {
-		t.Fatalf("Remove = %d, want 1", n)
-	}
+	next := ix.With(nil, []string{"T2", "absent"})
 	q := paperdata.T1()
 	city, _ := q.ColumnIndex(paperdata.ColCity)
-	got, err := ix.Query(q, city, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range got {
-		if r.Table.Name == "T2" {
-			t.Error("removed table still returned")
+	returns := func(ix *Index, name string) bool {
+		got, err := ix.Query(q, city, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, r := range got {
+			if r.Table.Name == name {
+				return true
+			}
+		}
+		return false
 	}
-	if ix.NumTables() != 1 {
-		t.Errorf("NumTables = %d, want 1", ix.NumTables())
+	if returns(next, "T2") {
+		t.Error("removed table still returned")
+	}
+	if next.NumTables() != 1 {
+		t.Errorf("NumTables = %d, want 1", next.NumTables())
+	}
+	// The receiver is immutable: it still indexes and returns T2.
+	if !returns(ix, "T2") {
+		t.Error("With changed its receiver: T2 is no longer returned")
+	}
+	if ix.NumTables() != 2 {
+		t.Errorf("receiver NumTables = %d, want 2", ix.NumTables())
 	}
 }

@@ -12,10 +12,14 @@
 //
 // Annotation runs on the compiled KB (kb.Compile): cell values resolve to
 // integer annotation codes through the index's kb.Annotator — a cache keyed
-// by rendered value, so each distinct lake rendering is canonicalized once
-// per index — and column/pair votes run over dense type and label IDs with
-// pooled scratch, never re-walking the type hierarchy or building string
-// keys per row pair.
+// by rendered value, shared by every index derived from one Build, so each
+// distinct lake rendering is canonicalized once — and column/pair votes run
+// over dense type and label IDs with pooled scratch, never re-walking the
+// type hierarchy or building string keys per row pair.
+//
+// An Index never changes once built. A lake mutation derives the next one
+// (Index.With) and publishes it, so a query keeps the index it started on
+// and takes no lock.
 package santos
 
 import (
@@ -67,24 +71,23 @@ type tableSemantics struct {
 }
 
 // Index is a SANTOS index over a data lake: every table's semantic graph,
-// precomputed offline as the demo's preprocessing step. The index is
-// mutable — Add annotates and appends tables, Remove evicts their semantic
-// graphs — but always against the KB snapshot compiled at build time (see
-// Build). Mutations take the write lock, queries the read lock.
+// precomputed offline as the demo's preprocessing step. An Index is
+// immutable once built: a mutation derives the next index by With, which
+// shares the kept graphs and leaves the receiver answering as it did, so
+// queries take no lock. Every index derived from one Build annotates
+// against the KB snapshot compiled at that build, through one shared root
+// annotator and scratch pool.
 type Index struct {
-	mu      sync.RWMutex
 	ann     *kb.Annotator
-	scratch sync.Pool // *kb.Scratch
+	scratch *sync.Pool // *kb.Scratch
 	tables  []tableSemantics
 }
 
 // Build annotates every lake table against the knowledge base (nil means
-// an empty KB) through an annotation cache the index owns and keeps: Add
-// annotates through it, and queries through a QueryScope of it. Tables
-// without any annotated column are indexed but can never match. Annotation
-// is per-table pure work over the immutable compiled KB, so tables are
-// annotated in parallel; slot-indexed results keep the index order — and
-// therefore query results — identical to a sequential build.
+// an empty KB) through a root annotation cache that every index derived
+// from this one shares: With annotates through it, and queries through a
+// QueryScope of it. Tables without any annotated column are indexed but can
+// never match. Build is With over an empty index.
 //
 // The index snapshots the KB as compiled at build time: queries and the
 // indexed semantic graphs always share one KB state. Compiling freezes the
@@ -94,64 +97,41 @@ func Build(lakeTables []*table.Table, knowledge *kb.KB) *Index {
 		knowledge = kb.New()
 	}
 	ann := kb.NewAnnotator(knowledge.Compiled())
-	ix := &Index{ann: ann, tables: make([]tableSemantics, len(lakeTables))}
-	ix.scratch.New = func() any { return ann.Compiled().NewScratch() }
-	par.For(len(lakeTables), func(i int) {
-		s := ix.scratch.Get().(*kb.Scratch)
-		ix.tables[i] = annotate(lakeTables[i], ann, s)
-		ix.scratch.Put(s)
-	})
-	return ix
+	empty := &Index{ann: ann, scratch: &sync.Pool{New: func() any { return ann.Compiled().NewScratch() }}}
+	return empty.With(lakeTables, nil)
 }
 
 // NumTables reports how many tables are indexed.
-func (ix *Index) NumTables() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.tables)
-}
+func (ix *Index) NumTables() int { return len(ix.tables) }
 
-// Add annotates the given tables against the index's build-time KB snapshot
-// (through the index's annotation cache) and appends their semantic graphs.
-// Callers are responsible for name uniqueness, as with Build. Add is
-// exclusive with queries and other mutations.
-func (ix *Index) Add(lakeTables []*table.Table) {
-	if len(lakeTables) == 0 {
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	added := make([]tableSemantics, len(lakeTables))
-	par.For(len(lakeTables), func(i int) {
-		s := ix.scratch.Get().(*kb.Scratch)
-		added[i] = annotate(lakeTables[i], ix.ann, s)
-		ix.scratch.Put(s)
-	})
-	ix.tables = append(ix.tables, added...)
-}
-
-// Remove evicts the semantic graphs of the named tables and reports how
-// many were dropped; unknown names are ignored. Remove is exclusive with
-// queries and other mutations.
-func (ix *Index) Remove(names []string) int {
-	if len(names) == 0 {
-		return 0
-	}
-	doomed := make(map[string]bool, len(names))
-	for _, n := range names {
+// With derives the index over the receiver's tables minus the removed
+// names (unknown names are ignored) plus the added tables, appended in
+// order. The kept graphs are shared, not recomputed; the added tables are
+// annotated against the build-time KB snapshot through the shared root
+// annotator. Annotation is per-table pure work over the immutable compiled
+// KB, so added tables are annotated in parallel; slot-indexed results keep
+// the index order — and therefore query results — identical to a
+// sequential build. Callers are responsible for name uniqueness. The
+// receiver is left unchanged and stays safe to query.
+func (ix *Index) With(added []*table.Table, removed []string) *Index {
+	doomed := make(map[string]bool, len(removed))
+	for _, n := range removed {
 		doomed[n] = true
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	kept := make([]tableSemantics, 0, len(ix.tables))
+	next := &Index{ann: ix.ann, scratch: ix.scratch, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
 	for _, ts := range ix.tables {
 		if !doomed[ts.t.Name] {
-			kept = append(kept, ts)
+			next.tables = append(next.tables, ts)
 		}
 	}
-	removed := len(ix.tables) - len(kept)
-	ix.tables = kept
-	return removed
+	base := len(next.tables)
+	next.tables = next.tables[:base+len(added)]
+	par.For(len(added), func(i int) {
+		s := ix.scratch.Get().(*kb.Scratch)
+		next.tables[base+i] = annotate(added[i], ix.ann, s)
+		ix.scratch.Put(s)
+	})
+	return next
 }
 
 // annotate computes the semantic graph of a table over annotation codes.
@@ -333,10 +313,6 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	ck := ix.ann.Compiled()
 	done := ctx.Done()
 	var results []Result
-	// The candidate scan holds the read lock: mutations swap or append to
-	// ix.tables, and scoring reads only immutable per-table graphs.
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	for i := range ix.tables {
 		if done != nil && i%scoreCancelStride == 0 {
 			select {

@@ -199,8 +199,8 @@ func TestNumTables(t *testing.T) {
 // TestQueryNeverWritesIndexAnnotator pins that query traffic leaves the
 // index's annotation cache as it was: foreign strings — in the intent
 // column, in a mostly-textual column and as a string cell of a numeric
-// column — are cached only in the query's scope. Adding a table is what
-// grows the cache.
+// column — are cached only in the query's scope. Deriving an index with an
+// added table is what grows the cache.
 func TestQueryNeverWritesIndexAnnotator(t *testing.T) {
 	ix := demoIndex()
 	raw, ext := ix.ann.Size()
@@ -215,8 +215,8 @@ func TestQueryNeverWritesIndexAnnotator(t *testing.T) {
 	if r, e := ix.ann.Size(); r != raw || e != ext {
 		t.Fatalf("queries grew the index annotator from (raw %d, ext %d) to (raw %d, ext %d)", raw, ext, r, e)
 	}
-	ix.Add([]*table.Table{q})
+	ix.With([]*table.Table{q}, nil)
 	if r, _ := ix.ann.Size(); r == raw {
-		t.Fatal("Add must annotate through the index annotator")
+		t.Fatal("With must annotate through the shared root annotator")
 	}
 }
