@@ -406,9 +406,9 @@ func tableNames(tables []*table.Table) []string {
 	return out
 }
 
-// Compact asks every shard to fold its mutation debt. Advisory and
-// answer-preserving: down shards are skipped (they compact on restart
-// recovery anyway) and no epoch ticks.
+// Compact sends POST /v1/lake/compact to every shard, where it is a no-op
+// (lake.Lake.Compact). Advisory and answer-preserving: down shards are
+// skipped and no epoch ticks.
 func (c *Coordinator) Compact() {
 	ctx, cancel := c.callCtx()
 	defer cancel()

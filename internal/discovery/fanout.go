@@ -186,10 +186,9 @@ func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardC
 // table names are unique catalog-wide, so the comparator is total and the
 // merge deterministic regardless of shard count, transport or scheduling;
 // against a single-shard target the output is byte-identical to running
-// the methods sequentially. A shard's SANTOS and JOSIE indexes are
-// immutable (its mutations publish new ones), its LSH Ensemble is the one
-// index that takes a read lock, and every shared interner is
-// lock-protected, so discoverers — including user-defined similarity hooks
+// the methods sequentially. A shard's three indexes are immutable (its
+// mutations publish new ones) and take no lock, and every shared interner
+// is lock-protected, so discoverers — including user-defined similarity hooks
 // (Fig. 4), which must be safe to call concurrently — run without
 // coordination across the fan-out.
 //
@@ -210,10 +209,11 @@ func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardC
 // its own methods' panics; one escaping DiscoverShard is charged to the
 // item's first slot).
 //
-// Torn-read protection: a discovery run concurrent with Add/Remove could
-// otherwise observe the lake between per-index updates (a table visible to
-// JOSIE but not yet to SANTOS) — or, on a sharded target, observe some
-// shards pre-mutation and others post-mutation. RunAll samples the target's
+// Torn-read protection: each discoverer loads its shard's published view
+// once, so a discovery run concurrent with Add/Remove could otherwise mix
+// two views of one lake (a table visible to JOSIE but not yet to SANTOS) —
+// or, on a sharded target, observe some shards pre-mutation and others
+// post-mutation. RunAll samples the target's
 // mutation-epoch vector before and after the fan-out; any mutation
 // overlapping the run perturbs some element (a mutation applied directly to
 // one shard perturbs that shard's element even when the composite counter

@@ -7,16 +7,17 @@
 // from the lake itself and added to a copy of the curated one.
 //
 // The lake is a living object: open-data portals churn daily, so Add and
-// Remove maintain the discovery indexes — the LSH Ensemble moves only the
-// domains whose equi-depth partition shifted, in place; SANTOS derives its
-// next index, sharing the kept per-table semantic graphs and annotating
-// only the added tables; and JOSIE, whose whole build is one counting pass,
-// is rebuilt over the surviving domains. The catalog, SANTOS and JOSIE are
+// Remove maintain the discovery indexes — SANTOS derives its next index,
+// sharing the kept per-table semantic graphs and annotating only the added
+// tables; the LSH Ensemble derives its next generation, reusing the kept
+// domains' sketches, signing only the added ones and re-bucketing its band
+// tables; and JOSIE, whose whole build is one counting pass, is rebuilt
+// over the surviving domains. The catalog and all three indexes are
 // published together as one immutable view of the lake. Every mutation
 // leaves the lake query-equivalent to a fresh New over the surviving tables
 // (pinned by the differential harness in differential_test.go). Mutations
-// are exclusive with each other; queries run concurrently with mutations —
-// see the concurrency notes on Add.
+// are exclusive with each other; queries run concurrently with mutations
+// and take no lock — see the concurrency notes on Add.
 package lake
 
 import (
@@ -50,12 +51,11 @@ type Options struct {
 }
 
 // Lake is a preprocessed, mutable table repository. Everything a read
-// needs but the LSH Ensemble — the tables, the domains, SANTOS, JOSIE and
-// the build stats — is one immutable view behind an atomic pointer: every
+// needs — the tables, the domains, SANTOS, the LSH Ensemble, JOSIE and the
+// build stats — is one immutable view behind an atomic pointer: every
 // accessor loads it once and takes no lock, and each Add or Remove
 // publishes the next view. mu only serializes the mutations. The token
-// dictionary and the LSH Ensemble, which mutations change in place, carry
-// their own synchronization.
+// dictionary, which mutations append to, carries its own synchronization.
 type Lake struct {
 	// kbState holds the knowledge base and the value dictionary that only
 	// the benchmark reads (Knowledge, Dict).
@@ -63,9 +63,8 @@ type Lake struct {
 	// epoch is bumped only after validation succeeds, so failed mutations
 	// leave it untouched — see Epoch.
 	epoch  Epoch
-	mu     sync.Mutex // serializes Add, Remove and Compact
+	mu     sync.Mutex // serializes Add and Remove
 	tokens *table.TokenDict
-	joinIx *lshensemble.Index
 	view   atomic.Pointer[view]
 }
 
@@ -78,6 +77,7 @@ type view struct {
 	byName  map[string]entry
 	domains []table.Domain
 	santos  *santos.Index
+	join    *lshensemble.Index
 	josie   *josie.Index
 	stats   BuildStats
 }
@@ -111,14 +111,13 @@ type BuildStats struct {
 	Josie  time.Duration
 }
 
-// Epoch returns the lake's mutation epoch: even when every discovery index
-// reflects the same catalog state, odd while Add/Remove is applying
-// per-index deltas. A reader that samples Epoch before and after a
-// multi-index run and sees the same even value is guaranteed the run was
-// not torn across a mutation; any other pair means some index may have been
-// read mid-mutation and the run should be retried. Compact does not bump
-// the epoch — it never changes query answers, so a read spanning it is not
-// torn.
+// Epoch returns the lake's mutation epoch: even between mutations, odd
+// while Add/Remove is building and publishing the next view. A run that
+// loads the view once per discoverer can still straddle a publication; a
+// reader that samples Epoch before and after a multi-index run and sees
+// the same even value is guaranteed every load it made saw one view; any
+// other pair means the run may mix two and should be retried. Compact does
+// not bump the epoch — it changes nothing.
 func (l *Lake) Epoch() uint64 { return l.epoch.Load() }
 
 // Epochs returns the lake's mutation-epoch vector — a single element for a
@@ -205,20 +204,22 @@ func knowledgeFor(opts Options, tables []*table.Table, domains [][]table.Domain)
 // index is every build's last phase: the lake takes the compiled KB, and
 // the three indexes, which read disjoint inputs, are built concurrently
 // over the token dictionary (complete after extract, so the builds only
-// read it). SANTOS is an empty index over the KB that every table of the
-// view is added to. kbPrep is the KB phase's time, for BuildStats.
+// read it). SANTOS and the LSH Ensemble are empty indexes that every table
+// and domain of the view is added to. kbPrep is the KB phase's time, for
+// BuildStats.
 func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Duration) {
 	l.knowledge = knowledge
 	next := *l.view.Load()
 	next.stats.KBPrep = kbPrep
 	next.santos = santos.Build(nil, knowledge)
-	l.eachIndex(&next, next.tables, nil, func() { l.joinIx = lshensemble.BuildWithDict(next.domains, lsh, l.tokens) })
+	next.join = lshensemble.BuildWithDict(nil, lsh, l.tokens)
+	l.eachIndex(&next, next.tables, next.domains, nil)
 }
 
 // Add incrementally indexes additional tables into the lake: the new
 // tables' domains are extracted and their tokens interned into the shared
 // token dictionary exactly as New does (one worker per table), then SANTOS
-// annotates the new tables and the LSH Ensemble absorbs their domains while
+// annotates the new tables and the LSH Ensemble signs their domains while
 // JOSIE is rebuilt over every domain, concurrently. After Add returns,
 // every discovery query is answered identically to a fresh New over the
 // enlarged table set.
@@ -227,16 +228,16 @@ func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Dura
 // the lake or within the batch) rejects the whole batch before anything is
 // indexed.
 //
-// Concurrency contract: mutations (Add, Remove, Compact) are exclusive with
-// each other; discovery queries and catalog reads may run concurrently with
-// a mutation and never wait on it. The catalog, SANTOS and JOSIE change
-// together, when the mutation publishes its view: a reader sees all of a
-// view or none of it. The LSH Ensemble applies its delta in place, under
-// its own lock, before the view is published, so a multi-index query
-// running mid-mutation may observe LSH already changed while SANTOS and
-// JOSIE are not yet; queries issued after Add returns see the delta
-// everywhere. Multi-index readers detect that window via the mutation epoch
-// (see Epoch) and retry — discovery.RunAll does this automatically.
+// Concurrency contract: mutations (Add, Remove) are exclusive with each
+// other; discovery queries and catalog reads may run concurrently with a
+// mutation and never wait on it, and no index takes a lock. The catalog
+// and all three indexes change together, when the mutation publishes its
+// view: a reader sees all of a view or none of it, and an index it loaded
+// keeps answering as it did. A multi-index query that loads the view once
+// per index may still load two views across a publication; queries issued
+// after Add returns see the delta everywhere. Multi-index readers detect
+// that window via the mutation epoch (see Epoch) and retry —
+// discovery.RunAll does this automatically.
 //
 // KB semantics: the added tables are annotated against the knowledge base
 // fixed at build. A KB synthesized at build time (Options.SynthesizeKB) is
@@ -265,15 +266,14 @@ func (l *Lake) Add(tables ...*table.Table) error {
 		next.domains = append(next.domains, perTable[i]...)
 		next.byName[t.Name] = entry{t, lo, len(next.domains)}
 	}
-	newDomains := next.domains[len(prev.domains):]
-	l.eachIndex(&next, tables, nil, func() { l.joinIx.Add(newDomains) })
+	l.eachIndex(&next, tables, next.domains[len(prev.domains):], nil)
 	return nil
 }
 
 // Remove drops the named tables from the lake and from all three discovery
 // indexes: SANTOS derives an index without their semantic graphs, the LSH
-// Ensemble re-shards their domains out of the equi-depth partitioning, and
-// JOSIE is rebuilt over the surviving domains. After Remove returns, every
+// Ensemble derives a generation without their domains, and JOSIE is
+// rebuilt over the surviving domains. After Remove returns, every
 // discovery query is answered identically to a fresh New over the surviving
 // tables, Get reports the removed names as absent (ok=false), and DomainFor
 // returns nil for their columns. Interned tokens stay in the shared token
@@ -314,7 +314,7 @@ func (l *Lake) Remove(names ...string) error {
 		}
 	}
 	next.reindex()
-	l.eachIndex(&next, nil, nameList, func() { l.joinIx.Remove(nameList) })
+	l.eachIndex(&next, nil, nil, nameList)
 	return nil
 }
 
@@ -334,19 +334,18 @@ func (v *view) reindex() {
 	}
 }
 
-// eachIndex is the one place the lake builds its three discovery indexes
-// or applies a delta to them, and the one place it publishes a view: New's
-// builds, Add's and Remove's deltas (Compact, which changes no answer and
-// clocks nothing, is apart). next is the view being built, with its
-// catalog already updated and its santos the index to derive from. It runs
-// one step per index concurrently (the indexes share nothing but the token
+// eachIndex is the one place the lake derives its three discovery indexes
+// and the one place it publishes a view: New's builds and Add's and
+// Remove's deltas. next is the view being built, with its catalog already
+// updated and its santos and join the indexes to derive from. It runs one
+// step per index concurrently (the indexes share nothing but the token
 // dictionary, which the steps only read): SANTOS is derived with the added
-// tables and without the removed names, lshStep applies the LSH Ensemble's
-// build or delta, and JOSIE is rebuilt over next's domains. Each step's
+// tables and the LSH Ensemble with the added domains, both without the
+// removed names, and JOSIE is rebuilt over next's domains. Each step's
 // wall time is added to that index's field of next's BuildStats — New
 // starts from zero, so its stats are the build's own times, and every
 // mutation accumulates on top. Then next is published.
-func (l *Lake) eachIndex(next *view, added []*table.Table, removed []string, lshStep func()) {
+func (l *Lake) eachIndex(next *view, added []*table.Table, addedDomains []table.Domain, removed []string) {
 	clocked := func(step func(), d *time.Duration) func() {
 		return func() {
 			t := time.Now()
@@ -356,23 +355,17 @@ func (l *Lake) eachIndex(next *view, added []*table.Table, removed []string, lsh
 	}
 	par.Do(
 		clocked(func() { next.santos = next.santos.With(added, removed) }, &next.stats.Santos),
-		clocked(lshStep, &next.stats.LSH),
+		clocked(func() { next.join = next.join.With(addedDomains, removed) }, &next.stats.LSH),
 		clocked(func() { next.josie = josie.BuildWithDict(next.domains, l.tokens) }, &next.stats.Josie),
 	)
 	l.view.Store(next)
 }
 
-// Compact folds accumulated mutation debt out of the LSH Ensemble, the one
-// index that keeps any: it drops dead domain slots, which also happens
-// automatically past an internal threshold; Compact forces it (e.g. after a
-// bulk removal, or before a latency-sensitive query burst). JOSIE has no
-// debt to fold, since every mutation publishes a fresh build. Query results
-// are unaffected. Compact follows Add's concurrency contract.
-func (l *Lake) Compact() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.joinIx.Compact()
-}
+// Compact is a no-op: every mutation publishes dense, freshly derived
+// indexes, so there is no mutation debt to fold. It stays because the
+// Catalog contract, the coordinator's shards and POST /v1/lake/compact
+// call it, and it never changes an answer.
+func (l *Lake) Compact() {}
 
 // extractDomains extracts every table's kb.TextualDomains, one worker per
 // table, and interns every domain member into tokens, so each domain is
@@ -447,8 +440,10 @@ func (v *view) domainFor(tableName string, col int) *table.Domain {
 // and leaves this one answering as it did.
 func (l *Lake) Santos() *santos.Index { return l.view.Load().santos }
 
-// Join returns the LSH Ensemble containment index.
-func (l *Lake) Join() *lshensemble.Index { return l.joinIx }
+// Join returns the LSH Ensemble containment index as of the latest build or
+// mutation. The index is immutable: a later mutation publishes a new one
+// and leaves this one answering as it did.
+func (l *Lake) Join() *lshensemble.Index { return l.view.Load().join }
 
 // Josie returns the exact top-k overlap index as of the latest build or
 // mutation. The index is immutable: a later mutation publishes a new one

@@ -17,6 +17,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/josie"
 	"repro/internal/lake"
+	"repro/internal/lshensemble"
 	"repro/internal/santos"
 	"repro/internal/table"
 )
@@ -88,8 +89,8 @@ func TestQueriesConcurrentWithMutation(t *testing.T) {
 }
 
 // TestViewPublishedPerMutation pins the lake's mutation contract: every Add
-// and Remove publishes a fresh immutable view — the tables, SANTOS and
-// JOSIE. Everything loaded before a mutation answers identically
+// and Remove publishes a fresh immutable view — the tables, SANTOS, the LSH
+// Ensemble and JOSIE. Everything loaded before a mutation answers identically
 // afterwards — also while the mutation runs, since readers race the writer
 // here — and the indexes published afterwards answer exactly as fresh
 // builds over the lake's surviving tables and domains.
@@ -111,6 +112,18 @@ func TestViewPublishedPerMutation(t *testing.T) {
 				fmt.Fprintf(&b, "%s|%d;", r.Set.Key(), r.Overlap)
 			}
 			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	joinSig := func(ix *lshensemble.Index) string {
+		var b strings.Builder
+		for _, q := range queries {
+			for _, th := range []float64{0.2, 0.5} {
+				for _, r := range ix.Query(q, th, 0) {
+					fmt.Fprintf(&b, "%s|%x;", r.Domain.Key(), math.Float64bits(r.Containment))
+				}
+				b.WriteByte('\n')
+			}
 		}
 		return b.String()
 	}
@@ -138,19 +151,20 @@ func TestViewPublishedPerMutation(t *testing.T) {
 	type loaded struct {
 		josie  *josie.Index
 		santos *santos.Index
+		join   *lshensemble.Index
 		tables []*table.Table
 	}
-	sig := func(v loaded) [3]string {
-		return [3]string{josieSig(v.josie), santosSig(v.santos), tablesSig(v.tables)}
+	sig := func(v loaded) [4]string {
+		return [4]string{josieSig(v.josie), santosSig(v.santos), joinSig(v.join), tablesSig(v.tables)}
 	}
-	parts := [3]string{"JOSIE", "SANTOS", "Tables"}
+	parts := [4]string{"JOSIE", "SANTOS", "LSH Ensemble", "Tables"}
 	l, err := lake.New(pool[:6], lake.Options{Knowledge: difftest.DiffKB()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Even rounds add pool[6..11], odd rounds remove pool[0..5].
 	for round := 0; round < 12; round++ {
-		old := loaded{l.Josie(), l.Santos(), l.Tables()}
+		old := loaded{l.Josie(), l.Santos(), l.Join(), l.Tables()}
 		want := sig(old)
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
@@ -180,7 +194,7 @@ func TestViewPublishedPerMutation(t *testing.T) {
 				t.Fatalf("round %d: a loaded %s changed its answers after the mutation\n got:\n%s\nwant:\n%s", round, parts[i], got[i], want[i])
 			}
 		}
-		if l.Josie() == old.josie || l.Santos() == old.santos {
+		if l.Josie() == old.josie || l.Santos() == old.santos || l.Join() == old.join {
 			t.Fatalf("round %d: the mutation published no new index", round)
 		}
 		if got, want := josieSig(l.Josie()), josieSig(josie.BuildWithDict(l.Domains(), l.Tokens())); got != want {
@@ -188,6 +202,9 @@ func TestViewPublishedPerMutation(t *testing.T) {
 		}
 		if got, want := santosSig(l.Santos()), santosSig(santos.Build(l.Tables(), l.Knowledge())); got != want {
 			t.Fatalf("round %d: published SANTOS diverged from a build over Tables()\n got:\n%s\nwant:\n%s", round, got, want)
+		}
+		if got, want := joinSig(l.Join()), joinSig(lshensemble.BuildWithDict(l.Domains(), l.Join().Options(), l.Tokens())); got != want {
+			t.Fatalf("round %d: published LSH Ensemble diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
 		}
 	}
 }
@@ -220,10 +237,17 @@ func TestShardedReadsRaceWriters(t *testing.T) {
 	var sizes []int
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// The writer starts once every reader has read, so reads race it even
+	// at GOMAXPROCS 1, where a short writer loop could otherwise finish
+	// before any reader is scheduled.
+	var ready sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func() {
 			defer wg.Done()
+			readOnce := sync.OnceFunc(ready.Done)
+			defer readOnce()
 			var rs [][]string
 			var ns []int
 			for {
@@ -242,9 +266,11 @@ func TestShardedReadsRaceWriters(t *testing.T) {
 				}
 				rs = append(rs, names(s.Tables()), tn)
 				ns = append(ns, s.Size())
+				readOnce()
 			}
 		}()
 	}
+	ready.Wait()
 	mutate := func(apply func() error) {
 		if err := apply(); err != nil {
 			t.Fatal(err)

@@ -46,7 +46,7 @@ type Sharded struct {
 	// Composite carries the routing rule, the composite epoch, and the
 	// composite-level Knowledge/Dict the cross-shard stages read.
 	*Composite
-	mu sync.Mutex // serializes Add, Remove and Compact
+	mu sync.Mutex // serializes Add and Remove
 	// shards is fixed at construction; the *Lake values are mutable, the
 	// slice is not.
 	shards []*Lake
@@ -196,14 +196,9 @@ func (s *Sharded) routed(step func(i int) error, order []*table.Table) error {
 	return nil
 }
 
-// Compact forces every shard's index compaction (concurrently). Like
-// Lake.Compact it never changes query answers, so it does not tick the
-// epoch.
-func (s *Sharded) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	par.For(len(s.shards), func(i int) { s.shards[i].Compact() })
-}
+// Compact is a no-op, as Lake.Compact is: no shard keeps mutation debt.
+// It never changes query answers and does not tick the epoch.
+func (s *Sharded) Compact() {}
 
 // Get returns a table by name, from the shard its name routes to.
 func (s *Sharded) Get(name string) (*table.Table, bool) {

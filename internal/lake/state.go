@@ -29,6 +29,6 @@ func (l *Lake) Export() State {
 	return State{
 		Tables: append([]*table.Table(nil), l.Tables()...),
 		KB:     l.knowledge.Dump(),
-		LSH:    l.joinIx.Options(),
+		LSH:    l.Join().Options(),
 	}
 }

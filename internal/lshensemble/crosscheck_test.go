@@ -5,8 +5,8 @@ package lshensemble
 // hash/fnv ones bit for bit, and Query (and the QueryDomain fast path) must
 // return exactly the same ranked results — same domains, same containments,
 // same order — as the reference below, which replays the old query
-// (fnv.New64a band keys, string-set verification) against the same built
-// index.
+// (fnv.New64a band keys, string-set verification) over the same built
+// index's partitions and signatures, without its band tables.
 
 import (
 	"fmt"
@@ -74,8 +74,10 @@ type refContainment struct {
 }
 
 // referenceQuery replays the pre-refactor string-based query against the
-// built index: same partitions and buckets, hash/fnv band keys, exact
-// verification over string sets.
+// built index's partition layout, finding candidates without any band
+// table: a member of a banded partition is a candidate when one of its
+// signature's hash/fnv band keys equals one of the query's. Verification is
+// exact, over string sets.
 func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []refContainment {
 	query := tokenize.ValueSet(rawQuery)
 	if len(query) == 0 {
@@ -85,34 +87,27 @@ func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []re
 	// The reference signs with its own family — it shares nothing with the
 	// index's sketch builder beyond the (size, seed) parameters.
 	qsig := minhash.NewFamily(ix.opts.NumHashes, ix.opts.Seed).Sign(query)
-	for pi := range ix.parts {
-		p := &ix.parts[pi]
-		if len(p.tables) == 0 {
-			continue
-		}
+	for _, p := range ix.parts {
 		// Mirror the production small-partition rule: partitions at or below
-		// scanPartitionMax live domains are probed exhaustively, not by
-		// bands. The cross-check pins ID-based vs string-based equivalence,
-		// so the reference follows the same candidate-generation policy.
-		live := 0
-		for _, di := range p.domains {
-			if ix.alive[di] {
-				live++
-			}
-		}
-		if live <= scanPartitionMax {
-			for _, di := range p.domains {
-				if ix.alive[di] {
-					candidates[int32(di)] = true
-				}
+		// scanPartitionMax members are probed exhaustively, not by bands.
+		// The cross-check pins ID-based vs string-based equivalence, so the
+		// reference follows the same candidate-generation policy.
+		if len(p.members) <= scanPartitionMax {
+			for _, di := range p.members {
+				candidates[di] = true
 			}
 			continue
 		}
-		j := minhash.JaccardForContainment(threshold, len(query), p.upper)
-		bt := p.chooseTable(j, ix.opts.NumHashes)
-		for _, key := range referenceBandKeys(qsig, bt.r) {
-			for _, di := range bt.buckets[key] {
-				candidates[di] = true
+		r := rChoices[ix.chooseTable(minhash.JaccardForContainment(threshold, len(query), p.upper))]
+		qkeys := make(map[uint64]bool)
+		for _, key := range referenceBandKeys(qsig, r) {
+			qkeys[key] = true
+		}
+		for _, di := range p.members {
+			for _, key := range referenceBandKeys(minhash.Signature(ix.signatures[di]), r) {
+				if qkeys[key] {
+					candidates[di] = true
+				}
 			}
 		}
 	}
@@ -212,7 +207,7 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 }
 
 // TestCrossCheckBandedPartitions is TestCrossCheckRandomizedLakes at a
-// scale where every partition holds well over scanPartitionMax live
+// scale where every partition holds well over scanPartitionMax
 // domains, so the banded candidate path — bypassed by the small-partition
 // scan above — stays cross-checked against the string-based reference too.
 func TestCrossCheckBandedPartitions(t *testing.T) {
@@ -235,7 +230,7 @@ func TestCrossCheckBandedPartitions(t *testing.T) {
 	}
 	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 2})
 	for pi := range ix.parts {
-		if n := len(ix.parts[pi].domains); n > 0 && n <= scanPartitionMax {
+		if n := len(ix.parts[pi].members); n <= scanPartitionMax {
 			t.Fatalf("partition %d has %d domains — too small to exercise the banded path", pi, n)
 		}
 	}

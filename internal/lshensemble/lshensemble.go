@@ -19,11 +19,17 @@
 // hash.Hash allocation per band), and query-side token fingerprints come
 // from the dictionary's cache whenever the token belongs to the lake
 // vocabulary.
+//
+// The index is immutable once built: a mutated lake derives the next
+// generation with Index.With and publishes it (see lake.Lake), so queries
+// take no lock and a reader keeps answering from the generation it loaded.
 package lshensemble
 
 import (
 	"context"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -80,63 +86,63 @@ func (o Options) Validate() error {
 	return err
 }
 
-// rChoices are the band-row counts precomputed per partition. At query time
-// the configuration whose S-curve threshold is closest to the converted
-// Jaccard threshold is probed.
+// rChoices are the band-row counts with a band table each. At query time
+// each banded partition probes the configuration chooseTable picks for its
+// converted Jaccard threshold.
 var rChoices = []int{1, 2, 4, 8}
 
-// partition is one size range of the ensemble.
+// partition is one size range of the ensemble: a span of the equi-depth
+// order.
 type partition struct {
-	upper   int   // maximum domain size within the partition
-	domains []int // indices into Index.domains
-	tables  []bandTable
+	upper   int     // maximum domain size within the partition
+	members []int32 // slots, ascending by (size, key)
 }
 
-// bandTable holds banded buckets for one value of r: bucket key -> domains.
+// bandTable holds the band keys of every slot for one value of r, in CSR
+// form: the entries whose key has top bits p are keys/slots[start[p]:
+// start[p+1]], and shift keeps those top bits. A band key depends only on
+// the signature and r, never on the slot's partition, so one table serves
+// every partition; a query keeps only the slots whose partition chose r.
 type bandTable struct {
-	r       int
-	buckets map[uint64][]int32
+	r     int
+	shift uint
+	start []uint32
+	keys  []uint64
+	slots []int32
 }
 
 // Index is an LSH Ensemble over a set of domains. Domains live in
-// slot-addressed arrays (domains/signatures/alive/partOf share indexing):
-// Add appends slots and Remove tombstones them, and the equi-depth
-// partitioning is maintained incrementally — after a mutation only the
-// slots whose partition assignment changed move between band tables, so the
-// index is at all times identical in query behavior to a fresh Build over
-// the live domains (partition boundaries, per-partition size bounds and
-// bucket membership all match; cached per-slot sketches make the moves
-// re-banding work, never re-signing work). Mutations take the write lock,
-// queries the read lock.
+// slot-addressed arrays (domains/signatures/partOf share indexing). An
+// Index never changes once built: a mutation derives the next generation
+// with With, so queries take no lock and a reader keeps answering from the
+// generation it loaded.
 type Index struct {
-	mu         sync.RWMutex
 	opts       Options
 	builder    sketch.Builder
 	dict       *table.TokenDict
 	domains    []Domain
 	signatures []sketch.Sketch
-	alive      []bool  // per slot: false once removed
-	partOf     []int32 // per slot: partition index, -1 when unassigned/dead
-	liveCount  int
-	order      []int // live slots sorted by (domain size, key): the equi-depth order
+	order      []int32 // slots sorted by (domain size, key): the equi-depth order
+	partOf     []int32 // per slot: partition index
 	parts      []partition
-	scratch    sync.Pool // *queryScratch
+	tables     []bandTable // one per r in rChoices up to NumHashes
+	scratch    *sync.Pool  // *queryScratch, shared by every generation
 }
 
 // queryScratch is the reusable per-query working memory: the fingerprint and
-// signature buffers, the query token-ID set, and the candidate-dedup
-// scratch. Pooled per index; query results never alias scratch memory.
+// signature buffers, the query token-ID set, the candidate-dedup scratch and
+// each partition's chosen table. Pooled per index lineage; query results
+// never alias scratch memory.
 type queryScratch struct {
-	qids  map[uint32]struct{}
-	fps   []uint64
-	sig   sketch.Sketch
-	seen  []uint32 // per domain index: epoch stamp
-	epoch uint32
-	cands []int32
-	keys  []uint64
+	qids   map[uint32]struct{}
+	fps    []uint64
+	sig    sketch.Sketch
+	seen   []uint32 // per domain index: epoch stamp
+	epoch  uint32
+	cands  []int32
+	keys   []uint64
+	choice []int // per partition: index into tables, -1 when scanned
 }
-
-func newQueryScratch() any { return &queryScratch{qids: make(map[uint32]struct{})} }
 
 // Build constructs the ensemble over a private token dictionary, dropping
 // any IDs and fingerprints the domains carry (they belong to another
@@ -152,7 +158,7 @@ func Build(domains []Domain, opts Options) *Index {
 // preprocessing does — makes query-side token lookups and cached
 // fingerprints agree lake-wide. A domain with IDs is indexed under them as it
 // is; a domain without IDs is interned here and keeps the fingerprints read
-// while interning it.
+// while interning it. BuildWithDict is With over an empty index.
 func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index {
 	opts = opts.withDefaults()
 	builder, err := sketch.New(opts.sketchParams())
@@ -162,33 +168,65 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 		// programming error.
 		panic("lshensemble: " + err.Error())
 	}
-	ix := &Index{
-		opts:      opts,
-		builder:   builder,
-		dict:      dict,
-		domains:   append([]Domain(nil), domains...),
-		alive:     make([]bool, len(domains)),
-		partOf:    make([]int32, len(domains)),
-		liveCount: len(domains),
+	empty := &Index{opts: opts, builder: builder, dict: dict, scratch: &sync.Pool{
+		New: func() any { return &queryScratch{qids: make(map[uint32]struct{})} },
+	}}
+	for _, r := range rChoices {
+		if r <= opts.NumHashes {
+			empty.tables = append(empty.tables, bandTable{r: r})
+		}
 	}
-	ix.scratch.New = newQueryScratch
-	// Sign domains in parallel: each sketch depends only on its own
-	// domain, so the result is deterministic regardless of scheduling.
-	// Sketches live in one contiguous arena (workers write disjoint ranges)
-	// instead of one allocation per domain.
-	ix.signatures = make([]sketch.Sketch, len(ix.domains))
-	sigArena := make([]uint64, len(ix.domains)*opts.NumHashes)
-	par.For(len(ix.domains), func(i int) {
-		d := &ix.domains[i]
-		ix.intern(d)
-		slot := sigArena[i*opts.NumHashes : i*opts.NumHashes : (i+1)*opts.NumHashes]
+	return empty.With(domains, nil)
+}
+
+// With derives the index over the receiver's domains minus those of the
+// removed tables (unknown names are ignored) plus the added domains,
+// appended in order. Kept slots stay in their order and reuse their
+// sketches; added domains are interned as BuildWithDict interns them and
+// signed in parallel (the only per-value work). The equi-depth order is
+// the kept order merged with the sorted additions, and each band table is
+// re-bucketed from the receiver's entries plus the added slots' keys —
+// O(entries), nothing re-signed — in parallel over r. The result answers
+// every query as a fresh BuildWithDict over the same domains does. The
+// receiver is left unchanged and stays safe to query.
+func (ix *Index) With(added []Domain, removed []string) *Index {
+	doomed := make(map[string]bool, len(removed))
+	for _, n := range removed {
+		doomed[n] = true
+	}
+	n := len(ix.domains) + len(added)
+	next := &Index{opts: ix.opts, builder: ix.builder, dict: ix.dict, scratch: ix.scratch,
+		domains: make([]Domain, 0, n), signatures: make([]sketch.Sketch, 0, n)}
+	// newSlot maps a receiver slot to its slot in next, -1 when removed.
+	newSlot := make([]int32, len(ix.domains))
+	for s := range ix.domains {
+		newSlot[s] = -1
+		if !doomed[ix.domains[s].Table] {
+			newSlot[s] = int32(len(next.domains))
+			next.domains = append(next.domains, ix.domains[s])
+			next.signatures = append(next.signatures, ix.signatures[s])
+		}
+	}
+	base := len(next.domains)
+	next.domains = append(next.domains, added...)
+	next.signatures = next.signatures[:len(next.domains)]
+	// Sketches of the added domains live in one arena (workers write
+	// disjoint ranges); each depends only on its own domain, so the result
+	// is deterministic regardless of scheduling.
+	h := ix.opts.NumHashes
+	arena := make([]uint64, len(added)*h)
+	par.For(len(added), func(i int) {
+		d := &next.domains[base+i]
+		next.intern(d)
 		var fps []uint64
-		ix.signatures[i] = ix.sign(d, &fps, slot)
-		ix.alive[i] = true
-		ix.partOf[i] = -1
+		next.signatures[base+i] = next.sign(d, &fps, arena[i*h:i*h:(i+1)*h])
 	})
-	ix.initPartitions()
-	return ix
+	next.layout(ix.order, newSlot, base)
+	next.tables = make([]bandTable, len(ix.tables))
+	par.For(len(ix.tables), func(t int) {
+		next.tables[t] = ix.tables[t].with(newSlot, next.signatures[base:], int32(base))
+	})
+	return next
 }
 
 // intern gives a domain that arrived without IDs its IDs and fingerprints in
@@ -212,302 +250,102 @@ func (ix *Index) sign(d *Domain, buf *[]uint64, dst sketch.Sketch) sketch.Sketch
 	return ix.builder.SignInto(fps, dst)
 }
 
-// initPartitions computes the equi-depth partitioning and band tables from
-// scratch over the (fully signed, all live) domain slots — the tail of
-// BuildWithDict and of compaction. Partitions band independently; they are
-// built in parallel and collected in partition order, so the index layout
-// stays deterministic.
-func (ix *Index) initPartitions() {
-	// Equi-depth partitioning by domain size.
-	ix.order = make([]int, len(ix.domains))
-	for i := range ix.order {
-		ix.order[i] = i
+// layout computes the equi-depth order and partitions: the receiver's order
+// (prevOrder, mapped through newSlot) keeps its sort, so the slots from
+// base on are sorted and merged into it in one pass.
+func (ix *Index) layout(prevOrder, newSlot []int32, base int) {
+	n := len(ix.domains)
+	fresh := make([]int32, 0, n-base)
+	for s := base; s < n; s++ {
+		fresh = append(fresh, int32(s))
 	}
-	sort.SliceStable(ix.order, func(a, b int) bool {
-		return ix.orderLess(ix.order[a], ix.order[b])
-	})
-	nparts := ix.opts.NumPartitions
-	if nparts > len(ix.order) {
-		nparts = len(ix.order)
+	sort.SliceStable(fresh, func(a, b int) bool { return ix.orderLess(fresh[a], fresh[b]) })
+	ix.order = make([]int32, 0, n)
+	for _, s := range prevOrder {
+		if ns := newSlot[s]; ns >= 0 {
+			for len(fresh) > 0 && ix.orderLess(fresh[0], ns) {
+				ix.order = append(ix.order, fresh[0])
+				fresh = fresh[1:]
+			}
+			ix.order = append(ix.order, ns)
+		}
 	}
+	ix.order = append(ix.order, fresh...)
+	nparts := min(ix.opts.NumPartitions, n)
 	ix.parts = make([]partition, nparts)
-	par.For(nparts, func(p int) {
-		lo := p * len(ix.order) / nparts
-		hi := (p + 1) * len(ix.order) / nparts
-		part := partition{domains: make([]int, 0, hi-lo)}
-		for _, di := range ix.order[lo:hi] {
-			part.domains = append(part.domains, di)
-			ix.partOf[di] = int32(p)
-			if n := len(ix.domains[di].Values); n > part.upper {
-				part.upper = n
-			}
+	ix.partOf = make([]int32, n)
+	for p := range ix.parts {
+		members := ix.order[p*n/nparts : (p+1)*n/nparts]
+		for _, s := range members {
+			ix.partOf[s] = int32(p)
 		}
-		var flat []uint64
-		for _, r := range rChoices {
-			if r > ix.opts.NumHashes {
-				continue
-			}
-			// Bulk band build: hash every domain's band keys once into a flat
-			// slice, count bucket sizes, then carve all buckets out of one
-			// arena. Appending per (domain, band) instead allocates a tiny
-			// slice per bucket and regrows both it and the map incrementally.
-			nb := ix.opts.NumHashes / r
-			if cap(flat) < len(part.domains)*nb {
-				flat = make([]uint64, 0, len(part.domains)*nb)
-			}
-			flat = flat[:0]
-			for _, di := range part.domains {
-				flat = appendBandKeys(ix.signatures[di], r, flat)
-			}
-			cursors := make(map[uint64]int32, len(flat))
-			for _, key := range flat {
-				cursors[key]++
-			}
-			bt := bandTable{r: r, buckets: make(map[uint64][]int32, len(cursors))}
-			arena := make([]int32, len(flat))
-			off := int32(0)
-			for key, n := range cursors {
-				bt.buckets[key] = arena[off : off+n : off+n]
-				cursors[key] = off // becomes the bucket's fill cursor
-				off += n
-			}
-			ki := 0
-			for _, di := range part.domains {
-				for b := 0; b < nb; b++ {
-					key := flat[ki]
-					ki++
-					at := cursors[key]
-					arena[at] = int32(di)
-					cursors[key] = at + 1
-				}
-			}
-			part.tables = append(part.tables, bt)
-		}
-		ix.parts[p] = part
-	})
+		ix.parts[p] = partition{upper: len(ix.domains[members[len(members)-1]].Values), members: members}
+	}
 }
 
 // orderLess is the equi-depth sort order: ascending domain size, ties
-// broken by key. Among live lake domains keys are unique, so this is a
-// strict total order and insertion position is well-defined.
-func (ix *Index) orderLess(a, b int) bool {
+// broken by key. Among lake domains keys are unique, so this is a strict
+// total order and the merge position of a slot is well-defined.
+func (ix *Index) orderLess(a, b int32) bool {
 	if la, lb := len(ix.domains[a].Values), len(ix.domains[b].Values); la != lb {
 		return la < lb
 	}
 	return ix.domains[a].Key() < ix.domains[b].Key()
 }
 
-// Add indexes additional domains: each one is interned as BuildWithDict
-// interns it, signed (the only per-value work) and inserted into the
-// equi-depth partitioning, moving the handful of existing slots whose
-// partition assignment shifted. Add is exclusive with queries and other
-// mutations.
-func (ix *Index) Add(domains []Domain) {
-	if len(domains) == 0 {
-		return
+// with re-buckets the table for the next generation: the kept entries,
+// renumbered through newSlot, plus the band keys of the added signatures
+// (slots from base on), counting-sorted on a key prefix wide enough for
+// about two entries per bucket. Two passes over the entries — count, then
+// fill — and no hashing of kept signatures.
+func (bt *bandTable) with(newSlot []int32, added []sketch.Sketch, base int32) bandTable {
+	var addKeys []uint64
+	for _, sig := range added {
+		addKeys = appendBandKeys(sig, bt.r, addKeys)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	newSlots := make([]int, 0, len(domains))
-	var fps []uint64
-	for _, d := range domains {
-		slot := len(ix.domains)
-		ix.intern(&d)
-		ix.domains = append(ix.domains, d)
-		ix.signatures = append(ix.signatures, ix.sign(&d, &fps, nil))
-		ix.alive = append(ix.alive, true)
-		ix.partOf = append(ix.partOf, -1)
-		ix.liveCount++
-		newSlots = append(newSlots, slot)
-	}
-	// Merge the batch into the equi-depth order in one pass (sort the m new
-	// slots, then a single backward merge), instead of m copy-shifting
-	// insertions.
-	sort.SliceStable(newSlots, func(a, b int) bool { return ix.orderLess(newSlots[a], newSlots[b]) })
-	old := ix.order
-	ix.order = append(ix.order, newSlots...)
-	for i, o, n := len(ix.order)-1, len(old)-1, len(newSlots)-1; n >= 0; i-- {
-		if o >= 0 && ix.orderLess(newSlots[n], old[o]) {
-			ix.order[i] = old[o]
-			o--
-		} else {
-			ix.order[i] = newSlots[n]
-			n--
+	perSig := len(addKeys) / max(len(added), 1)
+	total := len(addKeys)
+	for _, s := range bt.slots {
+		if newSlot[s] >= 0 {
+			total++
 		}
 	}
-	ix.reshard()
-}
-
-// Remove drops every domain belonging to one of the named tables and
-// reports how many domains died. Dead slots leave their band tables
-// immediately (they can never become candidates again) but their contents
-// are not zeroed, so Results handed out before the removal stay readable;
-// the slot arrays are compacted once dead slots outnumber live ones.
-// Remove is exclusive with queries and other mutations.
-func (ix *Index) Remove(tables []string) int {
-	if len(tables) == 0 {
-		return 0
-	}
-	doomed := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		doomed[t] = true
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	removed := 0
-	var dying []int
-	for slot := range ix.domains {
-		if !ix.alive[slot] || !doomed[ix.domains[slot].Table] {
-			continue
-		}
-		ix.alive[slot] = false
-		ix.liveCount--
-		removed++
-		dying = append(dying, slot)
-	}
-	if removed == 0 {
-		return 0
-	}
-	// Past the dead-slot threshold, compaction rebuilds the partitioning
-	// from scratch anyway — skip the incremental unband/reshard entirely.
-	if dead := len(ix.domains) - ix.liveCount; dead > 16 && dead > ix.liveCount {
-		ix.compactLocked()
-		return removed
-	}
-	for _, slot := range dying {
-		if p := ix.partOf[slot]; p >= 0 {
-			ix.unband(int(p), slot)
-			ix.partOf[slot] = -1
+	next := bandTable{r: bt.r, shift: 64 - uint(max(bits.Len(uint(total)), 1)-1)}
+	start := make([]uint32, 1<<(64-next.shift)+1)
+	// Count each bucket one place up, so that after the prefix sum start[p]
+	// is bucket p's fill cursor; the fill leaves it at the bucket's end,
+	// and one shift down restores the offsets.
+	for i, s := range bt.slots {
+		if newSlot[s] >= 0 {
+			start[bt.keys[i]>>next.shift+1]++
 		}
 	}
-	kept := ix.order[:0]
-	for _, s := range ix.order {
-		if ix.alive[s] {
-			kept = append(kept, s)
+	for _, key := range addKeys {
+		start[key>>next.shift+1]++
+	}
+	sum := uint32(0)
+	for p, n := range start {
+		sum += n
+		start[p] = sum
+	}
+	keys, slots := make([]uint64, total), make([]int32, total)
+	for i, s := range bt.slots {
+		if ns := newSlot[s]; ns >= 0 {
+			key := bt.keys[i]
+			at := start[key>>next.shift]
+			keys[at], slots[at] = key, ns
+			start[key>>next.shift]++
 		}
 	}
-	ix.order = kept
-	ix.reshard()
-	return removed
-}
-
-// Compact rebuilds the slot arrays densely over the live domains, dropping
-// dead-slot bookkeeping (and releasing the memory retained by removed
-// domains), and re-lays the partitions through initPartitions, the build's
-// own bulk layout; the cached sketches are reused, nothing is re-signed.
-// Query behavior is unchanged. Compact is exclusive with queries and other
-// mutations.
-func (ix *Index) Compact() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.liveCount == len(ix.domains) {
-		return
+	for i, key := range addKeys {
+		at := start[key>>next.shift]
+		keys[at], slots[at] = key, base+int32(i/perSig)
+		start[key>>next.shift]++
 	}
-	ix.compactLocked()
-}
-
-func (ix *Index) compactLocked() {
-	n := ix.liveCount
-	domains := make([]Domain, 0, n)
-	sigs := make([]sketch.Sketch, 0, n)
-	for slot := range ix.domains {
-		if ix.alive[slot] {
-			domains = append(domains, ix.domains[slot])
-			sigs = append(sigs, ix.signatures[slot])
-		}
-	}
-	ix.domains, ix.signatures = domains, sigs
-	ix.alive = make([]bool, n)
-	for i := range ix.alive {
-		ix.alive[i] = true
-	}
-	ix.partOf = make([]int32, n)
-	ix.initPartitions()
-}
-
-// reshard recomputes the equi-depth partition boundaries over the current
-// live order, grows or trims the partition count, and moves exactly the
-// slots whose assignment changed between band tables — adding or removing
-// one table shifts each boundary by at most one position, so steady-state
-// mutations re-band O(partitions) domains, not O(domains). The resulting
-// partition layout (boundaries, membership, size upper bounds and bucket
-// contents) is identical to what a fresh Build over the live domains would
-// construct. Callers hold the write lock.
-func (ix *Index) reshard() {
-	n := len(ix.order)
-	nparts := ix.opts.NumPartitions
-	if nparts > n {
-		nparts = n
-	}
-	for len(ix.parts) < nparts {
-		part := partition{}
-		for _, r := range rChoices {
-			if r > ix.opts.NumHashes {
-				continue
-			}
-			part.tables = append(part.tables, bandTable{r: r, buckets: make(map[uint64][]int32)})
-		}
-		ix.parts = append(ix.parts, part)
-	}
-	for p := 0; p < nparts; p++ {
-		lo, hi := p*n/nparts, (p+1)*n/nparts
-		for _, slot := range ix.order[lo:hi] {
-			if old := ix.partOf[slot]; int(old) != p {
-				if old >= 0 {
-					ix.unband(int(old), slot)
-				}
-				ix.band(p, slot)
-				ix.partOf[slot] = int32(p)
-			}
-		}
-	}
-	// Partitions beyond the new count have had every live slot moved out.
-	for p := nparts; p < len(ix.parts); p++ {
-		ix.parts[p] = partition{}
-	}
-	ix.parts = ix.parts[:nparts]
-	for p := 0; p < nparts; p++ {
-		lo, hi := p*n/nparts, (p+1)*n/nparts
-		part := &ix.parts[p]
-		part.domains = append(part.domains[:0], ix.order[lo:hi]...)
-		part.upper = len(ix.domains[ix.order[hi-1]].Values)
-	}
-}
-
-// band inserts slot into every band table of partition p.
-func (ix *Index) band(p, slot int) {
-	var keys []uint64
-	for ti := range ix.parts[p].tables {
-		bt := &ix.parts[p].tables[ti]
-		keys = bandKeys(ix.signatures[slot], bt.r, keys[:0])
-		for _, key := range keys {
-			bt.buckets[key] = append(bt.buckets[key], int32(slot))
-		}
-	}
-}
-
-// unband removes slot from every band table of partition p (all occurrences
-// — two bands of one signature can, in principle, collide on a key).
-func (ix *Index) unband(p, slot int) {
-	var keys []uint64
-	for ti := range ix.parts[p].tables {
-		bt := &ix.parts[p].tables[ti]
-		keys = bandKeys(ix.signatures[slot], bt.r, keys[:0])
-		for _, key := range keys {
-			bucket := bt.buckets[key]
-			kept := bucket[:0]
-			for _, di := range bucket {
-				if di != int32(slot) {
-					kept = append(kept, di)
-				}
-			}
-			if len(kept) == 0 {
-				delete(bt.buckets, key)
-			} else {
-				bt.buckets[key] = kept
-			}
-		}
-	}
+	copy(start[1:], start)
+	start[0] = 0
+	next.start, next.keys, next.slots = start, keys, slots
+	return next
 }
 
 // bandKeys hashes a signature into bands of r rows, appending the per-band
@@ -525,8 +363,8 @@ func bandKeys(sig sketch.Sketch, r int, dst []uint64) []uint64 {
 }
 
 // appendBandKeys is bandKeys without the reset: it appends the band keys to
-// dst, letting the bulk band build in initPartitions collect every domain's
-// keys into one flat slice.
+// dst, letting a table re-bucket collect every added domain's keys into one
+// flat slice.
 func appendBandKeys(sig sketch.Sketch, r int, dst []uint64) []uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -554,7 +392,7 @@ func appendBandKeys(sig sketch.Sketch, r int, dst []uint64) []uint64 {
 // candidate sets small without sacrificing recall at the threshold.
 const minRecallAtThreshold = 0.95
 
-// scanPartitionMax is the live-domain count at or below which a partition
+// scanPartitionMax is the member count at or below which a partition
 // is probed by exhaustive scan instead of band lookups. For a partition
 // this small, verifying every member costs less than hashing the query
 // signature into bands and chasing buckets, and the scan's recall is exact
@@ -567,22 +405,22 @@ const scanPartitionMax = 64
 
 // chooseTable picks the most selective precomputed banding whose collision
 // probability 1-(1-j^r)^b at the target Jaccard threshold j is still at
-// least minRecallAtThreshold. r=1 (which collides with probability
-// 1-(1-j)^K) is the fallback.
-func (p *partition) chooseTable(j float64, numHashes int) *bandTable {
+// least minRecallAtThreshold, as an index into tables. r=1 (which collides
+// with probability 1-(1-j)^K) is the fallback.
+func (ix *Index) chooseTable(j float64) int {
 	bestIdx := 0
-	for i := range p.tables {
-		r := p.tables[i].r
-		b := numHashes / r
+	for i := range ix.tables {
+		r := ix.tables[i].r
+		b := ix.opts.NumHashes / r
 		if b == 0 {
 			continue
 		}
 		collide := 1 - math.Pow(1-math.Pow(j, float64(r)), float64(b))
-		if collide >= minRecallAtThreshold && r >= p.tables[bestIdx].r {
+		if collide >= minRecallAtThreshold && r >= ix.tables[bestIdx].r {
 			bestIdx = i
 		}
 	}
-	return &p.tables[bestIdx]
+	return bestIdx
 }
 
 // Result is one verified query answer.
@@ -618,7 +456,8 @@ func (ix *Index) QueryDomain(d *Domain, threshold float64, k int) []Result {
 }
 
 // QueryDomainCtx is QueryDomain with cooperative cancellation: the
-// candidate verification loop checks ctx between partitions and amortized
+// candidate generation checks ctx between band-table probes, and the
+// verification loop amortized
 // across containment verifications, returning (nil, ctx.Err()) once the
 // context is cancelled.
 func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float64, k int) ([]Result, error) {
@@ -637,8 +476,6 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 		}
 	}
 	s.sig = ix.sign(d, &s.fps, s.sig)
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.query(ctx, s.sig, s.qids, len(d.Values), threshold, k, s)
 }
 
@@ -648,17 +485,18 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 // branch dominating small queries.
 const verifyCancelStride = 64
 
-// query generates candidates from the query sketch — band-table probes per
-// partition, or every live member of a partition at most scanPartitionMax
-// large — then verifies them by exact token-ID intersection. qsize is |Q|
+// query generates candidates from the query sketch — every member of a
+// partition at most scanPartitionMax large, and for the others one probe of
+// each chosen r's band table, keeping a slot only when its partition chose
+// that r — then verifies them by exact token-ID intersection. qsize is |Q|
 // (including tokens outside the lake vocabulary, which count toward the
-// denominator). ctx is checked between partition probes and every
+// denominator). ctx is checked between table probes and every
 // verifyCancelStride candidate verifications.
 func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]struct{}, qsize int, threshold float64, k int, s *queryScratch) ([]Result, error) {
 	done := ctx.Done()
-	// The candidate-dedup scratch is sized for the index as of a previous
-	// query; the slot arrays grow under mutation, so re-fit it here (fresh
-	// entries are zero, which no live epoch ever equals).
+	// The candidate-dedup scratch is shared by every generation of the
+	// index, so re-fit it to this one (fresh entries are zero, which no
+	// live epoch ever equals).
 	if len(s.seen) < len(ix.domains) {
 		grown := make([]uint32, len(ix.domains))
 		copy(grown, s.seen)
@@ -666,14 +504,24 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 	}
 	s.epoch++
 	if s.epoch == 0 {
-		for i := range s.seen {
-			s.seen[i] = 0
-		}
+		clear(s.seen)
 		s.epoch = 1
 	}
 	candidates := s.cands[:0]
+	s.choice = s.choice[:0]
+	for _, p := range ix.parts {
+		if len(p.members) <= scanPartitionMax {
+			candidates = append(candidates, p.members...)
+			s.choice = append(s.choice, -1)
+			continue
+		}
+		s.choice = append(s.choice, ix.chooseTable(minhash.JaccardForContainment(threshold, qsize, p.upper)))
+	}
 	keys := s.keys
-	for pi := range ix.parts {
+	for t := range ix.tables {
+		if !slices.Contains(s.choice, t) {
+			continue
+		}
 		if done != nil {
 			select {
 			case <-done:
@@ -682,31 +530,12 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 			default:
 			}
 		}
-		p := &ix.parts[pi]
-		if len(p.tables) == 0 {
-			continue
-		}
-		live := 0
-		for _, di := range p.domains {
-			if ix.alive[di] {
-				live++
-			}
-		}
-		if live <= scanPartitionMax {
-			for _, di := range p.domains {
-				if ix.alive[di] && s.seen[di] != s.epoch {
-					s.seen[di] = s.epoch
-					candidates = append(candidates, int32(di))
-				}
-			}
-			continue
-		}
-		j := minhash.JaccardForContainment(threshold, qsize, p.upper)
-		bt := p.chooseTable(j, ix.opts.NumHashes)
+		bt := &ix.tables[t]
 		keys = bandKeys(qsig, bt.r, keys[:0])
 		for _, key := range keys {
-			for _, di := range bt.buckets[key] {
-				if s.seen[di] != s.epoch {
+			at := key >> bt.shift
+			for i := bt.start[at]; i < bt.start[at+1]; i++ {
+				if di := bt.slots[i]; bt.keys[i] == key && s.choice[ix.partOf[di]] == t && s.seen[di] != s.epoch {
 					s.seen[di] = s.epoch
 					candidates = append(candidates, di)
 				}
@@ -754,12 +583,8 @@ func (ix *Index) Options() Options { return ix.opts }
 // Dict returns the token dictionary the index interns through.
 func (ix *Index) Dict() *table.TokenDict { return ix.dict }
 
-// NumDomains reports how many live (non-removed) domains are indexed.
-func (ix *Index) NumDomains() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.liveCount
-}
+// NumDomains reports how many domains are indexed.
+func (ix *Index) NumDomains() int { return len(ix.domains) }
 
 // ExactQuery is the brute-force baseline: it scans every domain and computes
 // exact containment. It is the ground truth against which the ensemble's

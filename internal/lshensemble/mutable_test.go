@@ -3,6 +3,7 @@ package lshensemble
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,47 +13,47 @@ import (
 // band configurations.
 var mutOpts = Options{NumHashes: 16, NumPartitions: 4, Seed: 7}
 
-// liveDomains collects the live domains of a mutated index, stripped of
-// build artifacts, in slot order.
-func liveDomains(ix *Index) []Domain {
-	var out []Domain
-	for slot := range ix.domains {
-		if ix.alive[slot] {
-			d := ix.domains[slot]
-			out = append(out, Domain{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values})
-		}
+// plainDomains returns an index's domains stripped of build artifacts, in
+// slot order.
+func plainDomains(ix *Index) []Domain {
+	out := make([]Domain, len(ix.domains))
+	for slot, d := range ix.domains {
+		out[slot] = Domain{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values}
 	}
 	return out
 }
 
-// layoutSig renders the full partition layout — boundaries, size bounds,
-// and the bucket membership of every band table — as domain keys, so two
-// indexes over the same live domains compare structurally even when their
-// slot numbering and dictionaries differ.
+// layoutSig renders an index's layout — its domains and signatures in slot
+// order, the partition boundaries and size bounds, and for each r the set
+// of domains under each band key — as domain keys, so two indexes over the
+// same domains compare structurally even when their dictionaries differ.
+// Entries within a bucket may be stored in any order.
 func layoutSig(ix *Index) string {
 	var b strings.Builder
-	for pi := range ix.parts {
-		p := &ix.parts[pi]
-		keys := make([]string, 0, len(p.domains))
-		for _, di := range p.domains {
+	for slot := range ix.domains {
+		fmt.Fprintf(&b, "slot%d part%d %s %v sig=%x\n", slot, ix.partOf[slot], ix.domains[slot].Key(), ix.domains[slot].Values, ix.signatures[slot])
+	}
+	for pi, p := range ix.parts {
+		keys := make([]string, 0, len(p.members))
+		for _, di := range p.members {
 			keys = append(keys, ix.domains[di].Key())
 		}
-		sort.Strings(keys)
 		fmt.Fprintf(&b, "part%d upper=%d members=%v\n", pi, p.upper, keys)
-		for _, bt := range p.tables {
-			bucketKeys := make([]uint64, 0, len(bt.buckets))
-			for k := range bt.buckets {
-				bucketKeys = append(bucketKeys, k)
-			}
-			sort.Slice(bucketKeys, func(a, c int) bool { return bucketKeys[a] < bucketKeys[c] })
-			for _, k := range bucketKeys {
-				members := make([]string, 0, len(bt.buckets[k]))
-				for _, di := range bt.buckets[k] {
-					members = append(members, ix.domains[di].Key())
-				}
-				sort.Strings(members)
-				fmt.Fprintf(&b, "  r=%d %x %v\n", bt.r, k, members)
-			}
+	}
+	for _, bt := range ix.tables {
+		buckets := make(map[uint64][]string)
+		for i, key := range bt.keys {
+			buckets[key] = append(buckets[key], ix.domains[bt.slots[i]].Key())
+		}
+		keys := make([]uint64, 0, len(buckets))
+		for k := range buckets {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		fmt.Fprintf(&b, "r=%d shift=%d entries=%d\n", bt.r, bt.shift, len(bt.keys))
+		for _, k := range keys {
+			sort.Strings(buckets[k])
+			fmt.Fprintf(&b, "  %x %v\n", k, buckets[k])
 		}
 	}
 	return b.String()
@@ -84,59 +85,99 @@ func randomDomainPool(rng *rand.Rand, n int) []Domain {
 	return pool
 }
 
-// TestMutationLayoutMatchesFreshBuild is the strongest equivalence pin: the
-// incremental re-sharding must leave partition boundaries, size bounds and
-// band-bucket membership identical to a from-scratch Build over the live
-// domains — not merely return the same query results.
+// checkAgainstBuild is the strongest equivalence pin: a derived generation
+// must equal a fresh BuildWithDict over the same domains — slots,
+// signatures, partition boundaries, size bounds and band-bucket membership,
+// not merely query results — and answer every query identically.
+func checkAgainstBuild(t *testing.T, label string, ix *Index, pool []Domain, rng *rand.Rand) {
+	t.Helper()
+	fresh := BuildWithDict(plainDomains(ix), ix.opts, ix.dict)
+	if got, want := layoutSig(ix), layoutSig(fresh); got != want {
+		t.Fatalf("%s: layout diverged from fresh build\n got:\n%s\nwant:\n%s", label, got, want)
+	}
+	for q := 0; q < 2; q++ {
+		query := pool[rng.Intn(len(pool))].Values
+		th := 0.3 + 0.4*rng.Float64()
+		got, want := ix.Query(query, th, 0), fresh.Query(query, th, 0)
+		if resultSig(got) != resultSig(want) {
+			t.Fatalf("%s: query diverged\n got %s\nwant %s", label, resultSig(got), resultSig(want))
+		}
+	}
+}
+
+// withSchedule applies one random With to ix — add one absent pool domain,
+// remove one present, or both at once — and checks the receiver's layout
+// did not change.
+func withSchedule(t *testing.T, ix *Index, pool []Domain, inLake []bool, rng *rand.Rand) *Index {
+	t.Helper()
+	var in, out []int
+	for i, ok := range inLake {
+		if ok {
+			in = append(in, i)
+		} else {
+			out = append(out, i)
+		}
+	}
+	var added []Domain
+	var removed []string
+	c := rng.Intn(4)
+	if c != 2 && len(out) > 0 {
+		i := out[rng.Intn(len(out))]
+		added = append(added, pool[i])
+		inLake[i] = true
+	}
+	if c >= 2 && len(in) > 0 {
+		i := in[rng.Intn(len(in))]
+		removed = append(removed, pool[i].Table)
+		inLake[i] = false
+	}
+	before := layoutSig(ix)
+	next := ix.With(added, removed)
+	if layoutSig(ix) != before {
+		t.Fatalf("With(%d added, %v) changed its receiver", len(added), removed)
+	}
+	return next
+}
+
+// TestMutationLayoutMatchesFreshBuild runs random With schedules and pins
+// every generation to a fresh build over its domains.
 func TestMutationLayoutMatchesFreshBuild(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := randomDomainPool(rng, 12)
 		inLake := make([]bool, len(pool))
 		start := 1 + rng.Intn(6)
-		var initial []Domain
 		for i := 0; i < start; i++ {
-			initial = append(initial, pool[i])
 			inLake[i] = true
 		}
-		ix := Build(initial, mutOpts)
+		ix := Build(pool[:start], mutOpts)
 		for op := 0; op < 10; op++ {
-			var out, in []int
-			for i, ok := range inLake {
-				if ok {
-					in = append(in, i)
-				} else {
-					out = append(out, i)
-				}
-			}
-			switch c := rng.Intn(4); {
-			case c <= 1 && len(out) > 0:
-				i := out[rng.Intn(len(out))]
-				ix.Add([]Domain{pool[i]})
-				inLake[i] = true
-			case c == 2 && len(in) > 0:
-				i := in[rng.Intn(len(in))]
-				if got := ix.Remove([]string{pool[i].Table}); got != 1 {
-					t.Fatalf("seed %d: Remove(%s) = %d", seed, pool[i].Table, got)
-				}
-				inLake[i] = false
-			case c == 3:
-				ix.Compact()
-			}
-			fresh := Build(liveDomains(ix), mutOpts)
-			if got, want := layoutSig(ix), layoutSig(fresh); got != want {
-				t.Fatalf("seed %d op %d: layout diverged from fresh build\n got:\n%s\nwant:\n%s", seed, op, got, want)
-			}
-			for q := 0; q < 2; q++ {
-				query := pool[rng.Intn(len(pool))].Values
-				th := 0.3 + 0.4*rng.Float64()
-				got, want := ix.Query(query, th, 0), fresh.Query(query, th, 0)
-				if resultSig(got) != resultSig(want) {
-					t.Fatalf("seed %d op %d: query diverged\n got %s\nwant %s", seed, op, resultSig(got), resultSig(want))
-				}
-			}
+			ix = withSchedule(t, ix, pool, inLake, rng)
+			checkAgainstBuild(t, fmt.Sprintf("seed %d op %d", seed, op), ix, pool, rng)
 		}
 	}
+}
+
+// FuzzWithMatchesBuild drives TestMutationLayoutMatchesFreshBuild's check
+// with fuzzed pools and schedules, over partitions large enough to be
+// banded as well as scanned ones.
+func FuzzWithMatchesBuild(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(3), uint8(8))
+	f.Add(int64(2), uint8(200), uint8(150), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, poolSize, start, ops uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		pool := randomDomainPool(rng, 1+int(poolSize))
+		inLake := make([]bool, len(pool))
+		n := int(start) % (len(pool) + 1)
+		for i := 0; i < n; i++ {
+			inLake[i] = true
+		}
+		ix := Build(pool[:n], Options{NumHashes: 16, NumPartitions: 2, Seed: seed})
+		for op := 0; op < int(ops)%24; op++ {
+			ix = withSchedule(t, ix, pool, inLake, rng)
+			checkAgainstBuild(t, fmt.Sprintf("op %d", op), ix, pool, rng)
+		}
+	})
 }
 
 func TestRemoveExcludesDomain(t *testing.T) {
@@ -148,21 +189,23 @@ func TestRemoveExcludesDomain(t *testing.T) {
 	if got := ix.Query([]string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
 		t.Fatalf("pre-remove results = %v", got)
 	}
-	if n := ix.Remove([]string{"A"}); n != 1 {
-		t.Fatalf("Remove = %d", n)
-	}
-	got := ix.Query([]string{"berlin", "boston"}, 0.5, 0)
+	next := ix.With(nil, []string{"A"})
+	got := next.Query([]string{"berlin", "boston"}, 0.5, 0)
 	if len(got) != 1 || got[0].Domain.Table != "B" {
 		t.Errorf("post-remove results = %v", got)
 	}
-	if ix.NumDomains() != 1 {
-		t.Errorf("NumDomains = %d", ix.NumDomains())
+	if next.NumDomains() != 1 || ix.NumDomains() != 2 {
+		t.Errorf("NumDomains = %d, receiver %d", next.NumDomains(), ix.NumDomains())
+	}
+	if got := ix.Query([]string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
+		t.Errorf("receiver results after With = %v", got)
 	}
 }
 
-// TestScratchGrowsWithIndex pins the pooled query scratch against index
-// growth: a scratch sized by an early query must not index out of range
-// after Add more than doubles the slot count.
+// TestScratchGrowsWithIndex pins the pooled query scratch, which every
+// generation shares, against index growth: a scratch sized by an early
+// query must not index out of range on a generation with more than twice
+// the slots.
 func TestScratchGrowsWithIndex(t *testing.T) {
 	ix := Build([]Domain{{Table: "A", Column: 0, Values: []string{"x", "y"}}}, mutOpts)
 	ix.Query([]string{"x"}, 0.1, 0) // size the pooled scratch at 1 slot
@@ -170,28 +213,7 @@ func TestScratchGrowsWithIndex(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		add = append(add, Domain{Table: fmt.Sprintf("g%02d", i), Column: 0, Values: []string{"x", "y", fmt.Sprintf("z%d", i)}})
 	}
-	ix.Add(add)
-	if got := ix.Query([]string{"x", "y"}, 0.5, 0); len(got) != 31 {
+	if got := ix.With(add, nil).Query([]string{"x", "y"}, 0.5, 0); len(got) != 31 {
 		t.Errorf("post-growth query found %d domains, want 31", len(got))
-	}
-}
-
-// TestCompactReleasesDeadSlots verifies explicit and automatic compaction
-// drop tombstoned slots without changing answers.
-func TestCompactReleasesDeadSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	pool := randomDomainPool(rng, 40)
-	ix := Build(pool, mutOpts)
-	var names []string
-	for i := 0; i < 30; i++ {
-		names = append(names, pool[i].Table)
-	}
-	ix.Remove(names) // 30 dead > 16 and > 10 live: auto-compaction fires
-	if len(ix.domains) != 10 || ix.liveCount != 10 {
-		t.Errorf("auto-compaction left %d slots / %d live", len(ix.domains), ix.liveCount)
-	}
-	fresh := Build(liveDomains(ix), mutOpts)
-	if layoutSig(ix) != layoutSig(fresh) {
-		t.Error("compacted layout diverged from fresh build")
 	}
 }

@@ -12,10 +12,12 @@
 //
 // Annotation runs on the compiled KB (kb.Compile): cell values resolve to
 // integer annotation codes through the index's kb.Annotator — a cache keyed
-// by rendered value, shared by every index derived from one Build, so each
+// by rendered value, shared by the indexes derived from one root, so each
 // distinct lake rendering is canonicalized once — and column/pair votes run
 // over dense type and label IDs with pooled scratch, never re-walking the
-// type hierarchy or building string keys per row pair.
+// type hierarchy or building string keys per row pair. Graphs keep only
+// compiled type and label IDs, never codes, so a derivation whose root has
+// outgrown twice its from-scratch size starts a fresh root.
 //
 // An Index never changes once built. A lake mutation derives the next one
 // (Index.With) and publishes it, so a query keeps the index it started on
@@ -75,19 +77,20 @@ type tableSemantics struct {
 // immutable once built: a mutation derives the next index by With, which
 // shares the kept graphs and leaves the receiver answering as it did, so
 // queries take no lock. Every index derived from one Build annotates
-// against the KB snapshot compiled at that build, through one shared root
-// annotator and scratch pool.
+// against the KB snapshot compiled at that build and shares its scratch
+// pool; the root annotator is shared until a With refills it.
 type Index struct {
-	ann     *kb.Annotator
-	scratch *sync.Pool // *kb.Scratch
-	tables  []tableSemantics
+	ann      *kb.Annotator
+	scratch  *sync.Pool // *kb.Scratch
+	tables   []tableSemantics
+	rootSize int // ann's raw+ext size when it was filled from scratch
 }
 
 // Build annotates every lake table against the knowledge base (nil means
-// an empty KB) through a root annotation cache that every index derived
-// from this one shares: With annotates through it, and queries through a
-// QueryScope of it. Tables without any annotated column are indexed but can
-// never match. Build is With over an empty index.
+// an empty KB) through a fresh root annotation cache that the indexes
+// derived from this one share: With annotates through it, and queries
+// through a QueryScope of it. Tables without any annotated column are
+// indexed but can never match. Build is With over an empty index.
 //
 // The index snapshots the KB as compiled at build time: queries and the
 // indexed semantic graphs always share one KB state. Compiling freezes the
@@ -96,8 +99,8 @@ func Build(lakeTables []*table.Table, knowledge *kb.KB) *Index {
 	if knowledge == nil {
 		knowledge = kb.New()
 	}
-	ann := kb.NewAnnotator(knowledge.Compiled())
-	empty := &Index{ann: ann, scratch: &sync.Pool{New: func() any { return ann.Compiled().NewScratch() }}}
+	ck := knowledge.Compiled()
+	empty := &Index{ann: kb.NewAnnotator(ck), scratch: &sync.Pool{New: func() any { return ck.NewScratch() }}}
 	return empty.With(lakeTables, nil)
 }
 
@@ -113,12 +116,18 @@ func (ix *Index) NumTables() int { return len(ix.tables) }
 // the index order — and therefore query results — identical to a
 // sequential build. Callers are responsible for name uniqueness. The
 // receiver is left unchanged and stays safe to query.
+//
+// The root annotator never evicts, so removed tables' renderings would stay
+// in it for good. The first With that fills an empty root records its size;
+// a later With that leaves the root holding more than twice that re-fills
+// a fresh root over the next index's tables, Build's path — amortized O(1)
+// per annotated string, and answers are unchanged.
 func (ix *Index) With(added []*table.Table, removed []string) *Index {
 	doomed := make(map[string]bool, len(removed))
 	for _, n := range removed {
 		doomed[n] = true
 	}
-	next := &Index{ann: ix.ann, scratch: ix.scratch, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
+	next := &Index{ann: ix.ann, scratch: ix.scratch, rootSize: ix.rootSize, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
 	for _, ts := range ix.tables {
 		if !doomed[ts.t.Name] {
 			next.tables = append(next.tables, ts)
@@ -131,6 +140,17 @@ func (ix *Index) With(added []*table.Table, removed []string) *Index {
 		next.tables[base+i] = annotate(added[i], ix.ann, s)
 		ix.scratch.Put(s)
 	})
+	switch raw, ext := ix.ann.Size(); {
+	case ix.rootSize == 0:
+		next.rootSize = raw + ext
+	case raw+ext > 2*ix.rootSize:
+		tables := make([]*table.Table, len(next.tables))
+		for i := range next.tables {
+			tables[i] = next.tables[i].t
+		}
+		fresh := &Index{ann: kb.NewAnnotator(ix.ann.Compiled()), scratch: ix.scratch}
+		return fresh.With(tables, nil)
+	}
 	return next
 }
 

@@ -102,9 +102,10 @@ func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 	return resp, nil
 }
 
-// lakeCompact forces the catalog's index compaction (POST /v1/lake/compact).
-// Compaction never changes query answers and appends nothing to the WAL, so
-// both the in-memory and the durable path run it directly; it still goes
+// lakeCompact answers POST /v1/lake/compact with the catalog's size. The
+// catalog's Compact is a no-op (no index keeps mutation debt); it never
+// changes query answers and appends nothing to the WAL, so both the
+// in-memory and the durable path run it directly, and it still goes
 // through the mutation gate so shutdown's drain ordering holds.
 func (s *Server) lakeCompact(ctx context.Context, r *http.Request) (any, error) {
 	if err := ctx.Err(); err != nil {
