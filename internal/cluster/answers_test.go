@@ -5,9 +5,9 @@
 // their own answers; partial answers are never stored; on a coordinator a
 // hit costs one epoch probe round, and mutations made on a shard server
 // behind the coordinator's back, a shard restart, and readers racing a
-// writer never get a stale answer served — and the epoch property all of
-// it keys on: a restarted shard never repeats an epoch vector it reported
-// before.
+// writer never get a stale answer served, and a torn answer is never
+// stored — and the epoch property all of it keys on: a restarted shard
+// never repeats an epoch vector it reported before.
 package cluster_test
 
 import (
@@ -29,6 +29,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/discovery"
 	"repro/internal/lake"
 	"repro/internal/lru"
 	"repro/internal/serve"
@@ -664,5 +665,88 @@ func TestAnswerCacheReadersAndWriter(t *testing.T) {
 			t.Fatalf("mutation %d did not change the answer; the test checks nothing", i)
 		}
 		prev = got
+	}
+}
+
+// churner adds and removes a table on its shard's live lake at every call,
+// so the shard's epoch moves inside every fan-out attempt that reaches it.
+// The front door's copy has no lake: a coordinator only sends its name.
+type churner struct {
+	live  *lake.Lake
+	calls *atomic.Int64
+}
+
+func (churner) Name() string { return "churning" }
+
+func (d churner) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
+	tmp := table.New(fmt.Sprintf("churn%d", d.calls.Add(1)), "City")
+	tmp.MustAddRow(table.StringValue("Berlin"))
+	if err := d.live.Add(tmp); err != nil {
+		return nil, err
+	}
+	return nil, d.live.Remove(tmp.Name)
+}
+
+// TestAnswerCacheNeverStoresTorn pins the one answer that holds under no
+// epoch vector: a coordinator's whose final attempt was torn. Every shard
+// server runs a churner, so the shard vectors move inside both attempts of
+// every run. The run answers 200 with no vector, and the front door serves
+// that answer without storing it, so the repeat recomputes.
+func TestAnswerCacheNeverStoresTorn(t *testing.T) {
+	pool := diffPool(73, 6)
+	const n = 2
+	calls := &atomic.Int64{}
+	addrs := make([]string, n)
+	for i := range addrs {
+		var mine []*table.Table
+		for _, tbl := range pool {
+			if lake.ShardIndex(tbl.Name, n) == i {
+				mine = append(mine, tbl)
+			}
+		}
+		l, err := lake.New(mine, lake.Options{Knowledge: difftest.DiffKB()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := core.FromLake(l)
+		if err := p.Discoverers().Register(churner{live: l, calls: calls}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(serve.New(p, serve.Config{Timeout: 10 * time.Second}).Handler())
+		t.Cleanup(ts.Close)
+		addrs[i] = ts.URL
+	}
+	coord, err := cluster.New(cluster.Config{Addrs: addrs, Knowledge: difftest.DiffKB(), RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordClient(coord)
+	p := core.FromCatalog(coord)
+	if err := p.Discoverers().Register(churner{}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Discover(context.Background(), core.DiscoverRequest{Query: pool[0], Methods: []string{"churning"}})
+	if err != nil || resp.Partial() || resp.Epochs != nil {
+		t.Fatalf("a run torn on both attempts: epochs %v, partial %v, err %v; want a whole answer with no epochs", resp.Epochs, resp != nil && resp.Partial(), err)
+	}
+	if got := calls.Load(); got != 2*n {
+		t.Fatalf("the churners ran %d times, want %d (two attempts on every shard)", got, 2*n)
+	}
+	front := httptest.NewServer(serve.New(p, serve.Config{Timeout: 10 * time.Second}).Handler())
+	defer front.Close()
+	body, err := json.Marshal(serve.DiscoverRequest{Query: serve.EncodeTable(pool[0]), Methods: []string{"churning"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if status, out := postRaw(t, front.URL+"/v1/discover", body); status != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status, out)
+		}
+	}
+	if m := cacheMetrics(t, front.URL); m != (lru.Stats{Misses: 2}) {
+		t.Fatalf("after two torn answers the front door's cache counters are %+v, want two misses and no store", m)
+	}
+	if got := calls.Load(); got != 3*2*n {
+		t.Fatalf("the churners ran %d times, want %d (every request recomputed)", got, 3*2*n)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/discovery"
@@ -69,16 +70,19 @@ type Config struct {
 // copy of shard data it keeps is the bounded, epoch-keyed cache of the
 // tables discovery materialized (tables.go).
 type Coordinator struct {
-	// Composite carries the routing rule (NumShards, ShardFor), the
-	// coordinator-local seqlock counter over routed mutations (Epochs
-	// prepends it to the concatenated shard vectors), and the
-	// coordinator-level Knowledge/Dict — the exact analogue of
-	// what lake.Sharded keeps composite-side.
+	// Composite carries the routing rule (NumShards, ShardFor) and the
+	// coordinator-level Knowledge/Dict — the exact analogue of what
+	// lake.Sharded keeps composite-side.
 	*lake.Composite
-	cfg    Config
-	shards []*shardClient
-	all    []int // every shard index, ascending: what Epochs and Size probe
-	tables *lru.Cache[string, cachedTable]
+	// mutations is the coordinator-local seqlock counter, seeded at
+	// lake.RandomEpoch: applyRouted adds 1 before a validated routed
+	// mutation and 1 after it, so it is odd while one is applying. Epochs
+	// prepends it to the shard vectors.
+	mutations atomic.Uint64
+	cfg       Config
+	shards    []*shardClient
+	all       []int // every shard index, ascending: what Epochs and Size probe
+	tables    *lru.Cache[string, cachedTable]
 }
 
 var (
@@ -117,6 +121,7 @@ func New(cfg Config) (*Coordinator, error) {
 		shards:    make([]*shardClient, len(cfg.Addrs)),
 		tables:    lru.New[string, cachedTable](tableCacheBytes, len(cfg.Addrs)),
 	}
+	c.mutations.Store(lake.RandomEpoch())
 	for i, addr := range cfg.Addrs {
 		base, err := normalizeAddr(addr)
 		if err != nil {
@@ -150,7 +155,7 @@ const epochDown = ^uint64(0) - 1
 func (c *Coordinator) Epochs() []uint64 {
 	eps, errs := c.probeEpochs(c.all)
 	out := make([]uint64, 0, 1+2*len(c.shards))
-	out = append(out, c.Epoch())
+	out = append(out, c.mutations.Load())
 	for i, ep := range eps {
 		if errs[i] != nil || len(ep.Epochs) == 0 {
 			out = append(out, epochDown)
@@ -350,7 +355,7 @@ func (c *Coordinator) Remove(names ...string) error {
 }
 
 // applyRouted is the coordinator's one routed-mutation path. Inside the
-// composite epoch bracket it runs do on every involved shard concurrently
+// mutations bracket it runs do on every involved shard concurrently
 // under CallTimeout; when any shard fails, it runs undo — under a fresh
 // CallTimeout — on the shards whose do succeeded, so the catalog returns
 // to its pre-mutation state. Cross-shard atomicity is compensated, not
@@ -360,8 +365,8 @@ func (c *Coordinator) Remove(names ...string) error {
 // otherwise each failed compensation, naming its shard, is joined after it
 // (the apply failure stays first, so it alone sets the response status).
 func (c *Coordinator) applyRouted(involved []int, do, undo func(ctx context.Context, shard int) error) error {
-	c.Mutations.Begin()
-	defer c.Mutations.End()
+	c.mutations.Add(1)
+	defer c.mutations.Add(1)
 	ctx, cancel := c.callCtx()
 	defer cancel()
 	errs := make([]error, len(involved))

@@ -7,9 +7,11 @@
 // one integration set ("we persist the set of tables found by all
 // techniques"), which feeds the align-and-integrate stage.
 //
-// The joinable discoverers resolve the query column once per call with
+// The joinable discoverers resolve the query column with
 // lake.(*Lake).ResolveQuery and search the indexes by token ID; there is no
 // separate path for raw strings or for query tables the lake already holds.
+// On the pinned handle a run hands them, ResolveQuery resolves the run's
+// query column once per shard, so LSHJoin and JosieJoin share one domain.
 package discovery
 
 import (
@@ -94,17 +96,9 @@ func (LSHJoin) Name() string { return "lsh-join" }
 
 // Discover implements Discoverer.
 func (LSHJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error) {
-	domain, err := l.ResolveQuery(q, queryCol)
-	if err != nil {
-		return nil, fmt.Errorf("discovery: lsh-join: %w", err)
-	}
-	hits, err := l.Join().QueryDomainCtx(ctx, domain, lshThreshold, 0)
-	if err != nil {
-		return nil, err
-	}
-	return bestPerTable(l, q, "lsh-join", k, hits, func(h lshensemble.Result) (*table.Domain, float64) {
-		return h.Domain, h.Containment
-	}), nil
+	return bestPerTable(l, q, queryCol, k, "lsh-join", func(d *table.Domain) ([]lshensemble.Result, error) {
+		return l.Join().QueryDomainCtx(ctx, d, lshThreshold, 0)
+	}, func(h lshensemble.Result) (*table.Domain, float64) { return h.Domain, h.Containment })
 }
 
 // JosieJoin is exact top-k joinable search by overlap (JOSIE-style).
@@ -115,23 +109,24 @@ func (JosieJoin) Name() string { return "josie-join" }
 
 // Discover implements Discoverer.
 func (JosieJoin) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error) {
+	return bestPerTable(l, q, queryCol, k, "josie-join", func(d *table.Domain) ([]josie.Result, error) {
+		return l.Josie().TopKIDsCtx(ctx, d.IDs, 0)
+	}, func(h josie.Result) (*table.Domain, float64) { return h.Set, float64(h.Overlap) })
+}
+
+// bestPerTable is the joinable discoverers' one path: it resolves the query
+// column (lake.(*Lake).ResolveQuery), searches with the domain, and ranks
+// the tables behind the hits, each by its best-scoring column; the query
+// table itself and tables no longer in the lake are skipped.
+func bestPerTable[H any](l *lake.Lake, q *table.Table, queryCol, k int, method string, search func(*table.Domain) ([]H, error), hit func(H) (*table.Domain, float64)) ([]Result, error) {
 	domain, err := l.ResolveQuery(q, queryCol)
 	if err != nil {
-		return nil, fmt.Errorf("discovery: josie-join: %w", err)
+		return nil, fmt.Errorf("discovery: %s: %w", method, err)
 	}
-	hits, err := l.Josie().TopKIDsCtx(ctx, domain.IDs, 0)
+	hits, err := search(domain)
 	if err != nil {
 		return nil, err
 	}
-	return bestPerTable(l, q, "josie-join", k, hits, func(h josie.Result) (*table.Domain, float64) {
-		return h.Set, float64(h.Overlap)
-	}), nil
-}
-
-// bestPerTable ranks the tables behind joinable-search hits, each by its
-// best-scoring column; the query table itself and tables no longer in the
-// lake are skipped.
-func bestPerTable[H any](l *lake.Lake, q *table.Table, method string, k int, hits []H, hit func(H) (*table.Domain, float64)) []Result {
 	best := make(map[string]Result)
 	for _, h := range hits {
 		d, score := hit(h)
@@ -143,7 +138,7 @@ func bestPerTable[H any](l *lake.Lake, q *table.Table, method string, k int, hit
 			best[t.Name] = Result{Table: t, Score: score, Method: method, Column: d.Column}
 		}
 	}
-	return rankResults(best, k)
+	return rankResults(best, k), nil
 }
 
 // SyntacticUnion is the unionability baseline (Nargesian et al. style):

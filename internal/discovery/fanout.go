@@ -11,23 +11,38 @@ import (
 	"repro/internal/table"
 )
 
-// Target is what a discovery run executes against: a set of shards plus the
-// seqlock epoch vector that guards multi-index reads. *lake.Lake (its own
-// single shard), *lake.Sharded, and the lake.Catalog interface the pipeline
-// holds all satisfy it, as does a cluster coordinator whose shards are
-// remote processes. How a work item is executed is the target's second
-// interface — in-process targets expose `Shards() []*lake.Lake` and the
-// item is one (discoverer, shard) pair, a direct Discover call on the shard
-// lake; remote targets implement Remote and the item is one shard, a single
-// DiscoverShard transport call carrying every discoverer of the run.
-// Everything around the item — the (discoverer, shard) slot grid, panic
-// containment, tolerance, merge, epoch guard — is the one fan-out in RunAll.
+// Target is what a discovery run executes against: a set of shards plus an
+// epoch vector that names the catalog state an answer holds under.
+// *lake.Lake (its own single shard), *lake.Sharded, and the lake.Catalog
+// interface the pipeline holds all satisfy it, as does a cluster
+// coordinator whose shards are remote processes. How a run reads the
+// shards is the target's second interface — an in-process target pins its
+// published views (`Pin(q, col)`) and a work item is one
+// (discoverer, shard) pair, a direct Discover call on the shard's pinned
+// handle; a remote target implements Remote and a work item is one shard,
+// a single DiscoverShard transport call carrying every discoverer of the
+// run. Everything around the item — the (discoverer, shard) slot grid,
+// panic containment, tolerance and the merge — is the one fan-out in
+// RunAll.
 type Target interface {
-	// Epochs samples the target's mutation-epoch vector — see
-	// lake.Catalog.Epochs for the seqlock protocol. A clean run samples
-	// the same all-even vector before and after its fan-out.
+	// Epochs samples the target's epoch vector — see lake.Catalog.Epochs.
+	// RunAll samples it around a remote fan-out; an in-process run takes
+	// the vector of its pin instead.
 	Epochs() []uint64
 }
+
+// pinner is an in-process target: Pin returns one read-only handle per
+// shard over one consistent cut of its published views, for a run whose
+// query is column col of q, and the epoch vector of that cut
+// (lake.(*Lake).Pin, lake.(*Sharded).Pin).
+type pinner interface {
+	Pin(q *table.Table, col int) ([]*lake.Lake, []uint64)
+}
+
+var (
+	_ pinner = (*lake.Lake)(nil)
+	_ pinner = (*lake.Sharded)(nil)
+)
 
 // Remote extends Target for shard sets reached over a transport (the
 // cluster coordinator's HTTP shards). The fan-out calls DiscoverShard once
@@ -53,14 +68,15 @@ type Remote interface {
 	// return an error only for malformed responses. epochs is the vector
 	// the attempt sampled before its fan-out; an implementation may serve
 	// a table it fetched earlier under the same vector element, because
-	// RunAll retries any attempt whose after-sample differs.
+	// RunAll retries any remote attempt whose after-sample differs.
 	ResolveTables(ctx context.Context, names []string, epochs []uint64) (map[string]*table.Table, error)
 }
 
 // Query is one RunAll call's query as a Remote receives it. Every shard
-// call of the run — the torn-read retry's included — gets the same *Query,
-// so a transport encodes its request once per run instead of once per
-// shard (Encoded).
+// call of the run — a remote retry's included — gets the same *Query, so a
+// transport encodes its request once per run instead of once per shard
+// (Encoded). An in-process run prepares its query once per run through its
+// pin instead (lake.Lake.ResolveQuery).
 type Query struct {
 	Table  *table.Table
 	Column int
@@ -114,12 +130,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("discovery: %q panicked: %v", e.Method, e.Value)
 }
 
-// tornRetries is how many times RunAll re-executes a run whose epoch
-// samples prove it may have read the lake mid-mutation. One retry is
-// enough: the retry re-reads the epoch, and a steady lake settles it;
-// under continuous mutation churn the retried run's results are still a
-// valid answer for *some* recent lake state, which is all a concurrent
-// reader was ever promised.
+// tornRetries is how many times RunAll re-executes a remote run whose
+// epoch samples prove it may have read some shard processes before a
+// mutation and others after it. One retry is enough: the retry re-reads
+// the epochs, and a steady cluster settles it. A retried attempt that is
+// torn too is answered with no epoch vector, so nothing caches it. An
+// in-process run never retries: it reads one pinned cut.
 const tornRetries = 1
 
 // epochsClean reports whether an epoch-vector pair proves a run untorn:
@@ -138,50 +154,11 @@ func epochsClean(e1, e2 []uint64) bool {
 	return true
 }
 
-// shardCall runs work item j of one fan-out attempt and writes the
-// (discoverer, shard) slots it covers: slot i*ns+s holds discoverer i's
-// ranking on shard s, and slot j is always the item's first slot.
-type shardCall func(ctx context.Context, j int, per [][]Result, errs []error)
-
-// resolveFunc is Remote.ResolveTables: names and the attempt's before-
-// sample in, materialized tables out.
-type resolveFunc func(ctx context.Context, names []string, epochs []uint64) (map[string]*table.Table, error)
-
-// shardCalls resolves how the target's shards are reached: the shard count,
-// the number of work items and the per-item call. An in-process item is
-// one slot — item j runs discoverer j/ns on shard j%ns — so no method
-// waits for another method on its shard; a remote item is one shard — item
-// j is a single DiscoverShard call carrying every discoverer to shard j,
-// and there is none when there is no discoverer. resolve is non-nil when
-// results arrive as name-only stubs that must be materialized after the
-// merge (remote targets). In-process shard lists are re-read on every
-// call, so a retried attempt sees the target's current shards.
-func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardCall, resolve resolveFunc, err error) {
-	switch tt := t.(type) {
-	case interface{ Shards() []*lake.Lake }:
-		shards := tt.Shards()
-		ns = len(shards)
-		return ns, len(ds) * ns, func(ctx context.Context, j int, per [][]Result, errs []error) {
-			per[j], errs[j] = ds[j/ns].Discover(ctx, shards[j%ns], q.Table, q.Column, q.K)
-		}, nil, nil
-	case Remote:
-		ns = tt.NumShards()
-		return ns, min(len(ds), 1) * ns, func(ctx context.Context, shard int, per [][]Result, errs []error) {
-			rs, es := tt.DiscoverShard(ctx, shard, ds, q)
-			for i := range ds {
-				per[i*ns+shard], errs[i*ns+shard] = rs[i], es[i]
-			}
-		}, tt.ResolveTables, nil
-	default:
-		return 0, 0, nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
-	}
-}
-
 // RunAll executes the given discoverers over one query against every shard
 // of the target and returns the merged result lists slot-indexed: out[i] is
 // ds[i]'s ranked results over the whole catalog. The fan-out fills one slot
 // per (discoverer, shard) pair — one work item per slot in process, one
-// work item per shard for a Remote (see shardCalls). Per-shard rankings
+// work item per shard for a Remote. Per-shard rankings
 // concatenate and re-rank by (score descending, table name ascending) —
 // table names are unique catalog-wide, so the comparator is total and the
 // merge deterministic regardless of shard count, transport or scheduling;
@@ -209,15 +186,16 @@ func shardCalls(t Target, q *Query, ds []Discoverer) (ns, items int, call shardC
 // its own methods' panics; one escaping DiscoverShard is charged to the
 // item's first slot).
 //
-// Torn-read protection: each discoverer loads its shard's published view
-// once, so a discovery run concurrent with Add/Remove could otherwise mix
-// two views of one lake (a table visible to JOSIE but not yet to SANTOS) —
-// or, on a sharded target, observe some shards pre-mutation and others
-// post-mutation. RunAll samples the target's
-// mutation-epoch vector before and after the fan-out; any mutation
-// overlapping the run perturbs some element (a mutation applied directly to
-// one shard perturbs that shard's element even when the composite counter
-// never moves), and RunAll re-executes once. See lake.(*Lake).Epoch.
+// One catalog state per answer: an in-process run pins the target's
+// published views once, before the fan-out (lake.Lake.Pin,
+// lake.Sharded.Pin), and every discoverer reads its shard through that
+// pin's read-only handle. A mutation landing mid-run — on a Lake, routed
+// through a Sharded, or made directly on a shard — publishes views the run
+// never reads, so the answer is the pinned catalog's, and each discoverer
+// runs once per shard. The pin's handles also resolve the query column once
+// per shard for the joinable discoverers. A remote run cannot pin processes
+// it does not own: it samples the target's epoch vector before and after
+// the fan-out, and re-executes once when the two differ (tornRetries).
 //
 // Cancellation propagates to every worker: ctx flows into each discoverer
 // (the built-ins check it inside their index scans) and the fan-out itself
@@ -229,62 +207,86 @@ func RunAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds [
 	return out, serrs, err
 }
 
-// runAll is RunAll that also returns the epoch vector the answer is proved
-// to hold under: the vector sampled before and after the final attempt
-// when the two are equal and all even, nil when that attempt was torn.
+// runAll is RunAll that also returns the epoch vector the answer holds
+// under: the pinned views' generations in process; remotely, the vector
+// sampled before
+// and after the final attempt when the two are equal and all even, nil
+// when that attempt was torn.
 func runAll(ctx context.Context, t Target, q *table.Table, queryCol, k int, ds []Discoverer) ([][]Result, []ShardError, []uint64, error) {
-	query := &Query{Table: q, Column: queryCol, K: k}
-	for attempt := 0; ; attempt++ {
-		e1 := t.Epochs()
-		ns, items, call, resolve, err := shardCalls(t, query, ds)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		nd := len(ds)
-		per := make([][]Result, nd*ns)
-		errs := make([]error, nd*ns)
-		ferr := par.ForCtx(ctx, items, func(j int) {
-			defer func() {
-				if r := recover(); r != nil {
-					errs[j] = &PanicError{Method: ds[j/ns].Name(), Value: r}
-				}
-			}()
-			call(ctx, j, per, errs)
+	switch tt := t.(type) {
+	case pinner:
+		pin, epochs := tt.Pin(q, queryCol)
+		out, serrs, err := fanOut(ctx, ds, len(pin), len(ds)*len(pin), k, func(ctx context.Context, j int, per [][]Result, errs []error) {
+			per[j], errs[j] = ds[j/len(pin)].Discover(ctx, pin[j%len(pin)], q, queryCol, k)
 		})
-		if ferr != nil {
-			return nil, nil, nil, ferr
-		}
-		serrs, err := collectSlots(per, errs, ns)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		out := make([][]Result, nd)
-		if ns == 1 && len(serrs) == 0 {
-			// One answering shard: its rankings are the catalog's, unmerged —
-			// a user discoverer's own result order survives untouched.
-			copy(out, per)
-		} else {
-			for i := 0; i < nd; i++ {
-				out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
+		return out, serrs, epochs, err
+	case Remote:
+		query := &Query{Table: q, Column: queryCol, K: k}
+		ns := tt.NumShards()
+		call := func(ctx context.Context, shard int, per [][]Result, errs []error) {
+			rs, es := tt.DiscoverShard(ctx, shard, ds, query)
+			for i := range ds {
+				per[i*ns+shard], errs[i*ns+shard] = rs[i], es[i]
 			}
 		}
-		if resolve != nil {
-			if err := materialize(ctx, out, resolve, e1); err != nil {
+		for attempt := 0; ; attempt++ {
+			e1 := tt.Epochs()
+			out, serrs, err := fanOut(ctx, ds, ns, min(len(ds), 1)*ns, k, call)
+			if err == nil {
+				err = materialize(ctx, out, tt.ResolveTables, e1)
+			}
+			if err != nil {
 				return nil, nil, nil, err
 			}
+			// A clean run sampled the same all-even epoch vector on both
+			// sides: no mutation was in flight anywhere when it started and
+			// none started before it finished. A down shard's sentinel
+			// element is even and stable while it stays down, so degraded
+			// targets do not retry-storm.
+			if epochsClean(e1, tt.Epochs()) {
+				return out, serrs, e1, nil
+			}
+			if attempt == tornRetries {
+				return out, serrs, nil, nil
+			}
 		}
-		// A clean run sampled the same all-even epoch vector on both sides:
-		// no mutation was in flight anywhere when it started and none
-		// started before it finished. A down shard's sentinel element is
-		// even and stable while it stays down, so degraded targets do not
-		// retry-storm.
-		if epochsClean(e1, t.Epochs()) {
-			return out, serrs, e1, nil
-		}
-		if attempt == tornRetries {
-			return out, serrs, nil, nil
+	default:
+		return nil, nil, nil, fmt.Errorf("discovery: target %T exposes neither in-process shards nor a remote transport", t)
+	}
+}
+
+// fanOut runs one fan-out over ns shards: items work items of call, each
+// writing the (discoverer, shard) slots it covers — slot i*ns+s holds
+// discoverer i's ranking on shard s, and item j's first slot is slot j.
+// It applies the tolerance policy and merges one ranking per discoverer.
+func fanOut(ctx context.Context, ds []Discoverer, ns, items, k int, call func(ctx context.Context, j int, per [][]Result, errs []error)) ([][]Result, []ShardError, error) {
+	nd := len(ds)
+	per, errs := make([][]Result, nd*ns), make([]error, nd*ns)
+	if err := par.ForCtx(ctx, items, func(j int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[j] = &PanicError{Method: ds[j/ns].Name(), Value: r}
+			}
+		}()
+		call(ctx, j, per, errs)
+	}); err != nil {
+		return nil, nil, err
+	}
+	serrs, err := collectSlots(per, errs, ns)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]Result, nd)
+	if ns == 1 && len(serrs) == 0 {
+		// One answering shard: its rankings are the catalog's, unmerged —
+		// a user discoverer's own result order survives untouched.
+		copy(out, per)
+	} else {
+		for i := 0; i < nd; i++ {
+			out[i] = mergeShardRankings(per[i*ns:(i+1)*ns], k)
 		}
 	}
+	return out, serrs, nil
 }
 
 // collectSlots applies the tolerance policy to one fan-out's slot errors:
@@ -326,7 +328,7 @@ func collectSlots(per [][]Result, errs []error, ns int) ([]ShardError, error) {
 // answering) keeps its stub — the ranking entry stays correct by (name,
 // score), and Discover excludes column-less stubs from the integration set.
 // epochs, the attempt's before-sample, passes through to the resolver.
-func materialize(ctx context.Context, out [][]Result, resolve resolveFunc, epochs []uint64) error {
+func materialize(ctx context.Context, out [][]Result, resolve func(context.Context, []string, []uint64) (map[string]*table.Table, error), epochs []uint64) error {
 	var names []string
 	seen := make(map[string]bool)
 	for _, rs := range out {
@@ -415,10 +417,12 @@ type Answer struct {
 	// (RunAll). PerMethod and IntegrationSet then cover the reachable
 	// shards only. Always empty for in-process lakes.
 	ShardErrors []ShardError
-	// Epochs is the target's epoch vector sampled before and after the
-	// final fan-out attempt, when the two samples are equal and all even:
-	// the answer is the catalog's answer at that vector. Nil when the final
-	// attempt was torn (RunAll).
+	// Epochs is the epoch vector the answer holds under: the answer is the
+	// catalog's answer whenever Catalog.Epochs reads this vector. In
+	// process it is the vector of the views the run pinned, never nil. For
+	// a Remote it is the vector sampled equal and all even before and
+	// after the final attempt, nil when that attempt was torn (RunAll).
+	// Read-only: it may be shared with the catalog.
 	Epochs []uint64
 }
 

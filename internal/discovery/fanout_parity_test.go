@@ -2,9 +2,13 @@
 // reaches a shard — the in-process closure (Shards() + Discoverer.Discover)
 // and a stub Remote (DiscoverShard + ResolveTables, name-only stubs on the
 // "wire") — and asserts the one fan-out treats them identically: merged
-// rankings, ShardError lists, first-error-by-slot precedence, panic
-// containment and the torn-read retry. A feature added to the spine is
-// tested here once, not once per transport.
+// rankings, ShardError lists, first-error-by-slot precedence and panic
+// containment. A feature added to the spine is tested here once, not once
+// per transport. An in-process discoverer reads its shard through the run's
+// pinned handle, a Remote's through the shard lake itself; both share the
+// shard's token dictionary, which is how a scenario tells shards apart.
+// What a mid-run mutation does differs by design — an in-process run reads
+// its pin, a remote one retries — and is pinned in pin_test.go.
 package discovery_test
 
 import (
@@ -12,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -117,9 +120,9 @@ func onShard(name string, inner discovery.Discoverer, fn func(shard *lake.Lake, 
 func TestFanOutParityAcrossTransports(t *testing.T) {
 	errDown := fmt.Errorf("shard process gone: %w", discovery.ErrShardUnavailable)
 	failOn := func(sh *lake.Sharded, shard int, fail error) func(*lake.Lake, error) error {
-		victim := sh.Shards()[shard]
+		victim := sh.Shards()[shard].Tokens()
 		return func(l *lake.Lake, err error) error {
-			if l == victim {
+			if l.Tokens() == victim {
 				return fail
 			}
 			return err
@@ -183,10 +186,10 @@ func TestFanOutParityAcrossTransports(t *testing.T) {
 				return []discovery.Discoverer{
 					// slots 0..2: shard 0 unavailable (tolerable), shard 2 hard-fails.
 					onShard("d0", discovery.JosieJoin{}, func(l *lake.Lake, err error) error {
-						switch l {
-						case sh.Shards()[0]:
+						switch l.Tokens() {
+						case sh.Shards()[0].Tokens():
 							return errDown
-						case sh.Shards()[2]:
+						case sh.Shards()[2].Tokens():
 							return errors.New("slot 2 failed")
 						}
 						return err
@@ -207,7 +210,7 @@ func TestFanOutParityAcrossTransports(t *testing.T) {
 				return []discovery.Discoverer{
 					discovery.JosieJoin{},
 					onShard("bad-hook", discovery.JosieJoin{}, func(l *lake.Lake, err error) error {
-						if l == sh.Shards()[1] {
+						if l.Tokens() == sh.Shards()[1].Tokens() {
 							panic("user hook exploded")
 						}
 						return err
@@ -218,37 +221,6 @@ func TestFanOutParityAcrossTransports(t *testing.T) {
 				var pe *discovery.PanicError
 				if !errors.As(err, &pe) || pe.Method != "bad-hook" || err.Error() != `discovery: "bad-hook" panicked: user hook exploded` {
 					t.Fatalf("err = %v, want the bad-hook *PanicError", err)
-				}
-			},
-		},
-		{
-			name: "torn read retries the whole fan-out exactly once",
-			build: func(sh *lake.Sharded, calls *atomic.Int64) []discovery.Discoverer {
-				victim := "t0"
-				owner := sh.Shards()[lake.ShardIndex(victim, parityShards)]
-				var once sync.Once
-				return []discovery.Discoverer{
-					// Removes the victim behind the composite's back after
-					// answering from the pre-removal shard: only that shard's
-					// element of the epoch vector moves.
-					onShard("mutates-mid-run", discovery.JosieJoin{}, func(l *lake.Lake, err error) error {
-						calls.Add(1)
-						if l == owner {
-							once.Do(func() { err = errors.Join(err, owner.Remove(victim)) })
-						}
-						return err
-					}),
-				}
-			},
-			check: func(t *testing.T, out [][]discovery.Result, serrs []discovery.ShardError, err error, calls int64) {
-				if err != nil || len(serrs) != 0 {
-					t.Fatalf("serrs=%v err=%v", serrs, err)
-				}
-				if calls != 2*parityShards {
-					t.Fatalf("%d shard calls, want %d (one torn attempt + one retry)", calls, 2*parityShards)
-				}
-				if hasTable(out[0], "t0") {
-					t.Errorf("removed table survived the retry: %+v", out[0])
 				}
 			},
 		},

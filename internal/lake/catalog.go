@@ -18,22 +18,25 @@ import (
 //
 // Discovery never sees a Catalog: discoverers run against one concrete
 // *Lake at a time, and discovery.RunAll scatters them over the catalog's
-// shards (in-process via an optional `Shards() []*Lake` method, remote via
-// discovery.Remote) and merges the per-shard rankings deterministically.
-// Epochs is the torn-read guard for that scatter — see Lake.Epoch for the
-// seqlock protocol of each element.
+// shards (in-process by pinning them, through an optional `Pin(q, col)`
+// method; remote via discovery.Remote) and merges the per-shard rankings
+// deterministically. Epochs names the catalog state an answer
+// holds under, which is what serve's answer cache keys on.
 type Catalog interface {
-	// Epochs samples the catalog's mutation-epoch vector: one seqlock
-	// counter per epoch domain (a plain Lake has one; Sharded has a
-	// composite counter plus one per shard; a remote coordinator has a
-	// local counter plus each shard process's vector). Every element is
-	// even when that domain is settled and odd while a mutation is applying
-	// per-index deltas. A multi-index reader that samples the vector before
-	// and after a run and sees the same all-even vector (same length,
-	// elementwise equal) is guaranteed the run was not torn; any other pair
-	// means a retry. Implementations whose sampling can fail (a remote
-	// shard down) must substitute a stable even sentinel for the
-	// unreachable domain rather than erroring.
+	// Epochs samples the catalog's epoch vector: one element per epoch
+	// domain. A plain Lake has one, its published view's generation;
+	// Sharded has one per shard, the generations of the views in its
+	// published cut; a remote coordinator has its local seqlock counter
+	// (odd while a routed mutation is applying) plus each shard process's
+	// vector. No element ever goes back, and every catalog seeds its
+	// elements at random, so two equal samples mean the same catalog
+	// state. An in-process catalog's vector moves exactly when it
+	// publishes a new state, and a discovery run over it reports the
+	// vector of the state it pinned; a remote reader samples the vector
+	// before and after its run, and the same all-even vector (same length,
+	// elementwise equal) proves the run untorn. Implementations whose
+	// sampling can fail (a remote shard down) must substitute a stable
+	// even sentinel for the unreachable domain rather than erroring.
 	Epochs() []uint64
 
 	// Catalog reads carry the request's context and report failure: a

@@ -21,6 +21,7 @@
 package lake
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -56,16 +57,23 @@ type Options struct {
 // accessor loads it once and takes no lock, and each Add or Remove
 // publishes the next view. mu only serializes the mutations. The token
 // dictionary, which mutations append to, carries its own synchronization.
+//
+// A Lake is also the read-only handle a discovery run reads one pinned
+// view through (see Pin): its view never changes, and Add and Remove
+// refuse.
 type Lake struct {
 	// kbState holds the knowledge base and the value dictionary that only
 	// the benchmark reads (Knowledge, Dict).
 	kbState
-	// epoch is bumped only after validation succeeds, so failed mutations
-	// leave it untouched — see Epoch.
-	epoch  Epoch
 	mu     sync.Mutex // serializes Add and Remove
 	tokens *table.TokenDict
 	view   atomic.Pointer[view]
+	// On a pinned handle only (see Pin), query is the run's query table,
+	// queryCol its query column, and resolved resolves that column at most
+	// once; a live lake leaves them zero.
+	query    *table.Table
+	queryCol int
+	resolved func() (*table.Domain, error)
 }
 
 // view is one published state of the lake. A mutation never writes an
@@ -73,6 +81,9 @@ type Lake struct {
 // past their length) and clones the map before changing it. domains holds
 // each table's domains contiguously, in table order.
 type view struct {
+	// gen is the view's generation: seeded at random when the lake is
+	// built, and 2 more than its predecessor's for every published view.
+	gen     uint64
 	tables  []*table.Table
 	byName  map[string]entry
 	domains []table.Domain
@@ -111,27 +122,49 @@ type BuildStats struct {
 	Josie  time.Duration
 }
 
-// Epoch returns the lake's mutation epoch: even between mutations, odd
-// while Add/Remove is building and publishing the next view. A run that
-// loads the view once per discoverer can still straddle a publication; a
-// reader that samples Epoch before and after a multi-index run and sees
-// the same even value is guaranteed every load it made saw one view; any
-// other pair means the run may mix two and should be retried. Compact does
-// not bump the epoch — it changes nothing.
-func (l *Lake) Epoch() uint64 { return l.epoch.Load() }
-
-// Epochs returns the lake's mutation-epoch vector — a single element for a
-// plain Lake. The vector form is what discovery's torn-read guard samples:
-// it generalizes to composites (lake.Sharded prepends a composite counter to
-// its shards' epochs) and to shard-per-process deployments, where each
-// remote shard contributes its own counter. A clean multi-index read samples
-// the same all-even vector before and after the run.
-func (l *Lake) Epochs() []uint64 { return []uint64{l.epoch.Load()} }
+// Epochs returns the lake's epoch vector: a single element, the generation
+// of its published view. The generation changes exactly when a mutation
+// publishes the next view, by 2, and never goes back; a failed mutation
+// publishes nothing and leaves it. Every build seeds it at random (see
+// RandomEpoch), so a rebuilt or restarted lake never reports a generation
+// an earlier incarnation reported over other tables. Compact does not
+// change it — it changes nothing. A Sharded's vector is its shards'
+// generations, and a cluster coordinator's holds each shard process's
+// vector. A pinned handle reports the generation of the view it reads.
+func (l *Lake) Epochs() []uint64 { return []uint64{l.view.Load().gen} }
 
 // Shards returns the lake's shard list. A plain Lake is its own single
-// shard; the method exists so *Lake and *Sharded satisfy the same
-// scatter-gather discovery contract (see Catalog and discovery.RunAll).
+// shard, as a Sharded's shards are each one Lake. Discovery pins instead
+// (Pin); Shards stays so that code walking a catalog's shard lakes, the
+// tests' included, treats both in-process shapes alike.
 func (l *Lake) Shards() []*Lake { return []*Lake{l} }
+
+// Pin pins the lake's published view for one discovery run whose query is
+// column col of q. It returns the run's shard list, one read-only handle
+// over that view, and the epoch vector the view holds under. Every
+// discoverer of the run reads the lake through the handle, so the run
+// answers from exactly one lake state, whatever mutations land while it
+// runs. The handle resolves the query column at most once (see
+// ResolveQuery).
+func (l *Lake) Pin(q *table.Table, col int) ([]*Lake, []uint64) {
+	v := l.view.Load()
+	return []*Lake{l.handle(v, q, col, func() ([]string, error) { return QueryDomain(q, col) })}, []uint64{v.gen}
+}
+
+// handle returns a read-only Lake over v, one of the lake's views, for the
+// run whose query is column col of q; values extracts that column's value
+// set (and may share one extraction between the handles of a run).
+func (l *Lake) handle(v *view, q *table.Table, col int, values func() ([]string, error)) *Lake {
+	h := &Lake{kbState: l.kbState, tokens: l.tokens, query: q, queryCol: col}
+	h.view.Store(v)
+	h.resolved = sync.OnceValues(func() (*table.Domain, error) { return h.resolve(q, col, values) })
+	return h
+}
+
+// errPinned is what Add and Remove answer on a pinned handle: a run's
+// handle reads one published view, and the lake it was pinned from is
+// where mutations go.
+var errPinned = errors.New("lake: a pinned view is read-only; mutate the catalog it was pinned from")
 
 // New preprocesses the given tables into a queryable lake. Duplicate table
 // names are rejected: discovery results are reported by name. New is the
@@ -167,9 +200,8 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 // domains per table, in table order, for KB synthesis.
 func extract(tables []*table.Table) (*Lake, [][]table.Domain) {
 	l := &Lake{tokens: table.NewTokenDict()}
-	l.epoch.seed()
 	l.dict = table.NewDict() // empty; see Dict
-	v := &view{tables: append([]*table.Table(nil), tables...)}
+	v := &view{gen: RandomEpoch(), tables: append([]*table.Table(nil), tables...)}
 	t0 := time.Now()
 	perTable := extractDomains(tables, l.tokens)
 	v.domains = slices.Concat(perTable...)
@@ -233,17 +265,19 @@ func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Dura
 // mutation and never wait on it, and no index takes a lock. The catalog
 // and all three indexes change together, when the mutation publishes its
 // view: a reader sees all of a view or none of it, and an index it loaded
-// keeps answering as it did. A multi-index query that loads the view once
-// per index may still load two views across a publication; queries issued
-// after Add returns see the delta everywhere. Multi-index readers detect
-// that window via the mutation epoch (see Epoch) and retry —
-// discovery.RunAll does this automatically.
+// keeps answering as it did. A multi-index reader that must see one lake
+// state reads one pinned view (Pin): discovery.RunAll pins once per run,
+// so its discoverers never mix two views. Queries issued after Add
+// returns see the delta everywhere. On a pinned handle Add refuses.
 //
 // KB semantics: the added tables are annotated against the knowledge base
 // fixed at build. A KB synthesized at build time (Options.SynthesizeKB) is
 // not re-synthesized for added tables; rebuild the lake to fold new tables
 // into the synthesis.
 func (l *Lake) Add(tables ...*table.Table) error {
+	if l.resolved != nil {
+		return errPinned
+	}
 	if len(tables) == 0 {
 		return nil
 	}
@@ -253,8 +287,6 @@ func (l *Lake) Add(tables ...*table.Table) error {
 	if err := CheckAdd("lake: add", tables, prev.get); err != nil {
 		return err
 	}
-	l.epoch.Begin()
-	defer l.epoch.End()
 	next := *prev
 	t0 := time.Now()
 	perTable := extractDomains(tables, l.tokens)
@@ -284,6 +316,9 @@ func (l *Lake) Add(tables ...*table.Table) error {
 // anything is dropped (duplicate names within the batch are tolerated).
 // Remove follows Add's concurrency contract.
 func (l *Lake) Remove(names ...string) error {
+	if l.resolved != nil {
+		return errPinned
+	}
 	if len(names) == 0 {
 		return nil
 	}
@@ -298,8 +333,6 @@ func (l *Lake) Remove(names ...string) error {
 	for _, n := range nameList {
 		doomed[n] = true
 	}
-	l.epoch.Begin()
-	defer l.epoch.End()
 	next := *prev
 	next.tables = make([]*table.Table, 0, len(prev.tables)-len(doomed))
 	for _, t := range prev.tables {
@@ -344,7 +377,7 @@ func (v *view) reindex() {
 // removed names, and JOSIE is rebuilt over next's domains. Each step's
 // wall time is added to that index's field of next's BuildStats — New
 // starts from zero, so its stats are the build's own times, and every
-// mutation accumulates on top. Then next is published.
+// mutation accumulates on top. Then next is published, one generation on.
 func (l *Lake) eachIndex(next *view, added []*table.Table, addedDomains []table.Domain, removed []string) {
 	clocked := func(step func(), d *time.Duration) func() {
 		return func() {
@@ -358,6 +391,7 @@ func (l *Lake) eachIndex(next *view, added []*table.Table, addedDomains []table.
 		clocked(func() { next.join = next.join.With(addedDomains, removed) }, &next.stats.LSH),
 		clocked(func() { next.josie = josie.BuildWithDict(next.domains, l.tokens) }, &next.stats.Josie),
 	)
+	next.gen += 2
 	l.view.Store(next)
 }
 
@@ -477,14 +511,28 @@ func QueryDomain(q *table.Table, col int) ([]string, error) {
 // out-of-range column never has a cached domain, so it always reaches
 // QueryDomain's range check. The table and its domain are read from one
 // view.
+//
+// On a pinned handle, the run's own query column (the q and col it was
+// pinned for) is resolved at most once, and every call returns that one
+// domain, so the joinable discoverers of a run share it; the handles of one
+// run share its value set, computed at most once for every shard.
 func (l *Lake) ResolveQuery(q *table.Table, col int) (*table.Domain, error) {
+	if l.resolved != nil && q == l.query && col == l.queryCol {
+		return l.resolved()
+	}
+	return l.resolve(q, col, func() ([]string, error) { return QueryDomain(q, col) })
+}
+
+// resolve is ResolveQuery without the pinned run's memo; values extracts the
+// value set when q is not the view's own table.
+func (l *Lake) resolve(q *table.Table, col int, values func() ([]string, error)) (*table.Domain, error) {
 	v := l.view.Load()
 	if lt, ok := v.get(q.Name); ok && lt == q {
 		if d := v.domainFor(q.Name, col); d != nil {
 			return d, nil
 		}
 	}
-	vals, err := QueryDomain(q, col)
+	vals, err := values()
 	if err != nil {
 		return nil, err
 	}

@@ -34,27 +34,36 @@ import (
 // exactly and its candidate generation is layout-independent at small
 // partition sizes (see SHARDING.md for the banded-probing caveat at scale).
 //
-// Concurrency contract: identical to Lake — mutations are exclusive with
-// each other, queries and catalog reads run concurrently with mutations
-// and take no lock (the catalog order is published behind an atomic
-// pointer, as a Lake publishes its view), and the composite epoch (Epoch)
-// lets multi-index readers detect and retry torn reads.
-// Mutations must go through the Sharded value; mutating a shard returned by
-// Shards() directly bypasses epoch accounting and catalog-order
-// bookkeeping.
+// Concurrency contract: mutations are exclusive with each other; queries
+// and catalog reads run concurrently with mutations and take no lock. The
+// composite's state is one published cut (see cut): each routed batch
+// applies on its shards, then publishes the catalog order together with
+// every shard's view, as a Lake publishes its view. Tables, Size, Get,
+// Epochs and Pin each load that one pointer, so they never wait on a
+// batch and never see part of one.
+// Mutations must go through the Sharded value; a shard returned by Shards()
+// and mutated directly joins the composite's state only when the next
+// routed batch, failed or not, publishes a cut.
 type Sharded struct {
-	// Composite carries the routing rule, the composite epoch, and the
-	// composite-level Knowledge/Dict the cross-shard stages read.
+	// Composite carries the routing rule and the composite-level
+	// Knowledge/Dict the cross-shard stages read.
 	*Composite
 	mu sync.Mutex // serializes Add and Remove
 	// shards is fixed at construction; the *Lake values are mutable, the
 	// slice is not.
 	shards []*Lake
-	// order holds the tables in catalog order (build order, then Add
-	// order, minus removals) so Tables() reports the same sequence an
-	// unsharded lake would. A mutation publishes a new slice and never
-	// writes a published one.
-	order atomic.Pointer[[]*table.Table]
+	cut    atomic.Pointer[cut]
+}
+
+// cut is one published state of a Sharded: order holds the tables in
+// catalog order (build order, then Add order, minus removals) so Tables()
+// reports the same sequence an unsharded lake would, views[i] is shard i's
+// view as the routed batch left it, and epochs[i] is that view's
+// generation. A batch publishes a new cut and never writes a published one.
+type cut struct {
+	order  []*table.Table
+	views  []*view
+	epochs []uint64
 }
 
 // ShardIndex routes a table name to a shard: FNV-1a (64-bit) of the name,
@@ -108,12 +117,11 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 		domains = append(domains, perShard[i][next[i]])
 		next[i]++
 	}
-	order := append([]*table.Table(nil), tables...)
-	s.order.Store(&order)
 	// NewComposite finds the KB compiled, so every shard shares one
 	// *Compiled.
 	s.Composite = NewComposite(n, knowledgeFor(opts, tables, domains))
 	par.For(n, func(i int) { s.shards[i].index(s.knowledge, opts.LSH, 0) })
+	s.publish(append([]*table.Table(nil), tables...))
 	return s, nil
 }
 
@@ -122,18 +130,25 @@ func NewSharded(tables []*table.Table, n int, opts Options) (*Sharded, error) {
 // Sharded itself.
 func (s *Sharded) Shards() []*Lake { return s.shards }
 
-// Epochs returns the composite epoch followed by each shard's own epoch in
-// shard order. Routed mutations perturb the composite element; a mutation
-// applied to a shard behind the composite's back (unsupported, but possible)
-// still perturbs that shard's element, so a discovery fan-out sampling the
-// vector detects single-shard tears the scalar composite epoch cannot see.
-func (s *Sharded) Epochs() []uint64 {
-	out := make([]uint64, 0, 1+len(s.shards))
-	out = append(out, s.Epoch())
-	for _, sh := range s.shards {
-		out = append(out, sh.Epoch())
+// Epochs returns the generations of the published cut's views, in shard
+// order. Every routed batch publishes a new cut in which at least one
+// shard's view is new, so two cuts never share a vector.
+func (s *Sharded) Epochs() []uint64 { return slices.Clone(s.cut.Load().epochs) }
+
+// Pin pins the published cut for one run whose query is column col of q:
+// it returns one read-only handle per shard over the cut's view, all
+// sharing one extraction of the query's value set (see Lake.ResolveQuery),
+// and the cut's epoch vector. It loads one pointer, so it never waits on a
+// routed batch, and it is never part of one: the cut is the catalog before
+// a batch or after it.
+func (s *Sharded) Pin(q *table.Table, col int) ([]*Lake, []uint64) {
+	c := s.cut.Load()
+	values := sync.OnceValues(func() ([]string, error) { return QueryDomain(q, col) })
+	pin := make([]*Lake, len(s.shards))
+	for i, sh := range s.shards {
+		pin[i] = sh.handle(c.views[i], q, col, values)
 	}
-	return out
+	return pin, c.epochs
 }
 
 // Add routes the new tables to their shards and indexes each shard's batch
@@ -168,41 +183,50 @@ func (s *Sharded) Remove(names ...string) error {
 	if err != nil {
 		return err
 	}
-	doomed := make(map[string]bool, len(unique))
-	for _, n := range unique {
-		doomed[n] = true
-	}
 	perShard := PartitionNames(unique, len(s.shards))
-	order := slices.DeleteFunc(slices.Clone(s.Tables()), func(t *table.Table) bool { return doomed[t.Name] })
-	return s.routed(func(i int) error { return s.shards[i].Remove(perShard[i]...) }, order)
+	return s.routed(func(i int) error { return s.shards[i].Remove(perShard[i]...) }, slices.Clone(s.Tables()))
 }
 
-// routed is the composite's one mutation path: inside the composite epoch
-// bracket it runs step on every shard concurrently, joins their errors and,
-// when every shard succeeded, publishes order as the catalog order. step
-// receives the shard index; Lake.Add and Lake.Remove return at once on a
-// shard's empty sub-batch. Pre-validated batches cannot fail shard-side
-// unless a shard was mutated behind the composite's back; routed then
-// surfaces that rather than publishing an order the shards may not match.
-func (s *Sharded) routed(step func(i int) error, order []*table.Table) error {
-	s.Mutations.Begin()
-	defer s.Mutations.End()
+// routed is the composite's one mutation path: it runs step on every shard
+// concurrently, publishes the cut of the shards' views over candidates, the
+// catalog order before the batch with any added tables appended, and
+// returns the shards' joined errors. step receives the shard index;
+// Lake.Add and Lake.Remove return at once on a shard's empty sub-batch.
+// Pre-validated batches cannot fail shard-side unless a shard was mutated
+// behind the composite's back; routed then surfaces that, and the cut it
+// publishes anyway brings the composite up to the shards' own state.
+func (s *Sharded) routed(step func(i int) error, candidates []*table.Table) error {
 	errs := make([]error, len(s.shards))
 	par.For(len(s.shards), func(i int) { errs[i] = step(i) })
-	if err := errors.Join(errs...); err != nil {
-		return err
+	s.publish(candidates)
+	return errors.Join(errs...)
+}
+
+// publish stores the cut of every shard's current view. Its catalog order
+// is candidates, which publish owns, less the tables no view holds. Writers
+// hold mu, or the Sharded is not yet shared, so no routed batch runs beside
+// it.
+func (s *Sharded) publish(candidates []*table.Table) {
+	c := &cut{views: make([]*view, len(s.shards)), epochs: make([]uint64, len(s.shards))}
+	for i, sh := range s.shards {
+		c.views[i] = sh.view.Load()
+		c.epochs[i] = c.views[i].gen
 	}
-	s.order.Store(&order)
-	return nil
+	c.order = slices.DeleteFunc(candidates, func(t *table.Table) bool {
+		_, ok := c.views[s.ShardFor(t.Name)].get(t.Name)
+		return !ok
+	})
+	s.cut.Store(c)
 }
 
 // Compact is a no-op, as Lake.Compact is: no shard keeps mutation debt.
-// It never changes query answers and does not tick the epoch.
+// It never changes query answers and publishes nothing.
 func (s *Sharded) Compact() {}
 
-// Get returns a table by name, from the shard its name routes to.
+// Get returns a table by name, from the published view of the shard its
+// name routes to.
 func (s *Sharded) Get(name string) (*table.Table, bool) {
-	return s.shards[s.ShardFor(name)].Get(name)
+	return s.cut.Load().views[s.ShardFor(name)].get(name)
 }
 
 // Size reports the current number of tables across all shards.
@@ -212,4 +236,4 @@ func (s *Sharded) Size() int { return len(s.Tables()) }
 // Add order, minus removals — matching what an unsharded lake over the same
 // history would report. The returned slice is a stable snapshot — later
 // mutations never shift its elements.
-func (s *Sharded) Tables() []*table.Table { return *s.order.Load() }
+func (s *Sharded) Tables() []*table.Table { return s.cut.Load().order }

@@ -2,6 +2,7 @@ package lake_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +86,7 @@ func TestNewShardedValidation(t *testing.T) {
 
 func TestShardedAddRemoveAtomicity(t *testing.T) {
 	s, tables := shardedFixture(t, 3)
+	built := s.Epochs()
 	rng := rand.New(rand.NewSource(2))
 	fresh := difftest.DiffTable(rng, "fresh")
 	// A batch with one duplicate (against the catalog) must reject whole.
@@ -109,27 +111,57 @@ func TestShardedAddRemoveAtomicity(t *testing.T) {
 	if _, ok := s.Get(tables[1].Name); !ok {
 		t.Error("failed Remove dropped a batch member")
 	}
-	// Epoch untouched by failed mutations, even afterwards, bumped by 2 per
-	// successful one.
-	e0 := s.Epoch()
-	if e0%2 != 0 {
-		t.Fatalf("idle epoch %d is odd", e0)
+	// The epoch vector is untouched by the failed mutations and moves with
+	// every successful one.
+	if e := s.Epochs(); !slices.Equal(e, built) {
+		t.Fatalf("epochs after failed mutations = %v, want %v", e, built)
 	}
 	if err := s.Add(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if e := s.Epoch(); e != e0+2 {
-		t.Errorf("epoch after Add = %d, want %d", e, e0+2)
+	added := s.Epochs()
+	if slices.Equal(added, built) {
+		t.Errorf("epochs after Add = %v, unchanged", added)
 	}
 	if err := s.Remove("fresh"); err != nil {
 		t.Fatal(err)
 	}
-	if e := s.Epoch(); e != e0+4 {
-		t.Errorf("epoch after Remove = %d, want %d", e, e0+4)
+	removed := s.Epochs()
+	if slices.Equal(removed, added) || slices.Equal(removed, built) {
+		t.Errorf("epochs after Remove = %v, want new (built %v, after Add %v)", removed, built, added)
 	}
-	s.Compact() // answer-preserving: no epoch tick
-	if e := s.Epoch(); e != e0+4 {
-		t.Errorf("epoch after Compact = %d, want %d", e, e0+4)
+	s.Compact() // answer-preserving: the vector stays
+	if e := s.Epochs(); !slices.Equal(e, removed) {
+		t.Errorf("epochs after Compact = %v, want %v", e, removed)
+	}
+}
+
+// TestShardedCatchesUpAfterDirectShardMutation removes a table on its shard
+// directly, behind the composite's back, so the composite's published state
+// still lists it. A routed Remove of that name then fails on the shard, and
+// the composite must still catch up: the name is gone from Get, Tables and
+// Size, and the epoch vector names the shard's new view.
+func TestShardedCatchesUpAfterDirectShardMutation(t *testing.T) {
+	s, tables := shardedFixture(t, 3)
+	name := tables[1].Name
+	owner := s.Shards()[s.ShardFor(name)]
+	if err := owner.Remove(name); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(name); !ok {
+		t.Fatal("the composite saw the direct Remove at once; the test checks nothing")
+	}
+	if err := s.Remove(name); err == nil {
+		t.Fatal("a routed Remove of a name its shard no longer holds succeeded")
+	}
+	if _, ok := s.Get(name); ok {
+		t.Error("Get still finds the name after the failed routed Remove")
+	}
+	if slices.Contains(s.Tables(), tables[1]) || s.Size() != len(tables)-1 {
+		t.Errorf("Tables still lists the name, or Size = %d, want %d", s.Size(), len(tables)-1)
+	}
+	if got, want := s.Epochs()[s.ShardFor(name)], owner.Epochs()[0]; got != want {
+		t.Errorf("the composite's element for the shard is %d, want the shard's generation %d", got, want)
 	}
 }
 

@@ -19,14 +19,16 @@ import (
 // would answer at that instant.
 //
 // Why the vector is a sound key: a method name always names the same
-// discoverer (Registry.Register refuses duplicates); Add and Remove tick
-// the epoch, and the catalog's KB is fixed at build, so
-// SANTOS answers move only with them; Compact never changes answers; a
-// mutation applied to one shard behind a composite's back ticks that
-// shard's element; and an in-process cache lives and dies with the process
-// whose counters it compares. Discoverers keep their side of it: an answer
-// depends only on (shard lake state, query, column, k) — see
-// discovery.Discoverer.
+// discoverer (Registry.Register refuses duplicates); an in-process run
+// answers from the one catalog state it pinned and reports that state's
+// vector, and every Add or Remove publishes a new state under a new
+// vector; the catalog's KB is fixed at build, so SANTOS answers move only
+// with them; Compact never changes answers; no element ever goes back, and
+// an in-process cache lives and dies with the process whose vector it
+// compares. A run that a mutation overlaps is stored under the vector it
+// pinned, which the mutation has already moved past, so the next request
+// misses. Discoverers keep their side of it: an answer depends only on
+// (shard lake state, query, column, k) — see discovery.Discoverer.
 //
 // Every catalog gets a cache, a cluster coordinator's front door included.
 // There the vector is sampled across processes: element 0, the
@@ -81,7 +83,7 @@ func (c *answerCache) lookup(body []byte, epochs func() []uint64) []byte {
 }
 
 // store records resp as the answer to body under epochs, which must be
-// the clean vector RunAll proved (core.DiscoverResponse.Epochs). The body
+// the vector the answer holds under (core.DiscoverResponse.Epochs). The body
 // is copied into the key and resp is cloned, so the cache holds exactly the
 // bytes it accounts for.
 func (c *answerCache) store(body []byte, epochs []uint64, resp []byte) {

@@ -3,12 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -33,37 +34,16 @@ func postBody(t *testing.T, url string, body []byte) (int, []byte) {
 	return resp.StatusCode, out
 }
 
-// churningDiscoverer adds and removes a table on the shard it runs on at
-// every call, so the epoch moves across every fan-out attempt and the
-// final one is torn.
-type churningDiscoverer struct{ calls *atomic.Int64 }
-
-func (churningDiscoverer) Name() string { return "churning" }
-
-func (d churningDiscoverer) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
-	tmp := table.New(fmt.Sprintf("churn%d", d.calls.Add(1)), "City")
-	tmp.MustAddRow(table.StringValue("Berlin"))
-	if err := l.Add(tmp); err != nil {
-		return nil, err
-	}
-	return nil, l.Remove(tmp.Name)
-}
-
 // TestAnswerCacheStoresNothingWrong sends each request twice and requires
-// that nothing but a whole, untorn 200 answer is stored: caller errors, a
-// contained discoverer panic (500) and an answer whose final fan-out
-// attempt was torn are each recomputed on the repeat. A clean answer is
-// then stored and served once, and the /metrics text carries the counters.
+// that nothing but a whole 200 answer is stored: caller errors and a
+// contained discoverer panic (500) are each recomputed on the repeat. A
+// clean answer is then stored and served once, and the /metrics text
+// carries the counters. A torn answer, which only a coordinator returns, is
+// pinned by cluster's TestAnswerCacheNeverStoresTorn.
 func TestAnswerCacheStoresNothingWrong(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	calls := &atomic.Int64{}
-	for _, d := range []discovery.Discoverer{
-		churningDiscoverer{calls: calls},
-		discovery.SimilarityFunc{FuncName: "bad-hook", Sim: func(query, candidate *table.Table) float64 { panic("user hook exploded") }},
-	} {
-		if err := s.p().Discoverers().Register(d); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.p().Discoverers().Register(discovery.SimilarityFunc{FuncName: "bad-hook", Sim: func(query, candidate *table.Table) float64 { panic("user hook exploded") }}); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		what   string
@@ -73,7 +53,6 @@ func TestAnswerCacheStoresNothingWrong(t *testing.T) {
 		{"unknown method", discoverBody(t, "no-such-method"), http.StatusBadRequest},
 		{"query column out of range", []byte(`{"query":{"name":"q","columns":["a"],"rows":[["x"]]},"queryColumn":3}`), http.StatusBadRequest},
 		{"panicking discoverer", discoverBody(t, "lsh-join", "bad-hook"), http.StatusInternalServerError},
-		{"torn final attempt", discoverBody(t, "churning"), http.StatusOK},
 	} {
 		for i := range 2 {
 			if status, out := postBody(t, ts.URL+"/v1/discover", c.body); status != c.status {
@@ -84,10 +63,6 @@ func TestAnswerCacheStoresNothingWrong(t *testing.T) {
 			t.Fatalf("after %s the cache counters are %+v, want nothing stored or served", c.what, m)
 		}
 	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("the churning discoverer ran %d times, want 4 (two requests, two attempts each)", got)
-	}
-
 	body := discoverBody(t, "lsh-join")
 	_, first := postBody(t, ts.URL+"/v1/discover", body)
 	_, second := postBody(t, ts.URL+"/v1/discover", body)
@@ -95,13 +70,13 @@ func TestAnswerCacheStoresNothingWrong(t *testing.T) {
 		t.Fatalf("the cached answer differs from the computed one:\n%s\n%s", second, first)
 	}
 	m := s.answerCacheMetrics()
-	if m.Stores != 1 || m.Hits != 1 || m.Stale != 0 || m.Misses != 9 || m.Bytes != int64(len(body)+len(first)) {
+	if m.Stores != 1 || m.Hits != 1 || m.Stale != 0 || m.Misses != 7 || m.Bytes != int64(len(body)+len(first)) {
 		t.Fatalf("cache counters = %+v, want 1 store, 1 hit, 9 misses, %d bytes", m, len(body)+len(first))
 	}
 	_, text := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		"# TYPE dialite_answer_cache_hits_total counter\ndialite_answer_cache_hits_total 1\n",
-		"dialite_answer_cache_misses_total 9\n",
+		"dialite_answer_cache_misses_total 7\n",
 		"dialite_answer_cache_stale_total 0\n",
 		"dialite_answer_cache_stores_total 1\n",
 		"dialite_answer_cache_evictions_total 0\n",
@@ -190,6 +165,65 @@ func TestAnswerCacheConcurrentWithMutation(t *testing.T) {
 	wg.Wait()
 	if m := s.answerCacheMetrics(); m.Stores == 0 || m.Stale == 0 {
 		t.Fatalf("cache counters = %+v: the cache was never exercised across a mutation", m)
+	}
+}
+
+// midRunMutator wraps josie-join: on its first call it answers from the
+// pinned view it is handed, then adds a copy of the query table to the live
+// lake, so the mutation overlaps the run and lands before it answers.
+type midRunMutator struct {
+	live func() lake.Catalog
+	once *sync.Once
+}
+
+func (midRunMutator) Name() string { return "mid-run-mutator" }
+
+func (d midRunMutator) Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]discovery.Result, error) {
+	rs, err := discovery.JosieJoin{}.Discover(ctx, l, q, queryCol, k)
+	d.once.Do(func() {
+		cp := paperdata.T1()
+		cp.Name = "T1-added-mid-run"
+		err = errors.Join(err, d.live().Add(cp))
+	})
+	return rs, err
+}
+
+// TestAnswerCacheStoresPinnedVectorAcrossMutation sends one body whose run
+// a mutation overlaps. The answer is the pinned catalog's, so it is stored
+// under the pinned vector, which the mutation has already moved past. The
+// repeat must miss, recompute and answer with the added table, exactly as
+// a direct Pipeline.Discover does now; it never serves the pre-mutation
+// bytes. Only the repeat after that is a hit.
+func TestAnswerCacheStoresPinnedVectorAcrossMutation(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.p().Discoverers().Register(midRunMutator{live: func() lake.Catalog { return s.p().Lake() }, once: &sync.Once{}}); err != nil {
+		t.Fatal(err)
+	}
+	body := discoverBody(t, "mid-run-mutator")
+	pinned := s.p().Lake().Epochs()
+	_, first := postBody(t, ts.URL+"/v1/discover", body)
+	if slices.Equal(s.p().Lake().Epochs(), pinned) {
+		t.Fatal("the mid-run Add did not land")
+	}
+	if m := s.answerCacheMetrics(); m.Stores != 1 {
+		t.Fatalf("after the overlapped run the cache counters are %+v, want its answer stored", m)
+	}
+	_, second := postBody(t, ts.URL+"/v1/discover", body)
+	if bytes.Equal(second, first) || !bytes.Contains(second, []byte("T1-added-mid-run")) || bytes.Contains(first, []byte("T1-added-mid-run")) {
+		t.Fatalf("the repeat after the mutation served the pinned answer or missed the added table:\n first %s\nsecond %s", first, second)
+	}
+	resp, err := s.p().Discover(context.Background(), core.DiscoverRequest{Query: paperdata.T1(), QueryColumn: 1, Methods: []string{"mid-run-mutator"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := encodeJSON(encodeDiscoverResponse(resp)); err != nil || !bytes.Equal(second, want) {
+		t.Fatalf("the repeat answered %s, a direct run %s (%v)", second, want, err)
+	}
+	if _, third := postBody(t, ts.URL+"/v1/discover", body); !bytes.Equal(third, second) {
+		t.Fatalf("the hit served %s, want %s", third, second)
+	}
+	if m := s.answerCacheMetrics(); m.Hits != 1 || m.Stale != 1 || m.Stores != 2 || m.Misses != 1 {
+		t.Fatalf("cache counters = %+v, want 1 miss, 1 stale, 2 stores, 1 hit", m)
 	}
 }
 

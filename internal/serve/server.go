@@ -145,9 +145,9 @@ func NewWarming(cfg Config) *Server {
 	}
 	// /healthz, /metrics and /v1/lake/epoch bypass admission and metering:
 	// the first two must answer exactly when the serving path is saturated
-	// or refusing, and the epoch endpoint is the coordinator's torn-read
-	// sample — queueing it behind saturated compute traffic would shed
-	// every cluster read.
+	// or refusing, and the epoch endpoint is the coordinator's before- and
+	// after-sample and its answer-cache probe — queueing it behind
+	// saturated compute traffic would shed every cluster read.
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /metrics", s.metricsHandler)
 	s.mux.HandleFunc("GET /v1/lake/epoch", s.lakeEpoch)
@@ -565,7 +565,9 @@ type DiscoverResponse struct {
 // discover answers from the attached answer cache when the same body was
 // answered under the catalog's current epoch vector, and otherwise runs the
 // discovery stage and caches the answer when it is whole (not partial) and
-// proved untorn (see answers.go).
+// carries the vector it holds under: always in process, where a run reads
+// one pinned state, and for a coordinator when its run was untorn (see
+// answers.go).
 func (s *Server) discover(ctx context.Context, r *http.Request) (any, error) {
 	body, err := readBody(r.Body, r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
