@@ -1,6 +1,9 @@
 package kb
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // This file is the persistence surface of the KB: Dump flattens the
 // knowledge base into a deterministic, order-preserving declaration list,
@@ -60,32 +63,48 @@ type Dump struct {
 	Relations []RelationDecl
 }
 
-// Dump flattens the KB. The KB must not be mutated concurrently.
+// Dump flattens the KB. The KB must not be mutated concurrently. Each list
+// is filled into a slice sized once and sorted by its key; the keys are
+// unique, so the order is total.
 func (k *KB) Dump() Dump {
-	var d Dump
+	d := Dump{
+		Types:     sized[TypeDecl](len(k.parent)),
+		Entities:  sized[EntityDecl](len(k.entityTypes)),
+		Aliases:   sized[AliasDecl](len(k.alias)),
+		Relations: sized[RelationDecl](len(k.relations)),
+	}
 	for typ, parent := range k.parent {
 		d.Types = append(d.Types, TypeDecl{Type: typ, Parent: parent})
 	}
-	sort.Slice(d.Types, func(a, b int) bool { return d.Types[a].Type < d.Types[b].Type })
+	slices.SortFunc(d.Types, func(a, b TypeDecl) int { return strings.Compare(a.Type, b.Type) })
 	for e, ts := range k.entityTypes {
 		d.Entities = append(d.Entities, EntityDecl{Entity: e, Types: ts})
 	}
-	sort.Slice(d.Entities, func(a, b int) bool { return d.Entities[a].Entity < d.Entities[b].Entity })
+	slices.SortFunc(d.Entities, func(a, b EntityDecl) int { return strings.Compare(a.Entity, b.Entity) })
 	for a, c := range k.alias {
 		d.Aliases = append(d.Aliases, AliasDecl{Alias: a, Canonical: c})
 	}
-	sort.Slice(d.Aliases, func(a, b int) bool { return d.Aliases[a].Alias < d.Aliases[b].Alias })
+	slices.SortFunc(d.Aliases, func(a, b AliasDecl) int { return strings.Compare(a.Alias, b.Alias) })
 	for key, labels := range k.relations {
 		subj, obj := splitRelationKey(key)
 		d.Relations = append(d.Relations, RelationDecl{Subject: subj, Object: obj, Labels: labels})
 	}
-	sort.Slice(d.Relations, func(a, b int) bool {
-		if d.Relations[a].Subject != d.Relations[b].Subject {
-			return d.Relations[a].Subject < d.Relations[b].Subject
+	slices.SortFunc(d.Relations, func(a, b RelationDecl) int {
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
 		}
-		return d.Relations[a].Object < d.Relations[b].Object
+		return strings.Compare(a.Object, b.Object)
 	})
 	return d
+}
+
+// sized returns an empty slice with room for n elements: nil when n is 0,
+// so an empty list dumps as nil.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // FromDump rebuilds a KB from a Dump, writing the stored (already

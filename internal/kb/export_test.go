@@ -1,0 +1,32 @@
+package kb
+
+import "sort"
+
+// DumpReference is the reference Dump: each list appended and sorted with
+// sort.Slice. Dump must return the same lists in the same order.
+func DumpReference(k *KB) Dump {
+	var d Dump
+	for typ, parent := range k.parent {
+		d.Types = append(d.Types, TypeDecl{Type: typ, Parent: parent})
+	}
+	sort.Slice(d.Types, func(a, b int) bool { return d.Types[a].Type < d.Types[b].Type })
+	for e, ts := range k.entityTypes {
+		d.Entities = append(d.Entities, EntityDecl{Entity: e, Types: ts})
+	}
+	sort.Slice(d.Entities, func(a, b int) bool { return d.Entities[a].Entity < d.Entities[b].Entity })
+	for a, c := range k.alias {
+		d.Aliases = append(d.Aliases, AliasDecl{Alias: a, Canonical: c})
+	}
+	sort.Slice(d.Aliases, func(a, b int) bool { return d.Aliases[a].Alias < d.Aliases[b].Alias })
+	for key, labels := range k.relations {
+		subj, obj := splitRelationKey(key)
+		d.Relations = append(d.Relations, RelationDecl{Subject: subj, Object: obj, Labels: labels})
+	}
+	sort.Slice(d.Relations, func(a, b int) bool {
+		if d.Relations[a].Subject != d.Relations[b].Subject {
+			return d.Relations[a].Subject < d.Relations[b].Subject
+		}
+		return d.Relations[a].Object < d.Relations[b].Object
+	})
+	return d
+}

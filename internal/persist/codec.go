@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/kb"
@@ -28,6 +29,13 @@ func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v)
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
 func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
+
+// grow makes room for n more bytes in one allocation.
+func (e *enc) grow(n int) {
+	if cap(e.b)-len(e.b) < n {
+		e.b = append(make([]byte, 0, len(e.b)+n), e.b...)
+	}
+}
 
 func (e *enc) str(s string) {
 	e.uvarint(uint64(len(s)))
@@ -227,9 +235,8 @@ func (d *dec) value() table.Value {
 // A table batch (the snapshot catalog, or one WAL Add record) encodes a
 // batch-local exact-value pool followed by rows as pool indexes: open-data
 // tables repeat cells heavily, and unlike dictionary IDs the pool preserves
-// exact spellings (it is keyed by table.Value.Exact, kind and raw payload
-// bits, so NaN — which cannot key a map — and 82 vs 82.0 all get distinct
-// entries).
+// exact spellings (each kind and raw payload bits get their own entry, so
+// NaN — which cannot key a map as a float — and 82 vs 82.0 stay distinct).
 //
 // Snapshots written before format 1.2's section 3 went empty carry the
 // lake's value dictionary there, and their catalog encodes cells as
@@ -238,31 +245,92 @@ func (d *dec) value() table.Value {
 // The decoder still resolves that form; with an empty dictionary it is the
 // self-contained one every batch is written in.
 
-func (e *enc) tables(ts []*table.Table) {
-	// The pool is numbered in first-seen order and written ahead of the
-	// table bodies that reference it.
-	var pool []table.Value
-	poolIdx := make(map[table.ExactKey]uint64)
-	cellAt := func(v table.Value) uint64 {
-		i, ok := poolIdx[v.Exact()]
-		if !ok {
-			i = uint64(len(pool))
-			poolIdx[v.Exact()] = i
-			pool = append(pool, v)
-		}
-		return i
+// cellPool numbers a batch's distinct exact cells in first-seen order and
+// encodes each on first sight. Each kind keys its own map by its payload —
+// strings by their text, Int and Float by their 64 payload bits — so a
+// lookup hashes one string or one word, never a generic table.ExactKey
+// struct, and Int 82 and Float 82.0, NaN payloads and ±0 keep distinct
+// entries. Only the null kinds and bools key on ExactKey.
+type cellPool struct {
+	n      uint64 // entries so far
+	vals   enc    // their encodings, in pool order
+	strs   map[string]uint64
+	ints   map[uint64]uint64
+	floats map[uint64]uint64
+	other  map[table.ExactKey]uint64
+}
+
+// index returns v's pool index, adding v on first sight.
+func (p *cellPool) index(v table.Value) uint64 {
+	switch v.Kind() {
+	case table.String:
+		return poolIndex(p, p.strs, v.Str(), v)
+	case table.Int:
+		return poolIndex(p, p.ints, uint64(v.IntVal()), v)
+	case table.Float:
+		return poolIndex(p, p.floats, math.Float64bits(v.FloatVal()), v)
 	}
+	return poolIndex(p, p.other, v.Exact(), v)
+}
+
+// poolIndex is one map operation on a hit and the insert on a miss.
+func poolIndex[K comparable](p *cellPool, m map[K]uint64, k K, v table.Value) uint64 {
+	i, ok := m[k]
+	if !ok {
+		i = p.n
+		m[k] = i
+		p.n++
+		p.vals.value(v)
+	}
+	return i
+}
+
+// uvarintLen is the encoded length of enc.uvarint(v); strLen that of
+// enc.str(s).
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func strLen(s string) int     { return uvarintLen(uint64(len(s))) + len(s) }
+
+// tables encodes a table batch in two passes over the cells. The first
+// builds the pool and records each cell's index, one map operation per
+// cell, and sums the batch's encoded size; the buffer grows once to it. The
+// second writes the pool ahead of the table bodies that reference it, each
+// cell its recorded index.
+func (e *enc) tables(ts []*table.Table) {
+	p := cellPool{
+		strs:   make(map[string]uint64),
+		ints:   make(map[uint64]uint64),
+		floats: make(map[uint64]uint64),
+		other:  make(map[table.ExactKey]uint64),
+	}
+	ncells := 0
 	for _, t := range ts {
 		for _, row := range t.Rows {
+			ncells += len(row)
+		}
+	}
+	at := make([]uint64, 0, ncells)
+	size := 0
+	for _, t := range ts {
+		size += 8 + strLen(t.Name) + uvarintLen(uint64(len(t.Columns))) + uvarintLen(uint64(len(t.Rows)))
+		for _, c := range t.Columns {
+			size += strLen(c)
+		}
+		for _, row := range t.Rows {
+			if len(row) != len(t.Columns) {
+				panic(fmt.Sprintf("persist: table %q: row width %d != %d columns", t.Name, len(row), len(t.Columns)))
+			}
 			for _, v := range row {
-				cellAt(v)
+				i := p.index(v)
+				at = append(at, i)
+				size += uvarintLen(i)
 			}
 		}
 	}
-	e.uvarint(uint64(len(pool)))
-	for _, v := range pool {
-		e.value(v)
-	}
+	size += uvarintLen(p.n) + len(p.vals.b) + uvarintLen(uint64(len(ts)))
+	e.grow(size)
+
+	e.uvarint(p.n)
+	e.b = append(e.b, p.vals.b...)
 	e.uvarint(uint64(len(ts)))
 	for _, t := range ts {
 		// Fixed-width byte-length prefix, patched once the body is encoded:
@@ -276,14 +344,11 @@ func (e *enc) tables(ts []*table.Table) {
 			e.str(c)
 		}
 		e.uvarint(uint64(len(t.Rows)))
-		for _, row := range t.Rows {
-			if len(row) != len(t.Columns) {
-				panic(fmt.Sprintf("persist: table %q: row width %d != %d columns", t.Name, len(row), len(t.Columns)))
-			}
-			for _, v := range row {
-				e.uvarint(cellAt(v))
-			}
+		n := len(t.Rows) * len(t.Columns)
+		for _, i := range at[:n] {
+			e.uvarint(i)
 		}
+		at = at[n:]
 		binary.LittleEndian.PutUint64(e.b[lenAt:], uint64(len(e.b)-lenAt-8))
 	}
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -19,8 +20,9 @@ import (
 // error (ErrCorrupt or VersionError) — never panic, never over-allocate on
 // a fabricated count, never accept garbage. FuzzTableBatchRoundTrip pins
 // the table codec both parsers share: every batch it encodes decodes to
-// the exact cells. CI runs all three in its fuzz smoke; longer local runs
-// grow the corpus.
+// the exact cells, and FuzzTableBatchMatchesReference pins its bytes to the
+// reference encoder's. CI runs all four in its fuzz smoke; longer local
+// runs grow the corpus.
 
 // fuzzWALImage renders a small valid WAL (header plus an add and a remove
 // record) as seed material.
@@ -231,6 +233,35 @@ func FuzzTableBatchRoundTrip(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzTableBatchMatchesReference: the table-batch encoder writes the
+// reference encoder's bytes (see reference_test.go) for every batch —
+// NaN payloads, ±0, Int 82 beside Float 82.0, both null kinds, bools, the
+// int64 extremes and strings repeated across tables and columns — whether
+// or not the catalog would admit it.
+func FuzzTableBatchMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 'a', 3, 0, 1, 2, 4, 10, 11, 12, 13, 5, 9, 6, 7, 14, 15, 0, 1, 3, 4, 2, 'x', 'y', 8})
+	f.Add([]byte("\x01\x02\xff\x03\x00\x00\x00\x04\x0d\x0d\x0a\x0a\x05\x09\x0b\x0c"))
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 16; i++ {
+		b := make([]byte, 96)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ts := fuzzBatch(b)
+		var got, want enc
+		got.tables(ts)
+		want.refTables(ts)
+		if !bytes.Equal(got.b, want.b) {
+			t.Fatalf("batch encodes to %d bytes, the reference to %d, and they differ", len(got.b), len(want.b))
+		}
+		if len(got.b) != cap(got.b) {
+			t.Fatalf("%d bytes encoded into a buffer of %d: the size pass is off", len(got.b), cap(got.b))
 		}
 	})
 }

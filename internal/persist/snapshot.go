@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/lake"
+	"repro/internal/lshensemble"
 	"repro/internal/par"
 	"repro/internal/table"
 )
@@ -112,44 +113,52 @@ func snapSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// encodeSnapshot renders a full snapshot file image for a lake state whose
-// last folded WAL record is seq.
-func encodeSnapshot(st lake.State, seq uint64) []byte {
-	sections := make([][]byte, 0, 4)
-	section := func(id uint32, fill func(*enc)) {
-		var e enc
-		e.u32(id)
-		e.u64(0) // length, patched below
-		fill(&e)
-		plen := uint64(len(e.b) - 12)
-		for i := 0; i < 8; i++ {
-			e.b[4+i] = byte(plen >> (8 * i))
-		}
-		e.u32(crc32.Checksum(e.b, castagnoli))
-		sections = append(sections, e.b)
-	}
-	section(secMeta, func(e *enc) {
-		e.uvarint(uint64(st.LSH.NumHashes))
-		e.uvarint(uint64(st.LSH.NumPartitions))
-		e.varint(st.LSH.Seed)
-	})
-	section(secKB, func(e *enc) { e.kbDump(st.KB) })
-	section(secDict, func(e *enc) { e.uvarint(0) })
-	section(secCatalog, func(e *enc) { e.tables(st.Tables) })
+// encodeLake renders the snapshot file image of l's current state, whose
+// last folded WAL record is seq. It reads the catalog from one published
+// view and the KB, frozen at build, so it takes no lock.
+func encodeLake(l *lake.Lake, seq uint64) []byte {
+	return encodeImage(l.Tables(), l.Knowledge().Dump, l.Join().Options(), seq)
+}
 
-	var h enc
-	h.b = append(h.b, snapMagic...)
-	h.u16(FormatMajor)
-	h.u16(FormatMinor)
-	h.u32(uint32(len(sections)))
-	h.u64(seq)
-	h.u32(0) // reserved
-	h.u32(crc32.Checksum(h.b, castagnoli))
-	out := h.b
+// encodeImage renders a snapshot file image: the catalog of tables, the KB
+// that dump flattens, and the LSH geometry. The KB and catalog sections,
+// nearly all of an image, are encoded side by side (dump runs inside the
+// KB branch); the image is then assembled into one buffer sized from its
+// sections.
+func encodeImage(tables []*table.Table, dump func() kb.Dump, lsh lshensemble.Options, seq uint64) []byte {
+	var meta, know, dict, catalog enc
+	meta.uvarint(uint64(lsh.NumHashes))
+	meta.uvarint(uint64(lsh.NumPartitions))
+	meta.varint(lsh.Seed)
+	dict.uvarint(0)
+	par.Do(
+		func() { know.kbDump(dump()) },
+		func() { catalog.tables(tables) },
+	)
+	sections := [...]struct {
+		id   uint32
+		body []byte
+	}{{secMeta, meta.b}, {secKB, know.b}, {secDict, dict.b}, {secCatalog, catalog.b}}
+	size := snapHeaderLen
 	for _, s := range sections {
-		out = append(out, s...)
+		size += 12 + len(s.body) + 4
 	}
-	return out
+	img := enc{b: make([]byte, 0, size)}
+	img.b = append(img.b, snapMagic...)
+	img.u16(FormatMajor)
+	img.u16(FormatMinor)
+	img.u32(uint32(len(sections)))
+	img.u64(seq)
+	img.u32(0) // reserved
+	img.u32(crc32.Checksum(img.b, castagnoli))
+	for _, s := range sections {
+		start := len(img.b)
+		img.u32(s.id)
+		img.u64(uint64(len(s.body)))
+		img.b = append(img.b, s.body...)
+		img.u32(crc32.Checksum(img.b[start:], castagnoli))
+	}
+	return img.b
 }
 
 // decodeSnapshot parses a snapshot file image. file is only used in error
@@ -270,11 +279,11 @@ func buildLake(st lake.State) (*lake.Lake, error) {
 	return lake.New(st.Tables, lake.Options{Knowledge: kb.FromDump(st.KB), LSH: st.LSH})
 }
 
-// writeSnapshot atomically writes the snapshot for (st, seq) into dir (see
+// writeSnapshot atomically writes the snapshot of l at seq into dir (see
 // replaceFile): a crash leaves either no new snapshot or a complete one —
 // never a half-written file under the final name.
-func writeSnapshot(fsys FS, dir string, st lake.State, seq uint64) error {
-	if _, err := replaceFile(fsys, filepath.Join(dir, snapName(seq)), encodeSnapshot(st, seq)); err != nil {
+func writeSnapshot(fsys FS, dir string, l *lake.Lake, seq uint64) error {
+	if _, err := replaceFile(fsys, filepath.Join(dir, snapName(seq)), encodeLake(l, seq)); err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
 	return nil

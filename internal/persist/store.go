@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lake"
@@ -77,7 +78,8 @@ var ErrReadOnly = errors.New("persist: store degraded to read-only")
 // is unreadable does Open refuse.
 //
 // Mutations through the store are serialized; queries against Lake() run
-// concurrently, exactly as with a bare lake.
+// concurrently, exactly as with a bare lake. Status never waits on a
+// mutation: it reads the state published after the last one.
 type Store struct {
 	opts Options
 	fsys FS
@@ -94,6 +96,10 @@ type Store struct {
 	lastSync   time.Time
 	broken     error
 	readOnly   error // non-nil once a disk write failed; wraps ErrReadOnly
+
+	// status is the Status as of the last state change, published before
+	// mu is released: mu is held across every WAL fsync and snapshot write.
+	status atomic.Pointer[Status]
 }
 
 // Exists reports whether dir already holds a persisted lake — at least one
@@ -121,14 +127,14 @@ func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 	if len(seqs) > 0 {
 		return nil, fmt.Errorf("persist: create: %s already holds %d snapshot(s); open it instead", dir, len(seqs))
 	}
-	if err := writeSnapshot(fsys, dir, l.Export(), 0); err != nil {
+	if err := writeSnapshot(fsys, dir, l, 0); err != nil {
 		return nil, err
 	}
 	wal, walBytes, err := rewriteWAL(fsys, dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{
+	s := &Store{
 		opts:     opts,
 		fsys:     fsys,
 		dir:      dir,
@@ -137,7 +143,9 @@ func Create(dir string, l *lake.Lake, opts Options) (*Store, error) {
 		walBytes: walBytes,
 		snaps:    []uint64{0},
 		lastSync: time.Now(),
-	}, nil
+	}
+	s.publishLocked()
+	return s, nil
 }
 
 // Open recovers the lake persisted in dir: it loads the newest snapshot
@@ -262,6 +270,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.walRecords = len(recs)
 	}
 	s.lastSync = time.Now()
+	s.publishLocked()
 	return s, nil
 }
 
@@ -354,6 +363,7 @@ func (s *Store) Remove(names ...string) error {
 func (s *Store) logged(op string, validate func() error, record func(seq uint64) []byte, apply func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishLocked()
 	if err := s.refusalLocked(); err != nil {
 		return err
 	}
@@ -397,6 +407,7 @@ func (s *Store) maybeSnapshotLocked() error {
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishLocked()
 	if err := s.refusalLocked(); err != nil {
 		return err
 	}
@@ -407,7 +418,7 @@ func (s *Store) snapshotLocked() error {
 	if len(s.snaps) > 0 && s.snapSeq == s.seq {
 		return nil
 	}
-	if err := writeSnapshot(s.fsys, s.dir, s.l.Export(), s.seq); err != nil {
+	if err := writeSnapshot(s.fsys, s.dir, s.l, s.seq); err != nil {
 		// A snapshot that failed to write is a disk-side fault (full disk,
 		// I/O error): degrade rather than keep retrying writes. When the
 		// automatic trigger fired this error from inside Add/Remove, the
@@ -466,11 +477,15 @@ func (s *Store) pruneWALLocked(prev uint64) error {
 	return nil
 }
 
-// Status reports the store's durability state.
-func (s *Store) Status() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Status{
+// Status reports the store's durability state as of the last completed
+// mutation or snapshot. It takes no lock, so it answers while a write sits
+// in an fsync.
+func (s *Store) Status() Status { return *s.status.Load() }
+
+// publishLocked publishes the store's current state for Status. s.mu must
+// be held, or the store not yet shared.
+func (s *Store) publishLocked() {
+	st := &Status{
 		FormatMajor: FormatMajor,
 		FormatMinor: FormatMinor,
 		SnapshotSeq: s.snapSeq,
@@ -484,7 +499,7 @@ func (s *Store) Status() Status {
 		st.ReadOnly = true
 		st.ReadOnlyReason = s.readOnly.Error()
 	}
-	return st
+	s.status.Store(st)
 }
 
 // ReadOnly reports the degraded-mode state: nil when the store accepts

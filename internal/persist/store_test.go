@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 	"repro/internal/lake"
@@ -641,4 +644,89 @@ func TestVersionRefusal(t *testing.T) {
 			t.Fatalf("VersionError = %+v", ve)
 		}
 	})
+}
+
+// stallSyncFS wraps an FS so that, once armed, the next File.Sync blocks
+// until release is closed, after signalling entered: a disk whose fsync
+// hangs.
+type stallSyncFS struct {
+	FS
+	armed    atomic.Bool
+	entered  chan struct{}
+	release  chan struct{}
+	released sync.Once
+}
+
+func (s *stallSyncFS) Create(name string) (File, error) { return s.wrap(s.FS.Create(name)) }
+func (s *stallSyncFS) Append(name string) (File, error) { return s.wrap(s.FS.Append(name)) }
+
+func (s *stallSyncFS) wrap(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &stallSyncFile{File: f, fs: s}, nil
+}
+
+func (s *stallSyncFS) unblock() { s.released.Do(func() { close(s.release) }) }
+
+type stallSyncFile struct {
+	File
+	fs *stallSyncFS
+}
+
+func (f *stallSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestStatusAnswersDuringSync: Status — what /healthz reports — answers
+// while a mutation sits in its WAL fsync and while a snapshot sits in its
+// file sync, with the state acknowledged before it; after the write it
+// reports the write.
+func TestStatusAnswersDuringSync(t *testing.T) {
+	for _, op := range []string{"add", "snapshot"} {
+		t.Run(op, func(t *testing.T) {
+			pool, lopts := newStorePool(79, 5)
+			fsys := &stallSyncFS{FS: NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+			st := mustCreate(t, fsys, pool[:4], lopts, Options{SnapshotEvery: -1})
+			defer st.Close()
+			defer fsys.unblock() // before Close, which waits on the stalled write
+			write := func() error { return st.Add(pool[4]) }
+			if op == "snapshot" {
+				if err := st.Add(pool[4]); err != nil {
+					t.Fatal(err)
+				}
+				write = st.Snapshot
+			}
+			before := st.Status()
+			fsys.armed.Store(true)
+			wrote := make(chan error, 1)
+			go func() { wrote <- write() }()
+			<-fsys.entered
+			answered := make(chan Status, 1)
+			go func() { answered <- st.Status() }()
+			select {
+			case got := <-answered:
+				if got != before {
+					t.Fatalf("Status during the %s's sync = %+v, want the state before it %+v", op, got, before)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("Status did not answer while the %s sat in a sync", op)
+			}
+			fsys.unblock()
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			after := st.Status()
+			switch {
+			case op == "add" && (after.Seq != before.Seq+1 || after.WALRecords != before.WALRecords+1):
+				t.Fatalf("Status after the add = %+v, before %+v", after, before)
+			case op == "snapshot" && (after.SnapshotSeq != before.Seq || after.Snapshots != 2):
+				t.Fatalf("Status after the snapshot = %+v, before %+v", after, before)
+			}
+		})
+	}
 }
