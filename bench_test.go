@@ -433,8 +433,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 // integer-ID vote path (entity codes resolved through the annotation cache,
 // flattened vote programs, packed relation keys) against the retained
 // string reference that re-normalizes and re-walks the hierarchy per value.
+// The reference runs on an unfrozen twin: a frozen KB has no string form.
 func BenchmarkKBAnnotate(b *testing.B) {
 	know := kb.Demo()
+	ref := kb.FromDump(know.Dump())
 	var colVals, subjVals, objVals []string
 	for _, city := range kb.DemoCities() {
 		colVals = append(colVals, city, city+" x") // known + near-miss unknown
@@ -459,7 +461,7 @@ func BenchmarkKBAnnotate(b *testing.B) {
 	})
 	b.Run("ColumnString", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			know.AnnotateColumn(colVals)
+			ref.AnnotateColumn(colVals)
 		}
 	})
 	b.Run("PairCompiled", func(b *testing.B) {
@@ -471,7 +473,7 @@ func BenchmarkKBAnnotate(b *testing.B) {
 	})
 	b.Run("PairString", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			know.AnnotateColumnPair(pairs)
+			ref.AnnotateColumnPair(pairs)
 		}
 	})
 }

@@ -227,3 +227,18 @@ func TestRegistry(t *testing.T) {
 		t.Error("custom discoverer missing")
 	}
 }
+
+// TestRegisterRefusesNilSimilarity: a SimilarityFunc without a function
+// could only fail every run it joins, so Register refuses it, by value or
+// by pointer, and the name stays free.
+func TestRegisterRefusesNilSimilarity(t *testing.T) {
+	r := NewRegistry()
+	for _, d := range []Discoverer{SimilarityFunc{FuncName: "no-sim"}, &SimilarityFunc{FuncName: "no-sim"}} {
+		if err := r.Register(d); err == nil {
+			t.Errorf("Register(%#v) accepted a SimilarityFunc with no Sim", d)
+		}
+	}
+	if _, ok := r.Get("no-sim"); ok {
+		t.Error("a refused discoverer was registered")
+	}
+}

@@ -25,11 +25,23 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Register adds a discoverer; duplicate or empty names are errors.
+// Register adds a discoverer; duplicate or empty names, and a
+// SimilarityFunc without Sim, are errors.
 func (r *Registry) Register(d Discoverer) error {
 	name := d.Name()
 	if name == "" {
 		return fmt.Errorf("discovery: discoverer with empty name")
+	}
+	var noSim bool
+	switch s := d.(type) {
+	case SimilarityFunc:
+		noSim = s.Sim == nil
+	case *SimilarityFunc:
+		noSim = s.Sim == nil
+	}
+	if noSim {
+		// Every run it joined would fail, by the server's fault.
+		return fmt.Errorf("discovery: %q has no similarity function", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -107,13 +107,15 @@ type feature struct {
 type span struct{ start, end int32 }
 
 // embedder derives string features once per distinct value (and KB type
-// features once per type) for one Columns call, into one flat list.
+// features once per type) for one Columns call, into one flat list. KB
+// types are compiled type IDs.
 type embedder struct {
-	knowledge *kb.KB
+	knowledge *kb.Compiled
 	feats     []feature
 	byValue   map[string]span
-	byType    map[string]span
-	padded    []byte // trigram scratch: "__" + normalized value + "__"
+	byType    map[uint32]span
+	types     []uint32 // a value's declared type IDs
+	padded    []byte   // trigram scratch: "__" + normalized value + "__"
 }
 
 // Columns embeds every column of an integration set: one vector per
@@ -121,7 +123,8 @@ type embedder struct {
 // be nil, in which case no semantic-type features are produced (the X5
 // ablation measures exactly this). Each vector is L2-normalized; an
 // all-null column embeds to the zero vector. The vectors are cut from one
-// backing array.
+// backing array. Columns reads the compiled KB, so it freezes knowledge
+// (kb.KB.Compiled).
 //
 // A string value's features depend on the value alone, so they are derived
 // once per distinct value across the set — hashed in place and KB types
@@ -137,7 +140,7 @@ func Columns(tables []*table.Table, knowledge *kb.KB) [][]float64 {
 	if n == 0 {
 		return nil
 	}
-	e := &embedder{knowledge: knowledge, byValue: make(map[string]span), byType: make(map[string]span)}
+	e := &embedder{knowledge: knowledge.Compiled(), byValue: make(map[string]span), byType: make(map[uint32]span)}
 	flat := make([]float64, n*Dim)
 	out := make([][]float64, 0, n)
 	for _, t := range tables {
@@ -185,7 +188,8 @@ func (e *embedder) stringFeatures(s string) span {
 	start := int32(len(e.feats))
 	e.feats = append(e.feats, feature{kindTextBucket, wKind})
 	if e.knowledge != nil {
-		for _, t := range e.knowledge.TypesOf(s) {
+		e.types = e.knowledge.DeclaredTypeIDs(s, e.types[:0])
+		for _, t := range e.types {
 			// A type seen first here was derived in place; a known one is
 			// replayed.
 			before := int32(len(e.feats))
@@ -227,14 +231,14 @@ func (e *embedder) stringFeatures(s string) span {
 
 // typeFeatures returns the span of a KB type's features: the type, then
 // its ancestors at half weight.
-func (e *embedder) typeFeatures(t string) span {
+func (e *embedder) typeFeatures(t uint32) span {
 	if sp, ok := e.byType[t]; ok {
 		return sp
 	}
 	start := int32(len(e.feats))
-	e.feats = append(e.feats, feature{bucketAfter(kbtypePrefix, t), wKBType})
-	for _, anc := range e.knowledge.Ancestors(t) {
-		e.feats = append(e.feats, feature{bucketAfter(kbtypePrefix, anc), wKBType / 2})
+	e.feats = append(e.feats, feature{bucketAfter(kbtypePrefix, e.knowledge.TypeName(t)), wKBType})
+	for _, anc := range e.knowledge.AncestorIDs(t) {
+		e.feats = append(e.feats, feature{bucketAfter(kbtypePrefix, e.knowledge.TypeName(anc)), wKBType / 2})
 	}
 	sp := span{start, int32(len(e.feats))}
 	e.byType[t] = sp

@@ -193,14 +193,17 @@ func randomERTable(rng *rand.Rand, name string) *table.Table {
 }
 
 func TestCrossCheckResolve(t *testing.T) {
-	knows := map[string]*kb.KB{"demo": kb.Demo(), "nil": nil}
-	for kname, know := range knows {
+	// The reference reads an unfrozen twin (kb.FromDump of a Dump taken
+	// before Resolve freezes the KB), so its string methods read the string
+	// form, not the compiled one under test.
+	demo := kb.Demo()
+	knows := map[string][2]*kb.KB{"demo": {demo, kb.FromDump(demo.Dump())}, "nil": {nil, nil}}
+	for kname, kbs := range knows {
 		for _, seed := range []int64{21, 22, 23, 24, 25} {
 			rng := rand.New(rand.NewSource(seed))
 			tb := randomERTable(rng, fmt.Sprintf("t%d", seed))
-			opts := Options{Knowledge: know}
-			got, gerr := Resolve(context.Background(), tb, opts)
-			want, werr := refResolve(tb, opts)
+			got, gerr := Resolve(context.Background(), tb, Options{Knowledge: kbs[0]})
+			want, werr := refResolve(tb, Options{Knowledge: kbs[1]})
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("kb=%s seed=%d: error mismatch: %v vs %v", kname, seed, gerr, werr)
 			}
@@ -214,12 +217,13 @@ func TestCrossCheckResolve(t *testing.T) {
 
 func TestCrossCheckResolveLearned(t *testing.T) {
 	know := kb.Demo()
+	ref := kb.FromDump(know.Dump()) // the reference's unfrozen twin
 	model := &LogisticModel{Weights: []float64{3, 1, 0.5, -0.5, 2}, Bias: -2}
 	for _, seed := range []int64{31, 32, 33} {
 		rng := rand.New(rand.NewSource(seed))
 		tb := randomERTable(rng, fmt.Sprintf("t%d", seed))
 		got, gerr := ResolveLearned(context.Background(), tb, model, know, 0)
-		want, werr := refResolveLearned(tb, model, know, 0)
+		want, werr := refResolveLearned(tb, model, ref, 0)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("seed=%d: error mismatch: %v vs %v", seed, gerr, werr)
 		}

@@ -64,16 +64,19 @@ func fuzzERTable(data []byte) *table.Table {
 
 // checkResolveMatchesReference asserts that Resolve and ResolveLearned
 // return exactly what the string references return, score bits included,
-// with and without a knowledge base.
-func checkResolveMatchesReference(t *testing.T, tb *table.Table, demo *kb.KB) {
+// with and without a knowledge base. Resolve gets demo, which it freezes,
+// and the references demoRef, its unfrozen twin (kb.FromDump of a Dump
+// taken before freezing), so their string methods read the string form.
+func checkResolveMatchesReference(t *testing.T, tb *table.Table, demo, demoRef *kb.KB) {
 	t.Helper()
 	model := &LogisticModel{Weights: []float64{3, 1, 0.5, -0.5, 2}, Bias: -2}
-	for kname, know := range map[string]*kb.KB{"demo": demo, "nil": nil} {
+	for kname, kbs := range map[string][2]*kb.KB{"demo": {demo, demoRef}, "nil": {nil, nil}} {
+		know, ref := kbs[0], kbs[1]
 		got, err := Resolve(context.Background(), tb, Options{Knowledge: know})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refResolve(tb, Options{Knowledge: know})
+		want, err := refResolve(tb, Options{Knowledge: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +85,7 @@ func checkResolveMatchesReference(t *testing.T, tb *table.Table, demo *kb.KB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err = refResolveLearned(tb, model, know, 0)
+		want, err = refResolveLearned(tb, model, ref, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +160,9 @@ func FuzzResolveMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{3, 38, 13, 14, 15, 10, 11, 12, 17, 18, 19, 20, 0, 1, 7, 8, 9})
 	demo := kb.Demo()
+	demoRef := kb.FromDump(demo.Dump())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkResolveMatchesReference(t, fuzzERTable(data), demo)
+		checkResolveMatchesReference(t, fuzzERTable(data), demo, demoRef)
 	})
 }
 
@@ -175,5 +179,5 @@ func TestResolveHighRepeatMatchesReference(t *testing.T) {
 			table.IntValue(int64(r%5)),
 		)
 	}
-	checkResolveMatchesReference(t, tb, kb.Demo())
+	checkResolveMatchesReference(t, tb, kb.Demo(), kb.Demo())
 }

@@ -50,6 +50,7 @@ func Features(a, b []table.Value, knowledge *kb.KB) ([]float64, bool) {
 // fuzzAlphabet, with the demo KB and with none.
 func TestTrainLogisticMatchesReference(t *testing.T) {
 	demo := kb.Demo()
+	demoRef := kb.FromDump(demo.Dump()) // the reference's unfrozen twin
 	pairs := TrainingPairsFromFigures(demo)
 	for p := 0; p < 200; p++ {
 		cols := 1 + p%4
@@ -60,13 +61,13 @@ func TestTrainLogisticMatchesReference(t *testing.T) {
 		}
 		pairs = append(pairs, TrainingPair{A: a, B: b, Match: p%3 == 0})
 	}
-	for kname, know := range map[string]*kb.KB{"demo": demo, "nil": nil} {
-		got, err := TrainLogistic(pairs, TrainOptions{Knowledge: know})
+	for kname, kbs := range map[string][2]*kb.KB{"demo": {demo, demoRef}, "nil": {nil, nil}} {
+		got, err := TrainLogistic(pairs, TrainOptions{Knowledge: kbs[0]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := trainLogistic(pairs, func(a, b []table.Value) ([]float64, bool) {
-			return Features(a, b, know)
+			return Features(a, b, kbs[1])
 		})
 		if err != nil {
 			t.Fatal(err)

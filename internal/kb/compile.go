@@ -1,19 +1,25 @@
 package kb
 
 import (
+	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/tokenize"
 )
 
 // This file compiles a KB into an immutable integer-ID engine. The string
-// methods in kb.go remain the reference semantics; the compiled form is the
-// hot path SANTOS index builds and entity resolution run on. Everything the
-// compiled engine computes — column annotations, pair annotations, entity
-// identity — is byte-identical to the string path, pinned by the randomized
-// cross-check suite (crosscheck_test.go).
+// methods in kb.go remain the reference semantics while a KB is mutable;
+// once it is compiled the engine is the KB's only form: SANTOS index builds
+// and entity resolution run on it, and the string queries, Dump and Merge
+// read it. Everything the compiled engine computes — column annotations,
+// pair annotations, entity identity, a Dump — is byte-identical to the
+// string path, pinned by the randomized cross-check suite
+// (crosscheck_test.go) and FuzzFrozenKBMatchesMutable.
 //
 // ID spaces (all dense, deterministic — assigned in sorted-string order, so
-// compiled IDs are stable across runs and safe to pack into index keys):
+// compiled IDs are stable across runs and safe to pack into index keys, and
+// an ID order is the string order Dump sorts by):
 //
 //   - canonical-string IDs: every canonical string the KB mentions (entity
 //     keys, relation endpoints, alias targets);
@@ -34,53 +40,69 @@ type voteEntry struct {
 	w   float64
 }
 
+// declared reports whether the step is one of the entity's declared types:
+// those vote weight 1, and an ancestor at most ancestorDecay (< 1).
+func (e voteEntry) declared() bool { return e.w == 1 }
+
+// Type parent codes of Compiled.parent, beside the parent's type ID.
+const (
+	rootType       = -1 // declared with no parent
+	undeclaredType = -2 // only referenced, as a parent or an entity's type
+)
+
 // Compiled is the frozen, integer-keyed form of a KB. It is immutable and
 // safe for concurrent use.
 type Compiled struct {
 	strs   []string          // canonical strings; ID = index
 	lookup map[string]uint32 // normalized known string (incl. alias sources) -> alias-resolved ID
 
-	progs [][]voteEntry // per canonical-string ID; nil when not an entity
+	// progs holds a vote program per canonical-string ID, nil when the
+	// string is not an entity. An entity with no declared types (only
+	// FromDump and Merge make one) has an empty, non-nil program.
+	progs [][]voteEntry
 
-	types []string   // type names; typeID = index
-	ancs  [][]uint32 // per typeID: ancestor chain, nearest first (cycle-guarded)
+	types  []string   // type names; typeID = index
+	parent []int32    // per typeID: the declared parent's typeID, rootType or undeclaredType
+	ancs   [][]uint32 // per typeID: ancestor chain, nearest first (cycle-guarded)
 
 	labels []string            // relationship labels; labelID = index
 	rels   map[uint64][]uint32 // subjID<<32|objID -> label IDs, insertion order
+
+	aliases []AliasDecl // sorted by alias; nil when none
 }
 
 // Compiled returns the compiled form of the KB and freezes the KB: the
-// first call compiles and stores the engine, and every later call returns
-// the same *Compiled. Concurrent first callers may compile redundantly, but
-// CompareAndSwap keeps one engine for all of them.
+// first call compiles and stores the engine and drops the string form, and
+// every later call returns the same *Compiled. Concurrent first callers may
+// compile redundantly from the string form, which no one writes any more,
+// but CompareAndSwap keeps one engine for all of them.
 func (k *KB) Compiled() *Compiled {
 	if k == nil {
 		return nil
 	}
-	if c := k.compiled.Load(); c != nil {
-		return c
+	if d := k.decls.Load(); d != nil {
+		k.compiled.CompareAndSwap(nil, compile(d))
+		k.decls.Store(nil)
 	}
-	k.compiled.CompareAndSwap(nil, Compile(k))
 	return k.compiled.Load()
 }
 
-// Compile builds the KB's integer-ID form. The KB must not be mutated
-// concurrently; Compiled is the entry point that also freezes it. The
-// string -> ID maps of the three universes are needed only while
-// compiling, so they are not kept.
-func Compile(k *KB) *Compiled {
-	c := &Compiled{rels: make(map[uint64][]uint32, len(k.relations))}
+// compile builds the integer-ID form of a string form. The string -> ID
+// maps of the three universes are needed only while compiling, so they are
+// not kept.
+func compile(d *decls) *Compiled {
+	c := &Compiled{rels: make(map[uint64][]uint32, len(d.relations))}
 
 	// Type universe: hierarchy keys and parents, plus every type an entity
 	// declares (entities may reference types never declared via AddType).
 	typeSet := make(map[string]bool)
-	for t, p := range k.parent {
+	for t, p := range d.parent {
 		typeSet[t] = true
 		if p != "" {
 			typeSet[p] = true
 		}
 	}
-	for _, ts := range k.entityTypes {
+	for _, ts := range d.entityTypes {
 		for _, t := range ts {
 			typeSet[t] = true
 		}
@@ -90,18 +112,30 @@ func Compile(k *KB) *Compiled {
 	for i, t := range c.types {
 		typeIDs[t] = uint32(i)
 	}
+	// Each type's declaration, for Dump; a self-parent keeps its own ID.
+	c.parent = make([]int32, len(c.types))
+	for i, t := range c.types {
+		switch p, ok := d.parent[t]; {
+		case !ok:
+			c.parent[i] = undeclaredType
+		case p == "":
+			c.parent[i] = rootType
+		default:
+			c.parent[i] = int32(typeIDs[p])
+		}
+	}
 	// Ancestor chains reuse the reference walk, so the cycle guard — and
 	// therefore the chain cut points — are identical by construction.
 	c.ancs = make([][]uint32, len(c.types))
 	for i, t := range c.types {
-		for _, anc := range k.Ancestors(t) {
+		for _, anc := range d.ancestors(t) {
 			c.ancs[i] = append(c.ancs[i], typeIDs[anc])
 		}
 	}
 
 	// Label universe.
 	labelSet := make(map[string]bool)
-	for _, ls := range k.relations {
+	for _, ls := range d.relations {
 		for _, l := range ls {
 			labelSet[l] = true
 		}
@@ -119,16 +153,16 @@ func Compile(k *KB) *Compiled {
 	// targets. All are already in canonical (normalized, alias-free at add
 	// time) form; canonical strings never contain '\x1f' (Normalize maps it
 	// to a space), so relation keys split unambiguously.
-	strSet := make(map[string]bool, len(k.entityTypes))
-	for e := range k.entityTypes {
+	strSet := make(map[string]bool, len(d.entityTypes))
+	for e := range d.entityTypes {
 		strSet[e] = true
 	}
-	for key := range k.relations {
-		i := strings.IndexByte(key, '\x1f')
-		strSet[key[:i]] = true
-		strSet[key[i+1:]] = true
+	for key := range d.relations {
+		subj, obj := splitRelationKey(key)
+		strSet[subj] = true
+		strSet[obj] = true
 	}
-	for _, target := range k.alias {
+	for _, target := range d.alias {
 		strSet[target] = true
 	}
 	c.strs = sortedBoolKeys(strSet)
@@ -143,25 +177,28 @@ func Compile(k *KB) *Compiled {
 	// Resolution map: one alias hop, exactly as Canonical does — the alias
 	// map applies even to strings that are themselves entities, and alias
 	// chains are deliberately NOT chased (a→b with b→c resolves a to b).
-	c.lookup = make(map[string]uint32, len(c.strs)+len(k.alias))
+	c.lookup = make(map[string]uint32, len(c.strs)+len(d.alias))
 	for s, id := range ids {
-		if t, ok := k.alias[s]; ok {
+		if t, ok := d.alias[s]; ok {
 			c.lookup[s] = ids[t]
 		} else {
 			c.lookup[s] = id
 		}
 	}
-	for a, t := range k.alias {
+	c.aliases = sized[AliasDecl](len(d.alias))
+	for a, t := range d.alias {
 		if _, ok := c.lookup[a]; !ok {
 			c.lookup[a] = ids[t]
 		}
+		c.aliases = append(c.aliases, AliasDecl{Alias: a, Canonical: t})
 	}
+	slices.SortFunc(c.aliases, func(a, b AliasDecl) int { return strings.Compare(a.Alias, b.Alias) })
 
 	// Vote programs: flatten the per-value annotation work of
 	// AnnotateColumn once per entity.
 	c.progs = make([][]voteEntry, len(c.strs))
-	for e, types := range k.entityTypes {
-		prog := make([]voteEntry, 0, len(types)*2)
+	for e, types := range d.entityTypes {
+		prog := make([]voteEntry, 0, len(types)*2) // non-nil even when empty
 		for _, t := range types {
 			ti := typeIDs[t]
 			prog = append(prog, voteEntry{typ: ti, w: 1})
@@ -176,14 +213,13 @@ func Compile(k *KB) *Compiled {
 
 	// Relations: packed integer keys over the stored (not re-resolved)
 	// canonical endpoints, mirroring the string map's keys.
-	for key, ls := range k.relations {
-		i := strings.IndexByte(key, '\x1f')
-		pk := uint64(ids[key[:i]])<<32 | uint64(ids[key[i+1:]])
+	for key, ls := range d.relations {
+		subj, obj := splitRelationKey(key)
 		lids := make([]uint32, len(ls))
 		for j, l := range ls {
 			lids[j] = labelIDs[l]
 		}
-		c.rels[pk] = lids
+		c.rels[uint64(ids[subj])<<32|uint64(ids[obj])] = lids
 	}
 	return c
 }
@@ -196,6 +232,30 @@ func sortedBoolKeys(m map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
+
+// resolve normalizes s and resolves one alias hop, as Canonical does, to
+// a canonical-string ID; ok is false when the canonical string is not one
+// the KB mentions.
+func (c *Compiled) resolve(s string) (id uint32, ok bool) {
+	id, ok = c.lookup[tokenize.Normalize(s)]
+	return id, ok
+}
+
+// DeclaredTypeIDs appends to dst the type IDs KB.TypesOf names for s: the
+// declared types of the entity s resolves to, in declaration order.
+func (c *Compiled) DeclaredTypeIDs(s string, dst []uint32) []uint32 {
+	if id, ok := c.resolve(s); ok {
+		for _, e := range c.progs[id] {
+			if e.declared() {
+				dst = append(dst, e.typ)
+			}
+		}
+	}
+	return dst
+}
+
+// TypeName returns the name of a type ID.
+func (c *Compiled) TypeName(id uint32) string { return c.types[id] }
 
 // AncestorIDs returns the compiled ancestor chain of a type ID, nearest
 // first, with the same cycle guard as KB.Ancestors.

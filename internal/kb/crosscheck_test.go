@@ -6,7 +6,8 @@ package kb
 // entities, delimiter-bearing labels and type names, undeclared types, and
 // type-hierarchy cycles — AnnotateColumnCodes, AnnotatePairCodes and
 // SameCode must agree byte-for-byte with AnnotateColumn, AnnotateColumnPair
-// and SameEntity.
+// and SameEntity. The string methods run on an unfrozen twin (unfrozenTwin):
+// a frozen KB answers them through the compiled engine under test.
 
 import (
 	"fmt"
@@ -17,6 +18,14 @@ import (
 
 	"repro/internal/table"
 )
+
+// unfrozenTwin returns a mutable copy of k for a string reference to run
+// on, from a Dump of k's string form: k must not be frozen yet, since a
+// frozen KB's Dump reads the compiled engine.
+func unfrozenTwin(k *KB) *KB {
+	k.mutable()
+	return FromDump(k.Dump())
+}
 
 // randomKB builds a deliberately hostile knowledge base.
 func randomKB(rng *rand.Rand) *KB {
@@ -102,6 +111,7 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		rng := rand.New(rand.NewSource(seed))
 		k := randomKB(rng)
+		ref := unfrozenTwin(k)
 		ck := k.Compiled()
 		ann := NewAnnotator(ck)
 		s := ck.NewScratch()
@@ -109,7 +119,7 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 		// successive annotations independent.
 		for round := 0; round < 30; round++ {
 			vals := randomValues(rng, 1+rng.Intn(12))
-			want := k.AnnotateColumn(vals)
+			want := ref.AnnotateColumn(vals)
 			got, _ := ck.AnnotateColumnCodes(ann.CodeStrings(vals, nil), s)
 			if got != want {
 				t.Fatalf("seed=%d round=%d: AnnotateColumn mismatch\nvals: %q\ngot:  %+v\nwant: %+v", seed, round, vals, got, want)
@@ -121,7 +131,7 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 			for i := range a {
 				pairs[i] = [2]string{a[i], b[i]}
 			}
-			wantPair := k.AnnotateColumnPair(pairs)
+			wantPair := ref.AnnotateColumnPair(pairs)
 			gotPair, _ := ck.AnnotatePairCodes(ann.CodeStrings(a, nil), ann.CodeStrings(b, nil), s)
 			if gotPair != wantPair {
 				t.Fatalf("seed=%d round=%d: AnnotateColumnPair mismatch\npairs: %q\ngot:  %+v\nwant: %+v", seed, round, pairs, gotPair, wantPair)
@@ -134,11 +144,12 @@ func TestCrossCheckSameEntity(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
 		rng := rand.New(rand.NewSource(seed))
 		k := randomKB(rng)
+		ref := unfrozenTwin(k)
 		ann := NewAnnotator(k.Compiled())
 		vals := randomValues(rng, 40)
 		for i := 0; i < len(vals); i++ {
 			for j := 0; j < len(vals); j++ {
-				want := k.SameEntity(vals[i], vals[j])
+				want := ref.SameEntity(vals[i], vals[j])
 				got := SameCode(ann.CodeString(vals[i]), ann.CodeString(vals[j]))
 				if got != want {
 					t.Fatalf("seed=%d: SameEntity(%q, %q) compiled=%v reference=%v",
@@ -151,6 +162,7 @@ func TestCrossCheckSameEntity(t *testing.T) {
 
 func TestCrossCheckDemoKB(t *testing.T) {
 	k := Demo()
+	ref := unfrozenTwin(k)
 	ck := k.Compiled()
 	ann := NewAnnotator(ck)
 	s := ck.NewScratch()
@@ -161,7 +173,7 @@ func TestCrossCheckDemoKB(t *testing.T) {
 		{"Pfizer", "pfizer biontech", "J&J", "Janssen", "Moderna", "Spikevax"},
 	}
 	for i, vals := range cols {
-		want := k.AnnotateColumn(vals)
+		want := ref.AnnotateColumn(vals)
 		got, _ := ck.AnnotateColumnCodes(ann.CodeStrings(vals, nil), s)
 		if got != want {
 			t.Errorf("col %d: got %+v, want %+v", i, got, want)
@@ -173,7 +185,7 @@ func TestCrossCheckDemoKB(t *testing.T) {
 	for i := range a {
 		pairs[i] = [2]string{a[i], b[i]}
 	}
-	want := k.AnnotateColumnPair(pairs)
+	want := ref.AnnotateColumnPair(pairs)
 	got, _ := ck.AnnotatePairCodes(ann.CodeStrings(a, nil), ann.CodeStrings(b, nil), s)
 	if got != want {
 		t.Errorf("pair: got %+v, want %+v", got, want)
@@ -194,13 +206,14 @@ func TestAnnotatorNumericRenderings(t *testing.T) {
 	iv := table.IntValue(1000000000000000)
 	fv := table.FloatValue(1e15)
 	k := Demo()
+	ref := unfrozenTwin(k)
 	// Resolve in both orders: neither value's cached code may leak to the
 	// other.
 	for _, first := range []table.Value{iv, fv} {
 		a := NewAnnotator(k.Compiled())
 		a.Code(first)
 		ci, cf := a.Code(iv), a.Code(fv)
-		want := k.SameEntity(iv.String(), fv.String())
+		want := ref.SameEntity(iv.String(), fv.String())
 		if SameCode(ci, cf) != want {
 			t.Fatalf("first=%v: SameCode=%v, reference SameEntity(%q,%q)=%v",
 				first, SameCode(ci, cf), iv.String(), fv.String(), want)
@@ -288,11 +301,12 @@ func TestQueryScopeNeverWritesRoot(t *testing.T) {
 // cell codes as its rendering.
 func FuzzAnnotatorMatchesKB(f *testing.F) {
 	k := Demo()
+	ref := unfrozenTwin(k)
 	var names []string
-	for e := range k.entityTypes {
+	for e := range k.mutable().entityTypes {
 		names = append(names, e)
 	}
-	for a := range k.alias {
+	for a := range k.mutable().alias {
 		names = append(names, a)
 	}
 	sort.Strings(names)
@@ -337,13 +351,13 @@ func FuzzAnnotatorMatchesKB(f *testing.F) {
 		same := make([]bool, len(vals)*len(vals))
 		for i, x := range vals {
 			for j, y := range vals {
-				same[i*len(vals)+j] = k.SameEntity(x, y)
+				same[i*len(vals)+j] = ref.SameEntity(x, y)
 			}
 		}
 		for name, codes := range map[string][]uint32{"root": rootCodes, "scope": scopeCodes} {
 			for i, x := range vals {
-				if (codes[i] == CodeEmpty) != (k.Canonical(x) == "") {
-					t.Fatalf("%s: code %d for %q, canonical %q", name, codes[i], x, k.Canonical(x))
+				if (codes[i] == CodeEmpty) != (ref.Canonical(x) == "") {
+					t.Fatalf("%s: code %d for %q, canonical %q", name, codes[i], x, ref.Canonical(x))
 				}
 				for j, y := range vals {
 					if SameCode(codes[i], codes[j]) != same[i*len(vals)+j] {

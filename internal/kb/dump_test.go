@@ -11,7 +11,9 @@ import (
 
 // TestDumpMatchesReference: Dump returns the reference's lists, in its
 // order, nil lists included, for an empty KB, the demo KB, synthesized KBs
-// and a curated KB merged with a synthesized one.
+// and a curated KB merged with a synthesized one — both while the KB is
+// mutable and once it is frozen, when Dump reads the compiled engine. The
+// reference reads the string form, so it is taken before freezing.
 func TestDumpMatchesReference(t *testing.T) {
 	sl := synth.GenerateLake(synth.LakeOptions{Families: 6, TablesPerFamily: 3, RowsPerTable: 30, JoinablePerFamily: 1, NoiseTables: 4, Seed: 5})
 	synthesized := kb.Synthesize(sl.Tables, kb.SynthesizeOptions{})
@@ -23,10 +25,16 @@ func TestDumpMatchesReference(t *testing.T) {
 		"paper":       paper,
 		"merged":      kb.Demo().Merge(synthesized),
 	} {
-		if got, want := k.Dump(), kb.DumpReference(k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Dump differs from the reference (%d/%d types, %d/%d entities, %d/%d aliases, %d/%d relations)", name,
-				len(got.Types), len(want.Types), len(got.Entities), len(want.Entities),
-				len(got.Aliases), len(want.Aliases), len(got.Relations), len(want.Relations))
+		want := kb.DumpReference(k)
+		for _, form := range []string{"mutable", "frozen"} {
+			if form == "frozen" {
+				k.Compiled()
+			}
+			if got := k.Dump(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s: Dump differs from the reference (%d/%d types, %d/%d entities, %d/%d aliases, %d/%d relations)", name, form,
+					len(got.Types), len(want.Types), len(got.Entities), len(want.Entities),
+					len(got.Aliases), len(want.Aliases), len(got.Relations), len(want.Relations))
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package kb
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -23,85 +24,122 @@ import (
 // first Compiled() call fixes its content, and AddType, AddEntity, AddAlias
 // and AddRelation panic afterwards. Every catalog compiles its KB when it
 // is built (lake.New, lake.NewSharded, lake.NewComposite), and er.Resolve
-// compiles the KB it is handed, so a KB passed to either is frozen by the
-// call. The exception is a KB passed with lake.Options.SynthesizeKB: the
-// build copies it and synthesizes into the copy, so the caller's KB is
-// neither modified nor frozen. To extend a frozen KB, build a new one or
-// Merge it into a fresh copy.
+// and embed.Columns compile the KB they are handed, so a KB passed to any
+// of them is frozen by the call. The exception is a KB passed with
+// lake.Options.SynthesizeKB: the build copies it and synthesizes into the
+// copy, so the caller's KB is neither modified nor frozen. To extend a
+// frozen KB, build a new one or Merge it into a fresh copy.
+//
+// A KB holds one form per state. A mutable KB keeps its declarations in
+// string maps; compiling replaces them with the compiled engine, and from
+// then on every query, Dump and Merge read the engine (see compile.go).
 type KB struct {
-	parent      map[string]string   // type -> parent type ("" when root)
-	entityTypes map[string][]string // entity -> declared types
-	alias       map[string]string   // alias -> canonical entity
-	relations   map[string][]string // "subj\x1fobj" -> labels
-
+	// decls is the string form: set while the KB is mutable, nil once it
+	// is frozen. Compiled stores the engine before it drops decls, so a
+	// reader that finds decls nil finds the engine.
+	decls atomic.Pointer[decls]
 	// compiled is set once, by the first Compiled() call (see compile.go).
 	compiled atomic.Pointer[Compiled]
 }
 
+// decls is a mutable KB's string form.
+type decls struct {
+	parent      map[string]string   // type -> parent type ("" when root)
+	entityTypes map[string][]string // entity -> declared types
+	alias       map[string]string   // alias -> canonical entity
+	relations   map[string][]string // "subj\x1fobj" -> labels
+}
+
 // New returns an empty knowledge base.
 func New() *KB {
-	return &KB{
+	k := &KB{}
+	k.decls.Store(&decls{
 		parent:      make(map[string]string),
 		entityTypes: make(map[string][]string),
 		alias:       make(map[string]string),
 		relations:   make(map[string][]string),
-	}
+	})
+	return k
 }
 
-// checkMutable panics when the KB is frozen (see KB).
-func (k *KB) checkMutable() {
-	if k.compiled.Load() != nil {
+// mutable returns the string form to write into; it panics when the KB is
+// frozen (see KB).
+func (k *KB) mutable() *decls {
+	d := k.decls.Load()
+	if d == nil {
 		panic("kb: KB is frozen once compiled; build a new KB, or Merge it into a fresh copy")
 	}
+	return d
+}
+
+// form returns the KB's one form: its string form while it is mutable,
+// else (d nil) its compiled engine.
+func (k *KB) form() (d *decls, c *Compiled) {
+	if d = k.decls.Load(); d != nil {
+		return d, nil
+	}
+	return nil, k.compiled.Load()
 }
 
 // AddType declares a type with an optional parent ("" for a root type).
 func (k *KB) AddType(typ, parent string) {
-	k.checkMutable()
-	k.parent[typ] = parent
+	k.mutable().parent[typ] = parent
 }
 
 // AddEntity declares an entity with one or more types. Repeated calls
 // accumulate types.
 func (k *KB) AddEntity(entity string, types ...string) {
-	k.checkMutable()
+	d := k.mutable()
 	if e := tokenize.Normalize(entity); e != "" && len(types) > 0 {
-		k.entityTypes[e] = appendUnique(k.entityTypes[e], types...)
+		d.entityTypes[e] = appendUnique(d.entityTypes[e], types...)
 	}
 }
 
 // AddAlias maps an alias to a canonical entity; lookups and relationship
 // queries resolve aliases first. ("J&J" → "jnj", "USA" → "united states".)
 func (k *KB) AddAlias(aliasName, canonical string) {
-	k.checkMutable()
+	d := k.mutable()
 	a := tokenize.Normalize(aliasName)
 	c := tokenize.Normalize(canonical)
 	if a == "" || c == "" || a == c {
 		return
 	}
-	k.alias[a] = c
+	d.alias[a] = c
 }
 
 // AddRelation records a directed relationship subject --label--> object.
 func (k *KB) AddRelation(subject, label, object string) {
-	k.checkMutable()
-	k.relate(k.Canonical(subject), label, k.Canonical(object))
+	d := k.mutable()
+	d.relate(d.canonical(subject), label, d.canonical(object))
 }
 
 // relate is AddRelation over endpoints already in stored (canonical) form.
-func (k *KB) relate(s, label, o string) {
+func (d *decls) relate(s, label, o string) {
 	if s == "" || o == "" {
 		return
 	}
 	key := s + "\x1f" + o
-	k.relations[key] = appendUnique(k.relations[key], label)
+	d.relations[key] = appendUnique(d.relations[key], label)
+}
+
+// canonical is Canonical over the string form.
+func (d *decls) canonical(s string) string {
+	n := tokenize.Normalize(s)
+	if c, ok := d.alias[n]; ok {
+		return c
+	}
+	return n
 }
 
 // Canonical normalizes s and resolves one alias hop.
 func (k *KB) Canonical(s string) string {
+	d, c := k.form()
+	if c == nil {
+		return d.canonical(s)
+	}
 	n := tokenize.Normalize(s)
-	if c, ok := k.alias[n]; ok {
-		return c
+	if id, ok := c.lookup[n]; ok {
+		return c.strs[id]
 	}
 	return n
 }
@@ -115,21 +153,42 @@ func (k *KB) SameEntity(a, b string) bool {
 
 // HasEntity reports whether the (canonicalized) string is a known entity.
 func (k *KB) HasEntity(s string) bool {
-	_, ok := k.entityTypes[k.Canonical(s)]
-	return ok
+	d, c := k.form()
+	if c == nil {
+		_, ok := d.entityTypes[d.canonical(s)]
+		return ok
+	}
+	id, ok := c.resolve(s)
+	return ok && c.progs[id] != nil
 }
 
 // TypesOf returns the declared types of the entity (after alias
 // resolution), without ancestor expansion. Nil when unknown.
 func (k *KB) TypesOf(entity string) []string {
-	return k.entityTypes[k.Canonical(entity)]
+	d, c := k.form()
+	if c == nil {
+		return d.entityTypes[d.canonical(entity)]
+	}
+	return names(c.DeclaredTypeIDs(entity, nil), c.types)
 }
 
 // Ancestors returns the chain of ancestor types of typ, nearest first.
 func (k *KB) Ancestors(typ string) []string {
+	d, c := k.form()
+	if c == nil {
+		return d.ancestors(typ)
+	}
+	if id, ok := slices.BinarySearch(c.types, typ); ok {
+		return names(c.ancs[id], c.types)
+	}
+	return nil
+}
+
+// ancestors is Ancestors over the string form.
+func (d *decls) ancestors(typ string) []string {
 	var out []string
 	seen := map[string]bool{typ: true}
-	for cur := k.parent[typ]; cur != ""; cur = k.parent[cur] {
+	for cur := d.parent[typ]; cur != ""; cur = d.parent[cur] {
 		if seen[cur] {
 			break // defensive: cycle in a hand-built hierarchy
 		}
@@ -142,11 +201,30 @@ func (k *KB) Ancestors(typ string) []string {
 // RelationsBetween returns the labels of relationships subject --label-->
 // object, after alias resolution. Nil when none.
 func (k *KB) RelationsBetween(subject, object string) []string {
-	s, o := k.Canonical(subject), k.Canonical(object)
-	if s == "" || o == "" {
+	d, c := k.form()
+	if c == nil {
+		s, o := d.canonical(subject), d.canonical(object)
+		if s == "" || o == "" {
+			return nil
+		}
+		return d.relations[s+"\x1f"+o]
+	}
+	s, sok := c.resolve(subject)
+	o, ook := c.resolve(object)
+	if !sok || !ook || c.strs[s] == "" || c.strs[o] == "" {
 		return nil
 	}
-	return k.relations[s+"\x1f"+o]
+	return names(c.rels[uint64(s)<<32|uint64(o)], c.labels)
+}
+
+// names maps compiled IDs to their strings in of; nil when ids is empty,
+// as the string form answers.
+func names(ids []uint32, of []string) []string {
+	var out []string
+	for _, id := range ids {
+		out = append(out, of[id])
+	}
+	return out
 }
 
 // ancestorDecay is the vote weight multiplier per hierarchy level when
@@ -167,18 +245,21 @@ type ColumnAnnotation struct {
 // geometrically decayed weight for ancestors. Confidence is the fraction of
 // non-empty values whose entity carries the winning type (directly or via
 // ancestors).
+//
+// It is the string reference of the compiled engine's AnnotateColumnCodes,
+// which the cross-checks pin byte-identical to it. It reads the KB through
+// the string queries, so a cross-check runs it on a mutable KB.
 func (k *KB) AnnotateColumn(values []string) ColumnAnnotation {
 	votes := make(map[string]float64)
 	support := make(map[string]int)
 	total := 0
 	for _, raw := range values {
-		c := k.Canonical(raw)
-		if c == "" {
+		if k.Canonical(raw) == "" {
 			continue
 		}
 		total++
 		counted := make(map[string]bool)
-		for _, t := range k.entityTypes[c] {
+		for _, t := range k.TypesOf(raw) {
 			votes[t]++
 			if !counted[t] {
 				support[t]++
@@ -222,6 +303,9 @@ type PairAnnotation struct {
 // AnnotateColumnPair assigns a relationship label to the ordered column
 // pair by majority vote over row-aligned value pairs: a pair (a,b) votes
 // for every label of a--->b and (as inverse) of b--->a.
+//
+// It is the string reference of AnnotatePairCodes, read through the
+// string queries as AnnotateColumn is.
 func (k *KB) AnnotateColumnPair(pairs [][2]string) PairAnnotation {
 	type cand struct {
 		label   string
@@ -230,15 +314,14 @@ func (k *KB) AnnotateColumnPair(pairs [][2]string) PairAnnotation {
 	votes := make(map[cand]int)
 	total := 0
 	for _, p := range pairs {
-		a, b := k.Canonical(p[0]), k.Canonical(p[1])
-		if a == "" || b == "" {
+		if k.Canonical(p[0]) == "" || k.Canonical(p[1]) == "" {
 			continue
 		}
 		total++
-		for _, l := range k.relations[a+"\x1f"+b] {
+		for _, l := range k.RelationsBetween(p[0], p[1]) {
 			votes[cand{l, false}]++
 		}
-		for _, l := range k.relations[b+"\x1f"+a] {
+		for _, l := range k.RelationsBetween(p[1], p[0]) {
 			votes[cand{l, true}]++
 		}
 	}
@@ -267,8 +350,26 @@ func (k *KB) AnnotateColumnPair(pairs [][2]string) PairAnnotation {
 }
 
 // NumEntities reports the number of known entities.
-func (k *KB) NumEntities() int { return len(k.entityTypes) }
+func (k *KB) NumEntities() int {
+	d, c := k.form()
+	if c == nil {
+		return len(d.entityTypes)
+	}
+	n := 0
+	for _, prog := range c.progs {
+		if prog != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // NumRelations reports the number of (subject,object) pairs with at least
 // one relationship label.
-func (k *KB) NumRelations() int { return len(k.relations) }
+func (k *KB) NumRelations() int {
+	d, c := k.form()
+	if c == nil {
+		return len(d.relations)
+	}
+	return len(c.rels)
+}

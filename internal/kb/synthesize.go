@@ -84,7 +84,7 @@ func TextualDomains(t *table.Table) []table.Domain {
 // tokenize.Normalize alone, never resolved through k's aliases. Domain
 // values are stored as they are, already normalized. k must not be frozen.
 func SynthesizeDomains(k *KB, tables []*table.Table, domains [][]table.Domain) {
-	k.checkMutable()
+	m := k.mutable()
 	var cols []*table.Domain // every domain, in table then column order
 	for ti := range domains {
 		for j := range domains[ti] {
@@ -160,11 +160,11 @@ func SynthesizeDomains(k *KB, tables []*table.Table, domains [][]table.Domain) {
 	types := make([]string, len(cols)) // parallel to cols
 	for i, d := range cols {
 		types[i] = "syn:" + clusterName[find(i)]
-		if _, ok := k.parent[types[i]]; !ok {
-			k.parent[types[i]] = ""
+		if _, ok := m.parent[types[i]]; !ok {
+			m.parent[types[i]] = ""
 		}
 		for _, v := range d.Values {
-			k.entityTypes[v] = appendUnique(k.entityTypes[v], types[i])
+			m.entityTypes[v] = appendUnique(m.entityTypes[v], types[i])
 		}
 	}
 	// Relationship extraction from row co-occurrence: every domain is
@@ -187,7 +187,7 @@ func SynthesizeDomains(k *KB, tables []*table.Table, domains [][]table.Domain) {
 					if va.IsNull() || vb.IsNull() {
 						continue
 					}
-					k.relate(tokenize.Normalize(va.String()), label, tokenize.Normalize(vb.String()))
+					m.relate(tokenize.Normalize(va.String()), label, tokenize.Normalize(vb.String()))
 					added++
 				}
 			}
@@ -214,30 +214,38 @@ func MostlyTextual(t *table.Table, c int) bool {
 
 // Merge returns a KB containing everything in k plus everything in other;
 // conflicting aliases and type parents keep k's entry. Merging with New()
-// copies k. A lake build does not merge: it synthesizes straight into a
-// copy of its curated KB (SynthesizeDomains).
+// copies k. A frozen KB is read through its Dump. A lake build does not
+// merge: it synthesizes straight into a copy of its curated KB
+// (SynthesizeDomains).
 func (k *KB) Merge(other *KB) *KB {
 	out := New()
-	copyInto := func(src *KB) {
-		for t, p := range src.parent {
-			if _, ok := out.parent[t]; !ok {
-				out.parent[t] = p
+	m := out.mutable()
+	for _, src := range []*KB{k, other} {
+		d, c := src.form()
+		var decl Dump
+		if c != nil {
+			decl = c.dump()
+		} else {
+			decl = d.declarations()
+		}
+		for _, t := range decl.Types {
+			if _, ok := m.parent[t.Type]; !ok {
+				m.parent[t.Type] = t.Parent
 			}
 		}
-		for e, ts := range src.entityTypes {
-			out.entityTypes[e] = appendUnique(out.entityTypes[e], ts...)
+		for _, e := range decl.Entities {
+			m.entityTypes[e.Entity] = appendUnique(m.entityTypes[e.Entity], e.Types...)
 		}
-		for a, c := range src.alias {
-			if _, ok := out.alias[a]; !ok {
-				out.alias[a] = c
+		for _, a := range decl.Aliases {
+			if _, ok := m.alias[a.Alias]; !ok {
+				m.alias[a.Alias] = a.Canonical
 			}
 		}
-		for key, ls := range src.relations {
-			out.relations[key] = appendUnique(out.relations[key], ls...)
+		for _, r := range decl.Relations {
+			key := r.Subject + "\x1f" + r.Object
+			m.relations[key] = appendUnique(m.relations[key], r.Labels...)
 		}
 	}
-	copyInto(k)
-	copyInto(other)
 	return out
 }
 

@@ -161,10 +161,11 @@ func (l *Lake) handle(v *view, q *table.Table, col int, values func() ([]string,
 	return h
 }
 
-// errPinned is what Add and Remove answer on a pinned handle: a run's
+// ErrPinned is what Add and Remove answer on a pinned handle: a run's
 // handle reads one published view, and the lake it was pinned from is
-// where mutations go.
-var errPinned = errors.New("lake: a pinned view is read-only; mutate the catalog it was pinned from")
+// where mutations go. Only a discoverer holds a pinned handle, so the
+// refusal is the discoverer's fault, never its caller's.
+var ErrPinned = errors.New("lake: a pinned view is read-only; mutate the catalog it was pinned from")
 
 // New preprocesses the given tables into a queryable lake. Duplicate table
 // names are rejected: discovery results are reported by name. New is the
@@ -276,7 +277,7 @@ func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Dura
 // into the synthesis.
 func (l *Lake) Add(tables ...*table.Table) error {
 	if l.resolved != nil {
-		return errPinned
+		return ErrPinned
 	}
 	if len(tables) == 0 {
 		return nil
@@ -317,7 +318,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 // Remove follows Add's concurrency contract.
 func (l *Lake) Remove(names ...string) error {
 	if l.resolved != nil {
-		return errPinned
+		return ErrPinned
 	}
 	if len(names) == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/kb"
@@ -106,5 +107,27 @@ func TestQueryDomain(t *testing.T) {
 	}
 	if _, err := QueryDomain(q, 9); err == nil {
 		t.Error("out of range must error")
+	}
+}
+
+// TestPinnedHandleRefusesWithErrPinned: Add and Remove on a pinned handle
+// of a Lake or a Sharded answer ErrPinned, which callers can tell apart
+// from a caller's bad batch.
+func TestPinnedHandleRefusesWithErrPinned(t *testing.T) {
+	l := demoLake(t)
+	sharded, err := NewSharded(paperdata.CovidLake(), 2, Options{Knowledge: kb.Demo()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := l.Tables()[0]
+	hs, _ := l.Pin(q, 0)
+	shs, _ := sharded.Pin(q, 0)
+	for i, h := range append(hs, shs...) {
+		if err := h.Add(table.New("added", "a")); !errors.Is(err, ErrPinned) {
+			t.Errorf("handle %d: Add = %v, want ErrPinned", i, err)
+		}
+		if err := h.Remove(q.Name); !errors.Is(err, ErrPinned) {
+			t.Errorf("handle %d: Remove = %v, want ErrPinned", i, err)
+		}
 	}
 }

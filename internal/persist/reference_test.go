@@ -226,3 +226,64 @@ func TestSnapshotFilesPinned(t *testing.T) {
 		}
 	}
 }
+
+// refFramesPast is the WAL prune's reference selection: decode the whole
+// WAL and keep the raw frames of the records past prev.
+func refFramesPast(b []byte, prev uint64) ([][]byte, error) {
+	recs, _, err := decodeWAL(b)
+	if err != nil {
+		return nil, err
+	}
+	var frames [][]byte
+	for _, r := range recs {
+		if r.seq > prev {
+			frames = append(frames, r.raw)
+		}
+	}
+	return frames, nil
+}
+
+// TestWALPruneMatchesReference: walFramesPast keeps, byte for byte, the
+// frames the decodeWAL-based selection keeps, for every prev, on a WAL of
+// Add and Remove records and on copies of it cut short, with a flipped
+// byte in the header, a frame length or a payload, with a stale record of
+// a lower sequence after the last, and with a newer major version.
+func TestWALPruneMatchesReference(t *testing.T) {
+	pool, _ := newStorePool(3, 6)
+	img := walHeader()
+	for i, tb := range pool {
+		img = append(img, encodeAddRecord(uint64(2*i+1), []*table.Table{tb})...)
+		img = append(img, encodeRemoveRecord(uint64(2*i+2), []string{tb.Name})...)
+	}
+	flip := func(at int) []byte {
+		b := bytes.Clone(img)
+		b[at] ^= 0x40
+		return b
+	}
+	newer := bytes.Clone(img)
+	binary.LittleEndian.PutUint16(newer[8:], FormatMajor+1)
+	binary.LittleEndian.PutUint32(newer[12:], crc32.Checksum(newer[:12], castagnoli))
+	variants := map[string][]byte{
+		"whole":           img,
+		"damaged header":  flip(3),
+		"flipped length":  flip(walHeaderLen + 1),
+		"flipped payload": flip(len(img) / 2),
+		"stale record":    append(bytes.Clone(img), encodeRemoveRecord(4, []string{"x"})...),
+		"newer major":     newer,
+	}
+	for cut := 0; cut < len(img); cut += 1 + len(img)/40 {
+		variants[fmt.Sprintf("cut at %d", cut)] = img[:cut]
+	}
+	for name, b := range variants {
+		for prev := uint64(0); prev <= uint64(2*len(pool)+1); prev++ {
+			got, gerr := walFramesPast(b, prev)
+			want, werr := refFramesPast(b, prev)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%s, prev %d: error %v, the reference's %v", name, prev, gerr, werr)
+			}
+			if len(got) != len(want) || !bytes.Equal(bytes.Join(got, nil), bytes.Join(want, nil)) {
+				t.Fatalf("%s, prev %d: kept %d frames, the reference %d, or their bytes differ", name, prev, len(got), len(want))
+			}
+		}
+	}
+}

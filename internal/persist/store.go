@@ -446,21 +446,16 @@ func (s *Store) snapshotLocked() error {
 }
 
 // pruneWALLocked rewrites the WAL keeping only records past prev — the
-// generation the store can still fall back to.
+// generation the store can still fall back to. It selects the frames by
+// their headers and sequence numbers (walFramesPast) and decodes no record.
 func (s *Store) pruneWALLocked(prev uint64) error {
 	b, err := s.fsys.ReadFile(filepath.Join(s.dir, walFile))
 	if err != nil {
 		return fmt.Errorf("persist: wal prune: %w", err)
 	}
-	recs, _, derr := decodeWAL(b)
-	if derr != nil {
-		return derr
-	}
-	var frames [][]byte
-	for _, r := range recs {
-		if r.seq > prev {
-			frames = append(frames, r.raw)
-		}
+	frames, err := walFramesPast(b, prev)
+	if err != nil {
+		return err
 	}
 	if s.wal != nil {
 		s.wal.Close()

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 
 	"repro/internal/table"
@@ -117,37 +118,14 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 // is non-nil only for refusals (an incompatible major version) — torn and
 // corrupt tails are an expected crash outcome, reported via validLen, not
 // an error.
-//
-// A header that is missing, short or damaged invalidates the whole file
-// (validLen 0): the header is written and synced before any record is
-// acknowledged, so no acknowledged mutation can live past it.
 func decodeWAL(b []byte) (recs []walRecord, validLen int, err error) {
-	if len(b) < walHeaderLen {
-		return nil, 0, nil
-	}
-	h := &dec{b: b[:walHeaderLen]}
-	magicOK := string(h.take(8)) == walMagic
-	major, minor := h.u16(), h.u16()
-	crcOK := h.u32() == crc32.Checksum(b[:walHeaderLen-4], castagnoli)
-	if !magicOK || !crcOK {
-		return nil, 0, nil
-	}
-	if major != FormatMajor || minor > FormatMinor {
-		return nil, 0, &VersionError{File: walFile, Major: major, Minor: minor}
+	if ok, err := checkWALHeader(b); !ok {
+		return nil, 0, err
 	}
 	off := walHeaderLen
 	for {
-		rest := b[off:]
-		if len(rest) < 8 {
-			return recs, off, nil
-		}
-		plen := int(uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24)
-		want := uint32(rest[4]) | uint32(rest[5])<<8 | uint32(rest[6])<<16 | uint32(rest[7])<<24
-		if plen < 9 || plen > len(rest)-8 {
-			return recs, off, nil
-		}
-		payload := rest[8 : 8+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
+		frame, payload, ok := nextFrame(b[off:])
+		if !ok {
 			return recs, off, nil
 		}
 		r, derr := decodeWALPayload(payload)
@@ -161,8 +139,81 @@ func decodeWAL(b []byte) (recs []walRecord, validLen int, err error) {
 			// regression means the tail is stale bytes, not a valid record.
 			return recs, off, nil
 		}
-		r.raw = rest[:8+plen]
+		r.raw = frame
 		recs = append(recs, r)
-		off += 8 + plen
+		off += len(frame)
 	}
+}
+
+// walFramesPast returns the raw frames of a WAL image's valid prefix whose
+// sequence number is past prev, in order, for a prune to keep. It reads
+// each frame's length, CRC and leading sequence number and decodes no
+// payload. It stops where decodeWAL stops — a missing or damaged header, a
+// short, oversized or CRC-failing frame, a sequence that does not rise —
+// except at a frame whose CRC matches but whose payload does not parse,
+// which it keeps. The store prunes only frames it wrote itself, so it meets
+// no such frame; and if one were kept, Open's decodeWAL would stop at it
+// as it would have before the prune.
+func walFramesPast(b []byte, prev uint64) ([][]byte, error) {
+	if ok, err := checkWALHeader(b); !ok {
+		return nil, err
+	}
+	var frames [][]byte
+	var last uint64
+	for off := walHeaderLen; ; {
+		frame, payload, ok := nextFrame(b[off:])
+		if !ok {
+			return frames, nil
+		}
+		seq := binary.LittleEndian.Uint64(payload)
+		if off > walHeaderLen && seq <= last {
+			return frames, nil
+		}
+		if seq > prev {
+			frames = append(frames, frame)
+		}
+		last = seq
+		off += len(frame)
+	}
+}
+
+// checkWALHeader validates a WAL image's header. ok is false when the
+// header is missing, short or damaged, which invalidates the whole file
+// (the header is written and synced before any record is acknowledged, so
+// no acknowledged mutation can live past it), and err is set when the
+// file's major version is not this build's.
+func checkWALHeader(b []byte) (ok bool, err error) {
+	if len(b) < walHeaderLen {
+		return false, nil
+	}
+	h := &dec{b: b[:walHeaderLen]}
+	magicOK := string(h.take(8)) == walMagic
+	major, minor := h.u16(), h.u16()
+	crcOK := h.u32() == crc32.Checksum(b[:walHeaderLen-4], castagnoli)
+	if !magicOK || !crcOK {
+		return false, nil
+	}
+	if major != FormatMajor || minor > FormatMinor {
+		return false, &VersionError{File: walFile, Major: major, Minor: minor}
+	}
+	return true, nil
+}
+
+// nextFrame splits the record frame at the front of rest, its length and
+// CRC included, from its payload. ok is false unless rest starts with a
+// whole frame whose payload holds at least a sequence number and an op
+// and matches its CRC.
+func nextFrame(rest []byte) (frame, payload []byte, ok bool) {
+	if len(rest) < 8 {
+		return nil, nil, false
+	}
+	plen := int(binary.LittleEndian.Uint32(rest))
+	if plen < 9 || plen > len(rest)-8 {
+		return nil, nil, false
+	}
+	payload = rest[8 : 8+plen]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+		return nil, nil, false
+	}
+	return rest[:8+plen], payload, true
 }

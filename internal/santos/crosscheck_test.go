@@ -162,13 +162,14 @@ func assertSameRanking(t *testing.T, label string, got []Result, want []refResul
 
 func TestCrossCheckDemoLake(t *testing.T) {
 	know := kb.Demo()
+	ref := kb.FromDump(know.Dump()) // the reference's unfrozen twin
 	lakeTables := append(paperdata.CovidLake(), paperdata.T3())
 	ix := Build(lakeTables, know)
 	q := paperdata.T1()
 	for col := 0; col < q.NumCols(); col++ {
 		for _, k := range []int{0, 1, 10} {
 			got, gerr := ix.Query(q, col, k)
-			want, werr := refQuery(lakeTables, know, q, col, k)
+			want, werr := refQuery(lakeTables, ref, q, col, k)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("col=%d k=%d: error mismatch: %v vs %v", col, k, gerr, werr)
 			}
@@ -188,6 +189,7 @@ func TestCrossCheckDemoLake(t *testing.T) {
 // voting separately.
 func TestCrossCheckMixedKindLakes(t *testing.T) {
 	know := kb.Demo()
+	ref := kb.FromDump(know.Dump()) // the reference's unfrozen twin
 	for _, seed := range []int64{11, 12, 13} {
 		rng := rand.New(rand.NewSource(seed))
 		cities := []string{"Berlin", "berlin", "Boston", "Tokyo", "Lyon", "Madrid"}
@@ -222,7 +224,7 @@ func TestCrossCheckMixedKindLakes(t *testing.T) {
 		ix := Build(lakeTables, know)
 		for col := 0; col < q.NumCols(); col++ {
 			got, gerr := ix.Query(q, col, 0)
-			want, werr := refQuery(lakeTables, know, q, col, 0)
+			want, werr := refQuery(lakeTables, ref, q, col, 0)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("seed=%d col=%d: error mismatch: %v vs %v", seed, col, gerr, werr)
 			}
@@ -262,11 +264,12 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 			lakeTables = append(lakeTables, mk(fmt.Sprintf("t%02d", i), 4+rng.Intn(10)))
 		}
 		know := kb.Synthesize(lakeTables, kb.SynthesizeOptions{})
+		ref := kb.FromDump(know.Dump()) // the reference's unfrozen twin
 		ix := Build(lakeTables, know)
 		q := mk("query", 6)
 		for col := 0; col < q.NumCols(); col++ {
 			got, gerr := ix.Query(q, col, 0)
-			want, werr := refQuery(lakeTables, know, q, col, 0)
+			want, werr := refQuery(lakeTables, ref, q, col, 0)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("seed=%d col=%d: error mismatch: %v vs %v", seed, col, gerr, werr)
 			}

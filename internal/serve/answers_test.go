@@ -338,3 +338,31 @@ func TestAnswerCacheKeepsNoCallerBuffer(t *testing.T) {
 		t.Fatal("the overwritten body is answered as if it were the stored one")
 	}
 }
+
+// faultyDiscoverer is a registered discoverer whose run fails by its own
+// fault: it mutates the pinned, read-only handle it was given.
+type faultyDiscoverer struct{}
+
+func (faultyDiscoverer) Name() string { return "mutates-pinned" }
+
+func (faultyDiscoverer) Discover(_ context.Context, l *lake.Lake, _ *table.Table, _, _ int) ([]discovery.Result, error) {
+	return nil, l.Add(table.New("added", "a"))
+}
+
+// TestDiscovererFaultIsServerError: a discoverer that mutates its pinned
+// handle fails on the server's side, not the caller's, so the request
+// answers 500 (and nothing is stored in the answer cache).
+func TestDiscovererFaultIsServerError(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.p().Discoverers().Register(faultyDiscoverer{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if status, out := postBody(t, ts.URL+"/v1/discover", discoverBody(t, "mutates-pinned")); status != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500: %s", i, status, out)
+		}
+	}
+	if m := s.answerCacheMetrics(); m.Stores != 0 {
+		t.Fatalf("a failed run was stored: %+v", m)
+	}
+}

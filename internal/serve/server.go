@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/er"
+	"repro/internal/lake"
 	"repro/internal/persist"
 	"repro/internal/table"
 )
@@ -404,6 +405,10 @@ func statusFor(err error) int {
 		// writes are refused until an operator intervenes, but this is a
 		// server-side condition, not the caller's error.
 		return http.StatusServiceUnavailable
+	case errors.Is(err, lake.ErrPinned):
+		// A registered discoverer mutated the pinned handle of its run: a
+		// fault of the server's own code, not of the request.
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, errShuttingDown):
