@@ -430,8 +430,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkKBAnnotate isolates the SANTOS annotation engine: the compiled
-// integer-ID vote path (entity codes resolved through the annotation cache,
-// flattened vote programs, packed relation keys) against the retained
+// integer-ID vote path (entity codes from Compiled.Code, flattened vote
+// programs, packed relation keys) against the retained
 // string reference that re-normalizes and re-walks the hierarchy per value.
 // The reference runs on an unfrozen twin: a frozen KB has no string form.
 func BenchmarkKBAnnotate(b *testing.B) {
@@ -448,15 +448,19 @@ func BenchmarkKBAnnotate(b *testing.B) {
 		pairs[i] = [2]string{subjVals[i], objVals[i]}
 	}
 	ck := know.Compiled()
-	ann := kb.NewAnnotator(ck)
 	s := ck.NewScratch()
-	colCodes := ann.CodeStrings(colVals, nil)
-	subjCodes := ann.CodeStrings(subjVals, nil)
-	objCodes := ann.CodeStrings(objVals, nil)
+	codes := func(vals []string, dst []uint32) []uint32 {
+		for i, v := range vals {
+			dst[i] = ck.Code(v)
+		}
+		return dst
+	}
+	colCodes := make([]uint32, len(colVals))
+	subjCodes := make([]uint32, len(subjVals))
+	objCodes := make([]uint32, len(objVals))
 	b.Run("ColumnCompiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ann.CodeStrings(colVals, colCodes) // steady state: cache hits
-			ck.AnnotateColumnCodes(colCodes, s)
+			ck.AnnotateColumnCodes(codes(colVals, colCodes), s)
 		}
 	})
 	b.Run("ColumnString", func(b *testing.B) {
@@ -466,9 +470,7 @@ func BenchmarkKBAnnotate(b *testing.B) {
 	})
 	b.Run("PairCompiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ann.CodeStrings(subjVals, subjCodes)
-			ann.CodeStrings(objVals, objCodes)
-			ck.AnnotatePairCodes(subjCodes, objCodes, s)
+			ck.AnnotatePairCodes(codes(subjVals, subjCodes), codes(objVals, objCodes), s)
 		}
 	})
 	b.Run("PairString", func(b *testing.B) {

@@ -288,10 +288,6 @@ func (c *shardClient) remove(ctx context.Context, names []string) error {
 	return c.do(ctx, "remove", http.MethodPost, "/v1/lake/remove", serve.LakeRemoveRequest{Names: names}, nil)
 }
 
-func (c *shardClient) compact(ctx context.Context) error {
-	return c.do(ctx, "compact", http.MethodPost, "/v1/lake/compact", struct{}{}, nil)
-}
-
 // normalizeAddr turns an operator-supplied shard address into a base URL:
 // "host:port" gains "http://", schemes pass through, trailing slashes are
 // trimmed.

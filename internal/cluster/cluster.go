@@ -411,17 +411,6 @@ func tableNames(tables []*table.Table) []string {
 	return out
 }
 
-// Compact sends POST /v1/lake/compact to every shard, where it is a no-op
-// (lake.Lake.Compact). Advisory and answer-preserving: down shards are
-// skipped and no epoch ticks.
-func (c *Coordinator) Compact() {
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	par.For(len(c.shards), func(i int) {
-		_ = c.shards[i].compact(ctx)
-	})
-}
-
 // DiscoverShard runs every discoverer of a run on one shard in one
 // /v1/discover call naming all their methods. The request body is encoded
 // once per run (discovery.Query.Encoded) and shared by every shard's call.

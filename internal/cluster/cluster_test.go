@@ -140,7 +140,7 @@ func TestClusterDiscoveryMatchesSharded(t *testing.T) {
 	}
 }
 
-// TestClusterRoutedMutations drives Add/Remove/Compact through the
+// TestClusterRoutedMutations drives Add and Remove through the
 // coordinator and verifies placement (each table lands on the shard its
 // name hashes to), lake-identical validation errors, and mirror
 // equivalence after every mutation.
@@ -188,8 +188,6 @@ func TestClusterRoutedMutations(t *testing.T) {
 	if err := mirror.Remove(pool[0].Name, pool[5].Name); err != nil {
 		t.Fatal(err)
 	}
-	tc.coord.Compact()
-	mirror.Compact()
 	reg := discovery.NewRegistry()
 	for _, q := range pool[:3] {
 		got := difftest.DiscoverySig(reg, tc.coord, q, 0, 0)

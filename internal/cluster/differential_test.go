@@ -1,7 +1,7 @@
 // differential_test is the multi-process differential harness: real shard
 // server processes (this test binary re-executed in helper mode, each with
 // its own durable persist store), a coordinator over them, and an
-// in-process lake.Sharded twin. Randomized Add/Remove/Compact schedules
+// in-process lake.Sharded twin. Randomized Add/Remove schedules
 // are mirrored into both; after every mutation the coordinator's discovery
 // answers must be byte-identical — float64 bit-exact scores included — to
 // the twin's. Midway, one shard process is killed and restarted from its
@@ -281,9 +281,7 @@ func TestMultiProcessDifferential(t *testing.T) {
 					t.Fatalf("schedule %d op %d: twin Remove: %v", sched, op, err)
 				}
 				inLake[i] = false
-			default:
-				coord.Compact()
-				mirror.Compact()
+			default: // no mutation this step
 			}
 		}
 		verify(fmt.Sprintf("schedule %d", sched), rand.New(rand.NewSource(int64(sched)*31+7)))

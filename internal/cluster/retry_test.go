@@ -80,7 +80,6 @@ func TestShardRetryPolicy(t *testing.T) {
 	mutations := []call{
 		{"/v1/lake/add", func(ctx context.Context, c *shardClient) error { return c.add(ctx, nil) }},
 		{"/v1/lake/remove", func(ctx context.Context, c *shardClient) error { return c.remove(ctx, []string{"t"}) }},
-		{"/v1/lake/compact", func(ctx context.Context, c *shardClient) error { return c.compact(ctx) }},
 	}
 	// run plays script against a fresh coordinator (and so a fresh
 	// connection pool) and reports the requests the shard saw on the call's

@@ -107,8 +107,8 @@ func TestDiscoverValidation(t *testing.T) {
 
 // TestResolveEntitiesRequestScoped pins the ER scoping semantics: resolving
 // a foreign (non-lake) table through the pipeline must produce exactly the
-// resolution a fresh per-call annotator over the lake's KB would — same
-// clusters, same pair scores.
+// resolution a direct er.Resolve over the lake's KB would — same clusters,
+// same pair scores.
 func TestResolveEntitiesRequestScoped(t *testing.T) {
 	p := demoPipeline(t)
 	tb := table.New("guest", "Vaccine", "Agency", "Country")
@@ -151,11 +151,11 @@ func TestResolveEntitiesRequestScoped(t *testing.T) {
 	}
 }
 
-// TestResolveEntitiesConcurrentWithAdd pins that the lake-wide annotator
-// is fixed at construction: resolutions of one user table through it run
-// while AddTables grows the catalog, on a single lake and on a 3-shard one,
-// and every result equals the one computed before the adds. Under -race it
-// also pins that nothing writes the annotator after construction.
+// TestResolveEntitiesConcurrentWithAdd pins that the KB entity resolution
+// reads is fixed at construction: resolutions of one user table run while
+// AddTables grows the catalog, on a single lake and on a 3-shard one, and
+// every result equals the one computed before the adds. Under -race it
+// also pins that nothing a resolution reads is written by the adds.
 func TestResolveEntitiesConcurrentWithAdd(t *testing.T) {
 	user := table.New("guest", "City", "Country")
 	for _, r := range [][2]string{

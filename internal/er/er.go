@@ -110,10 +110,10 @@ func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (
 // per kind: strings by their string, Ints by their payload and Floats by
 // their bits, in three maps, and the two nulls and the two bools in fixed
 // slots, so no key hashes a generic struct. An entry is derived once, on
-// entry: the value, its rendering and its annotation code. Its text
-// features follow on its first text comparison, and a number's Equal class
-// on the first merge where it meets another number. Text scores are
-// memoized per pair of ids, so
+// entry: the value, its rendering, the rendering's normal form and its
+// identity code. Its text features follow on its first text comparison,
+// and a number's Equal class on the first merge where it meets another
+// number. Text scores are memoized per pair of ids, so
 // blocking's repeated comparisons of the same two values pay for one
 // Levenshtein and one Jaccard.
 //
@@ -124,7 +124,7 @@ func similarityWith(a, b []table.Value, opts Options, sim func(i int) float64) (
 // ("1000000000000000", "1e+15") and so their codes differ. The table lives
 // and dies with one call; nothing is shared.
 type valueTable struct {
-	ann    *kb.Annotator
+	codes  *kb.Numbering
 	strs   map[string]uint32
 	ints   map[int64]uint32
 	floats map[uint64]uint32
@@ -146,6 +146,7 @@ type valueTable struct {
 type cell struct {
 	v     table.Value
 	s     string // v.String(), rendered once
+	norm  string // tokenize.Normalize(s), normalized once
 	code  uint32 // kb.CodeEmpty for nulls and empty-canonical values
 	class uint32 // a number's Equal class, 0 until the merge first asks
 }
@@ -159,12 +160,12 @@ type textForm struct {
 	words []string
 }
 
-// newValueTable starts an empty table annotating through a fresh annotator
-// over knowledge's compiled form (normalization alone when knowledge is
-// nil, the knowledge-free semantics).
+// newValueTable starts an empty table numbering its values over
+// knowledge's compiled form (normalization alone when knowledge is nil, the
+// knowledge-free semantics).
 func newValueTable(knowledge *kb.KB) *valueTable {
 	return &valueTable{
-		ann:     kb.NewAnnotator(knowledge.Compiled()),
+		codes:   kb.NewNumbering(knowledge.Compiled()),
 		strs:    make(map[string]uint32),
 		ints:    make(map[int64]uint32),
 		floats:  make(map[uint64]uint32),
@@ -208,20 +209,20 @@ func idIn[K comparable](vt *valueTable, ids map[K]uint32, k K, v table.Value) ui
 	return i
 }
 
-// enter appends a new entry for v. Its code is the code of its rendering,
-// computed without the annotator's rendering cache, which would only repeat
-// the table's own dedup.
+// enter appends a new entry for v. Its code is its normal form's identity
+// code in the table's numbering.
 func (vt *valueTable) enter(v table.Value) uint32 {
 	c := cell{v: v, s: v.String(), code: kb.CodeEmpty}
+	c.norm = tokenize.Normalize(c.s)
 	if !v.IsNull() {
-		c.code = vt.ann.CodeUncached(c.s)
+		c.code = vt.codes.CodeNormalized(c.norm)
 	}
 	vt.cells = append(vt.cells, c)
 	return uint32(len(vt.cells) - 1)
 }
 
 // index enters every cell of t: ids[r*cols+c] and codes[r*cols+c] are row
-// r, column c's id and annotation code. An empty table's maps are first
+// r, column c's id and identity code. An empty table's maps are first
 // sized by t's cell count per kind, a bound on its distinct values, so
 // entering never regrows them.
 func (vt *valueTable) index(t *table.Table) (ids, codes []uint32) {
@@ -290,7 +291,7 @@ func (vt *valueTable) text(i uint32) *textForm {
 	f := &vt.texts[i]
 	if !f.done {
 		f.done = true
-		n := tokenize.Normalize(vt.cells[i].s)
+		n := vt.cells[i].norm
 		f.runes = []rune(n)
 		if n != "" {
 			f.words = strings.Split(n, " ")
@@ -404,10 +405,10 @@ const pairCancelStride = 256
 
 // Resolve performs entity resolution over the rows of t. Every distinct
 // cell is entered once into a value table built for this call and dropped
-// with it (see valueTable): its annotation code comes from a fresh
-// annotator over the knowledge base's compiled form (see kb.Annotator), so
+// with it (see valueTable): its identity code comes from the table's own
+// numbering over the knowledge base's compiled form (see kb.Numbering), so
 // blocking and the alias-aware similarity shortcut run on integer codes.
-// With nil Knowledge the annotator canonicalizes by normalization alone,
+// With nil Knowledge the numbering canonicalizes by normalization alone,
 // which is exactly the knowledge-free semantics. Output is byte-identical
 // to the string reference kept in the package's tests (pinned by
 // crosscheck_test.go and FuzzResolveMatchesReference).

@@ -26,8 +26,8 @@ import (
 //   - type IDs: every type name mentioned by the hierarchy or an entity;
 //   - label IDs: every relationship label.
 //
-// Entity annotation codes (the values Annotator caches) extend the
-// canonical-string ID space: see annotator.go.
+// Entity annotation codes (Compiled.Code, Numbering) extend the
+// canonical-string ID space: see codes.go.
 
 // voteEntry is one step of an entity's vote program: when a value resolving
 // to the entity votes, typ receives weight w. Entries are kept in the exact
@@ -279,7 +279,7 @@ type Scratch struct {
 	pairTouched []uint32
 	pairEpoch   uint32
 
-	// Column-code dedupe state (see Annotator.ColumnCodes).
+	// Column-code dedupe state (see Scratch.ColumnCodes).
 	seenStr map[string]struct{}
 }
 
@@ -328,7 +328,7 @@ func (c *Compiled) AnnotateColumnCodes(codes []uint32, s *Scratch) (ColumnAnnota
 		total++
 		id := code - codeBase
 		if id >= nstrs {
-			continue // extended (non-KB) canonical: counts, never votes
+			continue // outside (non-KB) canonical: counts, never votes
 		}
 		prog := c.progs[id]
 		if len(prog) == 0 {

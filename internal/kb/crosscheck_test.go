@@ -1,12 +1,12 @@
 package kb
 
 // crosscheck_test pins the compiled annotation engine (compile.go,
-// annotator.go) to the string reference implementations in kb.go: on
+// codes.go) to the string reference implementations in kb.go: on
 // randomized knowledge bases — including alias chains, aliases shadowing
 // entities, delimiter-bearing labels and type names, undeclared types, and
-// type-hierarchy cycles — AnnotateColumnCodes, AnnotatePairCodes and
-// SameCode must agree byte-for-byte with AnnotateColumn, AnnotateColumnPair
-// and SameEntity. The string methods run on an unfrozen twin (unfrozenTwin):
+// type-hierarchy cycles — AnnotateColumnCodes and AnnotatePairCodes over
+// Compiled.Code, and SameCode over a Numbering, must agree byte-for-byte
+// with AnnotateColumn, AnnotateColumnPair and SameEntity. The string methods run on an unfrozen twin (unfrozenTwin):
 // a frozen KB answers them through the compiled engine under test.
 
 import (
@@ -17,7 +17,23 @@ import (
 	"testing"
 
 	"repro/internal/table"
+	"repro/internal/tokenize"
 )
+
+// codesOf returns Compiled.Code of every value: the codes SANTOS votes on.
+func codesOf(ck *Compiled, vals []string) []uint32 {
+	out := make([]uint32, len(vals))
+	for i, s := range vals {
+		out[i] = ck.Code(s)
+	}
+	return out
+}
+
+// numbered returns nb's identity code of a rendered value, as entity
+// resolution computes it.
+func numbered(nb *Numbering, s string) uint32 {
+	return nb.CodeNormalized(tokenize.Normalize(s))
+}
 
 // unfrozenTwin returns a mutable copy of k for a string reference to run
 // on, from a Dump of k's string form: k must not be frozen yet, since a
@@ -113,14 +129,13 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 		k := randomKB(rng)
 		ref := unfrozenTwin(k)
 		ck := k.Compiled()
-		ann := NewAnnotator(ck)
 		s := ck.NewScratch()
 		// Reuse one scratch across every call: epoch handling must keep
 		// successive annotations independent.
 		for round := 0; round < 30; round++ {
 			vals := randomValues(rng, 1+rng.Intn(12))
 			want := ref.AnnotateColumn(vals)
-			got, _ := ck.AnnotateColumnCodes(ann.CodeStrings(vals, nil), s)
+			got, _ := ck.AnnotateColumnCodes(codesOf(ck, vals), s)
 			if got != want {
 				t.Fatalf("seed=%d round=%d: AnnotateColumn mismatch\nvals: %q\ngot:  %+v\nwant: %+v", seed, round, vals, got, want)
 			}
@@ -132,7 +147,7 @@ func TestCrossCheckCompiledAnnotation(t *testing.T) {
 				pairs[i] = [2]string{a[i], b[i]}
 			}
 			wantPair := ref.AnnotateColumnPair(pairs)
-			gotPair, _ := ck.AnnotatePairCodes(ann.CodeStrings(a, nil), ann.CodeStrings(b, nil), s)
+			gotPair, _ := ck.AnnotatePairCodes(codesOf(ck, a), codesOf(ck, b), s)
 			if gotPair != wantPair {
 				t.Fatalf("seed=%d round=%d: AnnotateColumnPair mismatch\npairs: %q\ngot:  %+v\nwant: %+v", seed, round, pairs, gotPair, wantPair)
 			}
@@ -145,12 +160,12 @@ func TestCrossCheckSameEntity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := randomKB(rng)
 		ref := unfrozenTwin(k)
-		ann := NewAnnotator(k.Compiled())
+		nb := NewNumbering(k.Compiled())
 		vals := randomValues(rng, 40)
 		for i := 0; i < len(vals); i++ {
 			for j := 0; j < len(vals); j++ {
 				want := ref.SameEntity(vals[i], vals[j])
-				got := SameCode(ann.CodeString(vals[i]), ann.CodeString(vals[j]))
+				got := SameCode(numbered(nb, vals[i]), numbered(nb, vals[j]))
 				if got != want {
 					t.Fatalf("seed=%d: SameEntity(%q, %q) compiled=%v reference=%v",
 						seed, vals[i], vals[j], got, want)
@@ -164,7 +179,7 @@ func TestCrossCheckDemoKB(t *testing.T) {
 	k := Demo()
 	ref := unfrozenTwin(k)
 	ck := k.Compiled()
-	ann := NewAnnotator(ck)
+	nb := NewNumbering(ck)
 	s := ck.NewScratch()
 	cols := [][]string{
 		{"Berlin", "Manchester", "Barcelona", "Nowhereville"},
@@ -174,7 +189,7 @@ func TestCrossCheckDemoKB(t *testing.T) {
 	}
 	for i, vals := range cols {
 		want := ref.AnnotateColumn(vals)
-		got, _ := ck.AnnotateColumnCodes(ann.CodeStrings(vals, nil), s)
+		got, _ := ck.AnnotateColumnCodes(codesOf(ck, vals), s)
 		if got != want {
 			t.Errorf("col %d: got %+v, want %+v", i, got, want)
 		}
@@ -186,14 +201,14 @@ func TestCrossCheckDemoKB(t *testing.T) {
 		pairs[i] = [2]string{a[i], b[i]}
 	}
 	want := ref.AnnotateColumnPair(pairs)
-	got, _ := ck.AnnotatePairCodes(ann.CodeStrings(a, nil), ann.CodeStrings(b, nil), s)
+	got, _ := ck.AnnotatePairCodes(codesOf(ck, a), codesOf(ck, b), s)
 	if got != want {
 		t.Errorf("pair: got %+v, want %+v", got, want)
 	}
-	if !SameCode(ann.CodeString("J&J"), ann.CodeString("Janssen")) {
+	if !SameCode(numbered(nb, "J&J"), numbered(nb, "Janssen")) {
 		t.Error("J&J and Janssen must share a code")
 	}
-	if SameCode(ann.CodeString("##"), ann.CodeString("!!")) {
+	if SameCode(numbered(nb, "##"), numbered(nb, "!!")) {
 		t.Error("empty canonicals must never be the same entity")
 	}
 }
@@ -207,12 +222,12 @@ func TestAnnotatorNumericRenderings(t *testing.T) {
 	fv := table.FloatValue(1e15)
 	k := Demo()
 	ref := unfrozenTwin(k)
-	// Resolve in both orders: neither value's cached code may leak to the
-	// other.
+	// Resolve in both orders: neither value's numbered code may leak to
+	// the other.
 	for _, first := range []table.Value{iv, fv} {
-		a := NewAnnotator(k.Compiled())
-		a.Code(first)
-		ci, cf := a.Code(iv), a.Code(fv)
+		nb := NewNumbering(k.Compiled())
+		numbered(nb, first.String())
+		ci, cf := numbered(nb, iv.String()), numbered(nb, fv.String())
 		want := ref.SameEntity(iv.String(), fv.String())
 		if SameCode(ci, cf) != want {
 			t.Fatalf("first=%v: SameCode=%v, reference SameEntity(%q,%q)=%v",
@@ -220,85 +235,67 @@ func TestAnnotatorNumericRenderings(t *testing.T) {
 		}
 	}
 	// Same-rendering numerics still agree.
-	ann := NewAnnotator(k.Compiled())
-	if !SameCode(ann.Code(table.IntValue(82)), ann.Code(table.FloatValue(82))) {
+	nb := NewNumbering(k.Compiled())
+	if !SameCode(numbered(nb, table.IntValue(82).String()), numbered(nb, table.FloatValue(82).String())) {
 		t.Error("Int 82 and Float 82 render identically and must share a code")
 	}
 }
 
-// TestQueryScope checks that a query scope answers renderings the root has
-// cached with the root's codes while keeping foreign strings internally
-// consistent.
-func TestQueryScope(t *testing.T) {
-	k := Demo()
-	ann := NewAnnotator(k.Compiled())
-	berlin, elsewhere := ann.CodeString("Berlin"), ann.CodeString("Elsewhere")
-	scope := ann.QueryScope()
-	if scope.CodeString("Berlin") != berlin || scope.CodeString("Elsewhere") != elsewhere {
-		t.Error("scope must share the root's codes for renderings the root cached")
-	}
-	if scope.QueryScope().parent != ann {
-		t.Error("scoping a scope must re-root at the shared annotator")
-	}
-	// Foreign strings: consistent within the scope, reference-equivalent.
-	a := scope.CodeString("utterly unknown thing")
-	b := scope.CodeString("Utterly. Unknown; Thing")
-	if !SameCode(a, b) {
-		t.Error("scope must give equal canonicals equal codes")
-	}
-	if SameCode(a, scope.CodeString("different stranger")) {
-		t.Error("scope must give distinct canonicals distinct codes")
-	}
-}
-
-// TestQueryScopeNeverWritesRoot pins that queries never write shared
-// annotation state: whatever a scope resolves — a rendering the root
-// cached, a foreign string, or another rendering of a canonical the root
-// knows — the root's caches keep their size, and the scope agrees with the
-// root wherever both answer. Codes the root allocates while the scope lives
-// never alias the scope's own.
+// TestQueryScopeNeverWritesRoot pins that per-call numbering never writes
+// the shared compiled KB: whatever a Numbering resolves — a KB canonical,
+// a foreign string, or an alias of a canonical the KB knows — the
+// compiled KB's tables keep their size, and the numbering agrees with
+// Compiled.Code wherever both answer. A second numbering over the same KB,
+// started while the first lives, aliases nothing of the first's.
 func TestQueryScopeNeverWritesRoot(t *testing.T) {
-	root := NewAnnotator(Demo().Compiled())
-	cached := []string{"Berlin", "Gotham City", "##"}
-	want := root.CodeStrings(cached, nil)
-	rawN, extN := root.Size()
+	ck := Demo().Compiled()
+	known := []string{"Berlin", "United Kingdom", "##"}
+	want := codesOf(ck, known)
+	strsN, lookupN := len(ck.strs), len(ck.lookup)
 
-	scope := root.QueryScope()
-	if scope.QueryScope().parent != root {
-		t.Fatal("scoping a scope must re-root at the root")
-	}
-	for i, s := range cached {
-		if got := scope.CodeString(s); got != want[i] {
-			t.Errorf("scope code for root-cached %q = %d, want the root's %d", s, got, want[i])
+	nb := NewNumbering(ck)
+	for i, s := range known {
+		if got := numbered(nb, s); got != want[i] {
+			t.Errorf("numbering code for KB rendering %q = %d, want Compiled.Code's %d", s, got, want[i])
 		}
 	}
-	foreign := scope.CodeString("Narnia")
-	other := scope.CodeString("  GOTHAM  city. ") // unseen rendering, root-known canonical
-	if other != want[1] {
-		t.Errorf("unseen rendering of a root canonical got %d, want the root's %d", other, want[1])
+	foreign := numbered(nb, "Narnia")
+	if foreign == CodeOutside || foreign <= CodeEmpty {
+		t.Fatalf("foreign canonical got code %d, want an extended code", foreign)
 	}
-	if r, e := root.Size(); r != rawN || e != extN {
-		t.Fatalf("root grew from (raw %d, ext %d) to (raw %d, ext %d) under a scope", rawN, extN, r, e)
+	other := numbered(nb, "  GREAT  britain. ") // unseen rendering, KB-known canonical
+	if other != want[1] {
+		t.Errorf("unseen rendering of a KB canonical got %d, want Compiled.Code's %d", other, want[1])
+	}
+	if got := ck.Code("Narnia"); got != CodeOutside {
+		t.Errorf("Compiled.Code of a foreign string after numbering = %d, want CodeOutside", got)
+	}
+	if len(ck.strs) != strsN || len(ck.lookup) != lookupN {
+		t.Fatalf("compiled KB grew from (strs %d, lookup %d) to (strs %d, lookup %d) under a numbering",
+			strsN, lookupN, len(ck.strs), len(ck.lookup))
 	}
 
-	// The root learns new canonicals while the scope lives; the scope's
-	// answers stay one code per canonical.
-	root.CodeString("Wakanda")
-	root.CodeString("Narnia")
-	if SameCode(scope.CodeString("Wakanda"), foreign) {
-		t.Error("a root code allocated after the scope aliased the scope's own")
+	// Another numbering learns new canonicals while the first lives; the
+	// first keeps one code per canonical.
+	nb2 := NewNumbering(ck)
+	numbered(nb2, "Wakanda")
+	numbered(nb2, "Narnia")
+	if SameCode(numbered(nb, "Wakanda"), foreign) {
+		t.Error("distinct foreign canonicals share a code in one numbering")
 	}
-	if got := scope.CodeString("narnia!"); got != foreign {
-		t.Errorf("scope identity drifted after root growth: %d vs %d", got, foreign)
+	if got := numbered(nb, "narnia!"); got != foreign {
+		t.Errorf("numbering identity drifted: %d vs %d", got, foreign)
 	}
 }
 
-// FuzzAnnotatorMatchesKB drives a root annotator and a QueryScope of it with
-// strings drawn from the demo KB's entity names and aliases — verbatim, in
-// other cases, with punctuation, or replaced by raw noise — and checks both
-// against the string reference: SameCode agrees with SameEntity pairwise,
-// CodeEmpty marks exactly the empty canonicals, and an Int, Float or Bool
-// cell codes as its rendering.
+// FuzzAnnotatorMatchesKB codes strings drawn from the demo KB's entity
+// names and aliases — verbatim, in other cases, with punctuation, replaced
+// by raw noise, or rendered from Int, Float and Bool cells — and checks
+// both code paths against the string reference: over entity resolution's
+// Numbering, SameCode agrees with SameEntity pairwise and CodeEmpty marks
+// exactly the empty canonicals; Compiled.Code, the code SANTOS votes on,
+// equals the numbering's code on every KB canonical, and is CodeEmpty when
+// the canonical is empty and CodeOutside otherwise.
 func FuzzAnnotatorMatchesKB(f *testing.F) {
 	k := Demo()
 	ref := unfrozenTwin(k)
@@ -310,6 +307,20 @@ func FuzzAnnotatorMatchesKB(f *testing.F) {
 		names = append(names, a)
 	}
 	sort.Strings(names)
+	// The canonical strings the KB mentions: entity keys, relation
+	// endpoints and alias targets.
+	known := make(map[string]bool)
+	d := ref.mutable()
+	for e := range d.entityTypes {
+		known[e] = true
+	}
+	for key := range d.relations {
+		subj, obj := splitRelationKey(key)
+		known[subj], known[obj] = true, true
+	}
+	for _, target := range d.alias {
+		known[target] = true
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 1, 2, 5, 3, 9, 4, 2, 5, 7, 0, 2})
 	f.Add([]byte{5, 33, 5, 46, 3, 3, 1, 3, 0, 200, 2, 17, 4, 17})
@@ -338,40 +349,33 @@ func FuzzAnnotatorMatchesKB(f *testing.F) {
 		for _, v := range cells {
 			vals = append(vals, v.String())
 		}
-		root := NewAnnotator(k.Compiled())
-		root.CodeStrings(vals[:len(vals)/2], nil)
-		scope := root.QueryScope()
-		// The root grows past the scope on every other value, so the scope
-		// both borrows root codes and allocates its own.
-		for i := 1; i < len(vals); i += 2 {
-			root.CodeString(vals[i])
-		}
-		scopeCodes := scope.CodeStrings(vals, nil)
-		rootCodes := root.CodeStrings(vals, nil)
-		same := make([]bool, len(vals)*len(vals))
+		// Entity resolution's numbering, over the values in order.
+		nb := NewNumbering(k.Compiled())
+		erCodes := make([]uint32, len(vals))
 		for i, x := range vals {
+			erCodes[i] = numbered(nb, x)
+		}
+		ck := k.Compiled()
+		for i, x := range vals {
+			if (erCodes[i] == CodeEmpty) != (ref.Canonical(x) == "") {
+				t.Fatalf("numbering: code %d for %q, canonical %q", erCodes[i], x, ref.Canonical(x))
+			}
 			for j, y := range vals {
-				same[i*len(vals)+j] = ref.SameEntity(x, y)
-			}
-		}
-		for name, codes := range map[string][]uint32{"root": rootCodes, "scope": scopeCodes} {
-			for i, x := range vals {
-				if (codes[i] == CodeEmpty) != (ref.Canonical(x) == "") {
-					t.Fatalf("%s: code %d for %q, canonical %q", name, codes[i], x, ref.Canonical(x))
-				}
-				for j, y := range vals {
-					if SameCode(codes[i], codes[j]) != same[i*len(vals)+j] {
-						t.Fatalf("%s: SameCode(%q, %q) = %v, SameEntity = %v",
-							name, x, y, SameCode(codes[i], codes[j]), same[i*len(vals)+j])
-					}
+				if got, want := SameCode(erCodes[i], erCodes[j]), ref.SameEntity(x, y); got != want {
+					t.Fatalf("numbering: SameCode(%q, %q) = %v, SameEntity = %v", x, y, got, want)
 				}
 			}
-		}
-		for _, a := range []*Annotator{root, scope} {
-			for _, v := range cells {
-				if a.Code(v) != a.CodeString(v.String()) {
-					t.Fatalf("Code(%v) != CodeString(%q)", v, v.String())
-				}
+			// SANTOS's code is the numbering's on every KB canonical, and
+			// CodeEmpty or CodeOutside everywhere else.
+			want := erCodes[i]
+			switch c := ref.Canonical(x); {
+			case c == "":
+				want = CodeEmpty
+			case !known[c]:
+				want = CodeOutside
+			}
+			if got := ck.Code(x); got != want {
+				t.Fatalf("Code(%q) = %d, want %d (numbering %d)", x, got, want, erCodes[i])
 			}
 		}
 	})

@@ -213,7 +213,7 @@ func sized[T any](n int) []T {
 // FromDump rebuilds a KB from a Dump, writing the stored (already
 // normalized/canonicalized) strings back verbatim. The result compiles to
 // an engine identical — including every dense ID assignment, which
-// kb.Compile derives from sorted content — to the dumped KB's.
+// compiling derives from sorted content — to the dumped KB's.
 func FromDump(d Dump) *KB {
 	k := New()
 	m := k.mutable()

@@ -56,7 +56,6 @@ type Catalog interface {
 	// what the persistence layer and the benchmark call.
 	Add(tables ...*table.Table) error
 	Remove(names ...string) error
-	Compact()
 
 	// Shared state the integration/analysis stages read.
 	Knowledge() *kb.KB

@@ -397,9 +397,9 @@ func (l *Lake) eachIndex(next *view, added []*table.Table, addedDomains []table.
 }
 
 // Compact is a no-op: every mutation publishes dense, freshly derived
-// indexes, so there is no mutation debt to fold. It stays because the
-// Catalog contract, the coordinator's shards and POST /v1/lake/compact
-// call it, and it never changes an answer.
+// indexes, so there is no mutation debt to fold, and it never changes an
+// answer. It is kept only for the benchmark (bench/churn.go clocks it as
+// lake.compact_ms) until the benchmark drops that call.
 func (l *Lake) Compact() {}
 
 // extractDomains extracts every table's kb.TextualDomains, one worker per

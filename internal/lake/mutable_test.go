@@ -173,8 +173,11 @@ func TestCatalogFreezesKB(t *testing.T) {
 	// over them.
 	answers := func(c catalog) string {
 		ck := c.Knowledge().Compiled()
-		ann := kb.NewAnnotator(ck)
-		a, _ := ck.AnnotateColumnCodes(ann.CodeStrings(towns, nil), ck.NewScratch())
+		codes := make([]uint32, len(towns))
+		for i, s := range towns {
+			codes[i] = ck.Code(s)
+		}
+		a, _ := ck.AnnotateColumnCodes(codes, ck.NewScratch())
 		out := fmt.Sprintf("%+v", a)
 		if sh, ok := c.(hasShards); ok {
 			for _, l := range sh.Shards() {

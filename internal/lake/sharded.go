@@ -219,10 +219,6 @@ func (s *Sharded) publish(candidates []*table.Table) {
 	s.cut.Store(c)
 }
 
-// Compact is a no-op, as Lake.Compact is: no shard keeps mutation debt.
-// It never changes query answers and publishes nothing.
-func (s *Sharded) Compact() {}
-
 // Get returns a table by name, from the published view of the shard its
 // name routes to.
 func (s *Sharded) Get(name string) (*table.Table, bool) {

@@ -1,5 +1,5 @@
 // sharded_differential_test.go extends the rebuild-equivalence harness to
-// the sharded catalog: the same randomized Add / Remove / Compact schedules
+// the sharded catalog: the same randomized Add / Remove schedules
 // are mirrored into a lake.Sharded and an unsharded lake.New twin, and
 // after every mutation the two must answer discovery byte-identically —
 // per-method rankings at full float64 bit precision and the merged
@@ -130,9 +130,7 @@ func TestShardedDifferentialEquivalence(t *testing.T) {
 					}
 					inLake[i] = false
 					mutated = true
-				case c == 6:
-					sh.Compact()
-					un.Compact()
+				case c == 6: // a checkpoint with no mutation
 					mutated = true
 				default: // mid-churn query against the sharded catalog only
 					reg := discovery.NewRegistry()

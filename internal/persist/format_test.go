@@ -46,7 +46,7 @@ func testImage(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeSnapshot(l.Export(), 3)
+	return encodeSnapshot(stateOf(l), 3)
 }
 
 // patchHeader mutates the snapshot header in place (first 28 bytes) and
@@ -130,12 +130,12 @@ func TestSnapshotIndependentOfHistory(t *testing.T) {
 		}
 	}
 	seq := s.Status().Seq
-	st := s.Lake().Export()
+	st := stateOf(s.Lake())
 	fresh, err := lake.New(st.Tables, lake.Options{Knowledge: kb.FromDump(st.KB), LSH: st.LSH})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := encodeSnapshot(st, seq), encodeSnapshot(fresh.Export(), seq)
+	got, want := encodeSnapshot(st, seq), encodeSnapshot(stateOf(fresh), seq)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("churned store's snapshot is %d bytes, a fresh lake's %d", len(got), len(want))
 	}

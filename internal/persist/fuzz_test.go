@@ -89,7 +89,7 @@ func FuzzSnapshotHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	img := encodeSnapshot(l.Export(), 3)
+	img := encodeSnapshot(stateOf(l), 3)
 	legacy, err := os.ReadFile(filepath.Join("testdata", "v1.1", snapName(0)))
 	if err != nil {
 		f.Fatal(err)

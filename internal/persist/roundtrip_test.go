@@ -12,12 +12,12 @@ import (
 	"repro/internal/table"
 )
 
-// roundTrip pushes a lake through the full snapshot codec — Export,
+// roundTrip pushes a lake through the full snapshot codec — stateOf,
 // encodeSnapshot, decodeSnapshot, buildLake (lake.New) — and returns the
 // recovered lake.
 func roundTrip(t *testing.T, l *lake.Lake) *lake.Lake {
 	t.Helper()
-	img := encodeSnapshot(l.Export(), 7)
+	img := encodeSnapshot(stateOf(l), 7)
 	st2, seq, err := decodeSnapshot("snap", img)
 	if err != nil {
 		t.Fatalf("decodeSnapshot: %v", err)

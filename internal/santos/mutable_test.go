@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kb"
@@ -79,10 +81,11 @@ func TestRemoveEvictsGraph(t *testing.T) {
 }
 
 // TestRootAnnotatorStaysBounded churns a 20-row table of unique city
-// strings in and out of the demo index for 100 rounds. The root annotator
-// caches every rendering it annotates, so without a re-fill it would grow
-// by the table's strings every round; with it, the root never holds more
-// than twice the size of a fresh root over the tables of some generation.
+// strings in and out of the demo index for 100 rounds. The shared code
+// cache keeps every rendering With annotates, so without a re-fill it would
+// grow by the table's strings every round; with it, the cache never holds
+// more than twice the size of a fresh cache over the tables of some
+// generation.
 // Every generation answers as a fresh Build over its tables does.
 func TestRootAnnotatorStaysBounded(t *testing.T) {
 	demo := paperdata.CovidLake()
@@ -116,15 +119,96 @@ func TestRootAnnotatorStaysBounded(t *testing.T) {
 		queries = []*table.Table{paperdata.T1(), churn}
 		grown := append(slices.Clone(demo), churn)
 		if round == 0 {
-			raw, ext := Build(grown, kb.Demo()).ann.Size()
-			limit = 2 * (raw + ext)
+			limit = 2 * Build(grown, kb.Demo()).codes.size()
 		}
 		ix = ix.With([]*table.Table{churn}, nil)
 		check(ix, grown, fmt.Sprintf("round %d add", round))
 		ix = ix.With(nil, []string{churn.Name})
 		check(ix, demo, fmt.Sprintf("round %d remove", round))
-		if raw, ext := ix.ann.Size(); raw+ext > limit {
-			t.Fatalf("round %d: root annotator holds raw %d + ext %d > %d", round, raw, ext, limit)
+		if n := ix.codes.size(); n > limit {
+			t.Fatalf("round %d: code cache holds %d > %d", round, n, limit)
 		}
+	}
+}
+
+// TestQueriesConcurrentWithCacheFill queries published generations while
+// With fills their shared code cache, and while a doubling refill replaces
+// it with a fresh one. A churn table of new city strings is added and
+// removed each round, and each round's queries include it, so queries read
+// renderings that a With is writing at the same time. Every answer equals
+// a fresh Build over the generation's tables.
+func TestQueriesConcurrentWithCacheFill(t *testing.T) {
+	type generation struct {
+		ix      *Index
+		queries []*table.Table
+		want    []string
+	}
+	answers := func(ix *Index, queries []*table.Table) []string {
+		out := make([]string, len(queries))
+		for i, q := range queries {
+			rs, err := ix.Query(q, 0, 0)
+			var b strings.Builder
+			fmt.Fprintf(&b, "%v:", err)
+			for _, r := range rs {
+				fmt.Fprintf(&b, "%s|%x|%d;", r.Table.Name, math.Float64bits(r.Score), r.MatchedColumn)
+			}
+			out[i] = b.String()
+		}
+		return out
+	}
+	publish := func(ix *Index, tables, queries []*table.Table) *generation {
+		return &generation{ix: ix, queries: queries, want: answers(Build(tables, kb.Demo()), queries)}
+	}
+	demo := paperdata.CovidLake()
+	base := publish(Build(demo, kb.Demo()), demo, []*table.Table{paperdata.T1()})
+	var cur atomic.Pointer[generation]
+	cur.Store(base)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, g := range []*generation{base, cur.Load()} {
+					if got := answers(g.ix, g.queries); !slices.Equal(got, g.want) {
+						t.Errorf("answers diverged from a fresh Build\n got %q\nwant %q", got, g.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	refills := 0
+	for round := 0; round < 30; round++ {
+		churn := table.New(fmt.Sprintf("churn%03d", round), paperdata.ColCity, paperdata.ColCountry)
+		for i := 0; i < 20; i++ {
+			churn.MustAddRow(table.StringValue(fmt.Sprintf("Newtown %d-%d", round, i)), table.StringValue("Germany"))
+		}
+		queries := []*table.Table{paperdata.T1(), churn}
+		// Queries on the published generation read churn's renderings while
+		// With writes them into the cache that generation shares.
+		cur.Store(publish(cur.Load().ix, demo, queries))
+		prev := cur.Load().ix
+		added := prev.With([]*table.Table{churn}, nil)
+		cur.Store(publish(added, append(slices.Clone(demo), churn), queries))
+		removed := added.With(nil, []string{churn.Name})
+		cur.Store(publish(removed, demo, queries))
+		for _, pair := range [][2]*Index{{prev, added}, {added, removed}} {
+			if pair[0].codes != pair[1].codes {
+				refills++
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if refills == 0 {
+		t.Fatal("no With refilled the code cache: the test never raced a refill")
 	}
 }

@@ -10,14 +10,15 @@
 // lake itself covers domains without curated entries. The two are merged by
 // the caller (kb.Merge) or used individually.
 //
-// Annotation runs on the compiled KB (kb.Compile): cell values resolve to
-// integer annotation codes through the index's kb.Annotator — a cache keyed
-// by rendered value, shared by the indexes derived from one root, so each
-// distinct lake rendering is canonicalized once — and column/pair votes run
+// Annotation runs on the compiled KB (kb.KB.Compiled): cell values resolve
+// to integer annotation codes (kb.Compiled.Code) through a cache keyed by
+// rendered value and shared by the indexes derived from one Build, so each
+// distinct lake rendering is canonicalized once, and column/pair votes run
 // over dense type and label IDs with pooled scratch, never re-walking the
-// type hierarchy or building string keys per row pair. Graphs keep only
-// compiled type and label IDs, never codes, so a derivation whose root has
-// outgrown twice its from-scratch size starts a fresh root.
+// type hierarchy or building string keys per row pair. A code is a pure
+// function of its rendering, and graphs keep only compiled type and label
+// IDs, never codes, so a derivation whose cache has outgrown twice its
+// from-scratch size starts a fresh one.
 //
 // An Index never changes once built. A lake mutation derives the next one
 // (Index.With) and publishes it, so a query keeps the index it started on
@@ -43,7 +44,7 @@ const edgeIn = uint64(1) << 63
 // normalized — the far endpoint is identified by its semantic type only
 // (column positions are meaningless across lake tables). Layout: bit 63 is
 // the direction, bits 62..32 the compiled label ID, bits 31..0 the other
-// endpoint's compiled type ID (kb.Compile guards both below 2^31). Distinct
+// endpoint's compiled type ID (compiling a KB guards both below 2^31). Distinct
 // (direction, label, type) triples always pack to distinct keys — unlike
 // the string form "out:<label>:<type>", which could collide on labels
 // containing the delimiter — and compiled IDs are deterministic, so keys
@@ -78,19 +79,67 @@ type tableSemantics struct {
 // shares the kept graphs and leaves the receiver answering as it did, so
 // queries take no lock. Every index derived from one Build annotates
 // against the KB snapshot compiled at that build and shares its scratch
-// pool; the root annotator is shared until a With refills it.
+// pool; the code cache is shared until a With refills it.
 type Index struct {
-	ann      *kb.Annotator
-	scratch  *sync.Pool // *kb.Scratch
-	tables   []tableSemantics
-	rootSize int // ann's raw+ext size when it was filled from scratch
+	codes     *codeCache
+	scratch   *sync.Pool // *kb.Scratch
+	tables    []tableSemantics
+	cacheSize int // codes' size when it was filled from scratch
+}
+
+// codeCache caches kb.Compiled.Code by rendering for the indexes derived
+// from one Build (or one refill). With fills it; a query reads it and
+// computes a miss without storing it, so query traffic never grows it.
+// Since a code depends on the rendering alone, an entry is the same
+// whoever computed it first.
+type codeCache struct {
+	ck    *kb.Compiled
+	mu    sync.RWMutex
+	codes map[string]uint32
+}
+
+func newCodeCache(ck *kb.Compiled) *codeCache {
+	return &codeCache{ck: ck, codes: make(map[string]uint32)}
+}
+
+func (c *codeCache) cached(s string) (uint32, bool) {
+	c.mu.RLock()
+	code, ok := c.codes[s]
+	c.mu.RUnlock()
+	return code, ok
+}
+
+// fill returns the code of a rendering, caching it.
+func (c *codeCache) fill(s string) uint32 {
+	if code, ok := c.cached(s); ok {
+		return code
+	}
+	code := c.ck.Code(s)
+	c.mu.Lock()
+	c.codes[s] = code
+	c.mu.Unlock()
+	return code
+}
+
+// read returns the code of a rendering without caching it.
+func (c *codeCache) read(s string) uint32 {
+	if code, ok := c.cached(s); ok {
+		return code
+	}
+	return c.ck.Code(s)
+}
+
+func (c *codeCache) size() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.codes)
 }
 
 // Build annotates every lake table against the knowledge base (nil means
-// an empty KB) through a fresh root annotation cache that the indexes
-// derived from this one share: With annotates through it, and queries
-// through a QueryScope of it. Tables without any annotated column are
-// indexed but can never match. Build is With over an empty index.
+// an empty KB), filling a fresh code cache that the indexes derived from
+// this one share: With fills it, and queries read it. Tables without any
+// annotated column are indexed but can never match. Build is With over an
+// empty index.
 //
 // The index snapshots the KB as compiled at build time: queries and the
 // indexed semantic graphs always share one KB state. Compiling freezes the
@@ -100,7 +149,7 @@ func Build(lakeTables []*table.Table, knowledge *kb.KB) *Index {
 		knowledge = kb.New()
 	}
 	ck := knowledge.Compiled()
-	empty := &Index{ann: kb.NewAnnotator(ck), scratch: &sync.Pool{New: func() any { return ck.NewScratch() }}}
+	empty := &Index{codes: newCodeCache(ck), scratch: &sync.Pool{New: func() any { return ck.NewScratch() }}}
 	return empty.With(lakeTables, nil)
 }
 
@@ -110,24 +159,24 @@ func (ix *Index) NumTables() int { return len(ix.tables) }
 // With derives the index over the receiver's tables minus the removed
 // names (unknown names are ignored) plus the added tables, appended in
 // order. The kept graphs are shared, not recomputed; the added tables are
-// annotated against the build-time KB snapshot through the shared root
-// annotator. Annotation is per-table pure work over the immutable compiled
-// KB, so added tables are annotated in parallel; slot-indexed results keep
-// the index order — and therefore query results — identical to a
-// sequential build. Callers are responsible for name uniqueness. The
-// receiver is left unchanged and stays safe to query.
+// annotated against the build-time KB snapshot, filling the shared code
+// cache. Annotation is per-table pure work over the immutable compiled KB,
+// so added tables are annotated in parallel; slot-indexed results keep the
+// index order — and therefore query results — identical to a sequential
+// build. Callers are responsible for name uniqueness. The receiver is left
+// unchanged and stays safe to query.
 //
-// The root annotator never evicts, so removed tables' renderings would stay
-// in it for good. The first With that fills an empty root records its size;
-// a later With that leaves the root holding more than twice that re-fills
-// a fresh root over the next index's tables, Build's path — amortized O(1)
+// The code cache never evicts, so removed tables' renderings would stay in
+// it for good. The first With that fills an empty cache records its size; a
+// later With that leaves the cache holding more than twice that re-fills a
+// fresh cache over the next index's tables, Build's path — amortized O(1)
 // per annotated string, and answers are unchanged.
 func (ix *Index) With(added []*table.Table, removed []string) *Index {
 	doomed := make(map[string]bool, len(removed))
 	for _, n := range removed {
 		doomed[n] = true
 	}
-	next := &Index{ann: ix.ann, scratch: ix.scratch, rootSize: ix.rootSize, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
+	next := &Index{codes: ix.codes, scratch: ix.scratch, cacheSize: ix.cacheSize, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
 	for _, ts := range ix.tables {
 		if !doomed[ts.t.Name] {
 			next.tables = append(next.tables, ts)
@@ -137,33 +186,33 @@ func (ix *Index) With(added []*table.Table, removed []string) *Index {
 	next.tables = next.tables[:base+len(added)]
 	par.For(len(added), func(i int) {
 		s := ix.scratch.Get().(*kb.Scratch)
-		next.tables[base+i] = annotate(added[i], ix.ann, s)
+		next.tables[base+i] = annotate(added[i], ix.codes.ck, ix.codes.fill, s)
 		ix.scratch.Put(s)
 	})
-	switch raw, ext := ix.ann.Size(); {
-	case ix.rootSize == 0:
-		next.rootSize = raw + ext
-	case raw+ext > 2*ix.rootSize:
+	switch n := ix.codes.size(); {
+	case ix.cacheSize == 0:
+		next.cacheSize = n
+	case n > 2*ix.cacheSize:
 		tables := make([]*table.Table, len(next.tables))
 		for i := range next.tables {
 			tables[i] = next.tables[i].t
 		}
-		fresh := &Index{ann: kb.NewAnnotator(ix.ann.Compiled()), scratch: ix.scratch}
+		fresh := &Index{codes: newCodeCache(ix.codes.ck), scratch: ix.scratch}
 		return fresh.With(tables, nil)
 	}
 	return next
 }
 
-// annotate computes the semantic graph of a table over annotation codes.
-func annotate(t *table.Table, ann *kb.Annotator, s *kb.Scratch) tableSemantics {
-	ck := ann.Compiled()
+// annotate computes the semantic graph of a table over the annotation codes
+// code assigns its renderings.
+func annotate(t *table.Table, ck *kb.Compiled, code func(string) uint32, s *kb.Scratch) tableSemantics {
 	ts := tableSemantics{t: t}
 	nc := t.NumCols()
 	anns := make([]kb.ColumnAnnotation, nc)
 	typeIDs := make([]uint32, nc)
 	rowCodes := make([][]uint32, nc)
 	for c := 0; c < nc; c++ {
-		cc := ann.ColumnCodes(t, c, s)
+		cc := s.ColumnCodes(t, c, code)
 		if cc.Rows == nil {
 			continue // not mostly textual: no entity semantics
 		}
@@ -296,10 +345,10 @@ type Result struct {
 // and a table scores the maximum over its columns. Tables scoring zero
 // (no type-compatible column) are omitted. k<=0 returns all matches.
 //
-// The query table is annotated through a QueryScope of the index's
-// annotation cache: renderings the index has seen resolve to cached codes,
-// while foreign query values are canonicalized per query and reclaimed, so
-// query traffic never grows the index's cache.
+// The query table is annotated through the index's code cache without
+// writing it: renderings the index has seen resolve to cached codes, and
+// foreign query values are canonicalized per query, so query traffic never
+// grows the cache.
 func (ix *Index) Query(q *table.Table, intentCol int, k int) ([]Result, error) {
 	return ix.QueryCtx(context.Background(), q, intentCol, k)
 }
@@ -316,10 +365,9 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	if intentCol < 0 || intentCol >= q.NumCols() {
 		return nil, fmt.Errorf("santos: intent column %d out of range for table %q with %d columns", intentCol, q.Name, q.NumCols())
 	}
-	// Query values resolve through a per-query scope, which reads the
-	// index's cache and never writes it.
+	ck := ix.codes.ck
 	s := ix.scratch.Get().(*kb.Scratch)
-	qs := annotate(q, ix.ann.QueryScope(), s)
+	qs := annotate(q, ck, ix.codes.read, s)
 	ix.scratch.Put(s)
 	var qcs *columnSemantics
 	for i := range qs.cols {
@@ -330,7 +378,6 @@ func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k 
 	if qcs == nil {
 		return nil, fmt.Errorf("santos: intent column %d of table %q has no semantic annotation (textual KB-covered column required)", intentCol, q.Name)
 	}
-	ck := ix.ann.Compiled()
 	done := ctx.Done()
 	var results []Result
 	for i := range ix.tables {

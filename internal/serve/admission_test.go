@@ -422,8 +422,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps := decodeResp[[]EndpointMetrics](t, resp)
-	if len(snaps) != 11 {
-		t.Fatalf("metrics snapshot covers %d endpoints, want 11", len(snaps))
+	if len(snaps) != 10 {
+		t.Fatalf("metrics snapshot covers %d endpoints, want 10", len(snaps))
 	}
 	byPath := map[string]EndpointMetrics{}
 	for _, m := range snaps {

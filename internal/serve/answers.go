@@ -23,7 +23,7 @@ import (
 // answers from the one catalog state it pinned and reports that state's
 // vector, and every Add or Remove publishes a new state under a new
 // vector; the catalog's KB is fixed at build, so SANTOS answers move only
-// with them; Compact never changes answers; no element ever goes back, and
+// with them; no element ever goes back, and
 // an in-process cache lives and dies with the process whose vector it
 // compares. A run that a mutation overlaps is stored under the vector it
 // pinned, which the mutation has already moved past, so the next request

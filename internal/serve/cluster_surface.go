@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"repro/internal/persist"
 )
 
 // This file is the serving layer's cluster surface: the shard-side
-// endpoints a coordinator scatters over (epoch sampling, table fetch,
-// compaction) and the coordinator-side aggregation interfaces (/healthz
-// and /metrics reporting per-shard state). The cluster package implements
+// endpoints a coordinator scatters over (epoch sampling, table fetch) and
+// the coordinator-side aggregation interfaces (/healthz and /metrics
+// reporting per-shard state). The cluster package implements
 // the interfaces; serve only type-asserts them on the attached catalog, so
 // serve never imports cluster (cluster imports serve for the wire types).
 
@@ -100,22 +98,6 @@ func (s *Server) lakeTables(ctx context.Context, r *http.Request) (any, error) {
 		}
 	}
 	return resp, nil
-}
-
-// lakeCompact answers POST /v1/lake/compact with the catalog's size. The
-// catalog's Compact is a no-op (no index keeps mutation debt); it never
-// changes query answers and appends nothing to the WAL, so both the
-// in-memory and the durable path run it directly, and it still goes
-// through the mutation gate so shutdown's drain ordering holds.
-func (s *Server) lakeCompact(ctx context.Context, r *http.Request) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	compact := func() error { s.p().Lake().Compact(); return nil }
-	if err := s.mutate(compact, func(*persist.Store) error { return compact() }); err != nil {
-		return nil, err
-	}
-	return LakeResponse{Size: s.p().Lake().Size()}, nil
 }
 
 // statusError carries an explicit HTTP status through the generic handler

@@ -217,6 +217,14 @@ func TestMethodAndPathErrors(t *testing.T) {
 	if out := decodeResp[ErrorBody](t, resp); !strings.Contains(out.Error, "/v1/nope") {
 		t.Errorf("404 body = %+v", out)
 	}
+	// The retired compaction route is an unknown path too.
+	resp = postJSON(t, ts.URL+"/v1/lake/compact", struct{}{})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/lake/compact status = %d, want 404", resp.StatusCode)
+	}
+	if out := decodeResp[ErrorBody](t, resp); !strings.Contains(out.Error, "/v1/lake/compact") {
+		t.Errorf("404 body = %+v", out)
+	}
 }
 
 func TestRequestTimeout(t *testing.T) {

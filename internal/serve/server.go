@@ -129,17 +129,16 @@ func NewWarming(cfg Config) *Server {
 		class  endpointClass
 		fn     func(context.Context, *http.Request) (any, error)
 	}{
-		"/v1/discover":     {http.MethodPost, classCompute, s.discover},
-		"/v1/integrate":    {http.MethodPost, classCompute, s.integrate},
-		"/v1/pipeline":     {http.MethodPost, classCompute, s.pipeline},
-		"/v1/correlate":    {http.MethodPost, classCompute, s.correlate},
-		"/v1/resolve":      {http.MethodPost, classCompute, s.resolve},
-		"/v1/lake/add":     {http.MethodPost, classMutate, s.lakeAdd},
-		"/v1/lake/remove":  {http.MethodPost, classMutate, s.lakeRemove},
-		"/v1/lake/compact": {http.MethodPost, classMutate, s.lakeCompact},
-		"/v1/lake":         {http.MethodGet, classRead, s.lakeInfo},
-		"/v1/lake/table":   {http.MethodGet, classRead, s.lakeTable},
-		"/v1/lake/tables":  {http.MethodPost, classRead, s.lakeTables},
+		"/v1/discover":    {http.MethodPost, classCompute, s.discover},
+		"/v1/integrate":   {http.MethodPost, classCompute, s.integrate},
+		"/v1/pipeline":    {http.MethodPost, classCompute, s.pipeline},
+		"/v1/correlate":   {http.MethodPost, classCompute, s.correlate},
+		"/v1/resolve":     {http.MethodPost, classCompute, s.resolve},
+		"/v1/lake/add":    {http.MethodPost, classMutate, s.lakeAdd},
+		"/v1/lake/remove": {http.MethodPost, classMutate, s.lakeRemove},
+		"/v1/lake":        {http.MethodGet, classRead, s.lakeInfo},
+		"/v1/lake/table":  {http.MethodGet, classRead, s.lakeTable},
+		"/v1/lake/tables": {http.MethodPost, classRead, s.lakeTables},
 	}
 	for path, ep := range endpoints {
 		s.mux.HandleFunc(ep.method+" "+path, s.handle(s.newEndpointMetrics(path), ep.class, ep.fn))

@@ -75,7 +75,7 @@ func (t *Table) Column(c int) []Value {
 
 // DistinctStrings returns the set of distinct non-null cell renderings of
 // column c, in first-seen order: the value sequence a column annotation
-// votes over (kb.KB.AnnotateColumn; kb.Annotator.ColumnCodes keeps the same
+// votes over (kb.KB.AnnotateColumn; kb.Scratch.ColumnCodes keeps the same
 // order). Discovery domains are normalized on top of it: see ValueSet.
 func (t *Table) DistinctStrings(c int) []string {
 	seen := make(map[string]bool)
