@@ -512,9 +512,10 @@ func BenchmarkX3JoinSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.Run("LSHEnsemble", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			l.Join().Query(domain, 0.5, 0)
+			l.Join().QueryCtx(ctx, domain, 0.5, 0)
 		}
 	})
 	b.Run("LSHEnsembleCached", func(b *testing.B) {
@@ -526,12 +527,12 @@ func BenchmarkX3JoinSearch(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l.Join().QueryDomain(d, 0.5, 0)
+			l.Join().QueryDomainCtx(ctx, d, 0.5, 0)
 		}
 	})
 	b.Run("JOSIE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			l.Josie().TopK(domain, 10)
+			l.Josie().TopKCtx(ctx, domain, 10)
 		}
 	})
 	b.Run("JOSIECached", func(b *testing.B) {
@@ -541,7 +542,7 @@ func BenchmarkX3JoinSearch(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l.Josie().TopKIDs(d.IDs, 10)
+			l.Josie().TopKIDsCtx(ctx, d.IDs, 10)
 		}
 	})
 	b.Run("ExactScan", func(b *testing.B) {
@@ -562,7 +563,7 @@ func BenchmarkX4UnionSearch(b *testing.B) {
 	q, _ := l.Get("sem_union0")
 	b.Run("SANTOS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := l.Santos().Query(q, 1, 0); err != nil {
+			if _, err := l.Santos().QueryCtx(context.Background(), q, 1, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

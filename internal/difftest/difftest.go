@@ -121,17 +121,20 @@ func DiscoverySig(reg *discovery.Registry, l discovery.Target, q *table.Table, c
 // so would mask an index still returning a removed table as a ghost), this
 // compares what the indexes themselves answer.
 func IndexSig(l *lake.Lake, q *table.Table, col int) string {
+	ctx := context.Background() // never cancelled: the joinable queries cannot fail
 	vals := q.DistinctStrings(col)
 	s := "josie:"
-	for _, r := range l.Josie().TopK(vals, 5) {
+	overlaps, _ := l.Josie().TopKCtx(ctx, vals, 5)
+	for _, r := range overlaps {
 		s += fmt.Sprintf("%s|%d;", r.Set.Key(), r.Overlap)
 	}
 	s += "\nlsh:"
-	for _, r := range l.Join().Query(vals, 0.4, 0) {
+	containments, _ := l.Join().QueryCtx(ctx, vals, 0.4, 0)
+	for _, r := range containments {
 		s += fmt.Sprintf("%s|%016x;", r.Domain.Key(), math.Float64bits(r.Containment))
 	}
 	s += "\nsantos:"
-	if res, err := l.Santos().Query(q, col, 0); err != nil {
+	if res, err := l.Santos().QueryCtx(ctx, q, col, 0); err != nil {
 		s += "err:" + err.Error()
 	} else {
 		for _, r := range res {

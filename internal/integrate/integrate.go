@@ -72,18 +72,34 @@ type Operator interface {
 	Run(ctx context.Context, schema []string, sets []AlignedSet) ([]fd.Tuple, error)
 }
 
+// OperatorError is an operator fault Apply contains: a panic in Run, or a
+// tuple whose width is not the schema's. It is a server-side fault in a
+// (usually user-registered) operator, not the caller's error; the serving
+// layer matches it with errors.As to answer 500.
+type OperatorError struct {
+	// Operator names the faulty operator.
+	Operator string
+	// Fault says what it did.
+	Fault string
+}
+
+func (e *OperatorError) Error() string {
+	return fmt.Sprintf("integrate: operator %q %s", e.Operator, e.Fault)
+}
+
 // Apply aligns the tables, runs the operator, and renders the integrated
 // table named "<op>(T1,T2,...)". It is the one-call path the CLI, the
 // serving layer and the examples use; ctx cancellation aborts the operator
-// mid-integration with ctx.Err().
+// mid-integration with ctx.Err(). An operator that panics or returns a
+// tuple of the wrong width fails with an *OperatorError.
 func Apply(ctx context.Context, op Operator, tables []*table.Table, matcher schemamatch.Matcher, rowIDs RowIDFunc, withProvenance bool) (*table.Table, []fd.Tuple, error) {
 	schema, sets, err := Prepare(tables, matcher, rowIDs)
 	if err != nil {
 		return nil, nil, err
 	}
-	tuples, err := op.Run(ctx, schema, sets)
+	tuples, err := run(ctx, op, schema, sets)
 	if err != nil {
-		return nil, nil, fmt.Errorf("integrate: operator %q: %w", op.Name(), err)
+		return nil, nil, err
 	}
 	names := make([]string, len(tables))
 	for i, t := range tables {
@@ -91,6 +107,25 @@ func Apply(ctx context.Context, op Operator, tables []*table.Table, matcher sche
 	}
 	out := fd.ToTable(fmt.Sprintf("%s(%s)", op.Name(), strings.Join(names, ",")), schema, tuples, withProvenance)
 	return out, tuples, nil
+}
+
+// run calls op.Run, containing its faults as an *OperatorError.
+func run(ctx context.Context, op Operator, schema []string, sets []AlignedSet) (tuples []fd.Tuple, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tuples, err = nil, &OperatorError{Operator: op.Name(), Fault: fmt.Sprintf("panicked: %v", r)}
+		}
+	}()
+	tuples, err = op.Run(ctx, schema, sets)
+	if err != nil {
+		return nil, fmt.Errorf("integrate: operator %q: %w", op.Name(), err)
+	}
+	for i, t := range tuples {
+		if len(t.Values) != len(schema) {
+			return nil, &OperatorError{Operator: op.Name(), Fault: fmt.Sprintf("returned tuple %d with %d values for %d columns", i, len(t.Values), len(schema))}
+		}
+	}
+	return tuples, nil
 }
 
 // ALITEFD is the default operator: ALITE's Full Disjunction.

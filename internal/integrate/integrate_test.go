@@ -306,6 +306,52 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesNilFunc: a Func without F could only fail every
+// request that names it, by the server's fault, so Register refuses it, by
+// value or by pointer, and the name stays free.
+func TestRegisterRefusesNilFunc(t *testing.T) {
+	r := NewRegistry()
+	for _, op := range []Operator{Func{OpName: "no-func"}, &Func{OpName: "no-func"}} {
+		if err := r.Register(op); err == nil {
+			t.Errorf("Register(%#v) accepted a Func with no F", op)
+		}
+	}
+	if _, ok := r.Get("no-func"); ok {
+		t.Error("a refused operator was registered")
+	}
+}
+
+// TestApplyContainsOperatorFaults: an operator that panics, or that returns
+// a tuple whose width is not the schema's, is answered as one
+// *OperatorError naming the operator, with no table; Apply itself never
+// panics and never renders a ragged table.
+func TestApplyContainsOperatorFaults(t *testing.T) {
+	faults := []struct {
+		op   Func
+		want string
+	}{
+		{Func{OpName: "explodes", F: func(context.Context, []string, []AlignedSet) ([]Tuple, error) {
+			panic("user operator exploded")
+		}}, `integrate: operator "explodes" panicked: user operator exploded`},
+		{Func{OpName: "narrow", F: func(_ context.Context, schema []string, _ []AlignedSet) ([]Tuple, error) {
+			return []Tuple{{Values: make([]table.Value, len(schema))}, {Values: []table.Value{table.StringValue("x")}}}, nil
+		}}, `integrate: operator "narrow" returned tuple 1 with 1 values for 3 columns`},
+	}
+	for _, f := range faults {
+		out, tuples, err := Apply(context.Background(), f.op, paperdata.VaccineSet(), vaccineMatcher(), nil, false)
+		var fault *OperatorError
+		if !errors.As(err, &fault) || fault.Operator != f.op.OpName {
+			t.Fatalf("%s: err = %v, want an *OperatorError for it", f.op.OpName, err)
+		}
+		if err.Error() != f.want {
+			t.Errorf("%s: err = %q, want %q", f.op.OpName, err, f.want)
+		}
+		if out != nil || tuples != nil {
+			t.Errorf("%s: a faulted operator rendered %v / %d tuples", f.op.OpName, out, len(tuples))
+		}
+	}
+}
+
 func TestFuncOperator(t *testing.T) {
 	// Fig. 6's scenario: a user-defined outer-join operator plugged in as a
 	// function behaves identically to the built-in.

@@ -55,11 +55,23 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Register adds an operator; a duplicate or empty name is an error.
+// Register adds an operator; duplicate or empty names, and a Func without
+// F, are errors.
 func (r *Registry) Register(op Operator) error {
 	name := op.Name()
 	if name == "" {
 		return fmt.Errorf("integrate: operator with empty name")
+	}
+	var noFunc bool
+	switch f := op.(type) {
+	case Func:
+		noFunc = f.F == nil
+	case *Func:
+		noFunc = f.F == nil
+	}
+	if noFunc {
+		// Every request that named it would fail, by the server's fault.
+		return fmt.Errorf("integrate: operator %q has no function", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,18 +1,19 @@
 package josie
 
 // crosscheck_test pins the token-interned index to the pre-refactor
-// string-based implementation: on randomized lakes, TopK (and the TopKIDs
-// fast path) must return exactly the same ranked results — same sets, same
-// overlaps, same order — as the reference below, which is a faithful copy
-// of the old map[string][]int32 postings walk with kthLargest admission.
+// string-based implementation: on randomized lakes, TopKCtx (and the
+// TopKIDsCtx fast path) must return exactly the same ranked results — same
+// sets, same overlaps, same order — as the reference below, which is a
+// faithful copy of the old map[string][]int32 postings walk with kthLargest
+// admission.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
-	"repro/internal/table"
 	"repro/internal/tokenize"
 )
 
@@ -131,7 +132,7 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 			}
 			sets = append(sets, Set{Table: fmt.Sprintf("t%03d", i), Column: rng.Intn(3), Values: vals})
 		}
-		ix := Build(sets)
+		ix := Build(interned(sets))
 		for qi := 0; qi < 25; qi++ {
 			qn := 1 + rng.Intn(60)
 			query := make([]string, qn)
@@ -145,39 +146,16 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 			}
 			for _, k := range []int{0, 1, 3, 10, nsets * 2} {
 				label := fmt.Sprintf("seed=%d query=%d k=%d", seed, qi, k)
-				assertSameResults(t, label, ix.TopK(query, k), referenceTopK(sets, query, k))
+				got, _ := ix.TopKCtx(context.Background(), query, k)
+				assertSameResults(t, label, got, referenceTopK(sets, query, k))
 			}
 		}
 	}
 }
 
-// TestRebuildIgnoresForeignIDs pins the rebuild contract: Build (private
-// dictionary) must re-intern sets whose cached IDs came from another
-// dictionary instead of counting them against the wrong posting layout
-// (out-of-range foreign IDs would panic the CSR fill; in-range ones would
-// silently corrupt it).
-func TestRebuildIgnoresForeignIDs(t *testing.T) {
-	foreign := table.NewTokenDict()
-	for i := 0; i < 50; i++ {
-		foreign.Intern(fmt.Sprintf("pad%02d", i))
-	}
-	sets := []Set{
-		{Table: "A", Values: []string{"berlin", "boston", "tokyo"}},
-		{Table: "B", Values: []string{"berlin", "lyon"}},
-	}
-	for i := range sets {
-		sets[i].IDs = foreign.InternAll(sets[i].Values, nil)
-	}
-	ix := Build(sets)
-	got := ix.TopK([]string{"berlin", "boston"}, 0)
-	assertSameResults(t, "foreign-ID rebuild", got, []refResult{
-		{key: "A[0]", overlap: 2}, {key: "B[0]", overlap: 1},
-	})
-}
-
 // TestCrossCheckTopKIDsFastPath verifies the lake-domain fast path — a
-// query given as pre-interned token IDs — matches both the string TopK and
-// the reference.
+// query given as pre-interned token IDs — matches both the string TopKCtx
+// and the reference.
 func TestCrossCheckTopKIDsFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var sets []Set
@@ -189,14 +167,16 @@ func TestCrossCheckTopKIDsFastPath(t *testing.T) {
 		}
 		sets = append(sets, Set{Table: fmt.Sprintf("t%03d", i), Values: vals})
 	}
-	ix := Build(sets)
+	ix := Build(interned(sets))
 	for i := 0; i < len(ix.sets); i += 7 {
 		s := &ix.sets[i]
 		for _, k := range []int{0, 1, 5} {
 			label := fmt.Sprintf("set=%d k=%d", i, k)
 			want := referenceTopK(sets, s.Values, k)
-			assertSameResults(t, label+" ids", ix.TopKIDs(s.IDs, k), want)
-			assertSameResults(t, label+" strings", ix.TopK(s.Values, k), want)
+			byIDs, _ := ix.TopKIDsCtx(context.Background(), s.IDs, k)
+			assertSameResults(t, label+" ids", byIDs, want)
+			byStrings, _ := ix.TopKCtx(context.Background(), s.Values, k)
+			assertSameResults(t, label+" strings", byStrings, want)
 		}
 	}
 }

@@ -4,11 +4,11 @@
 // Ensemble (approximate, threshold-based), JOSIE answers exact top-k
 // queries: the k indexed column domains with the largest overlap |Q∩X|.
 //
-// The index lives entirely in an integer token universe: set members intern
-// into a table.TokenDict (shared lake-wide when built through lake.New), and
-// the inverted index maps dense token IDs to posting lists stored as one
-// contiguous []int32 arena with per-token offsets (CSR layout) — no
-// string-keyed map, no per-token slice headers. Queries process tokens in
+// The index lives entirely in an integer token universe: it is built over
+// the lake's domains as they are, each carrying its members' IDs in the
+// lake-wide table.TokenDict, and the inverted index maps dense token IDs to
+// posting lists stored as one contiguous []int32 arena with per-token
+// offsets (CSR layout) — no string-keyed map, no per-token slice headers. Queries process tokens in
 // ascending global-frequency order with a prefix-filter early termination:
 // once fewer unread query tokens remain than the current k-th best overlap,
 // no unseen candidate can reach the top k, so only already-seen candidates
@@ -17,9 +17,9 @@
 // instead of re-sorting. This mirrors JOSIE's core insight (adaptively stop
 // creating new candidates) without its cost model.
 //
-// The index is immutable once built: a mutated lake publishes a fresh
-// BuildWithDict over its surviving domains (see lake.Lake), so queries take
-// no lock and a reader keeps answering from the build it loaded.
+// The index is immutable once built: a mutated lake publishes a fresh Build
+// over its surviving domains (see lake.Lake), so queries take no lock and a
+// reader keeps answering from the build it loaded.
 package josie
 
 import (
@@ -27,7 +27,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/par"
 	"repro/internal/table"
 	"repro/internal/tokenize"
 )
@@ -38,7 +37,7 @@ type Set = table.Domain
 
 // Index is an inverted index over set members: the posting list of token
 // id is posts[postStart[id]:postStart[id+1]], ascending by set index. It is
-// never modified after BuildWithDict returns.
+// never modified after Build returns.
 type Index struct {
 	sets []Set
 	dict *table.TokenDict
@@ -48,37 +47,21 @@ type Index struct {
 	posts     []int32
 }
 
-// Build constructs the inverted index over a private token dictionary,
-// dropping any IDs the sets carry (they belong to another dictionary). Set
-// values are assumed normalized (use tokenize.ValueSet when extracting from
-// tables); interning deduplicates defensively so posting lists never
-// double-count a set.
-func Build(sets []Set) *Index { return BuildWithDict(table.WithoutIDs(sets), table.NewTokenDict()) }
-
-// BuildWithDict constructs the inverted index over dict, which every ID the
-// sets carry must come from. Sharing one dictionary across indexes — as lake
-// preprocessing does — makes query-side token lookups agree lake-wide. A set
-// with IDs is indexed under them as it is (they must be deduplicated, as lake
-// extraction's are); a set without IDs is interned here.
+// Build constructs the inverted index over dict. Every set must carry
+// deduplicated IDs from dict for its non-empty values, as lake extraction
+// (lake.New, Lake.Add) gives its domains; the index keeps the sets slice as
+// it is and never writes to it. Sharing one dictionary across indexes makes
+// query-side token lookups agree lake-wide.
 //
-// Interning runs one worker per set; the CSR fill afterwards is a cheap
-// integer counting pass. Posting lists are filled in set order, so the
-// index is identical to a sequential build regardless of scheduling.
-func BuildWithDict(sets []Set, dict *table.TokenDict) *Index {
+// The build is one integer counting pass: posting lists are filled in set
+// order, so the index is identical for the same sets and dictionary.
+func Build(sets []Set, dict *table.TokenDict) *Index {
 	// Postings store set indices as int32; refuse to wrap rather than
 	// silently corrupt the index.
 	if len(sets) > math.MaxInt32 {
 		panic("josie: index full: more than ~2B sets (int32 set-index space exhausted)")
 	}
-	ix := &Index{
-		sets: append([]Set(nil), sets...),
-		dict: dict,
-	}
-	par.For(len(ix.sets), func(i int) {
-		if s := &ix.sets[i]; s.IDs == nil {
-			s.IDs = internDedup(dict, s.Values)
-		}
-	})
+	ix := &Index{sets: sets, dict: dict}
 	ix.fillCSR()
 	return ix
 }
@@ -117,25 +100,6 @@ func (ix *Index) fillCSR() {
 	}
 }
 
-// internDedup interns values into dict, skipping empties and duplicates
-// (first occurrence wins), preserving order.
-func internDedup(dict *table.TokenDict, values []string) []uint32 {
-	ids := make([]uint32, 0, len(values))
-	seen := make(map[uint32]struct{}, len(values))
-	for _, v := range values {
-		if v == "" {
-			continue
-		}
-		id := dict.Intern(v)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // postings returns the posting list of token id (empty for unknown IDs and
 // for tokens interned after the build).
 func (ix *Index) postings(id uint32) []int32 {
@@ -144,9 +108,6 @@ func (ix *Index) postings(id uint32) []int32 {
 	}
 	return ix.posts[ix.postStart[id]:ix.postStart[id+1]]
 }
-
-// Dict returns the token dictionary the index interns through.
-func (ix *Index) Dict() *table.TokenDict { return ix.dict }
 
 // NumSets reports how many sets are indexed.
 func (ix *Index) NumSets() int { return len(ix.sets) }
@@ -165,18 +126,12 @@ type queryToken struct {
 	tok  string
 }
 
-// TopK returns the k sets with the largest exact overlap with the query
+// TopKCtx returns the k sets with the largest exact overlap with the query
 // (after normalization), ranked by overlap descending with deterministic
 // tie-breaking by key. Sets with zero overlap are never returned. k<=0
 // returns all sets with positive overlap. Query tokens are looked up, not
-// interned: transient queries never grow the dictionary.
-func (ix *Index) TopK(rawQuery []string, k int) []Result {
-	res, _ := ix.TopKCtx(context.Background(), rawQuery, k)
-	return res
-}
-
-// TopKCtx is TopK with cooperative cancellation — TopKIDsCtx over the
-// normalized raw values' dictionary IDs (0 for tokens outside the
+// interned: transient queries never grow the dictionary. It is TopKIDsCtx
+// over the normalized raw values' dictionary IDs (0 for tokens outside the
 // vocabulary, which TopKIDsCtx skips).
 func (ix *Index) TopKCtx(ctx context.Context, rawQuery []string, k int) ([]Result, error) {
 	query := tokenize.ValueSet(rawQuery)
@@ -187,17 +142,11 @@ func (ix *Index) TopKCtx(ctx context.Context, rawQuery []string, k int) ([]Resul
 	return ix.TopKIDsCtx(ctx, ids, k)
 }
 
-// TopKIDs answers a query given directly as token IDs from the index's
+// TopKIDsCtx answers a query given directly as token IDs from the index's
 // dictionary, deduplicated apart from the unknown-token ID 0 — a lake
-// domain's cached IDs or a resolved foreign column's.
-func (ix *Index) TopKIDs(ids []uint32, k int) []Result {
-	res, _ := ix.TopKIDsCtx(context.Background(), ids, k)
-	return res
-}
-
-// TopKIDsCtx is TopKIDs with cooperative cancellation: the posting-list
-// merge checks ctx between query tokens and returns (nil, ctx.Err()) once
-// the context is cancelled.
+// domain's cached IDs or a resolved foreign column's — ranked as TopKCtx
+// ranks. The posting-list merge checks ctx between query tokens and returns
+// (nil, ctx.Err()) once the context is cancelled.
 func (ix *Index) TopKIDsCtx(ctx context.Context, ids []uint32, k int) ([]Result, error) {
 	if len(ids) == 0 || len(ix.sets) == 0 {
 		return nil, ctx.Err()

@@ -1,13 +1,27 @@
 package josie
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/table"
 	"repro/internal/tokenize"
 )
+
+// interned gives every set its values' IDs in one fresh dictionary, as
+// lake extraction gives its domains (values normalized and deduplicated
+// first), and returns the sets and that dictionary for Build.
+func interned(sets []Set) ([]Set, *table.TokenDict) {
+	dict := table.NewTokenDict()
+	for i := range sets {
+		sets[i].Values = tokenize.ValueSet(sets[i].Values)
+		sets[i].IDs = dict.InternAll(sets[i].Values, nil)
+	}
+	return sets, dict
+}
 
 func mkSet(table string, n, offset int) Set {
 	vals := make([]string, n)
@@ -25,15 +39,15 @@ func TestSetKey(t *testing.T) {
 }
 
 func TestEmptyCases(t *testing.T) {
-	ix := Build(nil)
+	ix := Build(interned(nil))
 	if ix.NumSets() != 0 {
 		t.Error("empty index")
 	}
-	if ix.TopK([]string{"a"}, 5) != nil {
+	if got, _ := ix.TopKCtx(context.Background(), []string{"a"}, 5); got != nil {
 		t.Error("query on empty index must be nil")
 	}
-	ix = Build([]Set{mkSet("a", 5, 0)})
-	if ix.TopK(nil, 5) != nil {
+	ix = Build(interned([]Set{mkSet("a", 5, 0)}))
+	if got, _ := ix.TopKCtx(context.Background(), nil, 5); got != nil {
 		t.Error("empty query must be nil")
 	}
 }
@@ -44,8 +58,8 @@ func TestExactOverlapRanking(t *testing.T) {
 		{Table: "B", Values: []string{"berlin", "boston", "tokyo"}},
 		{Table: "C", Values: []string{"tokyo", "lyon"}},
 	}
-	ix := Build(sets)
-	got := ix.TopK([]string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 10)
+	ix := Build(interned(sets))
+	got, _ := ix.TopKCtx(context.Background(), []string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 10)
 	if len(got) != 2 {
 		t.Fatalf("got %d results: %+v", len(got), got)
 	}
@@ -58,17 +72,9 @@ func TestExactOverlapRanking(t *testing.T) {
 }
 
 func TestZeroOverlapExcluded(t *testing.T) {
-	ix := Build([]Set{{Table: "C", Values: []string{"x"}}})
-	if got := ix.TopK([]string{"y"}, 5); got != nil {
+	ix := Build(interned([]Set{{Table: "C", Values: []string{"x"}}}))
+	if got, _ := ix.TopKCtx(context.Background(), []string{"y"}, 5); got != nil {
 		t.Errorf("zero-overlap result returned: %+v", got)
-	}
-}
-
-func TestDuplicateValuesNotDoubleCounted(t *testing.T) {
-	ix := Build([]Set{{Table: "A", Values: []string{"a", "a", "b"}}})
-	got := ix.TopK([]string{"a", "a", "b"}, 5)
-	if len(got) != 1 || got[0].Overlap != 2 {
-		t.Errorf("dup handling: %+v", got)
 	}
 }
 
@@ -77,7 +83,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 		{Table: "B", Values: []string{"a", "b"}},
 		{Table: "A", Values: []string{"a", "b"}},
 	}
-	got := Build(sets).TopK([]string{"a", "b"}, 0)
+	got, _ := Build(interned(sets)).TopKCtx(context.Background(), []string{"a", "b"}, 0)
 	if len(got) != 2 || got[0].Set.Table != "A" {
 		t.Errorf("tie break: %+v", got)
 	}
@@ -89,13 +95,13 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		sets = append(sets, mkSet(fmt.Sprintf("t%03d", i), 10+rng.Intn(150), rng.Intn(300)))
 	}
-	ix := Build(sets)
+	ix := Build(interned(sets))
 	query := make([]string, 70)
 	for i := range query {
 		query[i] = fmt.Sprintf("v%05d", 150+i)
 	}
 	for _, k := range []int{1, 5, 20} {
-		got := ix.TopK(query, k)
+		got, _ := ix.TopKCtx(context.Background(), query, k)
 		want := bruteForce(sets, query, k)
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))

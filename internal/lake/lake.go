@@ -245,7 +245,7 @@ func (l *Lake) index(knowledge *kb.KB, lsh lshensemble.Options, kbPrep time.Dura
 	next := *l.view.Load()
 	next.stats.KBPrep = kbPrep
 	next.santos = santos.Build(nil, knowledge)
-	next.join = lshensemble.BuildWithDict(nil, lsh, l.tokens)
+	next.join = lshensemble.Build(nil, lsh, l.tokens)
 	l.eachIndex(&next, next.tables, next.domains, nil)
 }
 
@@ -390,7 +390,7 @@ func (l *Lake) eachIndex(next *view, added []*table.Table, addedDomains []table.
 	par.Do(
 		clocked(func() { next.santos = next.santos.With(added, removed) }, &next.stats.Santos),
 		clocked(func() { next.join = next.join.With(addedDomains, removed) }, &next.stats.LSH),
-		clocked(func() { next.josie = josie.BuildWithDict(next.domains, l.tokens) }, &next.stats.Josie),
+		clocked(func() { next.josie = josie.Build(next.domains, l.tokens) }, &next.stats.Josie),
 	)
 	next.gen += 2
 	l.view.Store(next)

@@ -1,6 +1,7 @@
 package lake
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestAddIndexesNewTable(t *testing.T) {
 		t.Errorf("santos tables = %d", l.Santos().NumTables())
 	}
 	// The new domain must be discoverable through all joinable paths.
-	if res := l.Josie().TopK([]string{"Berlin", "Tokyo"}, 0); len(res) == 0 {
+	if res, _ := l.Josie().TopKCtx(context.Background(), []string{"Berlin", "Tokyo"}, 0); len(res) == 0 {
 		t.Error("JOSIE cannot find added table")
 	} else {
 		found := false
@@ -48,7 +49,7 @@ func TestAddIndexesNewTable(t *testing.T) {
 			t.Error("JOSIE results missing T9")
 		}
 	}
-	if res := l.Join().Query([]string{"Berlin", "Tokyo", "Boston"}, 0.9, 0); len(res) == 0 {
+	if res, _ := l.Join().QueryCtx(context.Background(), []string{"Berlin", "Tokyo", "Boston"}, 0.9, 0); len(res) == 0 {
 		t.Error("LSH cannot find added table")
 	}
 }
@@ -181,7 +182,7 @@ func TestCatalogFreezesKB(t *testing.T) {
 		out := fmt.Sprintf("%+v", a)
 		if sh, ok := c.(hasShards); ok {
 			for _, l := range sh.Shards() {
-				res, err := l.Santos().Query(query, 0, 0)
+				res, err := l.Santos().QueryCtx(context.Background(), query, 0, 0)
 				out += fmt.Sprintf(" %v", err)
 				for _, r := range res {
 					out += fmt.Sprintf(" %s/%v/%d", r.Table.Name, r.Score, r.MatchedColumn)

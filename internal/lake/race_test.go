@@ -36,6 +36,7 @@ func TestQueriesConcurrentWithMutation(t *testing.T) {
 	// A foreign query table: never added, so query-side extraction and
 	// SANTOS query annotation run while the lake churns underneath.
 	foreign := difftest.DiffTable(rng, "foreign")
+	ctx := context.Background()
 	const rounds = 40
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -50,9 +51,9 @@ func TestQueriesConcurrentWithMutation(t *testing.T) {
 				default:
 				}
 				vals := foreign.DistinctStrings(0)
-				l.Josie().TopK(vals, 5)
-				l.Join().Query(vals, 0.4, 0)
-				if _, err := l.Santos().Query(foreign, 0, 0); err != nil {
+				l.Josie().TopKCtx(ctx, vals, 5)
+				l.Join().QueryCtx(ctx, vals, 0.4, 0)
+				if _, err := l.Santos().QueryCtx(ctx, foreign, 0, 0); err != nil {
 					t.Errorf("worker %d: santos: %v", w, err)
 					return
 				}
@@ -108,7 +109,8 @@ func TestViewPublishedPerMutation(t *testing.T) {
 	josieSig := func(ix *josie.Index) string {
 		var b strings.Builder
 		for _, q := range queries {
-			for _, r := range ix.TopK(q, 0) {
+			rs, _ := ix.TopKCtx(context.Background(), q, 0)
+			for _, r := range rs {
 				fmt.Fprintf(&b, "%s|%d;", r.Set.Key(), r.Overlap)
 			}
 			b.WriteByte('\n')
@@ -119,7 +121,8 @@ func TestViewPublishedPerMutation(t *testing.T) {
 		var b strings.Builder
 		for _, q := range queries {
 			for _, th := range []float64{0.2, 0.5} {
-				for _, r := range ix.Query(q, th, 0) {
+				rs, _ := ix.QueryCtx(context.Background(), q, th, 0)
+				for _, r := range rs {
 					fmt.Fprintf(&b, "%s|%x;", r.Domain.Key(), math.Float64bits(r.Containment))
 				}
 				b.WriteByte('\n')
@@ -130,7 +133,7 @@ func TestViewPublishedPerMutation(t *testing.T) {
 	santosSig := func(ix *santos.Index) string {
 		var b strings.Builder
 		for _, q := range append([]*table.Table{foreign}, pool...) {
-			rs, err := ix.Query(q, 0, 0)
+			rs, err := ix.QueryCtx(context.Background(), q, 0, 0)
 			fmt.Fprintf(&b, "%v:", err)
 			for _, r := range rs {
 				fmt.Fprintf(&b, "%s|%x|%d;", r.Table.Name, math.Float64bits(r.Score), r.MatchedColumn)
@@ -197,13 +200,13 @@ func TestViewPublishedPerMutation(t *testing.T) {
 		if l.Josie() == old.josie || l.Santos() == old.santos || l.Join() == old.join {
 			t.Fatalf("round %d: the mutation published no new index", round)
 		}
-		if got, want := josieSig(l.Josie()), josieSig(josie.BuildWithDict(l.Domains(), l.Tokens())); got != want {
+		if got, want := josieSig(l.Josie()), josieSig(josie.Build(l.Domains(), l.Tokens())); got != want {
 			t.Fatalf("round %d: published JOSIE diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
 		}
 		if got, want := santosSig(l.Santos()), santosSig(santos.Build(l.Tables(), l.Knowledge())); got != want {
 			t.Fatalf("round %d: published SANTOS diverged from a build over Tables()\n got:\n%s\nwant:\n%s", round, got, want)
 		}
-		if got, want := joinSig(l.Join()), joinSig(lshensemble.BuildWithDict(l.Domains(), l.Join().Options(), l.Tokens())); got != want {
+		if got, want := joinSig(l.Join()), joinSig(lshensemble.Build(l.Domains(), l.Join().Options(), l.Tokens())); got != want {
 			t.Fatalf("round %d: published LSH Ensemble diverged from a build over Domains()\n got:\n%s\nwant:\n%s", round, got, want)
 		}
 	}

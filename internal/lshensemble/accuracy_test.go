@@ -8,6 +8,7 @@
 package lshensemble_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/lake"
 	"repro/internal/lshensemble"
 	"repro/internal/sketch"
+	"repro/internal/table"
 )
 
 // engines under test; every engine the sketch package implements must hold
@@ -76,16 +78,17 @@ func keySet(rs []lshensemble.Result) map[string]bool {
 	return out
 }
 
-// measureEngine builds an index over domains with the given engine and
-// scores it against ExactQuery across the workload.
-func measureEngine(domains []lshensemble.Domain, queries [][]string, thresholds []float64, eng sketch.Engine) accuracy {
+// measureEngine builds an index over domains, interned in dict, with the
+// given engine and scores it against ExactQuery across the workload.
+func measureEngine(domains []lshensemble.Domain, dict *table.TokenDict, queries [][]string, thresholds []float64, eng sketch.Engine) accuracy {
 	opts := lshensemble.Options{Engine: eng}
-	ix := lshensemble.Build(domains, opts)
+	ix := lshensemble.Build(domains, opts, dict)
 	var acc accuracy
 	for _, q := range queries {
 		for _, th := range thresholds {
 			want := keySet(lshensemble.ExactQuery(domains, q, th, 0))
-			got := keySet(ix.Query(q, th, 0))
+			res, _ := ix.QueryCtx(context.Background(), q, th, 0)
+			got := keySet(res)
 			acc.add(got, want)
 		}
 	}
@@ -116,9 +119,11 @@ func assertFloors(t *testing.T, scores map[sketch.Engine]accuracy) {
 // sizes log-uniform across 10..2000 over a shared vocabulary (so the
 // size-partitioned ensemble faces q ≪ x and q ≫ x in the same index), and
 // queries sampled from a base domain at a planned containment level with
-// out-of-vocabulary padding.
-func skewedWorkload(seed int64) (domains []lshensemble.Domain, queries [][]string) {
+// out-of-vocabulary padding. Domains are interned into dict as lake
+// extraction interns them.
+func skewedWorkload(seed int64) (domains []lshensemble.Domain, dict *table.TokenDict, queries [][]string) {
 	rng := rand.New(rand.NewSource(seed))
+	dict = table.NewTokenDict()
 	vocab := make([]string, 6000)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("tok%05d", i)
@@ -138,6 +143,7 @@ func skewedWorkload(seed int64) (domains []lshensemble.Domain, queries [][]strin
 			Table:  fmt.Sprintf("d%03d", i),
 			Column: 0,
 			Values: vals,
+			IDs:    dict.InternAll(vals, nil),
 		})
 	}
 	for i := 0; i < 48; i++ {
@@ -154,17 +160,17 @@ func skewedWorkload(seed int64) (domains []lshensemble.Domain, queries [][]strin
 		}
 		queries = append(queries, q)
 	}
-	return domains, queries
+	return domains, dict, queries
 }
 
 // TestAccuracySkewedLake holds the floors on the synthesized
 // skewed-cardinality workload across thresholds.
 func TestAccuracySkewedLake(t *testing.T) {
-	domains, queries := skewedWorkload(101)
+	domains, dict, queries := skewedWorkload(101)
 	thresholds := []float64{0.5, 0.7, 0.9}
 	scores := make(map[sketch.Engine]accuracy, len(accuracyEngines))
 	for _, eng := range accuracyEngines {
-		scores[eng] = measureEngine(domains, queries, thresholds, eng)
+		scores[eng] = measureEngine(domains, dict, queries, thresholds, eng)
 	}
 	assertFloors(t, scores)
 }
@@ -201,7 +207,8 @@ func TestAccuracyPaperLake(t *testing.T) {
 			}
 			for _, th := range thresholds {
 				want := keySet(lshensemble.ExactQuery(domains, vals, th, 0))
-				got := keySet(l.Join().Query(vals, th, 0))
+				res, _ := l.Join().QueryCtx(context.Background(), vals, th, 0)
+				got := keySet(res)
 				acc.add(got, want)
 			}
 		}

@@ -2,13 +2,14 @@ package lshensemble
 
 // crosscheck_test pins the token-interned ensemble to the pre-refactor
 // string-based implementation: the inline-FNV band keys must equal the
-// hash/fnv ones bit for bit, and Query (and the QueryDomain fast path) must
-// return exactly the same ranked results — same domains, same containments,
-// same order — as the reference below, which replays the old query
-// (fnv.New64a band keys, string-set verification) over the same built
+// hash/fnv ones bit for bit, and QueryCtx (and the QueryDomainCtx fast
+// path) must return exactly the same ranked results — same domains, same
+// containments, same order — as the reference below, which replays the old
+// query (fnv.New64a band keys, string-set verification) over the same built
 // index's partitions and signatures, without its band tables.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -86,7 +87,7 @@ func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []re
 	candidates := make(map[int32]bool)
 	// The reference signs with its own family — it shares nothing with the
 	// index's sketch builder beyond the (size, seed) parameters.
-	qsig := minhash.NewFamily(ix.opts.NumHashes, ix.opts.Seed).Sign(query)
+	qsig := minhash.NewFamily(ix.opts.NumHashes, ix.opts.Seed).SignFingerprintsInto(minhash.Fingerprints(query), nil)
 	for _, p := range ix.parts {
 		// Mirror the production small-partition rule: partitions at or below
 		// scanPartitionMax members are probed exhaustively, not by bands.
@@ -185,7 +186,8 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 			}
 			domains = append(domains, Domain{Table: fmt.Sprintf("t%03d", i), Column: rng.Intn(3), Values: vals})
 		}
-		ix := Build(domains, Options{NumHashes: 128, NumPartitions: 4})
+		dict := table.NewTokenDict()
+		ix := Build(interned(dict, domains), Options{NumHashes: 128, NumPartitions: 4}, dict)
 		for qi := 0; qi < 15; qi++ {
 			qn := 1 + rng.Intn(80)
 			query := make([]string, qn)
@@ -199,7 +201,8 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 			for _, th := range []float64{0.25, 0.5, 0.8} {
 				for _, k := range []int{0, 1, 5} {
 					label := fmt.Sprintf("seed=%d query=%d th=%v k=%d", seed, qi, th, k)
-					assertSameContainments(t, label, ix.Query(query, th, k), referenceQuery(ix, query, th, k))
+					got, _ := ix.QueryCtx(context.Background(), query, th, k)
+					assertSameContainments(t, label, got, referenceQuery(ix, query, th, k))
 				}
 			}
 		}
@@ -228,7 +231,8 @@ func TestCrossCheckBandedPartitions(t *testing.T) {
 		}
 		domains = append(domains, Domain{Table: fmt.Sprintf("t%03d", i), Column: rng.Intn(3), Values: vals})
 	}
-	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 2})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 128, NumPartitions: 2}, dict)
 	for pi := range ix.parts {
 		if n := len(ix.parts[pi].members); n <= scanPartitionMax {
 			t.Fatalf("partition %d has %d domains — too small to exercise the banded path", pi, n)
@@ -242,39 +246,15 @@ func TestCrossCheckBandedPartitions(t *testing.T) {
 		}
 		for _, th := range []float64{0.25, 0.5, 0.8} {
 			label := fmt.Sprintf("banded query=%d th=%v", qi, th)
-			assertSameContainments(t, label, ix.Query(query, th, 0), referenceQuery(ix, query, th, 0))
+			got, _ := ix.QueryCtx(context.Background(), query, th, 0)
+			assertSameContainments(t, label, got, referenceQuery(ix, query, th, 0))
 		}
 	}
 }
 
-// TestRebuildIgnoresForeignIDs pins the rebuild contract: Build (private
-// dictionary) must re-intern domains whose cached IDs came from another
-// dictionary — the lake.Domains() rebuild pattern — instead of reading
-// them against the wrong dictionary and silently returning nothing.
-func TestRebuildIgnoresForeignIDs(t *testing.T) {
-	foreign := table.NewTokenDict()
-	// Offset the foreign dictionary so its IDs cannot accidentally agree
-	// with a fresh one.
-	for i := 0; i < 50; i++ {
-		foreign.Intern(fmt.Sprintf("pad%02d", i))
-	}
-	domains := []Domain{
-		{Table: "A", Column: 0, Values: []string{"berlin", "boston", "tokyo"}},
-		{Table: "B", Column: 0, Values: []string{"berlin", "lyon"}},
-	}
-	for i := range domains {
-		domains[i].IDs = foreign.InternAll(domains[i].Values, nil)
-	}
-	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 2})
-	got := ix.Query([]string{"berlin", "boston", "tokyo"}, 0.9, 0)
-	if len(got) != 1 || got[0].Domain.Table != "A" || got[0].Containment != 1 {
-		t.Fatalf("rebuild with foreign IDs broke queries: %+v", got)
-	}
-}
-
 // TestCrossCheckQueryDomainFastPath verifies the cached-domain fast path —
-// pre-interned IDs and cached MinHash fingerprints — matches both the
-// string Query and the reference.
+// pre-interned IDs, with MinHash fingerprints from the dictionary's cache —
+// matches both the string QueryCtx and the reference.
 func TestCrossCheckQueryDomainFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var domains []Domain
@@ -291,17 +271,20 @@ func TestCrossCheckQueryDomainFastPath(t *testing.T) {
 		}
 		domains = append(domains, Domain{Table: fmt.Sprintf("t%03d", i), Values: vals})
 	}
-	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 4})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 128, NumPartitions: 4}, dict)
 	for i := 0; i < len(ix.domains); i += 9 {
 		d := &ix.domains[i]
-		if d.IDs == nil || d.Fingerprints == nil {
-			t.Fatalf("domain %d missing cached IDs/fingerprints after Build", i)
+		if d.IDs == nil {
+			t.Fatalf("domain %d missing cached IDs after Build", i)
 		}
 		for _, th := range []float64{0.3, 0.6} {
 			label := fmt.Sprintf("domain=%d th=%v", i, th)
 			want := referenceQuery(ix, d.Values, th, 0)
-			assertSameContainments(t, label+" cached", ix.QueryDomain(d, th, 0), want)
-			assertSameContainments(t, label+" strings", ix.Query(d.Values, th, 0), want)
+			cached, _ := ix.QueryDomainCtx(context.Background(), d, th, 0)
+			assertSameContainments(t, label+" cached", cached, want)
+			byStrings, _ := ix.QueryCtx(context.Background(), d.Values, th, 0)
+			assertSameContainments(t, label+" strings", byStrings, want)
 		}
 	}
 }

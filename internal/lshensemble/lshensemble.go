@@ -12,13 +12,13 @@
 // Candidates are verified and ranked by exact containment, so the index has
 // no false positives — only (rare) false negatives from the sketch.
 //
-// The index lives in an integer token universe: domain members intern into
-// a table.TokenDict (shared lake-wide when built through lake.New), exact
-// containment verification intersects uint32 token-ID sets instead of
-// string sets, band keys are computed with an inline FNV-1a loop (no
-// hash.Hash allocation per band), and query-side token fingerprints come
-// from the dictionary's cache whenever the token belongs to the lake
-// vocabulary.
+// The index lives in an integer token universe: it is built over the lake's
+// domains as they are, each carrying its members' IDs in the lake-wide
+// table.TokenDict; exact containment verification intersects uint32
+// token-ID sets instead of string sets, band keys are computed with an
+// inline FNV-1a loop (no hash.Hash allocation per band), and query-side
+// token fingerprints come from the dictionary's cache whenever the token
+// belongs to the lake vocabulary.
 //
 // The index is immutable once built: a mutated lake derives the next
 // generation with Index.With and publishes it (see lake.Lake), so queries
@@ -144,22 +144,12 @@ type queryScratch struct {
 	choice []int // per partition: index into tables, -1 when scanned
 }
 
-// Build constructs the ensemble over a private token dictionary, dropping
-// any IDs and fingerprints the domains carry (they belong to another
-// dictionary), so Build(lake.Domains(), otherOpts) rebuilds are safe. Domains
-// with empty value sets are indexed but can never be returned (containment
-// verification removes them).
-func Build(domains []Domain, opts Options) *Index {
-	return BuildWithDict(table.WithoutIDs(domains), opts, table.NewTokenDict())
-}
-
-// BuildWithDict constructs the ensemble over dict, which every ID the domains
-// carry must come from. Sharing one dictionary across indexes — as lake
-// preprocessing does — makes query-side token lookups and cached
-// fingerprints agree lake-wide. A domain with IDs is indexed under them as it
-// is; a domain without IDs is interned here and keeps the fingerprints read
-// while interning it. BuildWithDict is With over an empty index.
-func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index {
+// Build constructs the ensemble over dict: it is With over an empty index.
+// Every domain must carry deduplicated IDs from dict for its non-empty
+// values, as lake extraction (lake.New, Lake.Add) gives its domains.
+// Sharing one dictionary across indexes makes query-side token lookups and
+// cached fingerprints agree lake-wide.
+func Build(domains []Domain, opts Options, dict *table.TokenDict) *Index {
 	opts = opts.withDefaults()
 	builder, err := sketch.New(opts.sketchParams())
 	if err != nil {
@@ -181,14 +171,14 @@ func BuildWithDict(domains []Domain, opts Options, dict *table.TokenDict) *Index
 
 // With derives the index over the receiver's domains minus those of the
 // removed tables (unknown names are ignored) plus the added domains,
-// appended in order. Kept slots stay in their order and reuse their
-// sketches; added domains are interned as BuildWithDict interns them and
+// appended in order; the added domains carry IDs as Build requires. Kept
+// slots stay in their order and reuse their sketches; added domains are
 // signed in parallel (the only per-value work). The equi-depth order is
 // the kept order merged with the sorted additions, and each band table is
 // re-bucketed from the receiver's entries plus the added slots' keys —
 // O(entries), nothing re-signed — in parallel over r. The result answers
-// every query as a fresh BuildWithDict over the same domains does. The
-// receiver is left unchanged and stays safe to query.
+// every query as a fresh Build over the same domains does. The receiver is
+// left unchanged and stays safe to query.
 func (ix *Index) With(added []Domain, removed []string) *Index {
 	doomed := make(map[string]bool, len(removed))
 	for _, n := range removed {
@@ -216,10 +206,8 @@ func (ix *Index) With(added []Domain, removed []string) *Index {
 	h := ix.opts.NumHashes
 	arena := make([]uint64, len(added)*h)
 	par.For(len(added), func(i int) {
-		d := &next.domains[base+i]
-		next.intern(d)
 		var fps []uint64
-		next.signatures[base+i] = next.sign(d, &fps, arena[i*h:i*h:(i+1)*h])
+		next.signatures[base+i] = next.sign(&next.domains[base+i], &fps, arena[i*h:i*h:(i+1)*h])
 	})
 	next.layout(ix.order, newSlot, base)
 	next.tables = make([]bandTable, len(ix.tables))
@@ -227,15 +215,6 @@ func (ix *Index) With(added []Domain, removed []string) *Index {
 		next.tables[t] = ix.tables[t].with(newSlot, next.signatures[base:], int32(base))
 	})
 	return next
-}
-
-// intern gives a domain that arrived without IDs its IDs and fingerprints in
-// the index's dictionary; a domain with IDs is left as it is.
-func (ix *Index) intern(d *Domain) {
-	if d.IDs == nil {
-		d.IDs = ix.dict.InternAll(d.Values, nil)
-		d.Fingerprints = ix.dict.Fingerprints(d.IDs, nil)
-	}
 }
 
 // sign computes d's sketch into dst from the fingerprints d carries or, for
@@ -429,43 +408,26 @@ type Result struct {
 	Containment float64 // exact |Q∩X|/|Q|
 }
 
-// Query returns the indexed domains whose exact containment of the
+// QueryCtx returns the indexed domains whose exact containment of the
 // normalized query value set is at least threshold, ranked by containment
 // descending (ties broken by domain key), truncated to k (k<=0 means all).
 // rawQuery is normalized with tokenize.ValueSet, matching how domains are
-// extracted from tables, and resolved with table.ResolveDomain.
-func (ix *Index) Query(rawQuery []string, threshold float64, k int) []Result {
-	res, _ := ix.QueryCtx(context.Background(), rawQuery, threshold, k)
-	return res
-}
-
-// QueryCtx is Query with cooperative cancellation — QueryDomainCtx over the
-// normalized raw values.
+// extracted from tables, and resolved with table.ResolveDomain; the query
+// is then QueryDomainCtx's.
 func (ix *Index) QueryCtx(ctx context.Context, rawQuery []string, threshold float64, k int) ([]Result, error) {
 	return ix.QueryDomainCtx(ctx, table.ResolveDomain(ix.dict, tokenize.ValueSet(rawQuery)), threshold, k)
 }
 
-// QueryDomain answers a containment query for an already-extracted domain:
-// a lake's cached domain or a table.ResolveDomain result, whose token IDs
-// (and fingerprints, when it carries them) are used as they are. The
-// domain's Values must be normalized and deduplicated; a domain without IDs
-// is resolved against the index's dictionary first.
-func (ix *Index) QueryDomain(d *Domain, threshold float64, k int) []Result {
-	res, _ := ix.QueryDomainCtx(context.Background(), d, threshold, k)
-	return res
-}
-
-// QueryDomainCtx is QueryDomain with cooperative cancellation: the
-// candidate generation checks ctx between band-table probes, and the
-// verification loop amortized
-// across containment verifications, returning (nil, ctx.Err()) once the
+// QueryDomainCtx answers a containment query for an already-extracted
+// domain, ranked as QueryCtx ranks: a lake's cached domain or a
+// table.ResolveDomain result, whose token IDs (and fingerprints, when it
+// carries them) are used as they are. The candidate generation checks ctx
+// between band-table probes, and the verification loop every
+// verifyCancelStride candidates, returning (nil, ctx.Err()) once the
 // context is cancelled.
 func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float64, k int) ([]Result, error) {
 	if d == nil || len(d.Values) == 0 {
 		return nil, ctx.Err()
-	}
-	if d.IDs == nil {
-		d = table.ResolveDomain(ix.dict, d.Values)
 	}
 	s := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(s)
@@ -579,9 +541,6 @@ func (ix *Index) query(ctx context.Context, qsig sketch.Sketch, qids map[uint32]
 
 // Options returns the index's construction options (defaults applied).
 func (ix *Index) Options() Options { return ix.opts }
-
-// Dict returns the token dictionary the index interns through.
-func (ix *Index) Dict() *table.TokenDict { return ix.dict }
 
 // NumDomains reports how many domains are indexed.
 func (ix *Index) NumDomains() int { return len(ix.domains) }

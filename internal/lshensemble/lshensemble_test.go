@@ -1,10 +1,22 @@
 package lshensemble
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/table"
 )
+
+// interned gives each domain its values' IDs in dict, as lake extraction
+// gives its domains (test domains hold normalized, deduplicated values).
+func interned(dict *table.TokenDict, domains []Domain) []Domain {
+	for i := range domains {
+		domains[i].IDs = dict.InternAll(domains[i].Values, nil)
+	}
+	return domains
+}
 
 // mkDomain builds a domain of n synthetic members starting at offset.
 func mkDomain(table string, col, n, offset int) Domain {
@@ -23,21 +35,22 @@ func TestDomainKey(t *testing.T) {
 }
 
 func TestBuildEmptyIndex(t *testing.T) {
-	ix := Build(nil, Options{})
+	ix := Build(nil, Options{}, table.NewTokenDict())
 	if ix.NumDomains() != 0 {
 		t.Error("empty build should have no domains")
 	}
-	if got := ix.Query([]string{"x"}, 0.5, 10); got != nil {
+	if got, _ := ix.QueryCtx(context.Background(), []string{"x"}, 0.5, 10); got != nil {
 		t.Errorf("query on empty index = %v", got)
 	}
 }
 
 func TestEmptyQuery(t *testing.T) {
-	ix := Build([]Domain{mkDomain("a", 0, 10, 0)}, Options{})
-	if got := ix.Query(nil, 0.5, 10); got != nil {
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, []Domain{mkDomain("a", 0, 10, 0)}), Options{}, dict)
+	if got, _ := ix.QueryCtx(context.Background(), nil, 0.5, 10); got != nil {
 		t.Errorf("empty query = %v", got)
 	}
-	if got := ix.Query([]string{"", "  "}, 0.5, 10); got != nil {
+	if got, _ := ix.QueryCtx(context.Background(), []string{"", "  "}, 0.5, 10); got != nil {
 		t.Errorf("all-null query = %v", got)
 	}
 }
@@ -49,12 +62,13 @@ func TestExactContainmentMatch(t *testing.T) {
 		{Table: "B", Column: 0, Values: []string{"berlin", "boston", "tokyo", "paris"}},
 		{Table: "C", Column: 0, Values: []string{"lyon", "rome"}},
 	}
-	ix := Build(domains, Options{NumHashes: 256, NumPartitions: 2})
-	got := ix.Query([]string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 0.9, 10)
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 256, NumPartitions: 2}, dict)
+	got, _ := ix.QueryCtx(context.Background(), []string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 0.9, 10)
 	if len(got) != 1 || got[0].Domain.Table != "A" || got[0].Containment != 1 {
 		t.Fatalf("threshold 0.9: got %+v", got)
 	}
-	got = ix.Query([]string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 0.4, 10)
+	got, _ = ix.QueryCtx(context.Background(), []string{"Berlin", "Barcelona", "Boston", "New Delhi"}, 0.4, 10)
 	if len(got) != 2 || got[0].Domain.Table != "A" || got[1].Domain.Table != "B" {
 		t.Fatalf("threshold 0.4: got %+v", got)
 	}
@@ -71,13 +85,15 @@ func TestNoFalsePositives(t *testing.T) {
 		n := 5 + rng.Intn(200)
 		domains = append(domains, mkDomain(fmt.Sprintf("t%d", i), 0, n, rng.Intn(500)))
 	}
-	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 4})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 128, NumPartitions: 4}, dict)
 	query := make([]string, 60)
 	for i := range query {
 		query[i] = fmt.Sprintf("val%05d", 100+i)
 	}
 	for _, th := range []float64{0.3, 0.5, 0.8} {
-		for _, r := range ix.Query(query, th, 0) {
+		got, _ := ix.QueryCtx(context.Background(), query, th, 0)
+		for _, r := range got {
 			if r.Containment < th {
 				t.Errorf("threshold %v: result %s has containment %v", th, r.Domain.Key(), r.Containment)
 			}
@@ -93,13 +109,14 @@ func TestRecallAgainstExact(t *testing.T) {
 		n := 20 + rng.Intn(300)
 		domains = append(domains, mkDomain(fmt.Sprintf("t%d", i), 0, n, rng.Intn(400)))
 	}
-	ix := Build(domains, Options{NumHashes: 256, NumPartitions: 8})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 256, NumPartitions: 8}, dict)
 	query := make([]string, 80)
 	for i := range query {
 		query[i] = fmt.Sprintf("val%05d", 200+i)
 	}
 	truth := ExactQuery(domains, query, 0.5, 0)
-	got := ix.Query(query, 0.5, 0)
+	got, _ := ix.QueryCtx(context.Background(), query, 0.5, 0)
 	gotSet := make(map[string]bool)
 	for _, r := range got {
 		gotSet[r.Domain.Key()] = true
@@ -124,12 +141,13 @@ func TestTopKTruncation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		domains = append(domains, mkDomain(fmt.Sprintf("t%d", i), 0, 20, 0))
 	}
-	ix := Build(domains, Options{NumHashes: 128, NumPartitions: 2})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 128, NumPartitions: 2}, dict)
 	query := make([]string, 20)
 	for i := range query {
 		query[i] = fmt.Sprintf("val%05d", i)
 	}
-	got := ix.Query(query, 0.5, 3)
+	got, _ := ix.QueryCtx(context.Background(), query, 0.5, 3)
 	if len(got) != 3 {
 		t.Errorf("top-3 returned %d results", len(got))
 	}
@@ -140,8 +158,9 @@ func TestRankingDeterministic(t *testing.T) {
 		{Table: "B", Column: 0, Values: []string{"x", "y"}},
 		{Table: "A", Column: 0, Values: []string{"x", "y"}},
 	}
-	ix := Build(domains, Options{NumHashes: 64})
-	got := ix.Query([]string{"x", "y"}, 0.5, 0)
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 64}, dict)
+	got, _ := ix.QueryCtx(context.Background(), []string{"x", "y"}, 0.5, 0)
 	if len(got) != 2 || got[0].Domain.Table != "A" {
 		t.Errorf("tie-break must be by key: %+v", got)
 	}
@@ -150,8 +169,9 @@ func TestRankingDeterministic(t *testing.T) {
 func TestQueryNormalization(t *testing.T) {
 	// Query values are normalized the same way domains are assumed to be.
 	domains := []Domain{{Table: "A", Column: 0, Values: []string{"united states", "canada"}}}
-	ix := Build(domains, Options{NumHashes: 128})
-	got := ix.Query([]string{"United  States", "CANADA"}, 0.9, 0)
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 128}, dict)
+	got, _ := ix.QueryCtx(context.Background(), []string{"United  States", "CANADA"}, 0.9, 0)
 	if len(got) != 1 || got[0].Containment != 1 {
 		t.Errorf("normalized query should fully match: %+v", got)
 	}
@@ -183,12 +203,13 @@ func TestPartitionUpperBounds(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		domains = append(domains, mkDomain(fmt.Sprintf("noise%d", i), 0, 100, 100000+i*500))
 	}
-	ix := Build(domains, Options{NumHashes: 256, NumPartitions: 4})
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), Options{NumHashes: 256, NumPartitions: 4}, dict)
 	query := make([]string, 10)
 	for i := range query {
 		query[i] = fmt.Sprintf("val%05d", i)
 	}
-	got := ix.Query(query, 0.9, 0)
+	got, _ := ix.QueryCtx(context.Background(), query, 0.9, 0)
 	keys := make(map[string]bool)
 	for _, r := range got {
 		keys[r.Domain.Table] = true

@@ -1,24 +1,26 @@
 package lshensemble
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // mutOpts keeps mutation tests fast while exercising several partitions and
 // band configurations.
 var mutOpts = Options{NumHashes: 16, NumPartitions: 4, Seed: 7}
 
-// plainDomains returns an index's domains stripped of build artifacts, in
-// slot order.
+// plainDomains returns copies of an index's domains, in slot order.
 func plainDomains(ix *Index) []Domain {
 	out := make([]Domain, len(ix.domains))
 	for slot, d := range ix.domains {
-		out[slot] = Domain{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values}
+		out[slot] = Domain{Table: d.Table, Column: d.Column, ColumnName: d.ColumnName, Values: d.Values, IDs: d.IDs}
 	}
 	return out
 }
@@ -86,19 +88,20 @@ func randomDomainPool(rng *rand.Rand, n int) []Domain {
 }
 
 // checkAgainstBuild is the strongest equivalence pin: a derived generation
-// must equal a fresh BuildWithDict over the same domains — slots,
+// must equal a fresh Build over the same domains — slots,
 // signatures, partition boundaries, size bounds and band-bucket membership,
 // not merely query results — and answer every query identically.
 func checkAgainstBuild(t *testing.T, label string, ix *Index, pool []Domain, rng *rand.Rand) {
 	t.Helper()
-	fresh := BuildWithDict(plainDomains(ix), ix.opts, ix.dict)
+	fresh := Build(plainDomains(ix), ix.opts, ix.dict)
 	if got, want := layoutSig(ix), layoutSig(fresh); got != want {
 		t.Fatalf("%s: layout diverged from fresh build\n got:\n%s\nwant:\n%s", label, got, want)
 	}
 	for q := 0; q < 2; q++ {
 		query := pool[rng.Intn(len(pool))].Values
 		th := 0.3 + 0.4*rng.Float64()
-		got, want := ix.Query(query, th, 0), fresh.Query(query, th, 0)
+		got, _ := ix.QueryCtx(context.Background(), query, th, 0)
+		want, _ := fresh.QueryCtx(context.Background(), query, th, 0)
 		if resultSig(got) != resultSig(want) {
 			t.Fatalf("%s: query diverged\n got %s\nwant %s", label, resultSig(got), resultSig(want))
 		}
@@ -144,13 +147,14 @@ func withSchedule(t *testing.T, ix *Index, pool []Domain, inLake []bool, rng *ra
 func TestMutationLayoutMatchesFreshBuild(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pool := randomDomainPool(rng, 12)
+		dict := table.NewTokenDict()
+		pool := interned(dict, randomDomainPool(rng, 12))
 		inLake := make([]bool, len(pool))
 		start := 1 + rng.Intn(6)
 		for i := 0; i < start; i++ {
 			inLake[i] = true
 		}
-		ix := Build(pool[:start], mutOpts)
+		ix := Build(pool[:start], mutOpts, dict)
 		for op := 0; op < 10; op++ {
 			ix = withSchedule(t, ix, pool, inLake, rng)
 			checkAgainstBuild(t, fmt.Sprintf("seed %d op %d", seed, op), ix, pool, rng)
@@ -166,13 +170,14 @@ func FuzzWithMatchesBuild(f *testing.F) {
 	f.Add(int64(2), uint8(200), uint8(150), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, poolSize, start, ops uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		pool := randomDomainPool(rng, 1+int(poolSize))
+		dict := table.NewTokenDict()
+		pool := interned(dict, randomDomainPool(rng, 1+int(poolSize)))
 		inLake := make([]bool, len(pool))
 		n := int(start) % (len(pool) + 1)
 		for i := 0; i < n; i++ {
 			inLake[i] = true
 		}
-		ix := Build(pool[:n], Options{NumHashes: 16, NumPartitions: 2, Seed: seed})
+		ix := Build(pool[:n], Options{NumHashes: 16, NumPartitions: 2, Seed: seed}, dict)
 		for op := 0; op < int(ops)%24; op++ {
 			ix = withSchedule(t, ix, pool, inLake, rng)
 			checkAgainstBuild(t, fmt.Sprintf("op %d", op), ix, pool, rng)
@@ -185,19 +190,20 @@ func TestRemoveExcludesDomain(t *testing.T) {
 		{Table: "A", Column: 0, Values: []string{"berlin", "boston", "tokyo"}},
 		{Table: "B", Column: 0, Values: []string{"berlin", "boston", "paris"}},
 	}
-	ix := Build(domains, mutOpts)
-	if got := ix.Query([]string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, domains), mutOpts, dict)
+	if got, _ := ix.QueryCtx(context.Background(), []string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
 		t.Fatalf("pre-remove results = %v", got)
 	}
 	next := ix.With(nil, []string{"A"})
-	got := next.Query([]string{"berlin", "boston"}, 0.5, 0)
+	got, _ := next.QueryCtx(context.Background(), []string{"berlin", "boston"}, 0.5, 0)
 	if len(got) != 1 || got[0].Domain.Table != "B" {
 		t.Errorf("post-remove results = %v", got)
 	}
 	if next.NumDomains() != 1 || ix.NumDomains() != 2 {
 		t.Errorf("NumDomains = %d, receiver %d", next.NumDomains(), ix.NumDomains())
 	}
-	if got := ix.Query([]string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
+	if got, _ := ix.QueryCtx(context.Background(), []string{"berlin", "boston"}, 0.5, 0); len(got) != 2 {
 		t.Errorf("receiver results after With = %v", got)
 	}
 }
@@ -207,13 +213,14 @@ func TestRemoveExcludesDomain(t *testing.T) {
 // query must not index out of range on a generation with more than twice
 // the slots.
 func TestScratchGrowsWithIndex(t *testing.T) {
-	ix := Build([]Domain{{Table: "A", Column: 0, Values: []string{"x", "y"}}}, mutOpts)
-	ix.Query([]string{"x"}, 0.1, 0) // size the pooled scratch at 1 slot
+	dict := table.NewTokenDict()
+	ix := Build(interned(dict, []Domain{{Table: "A", Column: 0, Values: []string{"x", "y"}}}), mutOpts, dict)
+	ix.QueryCtx(context.Background(), []string{"x"}, 0.1, 0) // size the pooled scratch at 1 slot
 	var add []Domain
 	for i := 0; i < 30; i++ {
 		add = append(add, Domain{Table: fmt.Sprintf("g%02d", i), Column: 0, Values: []string{"x", "y", fmt.Sprintf("z%d", i)}})
 	}
-	if got := ix.With(add, nil).Query([]string{"x", "y"}, 0.5, 0); len(got) != 31 {
+	if got, _ := ix.With(interned(dict, add), nil).QueryCtx(context.Background(), []string{"x", "y"}, 0.5, 0); len(got) != 31 {
 		t.Errorf("post-growth query found %d domains, want 31", len(got))
 	}
 }

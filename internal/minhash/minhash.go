@@ -39,9 +39,6 @@ func NewFamily(k int, seed int64) *Family {
 	return f
 }
 
-// K reports the number of hash functions (the signature length).
-func (f *Family) K() int { return f.k }
-
 // Fingerprint hashes a set member to 64 bits with FNV-1a, byte-identical
 // to hash/fnv.New64a over the same bytes but without the hash.Hash
 // allocation. Every discovery-side token hash (MinHash signatures, the
@@ -60,48 +57,17 @@ func Fingerprint(s string) uint64 {
 	return h
 }
 
-// mulmod computes (a*x + b) mod 2^61-1 using 128-bit intermediate math.
-func mulmod(a, x, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, x%mersennePrime)
-	// Fold the 128-bit product modulo 2^61-1: since 2^61 ≡ 1 (mod p),
-	// value = hi*2^64 + lo = hi*8*2^61 + lo ≡ hi*8 + lo (mod p), applied
-	// iteratively to keep within range.
-	v := (hi<<3 | lo>>61) + (lo & mersennePrime)
-	for v >= mersennePrime {
-		v -= mersennePrime
-	}
-	v += b % mersennePrime
-	if v >= mersennePrime {
-		v -= mersennePrime
-	}
-	return v
-}
-
 // Fingerprints hashes every set member to its 64-bit FNV fingerprint. The
 // result is family-independent, so callers that sign the same set under
 // several families — or rebuild an index with different parameters — can
-// compute fingerprints once per lake and reuse them via SignFingerprints.
+// compute fingerprints once per lake and reuse them via
+// SignFingerprintsInto.
 func Fingerprints(set []string) []uint64 {
 	out := make([]uint64, len(set))
 	for i, s := range set {
 		out[i] = Fingerprint(s)
 	}
 	return out
-}
-
-// Sign computes the MinHash signature of a string set. Duplicates are
-// harmless (min is idempotent). An empty set yields a signature of all
-// MaxUint64, which estimates Jaccard 1 only against another empty set
-// signed by the same family.
-func (f *Family) Sign(set []string) Signature {
-	return f.SignFingerprints(Fingerprints(set))
-}
-
-// SignFingerprints computes the MinHash signature from precomputed member
-// fingerprints, skipping the per-member FNV pass. Sign(set) is exactly
-// SignFingerprints(Fingerprints(set)).
-func (f *Family) SignFingerprints(fps []uint64) Signature {
-	return f.SignFingerprintsInto(fps, nil)
 }
 
 // signBlock is the number of fingerprints each permutation pass evaluates.
@@ -113,8 +79,8 @@ const signBlock = 8
 // mix61 evaluates one hash: (a*x + b) mod 2^61-1 for x and b already below
 // the modulus. The 128-bit product folds via 2^61 ≡ 1 (mod p); the folded
 // value is < 2^62 ≤ 2p+1, so at most two conditional subtractions replace
-// mulmod's reduction loop — same values at every step, so results are
-// bit-identical to mulmod.
+// a general reduction loop — same values at every step, so results are
+// bit-identical to the tests' mulmod reference.
 func mix61(a, x, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, x)
 	v := (hi<<3 | lo>>61) + (lo & mersennePrime)
@@ -131,17 +97,18 @@ func mix61(a, x, b uint64) uint64 {
 	return v
 }
 
-// SignFingerprintsInto is SignFingerprints writing into dst (reused when it
-// has capacity, discarding its previous contents), the allocation-free form
-// query-scratch pools and index builds use.
+// SignFingerprintsInto computes the MinHash signature of a set from its
+// members' fingerprints (see Fingerprints) into dst, reused when it has
+// capacity (its previous contents are discarded). Duplicates are harmless
+// (min is idempotent); an empty set yields a signature of all MaxUint64.
 //
 // The kernel is batched: fingerprints are reduced modulo 2^61-1 once and
 // processed signBlock at a time with the hash-function loop outermost, so
 // each a_i/b_i (and the running minimum sig[i]) is loaded once per block
 // instead of once per member, and the eight hash evaluations per iteration
 // are independent multiply chains the CPU can overlap. min is commutative
-// and each (a_i, x, b_i) evaluation is exactly mulmod, so the signature is
-// bit-identical to the scalar reference — pinned by TestSignMatchesMulmod
+// and each (a_i, x, b_i) evaluation is exactly (a_i*x + b_i) mod 2^61-1,
+// so the signature is bit-identical to the scalar reference — pinned by TestSignMatchesMulmod
 // and the randomized batched-vs-scalar cross-check.
 func (f *Family) SignFingerprintsInto(fps []uint64, dst Signature) Signature {
 	sig := dst
@@ -209,21 +176,6 @@ func (f *Family) SignFingerprintsInto(fps []uint64, dst Signature) Signature {
 		}
 	}
 	return sig
-}
-
-// EstimateJaccard estimates the Jaccard similarity of the sets behind two
-// signatures from the same family: the fraction of agreeing components.
-func EstimateJaccard(a, b Signature) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(len(a))
 }
 
 // JaccardForContainment converts a containment threshold t = |Q∩X|/|Q| into

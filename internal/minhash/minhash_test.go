@@ -11,6 +11,58 @@ import (
 	"repro/internal/tokenize"
 )
 
+// mulmod is the reference hash: (a*x + b) mod 2^61-1 with 128-bit
+// intermediate math and a general reduction loop, reducing x and b itself.
+func mulmod(a, x, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, x%mersennePrime)
+	// Fold the 128-bit product modulo 2^61-1: since 2^61 ≡ 1 (mod p),
+	// value = hi*2^64 + lo = hi*8*2^61 + lo ≡ hi*8 + lo (mod p), applied
+	// iteratively to keep within range.
+	v := (hi<<3 | lo>>61) + (lo & mersennePrime)
+	for v >= mersennePrime {
+		v -= mersennePrime
+	}
+	v += b % mersennePrime
+	if v >= mersennePrime {
+		v -= mersennePrime
+	}
+	return v
+}
+
+// Sign is the reference signature of a string set: every member's
+// Fingerprint hashed by each function of the family through mulmod, keeping
+// the minimum. It shares only Fingerprint with SignFingerprintsInto.
+func (f *Family) Sign(set []string) Signature {
+	sig := make(Signature, f.k)
+	for i := range sig {
+		sig[i] = ^uint64(0)
+	}
+	for _, s := range set {
+		x := Fingerprint(s)
+		for i := range sig {
+			if h := mulmod(f.a[i], x, f.b[i]); h < sig[i] {
+				sig[i] = h
+			}
+		}
+	}
+	return sig
+}
+
+// EstimateJaccard estimates the Jaccard similarity of the sets behind two
+// signatures from the same family: the fraction of agreeing components.
+func EstimateJaccard(a, b Signature) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	eq := 0
+	for i := range a {
+		if a[i] == b[i] {
+			eq++
+		}
+	}
+	return float64(eq) / float64(len(a))
+}
+
 func setOf(n, offset int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -153,19 +205,19 @@ func TestSignFingerprintsMatchesSign(t *testing.T) {
 	f := NewFamily(64, 7)
 	set := []string{"boston", "chicago", "austin", "miami", ""}
 	fps := Fingerprints(set)
-	a, b := f.Sign(set), f.SignFingerprints(fps)
+	a, b := f.Sign(set), f.SignFingerprintsInto(fps, nil)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("component %d: Sign=%d SignFingerprints=%d", i, a[i], b[i])
+			t.Fatalf("component %d: Sign=%d SignFingerprintsInto=%d", i, a[i], b[i])
 		}
 	}
 	// Fingerprints are family-independent: a second family signs the same
 	// fingerprints to the same result as signing the raw set.
 	g := NewFamily(64, 99)
-	c, d := g.Sign(set), g.SignFingerprints(fps)
+	c, d := g.Sign(set), g.SignFingerprintsInto(fps, nil)
 	for i := range c {
 		if c[i] != d[i] {
-			t.Fatalf("family 2 component %d: Sign=%d SignFingerprints=%d", i, c[i], d[i])
+			t.Fatalf("family 2 component %d: Sign=%d SignFingerprintsInto=%d", i, c[i], d[i])
 		}
 	}
 }
@@ -190,7 +242,7 @@ func TestSignMatchesMulmod(t *testing.T) {
 		fps[i] = rng.Uint64() // includes values at and above the modulus
 	}
 	fps = append(fps, 0, mersennePrime-1, mersennePrime, mersennePrime+1, ^uint64(0))
-	got := f.SignFingerprints(fps)
+	got := f.SignFingerprintsInto(fps, nil)
 	want := make(Signature, f.k)
 	for i := range want {
 		want[i] = ^uint64(0)

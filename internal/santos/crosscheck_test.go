@@ -8,6 +8,7 @@ package santos
 // edges via the KB's exported API.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -168,7 +169,7 @@ func TestCrossCheckDemoLake(t *testing.T) {
 	q := paperdata.T1()
 	for col := 0; col < q.NumCols(); col++ {
 		for _, k := range []int{0, 1, 10} {
-			got, gerr := ix.Query(q, col, k)
+			got, gerr := ix.QueryCtx(context.Background(), q, col, k)
 			want, werr := refQuery(lakeTables, ref, q, col, k)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("col=%d k=%d: error mismatch: %v vs %v", col, k, gerr, werr)
@@ -223,7 +224,7 @@ func TestCrossCheckMixedKindLakes(t *testing.T) {
 
 		ix := Build(lakeTables, know)
 		for col := 0; col < q.NumCols(); col++ {
-			got, gerr := ix.Query(q, col, 0)
+			got, gerr := ix.QueryCtx(context.Background(), q, col, 0)
 			want, werr := refQuery(lakeTables, ref, q, col, 0)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("seed=%d col=%d: error mismatch: %v vs %v", seed, col, gerr, werr)
@@ -268,7 +269,7 @@ func TestCrossCheckRandomizedLakes(t *testing.T) {
 		ix := Build(lakeTables, know)
 		q := mk("query", 6)
 		for col := 0; col < q.NumCols(); col++ {
-			got, gerr := ix.Query(q, col, 0)
+			got, gerr := ix.QueryCtx(context.Background(), q, col, 0)
 			want, werr := refQuery(lakeTables, ref, q, col, 0)
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("seed=%d col=%d: error mismatch: %v vs %v", seed, col, gerr, werr)

@@ -1,6 +1,7 @@
 package santos
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -32,11 +33,11 @@ func TestAddMatchesRebuild(t *testing.T) {
 	fresh := Build(all, kb.Demo())
 	q := paperdata.T1()
 	city, _ := q.ColumnIndex(paperdata.ColCity)
-	got, err := grown.Query(q, city, 10)
+	got, err := grown.QueryCtx(context.Background(), q, city, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Query(q, city, 10)
+	want, err := fresh.QueryCtx(context.Background(), q, city, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRemoveEvictsGraph(t *testing.T) {
 	q := paperdata.T1()
 	city, _ := q.ColumnIndex(paperdata.ColCity)
 	returns := func(ix *Index, name string) bool {
-		got, err := ix.Query(q, city, 10)
+		got, err := ix.QueryCtx(context.Background(), q, city, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestRootAnnotatorStaysBounded(t *testing.T) {
 	answers := func(ix *Index) string {
 		var b strings.Builder
 		for _, q := range queries {
-			rs, err := ix.Query(q, 0, 0)
+			rs, err := ix.QueryCtx(context.Background(), q, 0, 0)
 			fmt.Fprintf(&b, "%v:", err)
 			for _, r := range rs {
 				fmt.Fprintf(&b, "%s|%x|%d;", r.Table.Name, math.Float64bits(r.Score), r.MatchedColumn)
@@ -146,7 +147,7 @@ func TestQueriesConcurrentWithCacheFill(t *testing.T) {
 	answers := func(ix *Index, queries []*table.Table) []string {
 		out := make([]string, len(queries))
 		for i, q := range queries {
-			rs, err := ix.Query(q, 0, 0)
+			rs, err := ix.QueryCtx(context.Background(), q, 0, 0)
 			var b strings.Builder
 			fmt.Fprintf(&b, "%v:", err)
 			for _, r := range rs {

@@ -328,6 +328,10 @@ func edgeJaccard(a, b []uint64) float64 {
 	return float64(inter) / float64(union)
 }
 
+// scoreCancelStride bounds how many candidate tables are scored between two
+// context checks in QueryCtx.
+const scoreCancelStride = 64
+
 // Result is one ranked unionable table.
 type Result struct {
 	Table *table.Table
@@ -336,7 +340,7 @@ type Result struct {
 	MatchedColumn int
 }
 
-// Query ranks lake tables by semantic unionability with the query table,
+// QueryCtx ranks lake tables by semantic unionability with the query table,
 // anchored at intentCol (the demo's "intent column"). The score of a
 // candidate column c against the query's intent column q is
 //
@@ -348,19 +352,9 @@ type Result struct {
 // The query table is annotated through the index's code cache without
 // writing it: renderings the index has seen resolve to cached codes, and
 // foreign query values are canonicalized per query, so query traffic never
-// grows the cache.
-func (ix *Index) Query(q *table.Table, intentCol int, k int) ([]Result, error) {
-	return ix.QueryCtx(context.Background(), q, intentCol, k)
-}
-
-// scoreCancelStride bounds how many candidate tables are scored between two
-// context checks in QueryCtx.
-const scoreCancelStride = 64
-
-// QueryCtx is Query with cooperative cancellation: the candidate scoring
-// scan checks ctx every scoreCancelStride tables and returns
-// (nil, ctx.Err()) once the context is cancelled. Uncancelled results are
-// byte-identical to Query.
+// grows the cache. The candidate scoring scan checks ctx every
+// scoreCancelStride tables and returns (nil, ctx.Err()) once the context is
+// cancelled.
 func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k int) ([]Result, error) {
 	if intentCol < 0 || intentCol >= q.NumCols() {
 		return nil, fmt.Errorf("santos: intent column %d out of range for table %q with %d columns", intentCol, q.Name, q.NumCols())

@@ -1,6 +1,7 @@
 package santos
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/kb"
@@ -19,7 +20,7 @@ func TestFig2UnionableSearch(t *testing.T) {
 	ix := demoIndex()
 	q := paperdata.T1()
 	city, _ := q.ColumnIndex(paperdata.ColCity)
-	got, err := ix.Query(q, city, 10)
+	got, err := ix.QueryCtx(context.Background(), q, city, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestFig2UnionableSearch(t *testing.T) {
 func TestTopKLimit(t *testing.T) {
 	ix := demoIndex()
 	q := paperdata.T1()
-	got, err := ix.Query(q, 1, 1)
+	got, err := ix.QueryCtx(context.Background(), q, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestTopKLimit(t *testing.T) {
 func TestIntentColumnValidation(t *testing.T) {
 	ix := demoIndex()
 	q := paperdata.T1()
-	if _, err := ix.Query(q, 99, 10); err == nil {
+	if _, err := ix.QueryCtx(context.Background(), q, 99, 10); err == nil {
 		t.Error("out-of-range intent column must error")
 	}
 	// Numeric intent column has no semantic annotation.
 	numeric := table.New("N", "id", "x")
 	numeric.MustAddRow(table.IntValue(1), table.IntValue(2))
-	if _, err := ix.Query(numeric, 0, 10); err == nil {
+	if _, err := ix.QueryCtx(context.Background(), numeric, 0, 10); err == nil {
 		t.Error("unannotatable intent column must error")
 	}
 }
@@ -69,7 +70,7 @@ func TestIntentColumnValidation(t *testing.T) {
 func TestQueryTableNeverReturned(t *testing.T) {
 	lake := append(paperdata.CovidLake(), paperdata.T1())
 	ix := Build(lake, kb.Demo())
-	got, err := ix.Query(paperdata.T1(), 1, 10)
+	got, err := ix.QueryCtx(context.Background(), paperdata.T1(), 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestOffTopicQueryFindsNothing(t *testing.T) {
 	q.MustAddRow(table.StringValue("gadget"), table.IntValue(7))
 	// "product" values are not in the demo KB, so the intent column cannot
 	// be annotated — the paper notes off-topic queries may yield no results.
-	if _, err := ix.Query(q, 0, 10); err == nil {
+	if _, err := ix.QueryCtx(context.Background(), q, 0, 10); err == nil {
 		t.Error("off-topic query should error on unannotatable intent column")
 	}
 }
@@ -171,7 +172,7 @@ func TestSynthesizedKBFallback(t *testing.T) {
 	syn := kb.Synthesize(lake, kb.SynthesizeOptions{})
 	ix := Build(lake, syn)
 	q := mk("q", []string{"alice", "carol", "frank"}, []string{"red", "red", "red"})
-	got, err := ix.Query(q, 0, 10)
+	got, err := ix.QueryCtx(context.Background(), q, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +211,9 @@ func TestQueryNeverWritesIndexAnnotator(t *testing.T) {
 	q.MustAddRow(table.StringValue("Gotham"), table.StringValue("Germany"), table.StringValue("many"))
 	q.MustAddRow(table.StringValue("Boston"), table.StringValue("Erewhon"), table.IntValue(4))
 	for col := 0; col < q.NumCols(); col++ {
-		ix.Query(q, col, 0)
+		ix.QueryCtx(context.Background(), q, col, 0)
 	}
-	ix.Query(paperdata.T1(), 1, 0)
+	ix.QueryCtx(context.Background(), paperdata.T1(), 1, 0)
 	// A cached rendering, a foreign one, and an unseen rendering of a
 	// cached canonical.
 	for _, s := range []string{"Berlin", "Narnia", "  BERLIN. ", "##"} {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discovery"
+	"repro/internal/integrate"
 	"repro/internal/kb"
 	"repro/internal/lake"
 	"repro/internal/paperdata"
@@ -268,6 +269,57 @@ func TestDiscovererPanicIs500(t *testing.T) {
 		t.Errorf("discover after a contained panic: status = %d, want 200", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestOperatorFaultIs500 pins the operator half of the typed-error
+// contract: a registered operator that panics, or that returns a tuple
+// whose width is not the schema's, is a server-side fault. /v1/integrate
+// and /v1/pipeline answer it with a structured 500 (matched as
+// *integrate.OperatorError), count it as an error so that admitted =
+// completed + errors + in_flight, and keep serving afterwards.
+func TestOperatorFaultIs500(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	faults := []integrate.Func{
+		{OpName: "explodes", F: func(context.Context, []string, []integrate.AlignedSet) ([]integrate.Tuple, error) {
+			panic("user operator exploded")
+		}},
+		{OpName: "narrow", F: func(context.Context, []string, []integrate.AlignedSet) ([]integrate.Tuple, error) {
+			return []integrate.Tuple{{Values: []table.Value{table.StringValue("x")}}}, nil
+		}},
+	}
+	for _, op := range faults {
+		if err := s.p().Operators().Register(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requests := map[string]func(op string) any{
+		"/v1/integrate": func(op string) any {
+			return IntegrateRequest{Names: []string{"T2", "T3"}, Tables: []TableJSON{EncodeTable(paperdata.T1())}, Operator: op}
+		},
+		"/v1/pipeline": func(op string) any {
+			return PipelineRequest{Query: EncodeTable(paperdata.T1()), QueryColumn: 1, Operator: op}
+		},
+	}
+	for path, request := range requests {
+		for _, op := range faults {
+			resp := postJSON(t, ts.URL+path, request(op.OpName))
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("%s with %q: status = %d, want 500", path, op.OpName, resp.StatusCode)
+			}
+			if out := decodeResp[ErrorBody](t, resp); !strings.Contains(out.Error, fmt.Sprintf("operator %q", op.OpName)) || out.Status != http.StatusInternalServerError {
+				t.Errorf("%s with %q: error body = %+v", path, op.OpName, out)
+			}
+		}
+		resp := postJSON(t, ts.URL+path, request(""))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s after contained faults: status = %d, want 200", path, resp.StatusCode)
+		}
+		m := endpointSnapshot(t, s, path)
+		if m.Admitted != 3 || m.Completed != 1 || m.Errors != 2 || m.InFlight != 0 {
+			t.Errorf("%s admitted/completed/errors/in_flight = %d/%d/%d/%d, want 3/1/2/0", path, m.Admitted, m.Completed, m.Errors, m.InFlight)
+		}
+	}
 }
 
 // TestConcurrentQueriesDuringMutation drives discover and resolve requests

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/er"
+	"repro/internal/integrate"
 	"repro/internal/lake"
 	"repro/internal/persist"
 	"repro/internal/table"
@@ -381,14 +382,15 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // statusFor maps handler errors to HTTP statuses: an expired per-request
 // deadline is a gateway timeout, a client cancellation is reported (even if
 // rarely read) as service unavailable, an oversized body is 413, a
-// contained discoverer panic (a server-side fault, not the caller's) is
-// 500, and everything else — validation, unknown names, malformed tables —
-// is the caller's error.
+// contained discoverer panic or operator fault (a server-side fault, not
+// the caller's) is 500, and everything else — validation, unknown names,
+// malformed tables — is the caller's error.
 func statusFor(err error) int {
 	var tooBig *http.MaxBytesError
 	var sh *shedError
 	var coded interface{ HTTPStatus() int }
 	var panicked *discovery.PanicError
+	var faulted *integrate.OperatorError
 	switch {
 	case errors.As(err, &coded):
 		// Typed errors carry their own status: serve's statusError (e.g.
@@ -414,7 +416,7 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
-	case errors.As(err, &panicked):
+	case errors.As(err, &panicked), errors.As(err, &faulted):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest

@@ -41,7 +41,7 @@ func TestMinHashBuilderMatchesFamily(t *testing.T) {
 	fam := minhash.NewFamily(96, 7)
 	fps := fpsOf(150, 3)
 	got := b.SignInto(fps, nil)
-	want := fam.SignFingerprints(fps)
+	want := fam.SignFingerprintsInto(fps, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("component %d: builder %d != family %d", i, got[i], want[i])

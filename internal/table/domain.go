@@ -9,9 +9,12 @@ import (
 // Domain is one extracted column: the normalized, deduplicated value set of
 // a table column, the identifiers discovery reports results by, and the
 // values' IDs in a TokenDict. It is the one input type of the joinable-search
-// indexes: a lake extracts each domain once (NewDomain) and hands the same
-// slice to JOSIE and the LSH Ensemble, which keep the IDs they are given and
-// intern only a domain that carries none.
+// indexes: a lake extracts each domain once (NewDomain), interns its values
+// into the lake's TokenDict, and hands the same slice to JOSIE and the LSH
+// Ensemble, which index the IDs as they are. Their one precondition is that
+// every domain carries deduplicated IDs, from the dictionary the index is
+// built over, for its non-empty values; lake extraction guarantees it for
+// indexed domains and ResolveDomain for queries.
 type Domain struct {
 	Table      string   // owning table name
 	Column     int      // column index within the table
@@ -22,9 +25,8 @@ type Domain struct {
 	IDs []uint32
 	// Fingerprints, when set, are the values' MinHash fingerprints, parallel
 	// to IDs. A ResolveDomain query domain carries them, because its
-	// out-of-vocabulary tokens have no cached fingerprint, and so does a
-	// domain an index interned itself. Lake domains leave it nil: signing
-	// reads each token's fingerprint from the TokenDict.
+	// out-of-vocabulary tokens have no cached fingerprint. Lake domains leave
+	// it nil: signing reads each token's fingerprint from the TokenDict.
 	Fingerprints []uint64
 
 	key string // "table[col]", precomputed by NewDomain
@@ -45,18 +47,6 @@ func (d *Domain) Key() string {
 }
 
 func domainKey(table string, col int) string { return fmt.Sprintf("%s[%d]", table, col) }
-
-// WithoutIDs copies domains for an index over a private dictionary: IDs and
-// fingerprints resolved against any other dictionary are dropped, so the
-// index interns every domain from its Values.
-func WithoutIDs(domains []Domain) []Domain {
-	out := make([]Domain, len(domains))
-	for i, d := range domains {
-		d.IDs, d.Fingerprints = nil, nil
-		out[i] = d
-	}
-	return out
-}
 
 // ResolveDomain returns the transient query-side domain of values — a
 // normalized, deduplicated value set, as tokenize.ValueSet and lake
