@@ -25,7 +25,6 @@ import (
 	"repro/internal/lake"
 	"repro/internal/lshensemble"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // Result is one discovered table.
@@ -60,6 +59,13 @@ type Result struct {
 // reading anything else would be answered stale. Registry.Register
 // refuses duplicate names, which keeps a method name a stable part of the
 // cache key.
+//
+// A discoverer receives the lake's own tables (through l, and as results it
+// ranks) and the run's query table q, which every discoverer of the run
+// shares concurrently. It must only read them: lake tables are immutable,
+// and the indexes, the answer cache and the next snapshot describe them.
+// A lake domain's tokens are read by ID, through l.Tokens(): the entries of
+// l.Domains() and l.DomainFor carry IDs and no Values (Values is nil).
 type Discoverer interface {
 	Name() string
 	Discover(ctx context.Context, l *lake.Lake, q *table.Table, queryCol, k int) ([]Result, error)
@@ -145,6 +151,12 @@ func bestPerTable[H any](l *lake.Lake, q *table.Table, queryCol, k int, method s
 // every query column is matched to its best lake column by token Jaccard,
 // and the table scores the average best match. It ignores semantics — the
 // X4 experiment contrasts it with SANTOS.
+//
+// Jaccard is counted on token IDs: each query column is resolved against
+// the lake's token dictionary (Lake.ResolveQuery) and compared with the IDs
+// of every lake domain. A query token outside the vocabulary (ID 0) matches
+// nothing but still counts toward |Q|, so the scores are the ones
+// tokenize.Jaccard gives over the value strings.
 type SyntacticUnion struct{}
 
 // Name implements Discoverer.
@@ -155,14 +167,34 @@ func (SyntacticUnion) Discover(ctx context.Context, l *lake.Lake, q *table.Table
 	if q.NumCols() == 0 {
 		return nil, fmt.Errorf("discovery: syntactic-union: query table %q has no columns", q.Name)
 	}
-	qdoms := make([][]string, q.NumCols())
+	// The non-empty query columns, each as its set of vocabulary IDs and
+	// its size |Q|.
+	type queryColumn struct {
+		ids  map[uint32]struct{}
+		size int
+	}
+	var qcols []queryColumn
 	for c := 0; c < q.NumCols(); c++ {
-		qdoms[c], _ = lake.QueryDomain(q, c)
+		d, err := l.ResolveQuery(q, c)
+		if err != nil {
+			return nil, fmt.Errorf("discovery: syntactic-union: %w", err)
+		}
+		if len(d.IDs) == 0 {
+			continue
+		}
+		ids := make(map[uint32]struct{}, len(d.IDs))
+		for _, id := range d.IDs {
+			if id != 0 {
+				ids[id] = struct{}{}
+			}
+		}
+		qcols = append(qcols, queryColumn{ids, len(d.IDs)})
 	}
 	// Index lake domains per table.
-	perTable := make(map[string][][]string)
-	for _, d := range l.Domains() {
-		perTable[d.Table] = append(perTable[d.Table], d.Values)
+	domains := l.Domains()
+	perTable := make(map[string][]*table.Domain)
+	for i := range domains {
+		perTable[domains[i].Table] = append(perTable[domains[i].Table], &domains[i])
 	}
 	best := make(map[string]Result)
 	for name, doms := range perTable {
@@ -173,31 +205,35 @@ func (SyntacticUnion) Discover(ctx context.Context, l *lake.Lake, q *table.Table
 		if !ok || name == q.Name {
 			continue
 		}
-		total, counted := 0.0, 0
-		for _, qd := range qdoms {
-			if len(qd) == 0 {
-				continue
-			}
-			counted++
+		total := 0.0
+		for _, qc := range qcols {
 			bestSim := 0.0
 			for _, ld := range doms {
-				if s := tokenize.Jaccard(qd, ld); s > bestSim {
+				inter := 0
+				for _, id := range ld.IDs {
+					if _, ok := qc.ids[id]; ok {
+						inter++
+					}
+				}
+				if s := float64(inter) / float64(qc.size+len(ld.IDs)-inter); s > bestSim {
 					bestSim = s
 				}
 			}
 			total += bestSim
 		}
-		if counted == 0 || total == 0 {
+		if total == 0 {
 			continue
 		}
-		best[name] = Result{Table: t, Score: total / float64(counted), Method: "syntactic-union", Column: -1}
+		best[name] = Result{Table: t, Score: total / float64(len(qcols)), Method: "syntactic-union", Column: -1}
 	}
 	return rankResults(best, k), nil
 }
 
 // SimilarityFunc is the paper's Fig. 4 extension point: a user implements
 // a similarity between two tables, and DIALITE turns it into a discoverer
-// by scanning the lake.
+// by scanning the lake. Sim receives the run's shared query table and the
+// lake's own table as candidate, and must not write to either (see
+// Discoverer).
 type SimilarityFunc struct {
 	// FuncName is the registry key.
 	FuncName string

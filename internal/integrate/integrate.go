@@ -61,7 +61,11 @@ func Prepare(tables []*table.Table, matcher schemamatch.Matcher, rowIDs RowIDFun
 	return align.Schema, sets, nil
 }
 
-// Operator is a pluggable integration method over aligned sets.
+// Operator is a pluggable integration method over aligned sets. The sets
+// are built for one call (Prepare copies the cells of the integrated
+// tables into them), so Run may read them freely. The tables themselves
+// are lake tables and the run's shared query table: an operator that
+// reaches them through state of its own must not write to them.
 type Operator interface {
 	// Name is the registry key ("alite-fd", "outer-join", ...).
 	Name() string

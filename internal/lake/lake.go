@@ -198,14 +198,16 @@ func New(tables []*table.Table, opts Options) (*Lake, error) {
 // extract is every build's first phase. It makes the unindexed lake over
 // tables and extracts every table's domains (extractDomains), interning
 // their members into the lake's own token dictionary. It returns the
-// domains per table, in table order, for KB synthesis.
+// domains per table, in table order, for KB synthesis: those copies keep
+// their value strings, which the view's own domains drop (see Domains), so
+// the strings live only until the build returns.
 func extract(tables []*table.Table) (*Lake, [][]table.Domain) {
 	l := &Lake{tokens: table.NewTokenDict()}
 	l.dict = table.NewDict() // empty; see Dict
 	v := &view{gen: RandomEpoch(), tables: append([]*table.Table(nil), tables...)}
 	t0 := time.Now()
 	perTable := extractDomains(tables, l.tokens)
-	v.domains = slices.Concat(perTable...)
+	v.domains = dropValues(slices.Concat(perTable...))
 	v.reindex()
 	v.stats.DomainExtraction = time.Since(t0)
 	l.view.Store(v)
@@ -299,6 +301,7 @@ func (l *Lake) Add(tables ...*table.Table) error {
 		next.domains = append(next.domains, perTable[i]...)
 		next.byName[t.Name] = entry{t, lo, len(next.domains)}
 	}
+	dropValues(next.domains[len(prev.domains):])
 	l.eachIndex(&next, tables, next.domains[len(prev.domains):], nil)
 	return nil
 }
@@ -415,11 +418,21 @@ func extractDomains(tables []*table.Table, tokens *table.TokenDict) [][]table.Do
 	par.For(len(tables), func(i int) {
 		ds := kb.TextualDomains(tables[i])
 		for j := range ds {
-			ds[j].IDs = tokens.InternAll(ds[j].Values, nil)
+			ds[j].Intern(tokens)
 		}
 		perTable[i] = ds
 	})
 	return perTable
+}
+
+// dropValues clears the value strings of ds, lake domains about to be
+// published, and returns ds: a lake domain is its token IDs, and the token
+// dictionary holds each distinct token once (see Domains).
+func dropValues(ds []table.Domain) []table.Domain {
+	for i := range ds {
+		ds[i].Values = nil
+	}
+	return ds
 }
 
 // Tables returns the lake's current tables: the build-time tables in input
@@ -450,12 +463,12 @@ func (l *Lake) Stats() BuildStats { return l.view.Load().stats }
 // lake-wide.
 func (l *Lake) Tokens() *table.TokenDict { return l.tokens }
 
-// DomainFor returns the extracted domain of one lake table column — with
-// its cached token IDs — or nil when the column produced no domain
-// (non-textual or empty). ResolveQuery serves it when the query table is the
-// lake's own. After Remove(tableName), every column of that table returns
-// nil; previously returned pointers stay readable but describe the removed
-// domain.
+// DomainFor returns the extracted domain of one lake table column — its
+// cached token IDs, with no value strings (see Domains) — or nil when the
+// column produced no domain (non-textual or empty). ResolveQuery serves it
+// when the query table is the lake's own. After Remove(tableName), every
+// column of that table returns nil; previously returned pointers stay
+// readable but describe the removed domain.
 func (l *Lake) DomainFor(tableName string, col int) *table.Domain {
 	return l.view.Load().domainFor(tableName, col)
 }
@@ -488,6 +501,11 @@ func (l *Lake) Josie() *josie.Index { return l.view.Load().josie }
 // Domains returns the extracted column domains of the current tables (for
 // baselines and experiments). The returned slice is a stable snapshot —
 // later mutations never shift its elements.
+//
+// A lake domain is its token IDs: Values is nil, and its tokens are read by
+// ID through Tokens (or rendered by Domain.AppendStrings). The value strings are
+// read only by the build's KB phase; each distinct token is held once, by
+// the dictionary.
 func (l *Lake) Domains() []table.Domain { return l.view.Load().domains }
 
 // QueryDomain extracts the normalized value set of a query table column,

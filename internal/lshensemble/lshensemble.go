@@ -258,7 +258,7 @@ func (ix *Index) layout(prevOrder, newSlot []int32, base int) {
 		for _, s := range members {
 			ix.partOf[s] = int32(p)
 		}
-		ix.parts[p] = partition{upper: len(ix.domains[members[len(members)-1]].Values), members: members}
+		ix.parts[p] = partition{upper: len(ix.domains[members[len(members)-1]].IDs), members: members}
 	}
 }
 
@@ -266,7 +266,7 @@ func (ix *Index) layout(prevOrder, newSlot []int32, base int) {
 // broken by key. Among lake domains keys are unique, so this is a strict
 // total order and the merge position of a slot is well-defined.
 func (ix *Index) orderLess(a, b int32) bool {
-	if la, lb := len(ix.domains[a].Values), len(ix.domains[b].Values); la != lb {
+	if la, lb := len(ix.domains[a].IDs), len(ix.domains[b].IDs); la != lb {
 		return la < lb
 	}
 	return ix.domains[a].Key() < ix.domains[b].Key()
@@ -426,7 +426,7 @@ func (ix *Index) QueryCtx(ctx context.Context, rawQuery []string, threshold floa
 // verifyCancelStride candidates, returning (nil, ctx.Err()) once the
 // context is cancelled.
 func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float64, k int) ([]Result, error) {
-	if d == nil || len(d.Values) == 0 {
+	if d == nil || len(d.IDs) == 0 {
 		return nil, ctx.Err()
 	}
 	s := ix.scratch.Get().(*queryScratch)
@@ -438,7 +438,7 @@ func (ix *Index) QueryDomainCtx(ctx context.Context, d *Domain, threshold float6
 		}
 	}
 	s.sig = ix.sign(d, &s.fps, s.sig)
-	return ix.query(ctx, s.sig, s.qids, len(d.Values), threshold, k, s)
+	return ix.query(ctx, s.sig, s.qids, len(d.IDs), threshold, k, s)
 }
 
 // verifyCancelStride bounds how many candidate verifications run between two
@@ -548,7 +548,9 @@ func (ix *Index) NumDomains() int { return len(ix.domains) }
 // ExactQuery is the brute-force baseline: it scans every domain and computes
 // exact containment. It is the ground truth against which the ensemble's
 // recall and speedup are measured (experiment X3). It works over raw
-// strings on purpose — the baseline shares nothing with the index layout.
+// strings on purpose — the baseline shares nothing with the index layout: a
+// lake domain, which keeps no value strings, is read through the token
+// dictionary it was interned into (Domain.AppendStrings).
 func ExactQuery(domains []Domain, rawQuery []string, threshold float64, k int) []Result {
 	query := tokenize.ValueSet(rawQuery)
 	if len(query) == 0 {
@@ -559,10 +561,12 @@ func ExactQuery(domains []Domain, rawQuery []string, threshold float64, k int) [
 		qset[v] = true
 	}
 	var results []Result
+	var tokens []string
 	for i := range domains {
 		d := &domains[i]
 		inter := 0
-		for _, v := range d.Values {
+		tokens = d.AppendStrings(tokens[:0])
+		for _, v := range tokens {
 			if qset[v] {
 				inter++
 			}

@@ -156,6 +156,17 @@ func (d *TokenDict) Fingerprints(ids []uint32, dst []uint64) []uint64 {
 	return dst
 }
 
+// Tokens appends the tokens interned under ids to dst, in ids order, and
+// returns it. All IDs must be interned.
+func (d *TokenDict) Tokens(ids []uint32, dst []string) []string {
+	d.mu.RLock()
+	for _, id := range ids {
+		dst = append(dst, d.toks[id-1])
+	}
+	d.mu.RUnlock()
+	return dst
+}
+
 // Len reports how many distinct tokens have been interned.
 func (d *TokenDict) Len() int {
 	d.mu.RLock()
