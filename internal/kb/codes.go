@@ -18,8 +18,8 @@ import (
 //	                (Compiled.Code). It counts toward a column's total and
 //	                never votes.
 //
-// Compiled.Code is a pure function of the rendering, so any cache of it
-// answers as computing afresh does. Its codes are identity-comparable only
+// Compiled.Code is a pure function of the rendering and the compiled KB,
+// so nothing caches it. Its codes are identity-comparable only
 // inside the KB: every outsider shares CodeOutside. A caller that compares
 // values numbers the outsiders itself (Numbering).
 const (
@@ -30,16 +30,17 @@ const (
 
 // Code returns the annotation code of a rendered value. An Int and a Float
 // that render differently may code differently.
-func (c *Compiled) Code(s string) uint32 { return c.codeOf(tokenize.Normalize(s)) }
+func (c *Compiled) Code(s string) uint32 { return codeOf(c, tokenize.Normalize(s)) }
 
-// codeOf is Code over a normalized rendering. A nil Compiled knows no
-// canonical.
-func (c *Compiled) codeOf(n string) uint32 {
-	if n == "" {
+// codeOf is Code over a normalized rendering, held as a string or as bytes;
+// a byte lookup converts in the map index, so it allocates nothing. A nil
+// Compiled knows no canonical.
+func codeOf[N ~string | ~[]byte](c *Compiled, n N) uint32 {
+	if len(n) == 0 {
 		return CodeEmpty
 	}
 	if c != nil {
-		if id, ok := c.lookup[n]; ok {
+		if id, ok := c.lookup[string(n)]; ok {
 			return codeBase + id
 		}
 	}
@@ -77,7 +78,7 @@ func NewNumbering(ck *Compiled) *Numbering {
 // output of tokenize.Normalize), allocating an extended code for a
 // canonical outside the KB on first sight.
 func (nb *Numbering) CodeNormalized(n string) uint32 {
-	code := nb.ck.codeOf(n)
+	code := codeOf(nb.ck, n)
 	if code != CodeOutside {
 		return code
 	}
@@ -108,19 +109,21 @@ type ColumnCodes struct {
 	Distinct []uint32
 }
 
-// ColumnCodes resolves one table column into annotation codes through code
-// (Compiled.Code, or a cache of it): row-aligned codes for pair annotation
-// and distinct-value codes for column annotation. Columns that are not
-// mostly textual (MostlyTextual) return a zero ColumnCodes. Distinct values
-// are deduplicated by rendered string, exactly as DistinctStrings dedupes,
-// so cross-kind rendering collisions ("82" the string vs 82 the int)
-// collapse as the reference does.
-func (s *Scratch) ColumnCodes(t *table.Table, c int, code func(string) uint32) ColumnCodes {
+// ColumnCodes resolves one table column into annotation codes against the
+// scratch's Compiled: row-aligned codes for pair annotation and
+// distinct-value codes for column annotation. Columns that are not mostly
+// textual (MostlyTextual) return a zero ColumnCodes. Distinct values are
+// deduplicated by rendered string, exactly as DistinctStrings dedupes, so
+// cross-kind rendering collisions ("82" the string vs 82 the int) collapse
+// as the reference does. Each distinct rendering is coded once, as
+// Compiled.Code does, normalized into the scratch's buffer so the lookup
+// allocates nothing.
+func (s *Scratch) ColumnCodes(t *table.Table, c int) ColumnCodes {
 	if !MostlyTextual(t, c) {
 		return ColumnCodes{}
 	}
 	out := ColumnCodes{Rows: make([]uint32, len(t.Rows))}
-	clear(s.seenStr)
+	clear(s.seen)
 	for r, row := range t.Rows {
 		v := row[c]
 		if v.IsNull() {
@@ -128,12 +131,14 @@ func (s *Scratch) ColumnCodes(t *table.Table, c int, code func(string) uint32) C
 			continue
 		}
 		str := v.String()
-		out.Rows[r] = code(str)
-		if _, dup := s.seenStr[str]; dup {
-			continue
+		code, dup := s.seen[str]
+		if !dup {
+			s.norm = tokenize.AppendNormalize(s.norm[:0], str)
+			code = codeOf(s.ck, s.norm)
+			s.seen[str] = code
+			out.Distinct = append(out.Distinct, code)
 		}
-		s.seenStr[str] = struct{}{}
-		out.Distinct = append(out.Distinct, out.Rows[r])
+		out.Rows[r] = code
 	}
 	return out
 }

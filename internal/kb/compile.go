@@ -266,6 +266,8 @@ func (c *Compiled) AncestorIDs(id uint32) []uint32 { return c.ancs[id] }
 // bound to the Compiled that created it and must not be shared between
 // concurrent annotators (pool one per worker).
 type Scratch struct {
+	ck *Compiled // the Compiled that created it
+
 	votes    []float64 // per typeID: accumulated vote weight (valid when seenType matches)
 	support  []int32   // per typeID: values supporting the type
 	counted  []uint32  // per typeID: valEpoch stamp (support counted for current value)
@@ -279,21 +281,24 @@ type Scratch struct {
 	pairTouched []uint32
 	pairEpoch   uint32
 
-	// Column-code dedupe state (see Scratch.ColumnCodes).
-	seenStr map[string]struct{}
+	// Column-code state (see Scratch.ColumnCodes): the codes of the
+	// column's renderings seen so far, and the normalization buffer.
+	seen map[string]uint32
+	norm []byte
 }
 
 // NewScratch allocates working memory sized to the compiled universe.
 func (c *Compiled) NewScratch() *Scratch {
 	nt, nl := len(c.types), len(c.labels)
 	return &Scratch{
+		ck:        c,
 		votes:     make([]float64, nt),
 		support:   make([]int32, nt),
 		counted:   make([]uint32, nt),
 		seenType:  make([]uint32, nt),
 		pairVotes: make([]int32, 2*nl),
 		pairSeen:  make([]uint32, 2*nl),
-		seenStr:   make(map[string]struct{}),
+		seen:      make(map[string]uint32),
 	}
 }
 

@@ -10,15 +10,13 @@
 // lake itself covers domains without curated entries. The two are merged by
 // the caller (kb.Merge) or used individually.
 //
-// Annotation runs on the compiled KB (kb.KB.Compiled): cell values resolve
-// to integer annotation codes (kb.Compiled.Code) through a cache keyed by
-// rendered value and shared by the indexes derived from one Build, so each
-// distinct lake rendering is canonicalized once, and column/pair votes run
-// over dense type and label IDs with pooled scratch, never re-walking the
-// type hierarchy or building string keys per row pair. A code is a pure
-// function of its rendering, and graphs keep only compiled type and label
-// IDs, never codes, so a derivation whose cache has outgrown twice its
-// from-scratch size starts a fresh one.
+// Annotation runs on the compiled KB (kb.KB.Compiled): each distinct
+// rendering of a column resolves once to its integer annotation code
+// (kb.Scratch.ColumnCodes, the rule kb.Compiled.Code applies), and
+// column/pair votes run over dense type and label IDs with pooled scratch,
+// never re-walking the type hierarchy or building string keys per row
+// pair. A code is a pure function of its rendering and the compiled KB, so
+// nothing caches it, and graphs keep only compiled type and label IDs.
 //
 // An Index never changes once built. A lake mutation derives the next one
 // (Index.With) and publishes it, so a query keeps the index it started on
@@ -79,67 +77,16 @@ type tableSemantics struct {
 // shares the kept graphs and leaves the receiver answering as it did, so
 // queries take no lock. Every index derived from one Build annotates
 // against the KB snapshot compiled at that build and shares its scratch
-// pool; the code cache is shared until a With refills it.
+// pool.
 type Index struct {
-	codes     *codeCache
-	scratch   *sync.Pool // *kb.Scratch
-	tables    []tableSemantics
-	cacheSize int // codes' size when it was filled from scratch
-}
-
-// codeCache caches kb.Compiled.Code by rendering for the indexes derived
-// from one Build (or one refill). With fills it; a query reads it and
-// computes a miss without storing it, so query traffic never grows it.
-// Since a code depends on the rendering alone, an entry is the same
-// whoever computed it first.
-type codeCache struct {
-	ck    *kb.Compiled
-	mu    sync.RWMutex
-	codes map[string]uint32
-}
-
-func newCodeCache(ck *kb.Compiled) *codeCache {
-	return &codeCache{ck: ck, codes: make(map[string]uint32)}
-}
-
-func (c *codeCache) cached(s string) (uint32, bool) {
-	c.mu.RLock()
-	code, ok := c.codes[s]
-	c.mu.RUnlock()
-	return code, ok
-}
-
-// fill returns the code of a rendering, caching it.
-func (c *codeCache) fill(s string) uint32 {
-	if code, ok := c.cached(s); ok {
-		return code
-	}
-	code := c.ck.Code(s)
-	c.mu.Lock()
-	c.codes[s] = code
-	c.mu.Unlock()
-	return code
-}
-
-// read returns the code of a rendering without caching it.
-func (c *codeCache) read(s string) uint32 {
-	if code, ok := c.cached(s); ok {
-		return code
-	}
-	return c.ck.Code(s)
-}
-
-func (c *codeCache) size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.codes)
+	ck      *kb.Compiled
+	scratch *sync.Pool // *kb.Scratch
+	tables  []tableSemantics
 }
 
 // Build annotates every lake table against the knowledge base (nil means
-// an empty KB), filling a fresh code cache that the indexes derived from
-// this one share: With fills it, and queries read it. Tables without any
-// annotated column are indexed but can never match. Build is With over an
-// empty index.
+// an empty KB). Tables without any annotated column are indexed but can
+// never match. Build is With over an empty index.
 //
 // The index snapshots the KB as compiled at build time: queries and the
 // indexed semantic graphs always share one KB state. Compiling freezes the
@@ -149,7 +96,7 @@ func Build(lakeTables []*table.Table, knowledge *kb.KB) *Index {
 		knowledge = kb.New()
 	}
 	ck := knowledge.Compiled()
-	empty := &Index{codes: newCodeCache(ck), scratch: &sync.Pool{New: func() any { return ck.NewScratch() }}}
+	empty := &Index{ck: ck, scratch: &sync.Pool{New: func() any { return ck.NewScratch() }}}
 	return empty.With(lakeTables, nil)
 }
 
@@ -159,24 +106,18 @@ func (ix *Index) NumTables() int { return len(ix.tables) }
 // With derives the index over the receiver's tables minus the removed
 // names (unknown names are ignored) plus the added tables, appended in
 // order. The kept graphs are shared, not recomputed; the added tables are
-// annotated against the build-time KB snapshot, filling the shared code
-// cache. Annotation is per-table pure work over the immutable compiled KB,
-// so added tables are annotated in parallel; slot-indexed results keep the
-// index order — and therefore query results — identical to a sequential
-// build. Callers are responsible for name uniqueness. The receiver is left
-// unchanged and stays safe to query.
-//
-// The code cache never evicts, so removed tables' renderings would stay in
-// it for good. The first With that fills an empty cache records its size; a
-// later With that leaves the cache holding more than twice that re-fills a
-// fresh cache over the next index's tables, Build's path — amortized O(1)
-// per annotated string, and answers are unchanged.
+// annotated against the build-time KB snapshot. Annotation is per-table
+// pure work over the immutable compiled KB, so added tables are annotated
+// in parallel; slot-indexed results keep the index order — and therefore
+// query results — identical to a sequential build. Callers are responsible
+// for name uniqueness. The receiver is left unchanged and stays safe to
+// query.
 func (ix *Index) With(added []*table.Table, removed []string) *Index {
 	doomed := make(map[string]bool, len(removed))
 	for _, n := range removed {
 		doomed[n] = true
 	}
-	next := &Index{codes: ix.codes, scratch: ix.scratch, cacheSize: ix.cacheSize, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
+	next := &Index{ck: ix.ck, scratch: ix.scratch, tables: make([]tableSemantics, 0, len(ix.tables)+len(added))}
 	for _, ts := range ix.tables {
 		if !doomed[ts.t.Name] {
 			next.tables = append(next.tables, ts)
@@ -184,35 +125,23 @@ func (ix *Index) With(added []*table.Table, removed []string) *Index {
 	}
 	base := len(next.tables)
 	next.tables = next.tables[:base+len(added)]
-	par.For(len(added), func(i int) {
-		s := ix.scratch.Get().(*kb.Scratch)
-		next.tables[base+i] = annotate(added[i], ix.codes.ck, ix.codes.fill, s)
-		ix.scratch.Put(s)
-	})
-	switch n := ix.codes.size(); {
-	case ix.cacheSize == 0:
-		next.cacheSize = n
-	case n > 2*ix.cacheSize:
-		tables := make([]*table.Table, len(next.tables))
-		for i := range next.tables {
-			tables[i] = next.tables[i].t
-		}
-		fresh := &Index{codes: newCodeCache(ix.codes.ck), scratch: ix.scratch}
-		return fresh.With(tables, nil)
-	}
+	par.For(len(added), func(i int) { next.tables[base+i] = ix.annotate(added[i]) })
 	return next
 }
 
-// annotate computes the semantic graph of a table over the annotation codes
-// code assigns its renderings.
-func annotate(t *table.Table, ck *kb.Compiled, code func(string) uint32, s *kb.Scratch) tableSemantics {
+// annotate computes the semantic graph of a table against the index's
+// compiled KB, on a pooled scratch.
+func (ix *Index) annotate(t *table.Table) tableSemantics {
+	ck := ix.ck
+	s := ix.scratch.Get().(*kb.Scratch)
+	defer ix.scratch.Put(s)
 	ts := tableSemantics{t: t}
 	nc := t.NumCols()
 	anns := make([]kb.ColumnAnnotation, nc)
 	typeIDs := make([]uint32, nc)
 	rowCodes := make([][]uint32, nc)
 	for c := 0; c < nc; c++ {
-		cc := s.ColumnCodes(t, c, code)
+		cc := s.ColumnCodes(t, c)
 		if cc.Rows == nil {
 			continue // not mostly textual: no entity semantics
 		}
@@ -349,20 +278,16 @@ type Result struct {
 // and a table scores the maximum over its columns. Tables scoring zero
 // (no type-compatible column) are omitted. k<=0 returns all matches.
 //
-// The query table is annotated through the index's code cache without
-// writing it: renderings the index has seen resolve to cached codes, and
-// foreign query values are canonicalized per query, so query traffic never
-// grows the cache. The candidate scoring scan checks ctx every
-// scoreCancelStride tables and returns (nil, ctx.Err()) once the context is
-// cancelled.
+// The query table is annotated by the same call With annotates lake tables
+// with, so a query and the index code every rendering alike. The candidate
+// scoring scan checks ctx every scoreCancelStride tables and returns
+// (nil, ctx.Err()) once the context is cancelled.
 func (ix *Index) QueryCtx(ctx context.Context, q *table.Table, intentCol int, k int) ([]Result, error) {
 	if intentCol < 0 || intentCol >= q.NumCols() {
 		return nil, fmt.Errorf("santos: intent column %d out of range for table %q with %d columns", intentCol, q.Name, q.NumCols())
 	}
-	ck := ix.codes.ck
-	s := ix.scratch.Get().(*kb.Scratch)
-	qs := annotate(q, ck, ix.codes.read, s)
-	ix.scratch.Put(s)
+	ck := ix.ck
+	qs := ix.annotate(q)
 	var qcs *columnSemantics
 	for i := range qs.cols {
 		if qs.cols[i].col == intentCol {

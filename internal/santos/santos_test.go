@@ -196,36 +196,3 @@ func TestNumTables(t *testing.T) {
 		t.Error("NumTables broken")
 	}
 }
-
-// TestQueryNeverWritesIndexAnnotator pins that query traffic leaves the
-// index's code cache as it was: foreign strings — in the intent column, in
-// a mostly-textual column and as a string cell of a numeric column — are
-// computed per query and never stored. A query's code for any rendering,
-// cached or not, is kb.Compiled.Code's. Deriving an index with an added
-// table is what grows the cache.
-func TestQueryNeverWritesIndexAnnotator(t *testing.T) {
-	ix := demoIndex()
-	n := ix.codes.size()
-	q := table.New("guest", "City", "Country", "Count")
-	q.MustAddRow(table.StringValue("Berlin"), table.StringValue("Atlantis"), table.IntValue(3))
-	q.MustAddRow(table.StringValue("Gotham"), table.StringValue("Germany"), table.StringValue("many"))
-	q.MustAddRow(table.StringValue("Boston"), table.StringValue("Erewhon"), table.IntValue(4))
-	for col := 0; col < q.NumCols(); col++ {
-		ix.QueryCtx(context.Background(), q, col, 0)
-	}
-	ix.QueryCtx(context.Background(), paperdata.T1(), 1, 0)
-	// A cached rendering, a foreign one, and an unseen rendering of a
-	// cached canonical.
-	for _, s := range []string{"Berlin", "Narnia", "  BERLIN. ", "##"} {
-		if got, want := ix.codes.read(s), ix.codes.ck.Code(s); got != want {
-			t.Errorf("query code for %q = %d, want Compiled.Code's %d", s, got, want)
-		}
-	}
-	if got := ix.codes.size(); got != n {
-		t.Fatalf("queries grew the index's code cache from %d to %d", n, got)
-	}
-	ix.With([]*table.Table{q}, nil)
-	if ix.codes.size() == n {
-		t.Fatal("With must fill the shared code cache")
-	}
-}

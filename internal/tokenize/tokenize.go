@@ -8,30 +8,44 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Normalize lowercases s, maps punctuation to spaces, and collapses runs of
 // whitespace, yielding the canonical form used throughout discovery and ER.
-// "J&J" normalizes to "j j", "United  States" to "united states". Runes are
-// lowered one at a time (the same per-rune mapping strings.ToLower applies),
-// so no intermediate lowered string is allocated on this hot path.
+// "J&J" normalizes to "j j", "United  States" to "united states". It is
+// AppendNormalize into one buffer that becomes the string, so it allocates
+// once.
 func Normalize(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	b := AppendNormalize(make([]byte, 0, len(s)), s)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendNormalize appends the canonical form of s (see Normalize) to dst
+// and returns the extended buffer, leaving dst's own bytes as they were. A
+// caller that reuses one buffer normalizes without allocating. Runes are
+// lowered one at a time (the same per-rune mapping strings.ToLower
+// applies), so no intermediate lowered string is built.
+func AppendNormalize(dst []byte, s string) []byte {
+	start := len(dst)
 	lastSpace := true
 	for _, r := range s {
 		r = unicode.ToLower(r)
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 			lastSpace = false
 			continue
 		}
 		if !lastSpace {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 			lastSpace = true
 		}
 	}
-	return strings.TrimRight(b.String(), " ")
+	if lastSpace && len(dst) > start {
+		dst = dst[:len(dst)-1] // the one trailing space
+	}
+	return dst
 }
 
 // Words splits s into normalized word tokens.
