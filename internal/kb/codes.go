@@ -33,14 +33,14 @@ const (
 func (c *Compiled) Code(s string) uint32 { return codeOf(c, tokenize.Normalize(s)) }
 
 // codeOf is Code over a normalized rendering, held as a string or as bytes;
-// a byte lookup converts in the map index, so it allocates nothing. A nil
+// find compares a byte key in place, so it allocates nothing. A nil
 // Compiled knows no canonical.
 func codeOf[N ~string | ~[]byte](c *Compiled, n N) uint32 {
 	if len(n) == 0 {
 		return CodeEmpty
 	}
 	if c != nil {
-		if id, ok := c.lookup[string(n)]; ok {
+		if id, ok := find(c, n); ok {
 			return codeBase + id
 		}
 	}

@@ -1,6 +1,9 @@
 package kb
 
 import (
+	"cmp"
+	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -50,25 +53,42 @@ const (
 	undeclaredType = -2 // only referenced, as a parent or an entity's type
 )
 
-// Compiled is the frozen, integer-keyed form of a KB. It is immutable and
-// safe for concurrent use.
+// Compiled is the frozen, integer-keyed form of a KB, held in flat arrays.
+// It is immutable and safe for concurrent use.
 type Compiled struct {
-	strs   []string          // canonical strings; ID = index
-	lookup map[string]uint32 // normalized known string (incl. alias sources) -> alias-resolved ID
+	strs []string // canonical strings; ID = index
 
-	// progs holds a vote program per canonical-string ID, nil when the
-	// string is not an entity. An entity with no declared types (only
-	// FromDump and Merge make one) has an empty, non-nil program.
-	progs [][]voteEntry
+	// lookup is an open-addressing index, linear-probed and a power of two
+	// long, over the lookup keys: key k < len(strs) is canonical-string ID
+	// k, and key len(strs)+j is alias j. A slot holds a key plus one (0 is
+	// empty). A canonical string that is also an alias source is keyed by
+	// its alias alone, so the alias shadows it (see find).
+	lookup []uint32
+
+	// Vote programs, one arena: canonical-string ID i's program is
+	// prog[progStart[i]:progStart[i+1]]. entity marks the IDs that are
+	// entities; an entity with no declared types (only FromDump and Merge
+	// make one) has an empty program and its bit set.
+	prog      []voteEntry
+	progStart []uint32
+	entity    []uint64
 
 	types  []string   // type names; typeID = index
 	parent []int32    // per typeID: the declared parent's typeID, rootType or undeclaredType
 	ancs   [][]uint32 // per typeID: ancestor chain, nearest first (cycle-guarded)
 
-	labels []string            // relationship labels; labelID = index
-	rels   map[uint64][]uint32 // subjID<<32|objID -> label IDs, insertion order
+	// Relations in CSR form keyed by subject ID: subject i's relations are
+	// relStart[i] up to relStart[i+1], in ascending object ID (relObj),
+	// and relation r's label IDs, in insertion order, are
+	// relLabels[labelStart[r]:labelStart[r+1]].
+	labels     []string // relationship labels; labelID = index
+	relStart   []uint32
+	relObj     []uint32
+	labelStart []uint32
+	relLabels  []uint32
 
-	aliases []AliasDecl // sorted by alias; nil when none
+	aliasSrc []string // alias sources, sorted
+	aliasTo  []uint32 // per alias: its target's canonical-string ID
 }
 
 // Compiled returns the compiled form of the KB and freezes the KB: the
@@ -91,7 +111,7 @@ func (k *KB) Compiled() *Compiled {
 // maps of the three universes are needed only while compiling, so they are
 // not kept.
 func compile(d *decls) *Compiled {
-	c := &Compiled{rels: make(map[uint64][]uint32, len(d.relations))}
+	c := &Compiled{}
 
 	// Type universe: hierarchy keys and parents, plus every type an entity
 	// declares (entities may reference types never declared via AddType).
@@ -152,76 +172,135 @@ func compile(d *decls) *Compiled {
 	// Canonical-string universe: entity keys, relation endpoints, alias
 	// targets. All are already in canonical (normalized, alias-free at add
 	// time) form; canonical strings never contain '\x1f' (Normalize maps it
-	// to a space), so relation keys split unambiguously.
+	// to a space), so relation keys split unambiguously. An endpoint is
+	// inserted only when absent, and then as a copy: a map assignment to a
+	// present key rewrites the stored key, and either way a substring would
+	// keep its whole relation key alive.
 	strSet := make(map[string]bool, len(d.entityTypes))
 	for e := range d.entityTypes {
 		strSet[e] = true
 	}
 	for key := range d.relations {
 		subj, obj := splitRelationKey(key)
-		strSet[subj] = true
-		strSet[obj] = true
+		for _, s := range [2]string{subj, obj} {
+			if !strSet[s] {
+				strSet[strings.Clone(s)] = true
+			}
+		}
 	}
 	for _, target := range d.alias {
 		strSet[target] = true
 	}
 	c.strs = sortedBoolKeys(strSet)
-	if uint64(len(c.strs)) >= 1<<31 {
-		panic("kb: compile: more than 2^31 distinct canonical strings")
+	if uint64(len(c.strs))+uint64(len(d.alias)) >= 1<<31 {
+		panic("kb: compile: more than 2^31 distinct canonical strings and aliases")
 	}
 	ids := make(map[string]uint32, len(c.strs))
 	for i, s := range c.strs {
 		ids[s] = uint32(i)
 	}
 
-	// Resolution map: one alias hop, exactly as Canonical does — the alias
-	// map applies even to strings that are themselves entities, and alias
-	// chains are deliberately NOT chased (a→b with b→c resolves a to b).
-	c.lookup = make(map[string]uint32, len(c.strs)+len(d.alias))
-	for s, id := range ids {
-		if t, ok := d.alias[s]; ok {
-			c.lookup[s] = ids[t]
-		} else {
-			c.lookup[s] = id
-		}
+	c.aliasSrc = slices.Sorted(maps.Keys(d.alias))
+	c.aliasTo = make([]uint32, len(c.aliasSrc))
+	for j, a := range c.aliasSrc {
+		c.aliasTo[j] = ids[d.alias[a]]
 	}
-	c.aliases = sized[AliasDecl](len(d.alias))
-	for a, t := range d.alias {
-		if _, ok := c.lookup[a]; !ok {
-			c.lookup[a] = ids[t]
-		}
-		c.aliases = append(c.aliases, AliasDecl{Alias: a, Canonical: t})
-	}
-	slices.SortFunc(c.aliases, func(a, b AliasDecl) int { return strings.Compare(a.Alias, b.Alias) })
+	c.index(d.alias)
+	c.programs(d.entityTypes, typeIDs)
+	c.relations(d.relations, ids, labelIDs)
+	return c
+}
 
-	// Vote programs: flatten the per-value annotation work of
-	// AnnotateColumn once per entity.
-	c.progs = make([][]voteEntry, len(c.strs))
-	for e, types := range d.entityTypes {
-		prog := make([]voteEntry, 0, len(types)*2) // non-nil even when empty
+// index builds the lookup index: every alias, and every canonical string
+// that is not an alias source, in a table kept under two-thirds full.
+func (c *Compiled) index(alias map[string]string) {
+	n := len(c.strs) + len(c.aliasSrc)
+	size := 1 << bits.Len(uint(n+n/2))
+	c.lookup = make([]uint32, size)
+	mask := uint64(size - 1)
+	insert := func(k uint32) {
+		s, _ := c.key(k)
+		i := keyHash(s) & mask
+		for c.lookup[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.lookup[i] = k + 1
+	}
+	for j := range c.aliasSrc {
+		insert(uint32(len(c.strs) + j))
+	}
+	for id, s := range c.strs {
+		if _, shadowed := alias[s]; !shadowed {
+			insert(uint32(id))
+		}
+	}
+}
+
+// programs flattens the per-value annotation work of AnnotateColumn once
+// per entity, into one arena in canonical-string ID order.
+func (c *Compiled) programs(entityTypes map[string][]string, typeIDs map[string]uint32) {
+	n := 0
+	for _, types := range entityTypes {
+		for _, t := range types {
+			n += 1 + len(c.ancs[typeIDs[t]])
+		}
+	}
+	c.prog = make([]voteEntry, 0, n)
+	c.progStart = make([]uint32, len(c.strs)+1)
+	c.entity = make([]uint64, (len(c.strs)+63)/64)
+	for id, s := range c.strs {
+		types, ok := entityTypes[s]
+		if ok {
+			c.entity[id/64] |= 1 << (id % 64)
+		}
 		for _, t := range types {
 			ti := typeIDs[t]
-			prog = append(prog, voteEntry{typ: ti, w: 1})
+			c.prog = append(c.prog, voteEntry{typ: ti, w: 1})
 			w := 1.0
 			for _, anc := range c.ancs[ti] {
 				w *= ancestorDecay
-				prog = append(prog, voteEntry{typ: anc, w: w})
+				c.prog = append(c.prog, voteEntry{typ: anc, w: w})
 			}
 		}
-		c.progs[ids[e]] = prog
+		c.progStart[id+1] = uint32(len(c.prog))
 	}
+}
 
-	// Relations: packed integer keys over the stored (not re-resolved)
-	// canonical endpoints, mirroring the string map's keys.
-	for key, ls := range d.relations {
-		subj, obj := splitRelationKey(key)
-		lids := make([]uint32, len(ls))
-		for j, l := range ls {
-			lids[j] = labelIDs[l]
-		}
-		c.rels[uint64(ids[subj])<<32|uint64(ids[obj])] = lids
+// relations lays the relations out in CSR form over the stored (not
+// re-resolved) canonical endpoints, mirroring the string map's keys.
+func (c *Compiled) relations(relations map[string][]string, ids, labelIDs map[string]uint32) {
+	type rel struct {
+		subj, obj uint32
+		labels    []string
 	}
-	return c
+	rels := make([]rel, 0, len(relations))
+	nlabels := 0
+	for key, ls := range relations {
+		subj, obj := splitRelationKey(key)
+		rels = append(rels, rel{ids[subj], ids[obj], ls})
+		nlabels += len(ls)
+	}
+	slices.SortFunc(rels, func(a, b rel) int {
+		if a.subj != b.subj {
+			return cmp.Compare(a.subj, b.subj)
+		}
+		return cmp.Compare(a.obj, b.obj)
+	})
+	c.relStart = make([]uint32, len(c.strs)+1)
+	c.relObj = make([]uint32, len(rels))
+	c.labelStart = make([]uint32, len(rels)+1)
+	c.relLabels = make([]uint32, 0, nlabels)
+	for r, rl := range rels {
+		c.relStart[rl.subj+1]++
+		c.relObj[r] = rl.obj
+		for _, l := range rl.labels {
+			c.relLabels = append(c.relLabels, labelIDs[l])
+		}
+		c.labelStart[r+1] = uint32(len(c.relLabels))
+	}
+	for i := range len(c.strs) {
+		c.relStart[i+1] += c.relStart[i]
+	}
 }
 
 func sortedBoolKeys(m map[string]bool) []string {
@@ -233,19 +312,76 @@ func sortedBoolKeys(m map[string]bool) []string {
 	return out
 }
 
+// key returns lookup key k's string and the canonical-string ID it
+// resolves to.
+func (c *Compiled) key(k uint32) (s string, id uint32) {
+	if n := uint32(len(c.strs)); k >= n {
+		return c.aliasSrc[k-n], c.aliasTo[k-n]
+	}
+	return c.strs[k], k
+}
+
+// keyHash is 64-bit FNV-1a over a lookup key, held as a string or as
+// bytes, so both hash alike.
+func keyHash[N ~string | ~[]byte](n N) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(n); i++ {
+		h = (h ^ uint64(n[i])) * 1099511628211
+	}
+	return h ^ h>>32
+}
+
+// find resolves a normalized string as Canonical does, to a
+// canonical-string ID: one alias hop, applied even to a string that is
+// itself an entity, and alias chains deliberately NOT chased (a→b with
+// b→c resolves a to b). ok is false when the KB mentions neither a
+// canonical string nor an alias n. A byte key is compared in place, so a
+// lookup allocates nothing.
+func find[N ~string | ~[]byte](c *Compiled, n N) (id uint32, ok bool) {
+	mask := uint64(len(c.lookup) - 1)
+	for i := keyHash(n) & mask; ; i = (i + 1) & mask {
+		k := c.lookup[i]
+		if k == 0 {
+			return 0, false
+		}
+		if s, id := c.key(k - 1); s == string(n) {
+			return id, true
+		}
+	}
+}
+
 // resolve normalizes s and resolves one alias hop, as Canonical does, to
 // a canonical-string ID; ok is false when the canonical string is not one
 // the KB mentions.
 func (c *Compiled) resolve(s string) (id uint32, ok bool) {
-	id, ok = c.lookup[tokenize.Normalize(s)]
-	return id, ok
+	return find(c, tokenize.Normalize(s))
+}
+
+// program returns a canonical-string ID's vote program: empty when the
+// string is not an entity, or is one with no declared types.
+func (c *Compiled) program(id uint32) []voteEntry {
+	return c.prog[c.progStart[id]:c.progStart[id+1]]
+}
+
+// isEntity reports whether a canonical-string ID is an entity.
+func (c *Compiled) isEntity(id uint32) bool { return c.entity[id/64]&(1<<(id%64)) != 0 }
+
+// relation returns the label IDs of subject --> object, in insertion
+// order; empty when there is none.
+func (c *Compiled) relation(subj, obj uint32) []uint32 {
+	lo, hi := c.relStart[subj], c.relStart[subj+1]
+	if i, ok := slices.BinarySearch(c.relObj[lo:hi], obj); ok {
+		r := lo + uint32(i)
+		return c.relLabels[c.labelStart[r]:c.labelStart[r+1]]
+	}
+	return nil
 }
 
 // DeclaredTypeIDs appends to dst the type IDs KB.TypesOf names for s: the
 // declared types of the entity s resolves to, in declaration order.
 func (c *Compiled) DeclaredTypeIDs(s string, dst []uint32) []uint32 {
 	if id, ok := c.resolve(s); ok {
-		for _, e := range c.progs[id] {
+		for _, e := range c.program(id) {
 			if e.declared() {
 				dst = append(dst, e.typ)
 			}
@@ -335,7 +471,7 @@ func (c *Compiled) AnnotateColumnCodes(codes []uint32, s *Scratch) (ColumnAnnota
 		if id >= nstrs {
 			continue // outside (non-KB) canonical: counts, never votes
 		}
-		prog := c.progs[id]
+		prog := c.program(id)
 		if len(prog) == 0 {
 			continue // known string, not an entity: counts, never votes
 		}
@@ -405,10 +541,10 @@ func (c *Compiled) AnnotatePairCodes(acodes, bcodes []uint32, s *Scratch) (PairA
 		if ia >= nstrs || ib >= nstrs {
 			continue // non-KB canonicals can never carry relations
 		}
-		for _, lid := range c.rels[uint64(ia)<<32|uint64(ib)] {
+		for _, lid := range c.relation(ia, ib) {
 			vote(lid << 1)
 		}
-		for _, lid := range c.rels[uint64(ib)<<32|uint64(ia)] {
+		for _, lid := range c.relation(ib, ia) {
 			vote(lid<<1 | 1)
 		}
 	}

@@ -114,11 +114,12 @@ func (d *decls) declarations() Dump {
 
 // dump is a frozen KB's Dump:
 //   - the types are the declared type IDs in order;
-//   - the entities are the canonical-string IDs with a program, in order,
-//     and an entity's types are its program's declared (weight-1) steps;
-//   - the aliases are the sorted pairs compile kept;
-//   - the relations are the rels keys, sorted as uint64 (subject ID, then
-//     object ID).
+//   - the entities are the canonical-string IDs marked as entities, in
+//     order, and an entity's types are its program's declared (weight-1)
+//     steps;
+//   - the aliases are the sorted alias sources compile kept, each with
+//     its target's canonical string;
+//   - the relations are the CSR runs in order: subject ID, then object ID.
 //
 // Every list is sized by a counting pass first, and the entities' type
 // lists are cut from one backing slice, as are the relations' label
@@ -126,34 +127,23 @@ func (d *decls) declarations() Dump {
 // doubling instead made a dump of a 19 k-entity KB ≈ 2.7 times slower on
 // a two-core machine.
 func (c *Compiled) dump() Dump {
-	ntypes, nents, ndecl, nlabels := 0, 0, 0, 0
+	ntypes, ndecl := 0, 0
 	for _, p := range c.parent {
 		if p != undeclaredType {
 			ntypes++
 		}
 	}
-	for _, prog := range c.progs {
-		if prog != nil {
-			nents++
-		}
-		for _, e := range prog {
-			if e.declared() {
-				ndecl++
-			}
+	for _, e := range c.prog {
+		if e.declared() {
+			ndecl++
 		}
 	}
-	keys := make([]uint64, 0, len(c.rels))
-	for key, ls := range c.rels {
-		keys = append(keys, key)
-		nlabels += len(ls)
-	}
-	slices.Sort(keys)
 
 	out := Dump{
 		Types:     sized[TypeDecl](ntypes),
-		Entities:  sized[EntityDecl](nents),
-		Aliases:   slices.Clone(c.aliases),
-		Relations: sized[RelationDecl](len(keys)),
+		Entities:  sized[EntityDecl](c.numEntities()),
+		Aliases:   sized[AliasDecl](len(c.aliasSrc)),
+		Relations: sized[RelationDecl](len(c.relObj)),
 	}
 	for id, p := range c.parent {
 		switch p {
@@ -165,29 +155,34 @@ func (c *Compiled) dump() Dump {
 		}
 	}
 	types := make([]string, 0, ndecl)
-	for id, prog := range c.progs {
-		if prog == nil {
+	for id := range c.strs {
+		if !c.isEntity(uint32(id)) {
 			continue
 		}
 		from := len(types)
-		for _, e := range prog {
+		for _, e := range c.program(uint32(id)) {
 			if e.declared() {
 				types = append(types, c.types[e.typ])
 			}
 		}
 		out.Entities = append(out.Entities, EntityDecl{Entity: c.strs[id], Types: cut(types, from)})
 	}
-	labels := make([]string, 0, nlabels)
-	for _, key := range keys {
-		from := len(labels)
-		for _, l := range c.rels[key] {
-			labels = append(labels, c.labels[l])
+	for j, a := range c.aliasSrc {
+		out.Aliases = append(out.Aliases, AliasDecl{Alias: a, Canonical: c.strs[c.aliasTo[j]]})
+	}
+	labels := make([]string, 0, len(c.relLabels))
+	for subj := range c.strs {
+		for r := c.relStart[subj]; r < c.relStart[subj+1]; r++ {
+			from := len(labels)
+			for _, l := range c.relLabels[c.labelStart[r]:c.labelStart[r+1]] {
+				labels = append(labels, c.labels[l])
+			}
+			out.Relations = append(out.Relations, RelationDecl{
+				Subject: c.strs[subj],
+				Object:  c.strs[c.relObj[r]],
+				Labels:  cut(labels, from),
+			})
 		}
-		out.Relations = append(out.Relations, RelationDecl{
-			Subject: c.strs[key>>32],
-			Object:  c.strs[uint32(key)],
-			Labels:  cut(labels, from),
-		})
 	}
 	return out
 }

@@ -9,6 +9,7 @@
 package kb
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -138,7 +139,7 @@ func (k *KB) Canonical(s string) string {
 		return d.canonical(s)
 	}
 	n := tokenize.Normalize(s)
-	if id, ok := c.lookup[n]; ok {
+	if id, ok := find(c, n); ok {
 		return c.strs[id]
 	}
 	return n
@@ -159,7 +160,7 @@ func (k *KB) HasEntity(s string) bool {
 		return ok
 	}
 	id, ok := c.resolve(s)
-	return ok && c.progs[id] != nil
+	return ok && c.isEntity(id)
 }
 
 // TypesOf returns the declared types of the entity (after alias
@@ -214,7 +215,7 @@ func (k *KB) RelationsBetween(subject, object string) []string {
 	if !sok || !ook || c.strs[s] == "" || c.strs[o] == "" {
 		return nil
 	}
-	return names(c.rels[uint64(s)<<32|uint64(o)], c.labels)
+	return names(c.relation(s, o), c.labels)
 }
 
 // names maps compiled IDs to their strings in of; nil when ids is empty,
@@ -355,11 +356,14 @@ func (k *KB) NumEntities() int {
 	if c == nil {
 		return len(d.entityTypes)
 	}
+	return c.numEntities()
+}
+
+// numEntities counts the entity bits.
+func (c *Compiled) numEntities() int {
 	n := 0
-	for _, prog := range c.progs {
-		if prog != nil {
-			n++
-		}
+	for _, w := range c.entity {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -371,5 +375,5 @@ func (k *KB) NumRelations() int {
 	if c == nil {
 		return len(d.relations)
 	}
-	return len(c.rels)
+	return len(c.relObj)
 }

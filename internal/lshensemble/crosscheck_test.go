@@ -6,7 +6,8 @@ package lshensemble
 // path) must return exactly the same ranked results — same domains, same
 // containments, same order — as the reference below, which replays the old
 // query (fnv.New64a band keys, string-set verification) over the same built
-// index's partitions and signatures, without its band tables.
+// index's partitions, signing every member itself, without the index's
+// band tables.
 
 import (
 	"context"
@@ -77,8 +78,9 @@ type refContainment struct {
 // referenceQuery replays the pre-refactor string-based query against the
 // built index's partition layout, finding candidates without any band
 // table: a member of a banded partition is a candidate when one of its
-// signature's hash/fnv band keys equals one of the query's. Verification is
-// exact, over string sets.
+// signature's hash/fnv band keys equals one of the query's, the member
+// signed from its value strings as the query is. Verification is exact,
+// over string sets.
 func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []refContainment {
 	query := tokenize.ValueSet(rawQuery)
 	if len(query) == 0 {
@@ -87,7 +89,8 @@ func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []re
 	candidates := make(map[int32]bool)
 	// The reference signs with its own family — it shares nothing with the
 	// index's sketch builder beyond the (size, seed) parameters.
-	qsig := minhash.NewFamily(ix.opts.NumHashes, ix.opts.Seed).SignFingerprintsInto(minhash.Fingerprints(query), nil)
+	family := minhash.NewFamily(ix.opts.NumHashes, ix.opts.Seed)
+	qsig := family.SignFingerprintsInto(minhash.Fingerprints(query), nil)
 	for _, p := range ix.parts {
 		// Mirror the production small-partition rule: partitions at or below
 		// scanPartitionMax members are probed exhaustively, not by bands.
@@ -105,7 +108,8 @@ func referenceQuery(ix *Index, rawQuery []string, threshold float64, k int) []re
 			qkeys[key] = true
 		}
 		for _, di := range p.members {
-			for _, key := range referenceBandKeys(minhash.Signature(ix.signatures[di]), r) {
+			sig := family.SignFingerprintsInto(minhash.Fingerprints(ix.domains[di].Values), nil)
+			for _, key := range referenceBandKeys(sig, r) {
 				if qkeys[key] {
 					candidates[di] = true
 				}

@@ -112,21 +112,20 @@ type bandTable struct {
 }
 
 // Index is an LSH Ensemble over a set of domains. Domains live in
-// slot-addressed arrays (domains/signatures/partOf share indexing). An
-// Index never changes once built: a mutation derives the next generation
-// with With, so queries take no lock and a reader keeps answering from the
-// generation it loaded.
+// slot-addressed arrays (domains and partOf share indexing); a slot's
+// signature lives on only as its band keys. An Index never changes once
+// built: a mutation derives the next generation with With, so queries take
+// no lock and a reader keeps answering from the generation it loaded.
 type Index struct {
-	opts       Options
-	builder    sketch.Builder
-	dict       *table.TokenDict
-	domains    []Domain
-	signatures []sketch.Sketch
-	order      []int32 // slots sorted by (domain size, key): the equi-depth order
-	partOf     []int32 // per slot: partition index
-	parts      []partition
-	tables     []bandTable // one per r in rChoices up to NumHashes
-	scratch    *sync.Pool  // *queryScratch, shared by every generation
+	opts    Options
+	builder sketch.Builder
+	dict    *table.TokenDict
+	domains []Domain
+	order   []int32 // slots sorted by (domain size, key): the equi-depth order
+	partOf  []int32 // per slot: partition index
+	parts   []partition
+	tables  []bandTable // one per r in rChoices up to NumHashes
+	scratch *sync.Pool  // *queryScratch, shared by every generation
 }
 
 // queryScratch is the reusable per-query working memory: the fingerprint and
@@ -172,21 +171,21 @@ func Build(domains []Domain, opts Options, dict *table.TokenDict) *Index {
 // With derives the index over the receiver's domains minus those of the
 // removed tables (unknown names are ignored) plus the added domains,
 // appended in order; the added domains carry IDs as Build requires. Kept
-// slots stay in their order and reuse their sketches; added domains are
-// signed in parallel (the only per-value work). The equi-depth order is
-// the kept order merged with the sorted additions, and each band table is
-// re-bucketed from the receiver's entries plus the added slots' keys —
-// O(entries), nothing re-signed — in parallel over r. The result answers
-// every query as a fresh Build over the same domains does. The receiver is
-// left unchanged and stays safe to query.
+// slots stay in their order and keep their band keys; added domains are
+// signed in parallel (the only per-value work), into an arena that lives
+// only as long as the call. The equi-depth order is the kept order merged
+// with the sorted additions, and each band table is re-bucketed from the
+// receiver's entries plus the added slots' keys — O(entries), nothing
+// re-signed — in parallel over r. The result answers every query as a
+// fresh Build over the same domains does. The receiver is left unchanged
+// and stays safe to query.
 func (ix *Index) With(added []Domain, removed []string) *Index {
 	doomed := make(map[string]bool, len(removed))
 	for _, n := range removed {
 		doomed[n] = true
 	}
-	n := len(ix.domains) + len(added)
 	next := &Index{opts: ix.opts, builder: ix.builder, dict: ix.dict, scratch: ix.scratch,
-		domains: make([]Domain, 0, n), signatures: make([]sketch.Sketch, 0, n)}
+		domains: make([]Domain, 0, len(ix.domains)+len(added))}
 	// newSlot maps a receiver slot to its slot in next, -1 when removed.
 	newSlot := make([]int32, len(ix.domains))
 	for s := range ix.domains {
@@ -194,25 +193,24 @@ func (ix *Index) With(added []Domain, removed []string) *Index {
 		if !doomed[ix.domains[s].Table] {
 			newSlot[s] = int32(len(next.domains))
 			next.domains = append(next.domains, ix.domains[s])
-			next.signatures = append(next.signatures, ix.signatures[s])
 		}
 	}
 	base := len(next.domains)
 	next.domains = append(next.domains, added...)
-	next.signatures = next.signatures[:len(next.domains)]
 	// Sketches of the added domains live in one arena (workers write
 	// disjoint ranges); each depends only on its own domain, so the result
 	// is deterministic regardless of scheduling.
 	h := ix.opts.NumHashes
 	arena := make([]uint64, len(added)*h)
+	sigs := make([]sketch.Sketch, len(added))
 	par.For(len(added), func(i int) {
 		var fps []uint64
-		next.signatures[base+i] = next.sign(&next.domains[base+i], &fps, arena[i*h:i*h:(i+1)*h])
+		sigs[i] = next.sign(&next.domains[base+i], &fps, arena[i*h:i*h:(i+1)*h])
 	})
 	next.layout(ix.order, newSlot, base)
 	next.tables = make([]bandTable, len(ix.tables))
 	par.For(len(ix.tables), func(t int) {
-		next.tables[t] = ix.tables[t].with(newSlot, next.signatures[base:], int32(base))
+		next.tables[t] = ix.tables[t].with(newSlot, sigs, int32(base))
 	})
 	return next
 }

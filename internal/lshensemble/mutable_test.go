@@ -25,15 +25,16 @@ func plainDomains(ix *Index) []Domain {
 	return out
 }
 
-// layoutSig renders an index's layout — its domains and signatures in slot
-// order, the partition boundaries and size bounds, and for each r the set
-// of domains under each band key — as domain keys, so two indexes over the
-// same domains compare structurally even when their dictionaries differ.
-// Entries within a bucket may be stored in any order.
+// layoutSig renders an index's layout — its domains in slot order, the
+// partition boundaries and size bounds, and for each r the set of domains
+// under each band key — as domain keys, so two indexes over the same
+// domains compare structurally even when their dictionaries differ. The
+// r=1 table's band keys pin every signature row's hash. Entries within a
+// bucket may be stored in any order.
 func layoutSig(ix *Index) string {
 	var b strings.Builder
 	for slot := range ix.domains {
-		fmt.Fprintf(&b, "slot%d part%d %s %v sig=%x\n", slot, ix.partOf[slot], ix.domains[slot].Key(), ix.domains[slot].Values, ix.signatures[slot])
+		fmt.Fprintf(&b, "slot%d part%d %s %v\n", slot, ix.partOf[slot], ix.domains[slot].Key(), ix.domains[slot].Values)
 	}
 	for pi, p := range ix.parts {
 		keys := make([]string, 0, len(p.members))
